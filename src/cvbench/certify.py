@@ -29,7 +29,7 @@ from .bounds import classical_bound, quadrature_threshold
 from .errors import (DatasetError, InvalidInput, NotCompletelyPositive,
                      UnsupportedTask)
 from .gaussian import (E2, GaussianChannel, GaussianState, apply_channel,
-                       coherent_mean, is_cp_channel)
+                       coherent_mean, is_cp_channel, isotropic_part)
 from . import schemes
 
 _LABELS = ("plus", "minus")
@@ -454,10 +454,9 @@ def detect_gaussian_qd(channel, lam: float = 1e-3) -> DetectionReport:
     if float(channel.disp @ channel.disp) > 1e-18:
         raise UnsupportedTask("displaced channels are not classified; subtract "
                               "the displacement first")
-    K, M = channel.K, channel.M
-    k = K[0, 0]
-    if not (abs(K[0, 1]) <= 1e-9 and abs(K[1, 0]) <= 1e-9
-            and abs(K[1, 1] - k) <= 1e-9 and k > 0):
+    M = channel.M
+    k = isotropic_part(channel.K)
+    if k is None or k <= 0:
         raise UnsupportedTask("classification covers K proportional to the identity only")
     m_eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
     if abs(m_eigs[1] - m_eigs[0]) <= 1e-9:
@@ -481,7 +480,7 @@ def _family_c_report(eta: float, m: float, lam: float) -> DetectionReport:
             f"added noise {m:.4g} sits below the quantum-limited floor "
             f"{abs(1.0 - eta) / 2.0:.4g} for gain {eta:.4g}")
     ntilde = max(ntilde, 0.0)
-    fbar = 2.0 / (1.0 + eta + abs(1.0 - eta) + 2.0 * ntilde)
+    fbar = schemes.canonical_c_fidelity(eta, ntilde)
     margin, margin0, ladder = _margin_ladder(fbar, eta, lam)
     return DetectionReport(
         family="gain_with_isotropic_noise", eta=eta, added_noise=ntilde, fbar=fbar,

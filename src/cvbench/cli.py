@@ -36,7 +36,8 @@ from .ensembles import GaussianPrior, gauss_rule
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
-from .gaussian import GaussianChannel, average_fidelity_gaussian, is_cp_channel
+from .gaussian import (GaussianChannel, average_fidelity_gaussian, is_cp_channel,
+                       isotropic_part)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -288,11 +289,16 @@ def _channel_gain(channel) -> float | None:
         if isinstance(channel, schemes.CanonicalB1):
             return 1.0
         channel = schemes.to_gaussian(channel)
-    K = channel.K
-    k = K[0, 0]
-    if abs(K[0, 1]) <= 1e-12 and abs(K[1, 0]) <= 1e-12 and abs(K[1, 1] - k) <= 1e-12:
-        return float(k * k)
-    return None
+    k = isotropic_part(channel.K)
+    return None if k is None else k * k
+
+
+def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
+    """lam, or the narrow proxy _SMALL_LAM (with a warning) for the flat prior."""
+    if lam != 0.0:
+        return lam
+    warnings.append(f"flat prior replaced by lambda = {_SMALL_LAM}{purpose}")
+    return _SMALL_LAM
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +366,8 @@ def _cmd_simulate(eff: dict):
     fbar_gauss = None
     if engine in ("gaussian", "both"):
         if lam_gauss != lam:
-            warnings.append("flat prior needs quadrature here; evaluated at "
-                            f"lambda = {lam_gauss} instead")
+            warnings.append("the flat-prior average diverges for an unmatched "
+                            f"channel; evaluated at lambda = {lam_gauss} instead")
         fbar_gauss = average_fidelity_gaussian(gauss, eta, lam_gauss)
         result["fbar_gaussian"] = fbar_gauss
         result["lambda_used_gaussian"] = lam_gauss
@@ -413,11 +419,7 @@ def _cmd_simulate(eff: dict):
 
 def _certify_dataset(eff: dict, warnings: list):
     _require(eff, "input", "lam")
-    lam = float(eff["lam"])
-    if lam == 0.0:
-        lam = _SMALL_LAM
-        warnings.append(f"flat prior replaced by lambda = {_SMALL_LAM} for "
-                        "grid weighting")
+    lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for grid weighting")
     weights = None
     if eff.get("weights") is not None:
         weights = [float(x) for x in str(eff["weights"]).split(",")]
@@ -459,10 +461,7 @@ def _cmd_certify(eff: dict):
         if not is_cp_channel(gauss):
             raise NotCompletelyPositive(
                 "channel (K, M) fails the complete-positivity criterion")
-        lam = float(eff["lam"])
-        if lam == 0.0:
-            lam = _SMALL_LAM
-            warnings.append(f"flat prior replaced by lambda = {_SMALL_LAM}")
+        lam = _flat_prior_proxy(float(eff["lam"]), warnings)
         report = certify.certify_by_fidelity(gauss, float(eff["eta"]), lam, k=k)
     else:
         raise _Usage("certify needs --input, --fbar, or --channel")
@@ -542,7 +541,7 @@ def _cmd_sweep(eff: dict):
         if "g" in keys:
             row.append(schemes.mp_average_fidelity(point["g"], eta, lam))
         if "ntilde" in keys:
-            fbar = 2.0 / (1.0 + eta + abs(1.0 - eta) + 2.0 * point["ntilde"])
+            fbar = schemes.canonical_c_fidelity(eta, point["ntilde"])
             row.append(fbar)
             row.append(fbar - classical_bound(eta, 0.0))
             row.append(point["ntilde"] < min(1.0, eta))
@@ -559,11 +558,7 @@ def _cmd_sweep(eff: dict):
 
 def _cmd_proofcheck(eff: dict):
     warnings = []
-    lam = float(eff["lam"])
-    if lam == 0.0:
-        lam = _SMALL_LAM
-        warnings.append(f"flat prior replaced by lambda = {_SMALL_LAM} for the "
-                        "operator checks")
+    lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for the operator checks")
     eta = float(eff["eta"])
     seed = int(eff["seed"])
     scale = float(eff["corrupt_bound"])

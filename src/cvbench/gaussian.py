@@ -192,8 +192,13 @@ def fidelity_to_coherent(state: GaussianState, beta) -> float:
     return float(math.exp(expo) / math.sqrt(det))
 
 
-def _isotropic_part(m):
-    """Return s for m = s*E2, or None if m is not isotropic (to 1e-12)."""
+def isotropic_part(m):
+    """Return s for m = s*E2, or None if m is not isotropic.
+
+    The one test for "proportional to the identity" in the package: each
+    entry must match to 1e-12 relative to max(1, |m00|, |m11|).  Callers
+    apply their own sign rule to s.
+    """
     scale = max(1.0, abs(m[0, 0]), abs(m[1, 1]))
     if (abs(m[0, 0] - m[1, 1]) <= _ISO_TOL * scale
             and abs(m[0, 1]) <= _ISO_TOL * scale
@@ -202,24 +207,27 @@ def _isotropic_part(m):
     return None
 
 
-def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float,
-                              rule=None) -> float:
+def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) -> float:
     """Average fidelity of a Gaussian channel against the scaling task.
 
     The task sends |alpha> to |sqrt(eta) alpha> with alpha drawn from the
-    Gaussian prior p(alpha) = (lam/pi) exp(-lam |alpha|^2).  For isotropic
-    channels (K = g*E2 with isotropic output covariance S*E2 relative to a
-    coherent probe) the average has the closed form
+    Gaussian prior p(alpha) = (lam/pi) exp(-lam |alpha|^2).  The per-alpha
+    fidelity is Gaussian in the mean vector sqrt(2) alpha, so the average is
+    an exact Gaussian integral.  With Sigma = gamma_c + gamma' (gamma' the
+    output covariance of a coherent probe), A = K - sqrt(eta) E2, b = disp:
 
-        lam / (lam*S + (g - sqrt(eta))^2) * exp(-lam |disp|^2 / (2 (lam*S + c^2)))
+        lam / sqrt(det R) * exp(-lam b.R^(-1).b / 2),   R = lam Sigma + A A^T.
 
-    which reduces to det(gamma_c + gamma')^(-1/2), independent of lam, in the
-    gain-matched case.  Anisotropic channels fall back to prior quadrature of
-    `fidelity_to_coherent` with an importance-matched node layout.
+    By Woodbury this equals lam / sqrt(det Q det Sigma) * exp(h.Q^(-1).h / 4
+    - b.S.b / 2) with S = Sigma^(-1), Q = lam E2 + A^T S A, h = sqrt(2) A^T S b,
+    but the R form has no cancellation in the exponent.  For K = g*E2 and
+    Sigma = s*E2 it is lam / (lam*s + c^2) * exp(-lam |b|^2 / (2 (lam*s + c^2)))
+    with c = g - sqrt(eta).
 
-    lam = 0 denotes the flat-prior limit and is accepted only in the matched
-    case (K = sqrt(eta)*E2 with no displacement); anything else diverges and
-    raises DomainError.
+    In the gain-matched case (K = sqrt(eta)*E2 with no displacement) the
+    average is det(Sigma)^(-1/2), independent of lam.  lam = 0 denotes the
+    flat-prior limit and is accepted only in that case; anything else
+    diverges and raises DomainError.
     """
     if eta <= 0:
         raise InvalidInput(f"task gain eta must be positive, got {eta}")
@@ -231,7 +239,7 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float,
     gamma_out = channel.K @ VACUUM_GAMMA @ channel.K.T + channel.M
     sigma = VACUUM_GAMMA + gamma_out
     sqrt_eta = math.sqrt(eta)
-    g = _isotropic_part(channel.K)
+    g = isotropic_part(channel.K)
     disp2 = float(channel.disp @ channel.disp)
 
     matched = (g is not None and g >= 0 and abs(g - sqrt_eta) <= 1e-12 * max(1.0, sqrt_eta)
@@ -245,42 +253,9 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float,
             f"gain-matched with no displacement; here K gain {g if g is not None else channel.K} "
             f"vs sqrt(eta) = {sqrt_eta} and |disp|^2 = {disp2}")
 
-    s_iso = _isotropic_part(sigma)
-    if g is not None and g >= 0 and s_iso is not None:
-        c = g - sqrt_eta
-        den = lam * s_iso + c * c
-        return float(lam / den * math.exp(-lam * disp2 / (2.0 * den)))
-
-    return _average_fidelity_quadrature(channel, eta, lam, rule)
-
-
-def _average_fidelity_quadrature(channel, eta, lam, rule=None):
-    """Prior-quadrature fallback for anisotropic channels."""
-    from . import ensembles  # local import keeps the module dependency one-way
-
-    sqrt_eta = math.sqrt(eta)
-    gamma_out = channel.K @ VACUUM_GAMMA @ channel.K.T + channel.M
-    sigma = VACUUM_GAMMA + gamma_out
-    # Effective angular-average decay rate of the per-alpha fidelity; adding it
-    # to the prior width puts quadrature nodes where the integrand lives.
     A = channel.K - sqrt_eta * E2
-    c_eff = 0.5 * float(np.trace(A.T @ np.linalg.solve(sigma, A)))
-    lam_rule = lam + max(c_eff, 0.0)
-    if rule is None:
-        rule = ensembles.gauss_rule(ensembles.GaussianPrior(lam_rule), 24, 32)
-
-    def estimate(r):
-        nodes, weights = r.nodes, r.weights
-        # importance factor: rule weights represent its own prior width
-        logfac = (r.lam - lam) * np.abs(nodes) ** 2
-        fac = (lam / r.lam) * np.exp(logfac)
-        vals = np.empty(nodes.size)
-        for i, a in enumerate(nodes):
-            out = apply_channel(channel, GaussianState.coherent(a))
-            vals[i] = fidelity_to_coherent(out, sqrt_eta * a)
-        return float(np.sum(weights * fac * vals))
-
-    coarse = estimate(rule)
-    fine = estimate(rule.refine())
-    # the integrand is Gaussian-by-Gaussian, so doubling the rule is ample
-    return fine if abs(fine - coarse) < 1e-6 else estimate(rule.refine().refine())
+    R = lam * sigma + A @ A.T
+    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
+    b = channel.disp
+    expo = -0.5 * lam * float(b @ np.linalg.solve(R, b))
+    return float(lam / math.sqrt(det) * math.exp(expo))

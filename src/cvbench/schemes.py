@@ -19,7 +19,8 @@ from . import fock
 from .bounds import classical_bound
 from .errors import (ConvergenceError, InvalidInput, NotCompletelyPositive,
                      UnsupportedTask)
-from .gaussian import E2, GaussianChannel, compose as compose_channels, is_cp_channel
+from .gaussian import (E2, GaussianChannel, compose as compose_channels,
+                       is_cp_channel, isotropic_part)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -198,6 +199,14 @@ def qd_by_parameters(model: ChannelModel) -> bool:
     if isinstance(model, QuantumLimitedAmp):
         return True
     raise InvalidInput(f"no canonical quantum-domain classification for {model!r}")
+
+
+def canonical_c_fidelity(eta: float, ntilde: float) -> float:
+    """Gain-matched average fidelity 2 / (1 + eta + |1 - eta| + 2 ntilde) of CanonicalC.
+
+    Prior-independent, since the channel's gain equals the task's.
+    """
+    return 2.0 / (1.0 + eta + abs(1.0 - eta) + 2.0 * ntilde)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +395,9 @@ def fock_applier_for_gaussian(channel: GaussianChannel, mixture_points: int = 20
     if not is_cp_channel(channel):
         raise NotCompletelyPositive(
             "channel (K, M) fails the complete-positivity criterion")
-    K, M, disp = channel.K, channel.M, channel.disp
-    k = K[0, 0]
-    if not (abs(K[0, 1]) <= 1e-12 and abs(K[1, 0]) <= 1e-12
-            and abs(K[1, 1] - k) <= 1e-12 and k > 0):
+    M, disp = channel.M, channel.disp
+    k = isotropic_part(channel.K)
+    if k is None or k <= 0:
         raise UnsupportedTask(
             "truncated realization covers K proportional to the identity only")
     if abs(M[0, 1]) > 1e-12 or abs(M[1, 0]) > 1e-12:
@@ -402,7 +410,9 @@ def fock_applier_for_gaussian(channel: GaussianChannel, mixture_points: int = 20
         raise UnsupportedTask(
             "noise below the quantum-limited floor on one axis needs squeezing, "
             "which is not covered")
-    extra = np.maximum(extra, 0.0)
+    # Roundoff in k = sqrt(T) leaves ~1e-17 of "extra" noise on a quantum-limited
+    # channel; a displacement mixture for it would cost more than it changes.
+    extra = np.where(extra > 1e-12, extra, 0.0)
     beta = (disp[0] + 1j * disp[1]) / _SQRT2
 
     def apply(rho):

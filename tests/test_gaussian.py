@@ -9,7 +9,7 @@ from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian,
                               characteristic_function, coherent_mean, compose,
                               fidelity_to_coherent, is_cp_channel,
-                              is_physical_state)
+                              is_physical_state, isotropic_part)
 
 rng = np.random.default_rng(23)
 
@@ -159,6 +159,16 @@ def test_channel_json_roundtrip():
     assert np.array_equal(GaussianChannel.from_json(spec).disp, np.zeros(2))
 
 
+def test_isotropic_part_tolerance_is_relative():
+    assert isotropic_part(3.0 * E2) == 3.0
+    # 1e-12 relative to max(1, |diagonal|): 2e-12 skew passes on a gain of 3
+    # but not on a unit gain, and a 1e-10 diagonal mismatch never does.
+    assert isotropic_part(np.array([[3.0, 2e-12], [0.0, 3.0]])) == 3.0
+    assert isotropic_part(np.array([[1.0, 2e-12], [0.0, 1.0]])) is None
+    assert isotropic_part(np.diag([1.0, 1.0 + 1e-10])) is None
+    assert isotropic_part(-0.5 * E2) == -0.5
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 
@@ -189,8 +199,8 @@ def test_average_fidelity_flat_prior_needs_matched_channel():
 
 
 def test_average_fidelity_isotropic_closed_form_vs_quadrature():
-    # Force the generic quadrature path with a rule and compare with the
-    # isotropic closed form picked automatically.
+    # Compare the closed form with a dense prior quadrature of the per-alpha
+    # fidelity of an isotropic channel.
     for eta, lam, T in [(1.0, 0.2, 0.5), (0.7, 0.6, 0.9), (2.0, 0.1, 0.4)]:
         ch = loss_channel(T)
         closed = average_fidelity_gaussian(ch, eta, lam)
@@ -214,7 +224,7 @@ def test_average_fidelity_with_displacement():
 
 @pytest.mark.parametrize("i", range(6))
 def test_average_fidelity_anisotropic_quadrature(i):
-    # Generic channels take the adaptive quadrature; cross-check against a
+    # Cross-check the closed form for generic channels against a
     # straightforward dense evaluation of the same integral.
     ch = random_channels[i]
     eta, lam = 0.8, 0.5
@@ -224,6 +234,40 @@ def test_average_fidelity_anisotropic_quadrature(i):
         apply_channel(ch, GaussianState.coherent(a)), math.sqrt(eta) * a)
         for a in rule.nodes])
     assert got == pytest.approx(float(rule.weights @ vals), rel=1e-6, abs=1e-9)
+
+
+def trapezoid_average_fidelity(ch, eta, lam, points=1201):
+    """Cartesian trapezoid of the prior average over the mean vector x = sqrt(2) alpha.
+
+    The integrand is the prior density lam/(2 pi) exp(-lam |x|^2 / 2) times
+    the overlap of the output state (K x + disp, K K^T/2 + M) with the coherent
+    target of mean sqrt(eta) x, over +-10 prior widths per axis.
+    """
+    half = 10.0 / math.sqrt(lam)
+    x = np.linspace(-half, half, points)
+    w = np.full(points, x[1] - x[0])
+    w[[0, -1]] /= 2.0
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    A = ch.K - math.sqrt(eta) * E2
+    dx = A[0, 0] * X + A[0, 1] * Y + ch.disp[0]
+    dy = A[1, 0] * X + A[1, 1] * Y + ch.disp[1]
+    sigma = 0.5 * E2 + 0.5 * ch.K @ ch.K.T + ch.M
+    s = np.linalg.inv(sigma)
+    quad_form = s[0, 0] * dx ** 2 + 2.0 * s[0, 1] * dx * dy + s[1, 1] * dy ** 2
+    integrand = (lam / (2.0 * math.pi)) * np.exp(-0.5 * lam * (X ** 2 + Y ** 2)
+                                                 - 0.5 * quad_form)
+    return float(w @ integrand @ w) / math.sqrt(np.linalg.det(sigma))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2])
+@pytest.mark.parametrize("eta", [0.3, 2.5])
+@pytest.mark.parametrize("i", range(4))
+def test_average_fidelity_anisotropic_small_prior_width(i, eta, lam):
+    # Near the CLI's flat-prior proxy the prior is far wider than the
+    # per-alpha fidelity, which is where a prior-shaped rule loses accuracy.
+    ch = random_channels[i]
+    got = average_fidelity_gaussian(ch, eta, lam)
+    assert got == pytest.approx(trapezoid_average_fidelity(ch, eta, lam), rel=1e-6)
 
 
 def test_average_fidelity_canonical_single_quadrature_noise():

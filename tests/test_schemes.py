@@ -256,6 +256,23 @@ def test_fock_applier_for_gaussian_channels():
     assert np.allclose(mean, expected.d, atol=1e-6)
 
 
+def test_fock_applier_for_gaussian_skips_roundoff_noise(monkeypatch):
+    # to_gaussian(PureLoss(0.5)) has K = sqrt(0.5) E2, and sqrt(0.5)**2 != 0.5
+    # leaves ~1e-17 of noise above the loss floor: no mixture should run for it.
+    calls = []
+    mixture = fock.gaussian_mixture_of_displacements
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mixture(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "gaussian_mixture_of_displacements", counting)
+    rho = fock.coherent_ket(0.7 - 0.3j, 40).projector()
+    out = fock_applier_for_gaussian(to_gaussian(PureLoss(0.5)))(rho)
+    assert calls == []
+    assert np.allclose(out.matrix, fock.apply_loss(rho, 0.5).matrix, rtol=0.0, atol=1e-12)
+
+
 def test_fock_applier_for_gaussian_rejects_bad_channels():
     with pytest.raises(NotCompletelyPositive):
         fock_applier_for_gaussian(GaussianChannel(2.0 * E2, np.zeros((2, 2))))

@@ -29,7 +29,8 @@ from .bounds import classical_bound, quadrature_threshold
 from .errors import (DatasetError, InvalidInput, NotCompletelyPositive,
                      UnsupportedTask)
 from .gaussian import (E2, GaussianChannel, GaussianState, apply_channel,
-                       coherent_mean, is_cp_channel, isotropic_part)
+                       average_fidelity_gaussian, coherent_mean, is_cp_channel,
+                       isotropic_part)
 from . import schemes
 
 _LABELS = ("plus", "minus")
@@ -309,13 +310,10 @@ def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.
     GaussianChannel, or a channel model; model values are exact, so se
     defaults to 0 and the margin test reduces to fidelity > bound.
     """
+    if isinstance(value_or_channel, schemes._MODEL_TYPES):
+        value_or_channel = schemes.to_gaussian(value_or_channel)
     if isinstance(value_or_channel, GaussianChannel):
-        from .gaussian import average_fidelity_gaussian
         fbar, se = average_fidelity_gaussian(value_or_channel, eta, lam), 0.0
-    elif isinstance(value_or_channel, schemes._MODEL_TYPES):
-        from .gaussian import average_fidelity_gaussian
-        fbar = average_fidelity_gaussian(schemes.to_gaussian(value_or_channel), eta, lam)
-        se = 0.0
     else:
         fbar = float(value_or_channel)
         if not (0.0 <= fbar <= 1.0):

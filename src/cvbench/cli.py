@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior width (0 maps to closed forms or to 1e-3 with a warning)")
     p.add_argument("--engine", choices=["gaussian", "fock", "both"], default=None)
     p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation for the fock engine (default: auto)")
+                   help="truncation for the fock engine (default: auto, at most 1024)")
     p.add_argument("--quad", default=None,
                    help="fock-engine prior rule as 'radial,angular' (default 16,24)")
 
@@ -378,8 +378,7 @@ def _cmd_simulate(eff: dict):
         elif lam_fock != lam:
             warnings.append("the truncated engine averages over a proper prior; "
                             f"evaluated at lambda = {lam_fock} instead")
-        applier = (schemes.fock_applier(channel) if is_model
-                   else schemes.fock_applier_for_gaussian(channel))
+        applier = schemes.fock_applier(channel)
         try:
             radial, angular = (int(x) for x in str(eff["quad"]).split(","))
         except ValueError:

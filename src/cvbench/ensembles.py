@@ -69,6 +69,13 @@ class QuadratureRule:
         nr, na = self.resolution
         return gauss_rule(GaussianPrior(self.lam), 2 * nr, 2 * na)
 
+    def weights_for(self, lam: float) -> np.ndarray:
+        """Weights importance-reweighted from the rule's prior width to lam."""
+        if self.lam == lam:
+            return self.weights
+        t = np.abs(self.nodes) ** 2
+        return self.weights * (lam / self.lam) * np.exp((self.lam - lam) * t)
+
     def average(self, values) -> float:
         values = np.asarray(values)
         return float(np.real(np.sum(self.weights * values)))

@@ -20,6 +20,13 @@ from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
 _SQRT2 = math.sqrt(2.0)
 
+_MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
+_KEEP_FRACTION = 0.85  # average_fidelity_fock's comfort zone, as a share of the cutoff
+_CUTOFF_WEIGHT_TOL = 1e-10  # truncated weight select_cutoff aims for
+# select_cutoff's ceiling: one dense complex matrix at this cutoff is 16 MiB,
+# and the engine holds a few per node, so anything wider must be asked for.
+_MAX_AUTO_CUTOFF = 1024
+
 
 # ---------------------------------------------------------------------------
 # basic operators
@@ -127,8 +134,12 @@ class FockOperator:
         return cls(arr[..., 0] + 1j * arr[..., 1])
 
 
-def _coherent_amplitude_matrix(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Columns of coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), vectorized."""
+def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
+    """Batch of truncated coherent kets exp(-|a|^2/2) a^n / sqrt(n!), one per column.
+
+    No weight guard is applied: far-out columns are simply sub-normalized.
+    Quadrature code that accounts for truncated weight itself wants this.
+    """
     alphas = np.asarray(alphas, dtype=complex).ravel()
     if cutoff == 1:
         amps = np.ones((1, alphas.size), dtype=complex)
@@ -136,15 +147,6 @@ def _coherent_amplitude_matrix(alphas: np.ndarray, cutoff: int) -> np.ndarray:
         ratios = alphas[None, :] / np.sqrt(np.arange(1, cutoff, dtype=float))[:, None]
         amps = np.vstack([np.ones((1, alphas.size)), np.cumprod(ratios, axis=0)])
     return amps * np.exp(-0.5 * np.abs(alphas) ** 2)[None, :]
-
-
-def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
-    """Batch of truncated coherent kets, one per column; exact amplitudes.
-
-    No weight guard is applied: far-out columns are simply sub-normalized.
-    Quadrature code that accounts for truncated weight itself wants this.
-    """
-    return _coherent_amplitude_matrix(np.asarray(alphas, dtype=complex), cutoff)
 
 
 def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVector:
@@ -167,7 +169,7 @@ def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVe
         raise CutoffTooSmall(
             f"coherent amplitude |alpha|^2 = {abs(alpha)**2:.3g} exceeds cutoff {cutoff}; "
             f"raise the cutoff (mean photon number sets the scale)")
-    ket = FockVector(_coherent_amplitude_matrix(np.array([alpha]), cutoff)[:, 0])
+    ket = FockVector(coherent_amplitudes([alpha], cutoff)[:, 0])
     if weight_tol is not None and ket.truncated_weight > weight_tol:
         raise CutoffTooSmall(
             f"coherent state at alpha = {alpha} keeps only {ket.norm_squared:.12f} "
@@ -289,13 +291,12 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     return FockOperator(out)
 
 
-def apply_amp(rho: FockOperator, gain: float,
-              max_deficit: float | None = None) -> FockOperator:
+def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     """Quantum-limited amplifier of gain G >= 1 via its Kraus family.
 
-    Amplification pushes weight toward the cutoff, so the output trace
-    deficit is the caller's convergence diagnostic; pass `max_deficit` to
-    turn an excessive deficit into an error.
+    Amplification pushes weight past the cutoff, where it is dropped, not
+    renormalized: the output's `trace_deficit` is the caller's convergence
+    diagnostic (`average_fidelity_fock` folds it into its error estimate).
     """
     G = float(gain)
     if G < 1.0:
@@ -312,19 +313,14 @@ def apply_amp(rho: FockOperator, gain: float,
         log_b = 0.5 * (k * ln_gm1 - (k + 1) * ln_g - lg[k] + lg[k : n] - lg[: n - k] - m * ln_g)
         b = np.exp(log_b)
         out[k:, k:] += b[:, None] * rho.matrix[: n - k, : n - k] * b[None, :]
-    result = FockOperator(out)
-    if max_deficit is not None and result.trace_deficit > max_deficit + rho.trace_deficit:
-        raise ConvergenceError(
-            f"amplifier output lost {result.trace_deficit:.3g} of its trace at cutoff {n}",
-            value=result.trace, error=result.trace_deficit)
-    return result
+    return FockOperator(out)
 
 
-def gaussian_mixture_of_displacements(rho: FockOperator, variance: float, axis: int,
-                                      points: int = 20) -> FockOperator:
+def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
+                                      axis: int) -> FockOperator:
     """Classical Gaussian displacement noise along one quadrature axis.
 
-    Mixes exp(-i s X) rho exp(i s X) over s ~ N(0, variance) with a
+    Mixes exp(-i s X) rho exp(i s X) over s ~ N(0, variance) with a 20-point
     Gauss-Hermite rule.  Exactly trace preserving (each conjugation is
     unitary on the truncated space).
     """
@@ -334,7 +330,7 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float, axis: 
         return FockOperator(rho.matrix.copy())
     from numpy.polynomial.hermite import hermgauss
 
-    x, w = hermgauss(points)
+    x, w = hermgauss(_MIXTURE_POINTS)
     shifts = math.sqrt(2.0 * variance) * x
     weights = w / math.sqrt(math.pi)
     # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
@@ -400,21 +396,30 @@ def trace_distance(rho: FockOperator, sigma: FockOperator) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def select_cutoff(max_abs2: float, eta: float = 1.0, weight_tol: float = 1e-10) -> int:
+def select_cutoff(max_abs2: float, eta: float = 1.0) -> int:
     """Truncation dimension for work involving |sqrt(eta) alpha> up to |alpha|^2 = max_abs2.
 
     Starts at ceil(8 * (1 + max_abs2 * max(eta, 1))) and doubles until the
-    most demanding coherent state keeps all but `weight_tol` of its weight.
+    most demanding coherent state keeps all but 1e-10 of its weight.  Raises
+    CutoffTooSmall instead of going past 1024, or when that weight is not a
+    finite number.
     """
     if max_abs2 < 0:
         raise InvalidInput("max |alpha|^2 must be >= 0")
     target = max_abs2 * max(eta, 1.0)
-    n = int(math.ceil(8.0 * (1.0 + target)))
-    while True:
-        ket = coherent_ket(math.sqrt(target), n, weight_tol=None)
-        if ket.truncated_weight <= weight_tol:
+    need = 8.0 * (1.0 + target)
+    while need <= _MAX_AUTO_CUTOFF:
+        n = int(math.ceil(need))
+        weight = coherent_ket(math.sqrt(target), n, weight_tol=None).truncated_weight
+        if weight <= _CUTOFF_WEIGHT_TOL:
             return n
-        n *= 2
+        if not math.isfinite(weight):
+            break
+        need = 2.0 * n
+    raise CutoffTooSmall(
+        f"coherent amplitudes up to |alpha|^2 = {target:.6g} need a cutoff of about "
+        f"{need:.0f}, above the automatic limit {_MAX_AUTO_CUTOFF}; pass an explicit "
+        f"cutoff (--cutoff) or use a larger lambda")
 
 
 class FockAverage(NamedTuple):
@@ -425,19 +430,20 @@ class FockAverage(NamedTuple):
 def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
                           eta: float, lam: float, rule=None,
                           cutoff: int | None = None,
-                          keep_fraction: float = 0.85,
                           max_error: float | None = None) -> FockAverage:
     """Prior-averaged task fidelity of a channel given as a Fock-space map.
 
     For each quadrature node alpha, sends |alpha><alpha| through `applier`
     and evaluates <sqrt(eta) alpha| rho' |sqrt(eta) alpha>, then averages with
-    the prior weights.  Returns the value together with an error estimate
-    combining (i) the difference between the rule and its refinement,
-    (ii) prior mass on nodes skipped because they exceed the truncation's
-    comfort zone (kept nodes satisfy max(eta,1) |alpha|^2 <= keep_fraction *
-    cutoff), and (iii) a first-order bound on truncation bias of the kept
-    boundary nodes.  Raises ConvergenceError when `max_error` is given and
-    exceeded.
+    the prior weights (`rule.weights_for(lam)`, so the rule may be built for
+    another width).  The default rule is 24 radial by 32 angular points; the
+    default cutoff comes from `select_cutoff`, so it is at most 1024.
+    Returns the value together with an error estimate combining (i) the
+    difference between the rule and its refinement, (ii) prior mass on nodes
+    skipped because they exceed the truncation's comfort zone (kept nodes
+    satisfy max(eta,1) |alpha|^2 <= 0.85 cutoff), and (iii) a first-order
+    bound on truncation bias of the kept boundary nodes.  Raises
+    ConvergenceError when `max_error` is given and exceeded.
     """
     from . import ensembles
 
@@ -454,11 +460,8 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
     scale = max(eta, 1.0)
 
     def estimate(r):
-        weights = r.weights
-        if r.lam != lam:
-            # the rule may be importance-matched to a different width
-            weights = weights * (lam / r.lam) * np.exp((r.lam - lam) * np.abs(r.nodes) ** 2)
-        keep = scale * np.abs(r.nodes) ** 2 <= keep_fraction * cutoff
+        weights = r.weights_for(lam)
+        keep = scale * np.abs(r.nodes) ** 2 <= _KEEP_FRACTION * cutoff
         skipped = float(np.sum(weights[~keep]))
         total = 0.0
         trunc_bias = 0.0

@@ -147,14 +147,6 @@ def matched_quadrature(eta: float, lam: float, cutoff: int,
                       angular_points=angular)
 
 
-def _reweighted(rule: QuadratureRule, lam: float) -> np.ndarray:
-    """Node weights retargeted from the rule's prior width to lam."""
-    if rule.lam == lam:
-        return rule.weights
-    t = np.abs(rule.nodes) ** 2
-    return rule.weights * (lam / rule.lam) * np.exp((rule.lam - lam) * t)
-
-
 def _probe_amplitudes(phi, cutoff: int | None = None) -> np.ndarray:
     amps = phi.amplitudes if isinstance(phi, fock.FockVector) else \
         np.asarray(phi, dtype=complex).ravel()
@@ -186,7 +178,7 @@ def outcome_score_operator(phi, eta: float, lam: float,
     cutoff = amps.size
     if rule is None:
         rule = matched_quadrature(eta, lam, cutoff)
-    weights = _reweighted(rule, lam)
+    weights = rule.weights_for(lam)
     k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
     overlap_sq = np.abs(amps.conj() @ k_in) ** 2
     k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
@@ -234,7 +226,7 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
         probes[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     rule = matched_quadrature(eta, lam, cutoff)
-    weights = _reweighted(rule, lam)
+    weights = rule.weights_for(lam)
     k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
     k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
     overlap_sq = np.abs(probes.conj() @ k_in) ** 2        # (trials+1, nodes)
@@ -277,7 +269,7 @@ def two_copy_operator(eta: float, lam: float, cutoff: int,
         rule = matched_quadrature(eta, lam, cutoff,
                                   radial_points=2 * cutoff + 4,
                                   angular_points=2 * cutoff + 4)
-    weights = _reweighted(rule, lam)
+    weights = rule.weights_for(lam)
     kets = fock.coherent_amplitudes(rule.nodes, cutoff)
     sep = np.abs(rule.nodes[:, None] - rule.nodes[None, :]) ** 2
     coupling = (weights[:, None] * weights[None, :]) * np.exp(-eta * sep)

@@ -23,6 +23,8 @@ from .gaussian import (E2, GaussianChannel, compose as compose_channels,
                        is_cp_channel, isotropic_part)
 
 _SQRT2 = math.sqrt(2.0)
+# Gauss-Hermite points per axis of apply_mp_fock's outcome grid.
+_MP_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -289,19 +291,18 @@ def _golden_max(f, a, b, tol):
 # Fock-space realizations
 
 
-def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator, points: int = 40,
-                  max_trace_deficit: float = 1e-4) -> fock.FockOperator:
+def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
+                  max_trace_deficit: float | None = 1e-4) -> fock.FockOperator:
     """Heterodyne measure-and-prepare applied to a truncated state.
 
     Integrates outcome beta over the Husimi distribution of `rho` with a
-    Gauss-Hermite grid centered on the state's mean and scaled to the Husimi
-    covariance, re-preparing |g beta> for each outcome.  The output trace is
-    the convergence diagnostic: a deficit beyond `max_trace_deficit` raises.
+    40 x 40 Gauss-Hermite grid centered on the state's mean and scaled to the
+    Husimi covariance, re-preparing |g beta> for each outcome.  The output
+    trace is the convergence diagnostic: a deficit beyond `max_trace_deficit`
+    raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    if not (4 <= points <= 64):
-        raise InvalidInput("outcome grid wants between 4 and 64 points per axis")
     from numpy.polynomial.hermite import hermgauss
 
     cutoff = rho.cutoff
@@ -312,10 +313,10 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator, points: int = 40
     vals = np.maximum(vals, 1e-12)
     center = mean / _SQRT2
 
-    x, w = hermgauss(points)
+    x, w = hermgauss(_MP_POINTS)
     s1 = np.sqrt(2.0 * vals[0]) * x
     s2 = np.sqrt(2.0 * vals[1]) * x
-    offsets = vecs @ np.stack([np.repeat(s1, points), np.tile(s2, points)])
+    offsets = vecs @ np.stack([np.repeat(s1, _MP_POINTS), np.tile(s2, _MP_POINTS)])
     beta = (center[0] + offsets[0]) + 1j * (center[1] + offsets[1])
     log_comp = (x ** 2)[:, None] + (x ** 2)[None, :]
     weights = (np.outer(w, w) * np.exp(log_comp)).ravel()
@@ -344,46 +345,32 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator, points: int = 40
     return result
 
 
-def fock_applier(model: ChannelModel, mixture_points: int = 20, mp_points: int = 40):
-    """Truncated-space realization of a model as a map FockOperator -> FockOperator."""
-    if isinstance(model, PureLoss):
-        return lambda rho: fock.apply_loss(rho, model.T)
-    if isinstance(model, QuantumLimitedAmp):
-        return lambda rho: fock.apply_amp(rho, model.G)
-    if isinstance(model, CanonicalB1):
-        return lambda rho: fock.gaussian_mixture_of_displacements(
-            rho, 0.5, axis=0, points=mixture_points)
-    if isinstance(model, CanonicalC):
-        def apply_c(rho, m=model):
-            if m.eta <= 1.0:
-                out = fock.apply_loss(rho, m.eta)
-            else:
-                out = fock.apply_amp(rho, m.eta)
-            if m.ntilde > 0:
-                out = fock.gaussian_mixture_of_displacements(
-                    out, m.ntilde, axis=0, points=mixture_points)
-                out = fock.gaussian_mixture_of_displacements(
-                    out, m.ntilde, axis=1, points=mixture_points)
-            return out
-        return apply_c
+def fock_applier(model: ChannelModel | GaussianChannel):
+    """Truncated-space realization of a model as a map FockOperator -> FockOperator.
+
+    Heterodyne measure-and-prepare runs its own outcome integral
+    (`apply_mp_fock`) and a composition applies its parts in order.  Every
+    other model, and a raw GaussianChannel, is realized from its exact
+    Gaussian form by `fock_applier_for_gaussian`.
+    """
     if isinstance(model, HeterodyneMP):
         # Ensemble-averaging code feeds in states near the truncation edge on
         # purpose and accounts for the lost outcome mass itself, so the
         # applier must not trip on a trace deficit of its own.
-        return lambda rho: apply_mp_fock(model, rho, points=mp_points,
-                                         max_trace_deficit=None)
+        return lambda rho: apply_mp_fock(model, rho, max_trace_deficit=None)
     if isinstance(model, Compose):
-        parts = [fock_applier(p, mixture_points, mp_points) for p in model.parts]
+        parts = [fock_applier(p) for p in model.parts]
 
         def apply_seq(rho):
             for f in parts:
                 rho = f(rho)
             return rho
         return apply_seq
-    raise InvalidInput(f"not a channel model: {model!r}")
+    return fock_applier_for_gaussian(
+        model if isinstance(model, GaussianChannel) else to_gaussian(model))
 
 
-def fock_applier_for_gaussian(channel: GaussianChannel, mixture_points: int = 20):
+def fock_applier_for_gaussian(channel: GaussianChannel):
     """Truncated realization of a raw Gaussian channel, where one exists here.
 
     Covers K proportional to the identity with diagonal added noise at or
@@ -419,8 +406,7 @@ def fock_applier_for_gaussian(channel: GaussianChannel, mixture_points: int = 20
         out = fock.apply_loss(rho, k2) if k2 <= 1.0 else fock.apply_amp(rho, k2)
         for axis in (0, 1):
             if extra[axis] > 0:
-                out = fock.gaussian_mixture_of_displacements(
-                    out, extra[axis], axis=axis, points=mixture_points)
+                out = fock.gaussian_mixture_of_displacements(out, extra[axis], axis=axis)
         if abs(beta) > 0:
             dmat = fock.displacement(beta, out.cutoff)
             out = fock.FockOperator(dmat @ out.matrix @ dmat.conj().T)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,21 @@ def test_simulate_honest_failure_when_cutoff_cannot_hold_the_prior(capsys):
                        "--cutoff", "30")
     assert code == 1
     assert "cvbench simulate:" in err
+
+
+def test_simulate_automatic_cutoff_stops_at_its_cap():
+    # The flat-prior proxy lambda = 1e-3 asks for |alpha|^2 ~ 19,000, i.e. a
+    # cutoff ~ 150,000: the engine must refuse rather than grow until killed.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbench.cli", "simulate", "--channel",
+         '{"type":"pure_loss","T":0.5}', "--eta", "1", "--lambda", "0",
+         "--engine", "fock"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "cvbench simulate:" in proc.stderr
+    assert "--cutoff" in proc.stderr
 
 
 def test_simulate_rejects_unphysical_channels(capsys):

@@ -248,6 +248,12 @@ def test_select_cutoff_covers_the_requested_support():
     assert fock.select_cutoff(5.0, 2.0) > fock.select_cutoff(2.0, 1.0)
 
 
+def test_select_cutoff_refuses_to_grow_without_bound():
+    # |alpha|^2 = 20000 would need n ~ 160,000: a dense matrix of ~400 GB.
+    with pytest.raises(CutoffTooSmall, match="cutoff"):
+        fock.select_cutoff(20000.0)
+
+
 def test_operator_serialization_roundtrip():
     rho = fock.thermal_state(1.0, 8)
     again = fock.FockOperator.from_json(rho.to_json())

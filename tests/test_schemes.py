@@ -5,6 +5,7 @@ import pytest
 
 from cvbench import fock, schemes
 from cvbench.bounds import classical_bound
+from cvbench.ensembles import GaussianPrior, gauss_rule
 from cvbench.errors import (ConvergenceError, InvalidInput,
                             NotCompletelyPositive, UnsupportedTask)
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
@@ -237,6 +238,21 @@ def test_fock_applier_matches_gaussian_moments():
         expected = apply_channel(to_gaussian(model), GaussianState.coherent(alpha))
         assert np.allclose(mean, expected.d, atol=1e-5), model
         assert np.allclose(cov, expected.gamma, atol=1e-5), model
+
+
+@pytest.mark.parametrize("model", [
+    PureLoss(0.6), QuantumLimitedAmp(1.8), CanonicalB1(),
+    CanonicalC(eta=0.7, ntilde=0.3), CanonicalC(eta=1.3, ntilde=0.4),
+    Compose([PureLoss(0.5), QuantumLimitedAmp(2.0)]),
+    GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3])),
+], ids=lambda m: type(m).__name__)
+def test_fock_applier_realizations_match_the_closed_form(model):
+    eta, lam = 0.8, 0.6
+    channel = model if isinstance(model, GaussianChannel) else to_gaussian(model)
+    exact = average_fidelity_gaussian(channel, eta, lam)
+    rule = gauss_rule(GaussianPrior(lam), 8, 8)
+    avg = fock.average_fidelity_fock(fock_applier(model), eta, lam, rule=rule, cutoff=30)
+    assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
 def test_fock_applier_for_gaussian_channels():

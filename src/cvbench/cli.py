@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior width (0 maps to closed forms or to 1e-3 with a warning)")
     p.add_argument("--engine", choices=["gaussian", "fock", "both"], default=None)
     p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation for the fock engine (default: auto, at most 1024)")
+                   help="truncation for the fock engine, 1..1024 (default: auto)")
     p.add_argument("--quad", default=None,
                    help="fock-engine prior rule as 'radial,angular' (default 16,24)")
 
@@ -323,6 +323,10 @@ def _cmd_bound(eff: dict):
 
 def _cmd_simulate(eff: dict):
     _require(eff, "channel")
+    cutoff = eff.get("cutoff")
+    if cutoff is not None and not 1 <= cutoff <= fock._MAX_AUTO_CUTOFF:
+        raise _Usage(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
+                     f"got {cutoff}")
     channel = _load_channel_spec(str(eff["channel"]))
     warnings = []
     is_model = not isinstance(channel, GaussianChannel)
@@ -385,7 +389,7 @@ def _cmd_simulate(eff: dict):
             raise _Usage("--quad wants 'radial,angular' integers")
         rule = gauss_rule(GaussianPrior(lam_fock), radial, angular)
         avg = fock.average_fidelity_fock(applier, eta, lam_fock, rule=rule,
-                                         cutoff=eff.get("cutoff"), max_error=0.5)
+                                         cutoff=cutoff, max_error=0.5)
         result["fbar_fock"] = avg.value
         result["fock_error_estimate"] = avg.error
         result["lambda_used_fock"] = lam_fock

@@ -15,16 +15,20 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
 _SQRT2 = math.sqrt(2.0)
 
 _MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
+_MIXTURE_NODES, _MIXTURE_WEIGHTS = hermgauss(_MIXTURE_POINTS)
+_MIXTURE_WEIGHTS /= math.sqrt(math.pi)  # a probability rule for N(0, 1/2)
 _KEEP_FRACTION = 0.85  # average_fidelity_fock's comfort zone, as a share of the cutoff
 _CUTOFF_WEIGHT_TOL = 1e-10  # truncated weight select_cutoff aims for
-# select_cutoff's ceiling: one dense complex matrix at this cutoff is 16 MiB,
-# and the engine holds a few per node, so anything wider must be asked for.
+# select_cutoff's ceiling, and the widest cutoff `cvbench simulate` accepts:
+# one dense complex matrix at this cutoff is 16 MiB, and the engine holds a
+# few per node.
 _MAX_AUTO_CUTOFF = 1024
 
 
@@ -139,14 +143,20 @@ def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
 
     No weight guard is applied: far-out columns are simply sub-normalized.
     Quadrature code that accounts for truncated weight itself wants this.
+    The result is a C-contiguous (cutoff, len(alphas)) array.
     """
+    if cutoff < 1:
+        raise InvalidInput("cutoff must be at least 1")
     alphas = np.asarray(alphas, dtype=complex).ravel()
-    if cutoff == 1:
-        amps = np.ones((1, alphas.size), dtype=complex)
-    else:
-        ratios = alphas[None, :] / np.sqrt(np.arange(1, cutoff, dtype=float))[:, None]
-        amps = np.vstack([np.ones((1, alphas.size)), np.cumprod(ratios, axis=0)])
-    return amps * np.exp(-0.5 * np.abs(alphas) ** 2)[None, :]
+    # one ket per row while building, so the running product over n walks
+    # contiguous memory; a^n / sqrt(n!) is the cumulative product of a / sqrt(k)
+    amps = np.empty((alphas.size, cutoff), dtype=complex)
+    amps[:, 0] = 1.0
+    np.divide(alphas[:, None], np.sqrt(np.arange(1, cutoff, dtype=float))[None, :],
+              out=amps[:, 1:])
+    np.cumprod(amps[:, 1:], axis=1, out=amps[:, 1:])
+    amps *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, None]
+    return np.ascontiguousarray(amps.T)
 
 
 def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVector:
@@ -328,11 +338,7 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
         raise InvalidInput("noise variance must be >= 0")
     if variance == 0:
         return FockOperator(rho.matrix.copy())
-    from numpy.polynomial.hermite import hermgauss
-
-    x, w = hermgauss(_MIXTURE_POINTS)
-    shifts = math.sqrt(2.0 * variance) * x
-    weights = w / math.sqrt(math.pi)
+    shifts = math.sqrt(2.0 * variance) * _MIXTURE_NODES
     # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
     gen_axis = 1 - axis
     sign = -1.0 if axis == 0 else 1.0
@@ -340,7 +346,7 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
     phases = np.exp(1j * sign * np.outer(shifts, evals))  # (points, cutoff)
     # mixture kernel[i, j] = sum_s w_s exp(i sign s (e_i - e_j)); conjugating by
     # each unitary in the generator eigenbasis is then one Hadamard product
-    kernel = np.einsum("s,si,sj->ij", weights, phases, phases.conj())
+    kernel = (phases.T * _MIXTURE_WEIGHTS) @ phases.conj()
     inner = evecs.conj().T @ rho.matrix @ evecs
     return FockOperator(evecs @ (kernel * inner) @ evecs.conj().T)
 
@@ -449,8 +455,10 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
 
     if not (lam > 0):
         raise InvalidInput("prior quadrature needs lambda > 0; use closed forms at lambda = 0")
-    if eta <= 0:
-        raise InvalidInput(f"task gain eta must be positive, got {eta}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
+    if cutoff is not None and cutoff < 1:
+        raise InvalidInput(f"cutoff must be at least 1, got {cutoff}")
     if rule is None:
         rule = ensembles.gauss_rule(ensembles.GaussianPrior(lam), 24, 32)
     if cutoff is None:

@@ -230,7 +230,10 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
     k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
     overlap_sq = np.abs(probes.conj() @ k_in) ** 2        # (trials+1, nodes)
-    scored = np.einsum("ts,ms,ns->tmn", overlap_sq * weights, k_out, k_out.conj())
+    # scored[t] = sum_s (overlap_sq * weights)[t, s] |k_out_s><k_out_s|, one GEMM
+    # per probe (a single broadcast batch would hold trials x cutoff x nodes)
+    k_out_h = k_out.conj().T
+    scored = np.stack([(k_out * v) @ k_out_h for v in overlap_sq * weights])
     scores = np.linalg.eigvalsh(scored)[:, -1]
 
     thermal = lam / (1.0 + lam) ** (1.0 + np.arange(cutoff))

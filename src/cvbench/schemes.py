@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from . import fock
 from .bounds import classical_bound
@@ -25,6 +26,22 @@ from .gaussian import (E2, GaussianChannel, compose as compose_channels,
 _SQRT2 = math.sqrt(2.0)
 # Gauss-Hermite points per axis of apply_mp_fock's outcome grid.
 _MP_POINTS = 40
+
+
+def _mp_grid():
+    """apply_mp_fock's unit outcome grid, flattened in the order it lays out outcomes.
+
+    Returns the Gauss-Hermite nodes, the product weights with the Gaussian
+    factor divided out (for a general integrand), and the mask of nodes whose
+    native weight is not negligible.
+    """
+    x, w = hermgauss(_MP_POINTS)
+    native = np.outer(w, w)
+    weights = native * np.exp((x ** 2)[:, None] + (x ** 2)[None, :])
+    return x, weights.ravel(), native.ravel() > 1e-22 * native.max()
+
+
+_MP_NODES, _MP_WEIGHTS, _MP_SIGNIFICANT = _mp_grid()
 
 
 @dataclass(frozen=True)
@@ -303,8 +320,6 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    from numpy.polynomial.hermite import hermgauss
-
     cutoff = rho.cutoff
     g = scheme.g
     mean, gamma = fock.mean_and_covariance(rho)
@@ -313,24 +328,21 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
     vals = np.maximum(vals, 1e-12)
     center = mean / _SQRT2
 
-    x, w = hermgauss(_MP_POINTS)
-    s1 = np.sqrt(2.0 * vals[0]) * x
-    s2 = np.sqrt(2.0 * vals[1]) * x
+    s1 = np.sqrt(2.0 * vals[0]) * _MP_NODES
+    s2 = np.sqrt(2.0 * vals[1]) * _MP_NODES
     offsets = vecs @ np.stack([np.repeat(s1, _MP_POINTS), np.tile(s2, _MP_POINTS)])
     beta = (center[0] + offsets[0]) + 1j * (center[1] + offsets[1])
-    log_comp = (x ** 2)[:, None] + (x ** 2)[None, :]
-    weights = (np.outer(w, w) * np.exp(log_comp)).ravel()
     jacobian = math.sqrt(4.0 * vals[0] * vals[1])
 
-    native = np.outer(w, w).ravel()
     usable = (np.abs(beta) ** 2 <= cutoff) & ((g * np.abs(beta)) ** 2 <= cutoff) \
-        & (native > 1e-22 * native.max())
+        & _MP_SIGNIFICANT
     beta_u = beta[usable]
 
+    # Husimi values <beta|rho|beta> / pi: one GEMM, then a column-wise dot
     kets_meas = fock.coherent_amplitudes(beta_u, cutoff)
-    husimi = np.einsum("ns,nm,ms->s", kets_meas.conj(), rho.matrix, kets_meas).real / math.pi
+    husimi = np.einsum("ns,ns->s", kets_meas.conj(), rho.matrix @ kets_meas).real / math.pi
     husimi = np.maximum(husimi, 0.0)
-    node_mass = weights[usable] * jacobian * husimi
+    node_mass = _MP_WEIGHTS[usable] * jacobian * husimi
 
     kets_prep = fock.coherent_amplitudes(g * beta_u, cutoff)
     out = (kets_prep * node_mass) @ kets_prep.conj().T

@@ -141,6 +141,41 @@ def test_simulate_automatic_cutoff_stops_at_its_cap():
     assert "--cutoff" in proc.stderr
 
 
+def test_simulate_explicit_cutoff_above_the_cap_is_refused_at_once():
+    # A cutoff of 2000 would run dense 2000 x 2000 Kraus sums for every node.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbench.cli", "simulate", "--channel",
+         '{"type":"pure_loss","T":0.5}', "--eta", "1", "--lambda", "0.3",
+         "--engine", "fock", "--cutoff", "2000"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert "between 1 and 1024" in proc.stderr
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3", "1025"])
+def test_simulate_explicit_cutoff_out_of_range_is_a_usage_error(capsys, cutoff):
+    code, out, err = run(capsys, "simulate", "--channel",
+                         '{"type": "pure_loss", "T": 0.5}', "--eta", "1",
+                         "--lambda", "0.3", "--engine", "fock",
+                         f"--cutoff={cutoff}")
+    assert code == 2
+    assert out == ""
+    assert "between 1 and 1024" in err
+
+
+@pytest.mark.parametrize("engine", ["fock", "both"])
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_simulate_non_finite_task_gain_is_a_usage_error(capsys, eta, engine):
+    code, out, err = run(capsys, "simulate", "--channel",
+                         '{"type": "pure_loss", "T": 0.5}', "--eta", eta,
+                         "--lambda", "0.3", "--engine", engine)
+    assert code == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
 def test_simulate_rejects_unphysical_channels(capsys):
     bad = '{"K": [[2.0, 0.0], [0.0, 2.0]], "M": [[1.0, 0.0], [0.0, 1.0]]}'
     code, _, err = run(capsys, "simulate", "--channel", bad, "--eta", "4")

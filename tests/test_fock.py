@@ -39,6 +39,35 @@ def test_coherent_amplitudes_formula():
     assert ket.truncated_weight == pytest.approx(0.0, abs=1e-12)
 
 
+def _coherent_amplitudes_by_rows(alphas, cutoff):
+    # the row-stacked cumulative product the batch builder must reproduce
+    alphas = np.asarray(alphas, dtype=complex).ravel()
+    if cutoff == 1:
+        amps = np.ones((1, alphas.size), dtype=complex)
+    else:
+        ratios = alphas[None, :] / np.sqrt(np.arange(1, cutoff, dtype=float))[:, None]
+        amps = np.vstack([np.ones((1, alphas.size)), np.cumprod(ratios, axis=0)])
+    return amps * np.exp(-0.5 * np.abs(alphas) ** 2)[None, :]
+
+
+@pytest.mark.parametrize("count", [1, 1600])
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40])
+def test_coherent_amplitudes_bit_identical_to_row_cumprod(cutoff, count):
+    draw = np.random.default_rng(cutoff * 7 + count)
+    alphas = 3.0 * (draw.standard_normal(count) + 1j * draw.standard_normal(count))
+    got = fock.coherent_amplitudes(alphas, cutoff)
+    expected = _coherent_amplitudes_by_rows(alphas, cutoff)
+    assert got.shape == (cutoff, count)
+    assert got.dtype == complex
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_coherent_amplitudes_rejects_empty_cutoff():
+    with pytest.raises(InvalidInput):
+        fock.coherent_amplitudes([0.5], 0)
+
+
 def test_coherent_ket_guards_cutoff():
     with pytest.raises(CutoffTooSmall):
         fock.coherent_ket(3.0, 10)
@@ -209,6 +238,23 @@ def test_mixture_of_displacements_adds_single_axis_noise():
     assert np.allclose(cov, np.diag([0.5, 0.75]), atol=1e-7)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mixture_kernel_matches_the_einsum_reference(axis):
+    from numpy.polynomial.hermite import hermgauss
+
+    rho = fock.gaussian_state_fock([0.7, -0.4], [[0.9, 0.2], [0.2, 0.6]], 30)
+    variance = 0.35
+    x, w = hermgauss(20)
+    evals, evecs = fock._quad_eigh(30, 1 - axis)
+    sign = -1.0 if axis == 0 else 1.0
+    phases = np.exp(1j * sign * np.outer(math.sqrt(2.0 * variance) * x, evals))
+    kernel = np.einsum("s,si,sj->ij", w / math.sqrt(math.pi), phases, phases.conj())
+    inner = evecs.conj().T @ rho.matrix @ evecs
+    expected = evecs @ (kernel * inner) @ evecs.conj().T
+    got = fock.gaussian_mixture_of_displacements(rho, variance, axis=axis).matrix
+    assert np.abs(got - expected).max() <= 1e-14
+
+
 def test_mixture_preserves_trace_and_hermiticity():
     rho = fock.thermal_state(1.5, 30)
     out = fock.gaussian_mixture_of_displacements(rho, 0.3, axis=0)
@@ -301,3 +347,9 @@ def test_average_fidelity_validates_inputs():
         fock.average_fidelity_fock(lambda rho: rho, 0.0, 0.5)
     with pytest.raises(InvalidInput):
         fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.0)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="finite"):
+            fock.average_fidelity_fock(lambda rho: rho, eta, 0.5)
+    for cutoff in (0, -3):
+        with pytest.raises(InvalidInput, match="cutoff"):
+            fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=cutoff)

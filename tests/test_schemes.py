@@ -216,6 +216,40 @@ def test_apply_mp_fock_matches_loss_then_amp():
         assert fock.trace_distance(via_mp, via_chain) < 1e-4
 
 
+def _apply_mp_fock_by_einsum(g, rho):
+    # the outcome integral written out directly, Husimi values as one
+    # three-operand contraction <beta|rho|beta> per outcome
+    from numpy.polynomial.hermite import hermgauss
+
+    cutoff = rho.cutoff
+    mean, gamma = fock.mean_and_covariance(rho)
+    vals, vecs = np.linalg.eigh(0.5 * (gamma + 0.5 * np.eye(2)))
+    vals = np.maximum(vals, 1e-12)
+    x, w = hermgauss(40)
+    offsets = vecs @ np.stack([np.repeat(np.sqrt(2.0 * vals[0]) * x, 40),
+                               np.tile(np.sqrt(2.0 * vals[1]) * x, 40)])
+    beta = (mean[0] / math.sqrt(2) + offsets[0]) + 1j * (mean[1] / math.sqrt(2) + offsets[1])
+    native = np.outer(w, w).ravel()
+    weights = native * np.exp(np.add.outer(x ** 2, x ** 2)).ravel()
+    usable = (np.abs(beta) ** 2 <= cutoff) & ((g * np.abs(beta)) ** 2 <= cutoff) \
+        & (native > 1e-22 * native.max())
+    kets_meas = fock.coherent_amplitudes(beta[usable], cutoff)
+    husimi = np.einsum("ns,nm,ms->s", kets_meas.conj(), rho.matrix, kets_meas).real
+    mass = weights[usable] * math.sqrt(4.0 * vals[0] * vals[1]) \
+        * np.maximum(husimi / math.pi, 0.0)
+    kets_prep = fock.coherent_amplitudes(g * beta[usable], cutoff)
+    return (kets_prep * mass) @ kets_prep.conj().T
+
+
+@pytest.mark.parametrize("g", [0.0, 0.7, 1.0, 1.3])
+def test_apply_mp_fock_matches_the_einsum_reference(g):
+    # a displaced thermal state: a full-rank input with a mean to follow
+    rho = fock.gaussian_state_fock([0.9, -0.6], 0.8 * E2, 36)
+    got = apply_mp_fock(HeterodyneMP(g), rho, max_trace_deficit=None).matrix
+    expected = _apply_mp_fock_by_einsum(g, rho)
+    assert np.abs(got - expected).max() <= 1e-13
+
+
 def test_apply_mp_fock_trace_diagnostic():
     # A state pushed to the truncation edge loses outcome mass; the strict
     # default raises, the explicit opt-out returns the sub-normalized result.

@@ -170,9 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="random probes for the operator bound (default 25)")
     p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation for the operator bound (default 14)")
+                   help="truncation for the operator bound, "
+                        f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 14)")
     p.add_argument("--two-copy-cutoff", dest="two_copy_cutoff", type=int, default=None,
-                   help="truncation for the two-copy consistency check (default 10)")
+                   help="truncation for the two-copy consistency check, "
+                        f"1..{proofcheck._MAX_TWO_COPY_CUTOFF} (default 10)")
     p.add_argument("--corrupt-bound", dest="corrupt_bound", type=float, default=None,
                    help="self-test: scale the bound by this factor (0.9 must fail)")
 
@@ -560,6 +562,13 @@ def _cmd_sweep(eff: dict):
 
 
 def _cmd_proofcheck(eff: dict):
+    cutoff, two_cutoff = int(eff["cutoff"]), int(eff["two_copy_cutoff"])
+    if not 1 <= cutoff <= proofcheck._MAX_SCORE_CUTOFF:
+        raise _Usage(f"--cutoff must be between 1 and {proofcheck._MAX_SCORE_CUTOFF}, "
+                     f"got {cutoff}")
+    if not 1 <= two_cutoff <= proofcheck._MAX_TWO_COPY_CUTOFF:
+        raise _Usage(f"--two-copy-cutoff must be between 1 and "
+                     f"{proofcheck._MAX_TWO_COPY_CUTOFF}, got {two_cutoff}")
     warnings = []
     lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for the operator checks")
     eta = float(eff["eta"])
@@ -571,9 +580,8 @@ def _cmd_proofcheck(eff: dict):
 
     circ = proofcheck.circulant_identity_check(int(eff["copies"]), lam, eta)
     score = proofcheck.score_bound_check(eta, lam, trials=int(eff["trials"]),
-                                         cutoff=int(eff["cutoff"]), seed=seed,
+                                         cutoff=cutoff, seed=seed,
                                          bound_scale=scale)
-    two_cutoff = int(eff["two_copy_cutoff"])
     rng = np.random.default_rng(seed)
     support = min(6, two_cutoff)
     probe = rng.standard_normal(support) + 1j * rng.standard_normal(support)

@@ -25,6 +25,9 @@ _MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
 _MIXTURE_NODES, _MIXTURE_WEIGHTS = hermgauss(_MIXTURE_POINTS)
 _MIXTURE_WEIGHTS /= math.sqrt(math.pi)  # a probability rule for N(0, 1/2)
 _KEEP_FRACTION = 0.85  # average_fidelity_fock's comfort zone, as a share of the cutoff
+# average_fidelity_fock's chunk budget: its (nodes, cutoff, cutoff) stack of
+# input projectors stays within this many bytes, or holds a single node.
+_BATCH_BYTES = 1 << 20
 _CUTOFF_WEIGHT_TOL = 1e-10  # truncated weight select_cutoff aims for
 # select_cutoff's ceiling, and the widest cutoff `cvbench simulate` accepts:
 # one dense complex matrix at this cutoff is 16 MiB, and the engine holds a
@@ -74,59 +77,74 @@ def _lgamma_table(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockVector:
-    """Pure state amplitudes over |0> ... |cutoff-1>."""
+    """Pure state amplitudes over |0> ... |cutoff-1>, or a stack of them, one per row."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size < 1:
-            raise InvalidInput("amplitudes must be a non-empty 1-d array")
+        if amp.ndim not in (1, 2) or amp.shape[-1] < 1:
+            raise InvalidInput("amplitudes must be a non-empty 1-d array or a stack of them")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def cutoff(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
 
     @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+    def norm_squared(self):
+        """<psi|psi>: a float, or one value per vector of a stack."""
+        amp = self.amplitudes
+        norms = np.einsum("...i,...i->...", amp.conj(), amp).real
+        return float(norms) if amp.ndim == 1 else norms
 
     @property
-    def truncated_weight(self) -> float:
+    def truncated_weight(self):
         """Weight 1 - <psi|psi> lost to the truncation (for unit-norm targets)."""
         return 1.0 - self.norm_squared
 
     def projector(self) -> "FockOperator":
-        return FockOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, or the stack of projectors of a stack of vectors."""
+        amp = self.amplitudes
+        return FockOperator(amp[..., :, None] * amp.conj()[..., None, :])
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator (usually a density matrix) on the truncated space."""
+    """Dense operator (usually a density matrix) on the truncated space.
+
+    `matrix` is one square matrix or a (B, cutoff, cutoff) stack of them.
+    The channel kernels and `fidelity_pure` act on every operator of a stack
+    at once, and `trace` / `trace_deficit` give one value per operator;
+    JSON and the other functionals (`expectation`, `mean_and_covariance`,
+    `trace_distance`) take a single operator.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise InvalidInput("matrix must be square")
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+            raise InvalidInput("matrix must be square, or a stack of square matrices")
         object.__setattr__(self, "matrix", m)
 
     @property
     def cutoff(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self):
+        traces = np.trace(self.matrix, axis1=-2, axis2=-1).real
+        return float(traces) if self.matrix.ndim == 2 else traces
 
     @property
-    def trace_deficit(self) -> float:
+    def trace_deficit(self):
         """1 - tr(rho): what the truncation has eaten so far."""
         return 1.0 - self.trace
 
     def to_json(self):
+        if self.matrix.ndim != 2:
+            raise InvalidInput("operator JSON holds a single operator, not a stack")
         stacked = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
         return {"cutoff": self.cutoff, "matrix": stacked.tolist()}
 
@@ -281,7 +299,7 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     """Pure attenuation of transmissivity T via its photon-loss Kraus family.
 
     Exactly trace preserving on the truncated space (loss never populates
-    levels above the input's support).
+    levels above the input's support).  Acts on each operator of a stack.
     """
     T = float(transmissivity)
     if not (0.0 < T <= 1.0):
@@ -297,7 +315,7 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
         mm = m[: n - k]
         log_a = 0.5 * (lg[k : n] - lg[: n - k] - lg[k] + mm * ln_t + k * ln_r)
         a = np.exp(log_a)
-        out[: n - k, : n - k] += a[:, None] * rho.matrix[k:, k:] * a[None, :]
+        out[..., : n - k, : n - k] += a[:, None] * rho.matrix[..., k:, k:] * a[None, :]
     return FockOperator(out)
 
 
@@ -307,6 +325,7 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     Amplification pushes weight past the cutoff, where it is dropped, not
     renormalized: the output's `trace_deficit` is the caller's convergence
     diagnostic (`average_fidelity_fock` folds it into its error estimate).
+    Acts on each operator of a stack.
     """
     G = float(gain)
     if G < 1.0:
@@ -322,7 +341,7 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
         m = nn[: n - k]
         log_b = 0.5 * (k * ln_gm1 - (k + 1) * ln_g - lg[k] + lg[k : n] - lg[: n - k] - m * ln_g)
         b = np.exp(log_b)
-        out[k:, k:] += b[:, None] * rho.matrix[: n - k, : n - k] * b[None, :]
+        out[..., k:, k:] += b[:, None] * rho.matrix[..., : n - k, : n - k] * b[None, :]
     return FockOperator(out)
 
 
@@ -332,7 +351,8 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
 
     Mixes exp(-i s X) rho exp(i s X) over s ~ N(0, variance) with a 20-point
     Gauss-Hermite rule.  Exactly trace preserving (each conjugation is
-    unitary on the truncated space).
+    unitary on the truncated space).  The matrix products broadcast over a
+    stack of operators.
     """
     if variance < 0:
         raise InvalidInput("noise variance must be >= 0")
@@ -355,21 +375,32 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
 # functionals
 
 
-def fidelity_pure(psi: FockVector, rho: FockOperator) -> float:
+def fidelity_pure(psi: FockVector, rho: FockOperator):
     """<psi| rho |psi>, checked real and clipped into [0, 1].
 
-    Clipping beyond 1e-10 (or an imaginary part above 1e-12) is treated as a
-    corrupted input rather than silently absorbed.
+    A single ket and operator give a float; a stack of kets and an equally
+    long stack of operators give one fidelity per pair.  Clipping beyond
+    1e-10 (or an imaginary part above 1e-12) is treated as a corrupted input
+    rather than silently absorbed.
     """
     if psi.cutoff != rho.cutoff:
         raise InvalidInput(f"cutoff mismatch: vector {psi.cutoff} vs operator {rho.cutoff}")
-    val = complex(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise InvalidInput(f"fidelity came out non-real ({val}); operator is not Hermitian")
-    f = val.real
-    if f < -1e-10 or f > 1.0 + 1e-10:
-        raise InvalidInput(f"fidelity {f} outside [0, 1] beyond rounding tolerance")
-    return min(max(f, 0.0), 1.0)
+    amp = psi.amplitudes
+    if amp.shape[:-1] != rho.matrix.shape[:-2]:
+        raise InvalidInput(f"stack mismatch: {amp.shape[:-1]} vectors vs "
+                           f"{rho.matrix.shape[:-2]} operators")
+    values = np.atleast_1d(np.einsum("...i,...i->...", amp.conj(),
+                                     (rho.matrix @ amp[..., None])[..., 0]))
+    real = values.real
+    non_real = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(real))
+    if non_real.any():
+        raise InvalidInput(f"fidelity came out non-real ({values[non_real][0]}); "
+                           f"operator is not Hermitian")
+    outside = (real < -1e-10) | (real > 1.0 + 1e-10)
+    if outside.any():
+        raise InvalidInput(f"fidelity {real[outside][0]} outside [0, 1] beyond rounding tolerance")
+    fidelities = np.clip(real, 0.0, 1.0)
+    return float(fidelities[0]) if amp.ndim == 1 else fidelities
 
 
 def expectation(rho: FockOperator, op: np.ndarray) -> complex:
@@ -442,8 +473,14 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
     For each quadrature node alpha, sends |alpha><alpha| through `applier`
     and evaluates <sqrt(eta) alpha| rho' |sqrt(eta) alpha>, then averages with
     the prior weights (`rule.weights_for(lam)`, so the rule may be built for
-    another width).  The default rule is 24 radial by 32 angular points; the
-    default cutoff comes from `select_cutoff`, so it is at most 1024.
+    another width).  Nodes are evaluated in chunks: `applier` receives a
+    FockOperator holding a (B, cutoff, cutoff) stack of input projectors and
+    must return the stack of outputs, as every applier `schemes.fock_applier`
+    builds does.  A chunk spans at most 1 MiB of projectors (40 nodes at
+    cutoff 40, one node from cutoff 256 up), and the weighted fidelities are
+    summed node by node in rule order.  The default rule is 24 radial by 32
+    angular points; the default cutoff comes from `select_cutoff`, so it is
+    at most 1024.
     Returns the value together with an error estimate combining (i) the
     difference between the rule and its refinement, (ii) prior mass on nodes
     skipped because they exceed the truncation's comfort zone (kept nodes
@@ -466,20 +503,26 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
 
     sqrt_eta = math.sqrt(eta)
     scale = max(eta, 1.0)
+    chunk = max(1, _BATCH_BYTES // (16 * cutoff * cutoff))
 
     def estimate(r):
         weights = r.weights_for(lam)
         keep = scale * np.abs(r.nodes) ** 2 <= _KEEP_FRACTION * cutoff
         skipped = float(np.sum(weights[~keep]))
+        nodes, weights = r.nodes[keep], weights[keep]
         total = 0.0
         trunc_bias = 0.0
-        for alpha, w in zip(r.nodes[keep], weights[keep]):
-            ket_in = coherent_ket(alpha, cutoff, weight_tol=None)
-            ket_out = coherent_ket(sqrt_eta * alpha, cutoff, weight_tol=None)
-            rho_out = applier(ket_in.projector())
-            total += w * fidelity_pure(ket_out, rho_out)
-            trunc_bias += w * 3.0 * (max(ket_in.truncated_weight, 0.0)
-                                     + max(ket_out.truncated_weight, 0.0))
+        for start in range(0, nodes.size, chunk):
+            alphas, w = nodes[start:start + chunk], weights[start:start + chunk]
+            kets_in = FockVector(coherent_amplitudes(alphas, cutoff).T)
+            kets_out = FockVector(coherent_amplitudes(sqrt_eta * alphas, cutoff).T)
+            fids = fidelity_pure(kets_out, applier(kets_in.projector()))
+            bias = w * 3.0 * (np.maximum(kets_in.truncated_weight, 0.0)
+                              + np.maximum(kets_out.truncated_weight, 0.0))
+            # one running sum in node order, whatever the chunk size
+            for wf, b in zip(w * fids, bias):
+                total += wf
+                trunc_bias += b
         return total, skipped + trunc_bias
 
     base, base_extra = estimate(rule)

@@ -227,12 +227,12 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) 
     In the gain-matched case (K = sqrt(eta)*E2 with no displacement) the
     average is det(Sigma)^(-1/2), independent of lam.  lam = 0 denotes the
     flat-prior limit and is accepted only in that case; anything else
-    diverges and raises DomainError.
+    diverges and raises DomainError.  A non-finite eta or lam is refused.
     """
-    if eta <= 0:
-        raise InvalidInput(f"task gain eta must be positive, got {eta}")
-    if lam < 0:
-        raise InvalidInput(f"prior width lambda must be >= 0, got {lam}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise InvalidInput(f"prior width lambda must be >= 0 and finite, got {lam}")
     if not is_cp_channel(channel):
         raise InvalidInput("channel (K, M) violates complete positivity")
 

@@ -26,6 +26,12 @@ from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
 from .errors import InvalidInput
 
 _IDENTITY_TOL = 1e-10
+# Widest cutoffs the builders accept.  The score check's matched rule has
+# (2 cutoff + 8)^2 nodes, so one (cutoff x nodes) ket array is 18 MiB at 64,
+# and its Gauss-Laguerre weights overflow to NaN from cutoff 90 on.  The
+# two-copy operator grows with the fourth power of its cutoff.
+_MAX_SCORE_CUTOFF = 64
+_MAX_TWO_COPY_CUTOFF = 16
 
 
 def circulant_shift(p: int) -> np.ndarray:
@@ -218,6 +224,9 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     """
     if trials < 0:
         raise InvalidInput(f"trial count must be >= 0, got {trials}")
+    if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
+        raise InvalidInput(f"score-bound check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
+                           f"got {cutoff}")
     rng = np.random.default_rng(seed)
     probes = np.zeros((trials + 1, cutoff), dtype=complex)
     probes[0, 0] = 1.0
@@ -265,8 +274,8 @@ def two_copy_operator(eta: float, lam: float, cutoff: int,
     """
     if not (eta > 0) or not (lam > 0):
         raise InvalidInput("two-copy operator needs eta > 0 and lam > 0")
-    if not (1 <= cutoff <= 16):
-        raise InvalidInput("two-copy build supports cutoffs 1..16 "
+    if not (1 <= cutoff <= _MAX_TWO_COPY_CUTOFF):
+        raise InvalidInput(f"two-copy build supports cutoffs 1..{_MAX_TWO_COPY_CUTOFF} "
                            "(memory grows with the fourth power)")
     if rule is None:
         rule = matched_quadrature(eta, lam, cutoff,

@@ -314,14 +314,23 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
 
     Integrates outcome beta over the Husimi distribution of `rho` with a
     40 x 40 Gauss-Hermite grid centered on the state's mean and scaled to the
-    Husimi covariance, re-preparing |g beta> for each outcome.  The output
-    trace is the convergence diagnostic: a deficit beyond `max_trace_deficit`
-    raises (None turns the check off).
+    Husimi covariance, re-preparing |g beta> for each outcome.  A stack of
+    states is integrated one state at a time, since each grid follows its own
+    state's moments.  The output trace is the convergence diagnostic: a
+    deficit beyond `max_trace_deficit` raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
+    states = rho.matrix.reshape(-1, rho.cutoff, rho.cutoff)
+    out = np.stack([_mp_single(scheme.g, fock.FockOperator(m), max_trace_deficit).matrix
+                    for m in states])
+    return fock.FockOperator(out.reshape(rho.matrix.shape))
+
+
+def _mp_single(g: float, rho: fock.FockOperator,
+               max_trace_deficit: float | None) -> fock.FockOperator:
+    """apply_mp_fock's outcome integral for one state."""
     cutoff = rho.cutoff
-    g = scheme.g
     mean, gamma = fock.mean_and_covariance(rho)
     husimi_cov = 0.5 * (gamma + 0.5 * np.eye(2))  # in (Re beta, Im beta) coordinates
     vals, vecs = np.linalg.eigh(husimi_cov)
@@ -360,6 +369,7 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
 def fock_applier(model: ChannelModel | GaussianChannel):
     """Truncated-space realization of a model as a map FockOperator -> FockOperator.
 
+    The map takes one operator or a stack of them (see `fock.FockOperator`).
     Heterodyne measure-and-prepare runs its own outcome integral
     (`apply_mp_fock`) and a composition applies its parts in order.  Every
     other model, and a raw GaussianChannel, is realized from its exact

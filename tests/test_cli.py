@@ -297,6 +297,38 @@ def test_proofcheck_defaults_pass(capsys):
     assert result["two_copy"]["passed"] is True
 
 
+@pytest.mark.parametrize("flag, value, limit", [
+    ("--cutoff", "0", 64), ("--cutoff", "-3", 64), ("--cutoff", "65", 64),
+    ("--two-copy-cutoff", "-3", 16), ("--two-copy-cutoff", "17", 16),
+])
+def test_proofcheck_cutoff_out_of_range_is_a_usage_error(capsys, flag, value, limit):
+    code, out, err = run(capsys, "proofcheck", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"between 1 and {limit}" in err
+
+
+def test_proofcheck_huge_cutoff_is_refused_at_once():
+    # A cutoff of 2000 would ask for hundreds of GiB of coherent kets.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbench", "proofcheck", "--cutoff", "2000"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert "between 1 and 64" in proc.stderr
+
+
+def test_python_dash_m_cvbench_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbench", "bound", "--eta", "1", "--lambda", "0.2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["classical_bound"] == pytest.approx(1.2 / 2.2)
+
+
 def test_proofcheck_flags_a_corrupted_bound(capsys):
     code, doc, _ = run_json(capsys, "proofcheck", "--corrupt-bound", "0.9")
     assert code == 1

@@ -255,6 +255,81 @@ def test_mixture_kernel_matches_the_einsum_reference(axis):
     assert np.abs(got - expected).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda rho: fock.apply_loss(rho, 0.63),
+    lambda rho: fock.apply_amp(rho, 1.8),
+])
+def test_kraus_kernels_on_a_stack_equal_each_slice_bit_for_bit(kernel, state_stack):
+    stack = state_stack(24)
+    got = kernel(fock.FockOperator(stack)).matrix
+    assert got.shape == stack.shape
+    for i, m in enumerate(stack):
+        assert np.array_equal(got[i], kernel(fock.FockOperator(m)).matrix)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mixture_on_a_stack_equals_each_slice(axis, state_stack):
+    stack = state_stack(24)
+    got = fock.gaussian_mixture_of_displacements(fock.FockOperator(stack), 0.4, axis).matrix
+    for i, m in enumerate(stack):
+        one = fock.gaussian_mixture_of_displacements(fock.FockOperator(m), 0.4, axis).matrix
+        assert np.abs(got[i] - one).max() <= 1e-15
+
+
+def test_operator_stacks(state_stack):
+    stack = fock.FockOperator(state_stack(12))
+    assert stack.cutoff == 12
+    traces = stack.trace
+    assert traces.shape == (5,)
+    for i, m in enumerate(stack.matrix):
+        assert abs(traces[i] - fock.FockOperator(m).trace) <= 1e-15
+    assert np.array_equal(stack.trace_deficit, 1.0 - traces)
+    with pytest.raises(InvalidInput, match="single operator"):
+        stack.to_json()
+    for bad in (np.zeros((2, 3, 4)), np.zeros((1, 2, 2, 2)), np.zeros((2, 0, 0))):
+        with pytest.raises(InvalidInput, match="square"):
+            fock.FockOperator(bad)
+
+
+def test_vector_stacks():
+    alphas = [0.3, 1.2j, -2.5 + 1.0j]
+    kets = fock.FockVector(fock.coherent_amplitudes(alphas, 9).T)
+    assert kets.cutoff == 9
+    projectors = kets.projector().matrix
+    for i, alpha in enumerate(alphas):
+        one = fock.coherent_ket(alpha, 9, weight_tol=None)
+        assert kets.truncated_weight[i] == pytest.approx(one.truncated_weight, abs=1e-15)
+        assert np.array_equal(projectors[i], one.projector().matrix)
+
+
+def test_fidelity_pure_on_stacks_equals_each_pair(state_stack):
+    stack = fock.FockOperator(state_stack(20))
+    kets = fock.FockVector(fock.coherent_amplitudes([0.2, 1.0 - 0.5j, -0.6j, 1.5, 0.5], 20).T)
+    got = fock.fidelity_pure(kets, stack)
+    assert got.shape == (5,)
+    for i in range(5):
+        one = fock.fidelity_pure(fock.FockVector(kets.amplitudes[i]),
+                                 fock.FockOperator(stack.matrix[i]))
+        assert abs(got[i] - one) <= 1e-15
+    with pytest.raises(InvalidInput, match="stack mismatch"):
+        fock.fidelity_pure(fock.FockVector(kets.amplitudes[:4]), stack)
+    with pytest.raises(InvalidInput, match="stack mismatch"):
+        fock.fidelity_pure(fock.FockVector(kets.amplitudes[0]), stack)
+
+
+def test_fidelity_pure_checks_every_pair_of_a_stack(state_stack):
+    stack = state_stack(20)
+    kets = fock.FockVector(fock.coherent_amplitudes([0.2, 1.0, -0.6j, 1.5, 0.5], 20).T)
+    skewed = stack.copy()
+    skewed[3] *= 1.0 + 0.1j
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        fock.fidelity_pure(kets, fock.FockOperator(skewed))
+    inflated = stack.copy()
+    inflated[2] *= 1.5
+    with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
+        fock.fidelity_pure(kets, fock.FockOperator(inflated))
+
+
 def test_mixture_preserves_trace_and_hermiticity():
     rho = fock.thermal_state(1.5, 30)
     out = fock.gaussian_mixture_of_displacements(rho, 0.3, axis=0)
@@ -340,6 +415,60 @@ def test_average_fidelity_reports_honest_error_when_truncated():
     # Tiny cutoff: the value cannot be trusted and the error term must say so.
     avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.2, cutoff=6)
     assert avg.error > 1e-3
+
+
+def _average_fidelity_per_node(applier, eta, lam, rule, cutoff):
+    # average_fidelity_fock as one applier call per node, summed in rule order
+    sqrt_eta = math.sqrt(eta)
+
+    def estimate(r):
+        weights = r.weights_for(lam)
+        keep = max(eta, 1.0) * np.abs(r.nodes) ** 2 <= 0.85 * cutoff
+        total = 0.0
+        trunc_bias = 0.0
+        for alpha, w in zip(r.nodes[keep], weights[keep]):
+            ket_in = fock.coherent_ket(alpha, cutoff, weight_tol=None)
+            ket_out = fock.coherent_ket(sqrt_eta * alpha, cutoff, weight_tol=None)
+            total += w * fock.fidelity_pure(ket_out, applier(ket_in.projector()))
+            trunc_bias += w * 3.0 * (max(ket_in.truncated_weight, 0.0)
+                                     + max(ket_out.truncated_weight, 0.0))
+        return total, float(np.sum(weights[~keep])) + trunc_bias
+
+    base, _ = estimate(rule)
+    fine, fine_extra = estimate(rule.refine())
+    return fine, abs(fine - base) + fine_extra
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("applier", [
+    lambda rho: fock.apply_loss(rho, 0.6),
+    lambda rho: fock.gaussian_mixture_of_displacements(fock.apply_amp(rho, 1.5), 0.2, 1),
+], ids=["loss", "amp+mixture"])
+def test_average_fidelity_chunks_match_the_per_node_loop(monkeypatch, applier, chunk):
+    # 7 nodes a chunk puts chunk boundaries inside both the rule and its
+    # refinement; the default holds every kept node of a rule in one chunk
+    cutoff, eta, lam = 14, 1.3, 0.7
+    if chunk is not None:
+        monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
+    rule = gauss_rule(GaussianPrior(lam), 5, 4)
+    got = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
+    value, error = _average_fidelity_per_node(applier, eta, lam, rule, cutoff)
+    assert abs(got.value - value) <= 1e-15
+    assert abs(got.error - error) <= 1e-15
+
+
+def test_average_fidelity_refuses_a_non_hermitian_output_inside_a_chunk(monkeypatch):
+    cutoff = 12
+    monkeypatch.setattr(fock, "_BATCH_BYTES", 4 * 16 * cutoff ** 2)
+
+    def skew_second(rho):
+        m = rho.matrix.copy()
+        m[1] *= 1.0 + 0.1j
+        return fock.FockOperator(m)
+
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        fock.average_fidelity_fock(skew_second, 1.0, 0.8, rule=gauss_rule(
+            GaussianPrior(0.8), 4, 4), cutoff=cutoff)
 
 
 def test_average_fidelity_validates_inputs():

@@ -270,6 +270,13 @@ def test_average_fidelity_anisotropic_small_prior_width(i, eta, lam):
     assert got == pytest.approx(trapezoid_average_fidelity(ch, eta, lam), rel=1e-6)
 
 
+@pytest.mark.parametrize("eta, lam", [(math.inf, 0.3), (math.nan, 0.3),
+                                       (1.0, math.inf), (1.0, math.nan)])
+def test_average_fidelity_rejects_non_finite_task_parameters(eta, lam):
+    with pytest.raises(InvalidInput, match="finite"):
+        average_fidelity_gaussian(GaussianChannel(0.7 * E2, 0.3 * E2), eta, lam)
+
+
 def test_average_fidelity_canonical_single_quadrature_noise():
     ch = GaussianChannel(E2, np.diag([0.5, 0.0]))
     got = average_fidelity_gaussian(ch, 1.0, 0.3)

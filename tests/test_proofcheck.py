@@ -188,6 +188,12 @@ def test_score_bound_check_rejects_negative_trials():
         score_bound_check(1.0, 0.5, trials=-1)
 
 
+@pytest.mark.parametrize("cutoff", [0, -3, 65])
+def test_score_bound_check_rejects_cutoffs_outside_its_range(cutoff):
+    with pytest.raises(InvalidInput, match="1..64"):
+        score_bound_check(1.0, 0.5, trials=2, cutoff=cutoff)
+
+
 # ---------------------------------------------------------------------------
 # two-copy consistency
 

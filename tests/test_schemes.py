@@ -289,6 +289,47 @@ def test_fock_applier_realizations_match_the_closed_form(model):
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
+def test_apply_mp_fock_on_a_stack_equals_each_slice(state_stack):
+    stack = state_stack(20)
+    got = apply_mp_fock(HeterodyneMP(0.8), fock.FockOperator(stack)).matrix
+    assert got.shape == stack.shape
+    for i, m in enumerate(stack):
+        one = apply_mp_fock(HeterodyneMP(0.8), fock.FockOperator(m)).matrix
+        assert np.abs(got[i] - one).max() <= 1e-15
+
+
+def test_apply_mp_fock_checks_the_trace_of_every_state_of_a_stack(state_stack):
+    stack = state_stack(12)
+    stack[2] = fock.coherent_ket(3.2, 12, weight_tol=None).projector().matrix
+    with pytest.raises(ConvergenceError):
+        apply_mp_fock(HeterodyneMP(1.0), fock.FockOperator(stack))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS + [
+    GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3])),
+], ids=lambda m: type(m).__name__)
+def test_fock_applier_on_a_stack_equals_each_slice(model, state_stack):
+    applier = fock_applier(model)
+    stack = state_stack(20)
+    got = applier(fock.FockOperator(stack)).matrix
+    assert got.shape == stack.shape
+    for i, m in enumerate(stack):
+        assert np.abs(got[i] - applier(fock.FockOperator(m)).matrix).max() <= 1e-15
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_average_fidelity_is_independent_of_the_chunk_size(monkeypatch, model):
+    eta, lam, cutoff = 0.9, 0.6, 16
+    rule = gauss_rule(GaussianPrior(lam), 5, 4)
+    applier = fock_applier(model)
+    whole = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
+    for chunk in (1, 7):
+        monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
+        got = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
+        assert abs(got.value - whole.value) <= 1e-15
+        assert abs(got.error - whole.error) <= 1e-15
+
+
 def test_fock_applier_for_gaussian_channels():
     channel = to_gaussian(CanonicalC(eta=0.7, ntilde=0.2))
     applier = fock_applier_for_gaussian(channel)

@@ -164,11 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proofcheck", parents=[common],
                        help="run the bound's supporting identity and operator checks")
     p.add_argument("--copies", type=int, default=None,
-                   help="circulant size for the identity checks (default 3)")
+                   help="circulant size for the identity checks, "
+                        f"1..{proofcheck._MAX_COPIES} (default 3)")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--trials", type=int, default=None,
-                   help="random probes for the operator bound (default 25)")
+                   help="random probes for the operator bound, "
+                        f"0..{proofcheck._MAX_TRIALS} (default 25)")
     p.add_argument("--cutoff", type=int, default=None,
                    help="truncation for the operator bound, "
                         f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 14)")
@@ -562,13 +564,15 @@ def _cmd_sweep(eff: dict):
 
 
 def _cmd_proofcheck(eff: dict):
+    copies, trials = int(eff["copies"]), int(eff["trials"])
     cutoff, two_cutoff = int(eff["cutoff"]), int(eff["two_copy_cutoff"])
-    if not 1 <= cutoff <= proofcheck._MAX_SCORE_CUTOFF:
-        raise _Usage(f"--cutoff must be between 1 and {proofcheck._MAX_SCORE_CUTOFF}, "
-                     f"got {cutoff}")
-    if not 1 <= two_cutoff <= proofcheck._MAX_TWO_COPY_CUTOFF:
-        raise _Usage(f"--two-copy-cutoff must be between 1 and "
-                     f"{proofcheck._MAX_TWO_COPY_CUTOFF}, got {two_cutoff}")
+    for flag, value, low, high in (
+            ("--copies", copies, 1, proofcheck._MAX_COPIES),
+            ("--trials", trials, 0, proofcheck._MAX_TRIALS),
+            ("--cutoff", cutoff, 1, proofcheck._MAX_SCORE_CUTOFF),
+            ("--two-copy-cutoff", two_cutoff, 1, proofcheck._MAX_TWO_COPY_CUTOFF)):
+        if not low <= value <= high:
+            raise _Usage(f"{flag} must be between {low} and {high}, got {value}")
     warnings = []
     lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for the operator checks")
     eta = float(eff["eta"])
@@ -578,8 +582,8 @@ def _cmd_proofcheck(eff: dict):
         warnings.append(f"self-test mode: bound scaled by {scale}; failures "
                         "are expected when the scale is below 1")
 
-    circ = proofcheck.circulant_identity_check(int(eff["copies"]), lam, eta)
-    score = proofcheck.score_bound_check(eta, lam, trials=int(eff["trials"]),
+    circ = proofcheck.circulant_identity_check(copies, lam, eta)
+    score = proofcheck.score_bound_check(eta, lam, trials=trials,
                                          cutoff=cutoff, seed=seed,
                                          bound_scale=scale)
     rng = np.random.default_rng(seed)

@@ -32,6 +32,11 @@ _IDENTITY_TOL = 1e-10
 # two-copy operator grows with the fourth power of its cutoff.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
+# Largest copy and probe counts the checks accept.  The circulant check
+# diagonalizes dense copies x copies matrices; the score check stacks one
+# cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 310 MiB).
+_MAX_COPIES = 512
+_MAX_TRIALS = 500
 
 
 def circulant_shift(p: int) -> np.ndarray:
@@ -99,6 +104,13 @@ def circulant_identity_check(p: int, lam: float, eta: float,
     """
     if not (lam >= 0) or not (eta > 0):
         raise InvalidInput("circulant identities are checked for lam >= 0, eta > 0")
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= _MAX_COPIES:
+        raise InvalidInput(f"copy count must be an integer in 1..{_MAX_COPIES}, got {p!r}")
+    try:
+        prod_target = (1.0 + lam + eta) ** p - eta ** p
+    except OverflowError:
+        raise InvalidInput(f"(1 + lambda + eta)^copies overflows a float at {p} copies, "
+                           f"lambda {lam:g} and eta {eta:g}; use fewer copies") from None
     chi = circulant_eigenvalues(p, lam + eta, eta)
     numeric = np.linalg.eigvals(circulant_matrix(p, lam + eta, eta))
     scale = lam + 2.0 * eta + 1.0
@@ -110,7 +122,6 @@ def circulant_identity_check(p: int, lam: float, eta: float,
     det_residual = abs(np.linalg.det(circulant_matrix(p, lam, eta)) - det_target)
     det_residual /= max(1.0, abs(det_target))
 
-    prod_target = (1.0 + lam + eta) ** p - eta ** p
     product = np.prod(1.0 + chi)
     product_residual = abs(product - prod_target) / prod_target
 
@@ -222,8 +233,8 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     makes `bound_scale` < 1 a built-in self-test: scaling the right-hand side
     down must produce a reported violation.
     """
-    if trials < 0:
-        raise InvalidInput(f"trial count must be >= 0, got {trials}")
+    if not 0 <= trials <= _MAX_TRIALS:
+        raise InvalidInput(f"trial count must be in 0..{_MAX_TRIALS}, got {trials}")
     if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
         raise InvalidInput(f"score-bound check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
                            f"got {cutoff}")

@@ -4,7 +4,9 @@ A `ChannelModel` is a small tagged description (pure loss, quantum-limited
 amplification, the two canonical Gaussian noise forms, heterodyne
 measure-and-prepare, or a composition).  Every model lowers to an exact
 Gaussian channel via `to_gaussian` and to a truncated Fock-space map via
-`fock_applier`, which is what the simulation engines consume.
+`fock_applier`, which is what the simulation engines consume.  Heterodyne
+measure-and-prepare reaches Fock space through its own closed-form matrix
+elements (`apply_mp_fock`), derived from the measurement, not from (K, M).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import fock
 from .bounds import classical_bound
@@ -24,24 +25,6 @@ from .gaussian import (E2, GaussianChannel, compose as compose_channels,
                        is_cp_channel, isotropic_part)
 
 _SQRT2 = math.sqrt(2.0)
-# Gauss-Hermite points per axis of apply_mp_fock's outcome grid.
-_MP_POINTS = 40
-
-
-def _mp_grid():
-    """apply_mp_fock's unit outcome grid, flattened in the order it lays out outcomes.
-
-    Returns the Gauss-Hermite nodes, the product weights with the Gaussian
-    factor divided out (for a general integrand), and the mask of nodes whose
-    native weight is not negligible.
-    """
-    x, w = hermgauss(_MP_POINTS)
-    native = np.outer(w, w)
-    weights = native * np.exp((x ** 2)[:, None] + (x ** 2)[None, :])
-    return x, weights.ravel(), native.ravel() > 1e-22 * native.max()
-
-
-_MP_NODES, _MP_WEIGHTS, _MP_SIGNIFICANT = _mp_grid()
 
 
 @dataclass(frozen=True)
@@ -310,59 +293,57 @@ def _golden_max(f, a, b, tol):
 
 def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
                   max_trace_deficit: float | None = 1e-4) -> fock.FockOperator:
-    """Heterodyne measure-and-prepare applied to a truncated state.
+    """Heterodyne measure-and-prepare applied to a truncated state, in closed form.
 
-    Integrates outcome beta over the Husimi distribution of `rho` with a
-    40 x 40 Gauss-Hermite grid centered on the state's mean and scaled to the
-    Husimi covariance, re-preparing |g beta> for each outcome.  A stack of
-    states is integrated one state at a time, since each grid follows its own
-    state's moments.  The output trace is the convergence diagnostic: a
-    deficit beyond `max_trace_deficit` raises (None turns the check off).
+    Measuring beta with density <beta|rho|beta>/pi and re-preparing |g beta>
+    has the exact matrix elements
+
+        <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
+
+    so the entries at offset d = m - n map onto the output entries at the
+    same offset d = k - l through one (N-|d|) x (N-|d|) matrix, applied to a
+    whole stack as one matrix product (evaluated in log space).  The kernel
+    comes from the outcome integral, not from the channel's (K, M), so it
+    stays an independent check of `to_gaussian`.  Entries are mapped as
+    given, with no Hermitian symmetrization.  Re-prepared weight past the
+    cutoff is dropped, not renormalized: a trace deficit beyond
+    `max_trace_deficit` in any state raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    states = rho.matrix.reshape(-1, rho.cutoff, rho.cutoff)
-    out = np.stack([_mp_single(scheme.g, fock.FockOperator(m), max_trace_deficit).matrix
-                    for m in states])
-    return fock.FockOperator(out.reshape(rho.matrix.shape))
-
-
-def _mp_single(g: float, rho: fock.FockOperator,
-               max_trace_deficit: float | None) -> fock.FockOperator:
-    """apply_mp_fock's outcome integral for one state."""
-    cutoff = rho.cutoff
-    mean, gamma = fock.mean_and_covariance(rho)
-    husimi_cov = 0.5 * (gamma + 0.5 * np.eye(2))  # in (Re beta, Im beta) coordinates
-    vals, vecs = np.linalg.eigh(husimi_cov)
-    vals = np.maximum(vals, 1e-12)
-    center = mean / _SQRT2
-
-    s1 = np.sqrt(2.0 * vals[0]) * _MP_NODES
-    s2 = np.sqrt(2.0 * vals[1]) * _MP_NODES
-    offsets = vecs @ np.stack([np.repeat(s1, _MP_POINTS), np.tile(s2, _MP_POINTS)])
-    beta = (center[0] + offsets[0]) + 1j * (center[1] + offsets[1])
-    jacobian = math.sqrt(4.0 * vals[0] * vals[1])
-
-    usable = (np.abs(beta) ** 2 <= cutoff) & ((g * np.abs(beta)) ** 2 <= cutoff) \
-        & _MP_SIGNIFICANT
-    beta_u = beta[usable]
-
-    # Husimi values <beta|rho|beta> / pi: one GEMM, then a column-wise dot
-    kets_meas = fock.coherent_amplitudes(beta_u, cutoff)
-    husimi = np.einsum("ns,ns->s", kets_meas.conj(), rho.matrix @ kets_meas).real / math.pi
-    husimi = np.maximum(husimi, 0.0)
-    node_mass = _MP_WEIGHTS[usable] * jacobian * husimi
-
-    kets_prep = fock.coherent_amplitudes(g * beta_u, cutoff)
-    out = (kets_prep * node_mass) @ kets_prep.conj().T
+    g, n = scheme.g, rho.cutoff
+    out = np.zeros(rho.matrix.shape, dtype=complex)
+    if g == 0.0:
+        out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
+    else:
+        # the offset-d diagonals as strided views of the flattened matrices:
+        # entries (j + d, j) start at d n, entries (j, j + d) at d, both step n + 1
+        flat_in = rho.matrix.reshape(*rho.matrix.shape[:-2], n * n)
+        flat_out = out.reshape(flat_in.shape)
+        lg = fock._lgamma_table(2 * n)
+        ln_g, ln_norm = math.log(g), math.log1p(g * g)
+        shell = lg - np.arange(1, 2 * n + 1) * ln_norm  # log s! / (1+g^2)^(s+1), s = m + l
+        for d in range(n):
+            j = np.arange(n - d)
+            half = 0.5 * (lg[j + d] + lg[j])
+            # log A_d[l, n] for output row l and input column n
+            log_a = shell[j[:, None] + j + d] + ((2 * j + d) * ln_g - half)[:, None] - half
+            a_t = np.exp(log_a).T
+            lower = slice(d * n, None, n + 1)
+            flat_out[..., lower] = flat_in[..., lower] @ a_t
+            if d:
+                upper = slice(d, (n - d) * n, n + 1)
+                flat_out[..., upper] = flat_in[..., upper] @ a_t
     result = fock.FockOperator(out)
-
-    deficit = rho.trace - result.trace
-    if max_trace_deficit is not None and deficit > max_trace_deficit:
-        raise ConvergenceError(
-            f"outcome grid too narrow for this state: trace fell by {deficit:.3g} "
-            f"(> {max_trace_deficit:g}); widen the grid or raise the cutoff",
-            value=result.trace, error=deficit)
+    if max_trace_deficit is not None:
+        deficit = np.atleast_1d(rho.trace - result.trace)
+        worst = int(np.argmax(deficit))
+        if deficit[worst] > max_trace_deficit:
+            raise ConvergenceError(
+                f"re-prepared states reach past the cutoff: trace fell by "
+                f"{deficit[worst]:.3g} (> {max_trace_deficit:g}); raise the cutoff",
+                value=float(np.atleast_1d(result.trace)[worst]),
+                error=float(deficit[worst]))
     return result
 
 
@@ -370,15 +351,15 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     """Truncated-space realization of a model as a map FockOperator -> FockOperator.
 
     The map takes one operator or a stack of them (see `fock.FockOperator`).
-    Heterodyne measure-and-prepare runs its own outcome integral
+    Heterodyne measure-and-prepare uses its own closed-form matrix elements
     (`apply_mp_fock`) and a composition applies its parts in order.  Every
     other model, and a raw GaussianChannel, is realized from its exact
     Gaussian form by `fock_applier_for_gaussian`.
     """
     if isinstance(model, HeterodyneMP):
         # Ensemble-averaging code feeds in states near the truncation edge on
-        # purpose and accounts for the lost outcome mass itself, so the
-        # applier must not trip on a trace deficit of its own.
+        # purpose and accounts for the weight lost past the cutoff itself, so
+        # the applier must not trip on a trace deficit of its own.
         return lambda rho: apply_mp_fock(model, rho, max_trace_deficit=None)
     if isinstance(model, Compose):
         parts = [fock_applier(p) for p in model.parts]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cvbench import proofcheck
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import main
 from cvbench.schemes import HeterodyneMP, PureLoss
@@ -306,6 +307,37 @@ def test_proofcheck_cutoff_out_of_range_is_a_usage_error(capsys, flag, value, li
     assert code == 2
     assert out == ""
     assert f"between 1 and {limit}" in err
+
+
+@pytest.mark.parametrize("flag, value, limits", [
+    ("--copies", "0", "1 and 512"), ("--copies", "513", "1 and 512"),
+    ("--copies", "1024", "1 and 512"),
+    ("--trials", "-1", "0 and 500"), ("--trials", "501", "0 and 500"),
+])
+def test_proofcheck_count_out_of_range_is_refused_before_any_build(
+        capsys, monkeypatch, flag, value, limits):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("a check was built for a refused count")
+    for name in ("circulant_identity_check", "score_bound_check", "two_copy_check"):
+        monkeypatch.setattr(proofcheck, name, must_not_build)
+    code, out, err = run(capsys, "proofcheck", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"between {limits}" in err
+
+
+def test_proofcheck_overflowing_copy_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "proofcheck", "--copies", "300", "--eta", "10",
+                         "--lambda", "1", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "overflows a float at 300 copies" in err
+
+
+def test_proofcheck_help_names_the_count_ranges(capsys):
+    code, out, _ = run(capsys, "proofcheck", "--help")
+    assert code == 0
+    assert "1..512" in out and "0..500" in out
 
 
 def test_proofcheck_huge_cutoff_is_refused_at_once():

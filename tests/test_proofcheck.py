@@ -110,6 +110,19 @@ def test_circulant_domain_guards():
         circulant_eigenvalues(-2, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("p", [0, 513, 1024, 2.0])
+def test_identity_check_rejects_copy_counts_outside_its_range(p):
+    with pytest.raises(InvalidInput, match="1..512"):
+        circulant_identity_check(p, 0.2, 1.0)
+
+
+def test_identity_check_refuses_a_growth_factor_past_the_float_range():
+    # 12^285 ~ 1e307 still fits a float, 12^286 does not
+    assert circulant_identity_check(285, 1.0, 10.0).passed
+    with pytest.raises(InvalidInput, match="overflows"):
+        circulant_identity_check(286, 1.0, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # score-operator bound
 
@@ -186,6 +199,11 @@ def test_scaled_down_bound_is_flagged_by_the_vacuum():
 def test_score_bound_check_rejects_negative_trials():
     with pytest.raises(InvalidInput):
         score_bound_check(1.0, 0.5, trials=-1)
+
+
+def test_score_bound_check_rejects_too_many_trials():
+    with pytest.raises(InvalidInput, match="0..500"):
+        score_bound_check(1.0, 0.5, trials=501)
 
 
 @pytest.mark.parametrize("cutoff", [0, -3, 65])

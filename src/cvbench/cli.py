@@ -74,7 +74,7 @@ _DEFAULTS = {
     "certify": {"se": 0.0, "k": 3.0, "n_boot": 1000},
     "sweep": {},
     "proofcheck": {"copies": 3, "eta": 1.0, "lam": 0.2, "trials": 25,
-                   "cutoff": 14, "two_copy_cutoff": 10, "corrupt_bound": 1.0},
+                   "cutoff": 14, "two_copy_cutoff": 16, "corrupt_bound": 1.0},
     "common": {"seed": 0, "tolerance": 1e-3},
 }
 
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 14)")
     p.add_argument("--two-copy-cutoff", dest="two_copy_cutoff", type=int, default=None,
                    help="truncation for the two-copy consistency check, "
-                        f"1..{proofcheck._MAX_TWO_COPY_CUTOFF} (default 10)")
+                        f"1..{proofcheck._MAX_TWO_COPY_CUTOFF} (default 16)")
     p.add_argument("--corrupt-bound", dest="corrupt_bound", type=float, default=None,
                    help="self-test: scale the bound by this factor (0.9 must fail)")
 
@@ -400,15 +400,9 @@ def _cmd_simulate(eff: dict):
     # Compare against the bound at the prior the caller asked about.  A
     # matched channel's average is valid at the requested width even when the
     # truncated engine ran at a wider one; only the unmatched flat-prior proxy
-    # genuinely shifts the question.
-    if fbar_gauss is not None:
-        lam_ref = lam_gauss
-    elif matched:
-        lam_ref = lam
-    else:
-        lam_ref = lam_fock
+    # genuinely shifts the question, and it shifts both engines alike.
     reference = fbar_gauss if fbar_gauss is not None else result["fbar_fock"]
-    result["classical_bound"] = classical_bound(eta, lam_ref)
+    result["classical_bound"] = classical_bound(eta, lam_gauss)
     result["margin"] = reference - result["classical_bound"]
     result["quantum_domain"] = bool(result["margin"] > 1e-12)
 

@@ -295,6 +295,43 @@ def gaussian_state_fock(d, gamma, cutoff: int) -> FockOperator:
 # channels
 
 
+def apply_offset_kernels(matrix: np.ndarray,
+                         kernel: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Apply a map that conserves the photon-number offset of each entry.
+
+    The entries at offset d, (j + d, j) and (j, j + d), map onto the output
+    entries at offset d through one (N-d) x (N-d) matrix `kernel(d)`, output
+    index by input index.  `matrix` is one operator or a (B, N, N) stack;
+    each operator gets its own matrix product, so a stack equals its slices
+    bit for bit.  Entries are mapped as given, with no Hermitian symmetrization.
+    """
+    n = matrix.shape[-1]
+    # the offset-d diagonals as strided views of the flattened matrices:
+    # entries (j + d, j) start at d n, entries (j, j + d) at d, both step n + 1
+    flat_in = matrix.reshape(-1, 1, n * n)
+    flat_out = np.zeros_like(flat_in)
+    for d in range(n):
+        a_t = kernel(d).T
+        lower = slice(d * n, None, n + 1)
+        flat_out[..., lower] = flat_in[..., lower] @ a_t
+        if d:
+            upper = slice(d, (n - d) * n, n + 1)
+            flat_out[..., upper] = flat_in[..., upper] @ a_t
+    return flat_out.reshape(matrix.shape)
+
+
+def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndarray]:
+    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss, from one log-space
+    table of the Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i))."""
+    lg = _lgamma_table(cutoff)
+    i = np.arange(cutoff)
+    lost = i - i[:, None]
+    log_t = 0.5 * (lg - lg[:, None] - lg[np.abs(lost)] + i[:, None] * math.log(transmissivity)
+                   + lost * math.log1p(-transmissivity))
+    t = np.exp(np.where(lost >= 0, log_t, -np.inf))
+    return lambda d: t[d:, d:] * t[:cutoff - d, :cutoff - d]
+
+
 def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     """Pure attenuation of transmissivity T via its photon-loss Kraus family.
 
@@ -304,45 +341,28 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     T = float(transmissivity)
     if not (0.0 < T <= 1.0):
         raise InvalidInput(f"transmissivity must be in (0, 1], got {T}")
-    n = rho.cutoff
     if T == 1.0:
         return FockOperator(rho.matrix.copy())
-    lg = _lgamma_table(n + 1)
-    ln_t, ln_r = math.log(T), math.log1p(-T)
-    out = np.zeros_like(rho.matrix)
-    m = np.arange(n, dtype=float)
-    for k in range(n):
-        mm = m[: n - k]
-        log_a = 0.5 * (lg[k : n] - lg[: n - k] - lg[k] + mm * ln_t + k * ln_r)
-        a = np.exp(log_a)
-        out[..., : n - k, : n - k] += a[:, None] * rho.matrix[..., k:, k:] * a[None, :]
-    return FockOperator(out)
+    return FockOperator(apply_offset_kernels(rho.matrix, _loss_kernels(rho.cutoff, T)))
 
 
 def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     """Quantum-limited amplifier of gain G >= 1 via its Kraus family.
 
-    Amplification pushes weight past the cutoff, where it is dropped, not
-    renormalized: the output's `trace_deficit` is the caller's convergence
-    diagnostic (`average_fidelity_fock` folds it into its error estimate).
-    Acts on each operator of a stack.
+    It is the dual of loss at T = 1/G scaled by 1/G, so its offset kernels
+    are loss's, transposed and divided by G.  Weight pushed past the cutoff
+    is dropped, not renormalized, and shows in the output's `trace_deficit`;
+    the entries kept are exact.  `average_fidelity_fock` does not read the
+    deficit: its error estimate charges the truncated weight of the input
+    and target kets instead.  Acts on each operator of a stack.
     """
     G = float(gain)
     if G < 1.0:
         raise InvalidInput(f"amplifier gain must be >= 1, got {G}")
-    n = rho.cutoff
     if G == 1.0:
         return FockOperator(rho.matrix.copy())
-    lg = _lgamma_table(n + 1)
-    ln_g, ln_gm1 = math.log(G), math.log(G - 1.0)
-    out = np.zeros_like(rho.matrix)
-    nn = np.arange(n, dtype=float)
-    for k in range(n):
-        m = nn[: n - k]
-        log_b = 0.5 * (k * ln_gm1 - (k + 1) * ln_g - lg[k] + lg[k : n] - lg[: n - k] - m * ln_g)
-        b = np.exp(log_b)
-        out[..., k:, k:] += b[:, None] * rho.matrix[..., : n - k, : n - k] * b[None, :]
-    return FockOperator(out)
+    loss = _loss_kernels(rho.cutoff, 1.0 / G)
+    return FockOperator(apply_offset_kernels(rho.matrix, lambda d: loss(d).T / G))
 
 
 def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,

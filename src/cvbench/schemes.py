@@ -4,9 +4,11 @@ A `ChannelModel` is a small tagged description (pure loss, quantum-limited
 amplification, the two canonical Gaussian noise forms, heterodyne
 measure-and-prepare, or a composition).  Every model lowers to an exact
 Gaussian channel via `to_gaussian` and to a truncated Fock-space map via
-`fock_applier`, which is what the simulation engines consume.  Heterodyne
-measure-and-prepare reaches Fock space through its own closed-form matrix
-elements (`apply_mp_fock`), derived from the measurement, not from (K, M).
+`fock_applier`, which is what the simulation engines consume: loss followed
+by amplification, exact below the cutoff, plus a one-axis displacement
+mixture for anisotropic noise (CanonicalB1).  Heterodyne measure-and-prepare
+has its own closed-form matrix elements (`apply_mp_fock`), derived from the
+measurement, not from (K, M).
 """
 
 from __future__ import annotations
@@ -300,40 +302,26 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
 
         <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
 
-    so the entries at offset d = m - n map onto the output entries at the
-    same offset d = k - l through one (N-|d|) x (N-|d|) matrix, applied to a
-    whole stack as one matrix product (evaluated in log space).  The kernel
-    comes from the outcome integral, not from the channel's (K, M), so it
-    stays an independent check of `to_gaussian`.  Entries are mapped as
-    given, with no Hermitian symmetrization.  Re-prepared weight past the
-    cutoff is dropped, not renormalized: a trace deficit beyond
-    `max_trace_deficit` in any state raises (None turns the check off).
+    which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`)
+    with kernels A_d[l, n] = c[l, n+d] c[l+d, n] of one log-space table
+    c[l, m] = sqrt(C(m+l, l)) g^l (1+g^2)^(-(m+l+1)/2).  The kernel comes from
+    the outcome integral, not from the channel's (K, M), so it stays an
+    independent check of `to_gaussian`.  Re-prepared weight past the cutoff
+    is dropped, not renormalized: a trace deficit beyond `max_trace_deficit`
+    in any state raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
     g, n = scheme.g, rho.cutoff
-    out = np.zeros(rho.matrix.shape, dtype=complex)
     if g == 0.0:
+        out = np.zeros(rho.matrix.shape, dtype=complex)
         out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
     else:
-        # the offset-d diagonals as strided views of the flattened matrices:
-        # entries (j + d, j) start at d n, entries (j, j + d) at d, both step n + 1
-        flat_in = rho.matrix.reshape(*rho.matrix.shape[:-2], n * n)
-        flat_out = out.reshape(flat_in.shape)
         lg = fock._lgamma_table(2 * n)
-        ln_g, ln_norm = math.log(g), math.log1p(g * g)
-        shell = lg - np.arange(1, 2 * n + 1) * ln_norm  # log s! / (1+g^2)^(s+1), s = m + l
-        for d in range(n):
-            j = np.arange(n - d)
-            half = 0.5 * (lg[j + d] + lg[j])
-            # log A_d[l, n] for output row l and input column n
-            log_a = shell[j[:, None] + j + d] + ((2 * j + d) * ln_g - half)[:, None] - half
-            a_t = np.exp(log_a).T
-            lower = slice(d * n, None, n + 1)
-            flat_out[..., lower] = flat_in[..., lower] @ a_t
-            if d:
-                upper = slice(d, (n - d) * n, n + 1)
-                flat_out[..., upper] = flat_in[..., upper] @ a_t
+        l, m = np.arange(n)[:, None], np.arange(n)
+        c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * math.log1p(g * g))
+                   + l * math.log(g))
+        out = fock.apply_offset_kernels(rho.matrix, lambda d: c[:n - d, d:] * c[d:, :n - d])
     result = fock.FockOperator(out)
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)
@@ -354,7 +342,9 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     Heterodyne measure-and-prepare uses its own closed-form matrix elements
     (`apply_mp_fock`) and a composition applies its parts in order.  Every
     other model, and a raw GaussianChannel, is realized from its exact
-    Gaussian form by `fock_applier_for_gaussian`.
+    Gaussian form by `fock_applier_for_gaussian`: loss, then a
+    quantum-limited amplifier, then a displacement mixture on one axis for
+    anisotropic noise only.
     """
     if isinstance(model, HeterodyneMP):
         # Ensemble-averaging code feeds in states near the truncation edge on
@@ -376,11 +366,13 @@ def fock_applier(model: ChannelModel | GaussianChannel):
 def fock_applier_for_gaussian(channel: GaussianChannel):
     """Truncated realization of a raw Gaussian channel, where one exists here.
 
-    Covers K proportional to the identity with diagonal added noise at or
-    above the attenuation/amplification floor: quantum-limited loss or gain
-    followed by per-axis classical displacement mixtures and a final
-    displacement.  Channels needing phase-space rotation or squeezing
-    pre-processing raise UnsupportedTask.
+    Covers K = k I with diagonal added noise at or above the floor |1 - k^2|/2.
+    The isotropic noise m = min(M00, M11) is pure loss T = k^2/G followed by a
+    quantum-limited amplifier of gain G = m + (1 + k^2)/2 (Caruso, Giovannetti
+    and Holevo, NJP 8, 310, 2006), exact below the cutoff; only an anisotropic
+    remainder runs a classical displacement mixture, on its one axis, and a
+    final displacement applies the mean.  Channels needing phase-space
+    rotation or squeezing pre-processing raise UnsupportedTask.
     """
     if not is_cp_channel(channel):
         raise NotCompletelyPositive(
@@ -401,15 +393,18 @@ def fock_applier_for_gaussian(channel: GaussianChannel):
             "noise below the quantum-limited floor on one axis needs squeezing, "
             "which is not covered")
     # Roundoff in k = sqrt(T) leaves ~1e-17 of "extra" noise on a quantum-limited
-    # channel; a displacement mixture for it would cost more than it changes.
+    # channel; it is dropped, so such a channel is one exact loss or gain.
     extra = np.where(extra > 1e-12, extra, 0.0)
+    # G = m + (1 + k^2)/2 = max(1, k^2) + min(extra), so G >= 1 and T <= 1 exactly
+    gain = max(1.0, k2) + extra.min()
+    axis = int(np.argmax(extra))
+    remainder = extra[axis] - extra.min()
     beta = (disp[0] + 1j * disp[1]) / _SQRT2
 
     def apply(rho):
-        out = fock.apply_loss(rho, k2) if k2 <= 1.0 else fock.apply_amp(rho, k2)
-        for axis in (0, 1):
-            if extra[axis] > 0:
-                out = fock.gaussian_mixture_of_displacements(out, extra[axis], axis=axis)
+        out = fock.apply_amp(fock.apply_loss(rho, k2 / gain), gain)
+        if remainder > 0:
+            out = fock.gaussian_mixture_of_displacements(out, remainder, axis=axis)
         if abs(beta) > 0:
             dmat = fock.displacement(beta, out.cutoff)
             out = fock.FockOperator(dmat @ out.matrix @ dmat.conj().T)

@@ -298,6 +298,14 @@ def test_proofcheck_defaults_pass(capsys):
     assert result["two_copy"]["passed"] is True
 
 
+def test_proofcheck_defaults_pass_above_unit_gain(capsys):
+    # at two-copy cutoff 10 the truncated score operator misses the
+    # two-copy side by 4.9e-3 here, above the check's 1e-3 tolerance
+    code, doc, _ = run_json(capsys, "proofcheck", "--eta", "1.5")
+    assert code == 0
+    assert doc["result"]["two_copy"]["passed"] is True
+
+
 @pytest.mark.parametrize("flag, value, limit", [
     ("--cutoff", "0", 64), ("--cutoff", "-3", 64), ("--cutoff", "65", 64),
     ("--two-copy-cutoff", "-3", 16), ("--two-copy-cutoff", "17", 16),

@@ -267,6 +267,83 @@ def test_kraus_kernels_on_a_stack_equal_each_slice_bit_for_bit(kernel, state_sta
         assert np.array_equal(got[i], kernel(fock.FockOperator(m)).matrix)
 
 
+def _apply_loss_by_kraus_loop(matrix, T):
+    # one Kraus operator A_k per number k of lost photons, summed term by term
+    n = matrix.shape[-1]
+    lg = fock._lgamma_table(n + 1)
+    ln_t, ln_r = math.log(T), math.log1p(-T)
+    out = np.zeros_like(matrix)
+    m = np.arange(n, dtype=float)
+    for k in range(n):
+        mm = m[: n - k]
+        a = np.exp(0.5 * (lg[k:n] - lg[: n - k] - lg[k] + mm * ln_t + k * ln_r))
+        out[..., : n - k, : n - k] += a[:, None] * matrix[..., k:, k:] * a[None, :]
+    return out
+
+
+def _apply_amp_by_kraus_loop(matrix, G):
+    # one Kraus operator B_k per number k of added photons, summed term by term
+    n = matrix.shape[-1]
+    lg = fock._lgamma_table(n + 1)
+    ln_g, ln_gm1 = math.log(G), math.log(G - 1.0)
+    out = np.zeros_like(matrix)
+    nn = np.arange(n, dtype=float)
+    for k in range(n):
+        m = nn[: n - k]
+        b = np.exp(0.5 * (k * ln_gm1 - (k + 1) * ln_g - lg[k] + lg[k:n] - lg[: n - k] - m * ln_g))
+        out[..., k:, k:] += b[:, None] * matrix[..., : n - k, : n - k] * b[None, :]
+    return out
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40])
+@pytest.mark.parametrize("kernel, reference", [
+    (lambda rho: fock.apply_loss(rho, 0.63), lambda x: _apply_loss_by_kraus_loop(x, 0.63)),
+    (lambda rho: fock.apply_loss(rho, 0.05), lambda x: _apply_loss_by_kraus_loop(x, 0.05)),
+    (lambda rho: fock.apply_amp(rho, 1.8), lambda x: _apply_amp_by_kraus_loop(x, 1.8)),
+    (lambda rho: fock.apply_amp(rho, 7.5), lambda x: _apply_amp_by_kraus_loop(x, 7.5)),
+], ids=["loss-0.63", "loss-0.05", "amp-1.8", "amp-7.5"])
+def test_kraus_kernels_match_the_per_operator_loop(kernel, reference, cutoff, hermitian):
+    generator = np.random.default_rng(cutoff)
+    x = generator.standard_normal((4, cutoff, cutoff)) \
+        + 1j * generator.standard_normal((4, cutoff, cutoff))
+    if hermitian:
+        x = x @ x.conj().transpose(0, 2, 1)
+    expected = reference(x)
+    got = kernel(fock.FockOperator(x)).matrix
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kernel, weight", [
+    # loss: binomial C(m, j) T^j (1-T)^(m-j) over j <= m
+    (lambda rho: fock.apply_loss(rho, 0.7),
+     lambda j, m: math.comb(m, j) * 0.7 ** j * 0.3 ** (m - j) if j <= m else 0.0),
+    # amplifier: negative binomial C(j, m) (G-1)^(j-m) / G^(j+1) over j >= m
+    (lambda rho: fock.apply_amp(rho, 1.6),
+     lambda j, m: math.comb(j, m) * 0.6 ** (j - m) / 1.6 ** (j + 1) if j >= m else 0.0),
+], ids=["loss", "amp"])
+def test_kraus_kernels_keep_a_number_state_diagonal(kernel, weight):
+    m, cutoff = 5, 60
+    out = kernel(fock.FockOperator(np.diag(np.eye(cutoff)[m]))).matrix
+    expected = np.array([weight(j, m) for j in range(cutoff)])
+    assert np.all(out[~np.eye(cutoff, dtype=bool)] == 0.0)
+    assert np.abs(np.diag(out) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("offset", [-5, -1, 2, 7])
+@pytest.mark.parametrize("kernel", [
+    lambda rho: fock.apply_loss(rho, 0.55),
+    lambda rho: fock.apply_amp(rho, 1.4),
+], ids=["loss", "amp"])
+def test_kraus_kernels_map_one_offset_onto_the_same_offset(kernel, offset):
+    cutoff = 24
+    amps = np.random.default_rng(5).standard_normal(cutoff - abs(offset)) + 0.5j
+    out = kernel(fock.FockOperator(np.diag(amps, k=-offset))).matrix
+    rows, cols = np.indices(out.shape)
+    assert np.all(out[rows - cols != offset] == 0.0)
+    assert np.abs(np.diagonal(out, offset=-offset)).min() > 0.0
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_mixture_on_a_stack_equals_each_slice(axis, state_stack):
     stack = state_stack(24)

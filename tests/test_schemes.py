@@ -448,6 +448,39 @@ def test_fock_applier_for_gaussian_skips_roundoff_noise(monkeypatch):
     out = fock_applier_for_gaussian(to_gaussian(PureLoss(0.5)))(rho)
     assert calls == []
     assert np.allclose(out.matrix, fock.apply_loss(rho, 0.5).matrix, rtol=0.0, atol=1e-12)
+    # isotropic noise is loss followed by gain: no mixture; only an
+    # anisotropic remainder runs one, on its one axis
+    for model, mixtures in [
+            (CanonicalC(eta=0.7, ntilde=0.3), 0), (CanonicalC(eta=1.3, ntilde=0.4), 0),
+            (GaussianChannel(0.9 * E2, 0.3 * E2), 0),
+            (Compose([CanonicalC(eta=0.8, ntilde=0.2), QuantumLimitedAmp(1.3),
+                      PureLoss(0.6)]), 0),
+            (CanonicalB1(), 1),
+            (GaussianChannel(1.1 * E2, np.diag([0.4, 0.2])), 1)]:
+        calls.clear()
+        fock_applier(model)(rho)
+        assert len(calls) == mixtures, model
+    assert calls[0][1] == pytest.approx(0.4 - 0.2)  # the remainder above the isotropic part
+
+
+@pytest.mark.parametrize("model", [
+    CanonicalC(eta=0.7, ntilde=0.3), CanonicalC(eta=1.3, ntilde=0.4),
+    GaussianChannel(0.9 * E2, 0.3 * E2),
+], ids=["C-0.7", "C-1.3", "raw"])
+def test_isotropic_realization_is_exact_up_to_the_cutoff(model):
+    # The padded input is zero from level N on.  Loss never raises the photon
+    # number and gain never lowers it, so the output entries below N come from
+    # the same input entries either way: the applier at cutoff N equals the
+    # top-left block of the one at 2N.  A displacement mixture would not.
+    cutoff = 16
+    rho = fock.coherent_ket(2.5 - 1.0j, cutoff, weight_tol=None).projector().matrix
+    assert abs(rho[-1, -1]) > 1e-3
+    padded = np.zeros((2 * cutoff, 2 * cutoff), dtype=complex)
+    padded[:cutoff, :cutoff] = rho
+    applier = fock_applier(model)
+    small = applier(fock.FockOperator(rho)).matrix
+    large = applier(fock.FockOperator(padded)).matrix
+    assert np.abs(small - large[:cutoff, :cutoff]).max() <= 1e-12
 
 
 def test_fock_applier_for_gaussian_rejects_bad_channels():

@@ -31,7 +31,7 @@ from .schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
                       PureLoss, QuantumLimitedAmp, apply_mp_fock,
                       fock_applier, fock_applier_for_gaussian,
                       model_from_json, model_to_json, mp_average_fidelity,
-                      optimal_mp_gain, optimize_mp_gain, qd_by_parameters,
-                      to_gaussian)
+                      optimal_mp_gain, optimize_mp_gain, phase_averaged_applier,
+                      qd_by_parameters, to_gaussian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__, certify, fock, proofcheck, schemes
 from .bounds import classical_bound, quadrature_threshold, quantum_amp_bound
-from .ensembles import GaussianPrior, gauss_rule
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
@@ -70,7 +69,7 @@ _COMMAND_KEYS = {
 
 _DEFAULTS = {
     "bound": {"lam": 0.0, "n_copies": 1},
-    "simulate": {"lam": 0.0, "engine": "gaussian", "quad": "16,24"},
+    "simulate": {"lam": 0.0, "engine": "gaussian"},
     "certify": {"se": 0.0, "k": 3.0, "n_boot": 1000},
     "sweep": {},
     "proofcheck": {"copies": 3, "eta": 1.0, "lam": 0.2, "trials": 25,
@@ -123,9 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior width (0 maps to closed forms or to 1e-3 with a warning)")
     p.add_argument("--engine", choices=["gaussian", "fock", "both"], default=None)
     p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation for the fock engine, 1..1024 (default: auto)")
+                   help=f"truncation for the fock engine, 1..{fock._MAX_AUTO_CUTOFF}; the "
+                        "prior average uses one node per level (default: the smallest "
+                        "cutoff whose truncated prior weights are at most 1e-10)")
     p.add_argument("--quad", default=None,
-                   help="fock-engine prior rule as 'radial,angular' (default 16,24)")
+                   help="ignored, with a warning: the fock engine's prior rule "
+                        "follows from the cutoff")
 
     p = sub.add_parser("certify", parents=[common],
                        help="quantum-domain verdict from data or a model")
@@ -333,6 +335,9 @@ def _cmd_simulate(eff: dict):
                      f"got {cutoff}")
     channel = _load_channel_spec(str(eff["channel"]))
     warnings = []
+    if eff.get("quad") is not None:
+        warnings.append("--quad is ignored: the fock engine evaluates one "
+                        "prior node per level of the cutoff")
     is_model = not isinstance(channel, GaussianChannel)
     gauss = schemes.to_gaussian(channel) if is_model else channel
     if not is_cp_channel(gauss):
@@ -386,14 +391,14 @@ def _cmd_simulate(eff: dict):
         elif lam_fock != lam:
             warnings.append("the truncated engine averages over a proper prior; "
                             f"evaluated at lambda = {lam_fock} instead")
-        applier = schemes.fock_applier(channel)
         try:
-            radial, angular = (int(x) for x in str(eff["quad"]).split(","))
-        except ValueError:
-            raise _Usage("--quad wants 'radial,angular' integers")
-        rule = gauss_rule(GaussianPrior(lam_fock), radial, angular)
-        avg = fock.average_fidelity_fock(applier, eta, lam_fock, rule=rule,
-                                         cutoff=cutoff, max_error=0.5)
+            avg = fock.average_fidelity_fock(schemes.phase_averaged_applier(channel),
+                                             eta, lam_fock, cutoff=cutoff, max_error=0.5)
+        except (ConvergenceError, CutoffTooSmall) as exc:
+            if matched or lam != 0.0:
+                raise
+            raise type(exc)(f"{exc} (lambda = {lam_fock:g} is the flat-prior proxy "
+                            f"for lambda = 0)") from exc
         result["fbar_fock"] = avg.value
         result["fock_error_estimate"] = avg.error
         result["lambda_used_fock"] = lam_fock

@@ -55,30 +55,17 @@ class QuadratureRule:
     """Nodes and weights approximating integrals against a Gaussian prior.
 
     `sum(weights * f(nodes))` approximates `integral p(alpha) f(alpha) d^2alpha`
-    for the prior of width `lam`.  `resolution` records the (radial, angular)
-    point counts the rule was built with.
+    for the prior of width `lam`.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     lam: float
-    resolution: tuple
-
-    def refine(self) -> "QuadratureRule":
-        """Same construction at twice the radial and angular resolution."""
-        nr, na = self.resolution
-        return gauss_rule(GaussianPrior(self.lam), 2 * nr, 2 * na)
 
     def weights_for(self, lam: float) -> np.ndarray:
         """Weights importance-reweighted from the rule's prior width to lam."""
-        if self.lam == lam:
-            return self.weights
         t = np.abs(self.nodes) ** 2
         return self.weights * (lam / self.lam) * np.exp((self.lam - lam) * t)
-
-    def average(self, values) -> float:
-        values = np.asarray(values)
-        return float(np.real(np.sum(self.weights * values)))
 
 
 def gauss_rule(prior: GaussianPrior, radial_points: int = 24,
@@ -101,4 +88,4 @@ def gauss_rule(prior: GaussianPrior, radial_points: int = 24,
     phases = np.exp(1j * theta)
     nodes = (radii[:, None] * phases[None, :]).ravel()
     weights = np.repeat(w_rad / angular_points, angular_points)
-    return QuadratureRule(nodes, weights, prior.lam, (radial_points, angular_points))
+    return QuadratureRule(nodes, weights, prior.lam)

@@ -3,8 +3,9 @@
 Everything here works on a hard photon-number truncation `cutoff` (dimension
 of the vectors and matrices).  Truncation losses are never papered over:
 state constructors report their truncated weight, channel maps leave the
-output trace deficit observable rather than renormalizing, and the averaging
-routine folds truncation bookkeeping into its error estimate.
+output trace deficit observable rather than renormalizing, and the prior
+average evaluates the truncated problem exactly (one Gauss-Laguerre node per
+level) and bounds the truncation itself in closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
@@ -24,15 +26,13 @@ _SQRT2 = math.sqrt(2.0)
 _MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
 _MIXTURE_NODES, _MIXTURE_WEIGHTS = hermgauss(_MIXTURE_POINTS)
 _MIXTURE_WEIGHTS /= math.sqrt(math.pi)  # a probability rule for N(0, 1/2)
-_KEEP_FRACTION = 0.85  # average_fidelity_fock's comfort zone, as a share of the cutoff
 # average_fidelity_fock's chunk budget: its (nodes, cutoff, cutoff) stack of
 # input projectors stays within this many bytes, or holds a single node.
 _BATCH_BYTES = 1 << 20
-_CUTOFF_WEIGHT_TOL = 1e-10  # truncated weight select_cutoff aims for
-# select_cutoff's ceiling, and the widest cutoff `cvbench simulate` accepts:
-# one dense complex matrix at this cutoff is 16 MiB, and the engine holds a
-# few per node.
-_MAX_AUTO_CUTOFF = 1024
+_CUTOFF_WEIGHT_TOL = 1e-10  # truncated prior weight select_cutoff aims for
+# The widest cutoff average_fidelity_fock (and `cvbench simulate`) accepts:
+# numpy's laggauss returns NaN weights from 187 nodes on.
+_MAX_AUTO_CUTOFF = 180
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +299,14 @@ def apply_offset_kernels(matrix: np.ndarray,
                          kernel: Callable[[int], np.ndarray]) -> np.ndarray:
     """Apply a map that conserves the photon-number offset of each entry.
 
-    The entries at offset d, (j + d, j) and (j, j + d), map onto the output
-    entries at offset d through one (N-d) x (N-d) matrix `kernel(d)`, output
-    index by input index.  `matrix` is one operator or a (B, N, N) stack;
-    each operator gets its own matrix product, so a stack equals its slices
-    bit for bit.  Entries are mapped as given, with no Hermitian symmetrization.
+    The entries at offset d below the diagonal, (j + d, j), map onto the
+    output entries at that offset through one (N-d) x (N-d) matrix
+    `kernel(d)`, output index by input index; the entries (j, j + d) above
+    it map through its complex conjugate, as a Hermiticity-preserving map
+    requires (the loss, amplifier and heterodyne kernels are real).  `matrix`
+    is one operator or a (B, N, N) stack; each operator gets its own matrix
+    product, so a stack equals its slices bit for bit.  Entries are mapped as
+    given, with no Hermitian symmetrization.
     """
     n = matrix.shape[-1]
     # the offset-d diagonals as strided views of the flattened matrices:
@@ -316,7 +319,7 @@ def apply_offset_kernels(matrix: np.ndarray,
         flat_out[..., lower] = flat_in[..., lower] @ a_t
         if d:
             upper = slice(d, (n - d) * n, n + 1)
-            flat_out[..., upper] = flat_in[..., upper] @ a_t
+            flat_out[..., upper] = flat_in[..., upper] @ a_t.conj()
     return flat_out.reshape(matrix.shape)
 
 
@@ -353,8 +356,9 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     are loss's, transposed and divided by G.  Weight pushed past the cutoff
     is dropped, not renormalized, and shows in the output's `trace_deficit`;
     the entries kept are exact.  `average_fidelity_fock` does not read the
-    deficit: its error estimate charges the truncated weight of the input
-    and target kets instead.  Acts on each operator of a stack.
+    deficit: because the kept entries are exact, its closed-form bound on
+    cutting the input and target kets covers it.  Acts on each operator of
+    a stack.
     """
     G = float(gain)
     if G < 1.0:
@@ -363,6 +367,16 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
         return FockOperator(rho.matrix.copy())
     loss = _loss_kernels(rho.cutoff, 1.0 / G)
     return FockOperator(apply_offset_kernels(rho.matrix, lambda d: loss(d).T / G))
+
+
+def _mixture_phases(variance: float, axis: int, cutoff: int):
+    """Phases exp(i sign s e), one row per mixture shift s over the eigenvalues e
+    of the generator of shifts along `axis`, and that generator's eigenvectors."""
+    shifts = math.sqrt(2.0 * variance) * _MIXTURE_NODES
+    # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
+    sign = -1.0 if axis == 0 else 1.0
+    evals, evecs = _quad_eigh(cutoff, 1 - axis)
+    return np.exp(1j * sign * np.outer(shifts, evals)), evecs
 
 
 def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
@@ -378,17 +392,19 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
         raise InvalidInput("noise variance must be >= 0")
     if variance == 0:
         return FockOperator(rho.matrix.copy())
-    shifts = math.sqrt(2.0 * variance) * _MIXTURE_NODES
-    # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
-    gen_axis = 1 - axis
-    sign = -1.0 if axis == 0 else 1.0
-    evals, evecs = _quad_eigh(rho.cutoff, gen_axis)
-    phases = np.exp(1j * sign * np.outer(shifts, evals))  # (points, cutoff)
+    phases, evecs = _mixture_phases(variance, axis, rho.cutoff)
     # mixture kernel[i, j] = sum_s w_s exp(i sign s (e_i - e_j)); conjugating by
     # each unitary in the generator eigenbasis is then one Hadamard product
     kernel = (phases.T * _MIXTURE_WEIGHTS) @ phases.conj()
     inner = evecs.conj().T @ rho.matrix @ evecs
     return FockOperator(evecs @ (kernel * inner) @ evecs.conj().T)
+
+
+def mixture_unitaries(variance: float, axis: int, cutoff: int):
+    """(weights, unitaries W_s) with `gaussian_mixture_of_displacements` equal to
+    rho -> sum_s weights[s] W_s rho W_s^dag; the unitaries are a (20, cutoff, cutoff) stack."""
+    phases, evecs = _mixture_phases(variance, axis, cutoff)
+    return _MIXTURE_WEIGHTS, (evecs * phases[:, None, :]) @ evecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +469,43 @@ def trace_distance(rho: FockOperator, sigma: FockOperator) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def select_cutoff(max_abs2: float, eta: float = 1.0) -> int:
-    """Truncation dimension for work involving |sqrt(eta) alpha> up to |alpha|^2 = max_abs2.
+def select_cutoff(eta: float, lam: float) -> int:
+    """Smallest cutoff N whose truncated prior weights both stay at or below 1e-10.
 
-    Starts at ceil(8 * (1 + max_abs2 * max(eta, 1))) and doubles until the
-    most demanding coherent state keeps all but 1e-10 of its weight.  Raises
-    CutoffTooSmall instead of going past 1024, or when that weight is not a
-    finite number.
+    Averaged over the prior of width lam, |alpha> keeps the weight
+    (1 + lam)^-N at or above level N and |sqrt(eta) alpha> keeps
+    (eta / (lam + eta))^N (`truncated_prior_weights`).  Raises CutoffTooSmall
+    when that N exceeds 180.
     """
-    if max_abs2 < 0:
-        raise InvalidInput("max |alpha|^2 must be >= 0")
-    target = max_abs2 * max(eta, 1.0)
-    need = 8.0 * (1.0 + target)
-    while need <= _MAX_AUTO_CUTOFF:
-        n = int(math.ceil(need))
-        weight = coherent_ket(math.sqrt(target), n, weight_tol=None).truncated_weight
-        if weight <= _CUTOFF_WEIGHT_TOL:
-            return n
-        if not math.isfinite(weight):
-            break
-        need = 2.0 * n
-    raise CutoffTooSmall(
-        f"coherent amplitudes up to |alpha|^2 = {target:.6g} need a cutoff of about "
-        f"{need:.0f}, above the automatic limit {_MAX_AUTO_CUTOFF}; pass an explicit "
-        f"cutoff (--cutoff) or use a larger lambda")
+    # the smaller of 1 + lam and (lam + eta) / eta sets the slower decay
+    need = -math.log(_CUTOFF_WEIGHT_TOL) / math.log1p(min(lam, lam / eta))
+    if not need <= _MAX_AUTO_CUTOFF:
+        raise CutoffTooSmall(
+            f"a prior of width lambda = {lam:.6g} at task gain eta = {eta:.6g} needs a "
+            f"cutoff of about {need:.0f}, above the limit {_MAX_AUTO_CUTOFF}; use a "
+            f"larger lambda, or pass an explicit cutoff (--cutoff) and accept a "
+            f"larger error estimate")
+    return max(1, math.ceil(need))
+
+
+def truncated_prior_weights(eta: float, lam: float, cutoff: int):
+    """(tau_in, tau_out): the prior-averaged weight of |alpha> and of |sqrt(eta) alpha>
+    at or above level `cutoff`, (1 + lam)^-N and (eta / (lam + eta))^N."""
+    return (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
+
+
+def prior_rule(eta: float, lam: float, cutoff: int):
+    """Radii and prior weights of the N-node rule that is exact on the truncated space.
+
+    After the phase average, <sqrt(eta) r|Phi_N(|r><r|)|sqrt(eta) r> of a map
+    truncated to N levels is exp(-(1 + eta) r^2) times a polynomial of degree
+    at most 2N - 2 in r^2.  N Gauss-Laguerre nodes of the width
+    lam + 1 + eta integrate it exactly; the weights carry the prior of width
+    lam (as (lam / width) w exp((1 + eta) r^2), in log space).
+    """
+    width = lam + 1.0 + eta
+    t, w = laggauss(cutoff)
+    return np.sqrt(t / width), lam / width * np.exp(np.log(w) + (1.0 + eta) / width * t)
 
 
 class FockAverage(NamedTuple):
@@ -485,82 +514,58 @@ class FockAverage(NamedTuple):
 
 
 def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
-                          eta: float, lam: float, rule=None,
-                          cutoff: int | None = None,
+                          eta: float, lam: float, cutoff: int | None = None,
                           max_error: float | None = None) -> FockAverage:
-    """Prior-averaged task fidelity of a channel given as a Fock-space map.
+    """Prior-averaged task fidelity of a phase-covariant Fock-space map.
 
-    For each quadrature node alpha, sends |alpha><alpha| through `applier`
-    and evaluates <sqrt(eta) alpha| rho' |sqrt(eta) alpha>, then averages with
-    the prior weights (`rule.weights_for(lam)`, so the rule may be built for
-    another width).  Nodes are evaluated in chunks: `applier` receives a
+    Sends |r><r| through `applier` for the N = cutoff radii r of `prior_rule`
+    and averages <sqrt(eta) r| rho' |sqrt(eta) r> with its weights.  For a map
+    that is phase-covariant (or is the phase average of a channel's map, as
+    `schemes.phase_averaged_applier` builds) this is the truncated problem's
+    exact value: one real amplitude per radius carries the whole phase
+    average.  Nodes are evaluated in chunks: `applier` receives a
     FockOperator holding a (B, cutoff, cutoff) stack of input projectors and
-    must return the stack of outputs, as every applier `schemes.fock_applier`
-    builds does.  A chunk spans at most 1 MiB of projectors (40 nodes at
-    cutoff 40, one node from cutoff 256 up), and the weighted fidelities are
-    summed node by node in rule order.  The default rule is 24 radial by 32
-    angular points; the default cutoff comes from `select_cutoff`, so it is
-    at most 1024.
-    Returns the value together with an error estimate combining (i) the
-    difference between the rule and its refinement, (ii) prior mass on nodes
-    skipped because they exceed the truncation's comfort zone (kept nodes
-    satisfy max(eta,1) |alpha|^2 <= 0.85 cutoff), and (iii) a first-order
-    bound on truncation bias of the kept boundary nodes.  Raises
+    must return the stack of outputs.  A chunk spans at most 1 MiB of
+    projectors (40 nodes at cutoff 40), and the weighted fidelities are
+    summed node by node in rule order.  The default cutoff comes from
+    `select_cutoff`; no cutoff above 180 is accepted.
+
+    The error estimate bounds the truncation.  With the truncated prior
+    weights tau_in and tau_out (`truncated_prior_weights`) it is
+    2 sqrt(tau_in) + 2 sqrt(tau_out) + tau_out, the gentle-measurement bound
+    on cutting each input and target ket averaged over the prior with
+    Jensen's inequality, which holds for maps whose output entries below the
+    cutoff are exact.  A roundoff floor of cutoff^2 times the machine epsilon
+    is added: the log-space kernel tables and the kets' running products
+    lose a relative 1e-13 or so at the widest cutoffs.  Raises
     ConvergenceError when `max_error` is given and exceeded.
     """
-    from . import ensembles
-
-    if not (lam > 0):
-        raise InvalidInput("prior quadrature needs lambda > 0; use closed forms at lambda = 0")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise InvalidInput("prior average needs a finite lambda > 0; use closed forms at lambda = 0")
     if not (eta > 0 and math.isfinite(eta)):
         raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
-    if cutoff is not None and cutoff < 1:
-        raise InvalidInput(f"cutoff must be at least 1, got {cutoff}")
-    if rule is None:
-        rule = ensembles.gauss_rule(ensembles.GaussianPrior(lam), 24, 32)
     if cutoff is None:
-        cutoff = select_cutoff(_coverage_abs2(rule, 1e-9), eta)
+        cutoff = select_cutoff(eta, lam)
+    elif not 1 <= cutoff <= _MAX_AUTO_CUTOFF:
+        raise InvalidInput(f"cutoff must be between 1 and {_MAX_AUTO_CUTOFF}, got {cutoff}")
 
-    sqrt_eta = math.sqrt(eta)
-    scale = max(eta, 1.0)
+    radii, weights = prior_rule(eta, lam, cutoff)
     chunk = max(1, _BATCH_BYTES // (16 * cutoff * cutoff))
-
-    def estimate(r):
-        weights = r.weights_for(lam)
-        keep = scale * np.abs(r.nodes) ** 2 <= _KEEP_FRACTION * cutoff
-        skipped = float(np.sum(weights[~keep]))
-        nodes, weights = r.nodes[keep], weights[keep]
-        total = 0.0
-        trunc_bias = 0.0
-        for start in range(0, nodes.size, chunk):
-            alphas, w = nodes[start:start + chunk], weights[start:start + chunk]
-            kets_in = FockVector(coherent_amplitudes(alphas, cutoff).T)
-            kets_out = FockVector(coherent_amplitudes(sqrt_eta * alphas, cutoff).T)
-            fids = fidelity_pure(kets_out, applier(kets_in.projector()))
-            bias = w * 3.0 * (np.maximum(kets_in.truncated_weight, 0.0)
-                              + np.maximum(kets_out.truncated_weight, 0.0))
-            # one running sum in node order, whatever the chunk size
-            for wf, b in zip(w * fids, bias):
-                total += wf
-                trunc_bias += b
-        return total, skipped + trunc_bias
-
-    base, base_extra = estimate(rule)
-    fine, fine_extra = estimate(rule.refine())
-    err = abs(fine - base) + fine_extra
+    total = 0.0
+    for start in range(0, cutoff, chunk):
+        r = radii[start:start + chunk]
+        kets_in = FockVector(coherent_amplitudes(r, cutoff).T)
+        kets_out = FockVector(coherent_amplitudes(math.sqrt(eta) * r, cutoff).T)
+        fids = fidelity_pure(kets_out, applier(kets_in.projector()))
+        for wf in weights[start:start + chunk] * fids:
+            total += wf  # one running sum in node order, whatever the chunk size
+    tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
+    roundoff = cutoff * cutoff * np.finfo(float).eps
+    err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff
     if max_error is not None and err > max_error:
         raise ConvergenceError(
-            f"fidelity average did not converge: value {fine:.9g} with error "
-            f"estimate {err:.3g} exceeds the requested bound {max_error:g}",
-            value=fine, error=err)
-    return FockAverage(fine, err)
-
-
-def _coverage_abs2(rule, tail_mass: float) -> float:
-    """Largest |alpha|^2 that matters once a trailing `tail_mass` is ignored."""
-    abs2 = np.abs(rule.nodes) ** 2
-    order = np.argsort(abs2)
-    w = rule.weights[order]
-    cum_from_top = np.cumsum(w[::-1])[::-1]
-    significant = abs2[order][cum_from_top > tail_mass]
-    return float(significant[-1]) if significant.size else float(abs2.max())
+            f"fidelity average did not converge: at lambda = {lam:g} and cutoff {cutoff} "
+            f"the prior keeps weight tau_in = {tau_in:.3g} at or above the cutoff; value "
+            f"{total:.9g} with error estimate {err:.3g} exceeds the requested bound "
+            f"{max_error:g}", value=total, error=err)
+    return FockAverage(total, err)

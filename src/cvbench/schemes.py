@@ -4,17 +4,19 @@ A `ChannelModel` is a small tagged description (pure loss, quantum-limited
 amplification, the two canonical Gaussian noise forms, heterodyne
 measure-and-prepare, or a composition).  Every model lowers to an exact
 Gaussian channel via `to_gaussian` and to a truncated Fock-space map via
-`fock_applier`, which is what the simulation engines consume: loss followed
-by amplification, exact below the cutoff, plus a one-axis displacement
-mixture for anisotropic noise (CanonicalB1).  Heterodyne measure-and-prepare
-has its own closed-form matrix elements (`apply_mp_fock`), derived from the
-measurement, not from (K, M).
+`fock_applier`: loss followed by amplification, exact below the cutoff, plus
+a one-axis displacement mixture for anisotropic noise (CanonicalB1).
+Heterodyne measure-and-prepare has its own closed-form matrix elements
+(`apply_mp_fock`), derived from the measurement, not from (K, M).  The Fock
+engine's prior average consumes the phase average of that map
+(`phase_averaged_applier`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -344,7 +346,8 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     other model, and a raw GaussianChannel, is realized from its exact
     Gaussian form by `fock_applier_for_gaussian`: loss, then a
     quantum-limited amplifier, then a displacement mixture on one axis for
-    anisotropic noise only.
+    anisotropic noise only.  `fock.average_fidelity_fock` wants the phase
+    average of this map, which `phase_averaged_applier` builds.
     """
     if isinstance(model, HeterodyneMP):
         # Ensemble-averaging code feeds in states near the truncation edge on
@@ -363,16 +366,16 @@ def fock_applier(model: ChannelModel | GaussianChannel):
         model if isinstance(model, GaussianChannel) else to_gaussian(model))
 
 
-def fock_applier_for_gaussian(channel: GaussianChannel):
-    """Truncated realization of a raw Gaussian channel, where one exists here.
+def _loss_amp_realization(channel: GaussianChannel):
+    """(T, G, remainder, axis, beta) of the Gaussian channel's Fock realization.
 
     Covers K = k I with diagonal added noise at or above the floor |1 - k^2|/2.
     The isotropic noise m = min(M00, M11) is pure loss T = k^2/G followed by a
     quantum-limited amplifier of gain G = m + (1 + k^2)/2 (Caruso, Giovannetti
-    and Holevo, NJP 8, 310, 2006), exact below the cutoff; only an anisotropic
-    remainder runs a classical displacement mixture, on its one axis, and a
-    final displacement applies the mean.  Channels needing phase-space
-    rotation or squeezing pre-processing raise UnsupportedTask.
+    and Holevo, NJP 8, 310, 2006), exact below the cutoff; an anisotropic
+    remainder is displacement noise of that variance on `axis`, and beta is
+    the mean as a coherent amplitude.  Channels needing phase-space rotation
+    or squeezing pre-processing raise UnsupportedTask.
     """
     if not is_cp_channel(channel):
         raise NotCompletelyPositive(
@@ -398,16 +401,65 @@ def fock_applier_for_gaussian(channel: GaussianChannel):
     # G = m + (1 + k^2)/2 = max(1, k^2) + min(extra), so G >= 1 and T <= 1 exactly
     gain = max(1.0, k2) + extra.min()
     axis = int(np.argmax(extra))
-    remainder = extra[axis] - extra.min()
     beta = (disp[0] + 1j * disp[1]) / _SQRT2
+    return k2 / gain, gain, extra[axis] - extra.min(), axis, beta
+
+
+def fock_applier_for_gaussian(channel: GaussianChannel):
+    """Truncated realization of a raw Gaussian channel, where one exists here.
+
+    Loss, then a quantum-limited amplifier, then a classical displacement
+    mixture on one axis for an anisotropic remainder only, and a final
+    displacement by the mean (`_loss_amp_realization` says what is covered).
+    """
+    T, gain, remainder, axis, beta = _loss_amp_realization(channel)
 
     def apply(rho):
-        out = fock.apply_amp(fock.apply_loss(rho, k2 / gain), gain)
+        out = fock.apply_amp(fock.apply_loss(rho, T), gain)
         if remainder > 0:
             out = fock.gaussian_mixture_of_displacements(out, remainder, axis=axis)
         if abs(beta) > 0:
             dmat = fock.displacement(beta, out.cutoff)
             out = fock.FockOperator(dmat @ out.matrix @ dmat.conj().T)
         return out
+
+    return apply
+
+
+def phase_averaged_applier(model: ChannelModel | GaussianChannel):
+    """Phase average of a model's Fock realization, as `fock.average_fidelity_fock` needs.
+
+    The average over rotations U = exp(-i theta n) of U^dag Phi(U rho U^dag) U
+    keeps the part of the map that conserves the photon-number offset, so
+    one real amplitude per radius gives the channel's full phase average.
+    Phase-covariant models (loss, amplification, CanonicalC, heterodyne
+    measure-and-prepare and their compositions) are their own phase average.
+    Every other model, compositions containing one included, and a raw
+    GaussianChannel are realized from their exact Gaussian form: the
+    loss-then-amplifier part of `fock_applier_for_gaussian`, then the phase
+    average of rho -> sum_s w_s W_s rho W_s^dag over the unitaries
+    W_s = D(beta) exp(-i s X) of the displacement mixture and the mean,
+    applied as the offset kernels A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]),
+    built once per cutoff.
+    """
+    if _iso_params(model) is not None:
+        return fock_applier(model)
+    T, gain, remainder, axis, beta = _loss_amp_realization(
+        model if isinstance(model, GaussianChannel) else to_gaussian(model))
+
+    @lru_cache(maxsize=1)
+    def kernels(n):
+        # a remainder of 0 gives 20 copies of the identity, up to roundoff
+        weights, unitaries = fock.mixture_unitaries(remainder, axis, n)
+        if abs(beta) > 0:
+            unitaries = fock.displacement(beta, n) @ unitaries
+        return [np.einsum("s,sij,sij->ij", weights, unitaries[:, d:, d:],
+                          unitaries[:, :n - d, :n - d].conj()) for d in range(n)]
+
+    def apply(rho):
+        out = fock.apply_amp(fock.apply_loss(rho, T), gain).matrix
+        if remainder > 0 or abs(beta) > 0:
+            out = fock.apply_offset_kernels(out, kernels(rho.cutoff).__getitem__)
+        return fock.FockOperator(out)
 
     return apply

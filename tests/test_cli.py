@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from cvbench import proofcheck
+from cvbench import fock, proofcheck, schemes
 from cvbench.certify import synthesize_dataset, write_dataset_csv
-from cvbench.cli import main
+from cvbench.cli import _load_channel_spec, main
 from cvbench.schemes import HeterodyneMP, PureLoss
 
 B1 = '{"type": "canonical_b1"}'
@@ -127,6 +127,46 @@ def test_simulate_honest_failure_when_cutoff_cannot_hold_the_prior(capsys):
     assert "cvbench simulate:" in err
 
 
+def test_simulate_flat_prior_failure_names_the_proxy_the_cutoff_and_the_lost_weight(capsys):
+    code, out, err = run(capsys, "simulate", "--channel",
+                         '{"type": "pure_loss", "T": 0.6}', "--eta", "0.8",
+                         "--lambda", "0", "--engine", "fock", "--cutoff", "24")
+    assert code == 1
+    assert out == ""
+    assert "flat-prior proxy" in err and "lambda = 0.001" in err
+    assert "cutoff 24" in err
+    assert f"tau_in = {1.001 ** -24:.3g}" in err
+
+
+def test_simulate_ignores_quad_with_a_warning(capsys):
+    argv = ["simulate", "--channel", '{"type": "pure_loss", "T": 0.6}', "--eta",
+            "0.8", "--lambda", "0.4", "--engine", "both", "--cutoff", "24"]
+    code, plain, _ = run_json(capsys, *argv)
+    code_quad, with_quad, _ = run_json(capsys, *argv, "--quad", "6,4")
+    assert code == code_quad == 0
+    assert "quad" not in plain["config"] and with_quad["config"]["quad"] == "6,4"
+    assert plain["warnings"] == []
+    assert any("--quad is ignored" in w for w in with_quad["warnings"])
+    assert with_quad["result"] == plain["result"]
+
+
+@pytest.mark.parametrize("channel", [
+    B1, '{"type": "gaussian", "K": [[1.1, 0], [0, 1.1]], "M": [[0.4, 0], [0, 0.2]], '
+        '"disp": [0.3, -0.2]}'], ids=["B1", "raw"])
+def test_simulate_fock_engine_averages_the_phase_averaged_map(capsys, channel):
+    # One real amplitude per radius is exact only for the phase average of a
+    # map that is not phase-covariant; the channel's own map gives another value.
+    code, doc, _ = run_json(capsys, "simulate", "--channel", channel, "--eta", "1",
+                            "--lambda", "0.4", "--engine", "fock", "--cutoff", "16")
+    assert code == 0
+    model = _load_channel_spec(channel)
+    expected = fock.average_fidelity_fock(schemes.phase_averaged_applier(model),
+                                          1.0, 0.4, cutoff=16)
+    own_map = fock.average_fidelity_fock(schemes.fock_applier(model), 1.0, 0.4, cutoff=16)
+    assert doc["result"]["fbar_fock"] == expected.value
+    assert abs(own_map.value - expected.value) > 1e-6
+
+
 def test_simulate_automatic_cutoff_stops_at_its_cap():
     # The flat-prior proxy lambda = 1e-3 asks for |alpha|^2 ~ 19,000, i.e. a
     # cutoff ~ 150,000: the engine must refuse rather than grow until killed.
@@ -152,10 +192,10 @@ def test_simulate_explicit_cutoff_above_the_cap_is_refused_at_once():
          "--engine", "fock", "--cutoff", "2000"],
         capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == 2
-    assert "between 1 and 1024" in proc.stderr
+    assert "between 1 and 180" in proc.stderr
 
 
-@pytest.mark.parametrize("cutoff", ["0", "-3", "1025"])
+@pytest.mark.parametrize("cutoff", ["0", "-3", "181", "1025"])
 def test_simulate_explicit_cutoff_out_of_range_is_a_usage_error(capsys, cutoff):
     code, out, err = run(capsys, "simulate", "--channel",
                          '{"type": "pure_loss", "T": 0.5}', "--eta", "1",
@@ -163,7 +203,7 @@ def test_simulate_explicit_cutoff_out_of_range_is_a_usage_error(capsys, cutoff):
                          f"--cutoff={cutoff}")
     assert code == 2
     assert out == ""
-    assert "between 1 and 1024" in err
+    assert "between 1 and 180" in err
 
 
 @pytest.mark.parametrize("engine", ["fock", "both"])

@@ -42,18 +42,6 @@ def test_rule_integrates_gaussians():
         assert got == pytest.approx(lam / (lam + c), rel=1e-9)
 
 
-def test_refine_doubles_and_agrees():
-    rule = gauss_rule(GaussianPrior(0.4), radial_points=10, angular_points=12)
-    finer = rule.refine()
-    assert finer.resolution == (20, 24)
-    f = lambda a: np.exp(-0.9 * np.abs(a) ** 2)
-    exact = 0.4 / 1.3
-    coarse_err = abs(rule.average(f(rule.nodes)) - exact)
-    fine_err = abs(finer.average(f(finer.nodes)) - exact)
-    assert coarse_err < 1e-4
-    assert fine_err < coarse_err / 10
-
-
 def test_density_normalizes():
     prior = GaussianPrior(1.3)
     rule = gauss_rule(prior, radial_points=30, angular_points=6)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import fock
-from cvbench.ensembles import GaussianPrior, gauss_rule
+from cvbench import fock, schemes
 from cvbench.errors import CutoffTooSmall, InvalidInput
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian)
@@ -437,19 +436,30 @@ def test_trace_distance():
     assert fock.trace_distance(k0, mix) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_select_cutoff_covers_the_requested_support():
-    for max_abs2, eta in [(2.0, 1.0), (5.0, 2.0), (1.0, 0.25)]:
-        cutoff = fock.select_cutoff(max_abs2, eta)
-        worst = math.sqrt(max(1.0, eta) * max_abs2)
-        ket = fock.coherent_ket(worst, cutoff, weight_tol=None)
-        assert ket.truncated_weight <= 1e-10
-    assert fock.select_cutoff(5.0, 2.0) > fock.select_cutoff(2.0, 1.0)
+def test_select_cutoff_is_the_smallest_with_both_weights_in_budget():
+    for eta, lam, expected in ((1.0, 0.2, 127), (1.0, 0.3, 88), (1.4, 0.3, 119)):
+        cutoff = fock.select_cutoff(eta, lam)
+        assert cutoff == expected
+        assert max(fock.truncated_prior_weights(eta, lam, cutoff)) <= 1e-10
+        assert max(fock.truncated_prior_weights(eta, lam, cutoff - 1)) > 1e-10
 
 
 def test_select_cutoff_refuses_to_grow_without_bound():
-    # |alpha|^2 = 20000 would need n ~ 160,000: a dense matrix of ~400 GB.
+    # At the flat-prior proxy lambda = 1e-3 the truncated prior weight falls
+    # to 1e-10 only from N ~ 23,000 on, far above the cap of 180.
     with pytest.raises(CutoffTooSmall, match="cutoff"):
-        fock.select_cutoff(20000.0)
+        fock.select_cutoff(1.0, 1e-3)
+    with pytest.raises(CutoffTooSmall, match="cutoff"):
+        fock.select_cutoff(2.0, 0.2)  # the output side needs 242
+
+
+def test_truncated_prior_weights_are_the_prior_averaged_tails():
+    eta, lam, cutoff = 0.7, 0.4, 9
+    t, w = np.polynomial.laguerre.laggauss(120)
+    abs2 = t / lam  # Gauss-Laguerre nodes and weights of the prior's |alpha|^2
+    kets = [fock.coherent_amplitudes(np.sqrt(g * abs2), cutoff) for g in (1.0, eta)]
+    tails = [w @ (1.0 - np.sum(np.abs(k) ** 2, axis=0)) for k in kets]
+    assert tails == pytest.approx(fock.truncated_prior_weights(eta, lam, cutoff), rel=1e-9)
 
 
 def test_operator_serialization_roundtrip():
@@ -463,7 +473,10 @@ def test_operator_serialization_roundtrip():
 
 
 def test_average_fidelity_identity_channel():
-    avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=30)
+    # The estimate, about 4 sqrt(1.5^-N) here, bounds the truncation
+    # rigorously but loosely: 9.1e-3 at N = 30, where the true gap is 9.8e-6.
+    # It falls below 5e-4 from N = 48 on.
+    avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=48)
     assert avg.error < 5e-4
     assert avg.value == pytest.approx(1.0, abs=5e-4 + avg.error)
 
@@ -477,59 +490,43 @@ def test_average_fidelity_matches_gaussian_engine_for_loss():
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
-def test_average_fidelity_importance_reweighting():
-    # A rule built for another prior width must still integrate correctly.
-    eta, lam, T = 1.0, 0.3, 0.7
-    channel = GaussianChannel(math.sqrt(T) * E2, (1 - T) / 2 * E2)
-    exact = average_fidelity_gaussian(channel, eta, lam)
-    rule = gauss_rule(GaussianPrior(0.8), 28, 24)
-    avg = fock.average_fidelity_fock(
-        lambda rho: fock.apply_loss(rho, T), eta, lam, rule=rule, cutoff=40)
-    assert abs(avg.value - exact) <= 1e-4 + avg.error
-
-
 def test_average_fidelity_reports_honest_error_when_truncated():
     # Tiny cutoff: the value cannot be trusted and the error term must say so.
     avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.2, cutoff=6)
     assert avg.error > 1e-3
 
 
-def _average_fidelity_per_node(applier, eta, lam, rule, cutoff):
-    # average_fidelity_fock as one applier call per node, summed in rule order
-    sqrt_eta = math.sqrt(eta)
-
-    def estimate(r):
-        weights = r.weights_for(lam)
-        keep = max(eta, 1.0) * np.abs(r.nodes) ** 2 <= 0.85 * cutoff
-        total = 0.0
-        trunc_bias = 0.0
-        for alpha, w in zip(r.nodes[keep], weights[keep]):
-            ket_in = fock.coherent_ket(alpha, cutoff, weight_tol=None)
-            ket_out = fock.coherent_ket(sqrt_eta * alpha, cutoff, weight_tol=None)
-            total += w * fock.fidelity_pure(ket_out, applier(ket_in.projector()))
-            trunc_bias += w * 3.0 * (max(ket_in.truncated_weight, 0.0)
-                                     + max(ket_out.truncated_weight, 0.0))
-        return total, float(np.sum(weights[~keep])) + trunc_bias
-
-    base, _ = estimate(rule)
-    fine, fine_extra = estimate(rule.refine())
-    return fine, abs(fine - base) + fine_extra
+def _average_fidelity_per_node(applier, eta, lam, cutoff):
+    # average_fidelity_fock as one applier call per node, summed in rule order,
+    # with the closed-form truncation bound plus its roundoff floor
+    radii, weights = fock.prior_rule(eta, lam, cutoff)
+    total = 0.0
+    for r, w in zip(radii, weights):
+        ket_in = fock.coherent_ket(r, cutoff, weight_tol=None)
+        ket_out = fock.coherent_ket(math.sqrt(eta) * r, cutoff, weight_tol=None)
+        total += w * fock.fidelity_pure(ket_out, applier(ket_in.projector()))
+    tau_in, tau_out = (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
+    error = 2 * math.sqrt(tau_in) + 2 * math.sqrt(tau_out) + tau_out \
+        + cutoff ** 2 * np.finfo(float).eps
+    return total, error
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("applier", [
     lambda rho: fock.apply_loss(rho, 0.6),
-    lambda rho: fock.gaussian_mixture_of_displacements(fock.apply_amp(rho, 1.5), 0.2, 1),
+    # amplifier gain 1.5, then the phase average of a displacement mixture of
+    # variance 0.2 on x_minus: a phase-covariant map with complex kernels
+    schemes.phase_averaged_applier(GaussianChannel(math.sqrt(1.5) * E2,
+                                                   np.diag([0.25, 0.45]))),
 ], ids=["loss", "amp+mixture"])
 def test_average_fidelity_chunks_match_the_per_node_loop(monkeypatch, applier, chunk):
-    # 7 nodes a chunk puts chunk boundaries inside both the rule and its
-    # refinement; the default holds every kept node of a rule in one chunk
+    # 7 nodes a chunk puts a chunk boundary inside the 14 nodes of the rule;
+    # the default holds every node in one chunk
     cutoff, eta, lam = 14, 1.3, 0.7
     if chunk is not None:
         monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
-    rule = gauss_rule(GaussianPrior(lam), 5, 4)
-    got = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
-    value, error = _average_fidelity_per_node(applier, eta, lam, rule, cutoff)
+    got = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
+    value, error = _average_fidelity_per_node(applier, eta, lam, cutoff)
     assert abs(got.value - value) <= 1e-15
     assert abs(got.error - error) <= 1e-15
 
@@ -544,8 +541,7 @@ def test_average_fidelity_refuses_a_non_hermitian_output_inside_a_chunk(monkeypa
         return fock.FockOperator(m)
 
     with pytest.raises(InvalidInput, match="not Hermitian"):
-        fock.average_fidelity_fock(skew_second, 1.0, 0.8, rule=gauss_rule(
-            GaussianPrior(0.8), 4, 4), cutoff=cutoff)
+        fock.average_fidelity_fock(skew_second, 1.0, 0.8, cutoff=cutoff)
 
 
 def test_average_fidelity_validates_inputs():
@@ -556,6 +552,6 @@ def test_average_fidelity_validates_inputs():
     for eta in (math.nan, math.inf):
         with pytest.raises(InvalidInput, match="finite"):
             fock.average_fidelity_fock(lambda rho: rho, eta, 0.5)
-    for cutoff in (0, -3):
+    for cutoff in (0, -3, 181):
         with pytest.raises(InvalidInput, match="cutoff"):
             fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=cutoff)

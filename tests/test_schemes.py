@@ -5,7 +5,6 @@ import pytest
 
 from cvbench import fock, schemes
 from cvbench.bounds import classical_bound
-from cvbench.ensembles import GaussianPrior, gauss_rule
 from cvbench.errors import (ConvergenceError, InvalidInput,
                             NotCompletelyPositive, UnsupportedTask)
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
@@ -16,7 +15,8 @@ from cvbench.schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
                              fock_applier, fock_applier_for_gaussian,
                              model_from_json, model_to_json,
                              mp_average_fidelity, optimal_mp_gain,
-                             optimize_mp_gain, qd_by_parameters, to_gaussian)
+                             optimize_mp_gain, phase_averaged_applier,
+                             qd_by_parameters, to_gaussian)
 
 rng = np.random.default_rng(47)
 random_tasks = [(float(e), float(l)) for e, l in
@@ -370,8 +370,7 @@ def test_fock_applier_realizations_match_the_closed_form(model):
     eta, lam = 0.8, 0.6
     channel = model if isinstance(model, GaussianChannel) else to_gaussian(model)
     exact = average_fidelity_gaussian(channel, eta, lam)
-    rule = gauss_rule(GaussianPrior(lam), 8, 8)
-    avg = fock.average_fidelity_fock(fock_applier(model), eta, lam, rule=rule, cutoff=30)
+    avg = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=30)
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
@@ -406,14 +405,100 @@ def test_fock_applier_on_a_stack_equals_each_slice(model, state_stack):
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_average_fidelity_is_independent_of_the_chunk_size(monkeypatch, model):
     eta, lam, cutoff = 0.9, 0.6, 16
-    rule = gauss_rule(GaussianPrior(lam), 5, 4)
-    applier = fock_applier(model)
-    whole = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
+    applier = phase_averaged_applier(model)
+    whole = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
     for chunk in (1, 7):
         monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
-        got = fock.average_fidelity_fock(applier, eta, lam, rule=rule, cutoff=cutoff)
+        got = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
         assert abs(got.value - whole.value) <= 1e-15
         assert abs(got.error - whole.error) <= 1e-15
+
+
+RAW_CHANNELS = [
+    GaussianChannel(1.1 * E2, np.diag([0.4, 0.2])),
+    GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3])),
+]
+# Phase-covariant models are their own phase average; the others are not.
+COVARIANT = [m for m in ALL_MODELS if not isinstance(m, CanonicalB1)]
+NOT_COVARIANT = [CanonicalB1()] + RAW_CHANNELS + [
+    Compose([CanonicalB1(), HeterodyneMP(0.8), CanonicalB1()])]
+
+
+def _name(model):
+    return type(model).__name__
+
+
+@pytest.mark.parametrize("model", ALL_MODELS + RAW_CHANNELS, ids=_name)
+def test_average_fidelity_sends_one_real_amplitude_per_radius(model):
+    cutoff = 16
+    seen = []
+    applier = phase_averaged_applier(model)
+
+    def counting(rho):
+        seen.append(rho.matrix)
+        return applier(rho)
+
+    fock.average_fidelity_fock(counting, 0.9, 0.6, cutoff=cutoff)
+    inputs = np.concatenate(seen)
+    assert inputs.shape == (cutoff, cutoff, cutoff)
+    assert np.all(inputs.imag == 0)
+    amplitudes = inputs[:, 1, 0].real / inputs[:, 0, 0].real  # <1|r><r|0> / <0|r><r|0> = r
+    assert np.all(amplitudes > 0)
+    assert np.unique(amplitudes).size == cutoff
+
+
+def _phase_resolved_average(applier, eta, lam, cutoff):
+    # The (2N - 1)-point phase trapezoid on every radius of the N-node rule:
+    # exact for any map truncated to N levels, phase-covariant or not.
+    radii, weights = fock.prior_rule(eta, lam, cutoff)
+    phases = np.exp(2j * np.pi * np.arange(2 * cutoff - 1) / (2 * cutoff - 1))
+    total = 0.0
+    for r, w in zip(radii, weights):
+        kets_in = fock.FockVector(fock.coherent_amplitudes(r * phases, cutoff).T)
+        kets_out = fock.FockVector(
+            fock.coherent_amplitudes(math.sqrt(eta) * r * phases, cutoff).T)
+        total += w * np.mean(fock.fidelity_pure(kets_out, applier(kets_in.projector())))
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [24, 40])
+@pytest.mark.parametrize("model", COVARIANT + NOT_COVARIANT, ids=_name)
+def test_one_phase_per_radius_is_exact_on_the_truncated_space(model, cutoff):
+    eta, lam = 0.9, 0.4
+    if model in COVARIANT:
+        own = fock_applier(model)
+    else:
+        own = fock_applier_for_gaussian(
+            model if isinstance(model, GaussianChannel) else to_gaussian(model))
+    got = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=cutoff)
+    assert abs(got.value - _phase_resolved_average(own, eta, lam, cutoff)) <= 1e-13
+
+
+def test_fock_error_estimate_bounds_the_true_deviation():
+    # Seeded draws of eta, lambda and the model's own parameters, crossed with
+    # small and large cutoffs.  On this grid the bare tail sum
+    # 3 (tau_in + tau_out) misses two cases, one loss and one amplifier.
+    rng = np.random.default_rng(1)
+    draws = [
+        lambda eta, lam: PureLoss(rng.uniform(0.3, 1.0)),
+        lambda eta, lam: QuantumLimitedAmp(rng.uniform(1.0, 2.0)),
+        lambda eta, lam: CanonicalB1(),
+        lambda eta, lam: CanonicalC(rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.6)),
+        lambda eta, lam: HeterodyneMP(math.sqrt(eta) / (1 + lam) * rng.uniform(0.8, 1.2)),
+    ] + [lambda eta, lam, c=c: c for c in RAW_CHANNELS]
+    worst = 0.0
+    for draw in draws:
+        for cutoff in (2, 4, 8, 16, 24, 40):
+            for _ in range(5):
+                eta, lam = rng.uniform(0.3, 2.0), rng.uniform(0.05, 1.0)
+                model = draw(eta, lam)
+                channel = model if isinstance(model, GaussianChannel) else to_gaussian(model)
+                avg = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam,
+                                                 cutoff=cutoff)
+                gap = abs(avg.value - average_fidelity_gaussian(channel, eta, lam))
+                assert gap <= avg.error, (model, cutoff, eta, lam, gap, avg.error)
+                worst = max(worst, gap / avg.error)
+    assert worst > 0.1  # the bound is not vacuous on this grid
 
 
 def test_fock_applier_for_gaussian_channels():

@@ -46,6 +46,7 @@ EXIT_DATA = 4
 EXIT_DISAGREE = 5
 
 _SMALL_LAM = 1e-3
+_HASH_BLOCK = 1 << 20             # --input is hashed in blocks, so memory stays bounded
 
 # Config-file keys accepted per subcommand, mapped to argparse dests.  The
 # common keys ride along on every subcommand.
@@ -371,8 +372,11 @@ def _cmd_simulate(eff: dict):
         pass
     if matched and lam < 0.2:
         # The matched-gain average is prior-independent, so the truncated
-        # engine may run at a width whose prior actually fits the cutoff.
-        lam_fock = 0.2
+        # engine may run at a width whose prior actually fits the cutoff:
+        # 0.2, or wider once the output prior of a large gain needs more
+        # than the automatic cutoff limit.
+        lam_fock = 0.2 if cutoff is not None else \
+            max(0.2, fock.narrowest_auto_lambda(eta))
     elif lam == 0.0:
         lam_gauss = lam_fock = _SMALL_LAM
 
@@ -444,8 +448,11 @@ def _cmd_certify(eff: dict):
 
     digest = None
     if eff.get("input"):
+        sha = hashlib.sha256()
         with open(eff["input"], "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+            while block := fh.read(_HASH_BLOCK):
+                sha.update(block)
+        digest = sha.hexdigest()
 
     if method == "variance":
         ds = _certify_dataset(eff, warnings)

@@ -488,6 +488,16 @@ def select_cutoff(eta: float, lam: float) -> int:
     return max(1, math.ceil(need))
 
 
+def narrowest_auto_lambda(eta: float) -> float:
+    """Smallest prior width whose `select_cutoff` at task gain eta fits 180.
+
+    Inverts select_cutoff's closed form: both truncated weights reach 1e-10
+    by level 180 once lam >= max(1, eta) * (10^(10/180) - 1).
+    """
+    rate = math.expm1(-math.log(_CUTOFF_WEIGHT_TOL) / _MAX_AUTO_CUTOFF)
+    return max(1.0, eta) * rate * (1.0 + 1e-12)   # the margin absorbs rounding
+
+
 def truncated_prior_weights(eta: float, lam: float, cutoff: int):
     """(tau_in, tau_out): the prior-averaged weight of |alpha> and of |sqrt(eta) alpha>
     at or above level `cutoff`, (1 + lam)^-N and (eta / (lam + eta))^N."""

@@ -1,4 +1,6 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,3 +377,169 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DatasetError) as err:
         read_dataset_csv(header_only, lam=0.1)
     assert err.value.line == 2
+
+
+def _reference_read(path, lam):
+    """The csv-module reader that read_dataset_csv replaced, kept as a reference."""
+    groups, order = {}, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError("CSV file is empty", line=1) from None
+        if [h.strip() for h in header] != ["alpha_re", "alpha_im", "quad_label", "value"]:
+            raise DatasetError(f"CSV header must be alpha_re,alpha_im,quad_label,value, "
+                               f"got {','.join(header)}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                raise DatasetError(f"expected 4 fields, got {len(row)}", line=lineno)
+            try:
+                re_part, im_part = float(row[0]), float(row[1])
+                value = float(row[3])
+            except ValueError as exc:
+                raise DatasetError(f"non-numeric field: {exc}", line=lineno) from None
+            label = row[2].strip()
+            if label not in ("plus", "minus"):
+                raise DatasetError(f"quadrature label must be one of ('plus', 'minus'), "
+                                   f"got {label!r}", line=lineno)
+            key = (re_part, im_part, label)
+            if key not in groups:
+                groups[key] = []
+                order.append(key)
+            groups[key].append(value)
+    if not order:
+        raise DatasetError("CSV file has a header but no sample rows", line=2)
+    return ExperimentDataset(
+        [QuadratureRecord(complex(re, im), label, np.array(groups[(re, im, label)]))
+         for re, im, label in order], lam=lam)
+
+
+def _signature(ds):
+    """Records bit for bit: amplitude and sample bits, label, in record order."""
+    return [(np.array([r.alpha.real, r.alpha.imag]).view(np.int64).tolist(),
+             r.quad_label, r.samples.view(np.int64).tolist()) for r in ds.records]
+
+
+def assert_reads_like_reference(path):
+    new, ref = read_dataset_csv(path, lam=0.1), _reference_read(path, lam=0.1)
+    assert _signature(new) == _signature(ref)
+    assert delta_bar(new, 0.6) == delta_bar(ref, 0.6)
+    return new
+
+
+HEAD = "alpha_re,alpha_im,quad_label,value\n"
+CHUNK = 4096          # lines read_dataset_csv converts at a time
+
+
+def test_csv_reader_matches_the_reference_across_chunks(tmp_path):
+    # 7 probes x 2 axes x 1000 rows: more than 3 chunks, and groups 4 and 8
+    # straddle chunk boundaries
+    ds = make_dataset(PureLoss(0.6), n=1000, alphas=GRID[:7])
+    path = tmp_path / "runs.csv"
+    write_dataset_csv(ds, path)
+    assert sum(1 for _ in open(path)) - 1 > 3 * CHUNK
+    assert_reads_like_reference(path)
+
+    # the same rows shuffled, so every group's samples span every chunk
+    lines = open(path).read().splitlines()
+    order = np.random.default_rng(5).permutation(len(lines) - 1) + 1
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([lines[0]] + [lines[i] for i in order]) + "\n")
+    back = assert_reads_like_reference(shuffled)
+    assert back.sample_count() == ds.sample_count()
+
+
+@pytest.mark.parametrize("body", [
+    "1.0,0.0,plus,0.5\r\n1.0,0.0,minus,-0.25\r\n1.0,0.0,plus,0.75\r\n",
+    "1.0,0.0,plus,0.5\r1.0,0.0,minus,-0.25\r1.0,0.0,plus,0.75\r",
+    "1.0,0.0,plus,0.5\n\n   \n1.0,0.0,minus,-0.25\r\n\t\r\n1.0,0.0,plus,0.75",
+], ids=["crlf", "lone-cr", "blank-lines"])
+def test_csv_line_endings_and_blank_lines(tmp_path, body):
+    path = tmp_path / "runs.csv"
+    path.write_bytes((HEAD + body).encode())
+    ds = assert_reads_like_reference(path)
+    assert [r.samples.tolist() for r in ds.records] == [[0.5, 0.75], [-0.25]]
+
+
+def test_csv_spellings_of_one_key_merge_in_file_order(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(HEAD + "1.0,0.0,plus,0.1\n"
+                    "-0.0,2.0,minus,0.2\n"
+                    "1.00,0.0,plus,0.3\n"
+                    "1.0,0.0, plus ,0.4\n"
+                    "0.0,2.0,minus,0.5\n"
+                    "1,0,plus,0.6\n"
+                    "1.0,-0.0,minus,0.7\n"
+                    "0.0,2.00,plus,0.8\n")
+    ds = assert_reads_like_reference(path)
+    assert [(r.alpha, r.quad_label, r.samples.tolist()) for r in ds.records] == [
+        (1 + 0j, "plus", [0.1, 0.3, 0.4, 0.6]), (2j, "minus", [0.2, 0.5]),
+        (1 + 0j, "minus", [0.7]), (2j, "plus", [0.8])]
+    assert math.copysign(1.0, ds.records[1].alpha.real) == -1.0   # first spelling kept
+
+
+ERRORS = {
+    # case: (body, line, message fragment)
+    "value-before-label": ("1.0,0.0,plus,0.5\n1.0,0.0,plus,oops\n1.0,0.0,diag,0.5\n",
+                           3, "non-numeric field"),
+    "label-before-value": ("1.0,0.0,plus,0.5\n1.0,0.0,diag,0.5\n1.0,0.0,plus,oops\n",
+                           3, "quadrature label"),
+    "both-on-one-line": ("1.0,0.0,plus,0.5\n1.0,0.0,diag,oops\n", 3, "non-numeric field"),
+    "bad-amplitude": ("1.0,0.0,plus,0.5\nx,0.0,plus,0.5\n", 3, "non-numeric field"),
+    "empty-value": ("1.0,0.0,plus,0.5\n1.0,0.0,plus,\n", 3, "non-numeric field"),
+    "five-fields": ("1.0,0.0,plus,0.5\n1.0,0.0,plus,0.5,0.7\n", 3, "expected 4 fields, got 5"),
+    "after-blank-lines": ("1.0,0.0,plus,0.5\n\n  \n1.0,0.0,minus,nan?\n", 5, "non-numeric"),
+    "second-chunk": ("1.0,0.0,plus,0.5\n" * (CHUNK + 10) + "1.0,0.0,diag,0.5\n"
+                     + "1.0,0.0,plus,oops\n", CHUNK + 12, "quadrature label"),
+}
+
+
+@pytest.mark.parametrize("case", ERRORS)
+def test_csv_reports_the_first_bad_line_like_the_reference(tmp_path, case):
+    body, line, fragment = ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(HEAD + body)
+    with pytest.raises(DatasetError) as new:
+        read_dataset_csv(path, lam=0.1)
+    with pytest.raises(DatasetError) as ref:
+        _reference_read(path, lam=0.1)
+    assert (new.value.line, str(new.value)) == (ref.value.line, str(ref.value))
+    assert new.value.line == line
+    assert fragment in str(new.value)
+
+
+@pytest.mark.parametrize("row", ['1.0,0.0,plus,"0.5"', '"1.0",0.0,plus,0.5',
+                                 '1.0,0.0,"plus",0.5'])
+def test_csv_rejects_quoted_fields(tmp_path, row):
+    path = tmp_path / "quoted.csv"
+    path.write_text(HEAD + "1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n" + row + "\n")
+    with pytest.raises(DatasetError) as err:
+        read_dataset_csv(path, lam=0.1)
+    assert err.value.line == 4
+
+
+def test_csv_reader_memory_stays_near_the_sample_array(tmp_path):
+    """Peak traced allocation of a 50k-row read: 3x the final samples plus one chunk.
+
+    While a chunk is parsed, the rows read so far sit in two 8-byte arrays
+    (values and group ids), and the chunk's 4096 lines sit in memory as
+    Python strings -- each line, its value and its prefix -- at about seven
+    times the chunk's text; eight times is allowed.  Reading 8192 lines at
+    a time fails the bound, and so does keeping the chunk arrays alive
+    through the final sort.
+    """
+    ds = make_dataset(PureLoss(0.6), n=3126)
+    path = tmp_path / "runs.csv"
+    write_dataset_csv(ds, path)
+    n = ds.sample_count()
+    chunk_text = CHUNK * path.stat().st_size / (n + 1)
+    tracemalloc.start()
+    try:
+        read_dataset_csv(path, lam=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n + 8 * chunk_text

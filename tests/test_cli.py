@@ -118,6 +118,17 @@ def test_simulate_matched_flat_prior_reruns_fock_at_finite_width(capsys):
     assert doc["result"]["fbar_fock"] == pytest.approx(1.0, abs=2e-3)
 
 
+def test_simulate_matched_large_gain_widens_the_fock_prior_to_fit_the_cutoff(capsys):
+    # at lambda = 0.2 the output prior of gain 2 would need a cutoff of about 242
+    code, doc, _ = run_json(capsys, "simulate", "--channel",
+                            '{"type": "quantum_limited_amp", "G": 2}',
+                            "--lambda", "0", "--engine", "both")
+    assert code == 0
+    result = doc["result"]
+    assert result["lambda_used_fock"] == fock.narrowest_auto_lambda(2.0) > 0.2
+    assert result["engine_gap"] <= result["fock_error_estimate"]
+
+
 def test_simulate_honest_failure_when_cutoff_cannot_hold_the_prior(capsys):
     code, _, err = run(capsys, "simulate", "--channel",
                        '{"type": "pure_loss", "T": 0.6}',

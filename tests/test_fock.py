@@ -453,6 +453,14 @@ def test_select_cutoff_refuses_to_grow_without_bound():
         fock.select_cutoff(2.0, 0.2)  # the output side needs 242
 
 
+@pytest.mark.parametrize("eta", [0.3, 1.0, 1.4655, 1.5, 2.0, 7.3, 1e4])
+def test_narrowest_auto_lambda_is_the_narrowest_width_that_fits_the_cap(eta):
+    lam = fock.narrowest_auto_lambda(eta)
+    assert fock.select_cutoff(eta, lam) == 180
+    with pytest.raises(CutoffTooSmall):
+        fock.select_cutoff(eta, lam * (1 - 1e-9))
+
+
 def test_truncated_prior_weights_are_the_prior_averaged_tails():
     eta, lam, cutoff = 0.7, 0.4, 9
     t, w = np.polynomial.laguerre.laggauss(120)

@@ -1,8 +1,10 @@
-"""The benchmark's fock-engine jobs run through the CLI within their estimate.
+"""The benchmark's jobs pass through the CLI as the benchmark expects.
 
 perfbench/workloads.py builds its job lists with numpy alone; this test
 loads it by path and only reads it.  Every argv of one fock-engine cycle
-must exit 0, with the engine gap inside the Fock engine's error estimate.
+must exit 0, with the engine gap inside the Fock engine's error estimate,
+and every argv of one certify-csv cycle must give the exit code, verdict,
+input hash and counts its job expects.
 """
 
 import importlib.util
@@ -27,3 +29,26 @@ def test_fock_cycle_argv_runs_within_the_error_estimate(capsys, job):
     result = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
     assert result["engine_gap"] <= result["fock_error_estimate"]
+
+
+# one certify-csv cycle: four CSVs (deep/wide x loss/het) x two methods
+CERT_JOBS = len(workloads.CERT_SHAPES) * len(workloads.CERT_CHANNELS) * len(workloads.CERT_METHODS)
+
+
+@pytest.fixture(scope="module")
+def cert_jobs(tmp_path_factory):
+    inputs = workloads.write_cert_csvs(1, str(tmp_path_factory.mktemp("cert")))
+    return workloads.cert_cycle(1, 0, inputs)
+
+
+@pytest.mark.parametrize("index", range(CERT_JOBS))
+def test_cert_cycle_argv_gives_the_expected_verdict(capsys, cert_jobs, index):
+    job = cert_jobs[index]
+    code = main(job["argv"])
+    out = json.loads(capsys.readouterr().out)
+    expect, result = job["expect"], out["result"]
+    assert code == expect["exit"]
+    assert result["verdict"] == expect["verdict"]
+    assert out["input_sha256"] == expect["sha256"]
+    assert (result["n_probes"], result["n_samples"]) == (expect["n_probes"],
+                                                         expect["n_samples"])

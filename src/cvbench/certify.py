@@ -523,7 +523,8 @@ def _parse_row(line: str, lineno: int):
     """(alpha_re, alpha_im, label, value) of one data line; defines a valid row.
 
     Checks run in a fixed order -- field count, then the three numeric
-    fields, then the label -- so one bad line always reports the same error.
+    fields (parsed, then finite), then the label -- so one bad line always
+    reports the same error.
     """
     row = line.rstrip("\r\n").split(",")
     if len(row) != 4:
@@ -533,6 +534,8 @@ def _parse_row(line: str, lineno: int):
         value = float(row[3])
     except ValueError as exc:
         raise DatasetError(f"non-numeric field: {exc}", line=lineno) from None
+    if not (math.isfinite(re_part) and math.isfinite(im_part) and math.isfinite(value)):
+        raise DatasetError(f"non-finite field: {line.strip()!r}", line=lineno)
     label = row[2].strip()
     if label not in _LABELS:
         raise DatasetError(
@@ -559,9 +562,10 @@ def read_dataset_csv(path, lam: float, eta_declared: Optional[float] = None,
 
     The text is read `_CHUNK_LINES` lines at a time.  Each row costs one dictionary
     lookup on its raw alpha_re,alpha_im,quad_label prefix, and each chunk's
-    values are converted to floats in one call; a prefix is parsed only on
-    its first row, by the same `_parse_row` that locates the first bad line
-    of a chunk when its conversion fails.
+    values are converted to floats in one call and checked finite in one
+    pass; a prefix is parsed only on its first row, by the same `_parse_row`
+    that locates the first bad line of a chunk when its conversion or that
+    check fails.
     """
     prefix_ids: dict = {}        # raw prefix text -> group id
     key_ids: dict = {}           # parsed (re, im, label) -> group id, first spelling kept
@@ -594,9 +598,12 @@ def read_dataset_csv(path, lam: float, eta_declared: Optional[float] = None,
                 ids.append(gid)
                 values.append(value)
             try:
-                value_chunks.append(np.array(values, dtype=float))
+                chunk = np.array(values, dtype=float)
             except ValueError:
-                value_chunks.append(np.array(_parse_values(lines, lineno), dtype=float))
+                chunk = None
+            if chunk is None or not np.isfinite(chunk).all():
+                chunk = np.array(_parse_values(lines, lineno), dtype=float)
+            value_chunks.append(chunk)
             id_chunks.append(np.array(ids, dtype=np.intp))
             lineno += len(lines)
     if not key_ids:

@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 14)")
     p.add_argument("--two-copy-cutoff", dest="two_copy_cutoff", type=int, default=None,
                    help="truncation for the two-copy consistency check, "
-                        f"1..{proofcheck._MAX_TWO_COPY_CUTOFF} (default 16)")
+                        f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 16)")
     p.add_argument("--corrupt-bound", dest="corrupt_bound", type=float, default=None,
                    help="self-test: scale the bound by this factor (0.9 must fail)")
 
@@ -576,7 +576,7 @@ def _cmd_proofcheck(eff: dict):
             ("--copies", copies, 1, proofcheck._MAX_COPIES),
             ("--trials", trials, 0, proofcheck._MAX_TRIALS),
             ("--cutoff", cutoff, 1, proofcheck._MAX_SCORE_CUTOFF),
-            ("--two-copy-cutoff", two_cutoff, 1, proofcheck._MAX_TWO_COPY_CUTOFF)):
+            ("--two-copy-cutoff", two_cutoff, 1, proofcheck._MAX_SCORE_CUTOFF)):
         if not low <= value <= high:
             raise _Usage(f"{flag} must be between {low} and {high}, got {value}")
     warnings = []

@@ -511,6 +511,34 @@ def test_csv_reports_the_first_bad_line_like_the_reference(tmp_path, case):
     assert fragment in str(new.value)
 
 
+NON_FINITE = {
+    # case: (body, line); a valid probe comes first in every file.  A value
+    # on an already seen probe is caught by the chunk's vectorised check.
+    "nan-amplitude": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n"
+                      "nan,0.0,plus,0.5\nnan,0.0,minus,0.5\n", 4),
+    "inf-value": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n"
+                  "2.0,0.0,plus,0.5\n2.0,0.0,minus,inf\n", 5),
+    "inf-value-known-probe": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n"
+                              "1.0,0.0,plus,-inf\n", 4),
+    "overflowing-value": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,-1e999\n", 3),
+    "nan-value-later-chunk": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n" * (CHUNK // 2 + 5)
+                              + "1.0,0.0,plus,NaN\n1.0,0.0,plus,oops\n", CHUNK + 12),
+    "nan-value-before-bad-label": ("1.0,0.0,plus,0.5\n1.0,0.0,minus,nan\n"
+                                   "1.0,0.0,diag,0.5\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_csv_rejects_non_finite_fields_at_their_line(tmp_path, case):
+    body, line = NON_FINITE[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(HEAD + body)
+    with pytest.raises(DatasetError) as err:
+        read_dataset_csv(path, lam=0.1)
+    assert err.value.line == line
+    assert "non-finite field" in str(err.value)
+
+
 @pytest.mark.parametrize("row", ['1.0,0.0,plus,"0.5"', '"1.0",0.0,plus,0.5',
                                  '1.0,0.0,"plus",0.5'])
 def test_csv_rejects_quoted_fields(tmp_path, row):

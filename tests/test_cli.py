@@ -335,6 +335,21 @@ def test_sweep_rejects_unknown_grid_keys(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("rows, line", [
+    ("nan,0.0,plus,0.5\nnan,0.0,minus,0.5\n", 4),
+    ("2.0,0.0,plus,0.5\n2.0,0.0,minus,inf\n", 5),
+], ids=["nan-amplitude", "inf-value"])
+def test_certify_names_the_line_of_a_non_finite_field(capsys, tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("alpha_re,alpha_im,quad_label,value\n"
+                    "1.0,0.0,plus,0.5\n1.0,0.0,minus,0.5\n" + rows)
+    code, out, err = run(capsys, "certify", "--input", str(path),
+                         "--lambda", "0.1", "--eta", "1")
+    assert code == 4
+    assert out == ""
+    assert f"(line {line})" in err and "non-finite field" in err
+
+
 # ---------------------------------------------------------------------------
 # proofcheck
 
@@ -357,9 +372,22 @@ def test_proofcheck_defaults_pass_above_unit_gain(capsys):
     assert doc["result"]["two_copy"]["passed"] is True
 
 
+def test_proofcheck_above_unit_gain_passes_at_a_wider_two_copy_cutoff(capsys):
+    # at eta = 3 the truncated score operator misses the two-copy side by
+    # 1.1e-2 at the default two-copy cutoff of 16 and by 3.8e-4 at 24
+    code, doc, _ = run_json(capsys, "proofcheck", "--eta", "3")
+    assert code == 1
+    assert doc["result"]["two_copy"]["passed"] is False
+    code, doc, _ = run_json(capsys, "proofcheck", "--eta", "3", "--two-copy-cutoff", "24")
+    assert code == 0
+    two = doc["result"]["two_copy"]
+    assert two["passed"] is True and two["cutoff"] == 24
+    assert two["rel_difference"] < 1e-3
+
+
 @pytest.mark.parametrize("flag, value, limit", [
     ("--cutoff", "0", 64), ("--cutoff", "-3", 64), ("--cutoff", "65", 64),
-    ("--two-copy-cutoff", "-3", 16), ("--two-copy-cutoff", "17", 16),
+    ("--two-copy-cutoff", "-3", 64), ("--two-copy-cutoff", "65", 64),
 ])
 def test_proofcheck_cutoff_out_of_range_is_a_usage_error(capsys, flag, value, limit):
     code, out, err = run(capsys, "proofcheck", f"{flag}={value}")
@@ -397,6 +425,7 @@ def test_proofcheck_help_names_the_count_ranges(capsys):
     code, out, _ = run(capsys, "proofcheck", "--help")
     assert code == 0
     assert "1..512" in out and "0..500" in out
+    assert "consistency check, 1..64 (default 16)" in " ".join(out.split())
 
 
 def test_proofcheck_huge_cutoff_is_refused_at_once():

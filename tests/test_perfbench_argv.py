@@ -2,9 +2,10 @@
 
 perfbench/workloads.py builds its job lists with numpy alone; this test
 loads it by path and only reads it.  Every argv of one fock-engine cycle
-must exit 0, with the engine gap inside the Fock engine's error estimate,
-and every argv of one certify-csv cycle must give the exit code, verdict,
-input hash and counts its job expects.
+must exit 0, with the engine gap inside the Fock engine's error estimate;
+every argv of one gaussian-audit cycle must pass the benchmark's own oracle
+(``workloads.check``); and every argv of one certify-csv cycle must give the
+exit code, verdict, input hash and counts its job expects.
 """
 
 import importlib.util
@@ -29,6 +30,26 @@ def test_fock_cycle_argv_runs_within_the_error_estimate(capsys, job):
     result = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
     assert result["engine_gap"] <= result["fock_error_estimate"]
+
+
+# one gaussian-audit cycle: anisotropic simulations, proofchecks (the
+# self-test among them) and sweeps written to CSV
+GAUSS_JOBS = len(workloads.GAUSS_CYCLE)
+
+
+@pytest.fixture(scope="module")
+def gauss_jobs(tmp_path_factory):
+    return workloads.gauss_cycle(1, 0, str(tmp_path_factory.mktemp("gauss")))
+
+
+@pytest.mark.parametrize("index", range(GAUSS_JOBS))
+def test_gauss_cycle_argv_passes_the_benchmark_oracle(capsys, gauss_jobs, index):
+    job = gauss_jobs[index]
+    code = main(job["argv"])
+    text = capsys.readouterr().out
+    out = json.loads(text) if text.strip() else None
+    fails, defects, _ = workloads.check("gaussian-audit", job, code, out)
+    assert fails == [] and defects == []
 
 
 # one certify-csv cycle: four CSVs (deep/wide x loss/het) x two methods

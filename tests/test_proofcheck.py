@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import fock
+from cvbench import fock, proofcheck
 from cvbench.bounds import classical_bound
 from cvbench.errors import InvalidInput
 from cvbench.proofcheck import (circulant_eigenvalues, circulant_identity_check,
@@ -258,3 +258,42 @@ def test_two_copy_cutoff_and_probe_guards():
         two_copy_operator(1.0, 0.5, 0)
     with pytest.raises(InvalidInput):
         two_copy_check(np.ones(9) / 3.0, 1.0, 0.5, cutoff=8)
+
+
+# the check's closed phase-circulant contraction against the dense operator
+contraction_points = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 1.0)))
+                      for _ in range(2)]
+contraction_points += [(float(rng.uniform(2.0, 4.0)), float(rng.uniform(0.1, 2.0)))
+                       for _ in range(2)]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 10, 16])
+@pytest.mark.parametrize("eta, lam", contraction_points)
+def test_two_copy_contraction_matches_the_dense_operator(cutoff, eta, lam):
+    probe_rng = np.random.default_rng([cutoff, int(1e6 * eta)])
+    for _ in range(3):
+        raw = probe_rng.standard_normal(cutoff) + 1j * probe_rng.standard_normal(cutoff)
+        amps = raw / np.linalg.norm(raw)
+        pair = np.kron(amps, amps)
+        dense = (pair.conj() @ two_copy_operator(eta, lam, cutoff) @ pair).real
+        value = proofcheck._two_copy_value(amps, eta, lam, cutoff)
+        assert abs(value - dense) <= 1e-12 * dense
+
+
+def test_two_copy_check_never_builds_the_dense_operator(monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the dense two-copy operator was built")
+    monkeypatch.setattr(proofcheck, "two_copy_operator", must_not_build)
+    assert two_copy_check(np.eye(6)[0], 1.0, 1.0, cutoff=16).passed
+
+
+@pytest.mark.parametrize("cutoff", [0, 65])
+def test_two_copy_value_rejects_cutoffs_outside_its_range(cutoff):
+    with pytest.raises(InvalidInput, match="1..64"):
+        proofcheck._two_copy_value(np.ones(1, dtype=complex), 1.0, 0.5, cutoff)
+
+
+@pytest.mark.parametrize("eta, lam", [(0.0, 0.5), (1.0, 0.0), (float("nan"), 0.5)])
+def test_two_copy_value_rejects_nonpositive_widths(eta, lam):
+    with pytest.raises(InvalidInput):
+        proofcheck._two_copy_value(np.ones(4, dtype=complex), eta, lam, 4)

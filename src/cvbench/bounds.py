@@ -10,21 +10,38 @@ the summed quadrature deviation stays below `quadrature_threshold`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InvalidInput
 
 
+def _require(ok, values, what: str) -> None:
+    """Raise InvalidInput(what) naming the first entry of `values` where `ok` is false.
+
+    `ok` is a condition evaluated elementwise on `values`, a scalar or an array.
+    Conditions are plain comparisons, such as (x >= 0) & (x < inf) for
+    finite and non-negative, so a Python scalar costs no numpy call.
+    """
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise InvalidInput(f"{what}, got {np.asarray(values)[np.logical_not(ok)][0]}")
+
+
+def _unwrap(value):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value
+    return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
 def _check_task(eta, lam, n_copies):
-    if not (eta > 0 and math.isfinite(eta)):
-        raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise InvalidInput(f"prior width lambda must be >= 0 and finite, got {lam}")
-    if isinstance(n_copies, bool) or not isinstance(n_copies, int):
+    _require((eta > 0) & (eta < np.inf), eta, "task gain eta must be positive and finite")
+    _require((lam >= 0) & (lam < np.inf), lam, "prior width lambda must be >= 0 and finite")
+    if isinstance(n_copies, bool) or not (
+            isinstance(n_copies, int) or np.asarray(n_copies).dtype.kind in "iu"):
         raise InvalidInput(f"copy count must be an integer, got {n_copies!r}")
-    if n_copies < 1:
-        raise InvalidInput(f"copy count must be >= 1, got {n_copies}")
+    _require(n_copies >= 1, n_copies, "copy count must be >= 1")
 
 
 def classical_bound(eta: float, lam: float = 0.0, n_copies: int = 1) -> float:
@@ -33,10 +50,11 @@ def classical_bound(eta: float, lam: float = 0.0, n_copies: int = 1) -> float:
     Single copy: (1 + lam) / (1 + lam + eta).  Handing the device N identical
     copies rescales both task parameters by 1/N, giving
     (N + lam) / (N + lam + eta); the bound grows with N toward 1.
+    Broadcasts over arrays (integer ones for the copy count).
     """
     _check_task(eta, lam, n_copies)
-    n = float(n_copies)
-    return (n + lam) / (n + lam + eta)
+    n = n_copies + 0.0  # a float, or a float array from an integer one
+    return _unwrap((n + lam) / (n + lam + eta))
 
 
 def quadrature_threshold(eta: float, lam: float = 0.0) -> float:
@@ -44,10 +62,10 @@ def quadrature_threshold(eta: float, lam: float = 0.0) -> float:
 
     The summed deviation statistic delta_bar of any measure-and-prepare
     channel is at least 2 eta / (1 + lam + eta).  Only the single-copy
-    criterion is available.
+    criterion is available.  Broadcasts over arrays.
     """
     _check_task(eta, lam, 1)
-    return 2.0 * eta / (1.0 + lam + eta)
+    return _unwrap(2.0 * eta / (1.0 + lam + eta))
 
 
 def quantum_amp_bound(eta: float) -> float:

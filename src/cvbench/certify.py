@@ -483,8 +483,8 @@ def _family_c_report(eta: float, m: float, lam: float) -> DetectionReport:
     margin, margin0, ladder = _margin_ladder(fbar, eta, lam)
     return DetectionReport(
         family="gain_with_isotropic_noise", eta=eta, added_noise=ntilde, fbar=fbar,
-        is_quantum_domain=bool(ntilde < min(1.0, eta)), lam=lam, margin=margin,
-        margin_zero_width=margin0, ladder=ladder)
+        is_quantum_domain=schemes.canonical_c_quantum_domain(eta, ntilde), lam=lam,
+        margin=margin, margin_zero_width=margin0, ladder=ladder)
 
 
 def _family_b_report(noise: float, lam: float) -> DetectionReport:

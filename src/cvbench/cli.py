@@ -4,7 +4,9 @@ Every run emits one machine-readable document (JSON by default, CSV for
 tables) that embeds the toolkit version, the seed and the resolved
 configuration, so identical invocations produce byte-identical output.
 Files are written atomically: a temporary file in the target directory is
-renamed over the destination only once the document is complete.
+renamed over the destination only once the document is complete, with the
+mode a plain open() would have given it.  Sweep tables are written in
+blocks of rows, so their memory does not grow with the grid.
 
 Exit codes:
 
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -80,6 +82,7 @@ _DEFAULTS = {
 
 _SWEEP_KEY_ORDER = ("eta", "lambda", "g", "ntilde", "n_copies")
 _SWEEP_MAX_POINTS = 10 ** 6
+_SWEEP_BLOCK_ROWS = 1 << 12       # rows per CSV text chunk, so memory stays bounded
 
 
 class _Usage(Exception):
@@ -222,12 +225,24 @@ def _resolve(args) -> dict:
     return eff
 
 
-def _atomic_write(text: str, path: str) -> None:
+def _atomic_write(chunks, path: str) -> None:
+    """Write an iterable of text chunks to `path` through a renamed temporary file.
+
+    The file ends up with the mode open(path, "w") would leave: an existing
+    file keeps its own, a new one gets 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvbench-", suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -235,29 +250,23 @@ def _atomic_write(text: str, path: str) -> None:
         raise
 
 
-def _emit(payload: dict, eff: dict, rows=None, columns=None) -> None:
-    if eff.get("fmt") == "csv" and rows is not None:
-        buf = io.StringIO()
-        buf.write(f"# version={__version__}\n")
-        buf.write(f"# command={eff['command']}\n")
-        buf.write(f"# seed={eff['seed']}\n")
-        buf.write("# config=" + json.dumps(eff["config_echo"], sort_keys=True) + "\n")
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join("" if v is None else
-                               (repr(float(v)) if isinstance(v, float) else str(v))
-                               for v in row) + "\n")
-        text = buf.getvalue()
+def _emit(payload: dict | None, eff: dict, table=None) -> None:
+    """Write the run's document: a CSV table's text chunks when there are any, else JSON."""
+    if eff.get("fmt") == "csv" and table is not None:
+        preamble = (f"# version={__version__}\n"
+                    f"# command={eff['command']}\n"
+                    f"# seed={eff['seed']}\n"
+                    "# config=" + json.dumps(eff["config_echo"], sort_keys=True) + "\n")
+        chunks = itertools.chain((preamble,), table)
     else:
         document = {"version": __version__, "command": eff["command"],
                     "seed": eff["seed"], "config": eff["config_echo"]}
         document.update(payload)
-        text = json.dumps(document, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        chunks = [json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"]
     if eff.get("out"):
-        _atomic_write(text, eff["out"])
+        _atomic_write(chunks, eff["out"])
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _require(eff: dict, *names):
@@ -325,7 +334,7 @@ def _cmd_bound(eff: dict):
             classical_bound(eta, 0.0)
     if eta > 1:
         result["quantum_amp_bound"] = quantum_amp_bound(eta)
-    return {"result": result, "warnings": []}, EXIT_OK, None, None
+    return {"result": result, "warnings": []}, EXIT_OK, None
 
 
 def _cmd_simulate(eff: dict):
@@ -424,7 +433,7 @@ def _cmd_simulate(eff: dict):
             warnings.append(f"engines disagree: |gaussian - fock| = {gap:.3g} "
                             f"exceeds {allowed:.3g}")
             code = EXIT_DISAGREE
-    return {"result": result, "warnings": warnings}, code, None, None
+    return {"result": result, "warnings": warnings}, code, None
 
 
 def _certify_dataset(eff: dict, warnings: list):
@@ -482,10 +491,11 @@ def _cmd_certify(eff: dict):
     payload = {"result": report.to_json(), "warnings": warnings + list(report.notes)}
     if digest is not None:
         payload["input_sha256"] = digest
-    return payload, EXIT_OK if report.certified else EXIT_FAIL, None, None
+    return payload, EXIT_OK if report.certified else EXIT_FAIL, None
 
 
-def _parse_sweep_values(raw, key: str):
+def _parse_sweep_values(raw, key: str) -> np.ndarray:
+    """One sweep axis as an array: floats, or int64 copy counts."""
     if isinstance(raw, str):
         parts = [p for p in raw.split(",") if p.strip()]
     elif isinstance(raw, (list, tuple)):
@@ -494,12 +504,74 @@ def _parse_sweep_values(raw, key: str):
         parts = [raw]
     if not parts:
         raise _Usage(f"sweep key '{key}' has no values")
-    try:
-        if key == "n_copies":
-            return [int(p) for p in parts]
-        return [float(p) for p in parts]
-    except (TypeError, ValueError):
-        raise _Usage(f"sweep key '{key}' wants numeric values, got {raw!r}")
+    values = []
+    for p in parts:
+        try:
+            if isinstance(p, bool):
+                raise TypeError
+            if key == "n_copies":
+                count = int(p)
+                if (isinstance(p, float) and count != p) or not -2 ** 63 <= count < 2 ** 63:
+                    raise ValueError
+                values.append(count)
+            else:
+                values.append(float(p))
+        except (TypeError, ValueError, OverflowError):
+            want = "whole numbers below 2**63" if key == "n_copies" else "numeric values"
+            raise _Usage(f"sweep key '{key}' wants {want}, got {p!r}")
+    return np.array(values, dtype=np.int64 if key == "n_copies" else float)
+
+
+def _sweep_columns(values: dict):
+    """Column names and values of a sweep, each on only the axes it depends on.
+
+    `values` maps the grid's keys, in grid order, to their axes.  Dimension d
+    of every column array is grid axis d, of length 1 where the column does
+    not depend on that axis.  The closed forms validate every axis here,
+    before any row is written.
+    """
+    ndim = len(values)
+    axes = {k: v.reshape([-1 if j == d else 1 for j in range(ndim)])
+            for d, (k, v) in enumerate(values.items())}
+    eta, lam, n = axes["eta"], axes.get("lambda", 0.0), axes.get("n_copies", 1)
+    names = list(values) + ["classical_bound", "quadrature_threshold",
+                            "optimal_mp_gain", "optimal_mp_fidelity"]
+    columns = list(axes.values()) + [classical_bound(eta, lam, n)]
+    g_opt = schemes.optimal_mp_gain(eta, lam)
+    # at lambda = 0 this takes mp_average_fidelity's matched-gain branch,
+    # 1/(1 + eta), which is the flat-prior bound to the last bit
+    columns += [np.where(n == 1, quadrature_threshold(eta, lam), None), g_opt,
+                schemes.mp_average_fidelity(g_opt, eta, lam)]
+    if "g" in axes:
+        names.append("mp_fidelity")
+        columns.append(schemes.mp_average_fidelity(axes["g"], eta, lam))
+    if "ntilde" in axes:
+        ntilde = axes["ntilde"]
+        fbar = schemes.canonical_c_fidelity(eta, ntilde)
+        names += ["canonical_fbar", "detection_margin", "quantum_domain"]
+        columns += [fbar, fbar - classical_bound(eta, 0.0),
+                    schemes.canonical_c_quantum_domain(eta, ntilde)]
+    return names, columns
+
+
+def _sweep_csv(names: list, columns: list, shape: tuple):
+    """The CSV header and rows of a sweep, as text chunks of _SWEEP_BLOCK_ROWS rows.
+
+    Each column is formatted once on the axes it depends on, then its cells
+    are gathered into rows block by block in grid order (the last axis
+    varies fastest).
+    """
+    cells = [np.array(["" if v is None else repr(v) for v in c.ravel().tolist()],
+                      dtype=object).reshape(c.shape) for c in columns]
+    yield ",".join(names) + "\n"
+    total = math.prod(shape)
+    for start in range(0, total, _SWEEP_BLOCK_ROWS):
+        index = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK_ROWS, total)),
+                                 shape)
+        # clipping sends every index along a length-1 dimension to 0: a broadcast
+        parts = [c.ravel()[np.ravel_multi_index(index, c.shape, mode="clip")].tolist()
+                 for c in cells]
+        yield "\n".join(map(",".join, zip(*parts))) + "\n"
 
 
 def _cmd_sweep(eff: dict):
@@ -524,49 +596,21 @@ def _cmd_sweep(eff: dict):
                      f"(allowed: {', '.join(_SWEEP_KEY_ORDER)})")
     if "eta" not in grid:
         raise _Usage("sweep needs at least an eta axis")
-    keys = [k for k in _SWEEP_KEY_ORDER if k in grid]
-    values = {k: _parse_sweep_values(grid[k], k) for k in keys}
-    total = math.prod(len(values[k]) for k in keys)
+    values = {k: _parse_sweep_values(grid[k], k) for k in _SWEEP_KEY_ORDER if k in grid}
+    shape = tuple(v.size for v in values.values())
+    total = math.prod(shape)
     if total > _SWEEP_MAX_POINTS:
         raise _Usage(f"sweep grid has {total} points, more than the "
                      f"{_SWEEP_MAX_POINTS} allowed; split the sweep")
-
-    columns = list(keys) + ["classical_bound", "quadrature_threshold",
-                            "optimal_mp_gain", "optimal_mp_fidelity"]
-    if "g" in keys:
-        columns.append("mp_fidelity")
-    if "ntilde" in keys:
-        columns += ["canonical_fbar", "detection_margin", "quantum_domain"]
-
-    rows = []
-    for combo in itertools.product(*(values[k] for k in keys)):
-        point = dict(zip(keys, combo))
-        eta = point["eta"]
-        lam = point.get("lambda", 0.0)
-        n = point.get("n_copies", 1)
-        row = [point[k] for k in keys]
-        row.append(classical_bound(eta, lam, n))
-        row.append(quadrature_threshold(eta, lam) if n == 1 else None)
-        g_opt = schemes.optimal_mp_gain(eta, lam)
-        row.append(g_opt)
-        row.append(schemes.mp_average_fidelity(g_opt, eta, lam) if lam > 0
-                   else classical_bound(eta, 0.0))
-        if "g" in keys:
-            row.append(schemes.mp_average_fidelity(point["g"], eta, lam))
-        if "ntilde" in keys:
-            fbar = schemes.canonical_c_fidelity(eta, point["ntilde"])
-            row.append(fbar)
-            row.append(fbar - classical_bound(eta, 0.0))
-            row.append(point["ntilde"] < min(1.0, eta))
-        rows.append(row)
+    names, columns = _sweep_columns(values)
 
     if eff.get("fmt") is None:
         eff["fmt"] = "csv"
-    payload = {"result": {"columns": columns,
-                          "rows": [[(None if v is None else v) for v in r]
-                                   for r in rows]},
-               "warnings": []}
-    return payload, EXIT_OK, rows, columns
+    if eff["fmt"] == "csv":
+        return None, EXIT_OK, _sweep_csv(names, columns, shape)
+    rows = [list(r) for r in zip(*(np.broadcast_to(c, shape).ravel().tolist()
+                                   for c in columns))]
+    return {"result": {"columns": names, "rows": rows}, "warnings": []}, EXIT_OK, None
 
 
 def _cmd_proofcheck(eff: dict):
@@ -604,9 +648,10 @@ def _cmd_proofcheck(eff: dict):
                           "two_copy": two.to_json(),
                           "passed": passed},
                "warnings": warnings}
-    return payload, EXIT_OK if passed else EXIT_FAIL, None, None
+    return payload, EXIT_OK if passed else EXIT_FAIL, None
 
 
+# Each handler returns (JSON payload, exit code, CSV table chunks or None).
 _HANDLERS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
              "certify": _cmd_certify, "sweep": _cmd_sweep,
              "proofcheck": _cmd_proofcheck}
@@ -621,8 +666,8 @@ def main(argv=None) -> int:
 
     try:
         eff = _resolve(args)
-        payload, code, rows, columns = _HANDLERS[args.command](eff)
-        _emit(payload, eff, rows, columns)
+        payload, code, table = _HANDLERS[args.command](eff)
+        _emit(payload, eff, table)
         return code
     except _Usage as exc:
         print(f"cvbench {args.command}: {exc}", file=sys.stderr)

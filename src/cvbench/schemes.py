@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import fock
-from .bounds import classical_bound
+from .bounds import _require, _unwrap, classical_bound
 from .errors import (ConvergenceError, InvalidInput, NotCompletelyPositive,
                      UnsupportedTask)
 from .gaussian import (E2, GaussianChannel, compose as compose_channels,
@@ -199,7 +199,7 @@ def qd_by_parameters(model: ChannelModel) -> bool:
     if isinstance(model, CanonicalB1):
         return True
     if isinstance(model, CanonicalC):
-        return model.ntilde < min(1.0, model.eta)
+        return canonical_c_quantum_domain(model.eta, model.ntilde)
     if isinstance(model, PureLoss):
         return True  # ntilde = 0 attenuation
     if isinstance(model, QuantumLimitedAmp):
@@ -211,21 +211,38 @@ def canonical_c_fidelity(eta: float, ntilde: float) -> float:
     """Gain-matched average fidelity 2 / (1 + eta + |1 - eta| + 2 ntilde) of CanonicalC.
 
     Prior-independent, since the channel's gain equals the task's.
+    Broadcasts over arrays.
     """
-    return 2.0 / (1.0 + eta + abs(1.0 - eta) + 2.0 * ntilde)
+    _require((eta > 0) & (eta < np.inf), eta, "task gain eta must be positive and finite")
+    _require((ntilde >= 0) & (ntilde < np.inf), ntilde,
+             "added noise ntilde must be >= 0 and finite")
+    return _unwrap(2.0 / (1.0 + eta + np.abs(1.0 - eta) + 2.0 * ntilde))
+
+
+def canonical_c_quantum_domain(eta: float, ntilde: float) -> bool:
+    """Whether CanonicalC(eta, ntilde) is quantum-domain: ntilde < min(1, eta).
+
+    Broadcasts over arrays.  A bare comparison: it validates nothing.
+    """
+    return _unwrap(ntilde < np.minimum(1.0, eta))
 
 
 # ---------------------------------------------------------------------------
 # measure-and-prepare closed forms
 
 
+def _check_mp_task(eta, lam):
+    _require(eta > 0, eta, "task gain eta must be positive")
+    _require(lam >= 0, lam, "prior width lambda must be >= 0")
+
+
 def optimal_mp_gain(eta: float, lam: float) -> float:
-    """Re-preparation gain maximizing the heterodyne strategy: sqrt(eta)/(1+lam)."""
-    if eta <= 0:
-        raise InvalidInput(f"task gain eta must be positive, got {eta}")
-    if lam < 0:
-        raise InvalidInput(f"prior width lambda must be >= 0, got {lam}")
-    return math.sqrt(eta) / (1.0 + lam)
+    """Re-preparation gain maximizing the heterodyne strategy: sqrt(eta)/(1+lam).
+
+    Broadcasts over arrays.
+    """
+    _check_mp_task(eta, lam)
+    return _unwrap(np.sqrt(eta) / (1.0 + lam))
 
 
 def mp_average_fidelity(g: float, eta: float, lam: float) -> float:
@@ -235,19 +252,18 @@ def mp_average_fidelity(g: float, eta: float, lam: float) -> float:
     non-negative terms (the equivalent difference form
     (1 + g^2)(1 + lam + eta) - (1 + g sqrt(eta))^2 loses ~1e-14 to
     cancellation near the optimum).  The lam -> 0 limit is 1/(1 + eta) at
-    matched gain and 0 otherwise.
+    matched gain and 0 otherwise.  Broadcasts over arrays.
     """
-    if g < 0:
-        raise InvalidInput(f"re-preparation gain must be >= 0, got {g}")
-    if eta <= 0:
-        raise InvalidInput(f"task gain eta must be positive, got {eta}")
-    if lam < 0:
-        raise InvalidInput(f"prior width lambda must be >= 0, got {lam}")
-    sqrt_eta = math.sqrt(eta)
-    if lam == 0:
-        return 1.0 / (1.0 + eta) if g == sqrt_eta else 0.0
-    den = lam * (1.0 + g * g) + (g - sqrt_eta) ** 2
-    return lam / den
+    _require((g >= 0) & (g < np.inf), g, "re-preparation gain must be >= 0 and finite")
+    _check_mp_task(eta, lam)
+    sqrt_eta = np.sqrt(eta)
+    # float_power calls the C library's pow, as Python's ** does on floats;
+    # ** 2 on an array squares instead, and the two differ in the last bit
+    # for about 0.1 % of inputs.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = lam / (lam * (1.0 + g * g) + np.float_power(g - sqrt_eta, 2.0))
+    flat = np.where(g == sqrt_eta, 1.0 / (1.0 + eta), 0.0)
+    return _unwrap(np.where(lam == 0, flat, value))
 
 
 def optimize_mp_gain(eta: float, lam: float, grid=None):
@@ -266,7 +282,7 @@ def optimize_mp_gain(eta: float, lam: float, grid=None):
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise InvalidInput("gain grid needs at least 3 points")
-    vals = np.array([mp_average_fidelity(g, eta, lam) for g in grid])
+    vals = mp_average_fidelity(grid, eta, lam)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

@@ -92,3 +92,30 @@ def test_task_spec_carries_the_same_numbers():
     assert task.quadrature_threshold == quadrature_threshold(2.0, 0.5)
     with pytest.raises(InvalidInput):
         TaskSpec(eta=-1.0)
+
+
+def test_bounds_broadcast_over_arrays_entry_for_entry():
+    eta = np.array([e for e, _ in random_tasks])[:, None, None]
+    lam = np.array([0.0] + [l for _, l in random_tasks[:9]])[None, :, None]
+    n = np.array([1, 2, 7])
+    bound, thresh = classical_bound(eta, lam, n), quadrature_threshold(eta, lam)
+    assert bound.shape == (40, 10, 3) and thresh.shape == (40, 10, 1)
+    for i, j, k in np.ndindex(bound.shape):
+        e, l = float(eta[i, 0, 0]), float(lam[0, j, 0])
+        assert bound[i, j, k] == classical_bound(e, l, int(n[k]))
+        assert thresh[i, j, 0] == quadrature_threshold(e, l)
+    assert type(classical_bound(1.0, 0.5)) is float
+    assert type(classical_bound(np.float64(1.0), 0.5, np.int64(2))) is float
+
+
+def test_array_validation_names_the_first_bad_entry():
+    with pytest.raises(InvalidInput, match=r"eta must be positive and finite, got nan"):
+        classical_bound(np.array([1.0, np.nan, -1.0]))
+    with pytest.raises(InvalidInput, match=r"lambda must be >= 0 and finite, got -0.5"):
+        quadrature_threshold(1.0, np.array([[0.1], [-0.5]]))
+    with pytest.raises(InvalidInput, match=r"copy count must be >= 1, got 0"):
+        classical_bound(1.0, 0.0, np.array([3, 0]))
+    with pytest.raises(InvalidInput, match="copy count must be an integer"):
+        classical_bound(1.0, 0.0, np.array([1.0, 2.0]))
+    with pytest.raises(InvalidInput, match="copy count must be an integer"):
+        classical_bound(1.0, 0.0, np.array([True]))

@@ -1,15 +1,22 @@
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cvbench import fock, proofcheck, schemes
+from cvbench import cli, fock, proofcheck, schemes
+from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import _load_channel_spec, main
-from cvbench.schemes import HeterodyneMP, PureLoss
+from cvbench.schemes import (CanonicalC, HeterodyneMP, PureLoss,
+                             canonical_c_fidelity, mp_average_fidelity,
+                             optimal_mp_gain, qd_by_parameters)
 
 B1 = '{"type": "canonical_b1"}'
 
@@ -333,6 +340,164 @@ def test_sweep_rejects_unknown_grid_keys(capsys):
     code, _, err = run(capsys, "sweep", "--grid", '{"bogus": [1, 2]}')
     assert code == 2
     assert "bogus" in err
+
+
+def _sweep_reference(axes: dict):
+    """Header and rows of a sweep, point by point from the public scalar closed forms."""
+    keys = [k for k in ("eta", "lambda", "g", "ntilde", "n_copies") if k in axes]
+    columns = keys + ["classical_bound", "quadrature_threshold", "optimal_mp_gain",
+                      "optimal_mp_fidelity"]
+    columns += ["mp_fidelity"] * ("g" in axes)
+    columns += ["canonical_fbar", "detection_margin", "quantum_domain"] * ("ntilde" in axes)
+    rows = []
+    for combo in itertools.product(*(axes[k] for k in keys)):
+        p = dict(zip(keys, combo))
+        eta, lam, n = p["eta"], p.get("lambda", 0.0), p.get("n_copies", 1)
+        g_opt = optimal_mp_gain(eta, lam)
+        row = list(combo) + [classical_bound(eta, lam, n),
+                             quadrature_threshold(eta, lam) if n == 1 else None, g_opt,
+                             mp_average_fidelity(g_opt, eta, lam) if lam > 0
+                             else classical_bound(eta, 0.0)]
+        if "g" in p:
+            row.append(mp_average_fidelity(p["g"], eta, lam))
+        if "ntilde" in p:
+            fbar = canonical_c_fidelity(eta, p["ntilde"])
+            row += [fbar, fbar - classical_bound(eta, 0.0),
+                    qd_by_parameters(CanonicalC(eta, p["ntilde"]))]
+        rows.append(row)
+    return columns, rows
+
+
+def _sweep_argv(axes: dict):
+    flags = {"eta": "--eta", "lambda": "--lambda", "g": "--g", "ntilde": "--ntilde",
+             "n_copies": "--n-copies"}
+    argv = ["sweep"]
+    for key, vals in axes.items():
+        argv += [flags[key], ",".join(map(repr, vals))]
+    return argv
+
+
+_grid_rng = np.random.default_rng(2024)
+SWEEP_GRIDS = {
+    "g-axis": {"eta": [0.5, 1.0, 2.0], "lambda": [0.1, 0.45], "g": [0.0, 0.5, 1.3]},
+    "copies-axis": {"eta": [0.3, 1.0, 2.5], "lambda": [0.0, 0.2], "n_copies": [1, 2, 5]},
+    "flat-prior": {"eta": [0.5, 2.0], "lambda": [0.0, 0.3],
+                   "g": [0.0, math.sqrt(0.5), math.sqrt(2.0), 1.0]},
+    "ntilde-axis": {"eta": [0.4, 1.0, 1.7], "ntilde": [0.0, 0.3, 0.99, 1.5]},
+    "random-five-axes": {
+        "eta": _grid_rng.uniform(0.05, 3.0, 9).tolist(),
+        "lambda": [0.0] + _grid_rng.uniform(0.0, 2.0, 5).tolist(),
+        "g": [0.0] + _grid_rng.uniform(0.0, 3.0, 4).tolist(),
+        "ntilde": _grid_rng.uniform(0.0, 2.0, 3).tolist(),
+        "n_copies": [1, 3]},
+}
+
+
+@pytest.mark.parametrize("block_rows", [7, cli._SWEEP_BLOCK_ROWS])
+@pytest.mark.parametrize("axes", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS.keys())
+def test_sweep_csv_matches_the_per_point_closed_forms(capsys, monkeypatch, axes, block_rows):
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+    columns, rows = _sweep_reference(axes)
+    code, out, _ = run(capsys, *_sweep_argv(axes))
+    assert code == 0
+    body = [line for line in out.splitlines(keepends=True) if not line.startswith("#")]
+    want = [",".join(columns) + "\n"] + [
+        ",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                 for v in row) + "\n" for row in rows]
+    assert body == want
+
+
+@pytest.mark.parametrize("axes", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS.keys())
+def test_sweep_json_matches_the_per_point_closed_forms(capsys, axes):
+    columns, rows = _sweep_reference(axes)
+    code, doc, _ = run_json(capsys, *_sweep_argv(axes), "--format", "json")
+    assert code == 0
+    assert doc["result"] == {"columns": columns, "rows": rows}
+    assert doc["command"] == "sweep" and doc["warnings"] == []
+
+
+def test_sweep_memory_follows_the_block_not_the_grid(capsys, tmp_path):
+    def axis(n):
+        return ",".join(repr(0.02 + 0.037 * i) for i in range(n))
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--eta", axis(50), "--lambda", axis(40), "--ntilde", axis(50),
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    text = out.read_text()
+    rows = text.count("\n") - 5
+    assert rows == 10 ** 5
+    block_text = len(text) / rows * cli._SWEEP_BLOCK_ROWS
+    # The grid's whole text is more than 20 blocks; one block's text, its
+    # row strings, cell lists and encoded bytes take about 5.
+    assert len(text) > 20 * block_text
+    assert peak < 8 * block_text
+
+
+@pytest.mark.parametrize("flag, values, message", [
+    ("--g", "0.2,nan", "re-preparation gain must be >= 0 and finite, got nan"),
+    ("--g", "0.2,inf", "re-preparation gain must be >= 0 and finite, got inf"),
+    ("--g", "0.2,-0.5", "re-preparation gain must be >= 0 and finite, got -0.5"),
+    ("--ntilde", "0.2,nan", "added noise ntilde must be >= 0 and finite, got nan"),
+    ("--ntilde", "0.2,-0.5", "added noise ntilde must be >= 0 and finite, got -0.5"),
+    ("--ntilde", "0.2,inf", "added noise ntilde must be >= 0 and finite, got inf"),
+    ("--lambda", "0.2,-1", "prior width lambda must be >= 0 and finite, got -1.0"),
+    ("--n-copies", "1,0", "copy count must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_rejects_unphysical_axis_values(capsys, flag, values, message, fmt):
+    code, out, err = run(capsys, "sweep", "--eta", "0.5,1", flag, values, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ('{"eta": [true]}', "sweep key 'eta' wants numeric values, got True"),
+    ('{"eta": [1], "lambda": [0.1, false]}', "'lambda' wants numeric values, got False"),
+    ('{"eta": [1], "n_copies": [1.5, true]}', "'n_copies' wants whole numbers"),
+    ('{"eta": [1], "n_copies": [true]}', "'n_copies' wants whole numbers"),
+    ('{"eta": [1], "n_copies": [1e30]}', "'n_copies' wants whole numbers"),
+])
+def test_sweep_grid_rejects_booleans_and_fractional_copies(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_sweep_grid_accepts_integral_float_copy_counts(capsys):
+    code, doc, _ = run_json(capsys, "sweep", "--grid", '{"eta": [1], "n_copies": [2.0]}',
+                            "--format", "json")
+    assert code == 0
+    assert doc["result"]["rows"] == [[1.0, 2, classical_bound(1.0, 0.0, 2), None, 1.0, 0.5]]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_out_gives_a_new_file_the_umask_mode(capsys, tmp_path, umask_022):
+    out = tmp_path / "o.json"
+    assert main(["bound", "--eta", "1", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_out_keeps_the_mode_of_an_overwritten_file(capsys, tmp_path, umask_022):
+    out = tmp_path / "table.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert main(["sweep", "--eta", "0.5,1", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text().startswith("# version=")
 
 
 @pytest.mark.parametrize("rows, line", [

@@ -178,6 +178,51 @@ def test_mp_matches_its_gaussian_realization():
         assert closed == pytest.approx(engine, rel=1e-12)
 
 
+def test_mp_closed_forms_broadcast_to_the_per_point_python_formulas():
+    # The same formulas on one Python float at a time, ** included, to the
+    # last bit.  Squaring (x * x) instead of pow rounds about 1 in 1000
+    # values differently, so 6 x 10^4 (eta, g) pairs would show it.
+    rng = np.random.default_rng(5)
+    eta = rng.uniform(0.05, 3.0, 300)[:, None, None]
+    lam = np.array([0.0, 0.1, 0.7, 1.9])[None, :, None]
+    g = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 200)])[None, None, :]
+    g_opt = optimal_mp_gain(eta, lam)
+    fid = mp_average_fidelity(g, eta, lam)
+    e, l, x = (a.ravel().tolist() for a in np.broadcast_arrays(eta, lam, g))
+    want = [0.0 if lv == 0 else lv / (lv * (1.0 + xv * xv) + (xv - math.sqrt(ev)) ** 2)
+            for ev, lv, xv in zip(e, l, x)]
+    assert fid.ravel().tolist() == want
+    e, l = (a.ravel().tolist() for a in np.broadcast_arrays(eta, lam[..., :1]))
+    assert g_opt.ravel().tolist() == [math.sqrt(ev) / (1.0 + lv) for ev, lv in zip(e, l)]
+    matched = mp_average_fidelity(np.sqrt(eta), eta, 0.0)
+    assert matched.ravel().tolist() == [1.0 / (1.0 + ev) for ev in eta.ravel().tolist()]
+    assert type(mp_average_fidelity(0.5, 1.0, 0.2)) is float
+
+
+def test_canonical_c_closed_forms_broadcast_and_validate():
+    eta = np.array([0.4, 1.0, 1.7])[:, None]
+    ntilde = np.array([0.0, 0.3, 0.99, 1.5])
+    fbar = schemes.canonical_c_fidelity(eta, ntilde)
+    qd = schemes.canonical_c_quantum_domain(eta, ntilde)
+    for i, j in np.ndindex(fbar.shape):
+        e, n = float(eta[i, 0]), float(ntilde[j])
+        assert fbar[i, j] == 2.0 / (1.0 + e + abs(1.0 - e) + 2.0 * n)
+        assert qd[i, j] == qd_by_parameters(CanonicalC(eta=e, ntilde=n))
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput,
+                           match=f"ntilde must be >= 0 and finite, got {bad}"):
+            schemes.canonical_c_fidelity(1.0, np.array([0.1, bad]))
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+def test_mp_fidelity_rejects_unphysical_gains(bad):
+    with pytest.raises(InvalidInput,
+                       match=f"re-preparation gain must be >= 0 and finite, got {bad}"):
+        mp_average_fidelity(np.array([0.5, bad]), 1.0, 0.2)
+    with pytest.raises(InvalidInput):
+        mp_average_fidelity(bad, 1.0, 0.2)
+
+
 def test_optimize_mp_gain_finds_the_closed_form_optimum():
     for eta, lam in [(1.0, 0.2), (2.0, 0.5), (0.3, 0.07)]:
         g_best, f_best = optimize_mp_gain(eta, lam)

@@ -42,6 +42,16 @@ def _check_task(eta, lam, n_copies):
             isinstance(n_copies, int) or np.asarray(n_copies).dtype.kind in "iu"):
         raise InvalidInput(f"copy count must be an integer, got {n_copies!r}")
     _require(n_copies >= 1, n_copies, "copy count must be >= 1")
+    with np.errstate(over="ignore"):  # the closed forms divide by n + lam + eta
+        try:
+            ok = n_copies + lam + eta < np.inf
+        except OverflowError:  # a Python int copy count past the float range
+            ok = False
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        at = np.unravel_index(np.argmin(ok), np.shape(ok))
+        n, lam, eta = (np.broadcast_to(v, np.shape(ok))[at] for v in (n_copies, lam, eta))
+        raise InvalidInput(f"copies + lambda + eta overflows a float at {n} copies, "
+                           f"lambda {lam} and eta {eta}")
 
 
 def classical_bound(eta: float, lam: float = 0.0, n_copies: int = 1) -> float:
@@ -65,7 +75,7 @@ def quadrature_threshold(eta: float, lam: float = 0.0) -> float:
     criterion is available.  Broadcasts over arrays.
     """
     _check_task(eta, lam, 1)
-    return _unwrap(2.0 * eta / (1.0 + lam + eta))
+    return _unwrap(2.0 * (eta / (1.0 + lam + eta)))
 
 
 def quantum_amp_bound(eta: float) -> float:

@@ -335,6 +335,21 @@ def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndar
     return lambda d: t[d:, d:] * t[:cutoff - d, :cutoff - d]
 
 
+def heterodyne_kernels(cutoff: int, gain: float,
+                       log_width: float) -> Callable[[int], np.ndarray]:
+    """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] from one log-space table
+    c[l, m] = sqrt(C(m+l, l)) g^l w^(-(m+l+1)/2), given g and log w.
+
+    w = 1 + g^2 is heterodyne measure-and-prepare at gain g; g = sqrt(eta),
+    w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam.
+    """
+    lg = _lgamma_table(2 * cutoff)
+    l, m = np.arange(cutoff)[:, None], np.arange(cutoff)
+    c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * log_width)
+               + l * math.log(gain))
+    return lambda d: c[:cutoff - d, d:] * c[d:, :cutoff - d]
+
+
 def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     """Pure attenuation of transmissivity T via its photon-loss Kraus family.
 

@@ -7,11 +7,12 @@ Three independent checks, each reported with explicit residuals:
   eigenvalues and the modulus floor that controls the bound's prefactor;
 * an operator bound: for any probe state, the top eigenvalue of its outcome
   score operator never exceeds the classical bound times the probe's overlap
-  with the prior's average state.  Truncation only compresses the operator,
-  so a violation found at finite cutoff is a genuine violation;
-* a two-copy consistency identity tying the Frobenius norm of the score
-  operator to the expectation of a two-copy integral operator, contracted in
-  closed phase-circulant form rather than assembled as a matrix.
+  with the prior's average state.  The operator is built in closed form, with
+  no quadrature.  Truncation only compresses the operator, so a violation
+  found at finite cutoff is a genuine violation;
+* a two-copy consistency identity tying the Frobenius norm of that operator
+  to the expectation of a two-copy integral operator, a polar quadrature
+  contracted in closed phase-circulant form: the sides share no construction.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
 from .errors import InvalidInput
 
 _IDENTITY_TOL = 1e-10
-# Widest cutoffs the builders accept.  The score check's matched rule has
-# (2 cutoff + 8)^2 nodes, so one (cutoff x nodes) ket array is 18 MiB at 64,
-# and its Gauss-Laguerre weights overflow to NaN from cutoff 90 on.  The
+# Widest cutoffs the builders accept.  The score side has no rule: the cap
+# guards the two-copy check's polar rule, whose Gauss-Laguerre weights turn
+# NaN from cutoff 92 on, and the score check's operator stack.  The dense
 # two-copy operator grows with the fourth power of its cutoff.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
 # Largest copy and probe counts the checks accept.  The circulant check
 # diagonalizes dense copies x copies matrices; the score check stacks one
-# cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 310 MiB).
+# cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 135 MiB).
 _MAX_COPIES = 512
 _MAX_TRIALS = 500
 
@@ -149,59 +150,37 @@ def circulant_identity_check(p: int, lam: float, eta: float,
 # operator bound on probe outcome scores
 
 
-def matched_quadrature(eta: float, lam: float, cutoff: int,
-                       radial_points: int | None = None,
-                       angular_points: int | None = None) -> QuadratureRule:
-    """Importance rule under which score-operator integrands are polynomial.
-
-    Reweighting the prior of width lam to a rule of width lam + 1 + eta
-    cancels the Gaussian part of coherent-overlap integrands exactly, so
-    2*cutoff + 8 points per factor integrate the remaining polynomial with no
-    quadrature error at all.
-    """
-    radial = 2 * cutoff + 8 if radial_points is None else radial_points
-    angular = 2 * cutoff + 8 if angular_points is None else angular_points
-    return gauss_rule(GaussianPrior(lam + 1.0 + eta), radial_points=radial,
-                      angular_points=angular)
-
-
-def _probe_amplitudes(phi, cutoff: int | None = None) -> np.ndarray:
-    amps = phi.amplitudes if isinstance(phi, fock.FockVector) else \
-        np.asarray(phi, dtype=complex).ravel()
-    if amps.size == 0:
-        raise InvalidInput("probe state has no amplitudes")
-    if cutoff is not None:
-        if amps.size > cutoff:
-            raise InvalidInput(
-                f"probe lives on {amps.size} levels but the build is cut at {cutoff}")
-        amps = np.pad(amps, (0, cutoff - amps.size))
+def _probe_amplitudes(phi) -> np.ndarray:
+    """A probe's amplitudes, or a (B, levels) stack of them, one per row."""
+    amps = np.atleast_1d(phi.amplitudes if isinstance(phi, fock.FockVector)
+                         else np.asarray(phi, dtype=complex))
+    if amps.ndim > 2 or amps.shape[-1] == 0:
+        raise InvalidInput(f"a probe needs one or two axes and a level, got shape {amps.shape}")
     return amps
 
 
-def outcome_score_operator(phi, eta: float, lam: float,
-                           rule: QuadratureRule | None = None) -> fock.FockOperator:
+def outcome_score_operator(phi, eta: float, lam: float) -> fock.FockOperator:
     """Score operator of a probe state under the coherent-input prior.
 
-    Integrates p(alpha) |<alpha|phi>|^2 |sqrt(eta) alpha><sqrt(eta) alpha|
+    S = integral p(alpha) |<alpha|phi>|^2 |sqrt(eta) alpha><sqrt(eta) alpha|
     over the prior.  Its top eigenvalue is the best average-fidelity credit
     any re-preparation can earn from the measurement outcome `phi`, which is
-    what the classical bound caps.  With the default matched rule the result
-    is exactly the cutoff-compressed operator (the quadrature is exact for
-    these polynomial-times-Gaussian integrands), and compression can only
-    lower the top eigenvalue.
+    what the classical bound caps.  The integral is done in closed form:
+
+        <k|S|l> = sum_{m-n=k-l} phi_m conj(phi_n) lam eta^((k+l)/2) (m+l)!
+                  / ((1+lam+eta)^(m+l+1) sqrt(m! n! k! l!)),
+
+    lam times the kernels of `fock.heterodyne_kernels` at gain sqrt(eta) and
+    width 1 + lam + eta applied to |phi><phi|: exactly the cutoff-compressed
+    operator, and compression can only lower the top eigenvalue.  A (B, levels)
+    stack of probes gives the matching operator stack.
     """
     if not (eta > 0) or not (lam > 0):
         raise InvalidInput("score operator needs eta > 0 and lam > 0")
     amps = _probe_amplitudes(phi)
-    cutoff = amps.size
-    if rule is None:
-        rule = matched_quadrature(eta, lam, cutoff)
-    weights = rule.weights_for(lam)
-    k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
-    overlap_sq = np.abs(amps.conj() @ k_in) ** 2
-    k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
-    matrix = (k_out * (weights * overlap_sq)) @ k_out.conj().T
-    return fock.FockOperator(0.5 * (matrix + matrix.conj().T))
+    kernels = fock.heterodyne_kernels(amps.shape[-1], math.sqrt(eta), math.log1p(lam + eta))
+    projector = amps[..., :, None] * amps.conj()[..., None, :]
+    return fock.FockOperator(lam * fock.apply_offset_kernels(projector, kernels))
 
 
 @dataclass(frozen=True)
@@ -242,20 +221,10 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     rng = np.random.default_rng(seed)
     probes = np.zeros((trials + 1, cutoff), dtype=complex)
     probes[0, 0] = 1.0
-    if trials:
-        raw = rng.standard_normal((trials, cutoff)) + 1j * rng.standard_normal((trials, cutoff))
-        probes[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    raw = rng.standard_normal((trials, cutoff)) + 1j * rng.standard_normal((trials, cutoff))
+    probes[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    rule = matched_quadrature(eta, lam, cutoff)
-    weights = rule.weights_for(lam)
-    k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
-    k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
-    overlap_sq = np.abs(probes.conj() @ k_in) ** 2        # (trials+1, nodes)
-    # scored[t] = sum_s (overlap_sq * weights)[t, s] |k_out_s><k_out_s|, one GEMM
-    # per probe (a single broadcast batch would hold trials x cutoff x nodes)
-    k_out_h = k_out.conj().T
-    scored = np.stack([(k_out * v) @ k_out_h for v in overlap_sq * weights])
-    scores = np.linalg.eigvalsh(scored)[:, -1]
+    scores = np.linalg.eigvalsh(outcome_score_operator(probes, eta, lam).matrix)[:, -1]
 
     thermal = lam / (1.0 + lam) ** (1.0 + np.arange(cutoff))
     rhs = bound_scale * classical_bound(eta, lam) * (np.abs(probes) ** 2 @ thermal)
@@ -275,8 +244,15 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
 # two-copy consistency
 
 
-def two_copy_operator(eta: float, lam: float, cutoff: int,
-                      rule: QuadratureRule | None = None) -> np.ndarray:
+def matched_quadrature(eta: float, lam: float, cutoff: int) -> QuadratureRule:
+    """The two-copy side's polar rule, (2 cutoff + 4)^2 nodes of width lam + 1 + eta:
+    reweighted to the prior, it absorbs every Gaussian factor of each copy."""
+    points = 2 * cutoff + 4
+    return gauss_rule(GaussianPrior(lam + 1.0 + eta), radial_points=points,
+                      angular_points=points)
+
+
+def two_copy_operator(eta: float, lam: float, cutoff: int) -> np.ndarray:
     """Two-copy integral operator over independent prior draws.
 
     B = E_{a,b} [ exp(-eta |a - b|^2) |a><a| (x) |b><b| ], assembled on the
@@ -290,10 +266,7 @@ def two_copy_operator(eta: float, lam: float, cutoff: int,
     if not (1 <= cutoff <= _MAX_TWO_COPY_CUTOFF):
         raise InvalidInput(f"two-copy build supports cutoffs 1..{_MAX_TWO_COPY_CUTOFF} "
                            "(memory grows with the fourth power)")
-    if rule is None:
-        rule = matched_quadrature(eta, lam, cutoff,
-                                  radial_points=2 * cutoff + 4,
-                                  angular_points=2 * cutoff + 4)
+    rule = matched_quadrature(eta, lam, cutoff)
     weights = rule.weights_for(lam)
     kets = fock.coherent_amplitudes(rule.nodes, cutoff)
     sep = np.abs(rule.nodes[:, None] - rule.nodes[None, :]) ** 2
@@ -334,9 +307,8 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
     if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
         raise InvalidInput(f"two-copy check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
                            f"got {cutoff}")
-    points = 2 * cutoff + 4
-    rule = matched_quadrature(eta, lam, cutoff, radial_points=points,
-                              angular_points=points)
+    rule = matched_quadrature(eta, lam, cutoff)
+    points = math.isqrt(rule.nodes.size)             # the rule is square
     kets = fock.coherent_amplitudes(rule.nodes, cutoff)
     q = rule.weights_for(lam) * np.abs(amps.conj() @ kets) ** 2
     grid = rule.nodes.reshape(points, points)        # radius-major, phase minor
@@ -352,15 +324,19 @@ def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12,
     """Cross-check ||score operator||_F^2 against the two-copy operator.
 
     The squared Frobenius norm of a probe's score operator equals the
-    expectation of the two-copy operator in |phi> (x) |phi>.  The two sides
-    are built with independent quadratures and truncate different factors, so
-    agreement is a real consistency test of both constructions.  The two-copy
-    side is contracted in closed phase-circulant form (`_two_copy_value`), so
-    its cost grows with cutoff^3 rather than with the cutoff^4 of the dense
-    `two_copy_operator`.  Probes should live well inside the cutoff for the
-    comparison to be meaningful.
+    expectation of the two-copy operator in |phi> (x) |phi>.  The score side
+    is the closed form of `outcome_score_operator`; the two-copy side is a
+    polar quadrature contracted in closed phase-circulant form
+    (`_two_copy_value`), at a cost of cutoff^3 rather than the cutoff^4 of the
+    dense `two_copy_operator`.  The sides share no construction and truncate
+    different factors, so agreement is a real consistency test of both.
+    Probes should live well inside the cutoff for the comparison to count.
     """
-    amps = _probe_amplitudes(phi, cutoff)
+    amps = _probe_amplitudes(phi)
+    if amps.ndim != 1 or amps.size > cutoff:
+        raise InvalidInput(f"the two-copy check takes one probe on at most {cutoff} "
+                           f"levels, got shape {amps.shape}")
+    amps = np.pad(amps, (0, cutoff - amps.size))
     value = _two_copy_value(amps, eta, lam, cutoff)
     score = outcome_score_operator(amps, eta, lam)
     frob = float(np.sum(np.abs(score.matrix) ** 2))

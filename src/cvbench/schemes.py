@@ -321,10 +321,9 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
 
     which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`)
-    with kernels A_d[l, n] = c[l, n+d] c[l+d, n] of one log-space table
-    c[l, m] = sqrt(C(m+l, l)) g^l (1+g^2)^(-(m+l+1)/2).  The kernel comes from
-    the outcome integral, not from the channel's (K, M), so it stays an
-    independent check of `to_gaussian`.  Re-prepared weight past the cutoff
+    with the kernels of `fock.heterodyne_kernels` at width 1 + g^2.  The kernel
+    comes from the outcome integral, not from the channel's (K, M), so it stays
+    an independent check of `to_gaussian`.  Re-prepared weight past the cutoff
     is dropped, not renormalized: a trace deficit beyond `max_trace_deficit`
     in any state raises (None turns the check off).
     """
@@ -335,11 +334,8 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         out = np.zeros(rho.matrix.shape, dtype=complex)
         out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
     else:
-        lg = fock._lgamma_table(2 * n)
-        l, m = np.arange(n)[:, None], np.arange(n)
-        c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * math.log1p(g * g))
-                   + l * math.log(g))
-        out = fock.apply_offset_kernels(rho.matrix, lambda d: c[:n - d, d:] * c[d:, :n - d])
+        out = fock.apply_offset_kernels(
+            rho.matrix, fock.heterodyne_kernels(n, g, math.log1p(g * g)))
     result = fock.FockOperator(out)
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)

@@ -119,3 +119,39 @@ def test_array_validation_names_the_first_bad_entry():
         classical_bound(1.0, 0.0, np.array([1.0, 2.0]))
     with pytest.raises(InvalidInput, match="copy count must be an integer"):
         classical_bound(1.0, 0.0, np.array([True]))
+
+
+def test_an_overflowing_denominator_is_refused_with_its_values():
+    with pytest.raises(InvalidInput, match=r"overflows a float at 1 copies, "
+                                           r"lambda 1e\+308 and eta 1e\+308"):
+        classical_bound(1e308, 1e308)
+    with pytest.raises(InvalidInput, match=r"at 3 copies, lambda 9e\+307 and eta 1e\+308"):
+        classical_bound(np.array([1.0, 1e308])[:, None], np.array([0.5, 9e307]),
+                        np.array([3]))
+    with pytest.raises(InvalidInput, match="overflows a float"):
+        classical_bound(1.0, 0.0, 10 ** 400)
+    # the largest gains whose sum still fits keep their exact values
+    assert classical_bound(1e308, 0.5) == 1.5 / (1.5 + 1e308)
+    assert quadrature_threshold(1e308) == 2.0
+    assert quadrature_threshold(np.finfo(float).max) == 2.0
+
+
+def test_quadrature_threshold_keeps_its_bits_wherever_they_were_normal():
+    # 2 (eta / d) replaced (2 eta) / d so that 2 eta cannot overflow; the two
+    # differ only where the quotient eta / d is subnormal, below 2 * tiny
+    draws = np.random.default_rng(2026)
+    eta = 10.0 ** draws.uniform(-320.0, 308.2, 10 ** 6)
+    lam = np.where(draws.random(10 ** 6) < 0.1, 0.0,
+                   10.0 ** draws.uniform(-320.0, 308.2, 10 ** 6))
+    fits = 1.0 + lam + eta < np.inf
+    eta, lam = eta[fits], lam[fits]
+    with np.errstate(over="ignore"):
+        old = 2.0 * eta / (1.0 + lam + eta)
+    new = quadrature_threshold(eta, lam)
+    normal = (old >= 2.0 * np.finfo(float).tiny) & (old < np.inf)
+    assert np.array_equal(new[normal], old[normal])
+    assert np.all((new >= 0.0) & (new <= 2.0))
+    subnormal = old < 2.0 * np.finfo(float).tiny
+    assert np.count_nonzero(subnormal) > 0
+    assert np.all(np.abs(new - old)[subnormal] <= 2.0 * np.nextafter(0.0, 1.0))
+    assert np.count_nonzero(old == np.inf) > 0  # the draws reach the overflow

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -69,6 +70,24 @@ def test_bound_multicopy_drops_single_copy_extras(capsys):
     assert code == 0
     assert doc["result"]["classical_bound"] == pytest.approx(0.8)
     assert "quadrature_threshold" not in doc["result"]
+
+
+def test_bound_at_the_largest_gains_stays_finite(capsys):
+    code, doc, _ = run_json(capsys, "bound", "--eta", "1e308")
+    assert code == 0
+    assert doc["result"]["quadrature_threshold"] == 2.0
+    assert doc["result"]["classical_bound"] == 1.0 / (1.0 + 1e308)
+    code, doc, _ = run_json(capsys, "sweep", "--eta", "1e308", "--lambda", "0.5",
+                            "--format", "json")
+    assert code == 0
+    assert doc["result"]["rows"][0][3] == 2.0
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_an_overflowing_task_is_a_usage_error_that_names_it(capsys, command):
+    code, out, err = run(capsys, command, "--eta", "1e308", "--lambda", "1e308")
+    assert code == 2 and out == ""
+    assert "lambda 1e+308 and eta 1e+308" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +644,33 @@ def test_proofcheck_flags_a_corrupted_bound(capsys):
 
 # ---------------------------------------------------------------------------
 # envelope, config, exit codes
+
+
+def test_every_documented_exit_code_is_reached(capsys, monkeypatch, tmp_path):
+    documented = {int(c) for c in re.findall(r"^\* (\d) --", cli.__doc__, re.M)}
+    assert documented == set(range(6))
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("alpha_re,alpha_im,quad_label,value\n1.0,0.0,plus,oops\n")
+    unphysical = '{"K": [[2.0, 0.0], [0.0, 2.0]], "M": [[1.0, 0.0], [0.0, 1.0]]}'
+    loss = ("simulate", "--channel", '{"type": "pure_loss", "T": 0.6}', "--eta", "0.8",
+            "--lambda", "0.4", "--engine", "both", "--cutoff", "40")
+    reached = {
+        0: run(capsys, *loss)[0],
+        1: run(capsys, "proofcheck", "--trials", "2", "--corrupt-bound", "0.9")[0],
+        2: run(capsys, "bound", "--eta", "1e308", "--lambda", "1e308")[0],
+        3: run(capsys, "simulate", "--channel", unphysical, "--eta", "4")[0],
+        4: run(capsys, "certify", "--input", str(bad_csv), "--lambda", "0.1",
+               "--eta", "1")[0]}
+    # a Fock value off by 1e-2 exceeds the 1e-3 tolerance plus the 3e-3
+    # error estimate of pure loss at cutoff 40
+    exact = fock.average_fidelity_fock
+
+    def off_by_a_percent(*args, **kwargs):
+        avg = exact(*args, **kwargs)
+        return avg._replace(value=avg.value + 1e-2)
+    monkeypatch.setattr(fock, "average_fidelity_fock", off_by_a_percent)
+    reached[5] = run(capsys, *loss)[0]
+    assert reached == {code: code for code in documented}
 
 
 def test_config_file_merges_under_flags(capsys, tmp_path):

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import fock, proofcheck
+from cvbench import ensembles, fock, proofcheck
 from cvbench.bounds import classical_bound
+from cvbench.ensembles import GaussianPrior, gauss_rule
 from cvbench.errors import InvalidInput
 from cvbench.proofcheck import (circulant_eigenvalues, circulant_identity_check,
                                 circulant_matrix, circulant_shift,
-                                matched_quadrature, outcome_score_operator,
-                                score_bound_check, two_copy_check,
-                                two_copy_operator)
+                                outcome_score_operator, score_bound_check,
+                                two_copy_check, two_copy_operator)
 
 rng = np.random.default_rng(47)
 
@@ -127,16 +127,54 @@ def test_identity_check_refuses_a_growth_factor_past_the_float_range():
 # score-operator bound
 
 
-def test_matched_rule_integrates_these_kernels_exactly():
-    eta, lam, cutoff = 0.7, 0.3, 10
-    probe = np.zeros(cutoff)
-    probe[2] = 1.0
-    default = outcome_score_operator(probe, eta, lam)
-    dense = outcome_score_operator(
-        probe, eta, lam, rule=matched_quadrature(eta, lam, cutoff,
-                                                 radial_points=90,
-                                                 angular_points=96))
-    assert np.max(np.abs(default.matrix - dense.matrix)) < 1e-13
+def polar_rule_score_operators(probes, eta, lam):
+    """Reference: the score operator of each probe row by a (2c+8)^2 polar rule.
+
+    Reweighted from width lam + 1 + eta to the prior, the rule integrates the
+    polynomial-times-Gaussian score integrand with no quadrature error.
+    """
+    cutoff = probes.shape[-1]
+    points = 2 * cutoff + 8
+    rule = gauss_rule(GaussianPrior(lam + 1.0 + eta), radial_points=points,
+                      angular_points=points)
+    k_in = fock.coherent_amplitudes(rule.nodes, cutoff)
+    k_out = fock.coherent_amplitudes(math.sqrt(eta) * rule.nodes, cutoff)
+    scored = rule.weights_for(lam) * np.abs(probes.conj() @ k_in) ** 2
+    return np.stack([(k_out * v) @ k_out.conj().T for v in scored])
+
+
+def seeded_probes(seed, count, cutoff):
+    probe_rng = np.random.default_rng(seed)
+    raw = (probe_rng.standard_normal((count, cutoff))
+           + 1j * probe_rng.standard_normal((count, cutoff)))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+score_points = [(int(c), float(e), float(l)) for c, e, l in zip(
+    [1, 2, 3, 5, 8, 13, 20, 27, 34, 40],
+    np.random.default_rng(11).uniform(0.3, 3.0, 10),
+    np.random.default_rng(12).uniform(0.05, 1.5, 10))]
+
+
+@pytest.mark.parametrize("cutoff, eta, lam", score_points)
+def test_closed_form_score_operator_matches_the_polar_rule(cutoff, eta, lam):
+    probes = seeded_probes([cutoff, 1], 6, cutoff)
+    reference = polar_rule_score_operators(probes, eta, lam)
+    stacked = outcome_score_operator(probes, eta, lam).matrix
+    assert stacked.shape == (6, cutoff, cutoff)
+    scale = np.max(np.abs(reference), axis=(1, 2))
+    assert np.all(np.max(np.abs(stacked - reference), axis=(1, 2)) <= 1e-12 * scale)
+    for probe, ref, top in zip(probes, reference, scale):
+        single = outcome_score_operator(probe, eta, lam).matrix
+        assert np.max(np.abs(single - ref)) <= 1e-12 * top
+
+
+def test_score_bound_check_builds_no_quadrature_rule(monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built on the score side")
+    monkeypatch.setattr(ensembles, "gauss_rule", must_not_build)
+    monkeypatch.setattr(proofcheck, "gauss_rule", must_not_build)
+    assert score_bound_check(1.3, 0.4, trials=8, cutoff=24, seed=2).passed
 
 
 def test_score_operator_is_hermitian_psd():
@@ -166,6 +204,8 @@ def test_score_operator_domain_guards():
         outcome_score_operator(np.eye(4)[0], 0.0, 0.5)
     with pytest.raises(InvalidInput):
         outcome_score_operator(np.array([]), 1.0, 0.5)
+    with pytest.raises(InvalidInput, match="one or two axes"):
+        outcome_score_operator(np.ones((2, 3, 3)), 1.0, 0.5)
 
 
 @pytest.mark.parametrize("eta,lam", [(0.5, 0.2), (1.0, 0.2), (1.0, 1.0), (2.0, 0.7)])
@@ -258,6 +298,8 @@ def test_two_copy_cutoff_and_probe_guards():
         two_copy_operator(1.0, 0.5, 0)
     with pytest.raises(InvalidInput):
         two_copy_check(np.ones(9) / 3.0, 1.0, 0.5, cutoff=8)
+    with pytest.raises(InvalidInput, match="one probe"):
+        two_copy_check(np.eye(4)[:2], 1.0, 0.5, cutoff=8)
 
 
 # the check's closed phase-circulant contraction against the dense operator

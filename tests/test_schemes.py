@@ -330,6 +330,21 @@ def test_apply_mp_fock_matches_the_einsum_reference(g):
     assert np.abs(got - expected)[:18, :18].max() <= tol
 
 
+@pytest.mark.parametrize("g", [0.3, 1.0, 2.2])
+def test_apply_mp_fock_shared_kernel_table_keeps_every_bit(g):
+    # the table as apply_mp_fock built it inline before fock.heterodyne_kernels
+    # took it over: log1p(g^2), not log(1 + g^2), is part of the pinned bits
+    rho = fock.gaussian_state_fock([0.9, -0.6], 0.8 * E2, 36)
+    n = rho.cutoff
+    lg = fock._lgamma_table(2 * n)
+    l, m = np.arange(n)[:, None], np.arange(n)
+    c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * math.log1p(g * g))
+               + l * math.log(g))
+    inline = fock.apply_offset_kernels(rho.matrix, lambda d: c[:n - d, d:] * c[d:, :n - d])
+    got = apply_mp_fock(HeterodyneMP(g), rho, max_trace_deficit=None).matrix
+    assert np.array_equal(got, inline)
+
+
 @pytest.mark.parametrize("g", [0.4, 1.0, 1.7])
 def test_apply_mp_fock_keeps_a_number_state_diagonal(g):
     m, cutoff = 3, 60

@@ -27,11 +27,11 @@ from .fock import (FockAverage, FockOperator, FockVector,
 from .gaussian import (GaussianChannel, GaussianState,
                        average_fidelity_gaussian, apply_channel, compose,
                        fidelity_to_coherent, is_cp_channel, is_physical_state)
-from .schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
-                      PureLoss, QuantumLimitedAmp, apply_mp_fock,
-                      fock_applier, fock_applier_for_gaussian,
+from .schemes import (CanonicalB1, CanonicalC, ChannelForm, Compose,
+                      HeterodyneMP, PureLoss, QuantumLimitedAmp, apply_mp_fock,
+                      channel_form, fock_applier, fock_applier_for_gaussian,
                       model_from_json, model_to_json, mp_average_fidelity,
                       optimal_mp_gain, optimize_mp_gain, phase_averaged_applier,
-                      qd_by_parameters, to_gaussian)
+                      to_gaussian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

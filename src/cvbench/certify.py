@@ -27,11 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .bounds import classical_bound, quadrature_threshold
-from .errors import (DatasetError, InvalidInput, NotCompletelyPositive,
-                     UnsupportedTask)
+from .errors import DatasetError, InvalidInput, UnsupportedTask
 from .gaussian import (E2, GaussianChannel, GaussianState, apply_channel,
-                       average_fidelity_gaussian, coherent_mean, is_cp_channel,
-                       isotropic_part)
+                       average_fidelity_gaussian, coherent_mean)
 from . import schemes
 
 _LABELS = ("plus", "minus")
@@ -247,6 +245,9 @@ class CertificationReport:
 
 
 def _verdict(margin: float, k: float, se: float) -> str:
+    for name, value in (("required margin k", k), ("standard error", se)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise InvalidInput(f"{name} must be >= 0 and finite, got {value}")
     return "QUANTUM_DOMAIN" if margin > k * se + _MARGIN_TOL else "NOT_CERTIFIED"
 
 
@@ -285,15 +286,16 @@ def certify_by_variance(ds: ExperimentDataset, k: float = 3.0, n_boot: int = 100
     """Certify from quadrature deviations against the classical floor.
 
     The verdict is QUANTUM_DOMAIN only when the statistic undershoots the
-    threshold by more than k standard errors (bootstrap when n_boot > 0,
-    else analytic); ties and near-ties stay NOT_CERTIFIED, so a channel
-    sitting exactly on the classical optimum is never certified.
+    threshold by more than k standard errors (analytic when n_boot is 0,
+    else a bootstrap, which refuses fewer than 2 resamples); ties and
+    near-ties stay NOT_CERTIFIED, so a channel sitting exactly on the
+    classical optimum is never certified.
     """
     eta, source, estimated, notes = _resolve_eta(ds)
     _check_grid_strength(ds, eta)
     threshold = quadrature_threshold(eta, ds.lam)
     value, se_analytic = delta_bar(ds, eta)
-    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot > 0 else se_analytic
+    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
     margin = threshold - value
     return CertificationReport(
         method="variance", verdict=_verdict(margin, k, se), statistic=value,
@@ -319,8 +321,6 @@ def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.
         fbar = float(value_or_channel)
         if not (0.0 <= fbar <= 1.0):
             raise InvalidInput(f"average fidelity must lie in [0, 1], got {fbar}")
-    if se < 0:
-        raise InvalidInput(f"standard error must be >= 0, got {se}")
     bound = classical_bound(eta, lam)
     margin = fbar - bound
     return CertificationReport(
@@ -341,7 +341,7 @@ def certify_by_fidelity_from_variance(ds: ExperimentDataset, k: float = 3.0,
     eta, source, estimated, notes = _resolve_eta(ds)
     _check_grid_strength(ds, eta)
     value, se_analytic = delta_bar(ds, eta)
-    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot > 0 else se_analytic
+    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
     fbar_floor = 1.0 - value / 2.0
     bound = classical_bound(eta, ds.lam)
     margin = fbar_floor - bound
@@ -428,8 +428,9 @@ class DetectionReport:
 def detect_gaussian_qd(channel, lam: float = 1e-3) -> DetectionReport:
     """Classify a Gaussian channel against the classical bound.
 
-    Recognizes the two canonical one-mode forms: gain with isotropic added
-    noise (attenuation/amplification family; quantum domain iff the added
+    Recognizes the two canonical one-mode forms in the channel's normal form
+    (`schemes.channel_form`): gain with isotropic added noise
+    (attenuation/amplification family; quantum domain iff the added
     thermal-like noise stays below min(1, eta)) and the unit-gain channel
     with half a unit of noise in a single quadrature (always quantum
     domain).  The matched-gain fidelity is prior-independent, so the margin
@@ -440,60 +441,31 @@ def detect_gaussian_qd(channel, lam: float = 1e-3) -> DetectionReport:
     GaussianChannel.  Channels needing rotation or squeezing pre-processing
     raise UnsupportedTask.
     """
-    if isinstance(channel, schemes._MODEL_TYPES):
-        iso = schemes._iso_params(channel)
-        if iso is not None:
-            eta, m = iso
-            return _family_c_report(eta, m, lam)
-        if isinstance(channel, schemes.CanonicalB1):
-            return _family_b_report(0.5, lam)
-        channel = schemes.to_gaussian(channel)
-    if not is_cp_channel(channel):
-        raise NotCompletelyPositive("channel (K, M) fails the complete-positivity criterion")
-    if float(channel.disp @ channel.disp) > 1e-18:
+    form = schemes.channel_form(channel)
+    if float(form.disp @ form.disp) > 1e-18:
         raise UnsupportedTask("displaced channels are not classified; subtract "
                               "the displacement first")
-    M = channel.M
-    k = isotropic_part(channel.K)
-    if k is None or k <= 0:
-        raise UnsupportedTask("classification covers K proportional to the identity only")
-    m_eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if abs(m_eigs[1] - m_eigs[0]) <= 1e-9:
-        return _family_c_report(k * k, float(0.5 * (m_eigs[0] + m_eigs[1])), lam)
-    if abs(k - 1.0) <= 1e-9 and abs(m_eigs[0]) <= 1e-9 and abs(m_eigs[1] - 0.5) <= 1e-9:
-        return _family_b_report(float(m_eigs[1]), lam)
+    eta, (low, high) = form.k2, np.sort(form.extra)
+    if high - low <= 1e-9:
+        ntilde = max(float(0.5 * (low + high)), 0.0)
+        return _report("gain_with_isotropic_noise", eta, ntilde,
+                       schemes.canonical_c_fidelity(eta, ntilde),
+                       schemes.canonical_c_quantum_domain(eta, ntilde), lam)
+    if abs(math.sqrt(eta) - 1.0) <= 1e-9 and abs(low) <= 1e-9 and abs(high - 0.5) <= 1e-9:
+        return _report("single_quadrature_noise", 1.0, float(high),
+                       1.0 / math.sqrt(1.0 + high), True, lam)
     raise UnsupportedTask(
         "added noise is neither isotropic nor the canonical single-quadrature "
         "half unit; reduce the channel first")
 
 
-def _margin_ladder(fbar: float, eta: float, lam: float):
+def _report(family: str, eta: float, noise: float, fbar: float, quantum: bool,
+            lam: float) -> DetectionReport:
     ladder = {l: fbar - classical_bound(eta, l) for l in _LADDER}
-    return fbar - classical_bound(eta, lam), fbar - classical_bound(eta, 0.0), ladder
-
-
-def _family_c_report(eta: float, m: float, lam: float) -> DetectionReport:
-    ntilde = m - abs(1.0 - eta) / 2.0
-    if ntilde < -1e-9:
-        raise NotCompletelyPositive(
-            f"added noise {m:.4g} sits below the quantum-limited floor "
-            f"{abs(1.0 - eta) / 2.0:.4g} for gain {eta:.4g}")
-    ntilde = max(ntilde, 0.0)
-    fbar = schemes.canonical_c_fidelity(eta, ntilde)
-    margin, margin0, ladder = _margin_ladder(fbar, eta, lam)
     return DetectionReport(
-        family="gain_with_isotropic_noise", eta=eta, added_noise=ntilde, fbar=fbar,
-        is_quantum_domain=schemes.canonical_c_quantum_domain(eta, ntilde), lam=lam,
-        margin=margin, margin_zero_width=margin0, ladder=ladder)
-
-
-def _family_b_report(noise: float, lam: float) -> DetectionReport:
-    fbar = 1.0 / math.sqrt(1.0 + noise)
-    margin, margin0, ladder = _margin_ladder(fbar, 1.0, lam)
-    return DetectionReport(
-        family="single_quadrature_noise", eta=1.0, added_noise=noise, fbar=fbar,
-        is_quantum_domain=True, lam=lam, margin=margin,
-        margin_zero_width=margin0, ladder=ladder)
+        family=family, eta=eta, added_noise=noise, fbar=fbar,
+        is_quantum_domain=quantum, lam=lam, margin=fbar - classical_bound(eta, lam),
+        margin_zero_width=fbar - classical_bound(eta, 0.0), ladder=ladder)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ from .bounds import classical_bound, quadrature_threshold, quantum_amp_bound
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
-from .gaussian import (GaussianChannel, average_fidelity_gaussian, is_cp_channel,
-                       isotropic_part)
+from .gaussian import GaussianChannel, average_fidelity_gaussian, is_cp_channel
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -297,16 +296,14 @@ def _load_channel_spec(text: str):
     return schemes.model_from_json(obj)
 
 
-def _channel_gain(channel) -> float | None:
-    if not isinstance(channel, GaussianChannel):
-        iso = schemes._iso_params(channel)
-        if iso is not None:
-            return iso[0]
-        if isinstance(channel, schemes.CanonicalB1):
-            return 1.0
-        channel = schemes.to_gaussian(channel)
-    k = isotropic_part(channel.K)
-    return None if k is None else k * k
+def _load_cp_channel(text: str):
+    """The --channel spec as (channel, its (K, M)); a channel that is not CP is refused."""
+    channel = _load_channel_spec(text)
+    gauss = channel if isinstance(channel, GaussianChannel) else schemes.to_gaussian(channel)
+    if not is_cp_channel(gauss):
+        raise NotCompletelyPositive(
+            "channel (K, M) fails the complete-positivity criterion")
+    return channel, gauss
 
 
 def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
@@ -343,29 +340,26 @@ def _cmd_simulate(eff: dict):
     if cutoff is not None and not 1 <= cutoff <= fock._MAX_AUTO_CUTOFF:
         raise _Usage(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
                      f"got {cutoff}")
-    channel = _load_channel_spec(str(eff["channel"]))
+    channel, gauss = _load_cp_channel(str(eff["channel"]))
     warnings = []
     if eff.get("quad") is not None:
         warnings.append("--quad is ignored: the fock engine evaluates one "
                         "prior node per level of the cutoff")
-    is_model = not isinstance(channel, GaussianChannel)
-    gauss = schemes.to_gaussian(channel) if is_model else channel
-    if not is_cp_channel(gauss):
-        raise NotCompletelyPositive(
-            "channel (K, M) fails the complete-positivity criterion")
 
     eta = eff.get("eta")
     if eta is None:
-        eta = _channel_gain(channel)
-        if eta is None:
-            raise _Usage("cannot infer a task gain from an anisotropic channel; "
-                         "pass --eta")
+        try:
+            eta = schemes.channel_form(channel).k2
+        except UnsupportedTask as exc:
+            raise _Usage(f"cannot infer a task gain ({exc}); pass --eta")
         warnings.append(f"task gain defaulted to the channel's own gain {eta:.6g}")
     eta, lam = float(eta), float(eff["lam"])
     engine = eff["engine"]
     tolerance = float(eff["tolerance"])
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise _Usage(f"--tolerance must be >= 0 and finite, got {tolerance}")
 
-    result = {"channel": gauss.to_json() if not is_model else
+    result = {"channel": gauss.to_json() if channel is gauss else
               schemes.model_to_json(channel),
               "eta": eta, "lambda": lam, "engine": engine}
     # A flat prior (lambda = 0) has a finite closed form only for matched
@@ -441,7 +435,10 @@ def _certify_dataset(eff: dict, warnings: list):
     lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for grid weighting")
     weights = None
     if eff.get("weights") is not None:
-        weights = [float(x) for x in str(eff["weights"]).split(",")]
+        try:
+            weights = [float(x) for x in str(eff["weights"]).split(",")]
+        except ValueError:
+            raise _Usage(f"--weights wants comma-separated numbers, got {eff['weights']!r}")
     return certify.read_dataset_csv(eff["input"], lam=lam,
                                     eta_declared=eff.get("eta"),
                                     weights=weights)
@@ -477,12 +474,7 @@ def _cmd_certify(eff: dict):
                                              se=float(eff["se"]), k=k)
     elif eff.get("channel") is not None:
         _require(eff, "eta", "lam")
-        channel = _load_channel_spec(str(eff["channel"]))
-        gauss = channel if isinstance(channel, GaussianChannel) else \
-            schemes.to_gaussian(channel)
-        if not is_cp_channel(gauss):
-            raise NotCompletelyPositive(
-                "channel (K, M) fails the complete-positivity criterion")
+        _, gauss = _load_cp_channel(str(eff["channel"]))
         lam = _flat_prior_proxy(float(eff["lam"]), warnings)
         report = certify.certify_by_fidelity(gauss, float(eff["eta"]), lam, k=k)
     else:

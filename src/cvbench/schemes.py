@@ -194,17 +194,47 @@ def to_gaussian(model: ChannelModel) -> GaussianChannel:
     raise InvalidInput(f"not a channel model: {model!r}")
 
 
-def qd_by_parameters(model: ChannelModel) -> bool:
-    """Quantum-domain classification of the canonical Gaussian families."""
-    if isinstance(model, CanonicalB1):
-        return True
-    if isinstance(model, CanonicalC):
-        return canonical_c_quantum_domain(model.eta, model.ntilde)
-    if isinstance(model, PureLoss):
-        return True  # ntilde = 0 attenuation
-    if isinstance(model, QuantumLimitedAmp):
-        return True
-    raise InvalidInput(f"no canonical quantum-domain classification for {model!r}")
+@dataclass(frozen=True)
+class ChannelForm:
+    """Normal form of a CP channel with K = k I, k > 0 (see `channel_form`).
+
+    `extra` is the added noise above the quantum-limited floor |1 - k^2|/2
+    along M's principal axes: along (x_plus, x_minus) unless `rotated`,
+    otherwise in ascending order.
+    """
+
+    k2: float
+    extra: np.ndarray
+    rotated: bool
+    disp: np.ndarray
+
+
+def channel_form(channel: ChannelModel | GaussianChannel) -> ChannelForm:
+    """The one reduction behind gain inference, classification and the Fock realization.
+
+    Refuses a channel that is not completely positive (NotCompletelyPositive)
+    and one whose K is not k I with k > 0 (UnsupportedTask).  Isotropic
+    models give k^2 and their noise as exact scalars (`_iso_params`); other
+    models and raw channels are read through (K, M), with M diagonal up to
+    1e-12 counting as unrotated.
+    """
+    gauss = channel if isinstance(channel, GaussianChannel) else to_gaussian(channel)
+    if not is_cp_channel(gauss):
+        raise NotCompletelyPositive(
+            "channel (K, M) fails the complete-positivity criterion")
+    iso = None if isinstance(channel, GaussianChannel) else _iso_params(channel)
+    if iso is not None:
+        (k2, m), rotated = iso, False
+        principal = np.array([m, m])
+    else:
+        k = isotropic_part(gauss.K)
+        k2 = k * k if k is not None and k > 0 else 0.0
+        M = gauss.M
+        rotated = abs(M[0, 1]) > 1e-12 or abs(M[1, 0]) > 1e-12
+        principal = np.linalg.eigvalsh(0.5 * (M + M.T)) if rotated else np.diag(M)
+    if not k2 > 0:
+        raise UnsupportedTask("only channels with K = k I and k > 0 are covered")
+    return ChannelForm(k2, principal - abs(1.0 - k2) / 2.0, rotated, gauss.disp)
 
 
 def canonical_c_fidelity(eta: float, ntilde: float) -> float:
@@ -355,8 +385,8 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     The map takes one operator or a stack of them (see `fock.FockOperator`).
     Heterodyne measure-and-prepare uses its own closed-form matrix elements
     (`apply_mp_fock`) and a composition applies its parts in order.  Every
-    other model, and a raw GaussianChannel, is realized from its exact
-    Gaussian form by `fock_applier_for_gaussian`: loss, then a
+    other model, and a raw GaussianChannel, is realized from its normal form
+    (`channel_form`) by `fock_applier_for_gaussian`: loss, then a
     quantum-limited amplifier, then a displacement mixture on one axis for
     anisotropic noise only.  `fock.average_fidelity_fock` wants the phase
     average of this map, which `phase_averaged_applier` builds.
@@ -374,57 +404,45 @@ def fock_applier(model: ChannelModel | GaussianChannel):
                 rho = f(rho)
             return rho
         return apply_seq
-    return fock_applier_for_gaussian(
-        model if isinstance(model, GaussianChannel) else to_gaussian(model))
+    return fock_applier_for_gaussian(model)
 
 
-def _loss_amp_realization(channel: GaussianChannel):
-    """(T, G, remainder, axis, beta) of the Gaussian channel's Fock realization.
+def _loss_amp_realization(form: ChannelForm):
+    """(T, G, remainder, axis, beta) of a channel form's Fock realization.
 
-    Covers K = k I with diagonal added noise at or above the floor |1 - k^2|/2.
-    The isotropic noise m = min(M00, M11) is pure loss T = k^2/G followed by a
-    quantum-limited amplifier of gain G = m + (1 + k^2)/2 (Caruso, Giovannetti
-    and Holevo, NJP 8, 310, 2006), exact below the cutoff; an anisotropic
-    remainder is displacement noise of that variance on `axis`, and beta is
-    the mean as a coherent amplitude.  Channels needing phase-space rotation
-    or squeezing pre-processing raise UnsupportedTask.
+    Covers diagonal added noise at or above the floor on both axes.  The
+    isotropic part of the extra noise is pure loss T = k^2/G followed by a
+    quantum-limited amplifier of gain G = max(1, k^2) + min(extra) (Caruso,
+    Giovannetti and Holevo, NJP 8, 310, 2006), exact below the cutoff; an
+    anisotropic remainder is displacement noise of that variance on `axis`,
+    and beta is the mean as a coherent amplitude.  Channels needing
+    phase-space rotation or squeezing pre-processing raise UnsupportedTask.
     """
-    if not is_cp_channel(channel):
-        raise NotCompletelyPositive(
-            "channel (K, M) fails the complete-positivity criterion")
-    M, disp = channel.M, channel.disp
-    k = isotropic_part(channel.K)
-    if k is None or k <= 0:
-        raise UnsupportedTask(
-            "truncated realization covers K proportional to the identity only")
-    if abs(M[0, 1]) > 1e-12 or abs(M[1, 0]) > 1e-12:
+    if form.rotated:
         raise UnsupportedTask(
             "rotated added-noise matrices are not covered; diagonalize first")
-    k2 = k * k
-    floor = abs(1.0 - k2) / 2.0
-    extra = np.array([M[0, 0], M[1, 1]]) - floor
-    if extra.min() < -1e-9:
+    if form.extra.min() < -1e-9:
         raise UnsupportedTask(
             "noise below the quantum-limited floor on one axis needs squeezing, "
             "which is not covered")
-    # Roundoff in k = sqrt(T) leaves ~1e-17 of "extra" noise on a quantum-limited
-    # channel; it is dropped, so such a channel is one exact loss or gain.
-    extra = np.where(extra > 1e-12, extra, 0.0)
-    # G = m + (1 + k^2)/2 = max(1, k^2) + min(extra), so G >= 1 and T <= 1 exactly
-    gain = max(1.0, k2) + extra.min()
+    # Roundoff in a raw channel's k^2 leaves ~1e-17 of "extra" noise on a
+    # quantum-limited channel; it is dropped, so such a channel is one exact
+    # loss or gain.  G >= 1 and T <= 1 hold exactly.
+    extra = np.where(form.extra > 1e-12, form.extra, 0.0)
+    gain = max(1.0, form.k2) + extra.min()
     axis = int(np.argmax(extra))
-    beta = (disp[0] + 1j * disp[1]) / _SQRT2
-    return k2 / gain, gain, extra[axis] - extra.min(), axis, beta
+    beta = (form.disp[0] + 1j * form.disp[1]) / _SQRT2
+    return form.k2 / gain, gain, extra[axis] - extra.min(), axis, beta
 
 
-def fock_applier_for_gaussian(channel: GaussianChannel):
-    """Truncated realization of a raw Gaussian channel, where one exists here.
+def fock_applier_for_gaussian(channel: ChannelModel | GaussianChannel):
+    """Truncated realization of a channel's normal form, where one exists here.
 
     Loss, then a quantum-limited amplifier, then a classical displacement
     mixture on one axis for an anisotropic remainder only, and a final
     displacement by the mean (`_loss_amp_realization` says what is covered).
     """
-    T, gain, remainder, axis, beta = _loss_amp_realization(channel)
+    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(channel))
 
     def apply(rho):
         out = fock.apply_amp(fock.apply_loss(rho, T), gain)
@@ -456,8 +474,7 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel):
     """
     if _iso_params(model) is not None:
         return fock_applier(model)
-    T, gain, remainder, axis, beta = _loss_amp_realization(
-        model if isinstance(model, GaussianChannel) else to_gaussian(model))
+    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
 
     @lru_cache(maxsize=1)
     def kernels(n):

@@ -17,8 +17,8 @@ from cvbench.certify import (CertificationReport, ExperimentDataset,
 from cvbench.errors import (DatasetError, InvalidInput, NotCompletelyPositive,
                             UnsupportedTask)
 from cvbench.gaussian import E2, GaussianChannel
-from cvbench.schemes import (CanonicalB1, CanonicalC, HeterodyneMP, PureLoss,
-                             QuantumLimitedAmp, to_gaussian)
+from cvbench.schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
+                             PureLoss, QuantumLimitedAmp, to_gaussian)
 
 GRID = [1.2, -1.2, 1.2j, -1.2j, 1.8, -1.8, 1.8j, -1.8j]
 
@@ -195,6 +195,23 @@ def test_declared_gain_wins_but_mismatch_is_noted():
     assert any("differs from declared" in note for note in report.notes)
 
 
+def test_negative_bootstrap_count_is_refused():
+    ds = make_dataset(PureLoss(0.6), n=200, eta_declared=0.6)
+    for route in (certify_by_variance, certify_by_fidelity_from_variance):
+        with pytest.raises(InvalidInput, match="at least 2 resamples, got -5"):
+            route(ds, n_boot=-5)
+
+
+@pytest.mark.parametrize("k, se, named", [
+    (-3.0, 0.1, "margin k .* got -3.0"), (math.nan, 0.1, "margin k .* got nan"),
+    (math.inf, 0.1, "margin k .* got inf"), (3.0, math.nan, "standard error .* got nan"),
+    (3.0, math.inf, "standard error .* got inf"), (3.0, -0.1, "standard error .* got -0.1")])
+def test_verdict_refuses_negative_or_non_finite_k_and_se(k, se, named):
+    # with k = -3 the classical bound itself, 0.5 at eta = 1, would be certified
+    with pytest.raises(InvalidInput, match=named):
+        certify_by_fidelity(0.5, 1.0, 0.0, se=se, k=k)
+
+
 def test_weak_probe_grid_is_refused():
     ds = make_dataset(PureLoss(0.6), n=200, eta_declared=0.6,
                       alphas=[0.1, 0.1j, -0.1, 0.15])
@@ -329,6 +346,61 @@ def test_classifier_rejects_unphysical_and_alien_channels():
         detect_gaussian_qd(GaussianChannel(E2, np.diag([0.5, 0.2])))
     with pytest.raises(UnsupportedTask):
         detect_gaussian_qd(GaussianChannel(E2, E2, disp=np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("model, quantum", [
+    (CanonicalC(eta=1.5, ntilde=0.0), True), (CanonicalC(eta=0.8, ntilde=0.3), True),
+    (CanonicalC(eta=0.5, ntilde=0.5), False), (CanonicalC(eta=2.0, ntilde=1.0), False),
+    (CanonicalB1(), True), (PureLoss(0.4), True), (QuantumLimitedAmp(3.0), True),
+    (HeterodyneMP(1.0), False)], ids=repr)
+def test_canonical_families_are_classified_by_their_parameters(model, quantum):
+    assert detect_gaussian_qd(model).is_quantum_domain is quantum
+
+
+def _seeded_models(seed=3, count=12):
+    rng = np.random.default_rng(seed)
+    models = [CanonicalB1(), Compose([CanonicalB1()])]
+    for _ in range(count):
+        eta, ntilde = rng.uniform(0.2, 2.5), rng.uniform(0.0, 1.5)
+        models += [CanonicalC(eta, ntilde), PureLoss(rng.uniform(0.05, 1.0)),
+                   QuantumLimitedAmp(rng.uniform(1.0, 3.0)),
+                   HeterodyneMP(rng.uniform(0.1, 2.0)),
+                   Compose([PureLoss(rng.uniform(0.1, 1.0)), CanonicalC(eta, ntilde)])]
+    return models
+
+
+@pytest.mark.parametrize("model", _seeded_models(), ids=repr)
+def test_models_and_their_raw_channels_are_classified_alike(model):
+    exact, raw = detect_gaussian_qd(model), detect_gaussian_qd(to_gaussian(model))
+    assert (raw.family, raw.is_quantum_domain) == (exact.family, exact.is_quantum_domain)
+    assert raw.fbar == pytest.approx(exact.fbar, rel=0.0, abs=1e-12)
+
+
+def _non_entanglement_breaking(channel):
+    det_k = np.linalg.det(channel.K)
+    return math.sqrt(max(np.linalg.det(channel.M), 0.0)) < (1.0 + abs(det_k)) / 2.0
+
+
+def test_verdicts_equal_the_non_entanglement_breaking_test():
+    # Both families, models and raw channels, rotated single-quadrature noise
+    # included; points within 1e-9 of the family boundary are skipped.
+    rng = np.random.default_rng(11)
+    channels = [to_gaussian(CanonicalB1())]
+    for theta in rng.uniform(0.0, math.pi, 5):
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        channels.append(GaussianChannel(E2, rot @ np.diag([0.5, 0.0]) @ rot.T))
+    for _ in range(60):
+        eta, ntilde = rng.uniform(0.1, 3.0), rng.uniform(0.0, 2.0)
+        if abs(ntilde - min(1.0, eta)) > 1e-9:
+            channels += [CanonicalC(eta, ntilde), to_gaussian(CanonicalC(eta, ntilde))]
+    families = set()
+    for channel in channels:
+        report = detect_gaussian_qd(channel)
+        families.add(report.family)
+        gauss = channel if isinstance(channel, GaussianChannel) else to_gaussian(channel)
+        assert report.is_quantum_domain == _non_entanglement_breaking(gauss), channel
+    assert families == {"gain_with_isotropic_noise", "single_quadrature_noise"}
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from cvbench import cli, fock, proofcheck, schemes
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import _load_channel_spec, main
-from cvbench.schemes import (CanonicalC, HeterodyneMP, PureLoss,
+from cvbench.schemes import (HeterodyneMP, PureLoss,
                              canonical_c_fidelity, mp_average_fidelity,
-                             optimal_mp_gain, qd_by_parameters)
+                             optimal_mp_gain)
 
 B1 = '{"type": "canonical_b1"}'
 
@@ -261,6 +261,32 @@ def test_simulate_rejects_unphysical_channels(capsys):
     assert "complete-positivity" in err
 
 
+FLIPPED = '{"K": [[-0.5, 0], [0, -0.5]], "M": [[0.375, 0], [0, 0.375]]}'
+
+
+def test_simulate_does_not_infer_a_gain_from_a_negative_k(capsys):
+    # K = -0.5 I is a pi-rotated attenuator; its gain is not the task's 0.25
+    code, out, err = run(capsys, "simulate", "--channel", FLIPPED, "--lambda", "0.3")
+    assert code == 2 and out == ""
+    assert "cannot infer a task gain" in err and "pass --eta" in err
+
+
+def test_fock_refusal_of_a_negative_k_names_the_condition(capsys):
+    code, _, err = run(capsys, "simulate", "--channel", FLIPPED, "--eta", "0.25",
+                       "--lambda", "0.3", "--engine", "fock", "--cutoff", "16")
+    assert code == 2
+    assert "k > 0" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_simulate_tolerance_must_be_finite_and_non_negative(capsys, value):
+    code, out, err = run(capsys, "simulate", "--channel", '{"type": "pure_loss", "T": 0.5}',
+                         "--eta", "0.5", "--lambda", "0.3", "--engine", "both",
+                         "--cutoff", "16", "--tolerance", value)
+    assert code == 2 and out == ""
+    assert f"--tolerance must be >= 0 and finite, got {float(value)}" in err
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -318,6 +344,32 @@ def test_certify_needs_some_input(capsys):
     code, _, err = run(capsys, "certify", "--eta", "1", "--lambda", "0.1")
     assert code == 2
     assert "--input, --fbar, or --channel" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "-3"), ("--k", "nan"), ("--k", "inf"), ("--se", "nan"), ("--se", "inf")])
+def test_certify_refuses_a_negative_or_non_finite_k_or_se(capsys, flag, value):
+    # 0.5 is the bound at eta = 1, lambda = 0, which heterodyne at g = 1 reaches
+    argv = {"--k": "3", "--se": "0.1"}
+    argv[flag] = value
+    code, out, err = run(capsys, "certify", "--fbar", "0.5", "--eta", "1",
+                         "--lambda", "0", *itertools.chain(*argv.items()))
+    assert code == 2 and out == ""
+    assert f"got {float(value)}" in err
+
+
+def test_certify_non_numeric_weights_are_a_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
+                       "--lambda", "0.1", "--eta", "0.6", "--weights", "a,b,c,d")
+    assert code == 2
+    assert "'a,b,c,d'" in err
+
+
+def test_certify_negative_bootstrap_count_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
+                       "--lambda", "0.1", "--eta", "0.6", "--n-boot", "-5")
+    assert code == 2
+    assert "got -5" in err
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +434,7 @@ def _sweep_reference(axes: dict):
         if "ntilde" in p:
             fbar = canonical_c_fidelity(eta, p["ntilde"])
             row += [fbar, fbar - classical_bound(eta, 0.0),
-                    qd_by_parameters(CanonicalC(eta, p["ntilde"]))]
+                    p["ntilde"] < min(1.0, eta)]
         rows.append(row)
     return columns, rows
 

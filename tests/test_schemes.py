@@ -16,7 +16,7 @@ from cvbench.schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
                              model_from_json, model_to_json,
                              mp_average_fidelity, optimal_mp_gain,
                              optimize_mp_gain, phase_averaged_applier,
-                             qd_by_parameters, to_gaussian)
+                             to_gaussian)
 
 rng = np.random.default_rng(47)
 random_tasks = [(float(e), float(l)) for e, l in
@@ -126,18 +126,6 @@ def test_nested_compose_folds_like_flat():
     assert np.allclose(a.M, b.M, rtol=1e-15, atol=0.0)
 
 
-def test_qd_classification():
-    assert qd_by_parameters(CanonicalC(eta=1.5, ntilde=0.0))
-    assert qd_by_parameters(CanonicalC(eta=0.8, ntilde=0.3))
-    assert not qd_by_parameters(CanonicalC(eta=0.5, ntilde=0.5))
-    assert not qd_by_parameters(CanonicalC(eta=2.0, ntilde=1.0))
-    assert qd_by_parameters(CanonicalB1())
-    assert qd_by_parameters(PureLoss(0.4))
-    assert qd_by_parameters(QuantumLimitedAmp(3.0))
-    with pytest.raises(InvalidInput):
-        qd_by_parameters(HeterodyneMP(1.0))
-
-
 # ---------------------------------------------------------------------------
 # heterodyne strategy closed forms
 
@@ -207,7 +195,7 @@ def test_canonical_c_closed_forms_broadcast_and_validate():
     for i, j in np.ndindex(fbar.shape):
         e, n = float(eta[i, 0]), float(ntilde[j])
         assert fbar[i, j] == 2.0 / (1.0 + e + abs(1.0 - e) + 2.0 * n)
-        assert qd[i, j] == qd_by_parameters(CanonicalC(eta=e, ntilde=n))
+        assert qd[i, j] == (n < min(1.0, e))
     for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidInput,
                            match=f"ntilde must be >= 0 and finite, got {bad}"):
@@ -634,3 +622,46 @@ def test_fock_applier_for_gaussian_rejects_bad_channels():
     with pytest.raises(UnsupportedTask):
         fock_applier_for_gaussian(GaussianChannel(
             np.array([[0.5, 0.0], [0.0, 0.9]]), E2))
+
+
+def _seeded_realizable_channels(seed=9, count=10):
+    rng = np.random.default_rng(seed)
+    channels = [CanonicalB1(), PureLoss(0.6), QuantumLimitedAmp(1.8)] + RAW_CHANNELS
+    for _ in range(count):
+        k = rng.uniform(0.2, 2.0)
+        floor = abs(1.0 - k * k) / 2.0
+        channels += [CanonicalC(rng.uniform(0.2, 2.5), rng.uniform(0.0, 1.0)),
+                     GaussianChannel(k * E2, np.diag(floor + rng.uniform(0.0, 0.8, 2)),
+                                     rng.normal(0.0, 1.0, 2))]
+    return channels
+
+
+@pytest.mark.parametrize("channel", _seeded_realizable_channels(), ids=_name)
+def test_realization_recomposes_to_the_channel(channel):
+    # loss T then a quantum-limited amplifier G, the remainder as classical
+    # noise on its axis and the mean beta give back (K, M, disp)
+    T, gain, remainder, axis, beta = schemes._loss_amp_realization(
+        schemes.channel_form(channel))
+    chain = to_gaussian(Compose([PureLoss(T), QuantumLimitedAmp(gain)]))
+    M = chain.M.copy()
+    M[axis, axis] += remainder
+    disp = math.sqrt(2.0) * np.array([beta.real, beta.imag])
+    want = channel if isinstance(channel, GaussianChannel) else to_gaussian(channel)
+    assert np.abs(chain.K - want.K).max() <= 1e-12
+    assert np.abs(M - want.M).max() <= 1e-12
+    assert np.abs(disp - want.disp).max() <= 1e-12
+
+
+def test_channel_form_refuses_a_negative_or_non_isotropic_gain():
+    # K = -0.5 I is a pi-rotated attenuator: proportional to the identity, but k < 0
+    flipped = GaussianChannel(-0.5 * E2, 0.375 * E2)
+    assert is_cp_channel(flipped)
+    for channel in (flipped, HeterodyneMP(0.0),
+                    GaussianChannel(np.diag([0.5, 0.9]), E2)):
+        with pytest.raises(UnsupportedTask, match="K = k I and k > 0"):
+            schemes.channel_form(channel)
+    with pytest.raises(NotCompletelyPositive):
+        schemes.channel_form(GaussianChannel(2.0 * E2, np.zeros((2, 2))))
+    form = schemes.channel_form(PureLoss(0.6))
+    assert form.k2 == 0.6 and not form.rotated  # exact, not sqrt(0.6) ** 2
+    assert form.extra.tolist() == [0.0, 0.0]

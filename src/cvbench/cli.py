@@ -8,11 +8,20 @@ renamed over the destination only once the document is complete, with the
 mode a plain open() would have given it.  Sweep tables are written in
 blocks of rows, so their memory does not grow with the grid.
 
+Each subcommand declares its flags once, in one table of (flag, type,
+default, help) rows; the parser, the help's defaults, the config-file keys
+and their type checks, and the echoed configuration all come from it.  A
+subcommand takes only the flags it reads, plus the common --seed, --out and
+--config.  A --config file is a JSON object keyed by flag names without
+their dashes, "-" written as "_"; explicit flags win over it, and it over
+the table's defaults.
+
 Exit codes:
 
 * 0 -- success (for certify: QUANTUM_DOMAIN; for proofcheck: all checks pass)
 * 1 -- NOT_CERTIFIED verdict, failed check, or non-converged computation
-* 2 -- usage errors: bad flags, unknown config keys, oversized sweep grids
+* 2 -- usage errors: bad flags or config values, unknown config keys, oversized
+  sweep grids
 * 3 -- channel outside the completely-positive domain
 * 4 -- malformed or inadequate dataset (CSV errors carry a line number)
 * 5 -- simulation engines disagree beyond tolerance
@@ -49,35 +58,81 @@ EXIT_DISAGREE = 5
 _SMALL_LAM = 1e-3
 _HASH_BLOCK = 1 << 20             # --input is hashed in blocks, so memory stays bounded
 
-# Config-file keys accepted per subcommand, mapped to argparse dests.  The
-# common keys ride along on every subcommand.
-_COMMON_KEYS = {"seed": "seed", "format": "fmt", "out": "out",
-                "tolerance": "tolerance"}
-_COMMAND_KEYS = {
-    "bound": {"eta": "eta", "lambda": "lam", "n_copies": "n_copies"},
-    "simulate": {"channel": "channel", "eta": "eta", "lambda": "lam",
-                 "engine": "engine", "cutoff": "cutoff", "quad": "quad"},
-    "certify": {"input": "input", "fbar": "fbar", "se": "se",
-                "channel": "channel", "method": "method", "eta": "eta",
-                "lambda": "lam", "k": "k", "n_boot": "n_boot",
-                "weights": "weights"},
-    "sweep": {"grid": "grid", "eta": "eta", "lambda": "lam", "g": "g",
-              "ntilde": "ntilde", "n_copies": "n_copies"},
-    "proofcheck": {"copies": "copies", "eta": "eta", "lambda": "lam",
-                   "trials": "trials", "cutoff": "cutoff",
-                   "two_copy_cutoff": "two_copy_cutoff",
-                   "corrupt_bound": "corrupt_bound"},
+# Each subcommand's flags, one row each: (flag, type, default, help).  A type
+# is int, float, str, a tuple of choices, or -- for sweep axes and the grid,
+# which a config file may give as JSON -- list or dict.  A row's config key
+# and resolved name is the flag without its dashes, "-" written as "_".
+_COMMON_FLAGS = (
+    ("--seed", int, 0, "random seed recorded in the output"),
+    ("--out", str, None, "write output to this path (atomic; default stdout)"),
+)
+_FLAGS = {
+    "bound": (
+        ("--eta", float, None, "task gain"),
+        ("--lambda", float, 0.0, "prior width (0 = flat-prior limit)"),
+        ("--n-copies", int, 1, "input copies available to the sender"),
+    ),
+    "simulate": (
+        ("--channel", str, None, "channel JSON (inline, or a path/@path to a file)"),
+        ("--eta", float, None, "task gain (default: the channel's own gain when isotropic)"),
+        ("--lambda", float, 0.0,
+         "prior width (0 maps to closed forms or to 1e-3 with a warning)"),
+        ("--engine", ("gaussian", "fock", "both"), "gaussian", "which engine averages"),
+        ("--cutoff", int, None,
+         f"truncation for the fock engine, 1..{fock._MAX_AUTO_CUTOFF}; the prior "
+         "average uses one node per level (default: the smallest cutoff whose "
+         "truncated prior weights are at most 1e-10)"),
+        ("--quad", str, None,
+         "ignored, with a warning: the fock engine's prior rule follows from the cutoff"),
+        ("--tolerance", float, 1e-3,
+         "allowed |gaussian - fock| gap of --engine both, beyond the fock error estimate"),
+    ),
+    "certify": (
+        ("--input", str, None, "CSV of quadrature samples"),
+        ("--fbar", float, None, "average-fidelity estimate (fidelity method)"),
+        ("--se", float, 0.0, "standard error of --fbar"),
+        ("--channel", str, None, "channel JSON to certify exactly (fidelity method)"),
+        ("--method", ("variance", "fidelity"), None,
+         "verdict from the variance test or the fidelity bound (default: variance "
+         "with --input, else fidelity)"),
+        ("--eta", float, None, "declared task gain"),
+        ("--lambda", float, None, "prior width of the probe ensemble"),
+        ("--k", float, 3.0, "required margin in standard errors"),
+        ("--n-boot", int, 1000, "bootstrap resamples (0 = analytic SE)"),
+        ("--weights", str, None,
+         "comma-separated probe weights overriding the prior weighting"),
+    ),
+    "sweep": (
+        ("--grid", dict, None, 'grid JSON, e.g. {"eta": [0.5, 1], "lambda": [0, 0.2]}'),
+        ("--eta", list, None, "comma-separated eta values"),
+        ("--lambda", list, None, "comma-separated lambda values"),
+        ("--g", list, None, "comma-separated re-preparation gains"),
+        ("--ntilde", list, None, "comma-separated added-noise values (isotropic family)"),
+        ("--n-copies", list, None, "comma-separated copy counts"),
+        ("--format", ("csv", "json"), None, "output: a CSV table, or one JSON document"),
+    ),
+    "proofcheck": (
+        ("--copies", int, 3,
+         f"circulant size for the identity checks, 1..{proofcheck._MAX_COPIES}"),
+        ("--eta", float, 1.0, "task gain"),
+        ("--lambda", float, 0.2, "prior width"),
+        ("--trials", int, 25,
+         f"random probes for the operator bound, 0..{proofcheck._MAX_TRIALS}"),
+        ("--cutoff", int, 14,
+         f"truncation for the operator bound, 1..{proofcheck._MAX_SCORE_CUTOFF}"),
+        ("--two-copy-cutoff", int, 16,
+         "truncation for the two-copy consistency check, "
+         f"1..{proofcheck._MAX_SCORE_CUTOFF}"),
+        ("--corrupt-bound", float, 1.0,
+         "self-test: scale the bound by this factor (0.9 must fail)"),
+    ),
 }
-
-_DEFAULTS = {
-    "bound": {"lam": 0.0, "n_copies": 1},
-    "simulate": {"lam": 0.0, "engine": "gaussian"},
-    "certify": {"se": 0.0, "k": 3.0, "n_boot": 1000},
-    "sweep": {},
-    "proofcheck": {"copies": 3, "eta": 1.0, "lam": 0.2, "trials": 25,
-                   "cutoff": 14, "two_copy_cutoff": 16, "corrupt_bound": 1.0},
-    "common": {"seed": 0, "tolerance": 1e-3},
-}
+# The JSON values a config file may give for each type, and their description;
+# a tuple type takes its choices
+_CONFIG_TYPES = {int: ((int,), "a whole number"), float: ((int, float), "a number"),
+                 str: ((str,), "a string"),
+                 list: ((str, list, int, float), "a list or comma-separated numbers"),
+                 dict: ((str, dict), "a JSON object")}
 
 _SWEEP_KEY_ORDER = ("eta", "lambda", "g", "ntilde", "n_copies")
 _SWEEP_MAX_POINTS = 10 ** 6
@@ -88,111 +143,59 @@ class _Usage(Exception):
     """Internal marker for post-parse usage problems (exit 2)."""
 
 
+# Exit code of each exception a run may end in; the first row that matches wins.
+_EXIT_CODES = (((_Usage, InvalidInput, UnsupportedTask, OSError), EXIT_USAGE),
+               (DatasetError, EXIT_DATA),
+               (DomainError, EXIT_CP),        # NotCompletelyPositive among them
+               (ToolkitError, EXIT_FAIL))     # ConvergenceError, CutoffTooSmall
+
+
+def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
+    # Every flag parses to None when absent, so _resolve can tell it from a
+    # config-file value or the table's default.
+    for flag, kind, default, text in rows:
+        parser.add_argument(flag, type=kind if kind in (int, float) else None,
+                            choices=kind if isinstance(kind, tuple) else None,
+                            help=text if default is None else f"{text} (default {default})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed recorded in the output (default 0)")
-    common.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None,
-                        help="output format (default json; sweep defaults to csv)")
-    common.add_argument("--out", default=None,
-                        help="write output to this path (atomic; default stdout)")
-    common.add_argument("--config", default=None,
-                        help="JSON config file merged under explicit flags")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="tolerance override (engine agreement, check slack)")
+    _add_flags(common, _COMMON_FLAGS)
+    common.add_argument("--config", help="JSON config file merged under explicit flags")
 
     parser = argparse.ArgumentParser(
         prog="cvbench",
         description="benchmarks and certification for coherent-state "
                     "transformation tasks on one bosonic mode")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", parents=[common],
-                       help="classical fidelity bound and related thresholds")
-    p.add_argument("--eta", type=float, default=None, help="task gain")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="prior width (0 = flat-prior limit)")
-    p.add_argument("--n-copies", dest="n_copies", type=int, default=None,
-                   help="input copies available to the sender (default 1)")
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="average task fidelity of a channel, by engine")
-    p.add_argument("--channel", default=None,
-                   help="channel JSON (inline, or a path/@path to a file)")
-    p.add_argument("--eta", type=float, default=None,
-                   help="task gain (default: the channel's own gain when isotropic)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="prior width (0 maps to closed forms or to 1e-3 with a warning)")
-    p.add_argument("--engine", choices=["gaussian", "fock", "both"], default=None)
-    p.add_argument("--cutoff", type=int, default=None,
-                   help=f"truncation for the fock engine, 1..{fock._MAX_AUTO_CUTOFF}; the "
-                        "prior average uses one node per level (default: the smallest "
-                        "cutoff whose truncated prior weights are at most 1e-10)")
-    p.add_argument("--quad", default=None,
-                   help="ignored, with a warning: the fock engine's prior rule "
-                        "follows from the cutoff")
-
-    p = sub.add_parser("certify", parents=[common],
-                       help="quantum-domain verdict from data or a model")
-    p.add_argument("--input", default=None, help="CSV of quadrature samples")
-    p.add_argument("--fbar", type=float, default=None,
-                   help="average-fidelity estimate (fidelity method)")
-    p.add_argument("--se", type=float, default=None,
-                   help="standard error of --fbar (default 0)")
-    p.add_argument("--channel", default=None,
-                   help="channel JSON to certify exactly (fidelity method)")
-    p.add_argument("--method", choices=["variance", "fidelity"], default=None)
-    p.add_argument("--eta", type=float, default=None, help="declared task gain")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="prior width of the probe ensemble")
-    p.add_argument("--k", type=float, default=None,
-                   help="required margin in standard errors (default 3)")
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=None,
-                   help="bootstrap resamples (default 1000; 0 = analytic SE)")
-    p.add_argument("--weights", default=None,
-                   help="comma-separated probe weights overriding the prior weighting")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="Cartesian parameter sweep of the closed forms")
-    p.add_argument("--grid", default=None,
-                   help='grid JSON, e.g. {"eta": [0.5, 1], "lambda": [0, 0.2]}')
-    p.add_argument("--eta", default=None, help="comma-separated eta values")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="comma-separated lambda values")
-    p.add_argument("--g", default=None,
-                   help="comma-separated re-preparation gains")
-    p.add_argument("--ntilde", default=None,
-                   help="comma-separated added-noise values (isotropic family)")
-    p.add_argument("--n-copies", dest="n_copies", default=None,
-                   help="comma-separated copy counts")
-
-    p = sub.add_parser("proofcheck", parents=[common],
-                       help="run the bound's supporting identity and operator checks")
-    p.add_argument("--copies", type=int, default=None,
-                   help="circulant size for the identity checks, "
-                        f"1..{proofcheck._MAX_COPIES} (default 3)")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None,
-                   help="random probes for the operator bound, "
-                        f"0..{proofcheck._MAX_TRIALS} (default 25)")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation for the operator bound, "
-                        f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 14)")
-    p.add_argument("--two-copy-cutoff", dest="two_copy_cutoff", type=int, default=None,
-                   help="truncation for the two-copy consistency check, "
-                        f"1..{proofcheck._MAX_SCORE_CUTOFF} (default 16)")
-    p.add_argument("--corrupt-bound", dest="corrupt_bound", type=float, default=None,
-                   help="self-test: scale the bound by this factor (0.9 must fail)")
-
+    for command, handler in _HANDLERS.items():
+        _add_flags(sub.add_parser(command, parents=[common], help=handler.__doc__),
+                   _FLAGS[command])
     return parser
 
 
+def _config_value(key: str, kind, value):
+    """A config-file value as its flag's type takes it, or a usage error naming the key."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        want = "one of " + ", ".join(kind)
+    else:
+        accepted, want = _CONFIG_TYPES[kind]
+        if type(value) in accepted:       # so a JSON true is no number
+            try:
+                return float(value) if kind is float else value
+            except OverflowError:
+                pass
+    raise _Usage(f"config key '{key}' wants {want}, got {json.dumps(value)}")
+
+
 def _resolve(args) -> dict:
-    """Merge explicit flags over config-file values over defaults."""
-    keys = dict(_COMMON_KEYS)
-    keys.update(_COMMAND_KEYS[args.command])
-    cfg = {}
+    """Merge explicit flags over config-file values over the table's defaults."""
+    rows = {flag[2:].replace("-", "_"): (kind, default)
+            for flag, kind, default, _ in _COMMON_FLAGS + _FLAGS[args.command]}
+    eff = {key: default for key, (_, default) in rows.items()}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -203,24 +206,19 @@ def _resolve(args) -> dict:
             raise _Usage(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise _Usage("config file must hold a JSON object")
-        unknown = sorted(set(raw) - set(keys))
+        unknown = sorted(set(raw) - set(rows))
         if unknown:
             raise _Usage(f"unknown config keys for '{args.command}': {', '.join(unknown)}")
-        cfg = {keys[k]: v for k, v in raw.items()}
-
-    eff = {d: None for d in keys.values()}
-    eff.update(_DEFAULTS["common"])
-    eff.update(_DEFAULTS[args.command])
-    for key, dest in keys.items():
-        if dest in cfg and cfg[dest] is not None:
-            eff[dest] = cfg[dest]
-    for dest in keys.values():
-        value = getattr(args, dest, None)
+        for key, value in raw.items():
+            if value is not None:
+                eff[key] = _config_value(key, rows[key][0], value)
+    for key in rows:
+        value = getattr(args, key)
         if value is not None:
-            eff[dest] = value
+            eff[key] = value
     eff["command"] = args.command
-    eff["config_echo"] = {key: eff[dest] for key, dest in sorted(keys.items())
-                          if key != "out" and eff[dest] is not None}
+    eff["config_echo"] = {key: eff[key] for key in sorted(rows)
+                          if key != "out" and eff[key] is not None}
     return eff
 
 
@@ -251,7 +249,7 @@ def _atomic_write(chunks, path: str) -> None:
 
 def _emit(payload: dict | None, eff: dict, table=None) -> None:
     """Write the run's document: a CSV table's text chunks when there are any, else JSON."""
-    if eff.get("fmt") == "csv" and table is not None:
+    if table is not None:
         preamble = (f"# version={__version__}\n"
                     f"# command={eff['command']}\n"
                     f"# seed={eff['seed']}\n"
@@ -262,7 +260,7 @@ def _emit(payload: dict | None, eff: dict, table=None) -> None:
                     "seed": eff["seed"], "config": eff["config_echo"]}
         document.update(payload)
         chunks = [json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"]
-    if eff.get("out"):
+    if eff["out"]:
         _atomic_write(chunks, eff["out"])
     else:
         sys.stdout.writelines(chunks)
@@ -319,8 +317,9 @@ def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
 
 
 def _cmd_bound(eff: dict):
+    """classical fidelity bound and related thresholds"""
     _require(eff, "eta")
-    eta, lam, n = float(eff["eta"]), float(eff["lam"]), int(eff["n_copies"])
+    eta, lam, n = eff["eta"], eff["lambda"], eff["n_copies"]
     result = {"eta": eta, "lambda": lam, "n_copies": n,
               "classical_bound": classical_bound(eta, lam, n)}
     if n == 1:
@@ -335,27 +334,27 @@ def _cmd_bound(eff: dict):
 
 
 def _cmd_simulate(eff: dict):
+    """average task fidelity of a channel, by engine"""
     _require(eff, "channel")
-    cutoff = eff.get("cutoff")
+    cutoff = eff["cutoff"]
     if cutoff is not None and not 1 <= cutoff <= fock._MAX_AUTO_CUTOFF:
         raise _Usage(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
                      f"got {cutoff}")
-    channel, gauss = _load_cp_channel(str(eff["channel"]))
+    channel, gauss = _load_cp_channel(eff["channel"])
     warnings = []
-    if eff.get("quad") is not None:
+    if eff["quad"] is not None:
         warnings.append("--quad is ignored: the fock engine evaluates one "
                         "prior node per level of the cutoff")
 
-    eta = eff.get("eta")
+    eta = eff["eta"]
     if eta is None:
         try:
             eta = schemes.channel_form(channel).k2
         except UnsupportedTask as exc:
             raise _Usage(f"cannot infer a task gain ({exc}); pass --eta")
         warnings.append(f"task gain defaulted to the channel's own gain {eta:.6g}")
-    eta, lam = float(eta), float(eff["lam"])
-    engine = eff["engine"]
-    tolerance = float(eff["tolerance"])
+    eta, lam = float(eta), eff["lambda"]
+    engine, tolerance = eff["engine"], eff["tolerance"]
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise _Usage(f"--tolerance must be >= 0 and finite, got {tolerance}")
 
@@ -381,13 +380,11 @@ def _cmd_simulate(eff: dict):
         lam_fock = 0.2 if cutoff is not None else \
             max(0.2, fock.narrowest_auto_lambda(eta))
     elif lam == 0.0:
-        lam_gauss = lam_fock = _SMALL_LAM
+        lam_gauss = lam_fock = _flat_prior_proxy(
+            lam, warnings, " for an unmatched channel, whose flat-prior average diverges")
 
     fbar_gauss = None
     if engine in ("gaussian", "both"):
-        if lam_gauss != lam:
-            warnings.append("the flat-prior average diverges for an unmatched "
-                            f"channel; evaluated at lambda = {lam_gauss} instead")
         fbar_gauss = average_fidelity_gaussian(gauss, eta, lam_gauss)
         result["fbar_gaussian"] = fbar_gauss
         result["lambda_used_gaussian"] = lam_gauss
@@ -395,9 +392,6 @@ def _cmd_simulate(eff: dict):
         if matched and lam_fock != lam:
             warnings.append("matched channel: the average is prior-independent, "
                             f"so the truncated engine ran at lambda = {lam_fock}")
-        elif lam_fock != lam:
-            warnings.append("the truncated engine averages over a proper prior; "
-                            f"evaluated at lambda = {lam_fock} instead")
         try:
             avg = fock.average_fidelity_fock(schemes.phase_averaged_applier(channel),
                                              eta, lam_fock, cutoff=cutoff, max_error=0.5)
@@ -431,29 +425,29 @@ def _cmd_simulate(eff: dict):
 
 
 def _certify_dataset(eff: dict, warnings: list):
-    _require(eff, "input", "lam")
-    lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for grid weighting")
+    _require(eff, "input", "lambda")
+    lam = _flat_prior_proxy(eff["lambda"], warnings, " for grid weighting")
     weights = None
-    if eff.get("weights") is not None:
+    if eff["weights"] is not None:
         try:
-            weights = [float(x) for x in str(eff["weights"]).split(",")]
+            weights = [float(x) for x in eff["weights"].split(",")]
         except ValueError:
             raise _Usage(f"--weights wants comma-separated numbers, got {eff['weights']!r}")
     return certify.read_dataset_csv(eff["input"], lam=lam,
-                                    eta_declared=eff.get("eta"),
+                                    eta_declared=eff["eta"],
                                     weights=weights)
 
 
 def _cmd_certify(eff: dict):
+    """quantum-domain verdict from data or a model"""
     warnings = []
-    method = eff.get("method")
+    method = eff["method"]
     if method is None:
-        method = "variance" if eff.get("input") else "fidelity"
-    seed, k = int(eff["seed"]), float(eff["k"])
-    n_boot = int(eff["n_boot"])
+        method = "variance" if eff["input"] else "fidelity"
+    seed, k, n_boot = eff["seed"], eff["k"], eff["n_boot"]
 
     digest = None
-    if eff.get("input"):
+    if eff["input"]:
         sha = hashlib.sha256()
         with open(eff["input"], "rb") as fh:
             while block := fh.read(_HASH_BLOCK):
@@ -463,20 +457,19 @@ def _cmd_certify(eff: dict):
     if method == "variance":
         ds = _certify_dataset(eff, warnings)
         report = certify.certify_by_variance(ds, k=k, n_boot=n_boot, seed=seed)
-    elif eff.get("input"):
+    elif eff["input"]:
         ds = _certify_dataset(eff, warnings)
         report = certify.certify_by_fidelity_from_variance(ds, k=k, n_boot=n_boot,
                                                            seed=seed)
-    elif eff.get("fbar") is not None:
-        _require(eff, "eta", "lam")
-        report = certify.certify_by_fidelity(float(eff["fbar"]), float(eff["eta"]),
-                                             float(eff["lam"]),
-                                             se=float(eff["se"]), k=k)
-    elif eff.get("channel") is not None:
-        _require(eff, "eta", "lam")
-        _, gauss = _load_cp_channel(str(eff["channel"]))
-        lam = _flat_prior_proxy(float(eff["lam"]), warnings)
-        report = certify.certify_by_fidelity(gauss, float(eff["eta"]), lam, k=k)
+    elif eff["fbar"] is not None:
+        _require(eff, "eta", "lambda")
+        report = certify.certify_by_fidelity(eff["fbar"], eff["eta"], eff["lambda"],
+                                             se=eff["se"], k=k)
+    elif eff["channel"] is not None:
+        _require(eff, "eta", "lambda")
+        _, gauss = _load_cp_channel(eff["channel"])
+        lam = _flat_prior_proxy(eff["lambda"], warnings)
+        report = certify.certify_by_fidelity(gauss, eff["eta"], lam, k=k)
     else:
         raise _Usage("certify needs --input, --fbar, or --channel")
 
@@ -567,8 +560,9 @@ def _sweep_csv(names: list, columns: list, shape: tuple):
 
 
 def _cmd_sweep(eff: dict):
+    """Cartesian parameter sweep of the closed forms"""
     grid = {}
-    if eff.get("grid") is not None:
+    if eff["grid"] is not None:
         raw = eff["grid"]
         if isinstance(raw, str):
             try:
@@ -578,10 +572,7 @@ def _cmd_sweep(eff: dict):
         if not isinstance(raw, dict):
             raise _Usage("--grid must be a JSON object of lists")
         grid.update(raw)
-    for key, dest in (("eta", "eta"), ("lambda", "lam"), ("g", "g"),
-                      ("ntilde", "ntilde"), ("n_copies", "n_copies")):
-        if eff.get(dest) is not None:
-            grid[key] = eff[dest]
+    grid.update((key, eff[key]) for key in _SWEEP_KEY_ORDER if eff[key] is not None)
     unknown = sorted(set(grid) - set(_SWEEP_KEY_ORDER))
     if unknown:
         raise _Usage(f"unknown sweep keys: {', '.join(unknown)} "
@@ -596,9 +587,7 @@ def _cmd_sweep(eff: dict):
                      f"{_SWEEP_MAX_POINTS} allowed; split the sweep")
     names, columns = _sweep_columns(values)
 
-    if eff.get("fmt") is None:
-        eff["fmt"] = "csv"
-    if eff["fmt"] == "csv":
+    if eff["format"] != "json":
         return None, EXIT_OK, _sweep_csv(names, columns, shape)
     rows = [list(r) for r in zip(*(np.broadcast_to(c, shape).ravel().tolist()
                                    for c in columns))]
@@ -606,8 +595,9 @@ def _cmd_sweep(eff: dict):
 
 
 def _cmd_proofcheck(eff: dict):
-    copies, trials = int(eff["copies"]), int(eff["trials"])
-    cutoff, two_cutoff = int(eff["cutoff"]), int(eff["two_copy_cutoff"])
+    """run the bound's supporting identity and operator checks"""
+    copies, trials = eff["copies"], eff["trials"]
+    cutoff, two_cutoff = eff["cutoff"], eff["two_copy_cutoff"]
     for flag, value, low, high in (
             ("--copies", copies, 1, proofcheck._MAX_COPIES),
             ("--trials", trials, 0, proofcheck._MAX_TRIALS),
@@ -616,10 +606,8 @@ def _cmd_proofcheck(eff: dict):
         if not low <= value <= high:
             raise _Usage(f"{flag} must be between {low} and {high}, got {value}")
     warnings = []
-    lam = _flat_prior_proxy(float(eff["lam"]), warnings, " for the operator checks")
-    eta = float(eff["eta"])
-    seed = int(eff["seed"])
-    scale = float(eff["corrupt_bound"])
+    lam = _flat_prior_proxy(eff["lambda"], warnings, " for the operator checks")
+    eta, seed, scale = eff["eta"], eff["seed"], eff["corrupt_bound"]
     if scale != 1.0:
         warnings.append(f"self-test mode: bound scaled by {scale}; failures "
                         "are expected when the scale is below 1")
@@ -659,33 +647,22 @@ def main(argv=None) -> int:
     try:
         eff = _resolve(args)
         payload, code, table = _HANDLERS[args.command](eff)
+        # Checked after the handler, whose own message for a value it reads
+        # comes first; a non-finite value cannot go out in the JSON echo.
+        for key, value in eff["config_echo"].items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _Usage(f"--{key.replace('_', '-')} must be finite, got {value}")
         _emit(payload, eff, table)
         return code
-    except _Usage as exc:
+    except Exception as exc:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
+        if isinstance(exc, DatasetError):
+            where = f" (line {exc.line})" if exc.line is not None else ""
+            exc = f"dataset error{where}: {exc}"
         print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotCompletelyPositive as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_CP
-    except DatasetError as exc:
-        where = f" (line {exc.line})" if exc.line is not None else ""
-        print(f"cvbench {args.command}: dataset error{where}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InvalidInput, UnsupportedTask) as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_CP
-    except (ConvergenceError, CutoffTooSmall) as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ToolkitError as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
-        print(f"cvbench {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@ import json
 import math
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,16 @@ def test_simulate_flat_prior_failure_names_the_proxy_the_cutoff_and_the_lost_wei
     assert "flat-prior proxy" in err and "lambda = 0.001" in err
     assert "cutoff 24" in err
     assert f"tau_in = {1.001 ** -24:.3g}" in err
+
+
+def test_simulate_unmatched_flat_prior_gives_one_proxy_warning(capsys):
+    code, doc, _ = run_json(capsys, "simulate", "--channel",
+                            '{"type": "pure_loss", "T": 0.6}', "--eta", "0.8",
+                            "--lambda", "0")
+    assert code == 0
+    assert doc["warnings"] == ["flat prior replaced by lambda = 0.001 for an unmatched "
+                               "channel, whose flat-prior average diverges"]
+    assert doc["result"]["lambda_used_gaussian"] == 0.001
 
 
 def test_simulate_ignores_quad_with_a_warning(capsys):
@@ -725,24 +737,130 @@ def test_every_documented_exit_code_is_reached(capsys, monkeypatch, tmp_path):
     assert reached == {code: code for code in documented}
 
 
-def test_config_file_merges_under_flags(capsys, tmp_path):
+# Per subcommand: a config file holding every key of its flag table, the
+# explicit flags laid over it, and what they change in the echoed config.
+FULL_CONFIGS = {
+    "bound": ({"eta": 2, "lambda": 0.5, "n_copies": 1},
+              ["--lambda", "0.25"], {"eta": 2.0, "lambda": 0.25}),
+    "simulate": ({"channel": '{"type": "pure_loss", "T": 0.5}', "eta": 0.5,
+                  "lambda": 0.3, "engine": "both", "cutoff": 24, "quad": "6,4",
+                  "tolerance": 0.002},
+                 ["--engine", "gaussian", "--tolerance", "0.01"],
+                 {"engine": "gaussian", "tolerance": 0.01}),
+    "certify": ({"input": None, "fbar": 0.9, "se": 0.01,
+                 "channel": '{"type": "pure_loss", "T": 0.6}', "method": "fidelity",
+                 "eta": 0.6, "lambda": 0.1, "k": 2, "n_boot": 0,
+                 "weights": "1,1,1,1,1,1,1,1"},
+                ["--k", "3"], {"k": 3.0}),
+    "sweep": ({"grid": {"eta": [2.0], "lambda": [0.1]}, "eta": [0.5, 1],
+               "lambda": "0.1,0.2", "g": [0.5], "ntilde": 0.1, "n_copies": [1, 2],
+               "format": "json"},
+              ["--lambda", "0.3"], {"lambda": "0.3"}),
+    "proofcheck": ({"copies": 2, "eta": 1, "lambda": 0.2, "trials": 2, "cutoff": 8,
+                    "two_copy_cutoff": 16, "corrupt_bound": 1},
+                   ["--trials", "3"], {"eta": 1.0, "trials": 3, "corrupt_bound": 1.0}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+def test_config_file_merges_under_flags(capsys, tmp_path, command):
+    config, flags, changed = FULL_CONFIGS[command]
+    config = dict(config, seed=3, out=str(tmp_path / "out.json"))
+    if command == "certify":
+        config["input"] = str(loss_csv(tmp_path))
+    table = cli._COMMON_FLAGS + cli._FLAGS[command]
+    assert set(config) == {flag[2:].replace("-", "_") for flag, *_ in table}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"eta": 2.0, "lambda": 0.5}')
-    code, doc, _ = run_json(capsys, "bound", "--config", str(cfg),
-                            "--lambda", "0.25")
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, command, "--config", str(cfg), *flags, "--seed", "9")
+    assert code == 0 and out == ""
+    doc = json.loads((tmp_path / "out.json").read_text())
+    del config["out"]
+    assert doc["config"] == dict(config, **changed, seed=9)
+    assert doc["seed"] == 9
+
+
+def test_config_values_reach_the_handler_as_their_flags_type(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"eta": 2, "lambda": 0.5}')
+    code, doc, _ = run_json(capsys, "bound", "--config", str(cfg), "--lambda", "0.25")
     assert code == 0
-    assert doc["result"]["eta"] == 2.0        # from the config file
+    assert doc["result"]["eta"] == 2.0 and isinstance(doc["result"]["eta"], float)
     assert doc["result"]["lambda"] == 0.25    # flag wins
-    assert doc["config"] == {"eta": 2.0, "lambda": 0.25, "n_copies": 1,
-                             "seed": 0, "tolerance": 1e-3}
 
 
-def test_unknown_config_key_is_a_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("command, config, message", [
+    ("bound", {"eta": "abc"}, "config key 'eta' wants a number, got \"abc\""),
+    ("simulate", {"cutoff": "40", "channel": '{"type": "pure_loss", "T": 0.5}',
+                  "eta": 0.5, "lambda": 0.3, "engine": "fock"},
+     "config key 'cutoff' wants a whole number, got \"40\""),
+    ("bound", {"n_copies": 2.5, "eta": 1}, "config key 'n_copies' wants a whole number, got 2.5"),
+    ("bound", {"eta": True}, "config key 'eta' wants a number, got true"),
+    ("bound", {"eta": 10 ** 400}, "config key 'eta' wants a number"),
+    ("simulate", {"engine": "fast"}, "config key 'engine' wants one of gaussian, fock, both"),
+    ("certify", {"channel": {"type": "pure_loss", "T": 0.5}}, "config key 'channel' wants a string"),
+    ("sweep", {"grid": [1, 2]}, "config key 'grid' wants a JSON object"),
+    ("sweep", {"eta": {"a": 1}}, "config key 'eta' wants a list or comma-separated numbers"),
+], ids=["text-for-float", "text-for-int", "fraction-for-int", "bool-for-float",
+        "overflowing-int", "unknown-choice", "object-for-text", "list-for-grid",
+        "object-for-axis"])
+def test_config_values_are_checked_by_their_flags_type(capsys, tmp_path, command,
+                                                        config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"etaa": 1.0}')
-    code, _, err = run(capsys, "bound", "--eta", "1", "--config", str(cfg))
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("bound", {"etaa": 1.0}, "etaa"),
+    ("bound", {"tolerance": 1e-3}, "tolerance"),
+    ("certify", {"format": "csv"}, "format"),
+    ("sweep", {"tolerance": 7}, "tolerance"),
+])
+def test_unknown_config_key_is_a_usage_error(capsys, tmp_path, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, command, "--eta", "1", "--config", str(cfg))
     assert code == 2
-    assert "etaa" in err
+    assert f"unknown config keys for '{command}': {key}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--eta", "1", "--tolerance", "1"),
+    ("bound", "--eta", "1", "--tolerance", "nan"),
+    ("bound", "--eta", "1", "--format", "csv"),
+    ("sweep", "--eta", "1", "--tolerance", "7"),
+    ("proofcheck", "--format", "json"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("proofcheck", "--corrupt-bound", "nan", "--trials", "2"),
+     "--corrupt-bound must be finite, got nan"),
+    (("proofcheck", "--corrupt-bound", "inf", "--trials", "2"),
+     "--corrupt-bound must be finite, got inf"),
+    (("certify", "--channel", '{"type":"pure_loss","T":0.5}', "--eta", "0.5",
+      "--lambda", "0.2", "--se", "nan"), "--se must be finite, got nan"),
+])
+def test_a_non_finite_flag_value_is_a_usage_error_that_names_it(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"cvbench {argv[0]}: {message}" in err
+
+
+def test_a_non_finite_config_value_is_a_usage_error_that_names_it(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"se": NaN}')
+    code, out, err = run(capsys, "certify", "--config", str(cfg), "--channel",
+                         '{"type":"pure_loss","T":0.5}', "--eta", "0.5", "--lambda", "0.2")
+    assert code == 2 and out == ""
+    assert "--se must be finite, got nan" in err
 
 
 def test_json_output_is_deterministic(capsys):
@@ -765,3 +883,33 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "bound", "--no-such-flag")[0] == 2
     assert run(capsys, "bound")[0] == 2          # --eta is required
     assert run(capsys)[0] == 2                   # a subcommand is required
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+COMMAND_LINE = README.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_examples():
+    block = COMMAND_LINE.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_examples() if "--input" not in a],
+                         ids=lambda argv: argv[1])
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)      # sweep --out writes its table here
+    assert argv[0] == "cvbench"
+    assert main(argv[1:]) == 0
+    capsys.readouterr()
+
+
+def test_readme_lists_each_subcommands_flags():
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", COMMAND_LINE, re.M)
+    listed = {command: set(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows}
+    assert listed == {command: {flag for flag, *_ in table}
+                      for command, table in cli._FLAGS.items()}

@@ -159,7 +159,12 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
                             help=text if default is None else f"{text} (default {default})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only `command`'s.
+
+    Both give `command` the same usage text and errors: a parser with one
+    subcommand spells out the full subcommand list of the top-level usage.
+    """
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON_FLAGS)
     common.add_argument("--config", help="JSON config file merged under explicit flags")
@@ -168,10 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvbench",
         description="benchmarks and certification for coherent-state "
                     "transformation tasks on one bosonic mode")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in _HANDLERS.items():
-        _add_flags(sub.add_parser(command, parents=[common], help=handler.__doc__),
-                   _FLAGS[command])
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_HANDLERS) + "}")
+    for name, handler in _HANDLERS.items():
+        if command in (None, name):
+            _add_flags(sub.add_parser(name, parents=[common], help=handler.__doc__),
+                       _FLAGS[name])
     return parser
 
 
@@ -216,6 +224,8 @@ def _resolve(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             eff[key] = value
+    if eff["seed"] < 0:
+        raise _Usage(f"--seed must be >= 0, got {eff['seed']}")
     eff["command"] = args.command
     eff["config_echo"] = {key: eff[key] for key in sorted(rows)
                           if key != "out" and eff[key] is not None}
@@ -454,6 +464,9 @@ def _cmd_certify(eff: dict):
                 sha.update(block)
         digest = sha.hexdigest()
 
+    if eff["se"] != 0.0 and (eff["input"] or eff["fbar"] is None):
+        warnings.append("--se is ignored: it is the standard error of --fbar, "
+                        "which this route does not read")
     if method == "variance":
         ds = _certify_dataset(eff, warnings)
         report = certify.certify_by_variance(ds, k=k, n_boot=n_boot, seed=seed)
@@ -638,7 +651,9 @@ _HANDLERS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked subcommand's parser; anything else gets the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

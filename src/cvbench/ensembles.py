@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .errors import InvalidInput
+
+
+@lru_cache(maxsize=32)
+def laguerre_rule(points: int):
+    """Gauss-Laguerre nodes and weights, `numpy.polynomial.laguerre.laggauss(points)`,
+    computed once per size; the arrays are read-only, since every caller shares them."""
+    nodes, weights = laggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ def gauss_rule(prior: GaussianPrior, radial_points: int = 24,
         raise InvalidInput("need at least 2 radial points")
     if angular_points < 4:
         raise InvalidInput("need at least 4 angular points")
-    t, w_rad = laggauss(radial_points)
+    t, w_rad = laguerre_rule(radial_points)
     radii = np.sqrt(t / prior.lam)
     theta = 2.0 * math.pi * np.arange(angular_points) / angular_points
     phases = np.exp(1j * theta)

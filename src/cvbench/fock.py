@@ -5,7 +5,10 @@ of the vectors and matrices).  Truncation losses are never papered over:
 state constructors report their truncated weight, channel maps leave the
 output trace deficit observable rather than renormalizing, and the prior
 average evaluates the truncated problem exactly (one Gauss-Laguerre node per
-level) and bounds the truncation itself in closed form.
+level) and bounds the truncation itself in closed form.  The prior average
+takes a phase-covariant map as an `OffsetMap`, its kernels per photon-number
+offset, and contracts each offset's kernel against the kets of every node at
+once; it never forms an operator.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.laguerre import laggauss
 
+from .ensembles import laguerre_rule
 from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
 _SQRT2 = math.sqrt(2.0)
@@ -26,9 +29,6 @@ _SQRT2 = math.sqrt(2.0)
 _MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
 _MIXTURE_NODES, _MIXTURE_WEIGHTS = hermgauss(_MIXTURE_POINTS)
 _MIXTURE_WEIGHTS /= math.sqrt(math.pi)  # a probability rule for N(0, 1/2)
-# average_fidelity_fock's chunk budget: its (nodes, cutoff, cutoff) stack of
-# input projectors stays within this many bytes, or holds a single node.
-_BATCH_BYTES = 1 << 20
 _CUTOFF_WEIGHT_TOL = 1e-10  # truncated prior weight select_cutoff aims for
 # The widest cutoff average_fidelity_fock (and `cvbench simulate`) accepts:
 # numpy's laggauss returns NaN weights from 187 nodes on.
@@ -323,6 +323,37 @@ def apply_offset_kernels(matrix: np.ndarray,
     return flat_out.reshape(matrix.shape)
 
 
+class OffsetMap:
+    """A phase-covariant map given by its offset kernels (see `apply_offset_kernels`).
+
+    `factors` are applied in order; each takes a cutoff N and returns the
+    function d -> A_d of its (N-d) x (N-d) kernels.  No factors is the
+    identity.  Calling the map on a FockOperator (one operator or a stack)
+    applies the factors one after another; `kernels` gives the kernels of
+    the whole chain, A_d = A_d^(k) ... A_d^(1), one offset at a time, which
+    is what `average_fidelity_fock` contracts.
+    """
+
+    def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
+        self.factors = factors
+
+    def kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        chain = [factor(cutoff) for factor in self.factors]
+
+        def composed(d):
+            out = np.eye(cutoff - d) if not chain else chain[0](d)
+            for kernel in chain[1:]:
+                out = kernel(d) @ out
+            return out
+        return composed
+
+    def __call__(self, rho: FockOperator) -> FockOperator:
+        out = rho.matrix.copy() if not self.factors else rho.matrix
+        for factor in self.factors:
+            out = apply_offset_kernels(out, factor(rho.cutoff))
+        return FockOperator(out)
+
+
 def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndarray]:
     """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss, from one log-space
     table of the Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i))."""
@@ -333,6 +364,13 @@ def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndar
                    + lost * math.log1p(-transmissivity))
     t = np.exp(np.where(lost >= 0, log_t, -np.inf))
     return lambda d: t[d:, d:] * t[:cutoff - d, :cutoff - d]
+
+
+def _amp_kernels(cutoff: int, gain: float) -> Callable[[int], np.ndarray]:
+    """Offset kernels of the quantum-limited amplifier of gain G > 1: the dual of
+    loss at T = 1/G scaled by 1/G, so loss's kernels transposed and divided by G."""
+    loss = _loss_kernels(cutoff, 1.0 / gain)
+    return lambda d: loss(d).T / gain
 
 
 def heterodyne_kernels(cutoff: int, gain: float,
@@ -367,8 +405,7 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
 def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     """Quantum-limited amplifier of gain G >= 1 via its Kraus family.
 
-    It is the dual of loss at T = 1/G scaled by 1/G, so its offset kernels
-    are loss's, transposed and divided by G.  Weight pushed past the cutoff
+    Its offset kernels are `_amp_kernels`.  Weight pushed past the cutoff
     is dropped, not renormalized, and shows in the output's `trace_deficit`;
     the entries kept are exact.  `average_fidelity_fock` does not read the
     deficit: because the kept entries are exact, its closed-form bound on
@@ -380,8 +417,7 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
         raise InvalidInput(f"amplifier gain must be >= 1, got {G}")
     if G == 1.0:
         return FockOperator(rho.matrix.copy())
-    loss = _loss_kernels(rho.cutoff, 1.0 / G)
-    return FockOperator(apply_offset_kernels(rho.matrix, lambda d: loss(d).T / G))
+    return FockOperator(apply_offset_kernels(rho.matrix, _amp_kernels(rho.cutoff, G)))
 
 
 def _mixture_phases(variance: float, axis: int, cutoff: int):
@@ -529,7 +565,7 @@ def prior_rule(eta: float, lam: float, cutoff: int):
     lam (as (lam / width) w exp((1 + eta) r^2), in log space).
     """
     width = lam + 1.0 + eta
-    t, w = laggauss(cutoff)
+    t, w = laguerre_rule(cutoff)
     return np.sqrt(t / width), lam / width * np.exp(np.log(w) + (1.0 + eta) / width * t)
 
 
@@ -538,22 +574,29 @@ class FockAverage(NamedTuple):
     error: float
 
 
-def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
-                          eta: float, lam: float, cutoff: int | None = None,
+def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
+                          cutoff: int | None = None,
                           max_error: float | None = None) -> FockAverage:
     """Prior-averaged task fidelity of a phase-covariant Fock-space map.
 
-    Sends |r><r| through `applier` for the N = cutoff radii r of `prior_rule`
-    and averages <sqrt(eta) r| rho' |sqrt(eta) r> with its weights.  For a map
-    that is phase-covariant (or is the phase average of a channel's map, as
+    For the N = cutoff radii r of `prior_rule` it averages
+    <sqrt(eta) r| Phi(|r><r|) |sqrt(eta) r> with the rule's weights.  For a
+    phase-covariant map Phi (or the phase average of a channel's map, as
     `schemes.phase_averaged_applier` builds) this is the truncated problem's
     exact value: one real amplitude per radius carries the whole phase
-    average.  Nodes are evaluated in chunks: `applier` receives a
-    FockOperator holding a (B, cutoff, cutoff) stack of input projectors and
-    must return the stack of outputs.  A chunk spans at most 1 MiB of
-    projectors (40 nodes at cutoff 40), and the weighted fidelities are
-    summed node by node in rule order.  The default cutoff comes from
-    `select_cutoff`; no cutoff above 180 is accepted.
+    average.  Phi must be an `OffsetMap`; any other callable is refused.
+    No operator is formed.  The kets phi (at r) and psi (at sqrt(eta) r) are
+    real, so with the composed kernels A_d of the map each node's fidelity is
+
+        F = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
+                                            u_d = psi[d:] * psi[:N-d],
+
+    with c_0 = 1 and c_d = 2 for d >= 1 (the entries above the diagonal map
+    through conj(A_d) and add the complex conjugate).  Every node is done at
+    once, one offset at a time, with one kernel in memory.  A node's
+    fidelity outside [0, 1] beyond 1e-10 is an error; the weighted
+    fidelities are summed node by node in rule order.  The default cutoff
+    comes from `select_cutoff`; no cutoff above 180 is accepted.
 
     The error estimate bounds the truncation.  With the truncated prior
     weights tau_in and tau_out (`truncated_prior_weights`) it is
@@ -565,6 +608,11 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
     lose a relative 1e-13 or so at the widest cutoffs.  Raises
     ConvergenceError when `max_error` is given and exceeded.
     """
+    if not isinstance(offset_map, OffsetMap):
+        raise InvalidInput(
+            f"the prior average needs a phase-covariant map given by its offset "
+            f"kernels (an OffsetMap, e.g. from schemes.phase_averaged_applier), "
+            f"got {offset_map!r}")
     if not (lam > 0 and math.isfinite(lam)):
         raise InvalidInput("prior average needs a finite lambda > 0; use closed forms at lambda = 0")
     if not (eta > 0 and math.isfinite(eta)):
@@ -575,15 +623,22 @@ def average_fidelity_fock(applier: Callable[[FockOperator], FockOperator],
         raise InvalidInput(f"cutoff must be between 1 and {_MAX_AUTO_CUTOFF}, got {cutoff}")
 
     radii, weights = prior_rule(eta, lam, cutoff)
-    chunk = max(1, _BATCH_BYTES // (16 * cutoff * cutoff))
+    # one ket per column: level n in row n, so offset d pairs rows d: and :N-d
+    phi = coherent_amplitudes(radii, cutoff).real
+    psi = coherent_amplitudes(math.sqrt(eta) * radii, cutoff).real
+    kernel = offset_map.kernels(cutoff)
+    fids = np.zeros(cutoff)
+    for d in range(cutoff):
+        v = phi[d:] * phi[:cutoff - d]
+        u = psi[d:] * psi[:cutoff - d]
+        term = np.einsum("ib,ib->b", u, kernel(d).real @ v)
+        fids += term if d == 0 else 2.0 * term
+    outside = (fids < -1e-10) | (fids > 1.0 + 1e-10)
+    if outside.any():
+        raise InvalidInput(f"fidelity {fids[outside][0]} outside [0, 1] beyond rounding tolerance")
     total = 0.0
-    for start in range(0, cutoff, chunk):
-        r = radii[start:start + chunk]
-        kets_in = FockVector(coherent_amplitudes(r, cutoff).T)
-        kets_out = FockVector(coherent_amplitudes(math.sqrt(eta) * r, cutoff).T)
-        fids = fidelity_pure(kets_out, applier(kets_in.projector()))
-        for wf in weights[start:start + chunk] * fids:
-            total += wf  # one running sum in node order, whatever the chunk size
+    for wf in weights * np.clip(fids, 0.0, 1.0):
+        total += wf  # one running sum in node order
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * np.finfo(float).eps
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff

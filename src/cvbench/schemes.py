@@ -8,8 +8,8 @@ Gaussian channel via `to_gaussian` and to a truncated Fock-space map via
 a one-axis displacement mixture for anisotropic noise (CanonicalB1).
 Heterodyne measure-and-prepare has its own closed-form matrix elements
 (`apply_mp_fock`), derived from the measurement, not from (K, M).  The Fock
-engine's prior average consumes the phase average of that map
-(`phase_averaged_applier`).
+engine's prior average consumes the phase average of that map as offset
+kernels (`phase_averaged_applier`).
 """
 
 from __future__ import annotations
@@ -364,8 +364,7 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         out = np.zeros(rho.matrix.shape, dtype=complex)
         out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
     else:
-        out = fock.apply_offset_kernels(
-            rho.matrix, fock.heterodyne_kernels(n, g, math.log1p(g * g)))
+        out = fock.apply_offset_kernels(rho.matrix, _heterodyne_kernels(n, g))
     result = fock.FockOperator(out)
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)
@@ -456,39 +455,70 @@ def fock_applier_for_gaussian(channel: ChannelModel | GaussianChannel):
     return apply
 
 
-def phase_averaged_applier(model: ChannelModel | GaussianChannel):
+def _heterodyne_kernels(cutoff: int, g: float):
+    """Offset kernels of heterodyne measure-and-prepare at gain g (see `apply_mp_fock`)."""
+    if g == 0.0:
+        # every outcome prepares |0>: output <0|.|0> is the trace
+        trace = np.zeros((cutoff, cutoff))
+        trace[0] = 1.0
+        return lambda d: trace if d == 0 else np.zeros((cutoff - d, cutoff - d))
+    return fock.heterodyne_kernels(cutoff, g, math.log1p(g * g))
+
+
+def _mixture_kernels(remainder: float, axis: int, beta: complex):
+    """Offset-kernel factor of the phase-averaged displacement mixture and mean.
+
+    A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]) over the unitaries
+    W_s = D(beta) exp(-i s X) of `fock.mixture_unitaries`, built as each
+    offset is reached.
+    """
+    @lru_cache(maxsize=1)
+    def unitaries(n):
+        # a remainder of 0 gives 20 copies of the identity, up to roundoff
+        weights, u = fock.mixture_unitaries(remainder, axis, n)
+        if abs(beta) > 0:
+            u = fock.displacement(beta, n) @ u
+        return weights, u, u.conj()
+
+    def kernels(n):
+        weights, u, u_conj = unitaries(n)
+        return lambda d: np.tensordot(weights, u[:, d:, d:] * u_conj[:, :n - d, :n - d], 1)
+    return kernels
+
+
+def _offset_factors(model) -> list:
+    """The offset-kernel factors of a model's phase-averaged Fock realization, in order."""
+    if isinstance(model, HeterodyneMP):
+        return [lambda n: _heterodyne_kernels(n, model.g)]
+    if isinstance(model, Compose) and _iso_params(model) is not None:
+        return [f for part in model.parts for f in _offset_factors(part)]
+    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
+    factors = []
+    if T < 1.0:
+        factors.append(lambda n: fock._loss_kernels(n, T))
+    if gain > 1.0:
+        factors.append(lambda n: fock._amp_kernels(n, gain))
+    if remainder > 0 or abs(beta) > 0:
+        factors.append(_mixture_kernels(remainder, axis, beta))
+    return factors
+
+
+def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.OffsetMap:
     """Phase average of a model's Fock realization, as `fock.average_fidelity_fock` needs.
 
     The average over rotations U = exp(-i theta n) of U^dag Phi(U rho U^dag) U
     keeps the part of the map that conserves the photon-number offset, so
     one real amplitude per radius gives the channel's full phase average.
-    Phase-covariant models (loss, amplification, CanonicalC, heterodyne
-    measure-and-prepare and their compositions) are their own phase average.
-    Every other model, compositions containing one included, and a raw
-    GaussianChannel are realized from their exact Gaussian form: the
-    loss-then-amplifier part of `fock_applier_for_gaussian`, then the phase
-    average of rho -> sum_s w_s W_s rho W_s^dag over the unitaries
-    W_s = D(beta) exp(-i s X) of the displacement mixture and the mean,
-    applied as the offset kernels A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]),
-    built once per cutoff.
+    The result is a `fock.OffsetMap`: callable on a FockOperator, and giving
+    its composed kernels per offset.  Phase-covariant models (loss,
+    amplification, CanonicalC, heterodyne measure-and-prepare and their
+    compositions) are their own phase average, with the kernels of
+    `fock_applier`: loss, then the quantum-limited amplifier, or the
+    heterodyne outcome integral.  Every other model, compositions containing
+    one included, and a raw GaussianChannel are realized from their exact
+    Gaussian form: the loss-then-amplifier part of `fock_applier_for_gaussian`,
+    then the phase average of rho -> sum_s w_s W_s rho W_s^dag over the
+    unitaries W_s = D(beta) exp(-i s X) of the displacement mixture and the
+    mean (`_mixture_kernels`).
     """
-    if _iso_params(model) is not None:
-        return fock_applier(model)
-    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
-
-    @lru_cache(maxsize=1)
-    def kernels(n):
-        # a remainder of 0 gives 20 copies of the identity, up to roundoff
-        weights, unitaries = fock.mixture_unitaries(remainder, axis, n)
-        if abs(beta) > 0:
-            unitaries = fock.displacement(beta, n) @ unitaries
-        return [np.einsum("s,sij,sij->ij", weights, unitaries[:, d:, d:],
-                          unitaries[:, :n - d, :n - d].conj()) for d in range(n)]
-
-    def apply(rho):
-        out = fock.apply_amp(fock.apply_loss(rho, T), gain).matrix
-        if remainder > 0 or abs(beta) > 0:
-            out = fock.apply_offset_kernels(out, kernels(rho.cutoff).__getitem__)
-        return fock.FockOperator(out)
-
-    return apply
+    return fock.OffsetMap(*_offset_factors(model))

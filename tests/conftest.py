@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,30 @@ def state_stack():
         mixed = fock.gaussian_state_fock([0.5, -0.8], [[0.9, 0.1], [0.1, 0.7]], cutoff)
         return np.concatenate([stack, mixed.matrix[None]])
     return build
+
+
+@pytest.fixture
+def per_node_average():
+    """`fock.average_fidelity_fock` as the operator loop it replaces.
+
+    The input projectors |r><r| of the prior rule go through `applier` as
+    operators, in stacks of 16 (a map acts on each operator of a stack as on
+    that operator alone), and the fidelities are summed in rule order; the
+    error is the closed-form truncation bound plus its roundoff floor.
+    Takes any map FockOperator -> FockOperator, phase-covariant or not.
+    """
+    def average(applier, eta, lam, cutoff):
+        radii, weights = fock.prior_rule(eta, lam, cutoff)
+        total = 0.0
+        for start in range(0, cutoff, 16):
+            r = radii[start:start + 16]
+            kets_in = fock.FockVector(fock.coherent_amplitudes(r, cutoff).T)
+            kets_out = fock.FockVector(fock.coherent_amplitudes(math.sqrt(eta) * r, cutoff).T)
+            fids = fock.fidelity_pure(kets_out, applier(kets_in.projector()))
+            for w, f in zip(weights[start:start + 16], fids):
+                total += w * f
+        tau_in, tau_out = (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
+        error = 2 * math.sqrt(tau_in) + 2 * math.sqrt(tau_out) + tau_out \
+            + cutoff ** 2 * np.finfo(float).eps
+        return total, error
+    return average

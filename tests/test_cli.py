@@ -202,7 +202,8 @@ def test_simulate_ignores_quad_with_a_warning(capsys):
 @pytest.mark.parametrize("channel", [
     B1, '{"type": "gaussian", "K": [[1.1, 0], [0, 1.1]], "M": [[0.4, 0], [0, 0.2]], '
         '"disp": [0.3, -0.2]}'], ids=["B1", "raw"])
-def test_simulate_fock_engine_averages_the_phase_averaged_map(capsys, channel):
+def test_simulate_fock_engine_averages_the_phase_averaged_map(capsys, channel,
+                                                             per_node_average):
     # One real amplitude per radius is exact only for the phase average of a
     # map that is not phase-covariant; the channel's own map gives another value.
     code, doc, _ = run_json(capsys, "simulate", "--channel", channel, "--eta", "1",
@@ -211,9 +212,9 @@ def test_simulate_fock_engine_averages_the_phase_averaged_map(capsys, channel):
     model = _load_channel_spec(channel)
     expected = fock.average_fidelity_fock(schemes.phase_averaged_applier(model),
                                           1.0, 0.4, cutoff=16)
-    own_map = fock.average_fidelity_fock(schemes.fock_applier(model), 1.0, 0.4, cutoff=16)
+    own_map, _ = per_node_average(schemes.fock_applier(model), 1.0, 0.4, 16)
     assert doc["result"]["fbar_fock"] == expected.value
-    assert abs(own_map.value - expected.value) > 1e-6
+    assert abs(own_map - expected.value) > 1e-6
 
 
 def test_simulate_automatic_cutoff_stops_at_its_cap():
@@ -674,6 +675,65 @@ def test_proofcheck_help_names_the_count_ranges(capsys):
     assert code == 0
     assert "1..512" in out and "0..500" in out
     assert "consistency check, 1..64 (default 16)" in " ".join(out.split())
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_one_subcommand_parser_gives_the_full_parsers_help_and_errors(capsys, command):
+    for argv in ([command, "--help"], [command, "--bogus", "1"], [command, "--seed", "x"],
+                 [command, "--seed"]):
+        one = _parse_exit(capsys, cli.build_parser(command), argv)
+        assert one == _parse_exit(capsys, cli.build_parser(), argv)
+        assert one[0] != 0 or one[1].startswith(f"usage: cvbench {command} ")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for command in ("bound", "simulate", "certify", "sweep", "proofcheck"):
+        assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+
+
+@pytest.mark.parametrize("argv", [
+    ("proofcheck", "--seed", "-1", "--trials", "2"),
+    ("bound", "--eta", "1", "--seed", "-1"),
+    ("sweep", "--eta", "1", "--seed", "-3"),
+    ("simulate", "--channel", '{"type":"pure_loss","T":0.5}', "--seed", "-1"),
+])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"cvbench {argv[0]}: --seed must be >= 0, got -" in err
+
+
+def test_a_negative_seed_is_refused_before_certify_reads_its_data(capsys, tmp_path):
+    code, out, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
+                         "--lambda", "0.1", "--eta", "0.6", "--n-boot", "10",
+                         "--seed", "-5")
+    assert code == 2 and out == ""
+    assert "--seed must be >= 0, got -5" in err
+
+
+def test_certify_warns_that_se_is_ignored_off_the_fbar_route(capsys, tmp_path):
+    channel = ("--channel", '{"type":"pure_loss","T":0.5}', "--eta", "0.5", "--lambda", "0.2")
+    dataset = ("--input", str(loss_csv(tmp_path, n=200)), "--lambda", "0.1",
+               "--eta", "0.6", "--n-boot", "0")
+    for route in (channel, dataset):
+        _, plain, _ = run_json(capsys, "certify", *route)
+        _, with_se, _ = run_json(capsys, "certify", *route, "--se", "0.3")
+        assert with_se["config"]["se"] == 0.3
+        assert with_se["result"] == plain["result"]
+        added = [w for w in with_se["warnings"] if w not in plain["warnings"]]
+        assert len(added) == 1 and "--se is ignored" in added[0]
+    _, doc, _ = run_json(capsys, "certify", "--fbar", "0.9", "--eta", "1",
+                         "--lambda", "0.05", "--se", "0.01")
+    assert not any("--se" in w for w in doc["warnings"])
 
 
 def test_proofcheck_huge_cutoff_is_refused_at_once():

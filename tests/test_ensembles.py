@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvbench.ensembles import GaussianPrior, gauss_rule, sample
+from cvbench.ensembles import GaussianPrior, gauss_rule, laguerre_rule, sample
 from cvbench.errors import InvalidInput
 
 rng = np.random.default_rng(5)
@@ -73,3 +73,15 @@ def test_input_validation():
         gauss_rule(GaussianPrior(1.0), radial_points=1)
     with pytest.raises(InvalidInput):
         gauss_rule(GaussianPrior(1.0), angular_points=3)
+
+
+@pytest.mark.parametrize("points", [1, 2, 24, 40, 180])
+def test_laguerre_rule_is_laggauss_and_read_only(points):
+    nodes, weights = laguerre_rule(points)
+    expected = np.polynomial.laguerre.laggauss(points)
+    assert np.array_equal(nodes.view(np.int64), expected[0].view(np.int64))
+    assert np.array_equal(weights.view(np.int64), expected[1].view(np.int64))
+    assert laguerre_rule(points)[0] is nodes
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0

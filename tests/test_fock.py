@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import fock, schemes
+from cvbench import fock
 from cvbench.errors import CutoffTooSmall, InvalidInput
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian)
@@ -484,7 +484,7 @@ def test_average_fidelity_identity_channel():
     # The estimate, about 4 sqrt(1.5^-N) here, bounds the truncation
     # rigorously but loosely: 9.1e-3 at N = 30, where the true gap is 9.8e-6.
     # It falls below 5e-4 from N = 48 on.
-    avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=48)
+    avg = fock.average_fidelity_fock(fock.OffsetMap(), 1.0, 0.5, cutoff=48)
     assert avg.error < 5e-4
     assert avg.value == pytest.approx(1.0, abs=5e-4 + avg.error)
 
@@ -494,72 +494,47 @@ def test_average_fidelity_matches_gaussian_engine_for_loss():
     channel = GaussianChannel(math.sqrt(T) * E2, (1 - T) / 2 * E2)
     exact = average_fidelity_gaussian(channel, eta, lam)
     avg = fock.average_fidelity_fock(
-        lambda rho: fock.apply_loss(rho, T), eta, lam, cutoff=36)
+        fock.OffsetMap(lambda n: fock._loss_kernels(n, T)), eta, lam, cutoff=36)
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
 def test_average_fidelity_reports_honest_error_when_truncated():
     # Tiny cutoff: the value cannot be trusted and the error term must say so.
-    avg = fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.2, cutoff=6)
+    avg = fock.average_fidelity_fock(fock.OffsetMap(), 1.0, 0.2, cutoff=6)
     assert avg.error > 1e-3
 
 
-def _average_fidelity_per_node(applier, eta, lam, cutoff):
-    # average_fidelity_fock as one applier call per node, summed in rule order,
-    # with the closed-form truncation bound plus its roundoff floor
-    radii, weights = fock.prior_rule(eta, lam, cutoff)
-    total = 0.0
-    for r, w in zip(radii, weights):
-        ket_in = fock.coherent_ket(r, cutoff, weight_tol=None)
-        ket_out = fock.coherent_ket(math.sqrt(eta) * r, cutoff, weight_tol=None)
-        total += w * fock.fidelity_pure(ket_out, applier(ket_in.projector()))
-    tau_in, tau_out = (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
-    error = 2 * math.sqrt(tau_in) + 2 * math.sqrt(tau_out) + tau_out \
-        + cutoff ** 2 * np.finfo(float).eps
-    return total, error
+def test_average_fidelity_refuses_a_node_fidelity_above_one():
+    # the identity scaled by 1.5 puts every node's fidelity near 1.5
+    inflated = fock.OffsetMap(lambda n: lambda d: 1.5 * np.eye(n - d))
+    with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
+        fock.average_fidelity_fock(inflated, 1.0, 0.8, cutoff=12)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None])
-@pytest.mark.parametrize("applier", [
-    lambda rho: fock.apply_loss(rho, 0.6),
-    # amplifier gain 1.5, then the phase average of a displacement mixture of
-    # variance 0.2 on x_minus: a phase-covariant map with complex kernels
-    schemes.phase_averaged_applier(GaussianChannel(math.sqrt(1.5) * E2,
-                                                   np.diag([0.25, 0.45]))),
-], ids=["loss", "amp+mixture"])
-def test_average_fidelity_chunks_match_the_per_node_loop(monkeypatch, applier, chunk):
-    # 7 nodes a chunk puts a chunk boundary inside the 14 nodes of the rule;
-    # the default holds every node in one chunk
-    cutoff, eta, lam = 14, 1.3, 0.7
-    if chunk is not None:
-        monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
-    got = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
-    value, error = _average_fidelity_per_node(applier, eta, lam, cutoff)
-    assert abs(got.value - value) <= 1e-15
-    assert abs(got.error - error) <= 1e-15
+def test_average_fidelity_refuses_a_map_without_offset_kernels():
+    with pytest.raises(InvalidInput, match="OffsetMap"):
+        fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.8, cutoff=12)
 
 
-def test_average_fidelity_refuses_a_non_hermitian_output_inside_a_chunk(monkeypatch):
-    cutoff = 12
-    monkeypatch.setattr(fock, "_BATCH_BYTES", 4 * 16 * cutoff ** 2)
-
-    def skew_second(rho):
-        m = rho.matrix.copy()
-        m[1] *= 1.0 + 0.1j
-        return fock.FockOperator(m)
-
-    with pytest.raises(InvalidInput, match="not Hermitian"):
-        fock.average_fidelity_fock(skew_second, 1.0, 0.8, cutoff=cutoff)
+def test_offset_map_kernels_compose_its_factors_in_order():
+    loss = lambda n: fock._loss_kernels(n, 0.6)
+    amp = lambda n: fock._amp_kernels(n, 1.7)
+    chain = fock.OffsetMap(loss, amp).kernels(9)
+    for d in (0, 3, 8):
+        expected = amp(9)(d) @ loss(9)(d)
+        assert np.array_equal(chain(d), expected)
+    assert np.array_equal(fock.OffsetMap().kernels(9)(2), np.eye(7))
 
 
 def test_average_fidelity_validates_inputs():
+    identity = fock.OffsetMap()
     with pytest.raises(InvalidInput):
-        fock.average_fidelity_fock(lambda rho: rho, 0.0, 0.5)
+        fock.average_fidelity_fock(identity, 0.0, 0.5)
     with pytest.raises(InvalidInput):
-        fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.0)
+        fock.average_fidelity_fock(identity, 1.0, 0.0)
     for eta in (math.nan, math.inf):
         with pytest.raises(InvalidInput, match="finite"):
-            fock.average_fidelity_fock(lambda rho: rho, eta, 0.5)
+            fock.average_fidelity_fock(identity, eta, 0.5)
     for cutoff in (0, -3, 181):
         with pytest.raises(InvalidInput, match="cutoff"):
-            fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.5, cutoff=cutoff)
+            fock.average_fidelity_fock(identity, 1.0, 0.5, cutoff=cutoff)

@@ -450,18 +450,6 @@ def test_fock_applier_on_a_stack_equals_each_slice(model, state_stack):
         assert np.abs(got[i] - applier(fock.FockOperator(m)).matrix).max() <= 1e-15
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
-def test_average_fidelity_is_independent_of_the_chunk_size(monkeypatch, model):
-    eta, lam, cutoff = 0.9, 0.6, 16
-    applier = phase_averaged_applier(model)
-    whole = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
-    for chunk in (1, 7):
-        monkeypatch.setattr(fock, "_BATCH_BYTES", chunk * 16 * cutoff ** 2)
-        got = fock.average_fidelity_fock(applier, eta, lam, cutoff=cutoff)
-        assert abs(got.value - whole.value) <= 1e-15
-        assert abs(got.error - whole.error) <= 1e-15
-
-
 RAW_CHANNELS = [
     GaussianChannel(1.1 * E2, np.diag([0.4, 0.2])),
     GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3])),
@@ -476,23 +464,40 @@ def _name(model):
     return type(model).__name__
 
 
-@pytest.mark.parametrize("model", ALL_MODELS + RAW_CHANNELS, ids=_name)
-def test_average_fidelity_sends_one_real_amplitude_per_radius(model):
-    cutoff = 16
-    seen = []
-    applier = phase_averaged_applier(model)
+CHAIN = Compose([PureLoss(0.7), HeterodyneMP(0.8), QuantumLimitedAmp(1.3)])
 
-    def counting(rho):
-        seen.append(rho.matrix)
-        return applier(rho)
 
-    fock.average_fidelity_fock(counting, 0.9, 0.6, cutoff=cutoff)
-    inputs = np.concatenate(seen)
-    assert inputs.shape == (cutoff, cutoff, cutoff)
-    assert np.all(inputs.imag == 0)
-    amplitudes = inputs[:, 1, 0].real / inputs[:, 0, 0].real  # <1|r><r|0> / <0|r><r|0> = r
-    assert np.all(amplitudes > 0)
-    assert np.unique(amplitudes).size == cutoff
+@pytest.mark.parametrize("cutoff", [14, 40])
+@pytest.mark.parametrize("model", ALL_MODELS + RAW_CHANNELS + [CHAIN], ids=_name)
+def test_average_fidelity_contraction_matches_the_per_node_loop(model, cutoff,
+                                                                per_node_average):
+    # the offset contraction against |r><r| sent through the same map as an
+    # operator, one node at a time
+    eta, lam = 1.3, 0.7
+    offset_map = phase_averaged_applier(model)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
+    value, error = per_node_average(offset_map, eta, lam, cutoff)
+    assert abs(got.value - value) <= 1e-15
+    assert abs(got.error - error) <= 1e-15
+
+
+@pytest.mark.parametrize("model", [PureLoss(0.6), HeterodyneMP(0.9),
+                                   CanonicalC(eta=1.3, ntilde=0.4)], ids=_name)
+def test_average_fidelity_contraction_matches_the_per_node_loop_at_the_cap(
+        model, per_node_average):
+    eta, lam, cutoff = 0.9, 0.3, 180
+    offset_map = phase_averaged_applier(model)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
+    value, error = per_node_average(offset_map, eta, lam, cutoff)
+    assert abs(got.value - value) <= 1e-14
+    assert abs(got.error - error) <= 1e-14
+
+
+@pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)
+def test_phase_averaged_applier_of_a_covariant_model_is_its_own_map(model, state_stack):
+    stack = fock.FockOperator(state_stack(20))
+    got = phase_averaged_applier(model)(stack).matrix
+    assert np.array_equal(got, fock_applier(model)(stack).matrix)
 
 
 def _phase_resolved_average(applier, eta, lam, cutoff):

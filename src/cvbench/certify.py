@@ -35,6 +35,9 @@ from . import schemes
 _LABELS = ("plus", "minus")
 _LADDER = (1e-3, 0.01, 0.05, 0.1, 0.2)
 _MARGIN_TOL = 1e-12
+_MAX_BOOT = 100_000     # bootstrap resamples; each costs one draw per sample
+_BOOT_DRAWS = 1 << 17   # index draws per bootstrap block: 1 MiB, and as much again gathered
+_BOOT_ROWS = 256        # resamples per block at most, the block of any group up to 512 samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +174,12 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
 
     Resamples within each (probe, quadrature) group, which treats the probe
     grid itself as fixed -- the certification statement is conditional on the
-    grid, so only shot noise is resampled.
+    grid, so only shot noise is resampled.  n_boot runs from 2 to _MAX_BOOT.
     """
     if n_boot < 2:
         raise InvalidInput(f"bootstrap needs at least 2 resamples, got {n_boot}")
+    if n_boot > _MAX_BOOT:
+        raise InvalidInput(f"bootstrap takes at most {_MAX_BOOT} resamples, got {n_boot}")
     rng = np.random.default_rng(seed)
     weights = ds.probe_weights()
     totals = np.zeros(n_boot)
@@ -183,9 +188,14 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
         for label in _LABELS:
             sq = (groups[label] - targets[label]) ** 2
             n = sq.size
+            # Blocks of at most _BOOT_DRAWS draws (one resample when a group
+            # is larger) bound the index array and its gather.  The stream is
+            # drawn in order however it is split, and each resample's mean is
+            # taken along its own row, so the blocking never changes the SE.
+            rows = max(1, min(_BOOT_ROWS, _BOOT_DRAWS // n))
             done = 0
-            while done < n_boot:          # chunked to bound temporary memory
-                block = min(256, n_boot - done)
+            while done < n_boot:
+                block = min(rows, n_boot - done)
                 idx = rng.integers(0, n, size=(block, n))
                 totals[done:done + block] += w * sq[idx].mean(axis=1)
                 done += block

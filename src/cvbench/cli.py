@@ -5,8 +5,8 @@ tables) that embeds the toolkit version, the seed and the resolved
 configuration, so identical invocations produce byte-identical output.
 Files are written atomically: a temporary file in the target directory is
 renamed over the destination only once the document is complete, with the
-mode a plain open() would have given it.  Sweep tables are written in
-blocks of rows, so their memory does not grow with the grid.
+mode a plain open() would have given it.  Sweep tables, CSV or JSON, are
+written in blocks of rows, so their memory does not grow with the grid.
 
 Each subcommand declares its flags once, in one table of (flag, type,
 default, help) rows; the parser, the help's defaults, the config-file keys
@@ -98,7 +98,8 @@ _FLAGS = {
         ("--eta", float, None, "declared task gain"),
         ("--lambda", float, None, "prior width of the probe ensemble"),
         ("--k", float, 3.0, "required margin in standard errors"),
-        ("--n-boot", int, 1000, "bootstrap resamples (0 = analytic SE)"),
+        ("--n-boot", int, 1000,
+         f"bootstrap resamples, 2..{certify._MAX_BOOT} (0 = analytic SE)"),
         ("--weights", str, None,
          "comma-separated probe weights overriding the prior weighting"),
     ),
@@ -136,7 +137,9 @@ _CONFIG_TYPES = {int: ((int,), "a whole number"), float: ((int, float), "a numbe
 
 _SWEEP_KEY_ORDER = ("eta", "lambda", "g", "ntilde", "n_copies")
 _SWEEP_MAX_POINTS = 10 ** 6
-_SWEEP_BLOCK_ROWS = 1 << 12       # rows per CSV text chunk, so memory stays bounded
+_SWEEP_BLOCK_ROWS = 1 << 12       # rows per text chunk, so memory stays bounded
+_JSON_ROWS = "\0rows"              # placeholder for a JSON sweep's streamed rows
+_JSON_ROW_INDENT = " " * 6        # json.dumps' indent=2 at result.rows' elements
 
 
 class _Usage(Exception):
@@ -258,8 +261,12 @@ def _atomic_write(chunks, path: str) -> None:
 
 
 def _emit(payload: dict | None, eff: dict, table=None) -> None:
-    """Write the run's document: a CSV table's text chunks when there are any, else JSON."""
-    if table is not None:
+    """Write the run's document: JSON, or a CSV table's text chunks when there is no payload.
+
+    A JSON payload whose result.rows is [_JSON_ROWS] comes with its rows as
+    `table`'s text blocks, spliced in where json.dumps renders that placeholder.
+    """
+    if payload is None:
         preamble = (f"# version={__version__}\n"
                     f"# command={eff['command']}\n"
                     f"# seed={eff['seed']}\n"
@@ -269,7 +276,13 @@ def _emit(payload: dict | None, eff: dict, table=None) -> None:
         document = {"version": __version__, "command": eff["command"],
                     "seed": eff["seed"], "config": eff["config_echo"]}
         document.update(payload)
-        chunks = [json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"]
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if table is None:
+            chunks = [text]
+        else:
+            # result sorts after config, the only text a caller sets: the last match is ours
+            head, _, tail = text.rpartition(json.dumps(_JSON_ROWS))
+            chunks = itertools.chain((head,), table, (tail,))
     if eff["out"]:
         _atomic_write(chunks, eff["out"])
     else:
@@ -552,24 +565,49 @@ def _sweep_columns(values: dict):
     return names, columns
 
 
-def _sweep_csv(names: list, columns: list, shape: tuple):
-    """The CSV header and rows of a sweep, as text chunks of _SWEEP_BLOCK_ROWS rows.
+def _sweep_blocks(cells: list, shape: tuple):
+    """A sweep's rows, _SWEEP_BLOCK_ROWS at a time, as one list of cell texts per column.
 
-    Each column is formatted once on the axes it depends on, then its cells
-    are gathered into rows block by block in grid order (the last axis
-    varies fastest).
+    `cells` holds each column's texts on the axes it depends on; rows follow
+    grid order (the last axis varies fastest).
     """
-    cells = [np.array(["" if v is None else repr(v) for v in c.ravel().tolist()],
-                      dtype=object).reshape(c.shape) for c in columns]
-    yield ",".join(names) + "\n"
     total = math.prod(shape)
     for start in range(0, total, _SWEEP_BLOCK_ROWS):
         index = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK_ROWS, total)),
                                  shape)
         # clipping sends every index along a length-1 dimension to 0: a broadcast
-        parts = [c.ravel()[np.ravel_multi_index(index, c.shape, mode="clip")].tolist()
-                 for c in cells]
+        yield [c.ravel()[np.ravel_multi_index(index, c.shape, mode="clip")].tolist()
+               for c in cells]
+
+
+def _sweep_csv(names: list, columns: list, shape: tuple):
+    """The CSV header and rows of a sweep, as text chunks of _SWEEP_BLOCK_ROWS rows.
+
+    Each column is formatted once on the axes it depends on.
+    """
+    cells = [np.array(["" if v is None else repr(v) for v in c.ravel().tolist()],
+                      dtype=object).reshape(c.shape) for c in columns]
+    yield ",".join(names) + "\n"
+    for parts in _sweep_blocks(cells, shape):
         yield "\n".join(map(",".join, zip(*parts))) + "\n"
+
+
+def _sweep_json_rows(columns: list, shape: tuple):
+    """The elements of a JSON sweep's rows array, as text chunks of _SWEEP_BLOCK_ROWS rows.
+
+    Each column is spelled once on the axes it depends on, as json.dumps
+    spells its values (numbers, true/false and null never hold ", ").  That
+    happens here, before any chunk is written, so a value JSON refuses raises
+    before the document starts.  The rows are nested and indented as
+    json.dumps(..., indent=2) renders them at result.rows.
+    """
+    cells = [np.array(json.dumps(c.ravel().tolist(), allow_nan=False)[1:-1].split(", "),
+                      dtype=object).reshape(c.shape) for c in columns]
+    cell_sep, row_sep = ",\n  " + _JSON_ROW_INDENT, ",\n" + _JSON_ROW_INDENT
+    opening, closing = "[\n  " + _JSON_ROW_INDENT, "\n" + _JSON_ROW_INDENT + "]"
+    return ((row_sep if i else "") + opening
+            + (closing + row_sep + opening).join(map(cell_sep.join, zip(*parts))) + closing
+            for i, parts in enumerate(_sweep_blocks(cells, shape)))
 
 
 def _cmd_sweep(eff: dict):
@@ -602,9 +640,8 @@ def _cmd_sweep(eff: dict):
 
     if eff["format"] != "json":
         return None, EXIT_OK, _sweep_csv(names, columns, shape)
-    rows = [list(r) for r in zip(*(np.broadcast_to(c, shape).ravel().tolist()
-                                   for c in columns))]
-    return {"result": {"columns": names, "rows": rows}, "warnings": []}, EXIT_OK, None
+    return ({"result": {"columns": names, "rows": [_JSON_ROWS]}, "warnings": []}, EXIT_OK,
+            _sweep_json_rows(columns, shape))
 
 
 def _cmd_proofcheck(eff: dict):
@@ -644,7 +681,8 @@ def _cmd_proofcheck(eff: dict):
     return payload, EXIT_OK if passed else EXIT_FAIL, None
 
 
-# Each handler returns (JSON payload, exit code, CSV table chunks or None).
+# Each handler returns (JSON payload, exit code, table text chunks or None); a
+# CSV table comes without a payload, a JSON one as the payload's result.rows.
 _HANDLERS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
              "certify": _cmd_certify, "sweep": _cmd_sweep,
              "proofcheck": _cmd_proofcheck}

@@ -241,12 +241,16 @@ def canonical_c_fidelity(eta: float, ntilde: float) -> float:
     """Gain-matched average fidelity 2 / (1 + eta + |1 - eta| + 2 ntilde) of CanonicalC.
 
     Prior-independent, since the channel's gain equals the task's.
-    Broadcasts over arrays.
+    Broadcasts over arrays.  Evaluated halved, as
+    1 / ((1 + eta)/2 + |1 - eta|/2 + ntilde): halving is exact, so this is
+    the same float wherever the doubled sum is finite, and the denominator
+    overflows only where eta + ntilde does, which gives 0.
     """
     _require((eta > 0) & (eta < np.inf), eta, "task gain eta must be positive and finite")
     _require((ntilde >= 0) & (ntilde < np.inf), ntilde,
              "added noise ntilde must be >= 0 and finite")
-    return _unwrap(2.0 / (1.0 + eta + np.abs(1.0 - eta) + 2.0 * ntilde))
+    with np.errstate(over="ignore"):
+        return _unwrap(1.0 / (0.5 * (1.0 + eta) + 0.5 * np.abs(1.0 - eta) + ntilde))
 
 
 def canonical_c_quantum_domain(eta: float, ntilde: float) -> bool:

@@ -1,10 +1,12 @@
 import csv
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cvbench import certify
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import (CertificationReport, ExperimentDataset,
                              QuadratureRecord, average_deviation, bootstrap_se,
@@ -236,6 +238,69 @@ def test_bootstrap_is_seeded_and_sane():
     assert 0.5 * analytic < a < 2.0 * analytic
     with pytest.raises(InvalidInput):
         bootstrap_se(ds, 0.6, n_boot=1)
+
+
+# (samples per group, resamples, seed, SE) as bootstrap_se gave them when its
+# blocks were always 256 resamples; groups below, at and above the draw
+# budget of certify._BOOT_DRAWS = 2**17 per block
+BOOTSTRAP_GOLDEN = [
+    (3, 1000, 1, 0.09746472076309137),
+    (400, 300, 2, 0.03817808055488047),
+    (600, 500, 3, 0.02865678962599865),
+    (10_000, 40, 4, 0.006136620815983795),
+    (1 << 17, 3, 5, 0.001070301456465893),
+    (140_000, 3, 6, 0.001202133563989378),
+]
+
+
+@pytest.mark.parametrize("n, n_boot, seed, se", BOOTSTRAP_GOLDEN)
+def test_bootstrap_se_keeps_its_pinned_values(n, n_boot, seed, se):
+    ds = synthesize_dataset(PureLoss(0.6), [1.0, -1.0j], n, 0.1, seed=seed)
+    assert bootstrap_se(ds, 0.6, n_boot=n_boot, seed=seed) == se
+
+
+def test_bootstrap_memory_does_not_grow_with_the_resamples():
+    ds = make_dataset(PureLoss(0.6), n=20_000, alphas=[1.0, -1.0, 1.0j, -1.0j], seed=3)
+    data = 8 * ds.sample_count()
+    peaks = []
+    for n_boot in (10, 100):
+        tracemalloc.start()
+        try:
+            bootstrap_se(ds, 0.6, n_boot=n_boot)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Only the n_boot totals grow.  The rest is a grouped copy of the data
+    # and one block: its index array and their gather, 8 bytes a draw each.
+    assert peaks[1] < peaks[0] + 8 * 100 + 4096
+    assert peaks[1] < 2 * data + 2 * 8 * certify._BOOT_DRAWS
+
+
+def test_bootstrap_count_is_capped():
+    ds = make_dataset(PureLoss(0.6), n=3, alphas=[1.0, 1.0j])
+    assert bootstrap_se(ds, 0.6, n_boot=certify._MAX_BOOT) > 0
+    for n_boot in (certify._MAX_BOOT + 1, 10 ** 20):
+        with pytest.raises(InvalidInput, match=f"at most {certify._MAX_BOOT} resamples, "
+                                               f"got {n_boot}"):
+            bootstrap_se(ds, 0.6, n_boot=n_boot)
+
+
+@pytest.mark.parametrize("ring", [1.0, 2.0], ids=["at-the-grid-check", "perfbench-deep"])
+def test_measure_and_prepare_data_is_never_certified(ring):
+    # Heterodyne measure-and-prepare at, below and above its optimal gain, on
+    # a ring of 8 probes with mean squared displacement ring * 2/(lambda + eta),
+    # which the grid check needs to be at least 1.  At ring = 1 the optimal
+    # strategy's expected margin is within 5e-4 of 0.
+    for eta, lam, scale, seed in itertools.product((0.5, 1.0, 1.6), (0.1, 0.4),
+                                                   (0.6, 1.0, 1.3), (1, 2)):
+        radius = math.sqrt(ring / (lam + eta))
+        probes = radius * np.exp(2j * math.pi * np.arange(8) / 8)
+        ds = make_dataset(HeterodyneMP(scale * math.sqrt(eta) / (1.0 + lam)), n=1000,
+                          lam=lam, seed=seed, eta_declared=eta, alphas=probes)
+        for route in (certify_by_variance, certify_by_fidelity_from_variance):
+            for n_boot in (0, 50):
+                report = route(ds, k=3.0, n_boot=n_boot, seed=seed)
+                assert report.verdict == "NOT_CERTIFIED", (eta, lam, scale, seed, n_boot)
 
 
 # ---------------------------------------------------------------------------

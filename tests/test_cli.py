@@ -8,12 +8,13 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvbench import cli, fock, proofcheck, schemes
+from cvbench import certify, cli, fock, proofcheck, schemes
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import _load_channel_spec, main
@@ -385,6 +386,21 @@ def test_certify_negative_bootstrap_count_is_a_usage_error(capsys, tmp_path):
     assert "got -5" in err
 
 
+@pytest.mark.parametrize("n_boot", ["100000000000000000000", "9223372036854775807"])
+def test_certify_oversized_bootstrap_count_is_a_usage_error(capsys, tmp_path, n_boot):
+    code, out, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
+                         "--lambda", "0.1", "--eta", "0.6", "--n-boot", n_boot)
+    assert code == 2 and out == ""
+    assert f"at most {certify._MAX_BOOT} resamples, got {n_boot}" in err
+    assert "Traceback" not in err
+
+
+def test_certify_help_names_the_bootstrap_range(capsys):
+    code, out, _ = run(capsys, "certify", "--help")
+    assert code == 0
+    assert f"2..{certify._MAX_BOOT} (0 = analytic SE) (default 1000)" in " ".join(out.split())
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -500,25 +516,82 @@ def test_sweep_json_matches_the_per_point_closed_forms(capsys, axes):
     assert doc["command"] == "sweep" and doc["warnings"] == []
 
 
-def test_sweep_memory_follows_the_block_not_the_grid(capsys, tmp_path):
+# a grid of more than one _SWEEP_BLOCK_ROWS block
+LARGE_GRID = {"eta": np.linspace(0.05, 3.0, 70).tolist(), "lambda": [0.0, 0.2, 1.5],
+              "g": [0.0, 0.4, 0.9, 1.2, 2.0], "ntilde": [0.1, 0.7, 1.1, 2.5]}
+
+
+@pytest.mark.parametrize("block_rows", [7, cli._SWEEP_BLOCK_ROWS])
+@pytest.mark.parametrize("axes", [*SWEEP_GRIDS.values(), LARGE_GRID],
+                         ids=[*SWEEP_GRIDS.keys(), "larger-than-a-block"])
+def test_sweep_json_is_the_json_dumps_rendering(capsys, monkeypatch, axes, block_rows):
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+    code, out, _ = run(capsys, *_sweep_argv(axes), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert len(doc["result"]["rows"]) == math.prod(map(len, axes.values()))
+
+
+def test_sweep_json_refuses_a_cell_before_writing(capsys, monkeypatch):
+    monkeypatch.setattr(schemes, "canonical_c_fidelity",
+                        lambda eta, ntilde: np.where(ntilde > 0.5, np.nan, 0.5 + 0 * eta))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        main(["sweep", "--eta", "0.5,1", "--ntilde", "0.1,0.9", "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("eta, ntilde, fbar", [
+    ("5e-324", "1e308", 1e-308), ("1.7976931348623157e308", "0", 1.0 / 1.7976931348623157e308),
+    ("1.7976931348623157e308", "1e308", 0.0)])
+def test_canonical_fidelity_at_the_float_extremes_warns_nothing(capsys, eta, ntilde, fbar):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = run_json(capsys, "sweep", "--eta", eta, "--lambda", "0",
+                                  "--ntilde", ntilde, "--format", "json")
+    assert code == 0 and err == ""
+    assert doc["result"]["rows"][0][doc["result"]["columns"].index("canonical_fbar")] == fbar
+
+
+def test_canonical_fidelity_keeps_its_doubled_form_values_on_the_sweep_grids():
+    for axes in SWEEP_GRIDS.values():
+        for eta, ntilde in itertools.product(axes["eta"], axes.get("ntilde", [0.0, 0.3])):
+            assert canonical_c_fidelity(eta, ntilde) == \
+                2.0 / (1.0 + eta + abs(1.0 - eta) + 2.0 * ntilde)
+
+
+def _large_sweep(capsys, path, fmt):
+    """A 10**5-point sweep written to `path`: its text, and the traced peak of writing it."""
     def axis(n):
         return ",".join(repr(0.02 + 0.037 * i) for i in range(n))
-    out = tmp_path / "big.csv"
     tracemalloc.start()
     try:
         code = main(["sweep", "--eta", axis(50), "--lambda", axis(40), "--ntilde", axis(50),
-                     "--out", str(out)])
+                     "--format", fmt, "--out", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    text = out.read_text()
+    return path.read_text(), peak
+
+
+def test_sweep_memory_follows_the_block_not_the_grid(capsys, tmp_path):
+    text, peak = _large_sweep(capsys, tmp_path / "big.csv", "csv")
     rows = text.count("\n") - 5
     assert rows == 10 ** 5
     block_text = len(text) / rows * cli._SWEEP_BLOCK_ROWS
     # The grid's whole text is more than 20 blocks; one block's text, its
     # row strings, cell lists and encoded bytes take about 5.
+    assert len(text) > 20 * block_text
+    assert peak < 8 * block_text
+
+
+def test_sweep_json_memory_follows_the_block_not_the_grid(capsys, tmp_path):
+    text, peak = _large_sweep(capsys, tmp_path / "big.json", "json")
+    rows = len(json.loads(text)["result"]["rows"])
+    assert rows == 10 ** 5
+    block_text = len(text) / rows * cli._SWEEP_BLOCK_ROWS
     assert len(text) > 20 * block_text
     assert peak < 8 * block_text
 

@@ -168,6 +168,14 @@ def delta_bar(ds: ExperimentDataset, eta: float):
     return total - 1.0, math.sqrt(var)
 
 
+def check_boot_count(n_boot: int) -> None:
+    """Refuse a bootstrap resample count outside 2.._MAX_BOOT."""
+    if n_boot < 2:
+        raise InvalidInput(f"bootstrap needs at least 2 resamples, got {n_boot}")
+    if n_boot > _MAX_BOOT:
+        raise InvalidInput(f"bootstrap takes at most {_MAX_BOOT} resamples, got {n_boot}")
+
+
 def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
                  seed: int = 0) -> float:
     """Bootstrap standard error of the deviation statistic.
@@ -176,10 +184,7 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
     grid itself as fixed -- the certification statement is conditional on the
     grid, so only shot noise is resampled.  n_boot runs from 2 to _MAX_BOOT.
     """
-    if n_boot < 2:
-        raise InvalidInput(f"bootstrap needs at least 2 resamples, got {n_boot}")
-    if n_boot > _MAX_BOOT:
-        raise InvalidInput(f"bootstrap takes at most {_MAX_BOOT} resamples, got {n_boot}")
+    check_boot_count(n_boot)
     rng = np.random.default_rng(seed)
     weights = ds.probe_weights()
     totals = np.zeros(n_boot)

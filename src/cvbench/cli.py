@@ -122,7 +122,7 @@ _FLAGS = {
         ("--cutoff", int, 14,
          f"truncation for the operator bound, 1..{proofcheck._MAX_SCORE_CUTOFF}"),
         ("--two-copy-cutoff", int, 16,
-         "truncation for the two-copy consistency check, "
+         "quadrature truncation for the two-copy consistency check, "
          f"1..{proofcheck._MAX_SCORE_CUTOFF}"),
         ("--corrupt-bound", float, 1.0,
          "self-test: scale the bound by this factor (0.9 must fail)"),
@@ -471,6 +471,8 @@ def _cmd_certify(eff: dict):
 
     digest = None
     if eff["input"]:
+        if n_boot != 0:
+            certify.check_boot_count(n_boot)
         sha = hashlib.sha256()
         with open(eff["input"], "rb") as fh:
             while block := fh.read(_HASH_BLOCK):

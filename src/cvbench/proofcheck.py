@@ -11,8 +11,12 @@ Three independent checks, each reported with explicit residuals:
   no quadrature.  Truncation only compresses the operator, so a violation
   found at finite cutoff is a genuine violation;
 * a two-copy consistency identity tying the Frobenius norm of that operator
-  to the expectation of a two-copy integral operator, a polar quadrature
-  contracted in closed phase-circulant form: the sides share no construction.
+  to the expectation of a two-copy integral operator.  The expectation is a
+  polar quadrature contracted in closed phase-circulant form: the probe's
+  overlaps by one FFT per radius, the real and even coupling on half the
+  phase offsets, the contraction on half the spectrum.  The operator's side
+  keeps as many output levels as (eta, lambda) need; the sides share no
+  construction.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ _IDENTITY_TOL = 1e-10
 # Widest cutoffs the builders accept.  The score side has no rule: the cap
 # guards the two-copy check's polar rule, whose Gauss-Laguerre weights turn
 # NaN from cutoff 92 on, and the score check's operator stack.  The dense
-# two-copy operator grows with the fourth power of its cutoff.
+# two-copy operator grows with the fourth power of its cutoff.  The two-copy
+# check's one score operator keeps at most _MAX_SCORE_LEVELS output levels,
+# the widest truncation the Fock engine accepts.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
+_MAX_SCORE_LEVELS = 180
 # Largest copy and probe counts the checks accept.  The circulant check
 # diagonalizes dense copies x copies matrices; the score check stacks one
 # cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 135 MiB).
@@ -284,6 +291,7 @@ class TwoCopyReport:
     eta: float
     lam: float
     cutoff: int
+    score_cutoff: int
     frobenius_sq: float
     two_copy_value: float
     rel_difference: float
@@ -294,13 +302,29 @@ class TwoCopyReport:
         return asdict(self)
 
 
+def _polar_overlaps(amps: np.ndarray, radii: np.ndarray, points: int) -> np.ndarray:
+    """|<phi|r_i e^{2 pi i j/points}>|^2 on the polar rule, radius-major, phase minor.
+
+    <phi|r e^{i theta}> = sum_n conj(phi_n) c_n(r) e^{i n theta} with c_n(r) the
+    real coherent amplitudes of the radius, so one FFT of length `points` per
+    radius gives every phase; its modulus is that of fft(phi_n c_n(r)).  No
+    harmonic aliases while the probe has fewer levels than `points`.
+    """
+    kets = fock.coherent_amplitudes(radii, amps.size)
+    return np.abs(np.fft.fft(amps[:, None] * kets, n=points, axis=0).T) ** 2
+
+
 def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> float:
     """<phi|<phi| B |phi>|phi> of `two_copy_operator`, without building B.
 
     With q_s = w_s |<phi|a_s>|^2 the value is sum_{s,t} q_s q_t
     exp(-eta |a_s - a_t|^2).  On the polar rule a_{ij} = r_i e^{2 pi i j/A}
-    the coupling depends only on (i, k, j - l), so one FFT along the phase
-    axis contracts it in R^2 A exponentials, all of them at most 1.
+    the coupling g_{ik}(d) depends only on the radii and the phase offset
+    d = j - l, and it is real and even in d.  So it is evaluated on the
+    A/2 + 1 distinct offsets only, R^2 (A/2 + 1) exponentials, all of them at
+    most 1, and its real spectrum is one cosine transform over them; q's
+    spectrum is one rfft per radius.  The value sums the harmonics 0..A/2
+    with weights 1, 2, ..., 2, 1, each a real quadratic form in q's spectrum.
     """
     if not (eta > 0) or not (lam > 0):
         raise InvalidInput("two-copy value needs eta > 0 and lam > 0")
@@ -309,14 +333,47 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
                            f"got {cutoff}")
     rule = matched_quadrature(eta, lam, cutoff)
     points = math.isqrt(rule.nodes.size)             # the rule is square
-    kets = fock.coherent_amplitudes(rule.nodes, cutoff)
-    q = rule.weights_for(lam) * np.abs(amps.conj() @ kets) ** 2
-    grid = rule.nodes.reshape(points, points)        # radius-major, phase minor
-    # coupling[i, k, d] = exp(-eta |a_{i,0} - a_{k,d}|^2); a_{i,0} = r_i
-    coupling = np.exp(-eta * np.abs(grid[:, :1, None] - grid[None, :, :]) ** 2)
-    spectrum = np.fft.fft(coupling, axis=2).real     # real: even in d
-    f = np.fft.fft(q.reshape(points, points), axis=1)
-    return float(np.einsum("im,ikm,km->", f, spectrum, f.conj()).real / points)
+    half = points // 2 + 1                           # points is even
+    radii = rule.nodes[::points].real                # phase 0 of each radius
+    weights = rule.weights_for(lam)[::points]        # the weights are phase-free
+    q = weights[:, None] * _polar_overlaps(amps, radii, points)
+    steps = np.arange(half)                          # offsets d, and harmonics
+    # |a_{i,0} - a_{k,d}|^2 = (r_i - r_k)^2 + 4 r_i r_k sin^2(pi d / A), (d, i, k)
+    sin_sq = np.sin(math.pi / points * steps) ** 2
+    sep = (radii[:, None] - radii[None, :]) ** 2 + 4.0 * sin_sq[:, None, None] * (
+        radii[:, None] * radii[None, :])
+    coupling = np.exp(-eta * sep)
+    # The cosine transform from offsets to harmonics, with the weights of both:
+    # offsets and harmonics 1..A/2-1 each stand for a conjugate pair.
+    pairs = np.full(half, 2.0)
+    pairs[0] = pairs[-1] = 1.0
+    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
+                 * np.outer(pairs, pairs) / points)
+    spectrum = (transform @ coupling.reshape(half, -1)).reshape(coupling.shape)
+    # g is symmetric in (i, k), so f^H G f is the sum of the forms of Re f and Im f
+    f = np.fft.rfft(q, axis=1)
+    parts = np.stack([f.real.T, f.imag.T], axis=2)   # (harmonic, radius, 2)
+    return float(np.sum(parts * (spectrum @ parts)))
+
+
+def _score_levels(eta: float, lam: float, cutoff: int, rel_tol: float) -> int:
+    """Output levels the two-copy check keeps of the score operator.
+
+    Truncating the score operator's output at c levels drops a share of its
+    squared Frobenius norm that decays as (eta / (1 + lam + eta))^c; the
+    smallest c that puts that power below rel_tol / 100 is kept, and never
+    fewer than the two-copy cutoff.
+    """
+    if not (eta > 0) or not (lam > 0) or not (rel_tol > 0):
+        raise InvalidInput("two-copy check needs eta > 0, lam > 0 and rel_tol > 0")
+    decay = math.log1p((1.0 + lam) / eta)            # -log(eta / (1 + lam + eta))
+    needed = math.log(100.0 / rel_tol) / decay if decay > 0 else math.inf
+    if not needed <= _MAX_SCORE_LEVELS:
+        raise InvalidInput(
+            f"the two-copy check's score side needs {needed:.4g} levels at eta {eta:g} "
+            f"and lambda {lam:g} to resolve a relative tolerance of {rel_tol:g}; "
+            f"it builds at most {_MAX_SCORE_LEVELS}")
+    return max(cutoff, math.ceil(needed))
 
 
 def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12,
@@ -325,22 +382,25 @@ def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12,
 
     The squared Frobenius norm of a probe's score operator equals the
     expectation of the two-copy operator in |phi> (x) |phi>.  The score side
-    is the closed form of `outcome_score_operator`; the two-copy side is a
-    polar quadrature contracted in closed phase-circulant form
-    (`_two_copy_value`), at a cost of cutoff^3 rather than the cutoff^4 of the
-    dense `two_copy_operator`.  The sides share no construction and truncate
-    different factors, so agreement is a real consistency test of both.
-    Probes should live well inside the cutoff for the comparison to count.
+    is the closed form of `outcome_score_operator`, its output kept to
+    `_score_levels` levels, which follow (eta, lam) so that the levels it
+    drops stay far below `rel_tol`.  The two-copy side is a polar quadrature
+    at `cutoff` contracted in closed phase-circulant form (`_two_copy_value`):
+    the overlaps cost one FFT per radius and the coupling R^2 (A/2 + 1)
+    exponentials, against the cutoff^4 of the dense `two_copy_operator`.  The
+    sides share no construction and truncate different factors, so agreement
+    is a real consistency test of both.  Probes should live well inside the
+    cutoff for the comparison to count.
     """
     amps = _probe_amplitudes(phi)
     if amps.ndim != 1 or amps.size > cutoff:
         raise InvalidInput(f"the two-copy check takes one probe on at most {cutoff} "
                            f"levels, got shape {amps.shape}")
-    amps = np.pad(amps, (0, cutoff - amps.size))
-    value = _two_copy_value(amps, eta, lam, cutoff)
-    score = outcome_score_operator(amps, eta, lam)
+    levels = _score_levels(eta, lam, cutoff, rel_tol)
+    value = _two_copy_value(np.pad(amps, (0, cutoff - amps.size)), eta, lam, cutoff)
+    score = outcome_score_operator(np.pad(amps, (0, levels - amps.size)), eta, lam)
     frob = float(np.sum(np.abs(score.matrix) ** 2))
     rel = abs(frob - value) / max(frob, value, 1e-300)
-    return TwoCopyReport(eta=eta, lam=lam, cutoff=cutoff, frobenius_sq=frob,
-                         two_copy_value=value, rel_difference=rel,
+    return TwoCopyReport(eta=eta, lam=lam, cutoff=cutoff, score_cutoff=levels,
+                         frobenius_sq=frob, two_copy_value=value, rel_difference=rel,
                          tolerance=rel_tol, passed=rel <= rel_tol)

@@ -395,6 +395,24 @@ def test_certify_oversized_bootstrap_count_is_a_usage_error(capsys, tmp_path, n_
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_boot, message", [
+    ("1", "at least 2 resamples, got 1"), ("-5", "at least 2 resamples, got -5"),
+    ("100001", "at most 100000 resamples, got 100001"),
+])
+def test_certify_refuses_a_bootstrap_count_before_reading_the_input(
+        capsys, monkeypatch, tmp_path, n_boot, message):
+    def must_not_read(*args, **kwargs):
+        raise AssertionError("the input was read for a refused bootstrap count")
+    monkeypatch.setattr(cli, "hashlib", type("NoHash", (), {"sha256": must_not_read}))
+    monkeypatch.setattr(certify, "read_dataset_csv", must_not_read)
+    for method in ("variance", "fidelity"):
+        code, out, err = run(capsys, "certify", "--input", str(tmp_path / "absent.csv"),
+                             "--lambda", "0.1", "--eta", "0.6", "--method", method,
+                             "--n-boot", n_boot)
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_certify_help_names_the_bootstrap_range(capsys):
     code, out, _ = run(capsys, "certify", "--help")
     assert code == 0
@@ -695,16 +713,39 @@ def test_proofcheck_defaults_pass_above_unit_gain(capsys):
 
 
 def test_proofcheck_above_unit_gain_passes_at_a_wider_two_copy_cutoff(capsys):
-    # at eta = 3 the truncated score operator misses the two-copy side by
-    # 1.1e-2 at the default two-copy cutoff of 16 and by 3.8e-4 at 24
+    # at eta = 3 a score operator truncated at the two-copy cutoff of 16 would
+    # miss the two-copy side by 1.1e-2; its output levels follow eta instead
     code, doc, _ = run_json(capsys, "proofcheck", "--eta", "3")
-    assert code == 1
-    assert doc["result"]["two_copy"]["passed"] is False
+    assert code == 0
+    assert doc["result"]["two_copy"]["passed"] is True
     code, doc, _ = run_json(capsys, "proofcheck", "--eta", "3", "--two-copy-cutoff", "24")
     assert code == 0
     two = doc["result"]["two_copy"]
     assert two["passed"] is True and two["cutoff"] == 24
     assert two["rel_difference"] < 1e-3
+
+
+@pytest.mark.parametrize("argv, score_cutoff", [
+    ((), 16), (("--eta", "3"), 35), (("--eta", "6"), 64),
+    (("--eta", "10", "--lambda", "0.2"), 102),
+])
+def test_proofcheck_score_side_levels_follow_eta_at_default_flags(capsys, argv,
+                                                                 score_cutoff):
+    code, doc, _ = run_json(capsys, "proofcheck", *argv)
+    assert code == 0
+    two = doc["result"]["two_copy"]
+    assert two["passed"] is True
+    assert two["cutoff"] == 16 and two["score_cutoff"] == score_cutoff
+
+
+def test_proofcheck_refuses_a_score_side_past_its_level_cap(capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the two-copy value was built for a refused score side")
+    monkeypatch.setattr(proofcheck, "_two_copy_value", must_not_build)
+    code, out, err = run(capsys, "proofcheck", "--eta", "20", "--trials", "2")
+    assert code == 2 and out == ""
+    assert "needs 197.6 levels at eta 20 and lambda 0.2" in err
+    assert "at most 180" in err
 
 
 @pytest.mark.parametrize("flag, value, limit", [

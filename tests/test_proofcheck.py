@@ -322,6 +322,59 @@ def test_two_copy_contraction_matches_the_dense_operator(cutoff, eta, lam):
         assert abs(value - dense) <= 1e-12 * dense
 
 
+def polar_contraction(amps, eta, lam, cutoff):
+    """Reference: the two-copy value by kets on every polar node and one complex
+    FFT of the full (R, R, A) coupling along its phase axis."""
+    rule = proofcheck.matched_quadrature(eta, lam, cutoff)
+    points = math.isqrt(rule.nodes.size)
+    kets = fock.coherent_amplitudes(rule.nodes, cutoff)
+    q = rule.weights_for(lam) * np.abs(amps.conj() @ kets) ** 2
+    grid = rule.nodes.reshape(points, points)
+    coupling = np.exp(-eta * np.abs(grid[:, :1, None] - grid[None, :, :]) ** 2)
+    spectrum = np.fft.fft(coupling, axis=2).real
+    f = np.fft.fft(q.reshape(points, points), axis=1)
+    return float(np.einsum("im,ikm,km->", f, spectrum, f.conj()).real / points)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 16, 24, 40, 64])
+@pytest.mark.parametrize("eta, lam", [(0.7, 0.4), (4.5, 0.15)])
+def test_two_copy_contraction_matches_the_polar_reference(cutoff, eta, lam):
+    probe_rng = np.random.default_rng([cutoff, 3])
+    raw = probe_rng.standard_normal(cutoff) + 1j * probe_rng.standard_normal(cutoff)
+    amps = raw / np.linalg.norm(raw)
+    reference = polar_contraction(amps, eta, lam, cutoff)
+    value = proofcheck._two_copy_value(amps, eta, lam, cutoff)
+    assert abs(value - reference) <= 1e-13 * reference
+
+
+@pytest.mark.parametrize("cutoff", [1, 3, 16, 40])
+def test_per_radius_fft_overlaps_match_kets_on_every_node(cutoff):
+    rule = proofcheck.matched_quadrature(1.3, 0.3, cutoff)
+    points = math.isqrt(rule.nodes.size)
+    probe_rng = np.random.default_rng([cutoff, 4])
+    raw = probe_rng.standard_normal(cutoff) + 1j * probe_rng.standard_normal(cutoff)
+    amps = raw / np.linalg.norm(raw)
+    direct = np.abs(amps.conj() @ fock.coherent_amplitudes(rule.nodes, cutoff)) ** 2
+    overlaps = proofcheck._polar_overlaps(amps, rule.nodes[::points].real, points)
+    assert overlaps.shape == (points, points)
+    assert np.max(np.abs(overlaps.ravel() - direct)) <= 1e-14
+
+
+def test_two_copy_value_builds_kets_on_the_radii_only(monkeypatch):
+    cutoff = 12
+    points = 2 * cutoff + 4
+    built = []
+    coherent_amplitudes = fock.coherent_amplitudes
+
+    def counted(alphas, levels):
+        built.append(np.size(alphas))
+        return coherent_amplitudes(alphas, levels)
+    monkeypatch.setattr(fock, "coherent_amplitudes", counted)
+    assert proofcheck._two_copy_value(np.eye(cutoff)[2].astype(complex), 1.0, 0.4,
+                                      cutoff) > 0
+    assert built == [points]
+
+
 def test_two_copy_check_never_builds_the_dense_operator(monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("the dense two-copy operator was built")
@@ -339,3 +392,31 @@ def test_two_copy_value_rejects_cutoffs_outside_its_range(cutoff):
 def test_two_copy_value_rejects_nonpositive_widths(eta, lam):
     with pytest.raises(InvalidInput):
         proofcheck._two_copy_value(np.ones(4, dtype=complex), eta, lam, 4)
+
+
+def test_score_side_levels_follow_eta_and_lambda():
+    # (eta / (1 + lam + eta))^c <= rel_tol / 100, never below the two-copy cutoff
+    assert proofcheck._score_levels(1.0, 0.2, 16, 1e-3) == 16
+    assert proofcheck._score_levels(1.0, 0.2, 4, 1e-3) == 15
+    assert proofcheck._score_levels(3.0, 0.2, 16, 1e-3) == 35
+    assert proofcheck._score_levels(10.0, 0.2, 16, 1e-3) == 102
+    assert proofcheck._score_levels(1.5, 0.3, 16, 1e-3) == 19
+    assert proofcheck._score_levels(3.0, 0.2, 16, 1e3) == 16
+
+
+@pytest.mark.parametrize("eta, lam, rel_tol", [(20.0, 0.2, 1e-3), (1e308, 0.2, 1e-3),
+                                               (1.0, 0.2, 0.0), (1.0, 0.0, 1e-3)])
+def test_score_side_refuses_what_it_cannot_resolve(eta, lam, rel_tol):
+    with pytest.raises(InvalidInput):
+        proofcheck._score_levels(eta, lam, 16, rel_tol)
+
+
+@pytest.mark.parametrize("eta", [3.0, 6.0, 10.0])
+def test_two_copy_check_passes_above_unit_gain_at_cutoff_16(eta):
+    rng_probe = np.random.default_rng(0)
+    raw = rng_probe.standard_normal(6) + 1j * rng_probe.standard_normal(6)
+    report = two_copy_check(raw / np.linalg.norm(raw), eta, 0.2, cutoff=16)
+    assert report.passed
+    assert report.cutoff == 16
+    assert report.score_cutoff == proofcheck._score_levels(eta, 0.2, 16, 1e-3)
+    assert report.to_json()["score_cutoff"] == report.score_cutoff

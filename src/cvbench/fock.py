@@ -207,8 +207,8 @@ def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVe
 
 def thermal_state(lam: float, cutoff: int) -> FockOperator:
     """Thermal state with Fock weights lam/(1+lam) * (1+lam)^-n (mean 1/lam)."""
-    if not (lam > 0):
-        raise InvalidInput(f"thermal parameter lambda must be positive, got {lam}")
+    if not (0 < lam < math.inf):
+        raise InvalidInput(f"thermal parameter lambda must be positive and finite, got {lam}")
     n = np.arange(cutoff, dtype=float)
     weights = lam / (1.0 + lam) * (1.0 + lam) ** (-n)
     return FockOperator(np.diag(weights).astype(complex))
@@ -413,49 +413,51 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     a stack.
     """
     G = float(gain)
-    if G < 1.0:
-        raise InvalidInput(f"amplifier gain must be >= 1, got {G}")
+    if not (1.0 <= G < math.inf):
+        raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {G}")
     if G == 1.0:
         return FockOperator(rho.matrix.copy())
     return FockOperator(apply_offset_kernels(rho.matrix, _amp_kernels(rho.cutoff, G)))
 
 
-def _mixture_phases(variance: float, axis: int, cutoff: int):
-    """Phases exp(i sign s e), one row per mixture shift s over the eigenvalues e
-    of the generator of shifts along `axis`, and that generator's eigenvectors."""
+def mixture_unitaries(variance: float, axis: int, cutoff: int):
+    """(weights, unitaries W_s) of classical Gaussian displacement noise along one axis.
+
+    rho -> sum_s weights[s] W_s rho W_s^dag with W_s = exp(-i s X) mixes the
+    shifts s ~ N(0, variance) of one quadrature with a 20-point Gauss-Hermite
+    rule, X being the generator of shifts along `axis`; the unitaries are a
+    (20, cutoff, cutoff) stack.  Variance 0 is one identity, with weight 1.
+    """
+    if not (0.0 <= variance < math.inf):
+        raise InvalidInput(f"noise variance must be >= 0 and finite, got {variance}")
+    if variance == 0:
+        return np.ones(1), np.eye(cutoff, dtype=complex)[None]
     shifts = math.sqrt(2.0 * variance) * _MIXTURE_NODES
     # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
     sign = -1.0 if axis == 0 else 1.0
     evals, evecs = _quad_eigh(cutoff, 1 - axis)
-    return np.exp(1j * sign * np.outer(shifts, evals)), evecs
+    phases = np.exp(1j * sign * np.outer(shifts, evals))
+    return _MIXTURE_WEIGHTS, (evecs * phases[:, None, :]) @ evecs.conj().T
+
+
+def _unitary_mixture(matrix: np.ndarray, weights, unitaries) -> np.ndarray:
+    """sum_s weights[s] W_s matrix W_s^dag for one matrix or a (B, N, N) stack."""
+    out = np.zeros_like(matrix)
+    for w, u in zip(weights, unitaries):
+        out += w * (u @ matrix @ u.conj().T)
+    return out
 
 
 def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
                                       axis: int) -> FockOperator:
     """Classical Gaussian displacement noise along one quadrature axis.
 
-    Mixes exp(-i s X) rho exp(i s X) over s ~ N(0, variance) with a 20-point
-    Gauss-Hermite rule.  Exactly trace preserving (each conjugation is
-    unitary on the truncated space).  The matrix products broadcast over a
-    stack of operators.
+    sum_s w_s W_s rho W_s^dag over the unitaries of `mixture_unitaries`.
+    Exactly trace preserving (each conjugation is unitary on the truncated
+    space).  Acts on each operator of a stack.
     """
-    if variance < 0:
-        raise InvalidInput("noise variance must be >= 0")
-    if variance == 0:
-        return FockOperator(rho.matrix.copy())
-    phases, evecs = _mixture_phases(variance, axis, rho.cutoff)
-    # mixture kernel[i, j] = sum_s w_s exp(i sign s (e_i - e_j)); conjugating by
-    # each unitary in the generator eigenbasis is then one Hadamard product
-    kernel = (phases.T * _MIXTURE_WEIGHTS) @ phases.conj()
-    inner = evecs.conj().T @ rho.matrix @ evecs
-    return FockOperator(evecs @ (kernel * inner) @ evecs.conj().T)
-
-
-def mixture_unitaries(variance: float, axis: int, cutoff: int):
-    """(weights, unitaries W_s) with `gaussian_mixture_of_displacements` equal to
-    rho -> sum_s weights[s] W_s rho W_s^dag; the unitaries are a (20, cutoff, cutoff) stack."""
-    phases, evecs = _mixture_phases(variance, axis, cutoff)
-    return _MIXTURE_WEIGHTS, (evecs * phases[:, None, :]) @ evecs.conj().T
+    weights, unitaries = mixture_unitaries(variance, axis, rho.cutoff)
+    return FockOperator(_unitary_mixture(rho.matrix, weights, unitaries))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ det(K) Delta for the symplectic form Delta).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,12 +116,20 @@ class GaussianChannel:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            disp = obj.get("disp", [0.0, 0.0])
-            return cls(np.array(obj["K"], dtype=float), np.array(obj["M"], dtype=float),
-                       np.array(disp, dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"channel JSON needs 'K' and 'M' fields: {exc}") from exc
+        """The channel of a `to_json` object; "disp" defaults to zero.
+
+        A missing or malformed field raises InvalidInput that names it.
+        """
+        def array(name, default=None):
+            if name not in obj and default is None:
+                raise InvalidInput(f"channel JSON needs 'K' and 'M' fields: '{name}' is missing")
+            value = obj.get(name, default)
+            try:
+                return np.array(value, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInput(f"Gaussian channel field '{name}' must be an array of "
+                                   f"numbers, got {reprlib.repr(value)}") from None
+        return cls(array("K"), array("M"), array("disp", [0.0, 0.0]))
 
 
 def is_physical_state(gamma) -> bool:

@@ -3,19 +3,21 @@
 A `ChannelModel` is a small tagged description (pure loss, quantum-limited
 amplification, the two canonical Gaussian noise forms, heterodyne
 measure-and-prepare, or a composition).  Every model lowers to an exact
-Gaussian channel via `to_gaussian` and to a truncated Fock-space map via
-`fock_applier`: loss followed by amplification, exact below the cutoff, plus
-a one-axis displacement mixture for anisotropic noise (CanonicalB1).
-Heterodyne measure-and-prepare has its own closed-form matrix elements
-(`apply_mp_fock`), derived from the measurement, not from (K, M).  The Fock
-engine's prior average consumes the phase average of that map as offset
-kernels (`phase_averaged_applier`).
+Gaussian channel via `to_gaussian`, and once to its Fock realization
+(`_realization`): offset-kernel factors, loss followed by amplification,
+exact below the cutoff, or heterodyne measure-and-prepare's closed-form
+outcome-integral kernels, derived from the measurement, not from (K, M);
+then, for anisotropic noise or a mean, a mixture of displacement unitaries.
+Two views read that one realization: the operator map `fock_applier`, and
+its phase average `phase_averaged_applier`, the offset kernels the Fock
+engine's prior average consumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -49,8 +51,8 @@ class QuantumLimitedAmp:
     G: float
 
     def __post_init__(self):
-        if not (self.G >= 1.0):
-            raise InvalidInput(f"amplifier gain must be >= 1, got {self.G}")
+        if not (1.0 <= self.G < math.inf):
+            raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {self.G}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,10 @@ class CanonicalC:
     ntilde: float
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise InvalidInput(f"channel gain eta must be positive, got {self.eta}")
-        if not (self.ntilde >= 0):
-            raise InvalidInput(f"added noise ntilde must be >= 0, got {self.ntilde}")
+        if not (0 < self.eta < math.inf):
+            raise InvalidInput(f"channel gain eta must be positive and finite, got {self.eta}")
+        if not (0 <= self.ntilde < math.inf):
+            raise InvalidInput(f"added noise ntilde must be >= 0 and finite, got {self.ntilde}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ class HeterodyneMP:
     g: float
 
     def __post_init__(self):
-        if not (self.g >= 0):
-            raise InvalidInput(f"re-preparation gain must be >= 0, got {self.g}")
+        if not (0 <= self.g < math.inf):
+            raise InvalidInput(f"re-preparation gain must be >= 0 and finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -114,40 +116,42 @@ _JSON_TAGS = {
 
 
 def model_to_json(model: ChannelModel) -> dict:
-    tag = _JSON_TAGS[type(model)]
-    if isinstance(model, PureLoss):
-        return {"type": tag, "T": model.T}
-    if isinstance(model, QuantumLimitedAmp):
-        return {"type": tag, "G": model.G}
-    if isinstance(model, CanonicalB1):
-        return {"type": tag}
-    if isinstance(model, CanonicalC):
-        return {"type": tag, "eta": model.eta, "ntilde": model.ntilde}
-    if isinstance(model, HeterodyneMP):
-        return {"type": tag, "g": model.g}
-    return {"type": tag, "parts": [model_to_json(p) for p in model.parts]}
+    if isinstance(model, Compose):
+        return {"type": "compose", "parts": [model_to_json(p) for p in model.parts]}
+    return {"type": _JSON_TAGS[type(model)],
+            **{f.name: getattr(model, f.name) for f in fields(model)}}
 
 
 def model_from_json(obj) -> ChannelModel:
+    """The model a `model_to_json` object describes: its tag, then one field per parameter.
+
+    A parameter is anything `float` reads; a composition's "parts" is a list
+    of model objects.  A missing or malformed field raises InvalidInput
+    naming the tag and the field.
+    """
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInput("channel model JSON must be an object with a 'type' tag")
     tag = obj["type"]
-    try:
-        if tag == "pure_loss":
-            return PureLoss(float(obj["T"]))
-        if tag == "quantum_limited_amp":
-            return QuantumLimitedAmp(float(obj["G"]))
-        if tag == "canonical_b1":
-            return CanonicalB1()
-        if tag == "canonical_c":
-            return CanonicalC(float(obj["eta"]), float(obj["ntilde"]))
-        if tag == "heterodyne_mp":
-            return HeterodyneMP(float(obj["g"]))
-        if tag == "compose":
-            return Compose([model_from_json(p) for p in obj["parts"]])
-    except KeyError as exc:
-        raise InvalidInput(f"channel model '{tag}' is missing field {exc}") from exc
-    raise InvalidInput(f"unknown channel model type {tag!r}")
+    cls = next((c for c, t in _JSON_TAGS.items() if t == tag), None)
+    if cls is None:
+        raise InvalidInput(f"unknown channel model type {tag!r}")
+    values = []
+    for name in (f.name for f in fields(cls)):
+        if name not in obj:
+            raise InvalidInput(f"channel model '{tag}' is missing field '{name}'")
+        value = obj[name]
+        if cls is Compose:
+            if not isinstance(value, (list, tuple)):
+                raise InvalidInput(f"channel model 'compose' field 'parts' must be a list "
+                                   f"of channel models, got {reprlib.repr(value)}")
+            values.append([model_from_json(p) for p in value])
+            continue
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError):
+            raise InvalidInput(f"channel model '{tag}' field '{name}' must be a number, "
+                               f"got {reprlib.repr(value)}") from None
+    return cls(*values)
 
 
 def _iso_params(model):
@@ -382,34 +386,6 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
     return result
 
 
-def fock_applier(model: ChannelModel | GaussianChannel):
-    """Truncated-space realization of a model as a map FockOperator -> FockOperator.
-
-    The map takes one operator or a stack of them (see `fock.FockOperator`).
-    Heterodyne measure-and-prepare uses its own closed-form matrix elements
-    (`apply_mp_fock`) and a composition applies its parts in order.  Every
-    other model, and a raw GaussianChannel, is realized from its normal form
-    (`channel_form`) by `fock_applier_for_gaussian`: loss, then a
-    quantum-limited amplifier, then a displacement mixture on one axis for
-    anisotropic noise only.  `fock.average_fidelity_fock` wants the phase
-    average of this map, which `phase_averaged_applier` builds.
-    """
-    if isinstance(model, HeterodyneMP):
-        # Ensemble-averaging code feeds in states near the truncation edge on
-        # purpose and accounts for the weight lost past the cutoff itself, so
-        # the applier must not trip on a trace deficit of its own.
-        return lambda rho: apply_mp_fock(model, rho, max_trace_deficit=None)
-    if isinstance(model, Compose):
-        parts = [fock_applier(p) for p in model.parts]
-
-        def apply_seq(rho):
-            for f in parts:
-                rho = f(rho)
-            return rho
-        return apply_seq
-    return fock_applier_for_gaussian(model)
-
-
 def _loss_amp_realization(form: ChannelForm):
     """(T, G, remainder, axis, beta) of a channel form's Fock realization.
 
@@ -438,27 +414,6 @@ def _loss_amp_realization(form: ChannelForm):
     return form.k2 / gain, gain, extra[axis] - extra.min(), axis, beta
 
 
-def fock_applier_for_gaussian(channel: ChannelModel | GaussianChannel):
-    """Truncated realization of a channel's normal form, where one exists here.
-
-    Loss, then a quantum-limited amplifier, then a classical displacement
-    mixture on one axis for an anisotropic remainder only, and a final
-    displacement by the mean (`_loss_amp_realization` says what is covered).
-    """
-    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(channel))
-
-    def apply(rho):
-        out = fock.apply_amp(fock.apply_loss(rho, T), gain)
-        if remainder > 0:
-            out = fock.gaussian_mixture_of_displacements(out, remainder, axis=axis)
-        if abs(beta) > 0:
-            dmat = fock.displacement(beta, out.cutoff)
-            out = fock.FockOperator(dmat @ out.matrix @ dmat.conj().T)
-        return out
-
-    return apply
-
-
 def _heterodyne_kernels(cutoff: int, g: float):
     """Offset kernels of heterodyne measure-and-prepare at gain g (see `apply_mp_fock`)."""
     if g == 0.0:
@@ -469,42 +424,60 @@ def _heterodyne_kernels(cutoff: int, g: float):
     return fock.heterodyne_kernels(cutoff, g, math.log1p(g * g))
 
 
-def _mixture_kernels(remainder: float, axis: int, beta: complex):
-    """Offset-kernel factor of the phase-averaged displacement mixture and mean.
+def _realization(model: ChannelModel | GaussianChannel):
+    """(factors, mixture) of a model's Fock realization, which both views read.
 
-    A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]) over the unitaries
-    W_s = D(beta) exp(-i s X) of `fock.mixture_unitaries`, built as each
-    offset is reached.
+    `factors` are the offset-kernel factors in order (see `fock.OffsetMap`):
+    heterodyne measure-and-prepare gives its outcome-integral kernels and a
+    composition of isotropic parts chains its parts' factors; every other
+    model, and a raw GaussianChannel, gives loss T then the quantum-limited
+    amplifier G of its normal form (`_loss_amp_realization`).  `mixture` is
+    None, or, for an anisotropic remainder or a mean beta, the function of
+    the cutoff giving (weights, unitaries W_s = D(beta) exp(-i s X)) of the
+    step rho -> sum_s w_s W_s rho W_s^dag that follows: the displacement
+    mixture of `fock.mixture_unitaries`, one D(beta) alone when only the
+    mean is left.  The unitaries are kept for the last cutoff asked, for as
+    long as the realization's views live.
     """
-    @lru_cache(maxsize=1)
-    def unitaries(n):
-        # a remainder of 0 gives 20 copies of the identity, up to roundoff
-        weights, u = fock.mixture_unitaries(remainder, axis, n)
-        if abs(beta) > 0:
-            u = fock.displacement(beta, n) @ u
-        return weights, u, u.conj()
-
-    def kernels(n):
-        weights, u, u_conj = unitaries(n)
-        return lambda d: np.tensordot(weights, u[:, d:, d:] * u_conj[:, :n - d, :n - d], 1)
-    return kernels
-
-
-def _offset_factors(model) -> list:
-    """The offset-kernel factors of a model's phase-averaged Fock realization, in order."""
     if isinstance(model, HeterodyneMP):
-        return [lambda n: _heterodyne_kernels(n, model.g)]
+        return [lambda n: _heterodyne_kernels(n, model.g)], None
     if isinstance(model, Compose) and _iso_params(model) is not None:
-        return [f for part in model.parts for f in _offset_factors(part)]
+        # isotropic parts have no mixture step
+        return [f for part in model.parts for f in _realization(part)[0]], None
     T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
     factors = []
     if T < 1.0:
         factors.append(lambda n: fock._loss_kernels(n, T))
     if gain > 1.0:
         factors.append(lambda n: fock._amp_kernels(n, gain))
-    if remainder > 0 or abs(beta) > 0:
-        factors.append(_mixture_kernels(remainder, axis, beta))
-    return factors
+    if not (remainder > 0 or abs(beta) > 0):
+        return factors, None
+
+    @lru_cache(maxsize=1)
+    def mixture(n):
+        weights, u = fock.mixture_unitaries(remainder, axis, n)
+        return weights, (fock.displacement(beta, n) @ u if abs(beta) > 0 else u)
+    return factors, mixture
+
+
+def fock_applier(model: ChannelModel | GaussianChannel):
+    """Truncated-space realization of a model as a map FockOperator -> FockOperator.
+
+    The map takes one operator or a stack of them (see `fock.FockOperator`).
+    It applies the offset-kernel factors of the model's realization
+    (`_realization`): loss, then a quantum-limited amplifier, or the
+    heterodyne outcome integral, exact below the cutoff.  Without a mixture
+    step that is the `fock.OffsetMap` itself; otherwise the map then sums
+    w_s W_s rho W_s^dag over the mixture's unitaries.  `fock.average_fidelity_fock`
+    wants the phase average of this map, which `phase_averaged_applier`
+    builds from the same realization.
+    """
+    factors, mixture = _realization(model)
+    offset_map = fock.OffsetMap(*factors)
+    if mixture is None:
+        return offset_map
+    return lambda rho: fock.FockOperator(
+        fock._unitary_mixture(offset_map(rho).matrix, *mixture(rho.cutoff)))
 
 
 def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.OffsetMap:
@@ -514,15 +487,17 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.Offset
     keeps the part of the map that conserves the photon-number offset, so
     one real amplitude per radius gives the channel's full phase average.
     The result is a `fock.OffsetMap`: callable on a FockOperator, and giving
-    its composed kernels per offset.  Phase-covariant models (loss,
-    amplification, CanonicalC, heterodyne measure-and-prepare and their
-    compositions) are their own phase average, with the kernels of
-    `fock_applier`: loss, then the quantum-limited amplifier, or the
-    heterodyne outcome integral.  Every other model, compositions containing
-    one included, and a raw GaussianChannel are realized from their exact
-    Gaussian form: the loss-then-amplifier part of `fock_applier_for_gaussian`,
-    then the phase average of rho -> sum_s w_s W_s rho W_s^dag over the
-    unitaries W_s = D(beta) exp(-i s X) of the displacement mixture and the
-    mean (`_mixture_kernels`).
+    its composed kernels per offset.  It holds the factors of `fock_applier`
+    (`_realization`), which are their own phase average, and for a mixture
+    step the phase average of rho -> sum_s w_s W_s rho W_s^dag over the same
+    unitaries, A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]).  A model
+    without a mixture step gets the same map as from `fock_applier`.
     """
-    return fock.OffsetMap(*_offset_factors(model))
+    factors, mixture = _realization(model)
+    if mixture is not None:
+        def mixture_kernels(n):
+            weights, u = mixture(n)
+            u_conj = u.conj()
+            return lambda d: np.tensordot(weights, u[:, d:, d:] * u_conj[:, :n - d, :n - d], 1)
+        factors.append(mixture_kernels)
+    return fock.OffsetMap(*factors)

@@ -275,6 +275,34 @@ def test_simulate_rejects_unphysical_channels(capsys):
     assert "complete-positivity" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("channel, field", [
+    ('{"type":"pure_loss","T":"x"}', "channel model 'pure_loss' field 'T'"),
+    ('{"type":"pure_loss","T":null}', "channel model 'pure_loss' field 'T'"),
+    ('{"type":"pure_loss","T":[0.5]}', "channel model 'pure_loss' field 'T'"),
+    ('{"type":"compose","parts":5}', "channel model 'compose' field 'parts'"),
+    ('{"K":[[1,0],[0,1]],"M":"x"}', "Gaussian channel field 'M'"),
+], ids=["text", "null", "list", "parts", "raw-M"])
+def test_a_malformed_channel_field_is_a_usage_error_that_names_it(capsys, command,
+                                                                   channel, field):
+    code, out, err = run(capsys, command, "--channel", channel, "--eta", "1",
+                         "--lambda", "0.3")
+    assert code == 2 and out == ""
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("channel, message", [
+    ('{"type":"quantum_limited_amp","G":"inf"}', "amplifier gain must be >= 1 and finite"),
+    ('{"type":"canonical_c","eta":1,"ntilde":"inf"}', "ntilde must be >= 0 and finite"),
+    ('{"type":"heterodyne_mp","g":"nan"}', "re-preparation gain must be >= 0 and finite"),
+])
+def test_a_non_finite_model_parameter_is_a_usage_error(capsys, channel, message):
+    code, out, err = run(capsys, "simulate", "--channel", channel, "--eta", "1",
+                         "--lambda", "0.3")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 FLIPPED = '{"K": [[-0.5, 0], [0, -0.5]], "M": [[0.375, 0], [0, 0.375]]}'
 
 

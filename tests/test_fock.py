@@ -413,6 +413,27 @@ def test_mixture_preserves_trace_and_hermiticity():
     assert np.allclose(out.matrix, out.matrix.conj().T, atol=1e-12)
 
 
+def test_mixture_of_zero_variance_is_one_identity():
+    weights, unitaries = fock.mixture_unitaries(0.0, 1, 12)
+    assert weights.tolist() == [1.0]
+    assert np.array_equal(unitaries, np.eye(12)[None])
+    rho = fock.coherent_ket(0.5 - 0.2j, 12).projector()
+    assert np.array_equal(fock.gaussian_mixture_of_displacements(rho, 0.0, 0).matrix, rho.matrix)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_fock_parameters_are_refused(value):
+    rho = fock.coherent_ket(0.5, 12).projector()
+    with pytest.raises(InvalidInput, match="amplifier gain must be >= 1 and finite"):
+        fock.apply_amp(rho, value)
+    with pytest.raises(InvalidInput, match="noise variance must be >= 0 and finite"):
+        fock.gaussian_mixture_of_displacements(rho, value, 0)
+    with pytest.raises(InvalidInput, match="noise variance must be >= 0 and finite"):
+        fock.mixture_unitaries(value, 0, 12)
+    with pytest.raises(InvalidInput, match="lambda must be positive and finite"):
+        fock.thermal_state(value, 12)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -159,6 +159,18 @@ def test_channel_json_roundtrip():
     assert np.array_equal(GaussianChannel.from_json(spec).disp, np.zeros(2))
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"K": [[1, 0], [0, 1]], "M": "x"}, "'M'"),
+    ({"K": [[1, 0], [0, 1]], "M": [[1, 0], [0]]}, "'M'"),
+    ({"K": {"a": 1}, "M": [[0, 0], [0, 0]]}, "'K'"),
+    ({"K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]], "disp": "ab"}, "'disp'"),
+    ({"M": [[0, 0], [0, 0]]}, "'K'"),
+])
+def test_channel_json_names_a_missing_or_malformed_field(spec, field):
+    with pytest.raises(InvalidInput, match=field):
+        GaussianChannel.from_json(spec)
+
+
 def test_isotropic_part_tolerance_is_relative():
     assert isotropic_part(3.0 * E2) == 3.0
     # 1e-12 relative to max(1, |diagonal|): 2e-12 skew passes on a gain of 3

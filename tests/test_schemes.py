@@ -12,8 +12,7 @@ from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               is_cp_channel)
 from cvbench.schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
                              PureLoss, QuantumLimitedAmp, apply_mp_fock,
-                             fock_applier, fock_applier_for_gaussian,
-                             model_from_json, model_to_json,
+                             fock_applier, model_from_json, model_to_json,
                              mp_average_fidelity, optimal_mp_gain,
                              optimize_mp_gain, phase_averaged_applier,
                              to_gaussian)
@@ -68,6 +67,39 @@ def test_json_rejects_unknown_and_incomplete():
         model_from_json({"type": "pure_loss"})
     with pytest.raises(InvalidInput):
         model_from_json(["pure_loss"])
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "pure_loss", "T": "x"}, "'pure_loss' field 'T' must be a number"),
+    ({"type": "pure_loss", "T": None}, "'pure_loss' field 'T' must be a number"),
+    ({"type": "pure_loss", "T": [0.5]}, "'pure_loss' field 'T' must be a number"),
+    ({"type": "canonical_c", "eta": 1.0, "ntilde": {}}, "'canonical_c' field 'ntilde'"),
+    ({"type": "compose", "parts": 5}, "'compose' field 'parts' must be a list"),
+    ({"type": "compose", "parts": [{"type": "pure_loss", "T": "x"}]}, "'pure_loss' field 'T'"),
+    ({"type": "heterodyne_mp"}, "'heterodyne_mp' is missing field 'g'"),
+])
+def test_json_names_the_tag_and_field_of_a_malformed_value(obj, message):
+    with pytest.raises(InvalidInput, match=message):
+        model_from_json(obj)
+
+
+def test_json_still_reads_what_float_reads():
+    assert model_from_json({"type": "pure_loss", "T": "0.5"}) == PureLoss(0.5)
+    assert model_from_json({"type": "pure_loss", "T": True}) == PureLoss(1.0)
+    assert model_from_json({"type": "compose", "parts": [{"type": "canonical_b1"}]}) \
+        == Compose([CanonicalB1()])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuantumLimitedAmp(math.inf), lambda: QuantumLimitedAmp(math.nan),
+    lambda: CanonicalC(math.inf, 0.0), lambda: CanonicalC(1.0, math.inf),
+    lambda: CanonicalC(math.nan, 0.0), lambda: CanonicalC(1.0, math.nan),
+    lambda: HeterodyneMP(math.inf), lambda: HeterodyneMP(math.nan),
+], ids=["amp-inf", "amp-nan", "C-eta-inf", "C-ntilde-inf", "C-eta-nan", "C-ntilde-nan",
+        "mp-inf", "mp-nan"])
+def test_non_finite_model_parameters_are_refused(build):
+    with pytest.raises(InvalidInput, match="and finite"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +550,23 @@ def _phase_resolved_average(applier, eta, lam, cutoff):
 @pytest.mark.parametrize("model", COVARIANT + NOT_COVARIANT, ids=_name)
 def test_one_phase_per_radius_is_exact_on_the_truncated_space(model, cutoff):
     eta, lam = 0.9, 0.4
-    if model in COVARIANT:
-        own = fock_applier(model)
-    else:
-        own = fock_applier_for_gaussian(
-            model if isinstance(model, GaussianChannel) else to_gaussian(model))
+    own = fock_applier(model)
     got = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=cutoff)
     assert abs(got.value - _phase_resolved_average(own, eta, lam, cutoff)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)
+def test_fock_applier_of_a_covariant_model_is_an_offset_map(model):
+    assert isinstance(fock_applier(model), fock.OffsetMap)
+
+
+def test_a_displaced_isotropic_channel_is_one_displacement():
+    # no noise remainder: the mean is one unitary, D(beta) itself, in both views
+    channel = GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3]))
+    _, mixture = schemes._realization(channel)
+    weights, unitaries = mixture(30)
+    assert weights.tolist() == [1.0]
+    assert np.array_equal(unitaries, fock.displacement((0.5 - 0.3j) / math.sqrt(2.0), 30)[None])
 
 
 def test_fock_error_estimate_bounds_the_true_deviation():
@@ -554,9 +596,9 @@ def test_fock_error_estimate_bounds_the_true_deviation():
     assert worst > 0.1  # the bound is not vacuous on this grid
 
 
-def test_fock_applier_for_gaussian_channels():
+def test_fock_applier_for_raw_gaussian_channels():
     channel = to_gaussian(CanonicalC(eta=0.7, ntilde=0.2))
-    applier = fock_applier_for_gaussian(channel)
+    applier = fock_applier(channel)
     rho = fock.coherent_ket(0.4, 40).projector()
     out = applier(rho)
     mean, cov = fock.mean_and_covariance(out)
@@ -565,25 +607,25 @@ def test_fock_applier_for_gaussian_channels():
     assert np.allclose(cov, expected.gamma, atol=1e-6)
 
     shifted = GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3]))
-    out = fock_applier_for_gaussian(shifted)(rho)
+    out = fock_applier(shifted)(rho)
     mean, _ = fock.mean_and_covariance(out)
     expected = apply_channel(shifted, GaussianState.coherent(0.4))
     assert np.allclose(mean, expected.d, atol=1e-6)
 
 
-def test_fock_applier_for_gaussian_skips_roundoff_noise(monkeypatch):
+def test_fock_applier_skips_roundoff_noise(monkeypatch):
     # to_gaussian(PureLoss(0.5)) has K = sqrt(0.5) E2, and sqrt(0.5)**2 != 0.5
     # leaves ~1e-17 of noise above the loss floor: no mixture should run for it.
     calls = []
-    mixture = fock.gaussian_mixture_of_displacements
+    mixture = fock.mixture_unitaries
 
     def counting(*args, **kwargs):
         calls.append(args)
         return mixture(*args, **kwargs)
 
-    monkeypatch.setattr(fock, "gaussian_mixture_of_displacements", counting)
+    monkeypatch.setattr(fock, "mixture_unitaries", counting)
     rho = fock.coherent_ket(0.7 - 0.3j, 40).projector()
-    out = fock_applier_for_gaussian(to_gaussian(PureLoss(0.5)))(rho)
+    out = fock_applier(to_gaussian(PureLoss(0.5)))(rho)
     assert calls == []
     assert np.allclose(out.matrix, fock.apply_loss(rho, 0.5).matrix, rtol=0.0, atol=1e-12)
     # isotropic noise is loss followed by gain: no mixture; only an
@@ -598,7 +640,7 @@ def test_fock_applier_for_gaussian_skips_roundoff_noise(monkeypatch):
         calls.clear()
         fock_applier(model)(rho)
         assert len(calls) == mixtures, model
-    assert calls[0][1] == pytest.approx(0.4 - 0.2)  # the remainder above the isotropic part
+    assert calls[0][0] == pytest.approx(0.4 - 0.2)  # the remainder above the isotropic part
 
 
 @pytest.mark.parametrize("model", [
@@ -621,11 +663,11 @@ def test_isotropic_realization_is_exact_up_to_the_cutoff(model):
     assert np.abs(small - large[:cutoff, :cutoff]).max() <= 1e-12
 
 
-def test_fock_applier_for_gaussian_rejects_bad_channels():
+def test_fock_applier_rejects_bad_channels():
     with pytest.raises(NotCompletelyPositive):
-        fock_applier_for_gaussian(GaussianChannel(2.0 * E2, np.zeros((2, 2))))
+        fock_applier(GaussianChannel(2.0 * E2, np.zeros((2, 2))))
     with pytest.raises(UnsupportedTask):
-        fock_applier_for_gaussian(GaussianChannel(
+        fock_applier(GaussianChannel(
             np.array([[0.5, 0.0], [0.0, 0.9]]), E2))
 
 

@@ -6,6 +6,12 @@ average fidelity any measure-and-prepare strategy can reach; beating it
 certifies quantum-domain operation.  For deamplification it also follows
 from a variance argument that quantum-domain operation is implied whenever
 the summed quadrature deviation stays below `quadrature_threshold`.
+
+This module also decides what a valid task is, for every module that takes
+one: `_check_task` accepts a finite eta > 0 and a finite lam >= 0, where
+lam = 0 is the flat-prior limit that only the closed forms take, and
+`_check_prior` adds lam > 0 for the averages that need a proper prior.
+Each raises InvalidInput naming the offending value.
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ def _unwrap(value):
     return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
-def _check_task(eta, lam, n_copies):
+# The narrow prior width that stands in for the flat prior (lam = 0) where an
+# average or a grid weighting needs a proper one.
+_SMALL_LAM = 1e-3
+
+
+def _check_task(eta, lam, n_copies=1):
     _require((eta > 0) & (eta < np.inf), eta, "task gain eta must be positive and finite")
     _require((lam >= 0) & (lam < np.inf), lam, "prior width lambda must be >= 0 and finite")
     if isinstance(n_copies, bool) or not (
@@ -52,6 +63,13 @@ def _check_task(eta, lam, n_copies):
         n, lam, eta = (np.broadcast_to(v, np.shape(ok))[at] for v in (n_copies, lam, eta))
         raise InvalidInput(f"copies + lambda + eta overflows a float at {n} copies, "
                            f"lambda {lam} and eta {eta}")
+
+
+def _check_prior(eta, lam):
+    """`_check_task` for the averages over a proper prior, which also need lam > 0."""
+    _check_task(eta, lam)
+    _require(lam > 0, lam, "prior width lambda must be > 0 (lambda = 0, the flat limit, "
+             "is taken only by the closed forms)")
 
 
 def classical_bound(eta: float, lam: float = 0.0, n_copies: int = 1) -> float:
@@ -74,7 +92,7 @@ def quadrature_threshold(eta: float, lam: float = 0.0) -> float:
     channel is at least 2 eta / (1 + lam + eta).  Only the single-copy
     criterion is available.  Broadcasts over arrays.
     """
-    _check_task(eta, lam, 1)
+    _check_task(eta, lam)
     return _unwrap(2.0 * (eta / (1.0 + lam + eta)))
 
 

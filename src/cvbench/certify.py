@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import classical_bound, quadrature_threshold
+from .bounds import (_SMALL_LAM, _check_prior, _check_task, classical_bound,
+                     quadrature_threshold)
 from .errors import DatasetError, InvalidInput, UnsupportedTask
 from .gaussian import (E2, GaussianChannel, GaussianState, apply_channel,
                        average_fidelity_gaussian, coherent_mean)
@@ -154,8 +155,7 @@ def delta_bar(ds: ExperimentDataset, eta: float):
     weighted grid average of v minus 1 (the coherent-state floor, so a
     perfect transformation scores 0).
     """
-    if not (eta > 0):
-        raise InvalidInput(f"gain eta must be positive, got {eta}")
+    _check_task(eta, ds.lam)
     weights = ds.probe_weights()
     total, var = 0.0, 0.0
     for w, (alpha, groups) in zip(weights, ds.grouped()):
@@ -184,6 +184,7 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
     grid itself as fixed -- the certification statement is conditional on the
     grid, so only shot noise is resampled.  n_boot runs from 2 to _MAX_BOOT.
     """
+    _check_task(eta, ds.lam)
     check_boot_count(n_boot)
     rng = np.random.default_rng(seed)
     weights = ds.probe_weights()
@@ -374,6 +375,7 @@ def certify_by_fidelity_from_variance(ds: ExperimentDataset, k: float = 3.0,
 
 def expected_deviation(channel: GaussianChannel, eta: float, alpha) -> float:
     """Closed-form v(alpha) for a Gaussian channel: Tr gamma' + mean offset^2."""
+    _check_task(eta, 0.0)   # one probe: no prior width to check
     out = apply_channel(channel, GaussianState.coherent(alpha))
     offset = out.d - math.sqrt(eta) * coherent_mean(alpha)
     return float(np.trace(out.gamma) + offset @ offset)
@@ -385,8 +387,7 @@ def average_deviation(channel: GaussianChannel, eta: float, lam: float) -> float
     A = K - sqrt(eta) E2 is the gain mismatch; the 1/lam factor is the
     prior's mean squared displacement.
     """
-    if not (lam > 0):
-        raise InvalidInput(f"prior width lambda must be positive, got {lam}")
+    _check_prior(eta, lam)
     gamma_out = channel.K @ (0.5 * E2) @ channel.K.T + channel.M
     a = channel.K - math.sqrt(eta) * E2
     return float(np.trace(gamma_out) + np.trace(a @ a.T) / lam
@@ -440,7 +441,7 @@ class DetectionReport:
         return out
 
 
-def detect_gaussian_qd(channel, lam: float = 1e-3) -> DetectionReport:
+def detect_gaussian_qd(channel, lam: float = _SMALL_LAM) -> DetectionReport:
     """Classify a Gaussian channel against the classical bound.
 
     Recognizes the two canonical one-mode forms in the channel's normal form

@@ -42,7 +42,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, certify, fock, proofcheck, schemes
-from .bounds import classical_bound, quadrature_threshold, quantum_amp_bound
+from .bounds import _SMALL_LAM, classical_bound, quadrature_threshold, quantum_amp_bound
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
@@ -55,7 +55,6 @@ EXIT_CP = 3
 EXIT_DATA = 4
 EXIT_DISAGREE = 5
 
-_SMALL_LAM = 1e-3
 _HASH_BLOCK = 1 << 20             # --input is hashed in blocks, so memory stays bounded
 
 # Each subcommand's flags, one row each: (flag, type, default, help).  A type
@@ -347,10 +346,10 @@ def _cmd_bound(eff: dict):
               "classical_bound": classical_bound(eta, lam, n)}
     if n == 1:
         result["quadrature_threshold"] = quadrature_threshold(eta, lam)
-        result["optimal_mp_gain"] = schemes.optimal_mp_gain(eta, lam)
-        result["optimal_mp_fidelity"] = schemes.mp_average_fidelity(
-            schemes.optimal_mp_gain(eta, lam), eta, lam) if lam > 0 else \
-            classical_bound(eta, 0.0)
+        # at lambda = 0 this takes mp_average_fidelity's matched-gain branch,
+        # 1/(1 + eta), which is the flat-prior bound to the last bit
+        g_opt = result["optimal_mp_gain"] = schemes.optimal_mp_gain(eta, lam)
+        result["optimal_mp_fidelity"] = schemes.mp_average_fidelity(g_opt, eta, lam)
     if eta > 1:
         result["quantum_amp_bound"] = quantum_amp_bound(eta)
     return {"result": result, "warnings": []}, EXIT_OK, None

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .bounds import _check_prior
 from .ensembles import laguerre_rule
 from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
@@ -530,8 +531,11 @@ def select_cutoff(eta: float, lam: float) -> int:
     (eta / (lam + eta))^N (`truncated_prior_weights`).  Raises CutoffTooSmall
     when that N exceeds 180.
     """
-    # the smaller of 1 + lam and (lam + eta) / eta sets the slower decay
-    need = -math.log(_CUTOFF_WEIGHT_TOL) / math.log1p(min(lam, lam / eta))
+    _check_prior(eta, lam)
+    # the smaller of 1 + lam and (lam + eta) / eta sets the slower decay; a
+    # lam / eta that underflows to 0 leaves no decay at all
+    decay = math.log1p(min(lam, lam / eta))
+    need = -math.log(_CUTOFF_WEIGHT_TOL) / decay if decay > 0 else math.inf
     if not need <= _MAX_AUTO_CUTOFF:
         raise CutoffTooSmall(
             f"a prior of width lambda = {lam:.6g} at task gain eta = {eta:.6g} needs a "
@@ -615,10 +619,7 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
             f"the prior average needs a phase-covariant map given by its offset "
             f"kernels (an OffsetMap, e.g. from schemes.phase_averaged_applier), "
             f"got {offset_map!r}")
-    if not (lam > 0 and math.isfinite(lam)):
-        raise InvalidInput("prior average needs a finite lambda > 0; use closed forms at lambda = 0")
-    if not (eta > 0 and math.isfinite(eta)):
-        raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
+    _check_prior(eta, lam)
     if cutoff is None:
         cutoff = select_cutoff(eta, lam)
     elif not 1 <= cutoff <= _MAX_AUTO_CUTOFF:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _check_task
 from .errors import DomainError, InvalidInput
 
 E2 = np.eye(2)
@@ -238,10 +239,7 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) 
     flat-prior limit and is accepted only in that case; anything else
     diverges and raises DomainError.  A non-finite eta or lam is refused.
     """
-    if not (eta > 0 and math.isfinite(eta)):
-        raise InvalidInput(f"task gain eta must be positive and finite, got {eta}")
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise InvalidInput(f"prior width lambda must be >= 0 and finite, got {lam}")
+    _check_task(eta, lam)
     if not is_cp_channel(channel):
         raise InvalidInput("channel (K, M) violates complete positivity")
 

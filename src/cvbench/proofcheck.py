@@ -27,11 +27,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fock
-from .bounds import classical_bound
+from .bounds import _check_prior, _check_task, classical_bound
 from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
 from .errors import InvalidInput
 
-_IDENTITY_TOL = 1e-10
+_IDENTITY_TOL = 1e-10       # the circulant check's residuals
+_SCORE_TOL = 1e-8           # the score check's largest violation
+_TWO_COPY_REL_TOL = 1e-3    # the two-copy check's relative difference
 # Widest cutoffs the builders accept.  The score side has no rule: the cap
 # guards the two-copy check's polar rule, whose Gauss-Laguerre weights turn
 # NaN from cutoff 92 on, and the score check's operator stack.  The dense
@@ -40,7 +42,7 @@ _IDENTITY_TOL = 1e-10
 # the widest truncation the Fock engine accepts.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
-_MAX_SCORE_LEVELS = 180
+_MAX_SCORE_LEVELS = fock._MAX_AUTO_CUTOFF
 # Largest copy and probe counts the checks accept.  The circulant check
 # diagonalizes dense copies x copies matrices; the score check stacks one
 # cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 135 MiB).
@@ -95,8 +97,7 @@ class CirculantReport:
         return asdict(self)
 
 
-def circulant_identity_check(p: int, lam: float, eta: float,
-                             tol: float = _IDENTITY_TOL) -> CirculantReport:
+def circulant_identity_check(p: int, lam: float, eta: float) -> CirculantReport:
     """Verify the circulant identities at one (copies, lam, eta) point.
 
     Checks, all against numpy linear algebra on the literal matrix:
@@ -111,8 +112,7 @@ def circulant_identity_check(p: int, lam: float, eta: float,
     multiset only when p is even; the report records whether it happened to
     match rather than silently flipping signs.
     """
-    if not (lam >= 0) or not (eta > 0):
-        raise InvalidInput("circulant identities are checked for lam >= 0, eta > 0")
+    _check_task(eta, lam)
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= _MAX_COPIES:
         raise InvalidInput(f"copy count must be an integer in 1..{_MAX_COPIES}, got {p!r}")
     try:
@@ -120,6 +120,11 @@ def circulant_identity_check(p: int, lam: float, eta: float,
     except OverflowError:
         raise InvalidInput(f"(1 + lambda + eta)^copies overflows a float at {p} copies, "
                            f"lambda {lam:g} and eta {eta:g}; use fewer copies") from None
+    if not prod_target > 0:
+        raise InvalidInput(f"(1 + lambda + eta)^copies - eta^copies rounds to 0 at {p} copies, "
+                           f"lambda {lam:g} and eta {eta:g}: 1 + lambda is below the last "
+                           f"bit of eta")
+    tol = _IDENTITY_TOL
     chi = circulant_eigenvalues(p, lam + eta, eta)
     numeric = np.linalg.eigvals(circulant_matrix(p, lam + eta, eta))
     scale = lam + 2.0 * eta + 1.0
@@ -182,8 +187,7 @@ def outcome_score_operator(phi, eta: float, lam: float) -> fock.FockOperator:
     operator, and compression can only lower the top eigenvalue.  A (B, levels)
     stack of probes gives the matching operator stack.
     """
-    if not (eta > 0) or not (lam > 0):
-        raise InvalidInput("score operator needs eta > 0 and lam > 0")
+    _check_prior(eta, lam)
     amps = _probe_amplitudes(phi)
     kernels = fock.heterodyne_kernels(amps.shape[-1], math.sqrt(eta), math.log1p(lam + eta))
     projector = amps[..., :, None] * amps.conj()[..., None, :]
@@ -209,8 +213,7 @@ class ScoreBoundReport:
 
 
 def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20,
-                      seed: int = 0, bound_scale: float = 1.0,
-                      tol: float = 1e-8) -> ScoreBoundReport:
+                      seed: int = 0, bound_scale: float = 1.0) -> ScoreBoundReport:
     """Check the score-operator bound on random probes plus the vacuum.
 
     For every probe phi the top eigenvalue of its score operator must stay
@@ -220,6 +223,7 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     makes `bound_scale` < 1 a built-in self-test: scaling the right-hand side
     down must produce a reported violation.
     """
+    _check_prior(eta, lam)
     if not 0 <= trials <= _MAX_TRIALS:
         raise InvalidInput(f"trial count must be in 0..{_MAX_TRIALS}, got {trials}")
     if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
@@ -241,10 +245,10 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     honest_rhs = classical_bound(eta, lam) * (np.abs(probes[0]) ** 2 @ thermal)
     return ScoreBoundReport(
         eta=eta, lam=lam, cutoff=cutoff, random_trials=trials, seed=seed,
-        bound_scale=bound_scale, tolerance=tol,
+        bound_scale=bound_scale, tolerance=_SCORE_TOL,
         max_violation=max_violation, worst_probe=worst,
         vacuum_saturation_gap=float(honest_rhs - scores[0]),
-        passed=max_violation <= tol)
+        passed=max_violation <= _SCORE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +272,7 @@ def two_copy_operator(eta: float, lam: float, cutoff: int) -> np.ndarray:
     projectors are truncated.  This is the dense reference for the
     contraction `two_copy_check` uses; it is not on that check's path.
     """
-    if not (eta > 0) or not (lam > 0):
-        raise InvalidInput("two-copy operator needs eta > 0 and lam > 0")
+    _check_prior(eta, lam)
     if not (1 <= cutoff <= _MAX_TWO_COPY_CUTOFF):
         raise InvalidInput(f"two-copy build supports cutoffs 1..{_MAX_TWO_COPY_CUTOFF} "
                            "(memory grows with the fourth power)")
@@ -326,8 +329,7 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
     spectrum is one rfft per radius.  The value sums the harmonics 0..A/2
     with weights 1, 2, ..., 2, 1, each a real quadratic form in q's spectrum.
     """
-    if not (eta > 0) or not (lam > 0):
-        raise InvalidInput("two-copy value needs eta > 0 and lam > 0")
+    _check_prior(eta, lam)
     if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
         raise InvalidInput(f"two-copy check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
                            f"got {cutoff}")
@@ -356,36 +358,35 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
     return float(np.sum(parts * (spectrum @ parts)))
 
 
-def _score_levels(eta: float, lam: float, cutoff: int, rel_tol: float) -> int:
+def _score_levels(eta: float, lam: float, cutoff: int) -> int:
     """Output levels the two-copy check keeps of the score operator.
 
     Truncating the score operator's output at c levels drops a share of its
     squared Frobenius norm that decays as (eta / (1 + lam + eta))^c; the
-    smallest c that puts that power below rel_tol / 100 is kept, and never
-    fewer than the two-copy cutoff.
+    smallest c that puts that power below _TWO_COPY_REL_TOL / 100 is kept,
+    and never fewer than the two-copy cutoff.
     """
-    if not (eta > 0) or not (lam > 0) or not (rel_tol > 0):
-        raise InvalidInput("two-copy check needs eta > 0, lam > 0 and rel_tol > 0")
+    _check_prior(eta, lam)
     decay = math.log1p((1.0 + lam) / eta)            # -log(eta / (1 + lam + eta))
-    needed = math.log(100.0 / rel_tol) / decay if decay > 0 else math.inf
+    needed = math.log(100.0 / _TWO_COPY_REL_TOL) / decay if decay > 0 else math.inf
     if not needed <= _MAX_SCORE_LEVELS:
         raise InvalidInput(
             f"the two-copy check's score side needs {needed:.4g} levels at eta {eta:g} "
-            f"and lambda {lam:g} to resolve a relative tolerance of {rel_tol:g}; "
+            f"and lambda {lam:g} to resolve a relative tolerance of {_TWO_COPY_REL_TOL:g}; "
             f"it builds at most {_MAX_SCORE_LEVELS}")
     return max(cutoff, math.ceil(needed))
 
 
-def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12,
-                   rel_tol: float = 1e-3) -> TwoCopyReport:
+def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12) -> TwoCopyReport:
     """Cross-check ||score operator||_F^2 against the two-copy operator.
 
     The squared Frobenius norm of a probe's score operator equals the
     expectation of the two-copy operator in |phi> (x) |phi>.  The score side
     is the closed form of `outcome_score_operator`, its output kept to
     `_score_levels` levels, which follow (eta, lam) so that the levels it
-    drops stay far below `rel_tol`.  The two-copy side is a polar quadrature
-    at `cutoff` contracted in closed phase-circulant form (`_two_copy_value`):
+    drops stay far below the relative tolerance _TWO_COPY_REL_TOL.  The
+    two-copy side is a polar quadrature at `cutoff` contracted in closed
+    phase-circulant form (`_two_copy_value`):
     the overlaps cost one FFT per radius and the coupling R^2 (A/2 + 1)
     exponentials, against the cutoff^4 of the dense `two_copy_operator`.  The
     sides share no construction and truncate different factors, so agreement
@@ -396,11 +397,11 @@ def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12,
     if amps.ndim != 1 or amps.size > cutoff:
         raise InvalidInput(f"the two-copy check takes one probe on at most {cutoff} "
                            f"levels, got shape {amps.shape}")
-    levels = _score_levels(eta, lam, cutoff, rel_tol)
+    levels = _score_levels(eta, lam, cutoff)
     value = _two_copy_value(np.pad(amps, (0, cutoff - amps.size)), eta, lam, cutoff)
     score = outcome_score_operator(np.pad(amps, (0, levels - amps.size)), eta, lam)
     frob = float(np.sum(np.abs(score.matrix) ** 2))
     rel = abs(frob - value) / max(frob, value, 1e-300)
     return TwoCopyReport(eta=eta, lam=lam, cutoff=cutoff, score_cutoff=levels,
                          frobenius_sq=frob, two_copy_value=value, rel_difference=rel,
-                         tolerance=rel_tol, passed=rel <= rel_tol)
+                         tolerance=_TWO_COPY_REL_TOL, passed=rel <= _TWO_COPY_REL_TOL)

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from . import fock
-from .bounds import _require, _unwrap, classical_bound
+from .bounds import _check_prior, _check_task, _require, _unwrap
 from .errors import (ConvergenceError, InvalidInput, NotCompletelyPositive,
                      UnsupportedTask)
 from .gaussian import (E2, GaussianChannel, compose as compose_channels,
@@ -269,17 +269,12 @@ def canonical_c_quantum_domain(eta: float, ntilde: float) -> bool:
 # measure-and-prepare closed forms
 
 
-def _check_mp_task(eta, lam):
-    _require(eta > 0, eta, "task gain eta must be positive")
-    _require(lam >= 0, lam, "prior width lambda must be >= 0")
-
-
 def optimal_mp_gain(eta: float, lam: float) -> float:
     """Re-preparation gain maximizing the heterodyne strategy: sqrt(eta)/(1+lam).
 
     Broadcasts over arrays.
     """
-    _check_mp_task(eta, lam)
+    _check_task(eta, lam)
     return _unwrap(np.sqrt(eta) / (1.0 + lam))
 
 
@@ -293,7 +288,12 @@ def mp_average_fidelity(g: float, eta: float, lam: float) -> float:
     matched gain and 0 otherwise.  Broadcasts over arrays.
     """
     _require((g >= 0) & (g < np.inf), g, "re-preparation gain must be >= 0 and finite")
-    _check_mp_task(eta, lam)
+    _check_task(eta, lam)
+    return _mp_fidelity(g, eta, lam)
+
+
+def _mp_fidelity(g, eta, lam):
+    """`mp_average_fidelity` of a gain and a task already checked."""
     sqrt_eta = np.sqrt(eta)
     # float_power calls the C library's pow, as Python's ** does on floats;
     # ** 2 on an array squares instead, and the two differ in the last bit
@@ -304,7 +304,7 @@ def mp_average_fidelity(g: float, eta: float, lam: float) -> float:
     return _unwrap(np.where(lam == 0, flat, value))
 
 
-def optimize_mp_gain(eta: float, lam: float, grid=None):
+def optimize_mp_gain(eta: float, lam: float):
     """Numerically locate the best heterodyne gain; returns (g_best, fidelity).
 
     Coarse grid search over [0, 3 sqrt(eta)] followed by golden-section
@@ -313,19 +313,13 @@ def optimize_mp_gain(eta: float, lam: float, grid=None):
     to ~1e-15.  The optimum never exceeds the classical bound (up to
     roundoff), which callers are welcome to assert.
     """
-    if lam <= 0:
-        raise InvalidInput("gain optimization needs lambda > 0 (otherwise the optimum is trivial)")
-    if grid is None:
-        grid = np.linspace(0.0, 3.0 * math.sqrt(eta), 1201)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise InvalidInput("gain grid needs at least 3 points")
-    vals = mp_average_fidelity(grid, eta, lam)
-    i = int(np.argmax(vals))
+    _check_prior(eta, lam)
+    grid = np.linspace(0.0, 3.0 * math.sqrt(eta), 1201)
+    i = int(np.argmax(_mp_fidelity(grid, eta, lam)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    g_best = _golden_max(lambda g: mp_average_fidelity(g, eta, lam), lo, hi, tol=1e-10)
-    return g_best, mp_average_fidelity(g_best, eta, lam)
+    g_best = _golden_max(lambda g: _mp_fidelity(g, eta, lam), lo, hi, tol=1e-10)
+    return g_best, _mp_fidelity(g_best, eta, lam)
 
 
 def _golden_max(f, a, b, tol):

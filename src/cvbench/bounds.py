@@ -34,11 +34,14 @@ def _require(ok, values, what: str) -> None:
         raise InvalidInput(f"{what}, got {np.asarray(values)[np.logical_not(ok)][0]}")
 
 
+_NUMPY = (np.ndarray, np.generic)
+
+
 def _unwrap(value):
     """A 0-d result as a Python scalar; arrays pass through."""
     if isinstance(value, np.ndarray) and value.ndim:
         return value
-    return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
+    return value.item() if isinstance(value, _NUMPY) else value
 
 
 # The narrow prior width that stands in for the flat prior (lam = 0) where an
@@ -53,11 +56,16 @@ def _check_task(eta, lam, n_copies=1):
             isinstance(n_copies, int) or np.asarray(n_copies).dtype.kind in "iu"):
         raise InvalidInput(f"copy count must be an integer, got {n_copies!r}")
     _require(n_copies >= 1, n_copies, "copy count must be >= 1")
-    with np.errstate(over="ignore"):  # the closed forms divide by n + lam + eta
-        try:
+    # The closed forms divide by n + lam + eta.  Python floats overflow to inf
+    # without a warning; only numpy values need it silenced.
+    try:
+        if isinstance(eta, _NUMPY) or isinstance(lam, _NUMPY) or isinstance(n_copies, _NUMPY):
+            with np.errstate(over="ignore"):
+                ok = n_copies + lam + eta < np.inf
+        else:
             ok = n_copies + lam + eta < np.inf
-        except OverflowError:  # a Python int copy count past the float range
-            ok = False
+    except OverflowError:  # a Python int copy count past the float range
+        ok = False
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         at = np.unravel_index(np.argmin(ok), np.shape(ok))
         n, lam, eta = (np.broadcast_to(v, np.shape(ok))[at] for v in (n_copies, lam, eta))

@@ -86,8 +86,10 @@ class ExperimentDataset:
         if not (isinstance(self.lam, (int, float)) and self.lam > 0
                 and math.isfinite(self.lam)):
             raise DatasetError(f"prior width lambda must be positive, got {self.lam}")
-        if self.eta_declared is not None and not (self.eta_declared > 0):
-            raise DatasetError(f"declared gain must be positive, got {self.eta_declared}")
+        if self.eta_declared is not None and not (self.eta_declared > 0
+                                                  and math.isfinite(self.eta_declared)):
+            raise DatasetError(
+                f"declared gain must be positive and finite, got {self.eta_declared}")
         self.records = list(self.records)
         if not self.records:
             raise DatasetError("dataset has no records")

@@ -5,8 +5,10 @@ tables) that embeds the toolkit version, the seed and the resolved
 configuration, so identical invocations produce byte-identical output.
 Files are written atomically: a temporary file in the target directory is
 renamed over the destination only once the document is complete, with the
-mode a plain open() would have given it.  Sweep tables, CSV or JSON, are
-written in blocks of rows, so their memory does not grow with the grid.
+mode a plain open() would have given it.  Sweep tables, CSV or JSON, go
+through one row writer: runs of columns are joined once into text segments
+on their own axes, then written in blocks of rows, each one gather per
+segment and one str.join, so their memory does not grow with the grid.
 
 Each subcommand declares its flags once, in one table of (flag, type,
 default, help) rows; the parser, the help's defaults, the config-file keys
@@ -566,19 +568,65 @@ def _sweep_columns(values: dict):
     return names, columns
 
 
-def _sweep_blocks(cells: list, shape: tuple):
-    """A sweep's rows, _SWEEP_BLOCK_ROWS at a time, as one list of cell texts per column.
+def _joined(left: np.ndarray, sep: str, right: np.ndarray) -> np.ndarray:
+    """left + sep + right, text by text, on the union of their axes.
 
-    `cells` holds each column's texts on the axes it depends on; rows follow
-    grid order (the last axis varies fastest).
+    The second add runs in place, so each left + sep text is freed as soon as
+    the one that replaces it is made.
     """
+    out = np.add(np.broadcast_to(left, np.broadcast_shapes(left.shape, right.shape)), sep)
+    return np.add(out, right, out=out)
+
+
+def _sweep_segments(cells, cell_sep: str, row_open: str) -> list:
+    """Runs of consecutive sweep columns, each run's texts joined into one segment.
+
+    `cells` yields each column's texts on the axes it depends on, in column
+    order; each is joined onto the segment before it as it comes, so only
+    one column's cells are held apart at a time.  A run grows only while the
+    union of its axes stays within one block or within its larger operand's
+    axes, so no segment holds more cells than its largest column or one
+    block.  The first segment opens with row_open, every other one with
+    cell_sep.
+    """
+    segments, head = [], row_open
+    for c in cells:
+        if segments and math.prod(np.broadcast_shapes(segments[-1].shape, c.shape)) <= max(
+                _SWEEP_BLOCK_ROWS, segments[-1].size, c.size):
+            segments[-1] = _joined(segments[-1], cell_sep, c)
+        else:
+            segments.append(np.add(head, c))
+            head = cell_sep
+        del c  # its texts are freed before the next column is formatted
+    return segments
+
+
+def _sweep_rows(cells, shape: tuple, cell_sep: str, row_open: str, row_close: str,
+                row_sep: str):
+    """A sweep's rows as text chunks of _SWEEP_BLOCK_ROWS rows, in grid order.
+
+    Each row is row_open, its cells joined by cell_sep, then row_close; rows
+    are joined by row_sep.  `cells` yields each column's texts on the axes
+    it depends on, in column order, and is read into segments once (see
+    _sweep_segments).  A block of rows is then one gather per segment and
+    one str.join.
+    """
+    # Each row opens with the closing and separator of the row before; the
+    # first row trims them, and a last chunk closes the last row.
+    between = row_close + row_sep
+    segments = _sweep_segments(cells, cell_sep, between + row_open)
     total = math.prod(shape)
     for start in range(0, total, _SWEEP_BLOCK_ROWS):
         index = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK_ROWS, total)),
                                  shape)
-        # clipping sends every index along a length-1 dimension to 0: a broadcast
-        yield [c.ravel()[np.ravel_multi_index(index, c.shape, mode="clip")].tolist()
-               for c in cells]
+        pieces = np.empty((index[0].size, len(segments)), dtype=object)
+        for j, s in enumerate(segments):
+            # clipping sends every index along a length-1 dimension to 0: a broadcast
+            pieces[:, j] = s.ravel()[np.ravel_multi_index(index, s.shape, mode="clip")]
+        if start == 0:
+            pieces[0, 0] = pieces[0, 0][len(between):]
+        yield "".join(pieces.ravel().tolist())
+    yield row_close
 
 
 def _sweep_csv(names: list, columns: list, shape: tuple):
@@ -586,29 +634,26 @@ def _sweep_csv(names: list, columns: list, shape: tuple):
 
     Each column is formatted once on the axes it depends on.
     """
-    cells = [np.array(["" if v is None else repr(v) for v in c.ravel().tolist()],
-                      dtype=object).reshape(c.shape) for c in columns]
     yield ",".join(names) + "\n"
-    for parts in _sweep_blocks(cells, shape):
-        yield "\n".join(map(",".join, zip(*parts))) + "\n"
+    cells = (np.array(["" if v is None else repr(v) for v in c.ravel().tolist()],
+                      dtype=object).reshape(c.shape) for c in columns)
+    yield from _sweep_rows(cells, shape, ",", "", "\n", "")
 
 
 def _sweep_json_rows(columns: list, shape: tuple):
     """The elements of a JSON sweep's rows array, as text chunks of _SWEEP_BLOCK_ROWS rows.
 
     Each column is spelled once on the axes it depends on, as json.dumps
-    spells its values (numbers, true/false and null never hold ", ").  That
-    happens here, before any chunk is written, so a value JSON refuses raises
-    before the document starts.  The rows are nested and indented as
-    json.dumps(..., indent=2) renders them at result.rows.
+    spells its values (numbers, true/false and null never hold ", ").  The
+    rows are nested and indented as json.dumps(..., indent=2) renders them at
+    result.rows.  The first block is made here, before any chunk is written,
+    so a value JSON refuses raises before the document starts.
     """
-    cells = [np.array(json.dumps(c.ravel().tolist(), allow_nan=False)[1:-1].split(", "),
-                      dtype=object).reshape(c.shape) for c in columns]
-    cell_sep, row_sep = ",\n  " + _JSON_ROW_INDENT, ",\n" + _JSON_ROW_INDENT
-    opening, closing = "[\n  " + _JSON_ROW_INDENT, "\n" + _JSON_ROW_INDENT + "]"
-    return ((row_sep if i else "") + opening
-            + (closing + row_sep + opening).join(map(cell_sep.join, zip(*parts))) + closing
-            for i, parts in enumerate(_sweep_blocks(cells, shape)))
+    cells = (np.array(json.dumps(c.ravel().tolist(), allow_nan=False)[1:-1].split(", "),
+                      dtype=object).reshape(c.shape) for c in columns)
+    blocks = _sweep_rows(cells, shape, ",\n  " + _JSON_ROW_INDENT, "[\n  " + _JSON_ROW_INDENT,
+                         "\n" + _JSON_ROW_INDENT + "]", ",\n" + _JSON_ROW_INDENT)
+    return itertools.chain((next(blocks),), blocks)
 
 
 def _cmd_sweep(eff: dict):

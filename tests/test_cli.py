@@ -400,6 +400,18 @@ def test_certify_refuses_a_negative_or_non_finite_k_or_se(capsys, flag, value):
     assert f"got {float(value)}" in err
 
 
+@pytest.mark.parametrize("eta", ["inf", "nan", "-1", "0"])
+def test_certify_input_refuses_a_bad_declared_gain_as_a_dataset_error(capsys, tmp_path, eta):
+    path = loss_csv(tmp_path, n=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certify", "--input", str(path), "--lambda", "0.1",
+                             "--eta", eta)
+    assert code == 4 and out == ""
+    assert f"declared gain must be positive and finite, got {float(eta)}" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_certify_non_numeric_weights_are_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
                        "--lambda", "0.1", "--eta", "0.6", "--weights", "a,b,c,d")
@@ -536,6 +548,9 @@ SWEEP_GRIDS = {
         "g": [0.0] + _grid_rng.uniform(0.0, 3.0, 4).tolist(),
         "ntilde": _grid_rng.uniform(0.0, 2.0, 3).tolist(),
         "n_copies": [1, 3]},
+    # a length-1 axis between longer ones, and classical_bound on the whole grid
+    "length-one-middle-axis": {"eta": [0.3, 1.0, 2.5, 0.05], "lambda": [0.35],
+                               "n_copies": [1, 4, 9]},
 }
 
 
@@ -640,6 +655,33 @@ def test_sweep_json_memory_follows_the_block_not_the_grid(capsys, tmp_path):
     block_text = len(text) / rows * cli._SWEEP_BLOCK_ROWS
     assert len(text) > 20 * block_text
     assert peak < 8 * block_text
+
+
+# 200 x 125 (eta, lambda) cells, six blocks' worth, against a 2-point ntilde axis
+LOPSIDED_GRID = {"eta": np.linspace(0.1, 2.0, 200).tolist(),
+                 "lambda": np.linspace(0.0, 1.0, 125).tolist(), "ntilde": [0.1, 0.9]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_segments_follow_the_cells_not_the_grid(capsys, tmp_path, fmt):
+    _, columns = cli._sweep_columns({k: np.array(v) for k, v in LOPSIDED_GRID.items()})
+    cells = sum(sys.getsizeof(repr(v)) + 8 for c in columns for v in c.ravel().tolist())
+    path = tmp_path / f"lopsided.{fmt}"
+    tracemalloc.start()
+    try:
+        code = main([*_sweep_argv(LOPSIDED_GRID), "--format", fmt, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    rows = math.prod(map(len, LOPSIDED_GRID.values()))
+    block_text = path.stat().st_size / rows * cli._SWEEP_BLOCK_ROWS
+    path.unlink()
+    # The cells, each run's segment (its texts joined, so no larger than its
+    # cells) and a few blocks.  A segment widened to the 5 * 10**4 rows of
+    # the grid would not fit.
+    assert peak < 2 * cells + 4 * block_text
 
 
 @pytest.mark.parametrize("flag, values, message", [

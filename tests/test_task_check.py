@@ -80,6 +80,13 @@ def test_a_bad_task_is_refused_by_name(call, eta, lam, bad):
         call(eta, lam)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_scalar_task_that_overflows_is_refused_without_a_warning():
+    with pytest.raises(InvalidInput, match=r"overflows a float at 1 copies, "
+                                           r"lambda 1e\+308 and eta 1e\+308$"):
+        classical_bound(np.float64(1e308), np.float64(1e308))
+
+
 def test_the_flat_limit_names_the_closed_forms():
     with pytest.raises(InvalidInput, match=r"lambda = 0, the flat limit, is taken only "
                                            r"by the closed forms\), got 0\.0$"):

@@ -26,7 +26,8 @@ from .fock import (FockAverage, FockOperator, FockVector, OffsetMap,
                    thermal_state)
 from .gaussian import (GaussianChannel, GaussianState,
                        average_fidelity_gaussian, apply_channel, compose,
-                       fidelity_to_coherent, is_cp_channel, is_physical_state)
+                       fidelity_to_coherent, is_cp_channel, is_gain_matched,
+                       is_physical_state)
 from .schemes import (CanonicalB1, CanonicalC, ChannelForm, Compose,
                       HeterodyneMP, PureLoss, QuantumLimitedAmp, apply_mp_fock,
                       channel_form, fock_applier, model_from_json, model_to_json,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -331,14 +332,12 @@ def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.
     GaussianChannel, or a channel model; model values are exact, so se
     defaults to 0 and the margin test reduces to fidelity > bound.
     """
-    if isinstance(value_or_channel, schemes._MODEL_TYPES):
-        value_or_channel = schemes.to_gaussian(value_or_channel)
-    if isinstance(value_or_channel, GaussianChannel):
-        fbar, se = average_fidelity_gaussian(value_or_channel, eta, lam), 0.0
-    else:
+    if isinstance(value_or_channel, numbers.Real):
         fbar = float(value_or_channel)
         if not (0.0 <= fbar <= 1.0):
             raise InvalidInput(f"average fidelity must lie in [0, 1], got {fbar}")
+    else:
+        fbar, se = average_fidelity_gaussian(schemes.to_gaussian(value_or_channel), eta, lam), 0.0
     bound = classical_bound(eta, lam)
     margin = fbar - bound
     return CertificationReport(
@@ -404,8 +403,7 @@ def synthesize_dataset(channel, alphas, samples_per_quadrature: int, lam: float,
     the channel output at that probe.  One generator seeds the whole dataset,
     so a (channel, alphas, n, seed) tuple pins the records bit for bit.
     """
-    if isinstance(channel, schemes._MODEL_TYPES):
-        channel = schemes.to_gaussian(channel)
+    channel = schemes.to_gaussian(channel)
     if samples_per_quadrature < 1:
         raise InvalidInput("need at least one sample per quadrature")
     rng = np.random.default_rng(seed)

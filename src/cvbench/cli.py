@@ -46,9 +46,8 @@ import numpy as np
 from . import __version__, certify, fock, proofcheck, schemes
 from .bounds import _SMALL_LAM, classical_bound, quadrature_threshold, quantum_amp_bound
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
-                     DomainError, InvalidInput, NotCompletelyPositive,
-                     ToolkitError, UnsupportedTask)
-from .gaussian import GaussianChannel, average_fidelity_gaussian, is_cp_channel
+                     DomainError, InvalidInput, ToolkitError, UnsupportedTask)
+from .gaussian import average_fidelity_gaussian, is_gain_matched
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -311,21 +310,7 @@ def _load_channel_spec(text: str):
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _Usage(f"channel is not valid JSON: {exc}")
-    if isinstance(obj, dict) and obj.get("type") == "gaussian":
-        return GaussianChannel.from_json(obj)
-    if isinstance(obj, dict) and "K" in obj and "M" in obj:
-        return GaussianChannel.from_json(obj)
     return schemes.model_from_json(obj)
-
-
-def _load_cp_channel(text: str):
-    """The --channel spec as (channel, its (K, M)); a channel that is not CP is refused."""
-    channel = _load_channel_spec(text)
-    gauss = channel if isinstance(channel, GaussianChannel) else schemes.to_gaussian(channel)
-    if not is_cp_channel(gauss):
-        raise NotCompletelyPositive(
-            "channel (K, M) fails the complete-positivity criterion")
-    return channel, gauss
 
 
 def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
@@ -364,7 +349,8 @@ def _cmd_simulate(eff: dict):
     if cutoff is not None and not 1 <= cutoff <= fock._MAX_AUTO_CUTOFF:
         raise _Usage(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
                      f"got {cutoff}")
-    channel, gauss = _load_cp_channel(eff["channel"])
+    channel = _load_channel_spec(eff["channel"])
+    gauss = schemes.to_gaussian(channel)
     warnings = []
     if eff["quad"] is not None:
         warnings.append("--quad is ignored: the fock engine evaluates one "
@@ -382,20 +368,14 @@ def _cmd_simulate(eff: dict):
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise _Usage(f"--tolerance must be >= 0 and finite, got {tolerance}")
 
-    result = {"channel": gauss.to_json() if channel is gauss else
-              schemes.model_to_json(channel),
+    result = {"channel": schemes.model_to_json(channel),
               "eta": eta, "lambda": lam, "engine": engine}
     # A flat prior (lambda = 0) has a finite closed form only for matched
     # channels, where the average is prior-independent.  Unmatched channels
     # get a narrow proxy prior; matched ones may run the truncated engine at
     # any proper width, so pick one its cutoff can actually cover.
     lam_gauss = lam_fock = lam
-    matched = False
-    try:
-        average_fidelity_gaussian(gauss, eta, 0.0)
-        matched = True
-    except DomainError:
-        pass
+    matched = is_gain_matched(gauss, eta)
     if matched and lam < 0.2:
         # The matched-gain average is prior-independent, so the truncated
         # engine may run at a width whose prior actually fits the cutoff:
@@ -496,9 +476,9 @@ def _cmd_certify(eff: dict):
                                              se=eff["se"], k=k)
     elif eff["channel"] is not None:
         _require(eff, "eta", "lambda")
-        _, gauss = _load_cp_channel(eff["channel"])
+        channel = _load_channel_spec(eff["channel"])
         lam = _flat_prior_proxy(eff["lambda"], warnings)
-        report = certify.certify_by_fidelity(gauss, eff["eta"], lam, k=k)
+        report = certify.certify_by_fidelity(channel, eff["eta"], lam, k=k)
     else:
         raise _Usage("certify needs --input, --fbar, or --channel")
 

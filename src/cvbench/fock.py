@@ -465,6 +465,15 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
 # functionals
 
 
+def _clipped_fidelities(values: np.ndarray) -> np.ndarray:
+    """Fidelities clipped into [0, 1]; one outside beyond 1e-10 is a corrupted input."""
+    outside = (values < -1e-10) | (values > 1.0 + 1e-10)
+    if outside.any():
+        raise InvalidInput(f"fidelity {values[outside][0]} outside [0, 1] "
+                           f"beyond rounding tolerance")
+    return np.clip(values, 0.0, 1.0)
+
+
 def fidelity_pure(psi: FockVector, rho: FockOperator):
     """<psi| rho |psi>, checked real and clipped into [0, 1].
 
@@ -486,10 +495,7 @@ def fidelity_pure(psi: FockVector, rho: FockOperator):
     if non_real.any():
         raise InvalidInput(f"fidelity came out non-real ({values[non_real][0]}); "
                            f"operator is not Hermitian")
-    outside = (real < -1e-10) | (real > 1.0 + 1e-10)
-    if outside.any():
-        raise InvalidInput(f"fidelity {real[outside][0]} outside [0, 1] beyond rounding tolerance")
-    fidelities = np.clip(real, 0.0, 1.0)
+    fidelities = _clipped_fidelities(real)
     return float(fidelities[0]) if amp.ndim == 1 else fidelities
 
 
@@ -636,11 +642,8 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
         u = psi[d:] * psi[:cutoff - d]
         term = np.einsum("ib,ib->b", u, kernel(d).real @ v)
         fids += term if d == 0 else 2.0 * term
-    outside = (fids < -1e-10) | (fids > 1.0 + 1e-10)
-    if outside.any():
-        raise InvalidInput(f"fidelity {fids[outside][0]} outside [0, 1] beyond rounding tolerance")
     total = 0.0
-    for wf in weights * np.clip(fids, 0.0, 1.0):
+    for wf in weights * _clipped_fidelities(fids):
         total += wf  # one running sum in node order
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * np.finfo(float).eps

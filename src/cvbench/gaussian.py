@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _check_task
-from .errors import DomainError, InvalidInput
+from .errors import DomainError, InvalidInput, NotCompletelyPositive
 
 E2 = np.eye(2)
 
@@ -161,12 +161,17 @@ def is_cp_channel(channel: GaussianChannel) -> bool:
     return math.sqrt(det_m) >= 0.5 * abs(det_k - 1.0) - _DET_TOL
 
 
+def _check_cp(channel: GaussianChannel) -> None:
+    """The one refusal of a channel that is not completely positive (NotCompletelyPositive)."""
+    if not is_cp_channel(channel):
+        raise NotCompletelyPositive("channel (K, M) fails the complete-positivity criterion")
+
+
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     """Propagate a Gaussian state through a Gaussian channel."""
     if not is_physical_state(state.gamma):
         raise InvalidInput("input covariance is not a physical one-mode state")
-    if not is_cp_channel(channel):
-        raise InvalidInput("channel (K, M) violates complete positivity")
+    _check_cp(channel)
     gamma = channel.K @ state.gamma @ channel.K.T + channel.M
     d = channel.K @ state.d + channel.disp
     return GaussianState(d, gamma)
@@ -217,6 +222,19 @@ def isotropic_part(m):
     return None
 
 
+def is_gain_matched(channel: GaussianChannel, eta: float) -> bool:
+    """Whether K = s E2 with s within 1e-12 max(1, sqrt(eta)) of sqrt(eta), and |disp|^2 <= 1e-24.
+
+    These channels' average fidelity is prior-independent: the only ones
+    `average_fidelity_gaussian` takes at lam = 0.  A bad eta is refused.
+    """
+    _check_task(eta, 0.0)
+    sqrt_eta = math.sqrt(eta)
+    g = isotropic_part(channel.K)
+    return (g is not None and g >= 0 and abs(g - sqrt_eta) <= 1e-12 * max(1.0, sqrt_eta)
+            and float(channel.disp @ channel.disp) <= 1e-24)
+
+
 def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) -> float:
     """Average fidelity of a Gaussian channel against the scaling task.
 
@@ -234,31 +252,26 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) 
     Sigma = s*E2 it is lam / (lam*s + c^2) * exp(-lam |b|^2 / (2 (lam*s + c^2)))
     with c = g - sqrt(eta).
 
-    In the gain-matched case (K = sqrt(eta)*E2 with no displacement) the
-    average is det(Sigma)^(-1/2), independent of lam.  lam = 0 denotes the
-    flat-prior limit and is accepted only in that case; anything else
-    diverges and raises DomainError.  A non-finite eta or lam is refused.
+    In the gain-matched case (`is_gain_matched`) the average is
+    det(Sigma)^(-1/2), independent of lam.  lam = 0 denotes the flat-prior
+    limit and is accepted only in that case; anything else diverges and
+    raises DomainError.  A non-finite eta or lam, or a non-CP channel, is refused.
     """
     _check_task(eta, lam)
-    if not is_cp_channel(channel):
-        raise InvalidInput("channel (K, M) violates complete positivity")
+    _check_cp(channel)
 
     gamma_out = channel.K @ VACUUM_GAMMA @ channel.K.T + channel.M
     sigma = VACUUM_GAMMA + gamma_out
-    sqrt_eta = math.sqrt(eta)
-    g = isotropic_part(channel.K)
-    disp2 = float(channel.disp @ channel.disp)
-
-    matched = (g is not None and g >= 0 and abs(g - sqrt_eta) <= 1e-12 * max(1.0, sqrt_eta)
-               and disp2 <= 1e-24)
-    if matched:
+    if is_gain_matched(channel, eta):
         det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
         return float(1.0 / math.sqrt(det))
+    sqrt_eta = math.sqrt(eta)
     if lam == 0:
+        g = isotropic_part(channel.K)
         raise DomainError(
             "flat prior (lambda = 0) diverges unless the channel is exactly "
             f"gain-matched with no displacement; here K gain {g if g is not None else channel.K} "
-            f"vs sqrt(eta) = {sqrt_eta} and |disp|^2 = {disp2}")
+            f"vs sqrt(eta) = {sqrt_eta} and |disp|^2 = {float(channel.disp @ channel.disp)}")
 
     A = channel.K - sqrt_eta * E2
     R = lam * sigma + A @ A.T

@@ -25,10 +25,9 @@ import numpy as np
 
 from . import fock
 from .bounds import _check_prior, _check_task, _require, _unwrap
-from .errors import (ConvergenceError, InvalidInput, NotCompletelyPositive,
-                     UnsupportedTask)
-from .gaussian import (E2, GaussianChannel, compose as compose_channels,
-                       is_cp_channel, isotropic_part)
+from .errors import ConvergenceError, InvalidInput, UnsupportedTask
+from .gaussian import (E2, GaussianChannel, _check_cp, compose as compose_channels,
+                       isotropic_part)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -115,20 +114,25 @@ _JSON_TAGS = {
 }
 
 
-def model_to_json(model: ChannelModel) -> dict:
+def model_to_json(model: ChannelModel | GaussianChannel) -> dict:
+    if isinstance(model, GaussianChannel):
+        return model.to_json()
     if isinstance(model, Compose):
         return {"type": "compose", "parts": [model_to_json(p) for p in model.parts]}
     return {"type": _JSON_TAGS[type(model)],
             **{f.name: getattr(model, f.name) for f in fields(model)}}
 
 
-def model_from_json(obj) -> ChannelModel:
-    """The model a `model_to_json` object describes: its tag, then one field per parameter.
+def model_from_json(obj) -> ChannelModel | GaussianChannel:
+    """The model, or raw channel, of a `model_to_json` object.
 
-    A parameter is anything `float` reads; a composition's "parts" is a list
-    of model objects.  A missing or malformed field raises InvalidInput
-    naming the tag and the field.
+    A raw channel is tagged "gaussian" or has "K" and "M" fields.  A model
+    is its tag, then one field per parameter: anything `float` reads, or for
+    a composition's "parts" a list of model objects.  A missing or malformed
+    field raises InvalidInput that names it.
     """
+    if isinstance(obj, dict) and (obj.get("type") == "gaussian" or "K" in obj and "M" in obj):
+        return GaussianChannel.from_json(obj)
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInput("channel model JSON must be an object with a 'type' tag")
     tag = obj["type"]
@@ -182,8 +186,10 @@ def _iso_params(model):
     return None
 
 
-def to_gaussian(model: ChannelModel) -> GaussianChannel:
-    """Exact Gaussian form (K, M) of a channel model."""
+def to_gaussian(model: ChannelModel | GaussianChannel) -> GaussianChannel:
+    """Exact Gaussian form (K, M) of a channel model; a raw channel is returned as is."""
+    if isinstance(model, GaussianChannel):
+        return model
     iso = _iso_params(model)
     if iso is not None:
         k2, m = iso
@@ -222,11 +228,9 @@ def channel_form(channel: ChannelModel | GaussianChannel) -> ChannelForm:
     models and raw channels are read through (K, M), with M diagonal up to
     1e-12 counting as unrotated.
     """
-    gauss = channel if isinstance(channel, GaussianChannel) else to_gaussian(channel)
-    if not is_cp_channel(gauss):
-        raise NotCompletelyPositive(
-            "channel (K, M) fails the complete-positivity criterion")
-    iso = None if isinstance(channel, GaussianChannel) else _iso_params(channel)
+    gauss = to_gaussian(channel)
+    _check_cp(gauss)
+    iso = _iso_params(channel)
     if iso is not None:
         (k2, m), rotated = iso, False
         principal = np.array([m, m])

@@ -275,6 +275,29 @@ def test_simulate_rejects_unphysical_channels(capsys):
     assert "complete-positivity" in err
 
 
+# isotropic gain 2 with too little noise, and an anisotropic displaced one
+NOT_CP = ['{"K": [[2.0, 0.0], [0.0, 2.0]], "M": [[1.0, 0.0], [0.0, 1.0]]}',
+          '{"K": [[2.0, 0.1], [0.0, 1.5]], "M": [[0.1, 0.0], [0.0, 0.1]], "disp": [0.2, 0.0]}']
+CP_MESSAGE = "channel (K, M) fails the complete-positivity criterion"
+
+
+@pytest.mark.parametrize("channel", NOT_CP, ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("engine", ["gaussian", "fock", "both"])
+@pytest.mark.parametrize("eta", [None, "4", "1"])
+@pytest.mark.parametrize("lam", ["0", "0.3"])
+def test_simulate_exits_3_on_a_non_cp_channel(capsys, channel, engine, eta, lam):
+    argv = ["simulate", "--channel", channel, "--engine", engine, "--lambda", lam]
+    code, out, err = run(capsys, *argv, *(["--eta", eta] if eta else []))
+    assert (code, out, err) == (3, "", f"cvbench simulate: {CP_MESSAGE}\n")
+
+
+@pytest.mark.parametrize("channel", NOT_CP, ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("lam", ["0", "0.3"])
+def test_certify_exits_3_on_a_non_cp_channel(capsys, channel, lam):
+    code, out, err = run(capsys, "certify", "--channel", channel, "--eta", "4", "--lambda", lam)
+    assert (code, out, err) == (3, "", f"cvbench certify: {CP_MESSAGE}\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 @pytest.mark.parametrize("channel, field", [
     ('{"type":"pure_loss","T":"x"}', "channel model 'pure_loss' field 'T'"),
@@ -282,7 +305,12 @@ def test_simulate_rejects_unphysical_channels(capsys):
     ('{"type":"pure_loss","T":[0.5]}', "channel model 'pure_loss' field 'T'"),
     ('{"type":"compose","parts":5}', "channel model 'compose' field 'parts'"),
     ('{"K":[[1,0],[0,1]],"M":"x"}', "Gaussian channel field 'M'"),
-], ids=["text", "null", "list", "parts", "raw-M"])
+    ('{"K":"x","M":[[1,0],[0,1]]}', "Gaussian channel field 'K'"),
+    ('{"K":[[1,0],[0,1]],"M":[[1,0],[0,1]],"disp":"x"}', "Gaussian channel field 'disp'"),
+    ('{"type":"gaussian","K":[[1,0],[0,1]],"M":"x"}', "Gaussian channel field 'M'"),
+    ('{"type":"gaussian","M":[[1,0],[0,1]]}', "'K' is missing"),
+], ids=["text", "null", "list", "parts", "raw-M", "raw-K", "raw-disp", "tagged-M",
+        "tagged-no-K"])
 def test_a_malformed_channel_field_is_a_usage_error_that_names_it(capsys, command,
                                                                    channel, field):
     code, out, err = run(capsys, command, "--channel", channel, "--eta", "1",

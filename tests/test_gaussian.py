@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvbench.ensembles import GaussianPrior, gauss_rule
-from cvbench.errors import DomainError, InvalidInput
+from cvbench.errors import DomainError, InvalidInput, NotCompletelyPositive
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian,
                               characteristic_function, coherent_mean, compose,
@@ -112,7 +112,7 @@ def test_cp_criterion():
 
 def test_apply_rejects_unphysical_channel():
     bad = GaussianChannel(2.0 * E2, np.zeros((2, 2)))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(NotCompletelyPositive):
         apply_channel(bad, GaussianState.vacuum())
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -58,6 +59,22 @@ def test_parameter_validation():
 def test_json_roundtrip(model):
     again = model_from_json(model_to_json(model))
     assert again == model
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+@pytest.mark.parametrize("disp", [[0.3, -0.2], [0.0, 0.0], None], ids=["disp", "zero", "none"])
+def test_json_roundtrip_of_a_raw_channel(tagged, disp):
+    channel = GaussianChannel(np.array([[1.1, 0.05], [0.02, 0.9]]),
+                              np.array([[0.6, 0.1], [0.1, 0.5]]), np.array(disp or [0.0, 0.0]))
+    obj = model_to_json(channel)
+    assert set(obj) == {"K", "M", "disp"}
+    if tagged:
+        obj["type"] = "gaussian"
+    if disp is None:
+        del obj["disp"]
+    again = model_from_json(json.loads(json.dumps(obj)))
+    assert isinstance(again, GaussianChannel)
+    assert model_to_json(again) == model_to_json(channel)
 
 
 def test_json_rejects_unknown_and_incomplete():

@@ -16,7 +16,9 @@ and their type checks, and the echoed configuration all come from it.  A
 subcommand takes only the flags it reads, plus the common --seed, --out and
 --config.  A --config file is a JSON object keyed by flag names without
 their dashes, "-" written as "_"; explicit flags win over it, and it over
-the table's defaults.
+the table's defaults.  A process builds each subcommand's parser once, on
+first use, and repeated in-process `main` calls reuse it; nothing is built at
+import.
 
 Exit codes:
 
@@ -32,6 +34,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -184,6 +187,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             _add_flags(sub.add_parser(name, parents=[common], help=handler.__doc__),
                        _FLAGS[name])
     return parser
+
+
+# Parsing leaves a parser as it was, and its help and errors read the streams
+# and the terminal width when they print, so one parser per key serves every
+# call.  Keyed like build_parser: a subcommand name, or None for the full one.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def _config_value(key: str, kind, value):
@@ -717,7 +726,7 @@ _HANDLERS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the invoked subcommand's parser; anything else gets the full one
-    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    parser = _parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,12 +65,24 @@ def _as_vector(v, name):
     return v
 
 
-@dataclass(frozen=True)
+def _equal_arrays(a, b):
+    """Value equality of two objects of one type whose fields are all arrays."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+# eq=False: the generated __eq__ would compare arrays inside tuples, and the
+# generated __hash__ would hash them; these compare by value and hash not at all.
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First and second moments (d, gamma) of a one-mode Gaussian state."""
 
     d: np.ndarray
     gamma: np.ndarray
+
+    __eq__ = _equal_arrays
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", _as_vector(self.d, "mean vector d"))
@@ -95,13 +107,16 @@ class GaussianState:
             raise InvalidInput(f"state JSON needs 'd' and 'gamma' fields: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """One-mode Gaussian channel (K, M) with an optional displacement."""
 
     K: np.ndarray
     M: np.ndarray
     disp: np.ndarray = field(default_factory=lambda: np.zeros(2))
+
+    __eq__ = _equal_arrays
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", _as_matrix(self.K, "gain matrix K"))

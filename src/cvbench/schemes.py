@@ -111,6 +111,7 @@ _JSON_TAGS = {
     CanonicalC: "canonical_c",
     HeterodyneMP: "heterodyne_mp",
     Compose: "compose",
+    GaussianChannel: "gaussian",      # read only: a raw channel is written untagged
 }
 
 
@@ -126,21 +127,30 @@ def model_to_json(model: ChannelModel | GaussianChannel) -> dict:
 def model_from_json(obj) -> ChannelModel | GaussianChannel:
     """The model, or raw channel, of a `model_to_json` object.
 
-    A raw channel is tagged "gaussian" or has "K" and "M" fields.  A model
-    is its tag, then one field per parameter: anything `float` reads, or for
-    a composition's "parts" a list of model objects.  A missing or malformed
-    field raises InvalidInput that names it.
+    A raw channel is tagged "gaussian", or untagged with "K" and "M" fields.
+    A model is its tag, then one field per parameter: anything `float` reads,
+    or for a composition's "parts" a list of model objects.  A missing,
+    malformed or unknown field raises InvalidInput that names it.
     """
-    if isinstance(obj, dict) and (obj.get("type") == "gaussian" or "K" in obj and "M" in obj):
-        return GaussianChannel.from_json(obj)
-    if not isinstance(obj, dict) or "type" not in obj:
+    if not isinstance(obj, dict):
         raise InvalidInput("channel model JSON must be an object with a 'type' tag")
-    tag = obj["type"]
+    tag = obj.get("type")
+    if tag is None and "K" in obj and "M" in obj:
+        tag = "gaussian"
+    if tag is None:
+        raise InvalidInput("channel model JSON must be an object with a 'type' tag")
     cls = next((c for c, t in _JSON_TAGS.items() if t == tag), None)
     if cls is None:
         raise InvalidInput(f"unknown channel model type {tag!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - {"type", *names}, key=str)
+    if unknown:
+        raise InvalidInput(f"channel model '{tag}' does not take field"
+                           f"{'s' * (len(unknown) > 1)} " + ", ".join(map(repr, unknown)))
+    if cls is GaussianChannel:
+        return GaussianChannel.from_json(obj)
     values = []
-    for name in (f.name for f in fields(cls)):
+    for name in names:
         if name not in obj:
             raise InvalidInput(f"channel model '{tag}' is missing field '{name}'")
         value = obj[name]

@@ -309,8 +309,14 @@ def test_certify_exits_3_on_a_non_cp_channel(capsys, channel, lam):
     ('{"K":[[1,0],[0,1]],"M":[[1,0],[0,1]],"disp":"x"}', "Gaussian channel field 'disp'"),
     ('{"type":"gaussian","K":[[1,0],[0,1]],"M":"x"}', "Gaussian channel field 'M'"),
     ('{"type":"gaussian","M":[[1,0],[0,1]]}', "'K' is missing"),
+    ('{"type":"pure_loss","T":0.5,"K":[[1,0],[0,1]],"M":[[0,0],[0,0]]}',
+     "channel model 'pure_loss' does not take fields 'K', 'M'"),
+    ('{"type":"pure_loss","T":0.5,"Tx":3}', "channel model 'pure_loss' does not take field 'Tx'"),
+    ('{"type":"compose","parts":[{"type":"canonical_b1","T":1}]}',
+     "channel model 'canonical_b1' does not take field 'T'"),
+    ('{"K":[[1,0],[0,1]],"M":[[1,0],[0,1]],"T":1}', "channel model 'gaussian' does not take"),
 ], ids=["text", "null", "list", "parts", "raw-M", "raw-K", "raw-disp", "tagged-M",
-        "tagged-no-K"])
+        "tagged-no-K", "tag-wins-over-K-M", "typo", "part-typo", "raw-extra"])
 def test_a_malformed_channel_field_is_a_usage_error_that_names_it(capsys, command,
                                                                    channel, field):
     code, out, err = run(capsys, command, "--channel", channel, "--eta", "1",
@@ -903,6 +909,55 @@ def test_one_subcommand_parser_gives_the_full_parsers_help_and_errors(capsys, co
         one = _parse_exit(capsys, cli.build_parser(command), argv)
         assert one == _parse_exit(capsys, cli.build_parser(), argv)
         assert one[0] != 0 or one[1].startswith(f"usage: cvbench {command} ")
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser("bound") is not cli.build_parser("bound")
+
+
+def test_repeated_main_calls_reuse_parsers_and_give_the_same_bytes(capsys, tmp_path):
+    config = tmp_path / "bound.json"
+    config.write_text('{"eta": 0.5, "lambda": 0.2}')
+    csv = str(loss_csv(tmp_path, n=50))
+    sequence = [
+        ["bound", "--eta", "1"],
+        ["simulate", "--channel", '{"type":"pure_loss","T":0.5}', "--eta", "0.5",
+         "--lambda", "0.3", "--engine", "both", "--cutoff", "24"],
+        ["bound", "--bogus", "1"],
+        ["certify", "--input", csv, "--lambda", "0.1", "--eta", "0.6", "--n-boot", "10"],
+        ["sweep", "--seed", "x"],
+        ["sweep", "--eta", "0.5,1", "--lambda", "0,0.2", "--format", "json"],
+        ["proofcheck", "--trials", "2", "--cutoff", "6", "--two-copy-cutoff", "8"],
+        ["simulate", "--help"],
+        ["--help"],
+        ["nonesuch", "--eta", "1"],
+        [],
+        ["bound", "--config", str(config)],
+        ["bound", "--config", str(config), "--eta", "2"],
+    ]
+    rounds = [[run(capsys, *argv) for argv in sequence] for _ in range(3)]
+    assert rounds[0] == rounds[1] == rounds[2]
+    assert [code for code, _, _ in rounds[0]] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert cli._parser.cache_info().currsize == 6       # five subcommands and the full one
+
+
+def test_a_reused_parser_reads_the_terminal_width_when_it_prints(capsys, monkeypatch):
+    helps = []
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(run(capsys, "simulate", "--help")[1])
+    assert helps[0] == helps[2] != helps[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cvbench.cli as cli; print(cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 def test_top_level_help_lists_every_subcommand(capsys):

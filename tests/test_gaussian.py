@@ -71,6 +71,22 @@ def test_state_json_roundtrip():
     again = GaussianState.from_json(st.to_json())
     assert np.array_equal(st.d, again.d)
     assert np.array_equal(st.gamma, again.gamma)
+    assert again == st
+
+
+@pytest.mark.parametrize("same, other", [
+    (GaussianState.vacuum, lambda: GaussianState.coherent(0.5)),
+    (GaussianChannel.identity, lambda: GaussianChannel(E2, np.zeros((2, 2)), [0.0, 1e-300])),
+], ids=["state", "channel"])
+def test_states_and_channels_compare_by_value_and_stay_unhashable(same, other):
+    a, b = same(), same()
+    assert a is not b
+    assert (a == b) is True and (a != b) is False
+    assert (a == other()) is False and (a != other()) is True
+    assert a != "not a Gaussian object"
+    assert GaussianState.vacuum() != GaussianChannel.identity()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def test_json_roundtrip_of_a_raw_channel(tagged, disp):
         del obj["disp"]
     again = model_from_json(json.loads(json.dumps(obj)))
     assert isinstance(again, GaussianChannel)
+    assert again == channel
     assert model_to_json(again) == model_to_json(channel)
 
 
@@ -87,6 +88,19 @@ def test_json_rejects_unknown_and_incomplete():
 
 
 @pytest.mark.parametrize("obj, message", [
+    ({"type": "pure_loss", "T": 0.5, "K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]]},
+     "'pure_loss' does not take fields 'K', 'M'"),
+    ({"type": "pure_loss", "T": 0.5, "Tx": 3}, "'pure_loss' does not take field 'Tx'"),
+    ({"type": "canonical_b1", "g": 1}, "'canonical_b1' does not take field 'g'"),
+    ({"type": "compose", "parts": [{"type": "pure_loss", "T": 0.5}, {"type": "heterodyne_mp",
+                                                                     "g": 1, "G": 2}]},
+     "'heterodyne_mp' does not take field 'G'"),
+    ({"type": "compose", "parts": [], "T": 0.5}, "'compose' does not take field 'T'"),
+    ({"type": "gaussian", "K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]], "T": 0.5},
+     "'gaussian' does not take field 'T'"),
+    ({"K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]], "Disp": [0, 0]},
+     "'gaussian' does not take field 'Disp'"),
+    ({"T": 0.5}, "must be an object with a 'type' tag"),
     ({"type": "pure_loss", "T": "x"}, "'pure_loss' field 'T' must be a number"),
     ({"type": "pure_loss", "T": None}, "'pure_loss' field 'T' must be a number"),
     ({"type": "pure_loss", "T": [0.5]}, "'pure_loss' field 'T' must be a number"),

@@ -21,7 +21,7 @@ from .ensembles import GaussianPrior, QuadratureRule, gauss_rule, sample
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
-from .fock import (FockAverage, FockOperator, FockVector, OffsetMap,
+from .fock import (FockAverage, FockOperator, FockVector, KrausFamily, OffsetMap,
                    average_fidelity_fock, coherent_ket, gaussian_state_fock,
                    thermal_state)
 from .gaussian import (GaussianChannel, GaussianState,

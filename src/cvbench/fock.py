@@ -8,7 +8,8 @@ average evaluates the truncated problem exactly (one Gauss-Laguerre node per
 level) and bounds the truncation itself in closed form.  The prior average
 takes a phase-covariant map as an `OffsetMap`, its kernels per photon-number
 offset, and contracts each offset's kernel against the kets of every node at
-once; it never forms an operator.
+once; a map that is one `KrausFamily` it contracts as line sums of the
+family's table instead.  It never forms an operator.
 """
 
 from __future__ import annotations
@@ -332,7 +333,8 @@ class OffsetMap:
     identity.  Calling the map on a FockOperator (one operator or a stack)
     applies the factors one after another; `kernels` gives the kernels of
     the whole chain, A_d = A_d^(k) ... A_d^(1), one offset at a time, which
-    is what `average_fidelity_fock` contracts.
+    is what `average_fidelity_fock` contracts, unless the map is one
+    `KrausFamily` alone.
     """
 
     def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
@@ -355,15 +357,20 @@ class OffsetMap:
         return FockOperator(out)
 
 
-def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndarray]:
-    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss, from one log-space
-    table of the Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i))."""
+def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
+    """Pure loss's Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i)),
+    built in log space (A_k loses k photons; t is upper triangular)."""
     lg = _lgamma_table(cutoff)
     i = np.arange(cutoff)
     lost = i - i[:, None]
     log_t = 0.5 * (lg - lg[:, None] - lg[np.abs(lost)] + i[:, None] * math.log(transmissivity)
                    + lost * math.log1p(-transmissivity))
-    t = np.exp(np.where(lost >= 0, log_t, -np.inf))
+    return np.exp(np.where(lost >= 0, log_t, -np.inf))
+
+
+def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndarray]:
+    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss (`_loss_table`)."""
+    t = _loss_table(cutoff, transmissivity)
     return lambda d: t[d:, d:] * t[:cutoff - d, :cutoff - d]
 
 
@@ -374,19 +381,108 @@ def _amp_kernels(cutoff: int, gain: float) -> Callable[[int], np.ndarray]:
     return lambda d: loss(d).T / gain
 
 
+def _heterodyne_table(cutoff: int, gain: float, log_width: float) -> np.ndarray:
+    """The log-space table c[l, m] = sqrt(C(m+l, l)) g^l w^(-(m+l+1)/2), given g and log w.
+
+    Gain 0 leaves row 0 alone, w^(-(m+1)/2): all ones at w = 1.
+    """
+    if gain == 0.0:
+        c = np.zeros((cutoff, cutoff))
+        c[0] = np.exp(-0.5 * (np.arange(cutoff) + 1) * log_width)
+        return c
+    lg = _lgamma_table(2 * cutoff)
+    l, m = np.arange(cutoff)[:, None], np.arange(cutoff)
+    return np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * log_width)
+                  + l * math.log(gain))
+
+
 def heterodyne_kernels(cutoff: int, gain: float,
                        log_width: float) -> Callable[[int], np.ndarray]:
-    """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] from one log-space table
-    c[l, m] = sqrt(C(m+l, l)) g^l w^(-(m+l+1)/2), given g and log w.
+    """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] of the table c of `_heterodyne_table`.
 
     w = 1 + g^2 is heterodyne measure-and-prepare at gain g; g = sqrt(eta),
     w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam.
     """
-    lg = _lgamma_table(2 * cutoff)
-    l, m = np.arange(cutoff)[:, None], np.arange(cutoff)
-    c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * log_width)
-               + l * math.log(gain))
+    c = _heterodyne_table(cutoff, gain, log_width)
     return lambda d: c[:cutoff - d, d:] * c[d:, :cutoff - d]
+
+
+def _diagonal_line_sums(x: np.ndarray, left: np.ndarray, right: np.ndarray,
+                        first: int) -> np.ndarray:
+    """sum_e sigma_e^2 over e = first ... N-1 per column b, where
+    sigma_e = sum_i left[i, b] x[i, i+e] right[i+e, b] runs along x's e-th diagonal.
+
+    `right` is read through a strided (lines, N, nodes) view of one zero-padded
+    copy and the sums are one einsum, so the working memory is O(N) per node;
+    no N x N array is formed per node.
+    """
+    n, nodes = left.shape
+    lines = n - first
+    # zero-padded copies pad[k] = right[k + first] and padded[i, k] = x[i, k + first]
+    # make shifted[e, i] = right[i + e] and diagonals[e, i] = x[i, i + e] views
+    pad = np.zeros((lines + n - 1, nodes))
+    pad[-first:n - first] = right
+    padded = np.zeros((n, lines + n - 1))
+    padded[:, -first:n - first] = x
+    view = np.lib.stride_tricks.as_strided
+    shifted = view(pad, (lines, n, nodes), (pad.strides[0], *pad.strides), writeable=False)
+    diagonals = view(padded, (lines, n), (padded.strides[1], sum(padded.strides)),
+                     writeable=False)
+    sigma = np.einsum("ei,ib,eib->eb", diagonals, left, shifted)
+    return np.einsum("eb,eb->b", sigma, sigma)
+
+
+@dataclass(frozen=True)
+class KrausFamily:
+    """A map that is one family of photon-number-shift Kraus operators, as an `OffsetMap` factor.
+
+    Pure loss of transmissivity T (kind "loss"), the quantum-limited
+    amplifier of gain G ("amp") and heterodyne measure-and-prepare at gain g
+    ("heterodyne") are each one such family, all of whose matrix elements
+    come from one table: `_loss_table` (at 1/G for the amplifier) or
+    `_heterodyne_table`.  Called with a cutoff, a family gives its offset
+    kernels, as every factor does; `fidelities` reads the same table as line
+    sums, which `average_fidelity_fock` contracts for a map that is exactly
+    one family.
+    """
+
+    kind: str
+    parameter: float
+
+    def __post_init__(self):
+        if self.kind not in ("loss", "amp", "heterodyne"):
+            raise InvalidInput(f"unknown Kraus family {self.kind!r}")
+
+    def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        p = self.parameter
+        if self.kind == "loss":
+            return _loss_kernels(cutoff, p)
+        if self.kind == "amp":
+            return _amp_kernels(cutoff, p)
+        return heterodyne_kernels(cutoff, p, math.log1p(p * p))
+
+    def fidelities(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """<psi| Phi(|phi><phi|) |psi> = sum_k <psi|K_k|phi>^2 for each column of real kets.
+
+        The matrix elements of each Kraus operator K_k lie on one line of
+        the table, so <psi|K_k|phi> is a line sum sigma:
+
+          loss, table t:       sigma_e = sum_i psi_i t[i, i+e] phi_(i+e), e >= 0;
+          amplifier, table t   sigma_e = sum_i phi_i t[i, i+e] psi_(i+e) / sqrt(G)
+          at 1/G (the dual):   (K_e = A_e^T / sqrt(G));
+          heterodyne, table c: sigma_s = sum_l psi_l c[l, s-l] phi_(s-l), along the
+                               anti-diagonals of c, which are diagonals of c reversed.
+
+        The heterodyne operators K_s = sum_l c[l, s-l] |l><s-l| are Kraus
+        operators of rho -> Phi(rho^T), which is Phi on a real projector.
+        """
+        n, p = phi.shape[0], self.parameter
+        if self.kind == "loss":
+            return _diagonal_line_sums(_loss_table(n, p), psi, phi, 0)
+        if self.kind == "amp":
+            return _diagonal_line_sums(_loss_table(n, 1.0 / p), phi, psi, 0) / p
+        c = _heterodyne_table(n, p, math.log1p(p * p))
+        return _diagonal_line_sums(c[::-1], psi[::-1], phi, 1 - n)
 
 
 def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
@@ -597,15 +693,29 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     `schemes.phase_averaged_applier` builds) this is the truncated problem's
     exact value: one real amplitude per radius carries the whole phase
     average.  Phi must be an `OffsetMap`; any other callable is refused.
-    No operator is formed.  The kets phi (at r) and psi (at sqrt(eta) r) are
-    real, so with the composed kernels A_d of the map each node's fidelity is
+    No operator is formed, and the kets phi (at r) and psi (at sqrt(eta) r)
+    are real.  One of two contractions gives each node's fidelity:
+
+    * a map that is exactly one `KrausFamily` (pure loss, the
+      quantum-limited amplifier or heterodyne measure-and-prepare, alone)
+      takes its line sums, F = sum_k <psi|K_k|phi>^2 over the family's
+      Kraus operators K_k, O(N^2) per node (`KrausFamily.fidelities`);
+    * every other map (a chain of factors, a displacement mixture, a
+      kernel factor of any other kind) takes the offset loop over the
+      composed kernels A_d of the map, O(N^3) per node:
 
         F = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
                                             u_d = psi[d:] * psi[:N-d],
 
-    with c_0 = 1 and c_d = 2 for d >= 1 (the entries above the diagonal map
-    through conj(A_d) and add the complex conjugate).  Every node is done at
-    once, one offset at a time, with one kernel in memory.  A node's
+      with c_0 = 1 and c_d = 2 for d >= 1 (the entries above the diagonal
+      map through conj(A_d) and add the complex conjugate).  Every node is
+      done at once, one offset at a time, with one kernel in memory.
+
+    For a family both are the same finite sum of products of table entries
+    and ket amplitudes, grouped by offset or by Kraus operator (expanding
+    sum_k <psi|K_k|phi>^2 pairs the amplitudes of K_k whose levels differ
+    by d, which is u_d . A_d v_d), so both give the truncated problem's
+    exact value and differ by rounding only.  A node's
     fidelity outside [0, 1] beyond 1e-10 is an error; the weighted
     fidelities are summed node by node in rule order.  The default cutoff
     comes from `select_cutoff`; no cutoff above 180 is accepted.
@@ -635,13 +745,17 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     # one ket per column: level n in row n, so offset d pairs rows d: and :N-d
     phi = coherent_amplitudes(radii, cutoff).real
     psi = coherent_amplitudes(math.sqrt(eta) * radii, cutoff).real
-    kernel = offset_map.kernels(cutoff)
-    fids = np.zeros(cutoff)
-    for d in range(cutoff):
-        v = phi[d:] * phi[:cutoff - d]
-        u = psi[d:] * psi[:cutoff - d]
-        term = np.einsum("ib,ib->b", u, kernel(d).real @ v)
-        fids += term if d == 0 else 2.0 * term
+    family = offset_map.factors[0] if len(offset_map.factors) == 1 else None
+    if isinstance(family, KrausFamily):
+        fids = family.fidelities(phi, psi)
+    else:
+        kernel = offset_map.kernels(cutoff)
+        fids = np.zeros(cutoff)
+        for d in range(cutoff):
+            v = phi[d:] * phi[:cutoff - d]
+            u = psi[d:] * psi[:cutoff - d]
+            term = np.einsum("ib,ib->b", u, kernel(d).real @ v)
+            fids += term if d == 0 else 2.0 * term
     total = 0.0
     for wf in weights * _clipped_fidelities(fids):
         total += wf  # one running sum in node order

@@ -72,6 +72,19 @@ def _equal_arrays(a, b):
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
+def _refuse_unknown_fields(obj, allowed, what: str) -> None:
+    """Refuse a non-object, or an object with fields outside `allowed`, naming them.
+
+    The one unknown-field check of the JSON readers; `what` names the object.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{what} must be a JSON object, got {reprlib.repr(obj)}")
+    unknown = sorted(set(obj) - set(allowed), key=str)
+    if unknown:
+        raise InvalidInput(f"{what} does not take field{'s' * (len(unknown) > 1)} "
+                           + ", ".join(map(repr, unknown)))
+
+
 # eq=False: the generated __eq__ would compare arrays inside tuples, and the
 # generated __hash__ would hash them; these compare by value and hash not at all.
 @dataclass(frozen=True, eq=False)
@@ -101,6 +114,8 @@ class GaussianState:
 
     @classmethod
     def from_json(cls, obj):
+        """The state of a `to_json` object; a missing or unknown field raises InvalidInput."""
+        _refuse_unknown_fields(obj, ("d", "gamma"), "Gaussian state JSON")
         try:
             return cls(np.array(obj["d"], dtype=float), np.array(obj["gamma"], dtype=float))
         except (KeyError, TypeError) as exc:
@@ -134,8 +149,12 @@ class GaussianChannel:
     def from_json(cls, obj):
         """The channel of a `to_json` object; "disp" defaults to zero.
 
-        A missing or malformed field raises InvalidInput that names it.
+        A missing, malformed or unknown field raises InvalidInput that names
+        it, an unknown one as a field the raw channel model 'gaussian' of
+        `schemes.model_from_json` does not take.
         """
+        _refuse_unknown_fields(obj, ("K", "M", "disp"), "channel model 'gaussian'")
+
         def array(name, default=None):
             if name not in obj and default is None:
                 raise InvalidInput(f"channel JSON needs 'K' and 'M' fields: '{name}' is missing")

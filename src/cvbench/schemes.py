@@ -4,9 +4,9 @@ A `ChannelModel` is a small tagged description (pure loss, quantum-limited
 amplification, the two canonical Gaussian noise forms, heterodyne
 measure-and-prepare, or a composition).  Every model lowers to an exact
 Gaussian channel via `to_gaussian`, and once to its Fock realization
-(`_realization`): offset-kernel factors, loss followed by amplification,
-exact below the cutoff, or heterodyne measure-and-prepare's closed-form
-outcome-integral kernels, derived from the measurement, not from (K, M);
+(`_realization`): offset-kernel factors (`fock.KrausFamily`), loss followed
+by amplification, exact below the cutoff, or heterodyne measure-and-prepare's
+closed-form outcome-integral kernels, derived from the measurement, not from (K, M);
 then, for anisotropic noise or a mean, a mixture of displacement unitaries.
 Two views read that one realization: the operator map `fock_applier`, and
 its phase average `phase_averaged_applier`, the offset kernels the Fock
@@ -26,8 +26,8 @@ import numpy as np
 from . import fock
 from .bounds import _check_prior, _check_task, _require, _unwrap
 from .errors import ConvergenceError, InvalidInput, UnsupportedTask
-from .gaussian import (E2, GaussianChannel, _check_cp, compose as compose_channels,
-                       isotropic_part)
+from .gaussian import (E2, GaussianChannel, _check_cp, _refuse_unknown_fields,
+                       compose as compose_channels, isotropic_part)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -142,13 +142,10 @@ def model_from_json(obj) -> ChannelModel | GaussianChannel:
     cls = next((c for c, t in _JSON_TAGS.items() if t == tag), None)
     if cls is None:
         raise InvalidInput(f"unknown channel model type {tag!r}")
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(obj) - {"type", *names}, key=str)
-    if unknown:
-        raise InvalidInput(f"channel model '{tag}' does not take field"
-                           f"{'s' * (len(unknown) > 1)} " + ", ".join(map(repr, unknown)))
     if cls is GaussianChannel:
-        return GaussianChannel.from_json(obj)
+        return GaussianChannel.from_json({k: v for k, v in obj.items() if k != "type"})
+    names = [f.name for f in fields(cls)]
+    _refuse_unknown_fields(obj, ("type", *names), f"channel model '{tag}'")
     values = []
     for name in names:
         if name not in obj:
@@ -367,9 +364,10 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
 
     which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`)
-    with the kernels of `fock.heterodyne_kernels` at width 1 + g^2.  The kernel
-    comes from the outcome integral, not from the channel's (K, M), so it stays
-    an independent check of `to_gaussian`.  Re-prepared weight past the cutoff
+    with the kernels of `fock.heterodyne_kernels` at width 1 + g^2 (the
+    heterodyne `fock.KrausFamily`).  The kernel comes from the outcome
+    integral, not from the channel's (K, M), so it stays an independent
+    check of `to_gaussian`.  Re-prepared weight past the cutoff
     is dropped, not renormalized: a trace deficit beyond `max_trace_deficit`
     in any state raises (None turns the check off).
     """
@@ -380,7 +378,7 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         out = np.zeros(rho.matrix.shape, dtype=complex)
         out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
     else:
-        out = fock.apply_offset_kernels(rho.matrix, _heterodyne_kernels(n, g))
+        out = fock.apply_offset_kernels(rho.matrix, fock.KrausFamily("heterodyne", g)(n))
     result = fock.FockOperator(out)
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)
@@ -422,24 +420,16 @@ def _loss_amp_realization(form: ChannelForm):
     return form.k2 / gain, gain, extra[axis] - extra.min(), axis, beta
 
 
-def _heterodyne_kernels(cutoff: int, g: float):
-    """Offset kernels of heterodyne measure-and-prepare at gain g (see `apply_mp_fock`)."""
-    if g == 0.0:
-        # every outcome prepares |0>: output <0|.|0> is the trace
-        trace = np.zeros((cutoff, cutoff))
-        trace[0] = 1.0
-        return lambda d: trace if d == 0 else np.zeros((cutoff - d, cutoff - d))
-    return fock.heterodyne_kernels(cutoff, g, math.log1p(g * g))
-
-
 def _realization(model: ChannelModel | GaussianChannel):
     """(factors, mixture) of a model's Fock realization, which both views read.
 
-    `factors` are the offset-kernel factors in order (see `fock.OffsetMap`):
-    heterodyne measure-and-prepare gives its outcome-integral kernels and a
-    composition of isotropic parts chains its parts' factors; every other
-    model, and a raw GaussianChannel, gives loss T then the quantum-limited
-    amplifier G of its normal form (`_loss_amp_realization`).  `mixture` is
+    `factors` are the offset-kernel factors in order (see `fock.OffsetMap`),
+    each a `fock.KrausFamily`, so that the Fock engine can contract a lone
+    family as line sums: heterodyne measure-and-prepare gives its
+    outcome-integral family and a composition of isotropic parts chains its
+    parts' factors; every other model, and a raw GaussianChannel, gives loss
+    T then the quantum-limited amplifier G of its normal form
+    (`_loss_amp_realization`), each left out at 1.  `mixture` is
     None, or, for an anisotropic remainder or a mean beta, the function of
     the cutoff giving (weights, unitaries W_s = D(beta) exp(-i s X)) of the
     step rho -> sum_s w_s W_s rho W_s^dag that follows: the displacement
@@ -448,16 +438,16 @@ def _realization(model: ChannelModel | GaussianChannel):
     long as the realization's views live.
     """
     if isinstance(model, HeterodyneMP):
-        return [lambda n: _heterodyne_kernels(n, model.g)], None
+        return [fock.KrausFamily("heterodyne", model.g)], None
     if isinstance(model, Compose) and _iso_params(model) is not None:
         # isotropic parts have no mixture step
         return [f for part in model.parts for f in _realization(part)[0]], None
     T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
     factors = []
     if T < 1.0:
-        factors.append(lambda n: fock._loss_kernels(n, T))
+        factors.append(fock.KrausFamily("loss", T))
     if gain > 1.0:
-        factors.append(lambda n: fock._amp_kernels(n, gain))
+        factors.append(fock.KrausFamily("amp", gain))
     if not (remainder > 0 or abs(beta) > 0):
         return factors, None
 
@@ -496,9 +486,10 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.Offset
     one real amplitude per radius gives the channel's full phase average.
     The result is a `fock.OffsetMap`: callable on a FockOperator, and giving
     its composed kernels per offset.  It holds the factors of `fock_applier`
-    (`_realization`), which are their own phase average, and for a mixture
-    step the phase average of rho -> sum_s w_s W_s rho W_s^dag over the same
-    unitaries, A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]).  A model
+    (`_realization`), which are their own phase average (a lone
+    `fock.KrausFamily` stays one, for the engine's line sums), and for a
+    mixture step the phase average of rho -> sum_s w_s W_s rho W_s^dag over
+    the same unitaries, A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]).  A model
     without a mixture step gets the same map as from `fock_applier`.
     """
     factors, mixture = _realization(model)

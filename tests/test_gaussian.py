@@ -74,6 +74,18 @@ def test_state_json_roundtrip():
     assert again == st
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"d": [1, 0], "gamma": [[0.5, 0], [0, 0.5]], "D": [1, 0]},
+     "Gaussian state JSON does not take field 'D'"),
+    ({"d": [1, 0], "gamma": [[0.5, 0], [0, 0.5]], "type": "state", "Gamma": 1},
+     "Gaussian state JSON does not take fields 'Gamma', 'type'"),
+    (["d", "gamma"], "Gaussian state JSON must be a JSON object"),
+])
+def test_state_json_refuses_unknown_fields(spec, message):
+    with pytest.raises(InvalidInput, match=message):
+        GaussianState.from_json(spec)
+
+
 @pytest.mark.parametrize("same, other", [
     (GaussianState.vacuum, lambda: GaussianState.coherent(0.5)),
     (GaussianChannel.identity, lambda: GaussianChannel(E2, np.zeros((2, 2)), [0.0, 1e-300])),
@@ -184,6 +196,18 @@ def test_channel_json_roundtrip():
 ])
 def test_channel_json_names_a_missing_or_malformed_field(spec, field):
     with pytest.raises(InvalidInput, match=field):
+        GaussianChannel.from_json(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # a misspelt displacement used to read as none
+    ({"K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]], "Disp": [1, 0]}, "field 'Disp'"),
+    ({"K": [[1, 0], [0, 1]], "M": [[0, 0], [0, 0]], "D": 1, "type": "gaussian"},
+     "fields 'D', 'type'"),
+    (["K", "M"], "must be a JSON object"),
+])
+def test_channel_json_refuses_unknown_fields(spec, message):
+    with pytest.raises(InvalidInput, match=message):
         GaussianChannel.from_json(spec)
 
 

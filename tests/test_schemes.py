@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -554,6 +555,72 @@ def test_average_fidelity_contraction_matches_the_per_node_loop_at_the_cap(
     value, error = per_node_average(offset_map, eta, lam, cutoff)
     assert abs(got.value - value) <= 1e-14
     assert abs(got.error - error) <= 1e-14
+
+
+# Maps that are exactly one photon-number-shift Kraus family, which the engine
+# contracts as line sums of the family's table; the raw channel is isotropic
+# pure loss, on the boundary where the amplifier of its realization is 1.
+ONE_FAMILY = [PureLoss(0.6), QuantumLimitedAmp(1.8), HeterodyneMP(0.9), HeterodyneMP(0.0),
+              Compose([PureLoss(0.5)]), GaussianChannel(math.sqrt(0.6) * E2, 0.2 * E2)]
+# Chains of factors and every displacement mixture keep the offset loop.
+OFFSET_LOOP = [CanonicalB1(), CanonicalC(eta=1.3, ntilde=0.4), ALL_MODELS[-1], CHAIN,
+               GaussianChannel(math.sqrt(0.6) * E2, 0.2 * E2, np.array([0.5, 0.0]))] \
+    + RAW_CHANNELS
+
+
+def _one_family(model):
+    factors = phase_averaged_applier(model).factors
+    assert len(factors) == 1 and isinstance(factors[0], fock.KrausFamily)
+    return factors[0]
+
+
+@pytest.fixture
+def line_sum_calls(monkeypatch):
+    """The families whose `fidelities` ran, in call order."""
+    calls = []
+    fidelities = fock.KrausFamily.fidelities
+
+    def spy(family, phi, psi):
+        calls.append(family)
+        return fidelities(family, phi, psi)
+    monkeypatch.setattr(fock.KrausFamily, "fidelities", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40, 180])
+@pytest.mark.parametrize("model", ONE_FAMILY, ids=_name)
+def test_line_sums_agree_with_the_offset_loop(model, cutoff, line_sum_calls):
+    family = _one_family(model)
+    eta, lam = 0.9, 0.3
+    got = fock.average_fidelity_fock(fock.OffsetMap(family), eta, lam, cutoff=cutoff)
+    assert line_sum_calls == [family]
+    # the family's kernels handed over as a plain factor take the offset loop
+    loop = fock.average_fidelity_fock(fock.OffsetMap(lambda n: family(n)), eta, lam,
+                                      cutoff=cutoff)
+    assert line_sum_calls == [family]
+    assert abs(got.value - loop.value) <= (1e-14 if cutoff == 180 else 1e-15)
+    assert got.error == loop.error
+
+
+@pytest.mark.parametrize("model", OFFSET_LOOP, ids=_name)
+def test_chains_and_mixtures_take_the_offset_loop(model, line_sum_calls):
+    fock.average_fidelity_fock(phase_averaged_applier(model), 0.9, 0.3, cutoff=12)
+    assert line_sum_calls == []
+
+
+@pytest.mark.parametrize("model", [PureLoss(0.6), HeterodyneMP(0.9)], ids=_name)
+def test_line_sums_stay_within_twice_the_offset_loops_memory(model):
+    family = _one_family(model)
+    peaks = []
+    for offset_map in (fock.OffsetMap(family), fock.OffsetMap(lambda n: family(n))):
+        fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=180)   # fills the caches
+        tracemalloc.start()
+        try:
+            fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=180)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * peaks[1], peaks
 
 
 @pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)

@@ -21,9 +21,9 @@ from .ensembles import GaussianPrior, QuadratureRule, gauss_rule, sample
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)
-from .fock import (FockAverage, FockOperator, FockVector, KrausFamily, OffsetMap,
-                   average_fidelity_fock, coherent_ket, gaussian_state_fock,
-                   thermal_state)
+from .fock import (DisplacementMixture, FockAverage, FockOperator, FockVector,
+                   KrausFamily, OffsetMap, average_fidelity_fock, coherent_ket,
+                   gaussian_state_fock, thermal_state)
 from .gaussian import (GaussianChannel, GaussianState,
                        average_fidelity_gaussian, apply_channel, compose,
                        fidelity_to_coherent, is_cp_channel, is_gain_matched,

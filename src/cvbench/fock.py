@@ -331,24 +331,43 @@ class OffsetMap:
     `factors` are applied in order; each takes a cutoff N and returns the
     function d -> A_d of its (N-d) x (N-d) kernels.  No factors is the
     identity.  Calling the map on a FockOperator (one operator or a stack)
-    applies the factors one after another; `kernels` gives the kernels of
-    the whole chain, A_d = A_d^(k) ... A_d^(1), one offset at a time, which
-    is what `average_fidelity_fock` contracts, unless the map is one
-    `KrausFamily` alone.
+    applies the factors one after another; `real_kernels` gives the real
+    part of the whole chain's kernels, Re(A_d^(k) ... A_d^(1)), one offset
+    at a time, which is what `average_fidelity_fock` contracts, unless the
+    map is one `KrausFamily` alone.
     """
 
     def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
         self.factors = factors
 
-    def kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        chain = [factor(cutoff) for factor in self.factors]
+    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        """d -> Re(A_d^(k) ... A_d^(1)), the real part of the chain's kernels.
 
-        def composed(d):
+        A `DisplacementMixture` factor gives its own real kernels, built in
+        real arithmetic; every other factor gives its kernels.  The real part
+        of a product is the product with one factor's real part only while
+        every other factor is real, so a mixture next to any other complex
+        kernel (a second mixture, or a plain factor with complex kernels)
+        raises InvalidInput rather than compose a wrong real part.
+        """
+        mixtures = sum(isinstance(f, DisplacementMixture) for f in self.factors)
+        if mixtures > 1:
+            raise InvalidInput("the real kernels of a map hold at most one displacement "
+                               f"mixture, got {mixtures}")
+        chain = [f.real_kernels(cutoff) if isinstance(f, DisplacementMixture) else f(cutoff)
+                 for f in self.factors]
+
+        def real(d):
             out = np.eye(cutoff - d) if not chain else chain[0](d)
             for kernel in chain[1:]:
                 out = kernel(d) @ out
-            return out
-        return composed
+            if not np.iscomplexobj(out):
+                return out
+            if mixtures:
+                raise InvalidInput("a displacement mixture's real kernels compose only "
+                                   "with real kernels, got a complex one")
+            return out.real
+        return real
 
     def __call__(self, rho: FockOperator) -> FockOperator:
         out = rho.matrix.copy() if not self.factors else rho.matrix
@@ -517,6 +536,29 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     return FockOperator(apply_offset_kernels(rho.matrix, _amp_kernels(rho.cutoff, G)))
 
 
+def _check_variance(variance: float) -> None:
+    if not (0.0 <= variance < math.inf):
+        raise InvalidInput(f"noise variance must be >= 0 and finite, got {variance}")
+
+
+def _shift_phases(shifts: np.ndarray, axis: int, cutoff: int):
+    """(V, p) with exp(-i s X) = V diag(p[s]) V^dag for each shift s along `axis`.
+
+    X = V diag(lambda) V^dag is the generator of shifts along `axis`
+    (`_quad_eigh`): axis 0 noise displaces x_plus, so exp(-i s x_minus),
+    and vice versa.
+    """
+    sign = -1.0 if axis == 0 else 1.0
+    evals, evecs = _quad_eigh(cutoff, 1 - axis)
+    return evecs, np.exp(1j * sign * np.outer(shifts, evals))
+
+
+def _shift_unitaries(shifts: np.ndarray, axis: int, cutoff: int) -> np.ndarray:
+    """The (len(shifts), cutoff, cutoff) stack of exp(-i s X) (`_shift_phases`)."""
+    evecs, phases = _shift_phases(shifts, axis, cutoff)
+    return (evecs * phases[:, None, :]) @ evecs.conj().T
+
+
 def mixture_unitaries(variance: float, axis: int, cutoff: int):
     """(weights, unitaries W_s) of classical Gaussian displacement noise along one axis.
 
@@ -525,36 +567,103 @@ def mixture_unitaries(variance: float, axis: int, cutoff: int):
     rule, X being the generator of shifts along `axis`; the unitaries are a
     (20, cutoff, cutoff) stack.  Variance 0 is one identity, with weight 1.
     """
-    if not (0.0 <= variance < math.inf):
-        raise InvalidInput(f"noise variance must be >= 0 and finite, got {variance}")
+    _check_variance(variance)
     if variance == 0:
         return np.ones(1), np.eye(cutoff, dtype=complex)[None]
-    shifts = math.sqrt(2.0 * variance) * _MIXTURE_NODES
-    # generator: axis 0 noise displaces x_plus -> exp(-i s x_minus), and vice versa
-    sign = -1.0 if axis == 0 else 1.0
-    evals, evecs = _quad_eigh(cutoff, 1 - axis)
-    phases = np.exp(1j * sign * np.outer(shifts, evals))
-    return _MIXTURE_WEIGHTS, (evecs * phases[:, None, :]) @ evecs.conj().T
+    return _MIXTURE_WEIGHTS, _shift_unitaries(math.sqrt(2.0 * variance) * _MIXTURE_NODES,
+                                              axis, cutoff)
 
 
-def _unitary_mixture(matrix: np.ndarray, weights, unitaries) -> np.ndarray:
-    """sum_s weights[s] W_s matrix W_s^dag for one matrix or a (B, N, N) stack."""
-    out = np.zeros_like(matrix)
-    for w, u in zip(weights, unitaries):
-        out += w * (u @ matrix @ u.conj().T)
-    return out
+@dataclass(frozen=True)
+class DisplacementMixture:
+    """Displacement noise of one variance on one axis, then a mean, as an `OffsetMap` factor.
+
+    The step rho -> sum_s w_s W_s rho W_s^dag with W_s = D(beta) exp(-i s X)
+    over the 20 shifts of `mixture_unitaries` (one D(beta) alone at variance
+    0).  Each view is built per call, and none is kept:
+
+    * called with a cutoff, it gives the offset kernels of its phase average,
+      A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]), complex;
+    * `real_kernels` gives Re A_d, all that the prior average reads, in real
+      arithmetic;
+    * `apply` is the step itself on operators, as one Hadamard product.
+
+    Without a mean, the kernels sum over the 10 positive shifts at double
+    weight (`unitaries`).  That is exact: the phase average contains the
+    rotation by pi, which maps exp(-i s X) onto exp(i s X), so A_d is the
+    same for s and -s.  The rotation maps D(beta) onto D(-beta), so a
+    mixture with a mean keeps all 20 shifts.
+    """
+
+    variance: float
+    axis: int
+    beta: complex = 0j
+
+    def __post_init__(self):
+        _check_variance(self.variance)
+
+    def unitaries(self, cutoff: int):
+        """(weights, W_s) that the offset kernels sum over: the 10 positive shifts at
+        double weight without a mean, otherwise `mixture_unitaries` times D(beta)."""
+        if self.beta or self.variance == 0:
+            weights, u = mixture_unitaries(self.variance, self.axis, cutoff)
+        else:
+            half = _MIXTURE_POINTS // 2   # the nodes are symmetric, the positive ones last
+            weights = 2.0 * _MIXTURE_WEIGHTS[half:]
+            u = _shift_unitaries(math.sqrt(2.0 * self.variance) * _MIXTURE_NODES[half:],
+                                 self.axis, cutoff)
+        return weights, (displacement(self.beta, cutoff) @ u if self.beta else u)
+
+    def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        weights, u = self.unitaries(cutoff)
+        u_conj = u.conj()
+        return lambda d: np.tensordot(weights,
+                                      u[:, d:, d:] * u_conj[:, :cutoff - d, :cutoff - d], 1)
+
+    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        """d -> Re A_d as one einsum over the real stack X = [sqrt(w) Re W; sqrt(w) Im W]:
+        Re(W[i+d, j+d] conj(W[i, j])) = Re W Re W + Im W Im W, so
+        Re A_d = sum_s' X[s', d:, d:] * X[s', :N-d, :N-d]."""
+        weights, u = self.unitaries(cutoff)
+        k = weights.size
+        root = np.sqrt(weights)[:, None, None]
+        x = np.empty((2 * k, cutoff, cutoff))
+        np.multiply(root, u.real, out=x[:k])
+        np.multiply(root, u.imag, out=x[k:])
+        return lambda d: np.einsum("sij,sij->ij", x[:, d:, d:], x[:, :cutoff - d, :cutoff - d])
+
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        """sum_s w_s W_s matrix W_s^dag for one matrix or a (B, N, N) stack.
+
+        With exp(-i s X) = V diag(p[s]) V^dag (`_shift_phases`) the sum is
+        V~ (G * V^dag matrix V) V~^dag, one Hadamard product, with
+        V~ = D(beta) V and G[k, l] = sum_s w_s p[s, k] conj(p[s, l]).
+        Variance 0 is D(beta) matrix D(beta)^dag, a copy of the input
+        without a mean.
+        """
+        n = matrix.shape[-1]
+        if self.variance == 0:
+            if not self.beta:
+                return matrix.copy()
+            disp = displacement(self.beta, n)
+            return disp @ matrix @ disp.conj().T
+        evecs, phases = _shift_phases(math.sqrt(2.0 * self.variance) * _MIXTURE_NODES,
+                                      self.axis, n)
+        g = np.einsum("s,sk,sl->kl", _MIXTURE_WEIGHTS, phases, phases.conj())
+        outer = displacement(self.beta, n) @ evecs if self.beta else evecs
+        return outer @ (g * (evecs.conj().T @ matrix @ evecs)) @ outer.conj().T
 
 
 def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
                                       axis: int) -> FockOperator:
     """Classical Gaussian displacement noise along one quadrature axis.
 
-    sum_s w_s W_s rho W_s^dag over the unitaries of `mixture_unitaries`.
-    Exactly trace preserving (each conjugation is unitary on the truncated
-    space).  Acts on each operator of a stack.
+    sum_s w_s W_s rho W_s^dag over the unitaries of `mixture_unitaries`,
+    as `DisplacementMixture.apply` sums it.  Exactly trace preserving (each
+    conjugation is unitary on the truncated space).  Acts on each operator
+    of a stack.
     """
-    weights, unitaries = mixture_unitaries(variance, axis, rho.cutoff)
-    return FockOperator(_unitary_mixture(rho.matrix, weights, unitaries))
+    return FockOperator(DisplacementMixture(variance, axis).apply(rho.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +816,12 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
         F = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
                                             u_d = psi[d:] * psi[:N-d],
 
-      with c_0 = 1 and c_d = 2 for d >= 1 (the entries above the diagonal
-      map through conj(A_d) and add the complex conjugate).  Every node is
-      done at once, one offset at a time, with one kernel in memory.
+      with c_0 = 1 and c_d = 2 for d >= 1.  Only Re A_d enters: the kets
+      are real, and the entries above the diagonal map through conj(A_d),
+      so they add the complex conjugate of the entries below it, and the
+      imaginary parts cancel.  So the loop reads `OffsetMap.real_kernels`,
+      which a displacement mixture builds in real arithmetic.  Every node
+      is done at once, one offset at a time, with one kernel in memory.
 
     For a family both are the same finite sum of products of table entries
     and ket amplitudes, grouped by offset or by Kraus operator (expanding
@@ -717,8 +829,11 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     by d, which is u_d . A_d v_d), so both give the truncated problem's
     exact value and differ by rounding only.  A node's
     fidelity outside [0, 1] beyond 1e-10 is an error; the weighted
-    fidelities are summed node by node in rule order.  The default cutoff
-    comes from `select_cutoff`; no cutoff above 180 is accepted.
+    fidelities are summed node by node in rule order, and the sum is
+    clipped into [0, 1]: near the cap the rule's weights sum to 1 + 9e-13,
+    well inside the error estimate, and a rule built in log space would
+    remove that excess at its source.  The default cutoff comes from
+    `select_cutoff`; no cutoff above 180 is accepted.
 
     The error estimate bounds the truncation.  With the truncated prior
     weights tau_in and tau_out (`truncated_prior_weights`) it is
@@ -749,16 +864,17 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     if isinstance(family, KrausFamily):
         fids = family.fidelities(phi, psi)
     else:
-        kernel = offset_map.kernels(cutoff)
+        kernel = offset_map.real_kernels(cutoff)
         fids = np.zeros(cutoff)
         for d in range(cutoff):
             v = phi[d:] * phi[:cutoff - d]
             u = psi[d:] * psi[:cutoff - d]
-            term = np.einsum("ib,ib->b", u, kernel(d).real @ v)
+            term = np.einsum("ib,ib->b", u, kernel(d) @ v)
             fids += term if d == 0 else 2.0 * term
     total = 0.0
     for wf in weights * _clipped_fidelities(fids):
         total += wf  # one running sum in node order
+    total = min(max(total, 0.0), 1.0)
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * np.finfo(float).eps
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff

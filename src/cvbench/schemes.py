@@ -7,7 +7,8 @@ Gaussian channel via `to_gaussian`, and once to its Fock realization
 (`_realization`): offset-kernel factors (`fock.KrausFamily`), loss followed
 by amplification, exact below the cutoff, or heterodyne measure-and-prepare's
 closed-form outcome-integral kernels, derived from the measurement, not from (K, M);
-then, for anisotropic noise or a mean, a mixture of displacement unitaries.
+then, for anisotropic noise or a mean, one factor that mixes displacement
+unitaries (`fock.DisplacementMixture`).
 Two views read that one realization: the operator map `fock_applier`, and
 its phase average `phase_averaged_applier`, the offset kernels the Fock
 engine's prior average consumes.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -420,42 +420,34 @@ def _loss_amp_realization(form: ChannelForm):
     return form.k2 / gain, gain, extra[axis] - extra.min(), axis, beta
 
 
-def _realization(model: ChannelModel | GaussianChannel):
-    """(factors, mixture) of a model's Fock realization, which both views read.
+def _realization(model: ChannelModel | GaussianChannel) -> list:
+    """The factors of a model's Fock realization, in order, which both views read.
 
-    `factors` are the offset-kernel factors in order (see `fock.OffsetMap`),
-    each a `fock.KrausFamily`, so that the Fock engine can contract a lone
-    family as line sums: heterodyne measure-and-prepare gives its
-    outcome-integral family and a composition of isotropic parts chains its
-    parts' factors; every other model, and a raw GaussianChannel, gives loss
-    T then the quantum-limited amplifier G of its normal form
-    (`_loss_amp_realization`), each left out at 1.  `mixture` is
-    None, or, for an anisotropic remainder or a mean beta, the function of
-    the cutoff giving (weights, unitaries W_s = D(beta) exp(-i s X)) of the
-    step rho -> sum_s w_s W_s rho W_s^dag that follows: the displacement
-    mixture of `fock.mixture_unitaries`, one D(beta) alone when only the
-    mean is left.  The unitaries are kept for the last cutoff asked, for as
-    long as the realization's views live.
+    Each factor is an offset-kernel factor (see `fock.OffsetMap`).  Heterodyne
+    measure-and-prepare gives its outcome-integral `fock.KrausFamily`, so that
+    the Fock engine can contract it alone as line sums, and a composition of
+    isotropic parts chains its parts' factors.  Every other model, and a raw
+    GaussianChannel, gives loss T then the quantum-limited amplifier G of its
+    normal form (`_loss_amp_realization`), each left out at 1, and then, for
+    an anisotropic remainder or a mean beta, one `fock.DisplacementMixture`:
+    the step rho -> sum_s w_s W_s rho W_s^dag with W_s = D(beta) exp(-i s X),
+    one D(beta) alone when only the mean is left.  The mixture comes last,
+    so at most one factor has complex kernels.
     """
     if isinstance(model, HeterodyneMP):
-        return [fock.KrausFamily("heterodyne", model.g)], None
+        return [fock.KrausFamily("heterodyne", model.g)]
     if isinstance(model, Compose) and _iso_params(model) is not None:
         # isotropic parts have no mixture step
-        return [f for part in model.parts for f in _realization(part)[0]], None
+        return [f for part in model.parts for f in _realization(part)]
     T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
     factors = []
     if T < 1.0:
         factors.append(fock.KrausFamily("loss", T))
     if gain > 1.0:
         factors.append(fock.KrausFamily("amp", gain))
-    if not (remainder > 0 or abs(beta) > 0):
-        return factors, None
-
-    @lru_cache(maxsize=1)
-    def mixture(n):
-        weights, u = fock.mixture_unitaries(remainder, axis, n)
-        return weights, (fock.displacement(beta, n) @ u if abs(beta) > 0 else u)
-    return factors, mixture
+    if remainder > 0 or abs(beta) > 0:
+        factors.append(fock.DisplacementMixture(remainder, axis, beta))
+    return factors
 
 
 def fock_applier(model: ChannelModel | GaussianChannel):
@@ -465,17 +457,17 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     It applies the offset-kernel factors of the model's realization
     (`_realization`): loss, then a quantum-limited amplifier, or the
     heterodyne outcome integral, exact below the cutoff.  Without a mixture
-    step that is the `fock.OffsetMap` itself; otherwise the map then sums
-    w_s W_s rho W_s^dag over the mixture's unitaries.  `fock.average_fidelity_fock`
-    wants the phase average of this map, which `phase_averaged_applier`
-    builds from the same realization.
+    step that is the `fock.OffsetMap` itself; otherwise the map then applies
+    the mixture as operators, one Hadamard product per state
+    (`fock.DisplacementMixture.apply`).  `fock.average_fidelity_fock` wants
+    the phase average of this map, which `phase_averaged_applier` builds
+    from the same realization.
     """
-    factors, mixture = _realization(model)
-    offset_map = fock.OffsetMap(*factors)
-    if mixture is None:
-        return offset_map
-    return lambda rho: fock.FockOperator(
-        fock._unitary_mixture(offset_map(rho).matrix, *mixture(rho.cutoff)))
+    factors = _realization(model)
+    if not (factors and isinstance(factors[-1], fock.DisplacementMixture)):
+        return fock.OffsetMap(*factors)
+    mixture, offset_map = factors[-1], fock.OffsetMap(*factors[:-1])
+    return lambda rho: fock.FockOperator(mixture.apply(offset_map(rho).matrix))
 
 
 def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.OffsetMap:
@@ -484,19 +476,15 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.Offset
     The average over rotations U = exp(-i theta n) of U^dag Phi(U rho U^dag) U
     keeps the part of the map that conserves the photon-number offset, so
     one real amplitude per radius gives the channel's full phase average.
-    The result is a `fock.OffsetMap`: callable on a FockOperator, and giving
-    its composed kernels per offset.  It holds the factors of `fock_applier`
-    (`_realization`), which are their own phase average (a lone
-    `fock.KrausFamily` stays one, for the engine's line sums), and for a
-    mixture step the phase average of rho -> sum_s w_s W_s rho W_s^dag over
-    the same unitaries, A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]).  A model
+    The result is a `fock.OffsetMap` of the factors of `fock_applier`
+    (`_realization`): callable on a FockOperator, and giving its composed
+    kernels per offset.  The Kraus factors are their own phase average (a
+    lone `fock.KrausFamily` stays one, for the engine's line sums); a
+    `fock.DisplacementMixture` gives the offset kernels of its phase average,
+    A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]), to the operator view,
+    and their real part alone to the engine: the engine's kets are real, so
+    the entries above the diagonal, which map through conj(A_d), add the
+    complex conjugate of those below it and only Re A_d is left.  A model
     without a mixture step gets the same map as from `fock_applier`.
     """
-    factors, mixture = _realization(model)
-    if mixture is not None:
-        def mixture_kernels(n):
-            weights, u = mixture(n)
-            u_conj = u.conj()
-            return lambda d: np.tensordot(weights, u[:, d:, d:] * u_conj[:, :n - d, :n - d], 1)
-        factors.append(mixture_kernels)
-    return fock.OffsetMap(*factors)
+    return fock.OffsetMap(*_realization(model))

@@ -421,6 +421,70 @@ def test_mixture_of_zero_variance_is_one_identity():
     assert np.array_equal(fock.gaussian_mixture_of_displacements(rho, 0.0, 0).matrix, rho.matrix)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mixture_with_a_mean_applies_as_its_unitaries(axis, state_stack):
+    # the Hadamard product against the 20 conjugations it replaces
+    beta, stack = 0.4 - 0.2j, state_stack(24)
+    weights, unitaries = fock.mixture_unitaries(0.35, axis, 24)
+    unitaries = fock.displacement(beta, 24) @ unitaries
+    expected = sum(w * (u @ stack @ u.conj().T) for w, u in zip(weights, unitaries))
+    got = fock.DisplacementMixture(0.35, axis, beta).apply(stack)
+    assert np.abs(got - expected).max() <= 1e-14
+
+
+MIXTURE_FACTORS = [fock.DisplacementMixture(0.35, 0), fock.DisplacementMixture(0.35, 1),
+                   fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j),
+                   fock.DisplacementMixture(0.0, 0, 0.3 + 0.5j)]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40])
+@pytest.mark.parametrize("mixture", MIXTURE_FACTORS, ids=repr)
+def test_mixture_real_kernels_are_the_real_part_of_its_kernels(mixture, cutoff):
+    real, full = mixture.real_kernels(cutoff), mixture(cutoff)
+    for d in range(cutoff):
+        assert real(d).dtype == float
+        assert np.abs(real(d) - full(d).real).max() <= 1e-15
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mixture_without_a_mean_folds_its_shifts(axis):
+    # the kernels of exp(-isX) and exp(isX) agree, so the 10 positive shifts
+    # at double weight give the kernels of all 20
+    cutoff = 30
+    mixture = fock.DisplacementMixture(0.35, axis)
+    weights, unitaries = mixture.unitaries(cutoff)
+    assert weights.size == 10 and unitaries.shape == (10, cutoff, cutoff)
+    all_weights, all_unitaries = fock.mixture_unitaries(0.35, axis, cutoff)
+    folded = mixture.real_kernels(cutoff)
+    for d in range(cutoff):
+        m = cutoff - d
+        products = all_unitaries[:, d:, d:] * all_unitaries[:, :m, :m].conj()
+        assert np.abs(folded(d) - np.tensordot(all_weights, products.real, 1)).max() <= 1e-14
+
+
+def test_mixture_with_a_mean_keeps_every_shift():
+    # the rotation by pi maps D(beta) onto D(-beta): no two shifts agree
+    mixture = fock.DisplacementMixture(0.35, 0, 0.4 - 0.2j)
+    weights, unitaries = mixture.unitaries(12)
+    all_weights, all_unitaries = fock.mixture_unitaries(0.35, 0, 12)
+    assert np.array_equal(weights, all_weights)
+    assert np.array_equal(unitaries, fock.displacement(0.4 - 0.2j, 12) @ all_unitaries)
+
+
+def test_real_kernels_refuse_a_mixture_beside_another_complex_factor():
+    mixture = fock.DisplacementMixture(0.35, 1)
+    for offset_map in (fock.OffsetMap(mixture, mixture),
+                       fock.OffsetMap(lambda n: fock._loss_kernels(n, 0.6), mixture,
+                                      lambda n: mixture(n))):
+        with pytest.raises(InvalidInput, match="mixture"):
+            fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=8)
+    # a plain factor with complex kernels, alone, still gives its real part
+    own = fock.average_fidelity_fock(fock.OffsetMap(mixture), 0.9, 0.3, cutoff=24)
+    plain = fock.average_fidelity_fock(fock.OffsetMap(lambda n: mixture(n)), 0.9, 0.3,
+                                       cutoff=24)
+    assert abs(own.value - plain.value) <= 1e-15
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_fock_parameters_are_refused(value):
     rho = fock.coherent_ket(0.5, 12).projector()
@@ -430,6 +494,8 @@ def test_non_finite_fock_parameters_are_refused(value):
         fock.gaussian_mixture_of_displacements(rho, value, 0)
     with pytest.raises(InvalidInput, match="noise variance must be >= 0 and finite"):
         fock.mixture_unitaries(value, 0, 12)
+    with pytest.raises(InvalidInput, match="noise variance must be >= 0 and finite"):
+        fock.DisplacementMixture(value, 0)
     with pytest.raises(InvalidInput, match="lambda must be positive and finite"):
         fock.thermal_state(value, 12)
 
@@ -540,11 +606,11 @@ def test_average_fidelity_refuses_a_map_without_offset_kernels():
 def test_offset_map_kernels_compose_its_factors_in_order():
     loss = lambda n: fock._loss_kernels(n, 0.6)
     amp = lambda n: fock._amp_kernels(n, 1.7)
-    chain = fock.OffsetMap(loss, amp).kernels(9)
+    chain = fock.OffsetMap(loss, amp).real_kernels(9)
     for d in (0, 3, 8):
         expected = amp(9)(d) @ loss(9)(d)
         assert np.array_equal(chain(d), expected)
-    assert np.array_equal(fock.OffsetMap().kernels(9)(2), np.eye(7))
+    assert np.array_equal(fock.OffsetMap().real_kernels(9)(2), np.eye(7))
 
 
 def test_average_fidelity_validates_inputs():

@@ -557,6 +557,57 @@ def test_average_fidelity_contraction_matches_the_per_node_loop_at_the_cap(
     assert abs(got.error - error) <= 1e-14
 
 
+# Every model whose realization ends in a displacement mixture: anisotropic
+# noise, a mean alone (RAW_CHANNELS[1]), a mean with loss, and a composite.
+MIXTURES = [CanonicalB1()] + RAW_CHANNELS + [
+    GaussianChannel(math.sqrt(0.6) * E2, 0.2 * E2, np.array([0.5, 0.0])),
+    Compose([CanonicalB1(), HeterodyneMP(0.8), CanonicalB1()])]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40, 180])
+@pytest.mark.parametrize("model", MIXTURES, ids=_name)
+def test_mixture_real_kernels_match_the_per_node_loop(model, cutoff, per_node_average):
+    # the engine reads the mixture's real kernels; the per-node loop sends
+    # |r><r| through its complex kernels, as operators
+    eta, lam = 0.9, 0.3
+    offset_map = phase_averaged_applier(model)
+    assert isinstance(offset_map.factors[-1], fock.DisplacementMixture)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
+    value, error = per_node_average(offset_map, eta, lam, cutoff)
+    assert abs(got.value - value) <= (1e-14 if cutoff == 180 else 1e-15)
+    assert abs(got.error - error) <= 1e-15
+
+
+def test_mixture_average_at_the_cap_holds_about_one_stack_of_unitaries():
+    # The real stack and the 10 unitaries it is built from take about as much
+    # memory as one complex stack of 20 unitaries; the complex kernels, built
+    # from the 20 unitaries and their conjugates, held three.
+    cutoff = 180
+    stack = 20 * cutoff * cutoff * np.dtype(complex).itemsize
+
+    def average():
+        fock.average_fidelity_fock(phase_averaged_applier(CanonicalB1()), 0.9, 0.3,
+                                   cutoff=cutoff)
+    average()   # fills the caches
+    tracemalloc.start()
+    try:
+        average()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack, peak
+
+
+def test_fock_value_stays_within_one_at_the_cap():
+    # at cutoff 180 the prior rule's weights sum to 1 + 8.9e-13, and pure
+    # loss at its own gain has fidelity 1 at every node
+    eta, lam = 0.5, 0.3
+    assert fock.prior_rule(eta, lam, 180)[1].sum() > 1.0 + 1e-13
+    avg = fock.average_fidelity_fock(phase_averaged_applier(PureLoss(eta)), eta, lam,
+                                     cutoff=180)
+    assert 1.0 - 1e-12 <= avg.value <= 1.0
+
+
 # Maps that are exactly one photon-number-shift Kraus family, which the engine
 # contracts as line sums of the family's table; the raw channel is isotropic
 # pure loss, on the boundary where the amplifier of its realization is 1.
@@ -661,8 +712,9 @@ def test_fock_applier_of_a_covariant_model_is_an_offset_map(model):
 def test_a_displaced_isotropic_channel_is_one_displacement():
     # no noise remainder: the mean is one unitary, D(beta) itself, in both views
     channel = GaussianChannel(0.9 * E2, 0.2 * E2, np.array([0.5, -0.3]))
-    _, mixture = schemes._realization(channel)
-    weights, unitaries = mixture(30)
+    mixture = schemes._realization(channel)[-1]
+    assert isinstance(mixture, fock.DisplacementMixture)
+    weights, unitaries = mixture.unitaries(30)
     assert weights.tolist() == [1.0]
     assert np.array_equal(unitaries, fock.displacement((0.5 - 0.3j) / math.sqrt(2.0), 30)[None])
 
@@ -715,13 +767,13 @@ def test_fock_applier_skips_roundoff_noise(monkeypatch):
     # to_gaussian(PureLoss(0.5)) has K = sqrt(0.5) E2, and sqrt(0.5)**2 != 0.5
     # leaves ~1e-17 of noise above the loss floor: no mixture should run for it.
     calls = []
-    mixture = fock.mixture_unitaries
+    apply = fock.DisplacementMixture.apply
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return mixture(*args, **kwargs)
+    def counting(mixture, matrix):
+        calls.append(mixture)
+        return apply(mixture, matrix)
 
-    monkeypatch.setattr(fock, "mixture_unitaries", counting)
+    monkeypatch.setattr(fock.DisplacementMixture, "apply", counting)
     rho = fock.coherent_ket(0.7 - 0.3j, 40).projector()
     out = fock_applier(to_gaussian(PureLoss(0.5)))(rho)
     assert calls == []
@@ -738,7 +790,7 @@ def test_fock_applier_skips_roundoff_noise(monkeypatch):
         calls.clear()
         fock_applier(model)(rho)
         assert len(calls) == mixtures, model
-    assert calls[0][0] == pytest.approx(0.4 - 0.2)  # the remainder above the isotropic part
+    assert calls[0].variance == pytest.approx(0.4 - 0.2)  # the remainder above the isotropic part
 
 
 @pytest.mark.parametrize("model", [

@@ -18,7 +18,6 @@ gives a third, tagged route for data collected without state tomography.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
@@ -75,7 +74,8 @@ class ExperimentDataset:
     axes; the statistic below needs the pair.  `weights`, when given, sets
     the probe weights explicitly (aligned with `probe_amplitudes`); the
     default weighting follows the prior of width `lam` restricted to the
-    probe grid.
+    probe grid.  The records are grouped once, at construction, into one
+    sample array per (probe, axis); build a new dataset to change them.
     """
 
     records: list
@@ -94,32 +94,31 @@ class ExperimentDataset:
         self.records = list(self.records)
         if not self.records:
             raise DatasetError("dataset has no records")
-        seen = {}
+        table = {}          # alpha -> {label: [sample arrays]}, in first-appearance order
         for rec in self.records:
             if not isinstance(rec, QuadratureRecord):
                 raise DatasetError(f"not a quadrature record: {rec!r}")
-            seen.setdefault(rec.alpha, set()).add(rec.quad_label)
-        missing = [a for a, labels in seen.items() if len(labels) < 2]
+            table.setdefault(rec.alpha, {}).setdefault(rec.quad_label, []).append(rec.samples)
+        missing = [a for a, labels in table.items() if len(labels) < 2]
         if missing:
             raise DatasetError(
                 f"both quadratures are required at every probe; missing one at "
                 f"{missing[:3]}{'...' if len(missing) > 3 else ''}")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float).ravel()
-            if w.size != len(seen):
+            if w.size != len(table):
                 raise DatasetError(
-                    f"got {w.size} weights for {len(seen)} distinct probe amplitudes")
+                    f"got {w.size} weights for {len(table)} distinct probe amplitudes")
             if not (np.isfinite(w).all() and (w > 0).all()):
                 raise DatasetError("probe weights must be positive and finite")
             self.weights = w / w.sum()
+        # a key held by one record keeps that record's own array
+        self._groups = [(a, {lab: chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+                             for lab, chunks in labs.items()})
+                        for a, labs in table.items()]
 
     def probe_amplitudes(self) -> list:
-        out, seen = [], set()
-        for rec in self.records:
-            if rec.alpha not in seen:
-                seen.add(rec.alpha)
-                out.append(rec.alpha)
-        return out
+        return [a for a, _ in self._groups]
 
     def probe_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -129,15 +128,11 @@ class ExperimentDataset:
         return w / w.sum()
 
     def grouped(self) -> list:
-        """[(alpha, {label: concatenated samples})] in first-appearance order."""
-        table = {}
-        for rec in self.records:
-            table.setdefault(rec.alpha, {}).setdefault(rec.quad_label, []).append(rec.samples)
-        return [(a, {lab: np.concatenate(chunks) for lab, chunks in labs.items()})
-                for a, labs in ((a, table[a]) for a in self.probe_amplitudes())]
+        """[(alpha, {label: samples})] in first-appearance order, as grouped at construction."""
+        return self._groups
 
     def sample_count(self) -> int:
-        return sum(rec.samples.size for rec in self.records)
+        return sum(samples.size for _, labs in self._groups for samples in labs.values())
 
     def mean_square_displacement(self) -> float:
         """Prior-weighted mean of |d_alpha|^2 = 2 |alpha|^2 over the grid."""
@@ -145,9 +140,12 @@ class ExperimentDataset:
         return float(self.probe_weights() @ (2.0 * np.abs(alphas) ** 2))
 
 
-def _targets(alpha: complex, eta: float):
-    t = math.sqrt(eta) * coherent_mean(alpha)
-    return {"plus": t[0], "minus": t[1]}
+def _squared_deviations(ds: ExperimentDataset, eta: float):
+    """(probe weight, squared deviations from the target sqrt(eta) alpha) per
+    probe and axis, in the dataset's order: the terms of the statistic."""
+    for w, (alpha, groups) in zip(ds.probe_weights(), ds.grouped()):
+        for label, target in zip(_LABELS, math.sqrt(eta) * coherent_mean(alpha)):
+            yield w, (groups[label] - target) ** 2
 
 
 def delta_bar(ds: ExperimentDataset, eta: float):
@@ -159,15 +157,11 @@ def delta_bar(ds: ExperimentDataset, eta: float):
     perfect transformation scores 0).
     """
     _check_task(eta, ds.lam)
-    weights = ds.probe_weights()
     total, var = 0.0, 0.0
-    for w, (alpha, groups) in zip(weights, ds.grouped()):
-        targets = _targets(alpha, eta)
-        for label in _LABELS:
-            sq = (groups[label] - targets[label]) ** 2
-            total += w * sq.mean()
-            if sq.size > 1:
-                var += w * w * sq.var(ddof=1) / sq.size
+    for w, sq in _squared_deviations(ds, eta):
+        total += w * sq.mean()
+        if sq.size > 1:
+            var += w * w * sq.var(ddof=1) / sq.size
     return total - 1.0, math.sqrt(var)
 
 
@@ -190,24 +184,20 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
     _check_task(eta, ds.lam)
     check_boot_count(n_boot)
     rng = np.random.default_rng(seed)
-    weights = ds.probe_weights()
     totals = np.zeros(n_boot)
-    for w, (alpha, groups) in zip(weights, ds.grouped()):
-        targets = _targets(alpha, eta)
-        for label in _LABELS:
-            sq = (groups[label] - targets[label]) ** 2
-            n = sq.size
-            # Blocks of at most _BOOT_DRAWS draws (one resample when a group
-            # is larger) bound the index array and its gather.  The stream is
-            # drawn in order however it is split, and each resample's mean is
-            # taken along its own row, so the blocking never changes the SE.
-            rows = max(1, min(_BOOT_ROWS, _BOOT_DRAWS // n))
-            done = 0
-            while done < n_boot:
-                block = min(rows, n_boot - done)
-                idx = rng.integers(0, n, size=(block, n))
-                totals[done:done + block] += w * sq[idx].mean(axis=1)
-                done += block
+    for w, sq in _squared_deviations(ds, eta):
+        n = sq.size
+        # Blocks of at most _BOOT_DRAWS draws (one resample when a group
+        # is larger) bound the index array and its gather.  The stream is
+        # drawn in order however it is split, and each resample's mean is
+        # taken along its own row, so the blocking never changes the SE.
+        rows = max(1, min(_BOOT_ROWS, _BOOT_DRAWS // n))
+        done = 0
+        while done < n_boot:
+            block = min(rows, n_boot - done)
+            idx = rng.integers(0, n, size=(block, n))
+            totals[done:done + block] += w * sq[idx].mean(axis=1)
+            done += block
     return float(np.std(totals, ddof=1))
 
 
@@ -272,7 +262,6 @@ def _verdict(margin: float, k: float, se: float) -> str:
 
 def _resolve_eta(ds: ExperimentDataset):
     notes = []
-    estimated = None
     if ds.eta_declared is not None:
         eta, source = float(ds.eta_declared), "declared"
         try:
@@ -289,15 +278,32 @@ def _resolve_eta(ds: ExperimentDataset):
     return eta, source, estimated, notes
 
 
-def _check_grid_strength(ds: ExperimentDataset, eta: float):
-    """A too-narrow probe grid lets a classical cheat beat the threshold."""
-    msd = ds.mean_square_displacement()
-    needed = 2.0 / (ds.lam + eta)
+def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: int,
+                        seed: int) -> CertificationReport:
+    """Both data routes: gain, grid check, deviation statistic and its SE
+    (analytic when n_boot is 0), compared as the variance route's statistic
+    or as the fidelity route's floor 1 - statistic/2."""
+    eta, source, estimated, notes = _resolve_eta(ds)
+    # a too-narrow probe grid lets a classical cheat beat the threshold
+    msd, needed = ds.mean_square_displacement(), 2.0 / (ds.lam + eta)
     if msd < needed - 1e-9:
         raise DatasetError(
             f"probe grid too weak to exclude classical strategies: mean squared "
             f"displacement {msd:.4g} is below the required 2/(lambda + eta) = "
             f"{needed:.4g}; spread the probes further out or reweight them")
+    value, se_analytic = delta_bar(ds, eta)
+    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
+    if method == "variance":
+        statistic, threshold = value, quadrature_threshold(eta, ds.lam)
+        margin = threshold - value
+    else:
+        statistic, threshold = 1.0 - value / 2.0, classical_bound(eta, ds.lam)
+        margin, se, se_analytic = statistic - threshold, se / 2.0, se_analytic / 2.0
+    return CertificationReport(
+        method=method, verdict=_verdict(margin, k, se), statistic=statistic,
+        threshold=threshold, margin=margin, se=se, k=k, eta=eta, lam=ds.lam,
+        eta_source=source, eta_estimated=estimated, se_analytic=se_analytic,
+        n_probes=len(ds.grouped()), n_samples=ds.sample_count(), notes=tuple(notes))
 
 
 def certify_by_variance(ds: ExperimentDataset, k: float = 3.0, n_boot: int = 1000,
@@ -310,18 +316,7 @@ def certify_by_variance(ds: ExperimentDataset, k: float = 3.0, n_boot: int = 100
     near-ties stay NOT_CERTIFIED, so a channel sitting exactly on the
     classical optimum is never certified.
     """
-    eta, source, estimated, notes = _resolve_eta(ds)
-    _check_grid_strength(ds, eta)
-    threshold = quadrature_threshold(eta, ds.lam)
-    value, se_analytic = delta_bar(ds, eta)
-    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
-    margin = threshold - value
-    return CertificationReport(
-        method="variance", verdict=_verdict(margin, k, se), statistic=value,
-        threshold=threshold, margin=margin, se=se, k=k, eta=eta, lam=ds.lam,
-        eta_source=source, eta_estimated=estimated, se_analytic=se_analytic,
-        n_probes=len(ds.probe_amplitudes()), n_samples=ds.sample_count(),
-        notes=tuple(notes))
+    return _certify_deviations(ds, "variance", k, n_boot, seed)
 
 
 def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.0,
@@ -355,19 +350,7 @@ def certify_by_fidelity_from_variance(ds: ExperimentDataset, k: float = 3.0,
     and with a grid strong enough for the variance route the implied
     fidelity of any classical strategy stays at or below the bound.
     """
-    eta, source, estimated, notes = _resolve_eta(ds)
-    _check_grid_strength(ds, eta)
-    value, se_analytic = delta_bar(ds, eta)
-    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
-    fbar_floor = 1.0 - value / 2.0
-    bound = classical_bound(eta, ds.lam)
-    margin = fbar_floor - bound
-    return CertificationReport(
-        method="fidelity_from_variance", verdict=_verdict(margin, k, se / 2.0),
-        statistic=fbar_floor, threshold=bound, margin=margin, se=se / 2.0, k=k,
-        eta=eta, lam=ds.lam, eta_source=source, eta_estimated=estimated,
-        se_analytic=se_analytic / 2.0, n_probes=len(ds.probe_amplitudes()),
-        n_samples=ds.sample_count(), notes=tuple(notes))
+    return _certify_deviations(ds, "fidelity_from_variance", k, n_boot, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +474,12 @@ _CSV_HEADER = ["alpha_re", "alpha_im", "quad_label", "value"]
 
 
 def write_dataset_csv(ds: ExperimentDataset, path) -> None:
-    """One row per sample: alpha_re, alpha_im, quad_label, value."""
+    """One row per sample: alpha_re, alpha_im, quad_label, value; rows end in CRLF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
         for rec in ds.records:
-            for value in rec.samples:
-                writer.writerow([repr(rec.alpha.real), repr(rec.alpha.imag),
-                                 rec.quad_label, repr(float(value))])
+            prefix = f"{rec.alpha.real!r},{rec.alpha.imag!r},{rec.quad_label},"
+            fh.write(prefix + ("\r\n" + prefix).join(map(repr, rec.samples.tolist())) + "\r\n")
 
 
 # Lines parsed per chunk.  A chunk is held as Python strings at several times

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fock
 from .bounds import _check_prior, _check_task, classical_bound
-from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
+from .ensembles import GaussianPrior, QuadratureRule, gauss_rule, laguerre_rule
 from .errors import InvalidInput
 
 _IDENTITY_TOL = 1e-10       # the circulant check's residuals
@@ -333,11 +333,13 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
     if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
         raise InvalidInput(f"two-copy check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
                            f"got {cutoff}")
-    rule = matched_quadrature(eta, lam, cutoff)
-    points = math.isqrt(rule.nodes.size)             # the rule is square
+    # the radii of `matched_quadrature` and, reweighted to the prior, the
+    # weight of one of their `points` equally weighted phases
+    points, width = 2 * cutoff + 4, lam + 1.0 + eta
     half = points // 2 + 1                           # points is even
-    radii = rule.nodes[::points].real                # phase 0 of each radius
-    weights = rule.weights_for(lam)[::points]        # the weights are phase-free
+    t, w = laguerre_rule(points)
+    radii = np.sqrt(t / width)
+    weights = w / points * (lam / width) * np.exp((width - lam) * radii ** 2)
     q = weights[:, None] * _polar_overlaps(amps, radii, points)
     steps = np.arange(half)                          # offsets d, and harmonics
     # |a_{i,0} - a_{k,d}|^2 = (r_i - r_k)^2 + 4 r_i r_k sin^2(pi d / A), (d, i, k)

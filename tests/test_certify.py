@@ -261,7 +261,7 @@ def test_bootstrap_se_keeps_its_pinned_values(n, n_boot, seed, se):
 
 def test_bootstrap_memory_does_not_grow_with_the_resamples():
     ds = make_dataset(PureLoss(0.6), n=20_000, alphas=[1.0, -1.0, 1.0j, -1.0j], seed=3)
-    data = 8 * ds.sample_count()
+    group = 8 * 20_000
     peaks = []
     for n_boot in (10, 100):
         tracemalloc.start()
@@ -270,10 +270,51 @@ def test_bootstrap_memory_does_not_grow_with_the_resamples():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # Only the n_boot totals grow.  The rest is a grouped copy of the data
+    # Only the n_boot totals grow.  The rest is one group's squared deviations
     # and one block: its index array and their gather, 8 bytes a draw each.
+    # The dataset is grouped at construction, so no copy of the data is made.
     assert peaks[1] < peaks[0] + 8 * 100 + 4096
-    assert peaks[1] < 2 * data + 2 * 8 * certify._BOOT_DRAWS
+    assert peaks[1] < group + 2 * 8 * certify._BOOT_DRAWS
+
+
+def _split(ds, parts=3):
+    """The records of `ds` cut into `parts` uneven records per (probe, axis),
+    dealt round-robin over the keys, minus first."""
+    pieces = {(r.alpha, r.quad_label): np.array_split(r.samples, parts) for r in ds.records}
+    return ExperimentDataset(
+        [QuadratureRecord(alpha, label, pieces[alpha, label][j])
+         for j in range(parts) for alpha in ds.probe_amplitudes()
+         for label in ("minus", "plus")],
+        lam=ds.lam, eta_declared=ds.eta_declared)
+
+
+def test_split_records_give_the_merged_dataset_bit_for_bit():
+    merged = make_dataset(PureLoss(0.6), n=1001, eta_declared=0.6, seed=5)
+    split = _split(merged)
+    assert len(split.records) == 3 * len(merged.records)
+    assert split.probe_amplitudes() == merged.probe_amplitudes()
+    assert split.sample_count() == merged.sample_count()
+    assert delta_bar(split, 0.6) == delta_bar(merged, 0.6)
+    assert bootstrap_se(split, 0.6, n_boot=50, seed=3) == bootstrap_se(merged, 0.6,
+                                                                      n_boot=50, seed=3)
+    assert estimate_gain(split) == estimate_gain(merged)
+    for route, n_boot in itertools.product(
+            (certify_by_variance, certify_by_fidelity_from_variance), (0, 50)):
+        assert route(split, n_boot=n_boot).to_json() == route(merged, n_boot=n_boot).to_json()
+
+
+def test_grouping_is_done_once():
+    merged = make_dataset(PureLoss(0.6), n=100)
+    split = _split(merged)
+    for ds in (merged, split):
+        first, again = ds.grouped(), ds.grouped()
+        assert [a for a, _ in first] == [a for a, _ in again] == ds.probe_amplitudes()
+        for (_, labs), (_, labs_again) in zip(first, again):
+            assert all(labs[lab] is labs_again[lab] for lab in ("plus", "minus"))
+    # a key held by one record keeps that record's own array
+    own = {(r.alpha, r.quad_label): r.samples for r in merged.records}
+    assert all(samples is own[alpha, lab]
+               for alpha, labs in merged.grouped() for lab, samples in labs.items())
 
 
 def test_bootstrap_count_is_capped():
@@ -479,6 +520,21 @@ def test_csv_roundtrip_preserves_the_statistic(tmp_path):
     back = read_dataset_csv(path, lam=0.1, eta_declared=0.6)
     assert back.probe_amplitudes() == ds.probe_amplitudes()
     assert delta_bar(back, 0.6) == delta_bar(ds, 0.6)
+
+
+def test_csv_writer_writes_the_bytes_of_the_csv_module(tmp_path):
+    ds = _split(make_dataset(PureLoss(0.6), n=300, alphas=GRID[:7] + [-0.0 + 0.5j]))
+    path, ref = tmp_path / "runs.csv", tmp_path / "ref.csv"
+    write_dataset_csv(ds, path)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha_re", "alpha_im", "quad_label", "value"])
+        for rec in ds.records:
+            for value in rec.samples:
+                writer.writerow([repr(rec.alpha.real), repr(rec.alpha.imag),
+                                 rec.quad_label, repr(float(value))])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().endswith(b"\r\n")
 
 
 def test_csv_header_is_checked(tmp_path):

@@ -282,7 +282,8 @@ def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: in
                         seed: int) -> CertificationReport:
     """Both data routes: gain, grid check, deviation statistic and its SE
     (analytic when n_boot is 0), compared as the variance route's statistic
-    or as the fidelity route's floor 1 - statistic/2."""
+    or as the fidelity route's floor 1 - statistic/2.  Shot noise can make
+    the floor exceed 1; it is reported unclipped, with a note."""
     eta, source, estimated, notes = _resolve_eta(ds)
     # a too-narrow probe grid lets a classical cheat beat the threshold
     msd, needed = ds.mean_square_displacement(), 2.0 / (ds.lam + eta)
@@ -299,6 +300,11 @@ def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: in
     else:
         statistic, threshold = 1.0 - value / 2.0, classical_bound(eta, ds.lam)
         margin, se, se_analytic = statistic - threshold, se / 2.0, se_analytic / 2.0
+        if statistic > 1.0:
+            notes.append(
+                f"the fidelity statistic {statistic:.6g} exceeds 1: it is an unclipped "
+                f"shot-noise estimate, 1 - (variance statistic)/2, of an average "
+                f"fidelity that is at most 1")
     return CertificationReport(
         method=method, verdict=_verdict(margin, k, se), statistic=statistic,
         threshold=threshold, margin=margin, se=se, k=k, eta=eta, lam=ds.lam,

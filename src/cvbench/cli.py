@@ -368,7 +368,7 @@ def _cmd_simulate(eff: dict):
     eta = eff["eta"]
     if eta is None:
         try:
-            eta = schemes.channel_form(channel).k2
+            eta = schemes.channel_form(channel, gauss).k2
         except UnsupportedTask as exc:
             raise _Usage(f"cannot infer a task gain ({exc}); pass --eta")
         warnings.append(f"task gain defaulted to the channel's own gain {eta:.6g}")
@@ -406,7 +406,7 @@ def _cmd_simulate(eff: dict):
             warnings.append("matched channel: the average is prior-independent, "
                             f"so the truncated engine ran at lambda = {lam_fock}")
         try:
-            avg = fock.average_fidelity_fock(schemes.phase_averaged_applier(channel),
+            avg = fock.average_fidelity_fock(schemes.phase_averaged_applier(channel, gauss),
                                              eta, lam_fock, cutoff=cutoff, max_error=0.5)
         except (ConvergenceError, CutoffTooSmall) as exc:
             if matched or lam != 0.0:

@@ -15,6 +15,7 @@ family's table instead.  It never forms an operator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -433,7 +434,8 @@ def _diagonal_line_sums(x: np.ndarray, left: np.ndarray, right: np.ndarray,
 
     `right` is read through a strided (lines, N, nodes) view of one zero-padded
     copy and the sums are one einsum, so the working memory is O(N) per node;
-    no N x N array is formed per node.
+    no N x N array is formed per node.  The two read-only views come from the
+    `np.ndarray` constructor: called cold, `as_strided` took five times as long.
     """
     n, nodes = left.shape
     lines = n - first
@@ -443,10 +445,11 @@ def _diagonal_line_sums(x: np.ndarray, left: np.ndarray, right: np.ndarray,
     pad[-first:n - first] = right
     padded = np.zeros((n, lines + n - 1))
     padded[:, -first:n - first] = x
-    view = np.lib.stride_tricks.as_strided
-    shifted = view(pad, (lines, n, nodes), (pad.strides[0], *pad.strides), writeable=False)
-    diagonals = view(padded, (lines, n), (padded.strides[1], sum(padded.strides)),
-                     writeable=False)
+    shifted = np.ndarray((lines, n, nodes), float, pad,
+                         strides=(pad.strides[0], *pad.strides))
+    diagonals = np.ndarray((lines, n), float, padded,
+                           strides=(padded.strides[1], sum(padded.strides)))
+    shifted.flags.writeable = diagonals.flags.writeable = False
     sigma = np.einsum("ei,ib,eib->eb", diagonals, left, shifted)
     return np.einsum("eb,eb->b", sigma, sigma)
 
@@ -676,7 +679,7 @@ def _clipped_fidelities(values: np.ndarray) -> np.ndarray:
     if outside.any():
         raise InvalidInput(f"fidelity {values[outside][0]} outside [0, 1] "
                            f"beyond rounding tolerance")
-    return np.clip(values, 0.0, 1.0)
+    return np.minimum(np.maximum(values, 0.0), 1.0)  # two ufuncs; np.clip's wrapper costs more
 
 
 def fidelity_pure(psi: FockVector, rho: FockOperator):
@@ -876,7 +879,7 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
         total += wf  # one running sum in node order
     total = min(max(total, 0.0), 1.0)
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
-    roundoff = cutoff * cutoff * np.finfo(float).eps
+    roundoff = cutoff * cutoff * sys.float_info.epsilon
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff
     if max_error is not None and err > max_error:
         raise ConvergenceError(

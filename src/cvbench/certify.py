@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -248,7 +248,7 @@ class CertificationReport:
         return self.verdict == "QUANTUM_DOMAIN"
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         out["notes"] = list(self.notes)
         return out
 
@@ -425,7 +425,7 @@ class DetectionReport:
     ladder: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         out["ladder"] = {f"{l:g}": m for l, m in self.ladder.items()}
         return out
 

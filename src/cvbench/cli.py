@@ -18,7 +18,10 @@ subcommand takes only the flags it reads, plus the common --seed, --out and
 their dashes, "-" written as "_"; explicit flags win over it, and it over
 the table's defaults.  A process builds each subcommand's parser once, on
 first use, and repeated in-process `main` calls reuse it; nothing is built at
-import.
+import.  A command line takes one argparse pass, through the invoked
+subcommand's own parser; the top-level parser runs only for an empty argv, an
+unknown command or top-level --help, and to refuse arguments the
+subcommand's parser leaves over, under its usage line.
 
 Exit codes:
 
@@ -165,12 +168,8 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
                             help=text if default is None else f"{text} (default {default})")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or only `command`'s.
-
-    Both give `command` the same usage text and errors: a parser with one
-    subcommand spells out the full subcommand list of the top-level usage.
-    """
+def _build_parsers(command: str | None):
+    """The command-line parser, and its subparsers' map from name to parser."""
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON_FLAGS)
     common.add_argument("--config", help="JSON config file merged under explicit flags")
@@ -186,13 +185,40 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             _add_flags(sub.add_parser(name, parents=[common], help=handler.__doc__),
                        _FLAGS[name])
-    return parser
+    return parser, sub.choices
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only `command`'s.
+
+    Both give `command` the same usage text and errors: a parser with one
+    subcommand spells out the full subcommand list of the top-level usage.
+    """
+    return _build_parsers(command)[0]
 
 
 # Parsing leaves a parser as it was, and its help and errors read the streams
 # and the terminal width when they print, so one parser per key serves every
 # call.  Keyed like build_parser: a subcommand name, or None for the full one.
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+_parser = functools.lru_cache(maxsize=None)(_build_parsers)
+
+
+def _parse(argv: list):
+    """The parsed arguments of one command line, in one argparse pass.
+
+    A known subcommand's own parser reads the flags after it; its help and
+    errors are the ones the top-level parser would pass through.  The
+    top-level parser runs only when arguments are left over (to refuse them
+    under its own usage line), for an unknown command and for an empty argv.
+    """
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    parser, subparsers = _parser(command)
+    if command is not None:
+        args, extra = subparsers[command].parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
+    return parser.parse_args(argv)
 
 
 def _config_value(key: str, kind, value):
@@ -725,10 +751,8 @@ _HANDLERS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the invoked subcommand's parser; anything else gets the full one
-    parser = _parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

@@ -421,10 +421,36 @@ def heterodyne_kernels(cutoff: int, gain: float,
     """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] of the table c of `_heterodyne_table`.
 
     w = 1 + g^2 is heterodyne measure-and-prepare at gain g; g = sqrt(eta),
-    w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam.
+    w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam,
+    which reads the same table through `heterodyne_images`.
     """
     c = _heterodyne_table(cutoff, gain, log_width)
     return lambda d: c[:cutoff - d, d:] * c[d:, :cutoff - d]
+
+
+def heterodyne_images(cutoff: int, gain: float,
+                      log_width: float) -> Callable[[np.ndarray], np.ndarray]:
+    """phi -> the images K_s phi, s = 0 ... 2N-2, of the Kraus operators
+    K_s = sum_l c[l, s-l] |l><s-l| on the table c of `_heterodyne_table`.
+
+    A ket, or a (B, N) stack, maps to an (N, 2N-1) image matrix each,
+    img[l, s] = c[l, s-l] phi[s-l]: row l holds c[l] * phi shifted right by l,
+    written through one strided view, so img @ img^H = sum_s K_s |phi><phi| K_s^H.
+    The K_s are Kraus operators of rho -> Phi(rho^T) for the map Phi of
+    `heterodyne_kernels`, so on the conjugate ket this equals that map on
+    |phi><phi|, with no offset loop.
+    """
+    c = _heterodyne_table(cutoff, gain, log_width)
+
+    def images(phi):
+        img = np.zeros(phi.shape[:-1] + (cutoff, 2 * cutoff - 1), dtype=complex)
+        # row l's entry m goes to column l + m: flat index l (2N-1) + l + m = 2N l + m
+        sheared = np.ndarray(img.shape[:-1] + (cutoff,), complex, img,
+                             strides=img.strides[:-2] + (2 * cutoff * img.itemsize,
+                                                         img.itemsize))
+        np.multiply(c, phi[..., None, :], out=sheared)
+        return img
+    return images
 
 
 def _diagonal_line_sums(x: np.ndarray, left: np.ndarray, right: np.ndarray,

@@ -155,6 +155,23 @@ class GaussianChannel:
     def identity(cls):
         return cls(np.eye(2), np.zeros((2, 2)))
 
+    @classmethod
+    def _isotropic(cls, k: float, m: float):
+        """The channel K = k I, M = m I without displacement, from two finite floats.
+
+        Built without `__post_init__`'s array checks, which the two scalars
+        make redundant; the refusals name the field as those checks do.
+        """
+        if not math.isfinite(k):
+            raise InvalidInput("gain matrix K must be finite")
+        if not math.isfinite(m):
+            raise InvalidInput("noise matrix M must be finite")
+        chan = object.__new__(cls)
+        object.__setattr__(chan, "K", k * E2)
+        object.__setattr__(chan, "M", m * E2)
+        object.__setattr__(chan, "disp", np.zeros(2))
+        return chan
+
     def to_json(self):
         return {"K": self.K.tolist(), "M": self.M.tolist(), "disp": self.disp.tolist()}
 

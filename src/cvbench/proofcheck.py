@@ -8,8 +8,10 @@ Three independent checks, each reported with explicit residuals:
 * an operator bound: for any probe state, the top eigenvalue of its outcome
   score operator never exceeds the classical bound times the probe's overlap
   with the prior's average state.  The operator is built in closed form, with
-  no quadrature.  Truncation only compresses the operator, so a violation
-  found at finite cutoff is a genuine violation;
+  no quadrature, in Kraus form: one image matrix per probe, read off the
+  heterodyne table, and one batched product of the images with their
+  adjoints.  Truncation only compresses the operator, so a violation found
+  at finite cutoff is a genuine violation;
 * a two-copy consistency identity tying the Frobenius norm of that operator
   to the expectation of a two-copy integral operator.  The expectation is a
   polar quadrature contracted in closed phase-circulant form: the probe's
@@ -22,7 +24,7 @@ Three independent checks, each reported with explicit residuals:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +47,12 @@ _MAX_TWO_COPY_CUTOFF = 16
 _MAX_SCORE_LEVELS = fock._MAX_AUTO_CUTOFF
 # Largest copy and probe counts the checks accept.  The circulant check
 # diagonalizes dense copies x copies matrices; the score check stacks one
-# cutoff x cutoff operator per probe (500 probes at cutoff 64 peak near 135 MiB).
+# cutoff x cutoff operator per probe (500 probes at cutoff 64 trace a 41 MiB peak).
 _MAX_COPIES = 512
 _MAX_TRIALS = 500
+# Complex entries of the score operator's Kraus images built at once (4 MiB),
+# so the images of a 500-probe stack never outweigh its operators
+_IMAGE_BLOCK = 1 << 18
 
 
 def circulant_shift(p: int) -> np.ndarray:
@@ -94,7 +99,7 @@ class CirculantReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def circulant_identity_check(p: int, lam: float, eta: float) -> CirculantReport:
@@ -182,16 +187,28 @@ def outcome_score_operator(phi, eta: float, lam: float) -> fock.FockOperator:
         <k|S|l> = sum_{m-n=k-l} phi_m conj(phi_n) lam eta^((k+l)/2) (m+l)!
                   / ((1+lam+eta)^(m+l+1) sqrt(m! n! k! l!)),
 
-    lam times the kernels of `fock.heterodyne_kernels` at gain sqrt(eta) and
-    width 1 + lam + eta applied to |phi><phi|: exactly the cutoff-compressed
-    operator, and compression can only lower the top eigenvalue.  A (B, levels)
-    stack of probes gives the matching operator stack.
+    lam times the heterodyne map at gain sqrt(eta) and width 1 + lam + eta
+    applied to |phi><phi|: exactly the cutoff-compressed operator, and
+    compression can only lower the top eigenvalue.  It is built in Kraus
+    form, S = lam sum_s K_s |conj phi><conj phi| K_s^H, as lam img img^H
+    of the images of `fock.heterodyne_images`, one (levels, 2 levels - 1)
+    matrix per probe.  A (B, levels) stack of probes gives the matching
+    operator stack, its images built _IMAGE_BLOCK elements at a time; each
+    operator is its own matrix product, so a stack equals its slices bit
+    for bit.
     """
     _check_prior(eta, lam)
     amps = _probe_amplitudes(phi)
-    kernels = fock.heterodyne_kernels(amps.shape[-1], math.sqrt(eta), math.log1p(lam + eta))
-    projector = amps[..., :, None] * amps.conj()[..., None, :]
-    return fock.FockOperator(lam * fock.apply_offset_kernels(projector, kernels))
+    n = amps.shape[-1]
+    images = fock.heterodyne_images(n, math.sqrt(eta), math.log1p(lam + eta))
+    flat = amps.reshape(-1, n).conj()
+    out = np.empty((flat.shape[0], n, n), dtype=complex)
+    step = max(1, _IMAGE_BLOCK // (n * (2 * n - 1)))
+    for start in range(0, flat.shape[0], step):
+        img = images(flat[start:start + step])
+        np.matmul(img, img.conj().swapaxes(1, 2), out=out[start:start + step])
+    out *= lam
+    return fock.FockOperator(out.reshape(amps.shape + (n,)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +226,7 @@ class ScoreBoundReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20,
@@ -302,7 +319,7 @@ class TwoCopyReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _polar_overlaps(amps: np.ndarray, radii: np.ndarray, points: int) -> np.ndarray:

@@ -207,7 +207,7 @@ def to_gaussian(model: ChannelModel | GaussianChannel) -> GaussianChannel:
     iso = _iso_params(model)
     if iso is not None:
         k2, m = iso
-        return GaussianChannel(math.sqrt(k2) * E2, m * E2)
+        return GaussianChannel._isotropic(math.sqrt(k2), m)
     if isinstance(model, CanonicalB1):
         return GaussianChannel(E2.copy(), np.diag([0.5, 0.0]))
     if isinstance(model, Compose):

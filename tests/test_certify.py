@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -228,6 +230,26 @@ def test_report_serializes_with_counts():
     assert blob["n_samples"] == 2 * len(GRID) * 500
     assert blob["method"] == "variance"
     assert isinstance(blob["notes"], list)
+
+
+def test_report_dicts_equal_their_asdict_versions():
+    ds = make_dataset(PureLoss(0.6), n=500, eta_declared=1.0, seed=3)
+    certifications = [certify_by_variance(ds, n_boot=50, seed=2),
+                      certify_by_fidelity_from_variance(ds, n_boot=0),
+                      certify_by_fidelity(0.8, 0.6, 0.2, se=0.01)]
+    assert certifications[0].notes                      # the declared gain is off
+    for report in certifications:
+        reference = dataclasses.asdict(report)
+        reference["notes"] = list(report.notes)
+        assert list(report.to_json().items()) == list(reference.items())
+        assert json.dumps(report.to_json()) == json.dumps(reference)
+    for model in (CanonicalC(1.5, 0.2), PureLoss(0.36), HeterodyneMP(1.0)):
+        report = detect_gaussian_qd(model, lam=0.01)
+        reference = dataclasses.asdict(report)
+        reference["ladder"] = {f"{l:g}": m for l, m in report.ladder.items()}
+        assert report.ladder
+        assert list(report.to_json().items()) == list(reference.items())
+        assert json.dumps(report.to_json()) == json.dumps(reference)
 
 
 def test_bootstrap_is_seeded_and_sane():

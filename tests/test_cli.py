@@ -1029,6 +1029,41 @@ def test_one_subcommand_parser_gives_the_full_parsers_help_and_errors(capsys, co
         assert one[0] != 0 or one[1].startswith(f"usage: cvbench {command} ")
 
 
+def _parse_outcome(capsys, parse, argv):
+    """What a parse gives: the namespace or the exit code, then stdout and stderr."""
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_main_parses_as_the_full_parser_does(capsys, command):
+    for argv in ([command, "-h"], [command, "--bogus"], [command, "--bogus", "1"],
+                 [command, "extra"], [command, "--lam", "0.3"], [command, "--lam", "x"],
+                 [command, "--seed", "x"], [command, "--seed"], [command, "--lam"]):
+        full = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert _parse_outcome(capsys, cli._parse, argv) == full, argv
+        if not isinstance(full[0], dict):
+            assert run(capsys, *argv) == (0 if full[0] == 0 else 2, full[1], full[2]), argv
+    # leftovers are refused under the top-level usage line
+    _, _, err = run(capsys, command, "--bogus")
+    assert err.startswith("usage: cvbench [-h] {") and "unrecognized arguments: --bogus" in err
+
+
+def test_only_the_subcommand_parser_reads_a_clean_command_line(capsys, monkeypatch):
+    def must_not_run(argv):
+        raise AssertionError("the top-level parser ran")
+    parser, _ = cli._parser("bound")
+    monkeypatch.setattr(parser, "parse_args", must_not_run)
+    code, out, _ = run_json(capsys, "bound", "--eta", "1", "--lam", "0.5")
+    assert code == 0 and out["config"]["lambda"] == 0.5
+    with pytest.raises(AssertionError, match="top-level parser ran"):
+        cli.main(["bound", "--eta", "1", "--bogus"])
+
+
 def test_build_parser_returns_a_new_parser_each_call():
     assert cli.build_parser() is not cli.build_parser()
     assert cli.build_parser("bound") is not cli.build_parser("bound")

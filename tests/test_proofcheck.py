@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +209,73 @@ def test_score_operator_domain_guards():
         outcome_score_operator(np.array([]), 1.0, 0.5)
     with pytest.raises(InvalidInput, match="one or two axes"):
         outcome_score_operator(np.ones((2, 3, 3)), 1.0, 0.5)
+
+
+def offset_kernel_score_operators(probes, eta, lam):
+    """lam times the heterodyne offset kernels applied to each probe's projector."""
+    kernels = fock.heterodyne_kernels(probes.shape[-1], math.sqrt(eta), math.log1p(lam + eta))
+    projectors = probes[..., :, None] * probes.conj()[..., None, :]
+    return lam * fock.apply_offset_kernels(projectors, kernels)
+
+
+@pytest.mark.parametrize("eta, lam", [(0.6, 0.3), (1.7, 1.1), (1.2, 0.4)])
+@pytest.mark.parametrize("cutoff", [1, 2, 14, 64, 180])
+def test_kraus_score_operator_matches_the_offset_kernel_build(cutoff, eta, lam):
+    probes = seeded_probes([cutoff, 2], 2 if cutoff == 180 else 5, cutoff)
+    probes[0] = np.eye(cutoff)[0]                       # the vacuum
+    built = outcome_score_operator(probes, eta, lam).matrix
+    reference = offset_kernel_score_operators(probes, eta, lam)
+    scale = np.max(np.abs(reference), axis=(1, 2))
+    assert np.all(np.max(np.abs(built - reference), axis=(1, 2)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("count, cutoff", [(25, 14), (70, 64)])
+def test_kraus_score_stack_slices_are_bit_equal_to_single_builds(count, cutoff):
+    # 70 probes at cutoff 64 span three image blocks
+    probes = seeded_probes([cutoff, 3], count, cutoff)
+    stacked = outcome_score_operator(probes, 1.3, 0.5).matrix
+    for probe, operator in zip(probes, stacked):
+        assert np.array_equal(outcome_score_operator(probe, 1.3, 0.5).matrix, operator)
+
+
+def test_heterodyne_images_are_the_kraus_operators_on_the_ket():
+    # img[l, s] = c[l, s - l] phi[s - l], each K_s phi a column
+    cutoff, gain, log_width = 5, 0.8, math.log1p(1.3)
+    phi = seeded_probes([cutoff, 4], 1, cutoff)[0]
+    c = fock._heterodyne_table(cutoff, gain, log_width)
+    img = fock.heterodyne_images(cutoff, gain, log_width)(phi)
+    assert img.shape == (cutoff, 2 * cutoff - 1)
+    for s in range(2 * cutoff - 1):
+        column = [c[l, s - l] * phi[s - l] if 0 <= s - l < cutoff else 0.0
+                  for l in range(cutoff)]
+        assert np.array_equal(img[:, s], column)
+
+
+def test_score_check_peak_stays_within_its_operator_stack():
+    trials, cutoff = 500, 64
+    tracemalloc.start()
+    try:
+        assert score_bound_check(1.2, 0.4, trials=trials, cutoff=cutoff).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entry = np.dtype(complex).itemsize
+    operators = (trials + 1) * cutoff ** 2 * entry
+    images = 2 * proofcheck._IMAGE_BLOCK * entry       # one block and its conjugate
+    probes = 8 * (trials + 1) * cutoff * entry         # the probes and their temporaries
+    assert peak <= operators + images + probes + (1 << 20)
+    assert peak < 95.7 * 2 ** 20                       # the offset-kernel build's peak
+
+
+def test_report_dicts_equal_their_asdict_versions():
+    probe = seeded_probes([6, 5], 1, 6)[0]
+    reports = [circulant_identity_check(5, 0.3, 1.1),
+               score_bound_check(0.9, 0.4, trials=7, cutoff=9, seed=4),
+               two_copy_check(probe, 0.9, 0.4, cutoff=10)]
+    for report in reports:
+        blob, reference = report.to_json(), dataclasses.asdict(report)
+        assert list(blob.items()) == list(reference.items())
+        assert json.dumps(blob) == json.dumps(reference)
 
 
 @pytest.mark.parametrize("eta,lam", [(0.5, 0.2), (1.0, 0.2), (1.0, 1.0), (2.0, 0.7)])

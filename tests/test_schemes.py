@@ -164,6 +164,43 @@ def test_to_gaussian_canonical_forms():
     assert np.array_equal(ident.M, np.zeros((2, 2)))
 
 
+def _seeded_compose(seed):
+    part_rng = np.random.default_rng(seed)
+    builders = (lambda u: PureLoss(u), lambda u: QuantumLimitedAmp(1.0 + 3.0 * u),
+                lambda u: CanonicalC(eta=2.0 * u, ntilde=u), lambda u: HeterodyneMP(u))
+    return Compose([builders[int(part_rng.integers(4))](float(part_rng.uniform(0.05, 1.0)))
+                    for _ in range(5)])
+
+
+ISOTROPIC_MODELS = [m for m in ALL_MODELS if schemes._iso_params(m) is not None] + [
+    _seeded_compose(5), Compose([PureLoss(0.5), Compose([HeterodyneMP(0.0)])])]
+
+
+@pytest.mark.parametrize("model", ISOTROPIC_MODELS, ids=lambda m: type(m).__name__)
+def test_isotropic_to_gaussian_is_bit_equal_to_the_checked_build(model):
+    k2, m = schemes._iso_params(model)
+    checked = GaussianChannel(math.sqrt(k2) * E2, m * E2)
+    built = to_gaussian(model)
+    assert type(built) is GaussianChannel
+    for name in ("K", "M", "disp"):
+        got, want = getattr(built, name), getattr(checked, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()       # signs of zeros included
+
+
+@pytest.mark.parametrize("model, field", [
+    (Compose([QuantumLimitedAmp(1e200), QuantumLimitedAmp(1e200)]), "gain matrix K"),
+    (Compose([CanonicalC(1.0, 1e308), CanonicalC(1.0, 1e308)]), "noise matrix M"),
+])
+def test_isotropic_to_gaussian_refuses_an_overflowing_scalar(model, field):
+    k2, m = schemes._iso_params(model)
+    with pytest.raises(InvalidInput, match=f"^{field} must be finite$"), \
+            np.errstate(invalid="ignore"):                 # inf * 0 off the diagonal
+        GaussianChannel(math.sqrt(k2) * E2, m * E2)
+    with pytest.raises(InvalidInput, match=f"^{field} must be finite$"):
+        to_gaussian(model)
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_all_models_are_cp(model):
     assert is_cp_channel(to_gaussian(model))

@@ -10,14 +10,13 @@ classical bound.
 
 __version__ = "0.1.0"
 
-from .bounds import (TaskSpec, classical_bound, quadrature_threshold,
-                     quantum_amp_bound)
+from .bounds import classical_bound, quadrature_threshold, quantum_amp_bound
 from .certify import (CertificationReport, DetectionReport, ExperimentDataset,
                       QuadratureRecord, certify_by_fidelity,
                       certify_by_fidelity_from_variance, certify_by_variance,
                       delta_bar, detect_gaussian_qd, estimate_gain,
                       read_dataset_csv, synthesize_dataset, write_dataset_csv)
-from .ensembles import GaussianPrior, QuadratureRule, gauss_rule, sample
+from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
 from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
                      DomainError, InvalidInput, NotCompletelyPositive,
                      ToolkitError, UnsupportedTask)

@@ -16,8 +16,6 @@ Each raises InvalidInput naming the offending value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvalidInput
@@ -110,22 +108,3 @@ def quantum_amp_bound(eta: float) -> float:
         raise DomainError(f"the amplification bound 1/eta holds only for eta > 1, got {eta}")
     return 1.0 / eta
 
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A scaling task: gain eta, prior width lam, copies per round."""
-
-    eta: float
-    lam: float = 0.0
-    n_copies: int = 1
-
-    def __post_init__(self):
-        _check_task(self.eta, self.lam, self.n_copies)
-
-    @property
-    def classical_bound(self) -> float:
-        return classical_bound(self.eta, self.lam, self.n_copies)
-
-    @property
-    def quadrature_threshold(self) -> float:
-        return quadrature_threshold(self.eta, self.lam)

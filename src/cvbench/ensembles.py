@@ -1,4 +1,4 @@
-"""Coherent-state ensembles: Gaussian priors, sampling, quadrature rules.
+"""Coherent-state ensembles: Gaussian priors and quadrature rules.
 
 The prior over complex amplitudes is p(alpha) = (lam/pi) exp(-lam |alpha|^2),
 so E|alpha|^2 = 1/lam and the real and imaginary parts are independent
@@ -41,23 +41,6 @@ class GaussianPrior:
         """p(alpha) evaluated at one or many complex amplitudes."""
         alpha = np.asarray(alpha, dtype=complex)
         return self.lam / math.pi * np.exp(-self.lam * np.abs(alpha) ** 2)
-
-    def mean_abs2(self):
-        return 1.0 / self.lam
-
-
-def sample(prior: GaussianPrior, count: int, seed) -> np.ndarray:
-    """Draw `count` amplitudes from the prior, deterministically in `seed`.
-
-    Sub-streams for parallel workers can be derived with
-    numpy.random.SeedSequence(seed).spawn(...), which never overlaps with
-    the stream used here.
-    """
-    if count < 0:
-        raise InvalidInput("sample count must be non-negative")
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(0.5 / prior.lam)
-    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
 
 
 @dataclass(frozen=True)

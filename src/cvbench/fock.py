@@ -119,7 +119,7 @@ class FockOperator:
     `matrix` is one square matrix or a (B, cutoff, cutoff) stack of them.
     The channel kernels and `fidelity_pure` act on every operator of a stack
     at once, and `trace` / `trace_deficit` give one value per operator;
-    JSON and the other functionals (`expectation`, `mean_and_covariance`,
+    the other functionals (`expectation`, `mean_and_covariance`,
     `trace_distance`) take a single operator.
     """
 
@@ -144,19 +144,6 @@ class FockOperator:
     def trace_deficit(self):
         """1 - tr(rho): what the truncation has eaten so far."""
         return 1.0 - self.trace
-
-    def to_json(self):
-        if self.matrix.ndim != 2:
-            raise InvalidInput("operator JSON holds a single operator, not a stack")
-        stacked = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
-        return {"cutoff": self.cutoff, "matrix": stacked.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        arr = np.array(obj["matrix"], dtype=float)
-        if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInput("operator JSON must hold an NxNx2 [re, im] array")
-        return cls(arr[..., 0] + 1j * arr[..., 1])
 
 
 def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
@@ -220,20 +207,16 @@ def thermal_state(lam: float, cutoff: int) -> FockOperator:
 def displacement(alpha, cutoff: int) -> np.ndarray:
     """Unitary matrix of the displacement operator D(alpha), truncated.
 
-    Built from the eigendecomposition of the quadrature generators, so it is
-    exactly unitary on the truncated space; it approximates the infinite-
-    dimensional displacement up to edge effects near the cutoff.
+    The product of the shifts exp(-i u x_minus) of x_plus by u = sqrt(2) Re alpha
+    and exp(i v x_plus) of x_minus by v = sqrt(2) Im alpha (`_shift_unitaries`),
+    so it is exactly unitary on the truncated space; it approximates the
+    infinite-dimensional displacement up to edge effects near the cutoff.
     """
     alpha = complex(alpha)
-    # D(alpha) shifts <x_plus> by sqrt(2) Re alpha and <x_minus> by sqrt(2) Im alpha:
-    # exp(-i u x_minus) shifts x_plus by u, exp(i v x_plus) shifts x_minus by v.
-    u = _SQRT2 * alpha.real
+    out = _shift_unitaries([_SQRT2 * alpha.real], 0, cutoff)[0]
     v = _SQRT2 * alpha.imag
-    w_m, v_m = _quad_eigh(cutoff, 1)
-    out = (v_m * np.exp(-1j * u * w_m)) @ v_m.conj().T
     if v != 0.0:
-        w_p, v_p = _quad_eigh(cutoff, 0)
-        out = ((v_p * np.exp(1j * v * w_p)) @ v_p.conj().T) @ out
+        out = _shift_unitaries([v], 1, cutoff)[0] @ out
     return out
 
 
@@ -379,7 +362,9 @@ class OffsetMap:
 
 def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
     """Pure loss's Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i)),
-    built in log space (A_k loses k photons; t is upper triangular)."""
+    built in log space (A_k loses k photons; t is upper triangular).  T = 1 is the identity."""
+    if transmissivity == 1.0:
+        return np.eye(cutoff)
     lg = _lgamma_table(cutoff)
     i = np.arange(cutoff)
     lost = i - i[:, None]
@@ -491,14 +476,25 @@ class KrausFamily:
     `_heterodyne_table`.  Called with a cutoff, a family gives its offset
     kernels, as every factor does; `fidelities` reads the same table as line
     sums, which `average_fidelity_fock` contracts for a map that is exactly
-    one family.
+    one family.  The family is the one check of its parameter: T in (0, 1],
+    G >= 1 or g >= 0, finite; T = 1 and G = 1 are the identity.
     """
 
     kind: str
     parameter: float
 
     def __post_init__(self):
-        if self.kind not in ("loss", "amp", "heterodyne"):
+        p = self.parameter
+        if self.kind == "loss":
+            if not 0.0 < p <= 1.0:
+                raise InvalidInput(f"transmissivity must be in (0, 1], got {p}")
+        elif self.kind == "amp":
+            if not 1.0 <= p < math.inf:
+                raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {p}")
+        elif self.kind == "heterodyne":
+            if not 0.0 <= p < math.inf:
+                raise InvalidInput(f"re-preparation gain must be >= 0 and finite, got {p}")
+        else:
             raise InvalidInput(f"unknown Kraus family {self.kind!r}")
 
     def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
@@ -539,12 +535,7 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     Exactly trace preserving on the truncated space (loss never populates
     levels above the input's support).  Acts on each operator of a stack.
     """
-    T = float(transmissivity)
-    if not (0.0 < T <= 1.0):
-        raise InvalidInput(f"transmissivity must be in (0, 1], got {T}")
-    if T == 1.0:
-        return FockOperator(rho.matrix.copy())
-    return FockOperator(apply_offset_kernels(rho.matrix, _loss_kernels(rho.cutoff, T)))
+    return OffsetMap(KrausFamily("loss", float(transmissivity)))(rho)
 
 
 def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
@@ -557,12 +548,7 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     cutting the input and target kets covers it.  Acts on each operator of
     a stack.
     """
-    G = float(gain)
-    if not (1.0 <= G < math.inf):
-        raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {G}")
-    if G == 1.0:
-        return FockOperator(rho.matrix.copy())
-    return FockOperator(apply_offset_kernels(rho.matrix, _amp_kernels(rho.cutoff, G)))
+    return OffsetMap(KrausFamily("amp", float(gain)))(rho)
 
 
 def _check_variance(variance: float) -> None:
@@ -630,6 +616,8 @@ class DisplacementMixture:
 
     def __post_init__(self):
         _check_variance(self.variance)
+        if not np.isfinite(self.beta):
+            raise InvalidInput(f"displacement mean beta must be finite, got {self.beta}")
 
     def unitaries(self, cutoff: int):
         """(weights, W_s) that the offset kernels sum over: the 10 positive shifts at

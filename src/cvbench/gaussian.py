@@ -42,9 +42,6 @@ from .errors import DomainError, InvalidInput, NotCompletelyPositive
 
 E2 = np.eye(2)
 
-#: Symplectic form for one mode in the (x_plus, x_minus) ordering.
-DELTA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 #: Covariance matrix of the vacuum (and of every coherent state).
 VACUUM_GAMMA = 0.5 * np.eye(2)
 
@@ -275,12 +272,6 @@ def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
     M = second.K @ first.M @ second.K.T + second.M
     disp = second.K @ first.disp + second.disp
     return GaussianChannel(K, M, disp)
-
-
-def characteristic_function(state: GaussianState, z) -> complex:
-    """Gaussian characteristic function exp(i d.z - z.gamma.z / 2)."""
-    z = _as_vector(z, "phase-space argument z")
-    return complex(np.exp(1j * float(state.d @ z) - 0.5 * float(z @ state.gamma @ z)))
 
 
 def _inverse_quadratic_form(r00: float, r01: float, r10: float, r11: float,

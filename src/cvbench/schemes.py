@@ -46,8 +46,7 @@ class PureLoss:
     T: float
 
     def __post_init__(self):
-        if not (0.0 < self.T <= 1.0):
-            raise InvalidInput(f"transmissivity must be in (0, 1], got {self.T}")
+        fock.KrausFamily("loss", self.T)  # refuses a T outside (0, 1]
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class QuantumLimitedAmp:
     G: float
 
     def __post_init__(self):
-        if not (1.0 <= self.G < math.inf):
-            raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {self.G}")
+        fock.KrausFamily("amp", self.G)  # refuses a G below 1 or non-finite
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,7 @@ class HeterodyneMP:
     g: float
 
     def __post_init__(self):
-        if not (0 <= self.g < math.inf):
-            raise InvalidInput(f"re-preparation gain must be >= 0 and finite, got {self.g}")
+        fock.KrausFamily("heterodyne", self.g)  # refuses a negative or non-finite g
 
 
 @dataclass(frozen=True)

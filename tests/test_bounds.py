@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cvbench.bounds import (TaskSpec, classical_bound, quadrature_threshold,
-                            quantum_amp_bound)
+from cvbench.bounds import classical_bound, quadrature_threshold, quantum_amp_bound
 from cvbench.errors import DomainError, InvalidInput
 
 rng = np.random.default_rng(11)
@@ -84,14 +83,6 @@ def test_rejects_bad_prior_and_copies():
         classical_bound(1.0, 0.1, 0)
     with pytest.raises(InvalidInput):
         classical_bound(1.0, 0.1, 1.5)
-
-
-def test_task_spec_carries_the_same_numbers():
-    task = TaskSpec(eta=2.0, lam=0.5)
-    assert task.classical_bound == classical_bound(2.0, 0.5)
-    assert task.quadrature_threshold == quadrature_threshold(2.0, 0.5)
-    with pytest.raises(InvalidInput):
-        TaskSpec(eta=-1.0)
 
 
 def test_bounds_broadcast_over_arrays_entry_for_entry():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -1371,6 +1372,30 @@ def test_usage_errors_exit_two(capsys):
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 COMMAND_LINE = README.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+QUICK_TOUR = README.split("## Quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_gives_the_values_its_comments_state():
+    # a bare expression whose comment opens with a number or a quoted string
+    # must evaluate to it, to the digits shown; every other statement just runs
+    lines, namespace, checked = QUICK_TOUR.splitlines(), {}, []
+    for node in ast.parse(QUICK_TOUR).body:
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        stated = re.match(r"\s*('[^']*'|\d+\.\d+)", comment)
+        if not (isinstance(node, ast.Expr) and stated):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        text = stated.group(1)
+        if text.startswith("'"):
+            assert value == text[1:-1]
+        else:
+            digits = len(text.split(".")[1])
+            assert value == pytest.approx(float(text), abs=0.5 * 10.0 ** -digits)
+        checked.append(text)
+    assert checked == ["0.5", "0.5455", "0.9091", "0.5455", "0.8165", "'QUANTUM_DOMAIN'"]
 
 
 def _readme_examples():

@@ -224,6 +224,12 @@ def test_identity_shortcuts():
     rho = fock.coherent_ket(0.5, 25).projector()
     assert np.array_equal(fock.apply_loss(rho, 1.0).matrix, rho.matrix)
     assert np.array_equal(fock.apply_amp(rho, 1.0).matrix, rho.matrix)
+    kets = fock.coherent_amplitudes([0.3, 0.8], 25).real
+    overlaps = np.sum(kets * kets, axis=0)
+    for kind in ("loss", "amp"):
+        family = fock.KrausFamily(kind, 1.0)
+        assert np.array_equal(fock.OffsetMap(family)(rho).matrix, rho.matrix)
+        assert family.fidelities(kets, kets) == pytest.approx(overlaps * overlaps, rel=1e-15)
 
 
 def test_mixture_of_displacements_adds_single_axis_noise():
@@ -360,8 +366,6 @@ def test_operator_stacks(state_stack):
     for i, m in enumerate(stack.matrix):
         assert abs(traces[i] - fock.FockOperator(m).trace) <= 1e-15
     assert np.array_equal(stack.trace_deficit, 1.0 - traces)
-    with pytest.raises(InvalidInput, match="single operator"):
-        stack.to_json()
     for bad in (np.zeros((2, 3, 4)), np.zeros((1, 2, 2, 2)), np.zeros((2, 0, 0))):
         with pytest.raises(InvalidInput, match="square"):
             fock.FockOperator(bad)
@@ -485,6 +489,13 @@ def test_real_kernels_refuse_a_mixture_beside_another_complex_factor():
     assert abs(own.value - plain.value) <= 1e-15
 
 
+KRAUS_RANGE_MESSAGES = {
+    "loss": r"transmissivity must be in \(0, 1\]",
+    "amp": "amplifier gain must be >= 1 and finite",
+    "heterodyne": "re-preparation gain must be >= 0 and finite",
+}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_fock_parameters_are_refused(value):
     rho = fock.coherent_ket(0.5, 12).projector()
@@ -498,6 +509,20 @@ def test_non_finite_fock_parameters_are_refused(value):
         fock.DisplacementMixture(value, 0)
     with pytest.raises(InvalidInput, match="lambda must be positive and finite"):
         fock.thermal_state(value, 12)
+    for kind, message in KRAUS_RANGE_MESSAGES.items():
+        with pytest.raises(InvalidInput, match=message):
+            fock.KrausFamily(kind, value)
+    for beta in (value, complex(0.3, value)):
+        with pytest.raises(InvalidInput, match="mean beta must be finite"):
+            fock.DisplacementMixture(0.3, 0, beta)
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("loss", 0.0), ("loss", 1.5), ("amp", 0.5), ("heterodyne", -1.0),
+])
+def test_kraus_families_refuse_parameters_out_of_range(kind, value):
+    with pytest.raises(InvalidInput, match=KRAUS_RANGE_MESSAGES[kind]):
+        fock.KrausFamily(kind, value)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +580,6 @@ def test_truncated_prior_weights_are_the_prior_averaged_tails():
     kets = [fock.coherent_amplitudes(np.sqrt(g * abs2), cutoff) for g in (1.0, eta)]
     tails = [w @ (1.0 - np.sum(np.abs(k) ** 2, axis=0)) for k in kets]
     assert tails == pytest.approx(fock.truncated_prior_weights(eta, lam, cutoff), rel=1e-9)
-
-
-def test_operator_serialization_roundtrip():
-    rho = fock.thermal_state(1.0, 8)
-    again = fock.FockOperator.from_json(rho.to_json())
-    assert np.array_equal(rho.matrix, again.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from cvbench.ensembles import GaussianPrior, gauss_rule
 from cvbench.errors import DomainError, InvalidInput, NotCompletelyPositive
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian,
-                              characteristic_function, coherent_mean, compose,
+                              coherent_mean, compose,
                               fidelity_to_coherent, is_cp_channel,
                               is_physical_state, isotropic_part)
 
@@ -54,16 +54,6 @@ def test_physicality():
     assert is_physical_state(np.diag([1.0, 0.25]))   # squeezed, det = 1/4
     assert not is_physical_state(np.diag([0.4, 0.4]))
     assert not is_physical_state(0.4 * E2)
-
-
-def test_characteristic_function_vacuum_and_displacement():
-    vac = GaussianState.vacuum()
-    z = np.array([1.0, 0.0])
-    assert characteristic_function(vac, z) == pytest.approx(math.exp(-0.25))
-    coh = GaussianState.coherent(1.0)
-    val = characteristic_function(coh, z)
-    assert abs(val) == pytest.approx(math.exp(-0.25))
-    assert np.angle(val) == pytest.approx(math.sqrt(2.0))
 
 
 def test_state_json_roundtrip():

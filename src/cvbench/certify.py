@@ -18,6 +18,7 @@ gives a third, tagged route for data collected without state tomography.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import numbers
@@ -524,11 +525,78 @@ def _parse_values(lines: list, lineno: int) -> list:
             if line.strip()]
 
 
+def _parse_csv(fh):
+    """(key ids, id chunks, value chunks) of a dataset CSV read as text (see
+    `read_dataset_csv`), raising a DatasetError at its first bad line."""
+    prefix_ids: dict = {}        # raw prefix text -> group id
+    key_ids: dict = {}           # parsed (re, im, label) -> group id, first spelling kept
+    id_chunks, value_chunks = [], []
+    header = fh.readline()
+    if not header:
+        raise DatasetError("CSV file is empty", line=1)
+    fields = header.rstrip("\r\n").split(",")
+    if [h.strip() for h in fields] != _CSV_HEADER:
+        raise DatasetError(
+            f"CSV header must be {','.join(_CSV_HEADER)}, got {','.join(fields)}",
+            line=1)
+    lineno = 2
+    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        ids, values = [], []
+        for i, line in enumerate(lines):
+            prefix, _, value = line.rpartition(",")
+            gid = prefix_ids.get(prefix)
+            if gid is None:
+                if not line.strip():
+                    continue
+                try:
+                    re_part, im_part, label, _ = _parse_row(line, lineno + i)
+                except DatasetError:
+                    _parse_values(lines[:i], lineno)  # an earlier bad value wins
+                    raise
+                gid = prefix_ids[prefix] = key_ids.setdefault(
+                    (re_part, im_part, label), len(key_ids))
+            ids.append(gid)
+            values.append(value)
+        try:
+            chunk = np.array(values, dtype=float)
+        except ValueError:
+            chunk = None
+        if chunk is None or not np.isfinite(chunk).all():
+            chunk = np.array(_parse_values(lines, lineno), dtype=float)
+        value_chunks.append(chunk)
+        id_chunks.append(np.array(ids, dtype=np.intp))
+        lineno += len(lines)
+    return key_ids, id_chunks, value_chunks
+
+
+def _raise_not_utf8(path):
+    """Raise the DatasetError of a CSV file that is not UTF-8, naming its first bad byte's line.
+
+    The file is read again as bytes, off the parsing path.  A line break
+    (LF, CR or CRLF) is never part of a UTF-8 sequence, so the lines before
+    the bad byte's line decode; they are parsed first, and a bad line among
+    them is the error raised, as it would be in a file that decodes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        lineno = len(data[:start].splitlines()) + 1
+        if lineno > 1:
+            _parse_csv(io.StringIO(data[:start].decode("utf-8"), newline=""))
+        raise DatasetError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                           line=lineno) from None
+    raise DatasetError("CSV file is not UTF-8 text")   # changed since the failed read
+
+
 def read_dataset_csv(path, lam: float, eta_declared: Optional[float] = None,
                      weights=None) -> ExperimentDataset:
     """Parse a sample-per-row CSV into a dataset; errors carry line numbers.
 
-    The file starts with the header alpha_re,alpha_im,quad_label,value and
+    The file is UTF-8 text (a byte that is not is a DatasetError naming its
+    line), starts with the header alpha_re,alpha_im,quad_label,value and
     holds one unquoted sample per row; lines end in LF, CRLF or CR, and
     blank or whitespace-only lines are skipped.  A quoted field is rejected.
     Rows sharing a probe and quadrature form one record, with its samples
@@ -542,45 +610,11 @@ def read_dataset_csv(path, lam: float, eta_declared: Optional[float] = None,
     that locates the first bad line of a chunk when its conversion or that
     check fails.
     """
-    prefix_ids: dict = {}        # raw prefix text -> group id
-    key_ids: dict = {}           # parsed (re, im, label) -> group id, first spelling kept
-    id_chunks, value_chunks = [], []
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        if not header:
-            raise DatasetError("CSV file is empty", line=1)
-        fields = header.rstrip("\r\n").split(",")
-        if [h.strip() for h in fields] != _CSV_HEADER:
-            raise DatasetError(
-                f"CSV header must be {','.join(_CSV_HEADER)}, got {','.join(fields)}",
-                line=1)
-        lineno = 2
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-            ids, values = [], []
-            for i, line in enumerate(lines):
-                prefix, _, value = line.rpartition(",")
-                gid = prefix_ids.get(prefix)
-                if gid is None:
-                    if not line.strip():
-                        continue
-                    try:
-                        re_part, im_part, label, _ = _parse_row(line, lineno + i)
-                    except DatasetError:
-                        _parse_values(lines[:i], lineno)  # an earlier bad value wins
-                        raise
-                    gid = prefix_ids[prefix] = key_ids.setdefault(
-                        (re_part, im_part, label), len(key_ids))
-                ids.append(gid)
-                values.append(value)
-            try:
-                chunk = np.array(values, dtype=float)
-            except ValueError:
-                chunk = None
-            if chunk is None or not np.isfinite(chunk).all():
-                chunk = np.array(_parse_values(lines, lineno), dtype=float)
-            value_chunks.append(chunk)
-            id_chunks.append(np.array(ids, dtype=np.intp))
-            lineno += len(lines)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            key_ids, id_chunks, value_chunks = _parse_csv(fh)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
     if not key_ids:
         raise DatasetError("CSV file has a header but no sample rows", line=2)
     ids, samples = np.concatenate(id_chunks), np.concatenate(value_chunks)

@@ -237,6 +237,19 @@ def _config_value(key: str, kind, value):
     raise _Usage(f"config key '{key}' wants {want}, got {json.dumps(value)}")
 
 
+def _json(text: str | bytes, flag: str):
+    """The JSON value of a flag's text or of its file's bytes; malformed,
+    undecodable or over-nested input is a usage error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _Usage(f"{flag} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"{flag} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise _Usage(f"{flag} nests JSON deeper than the decoder's recursion limit")
+
+
 def _resolve(args) -> dict:
     """Merge explicit flags over config-file values over the table's defaults."""
     rows = {flag[2:].replace("-", "_"): (kind, default)
@@ -244,12 +257,11 @@ def _resolve(args) -> dict:
     eff = {key: default for key, (_, default) in rows.items()}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            with open(args.config, "rb") as fh:
+                text = fh.read()
         except OSError as exc:
             raise _Usage(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _Usage(f"config file is not valid JSON: {exc}")
+        raw = _json(text, "--config")
         if not isinstance(raw, dict):
             raise _Usage("config file must hold a JSON object")
         unknown = sorted(set(raw) - set(rows))
@@ -336,16 +348,12 @@ def _load_channel_spec(text: str):
     raw = text
     if text.startswith("@"):
         path = text[1:]
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     elif not text.lstrip().startswith("{") and os.path.exists(text):
-        with open(text) as fh:
+        with open(text, "rb") as fh:
             raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise _Usage(f"channel is not valid JSON: {exc}")
-    return schemes.model_from_json(obj)
+    return schemes.model_from_json(_json(raw, "--channel"))
 
 
 def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
@@ -677,10 +685,7 @@ def _cmd_sweep(eff: dict):
     if eff["grid"] is not None:
         raw = eff["grid"]
         if isinstance(raw, str):
-            try:
-                raw = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise _Usage(f"--grid is not valid JSON: {exc}")
+            raw = _json(raw, "--grid")
         if not isinstance(raw, dict):
             raise _Usage("--grid must be a JSON object of lists")
         grid.update(raw)

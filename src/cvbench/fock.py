@@ -7,9 +7,9 @@ output trace deficit observable rather than renormalizing, and the prior
 average evaluates the truncated problem exactly (one Gauss-Laguerre node per
 level) and bounds the truncation itself in closed form.  The prior average
 takes a phase-covariant map as an `OffsetMap`, its kernels per photon-number
-offset, and contracts each offset's kernel against the kets of every node at
-once; a map that is one `KrausFamily` it contracts as line sums of the
-family's table instead.  It never forms an operator.
+offset, and contracts a block of offsets' kernels at a time against the kets
+of every node at once; a map that is one `KrausFamily` it contracts as line
+sums of the family's table instead.  It never forms an operator.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ _CUTOFF_WEIGHT_TOL = 1e-10  # truncated prior weight select_cutoff aims for
 # The widest cutoff average_fidelity_fock (and `cvbench simulate`) accepts:
 # numpy's laggauss returns NaN weights from 187 nodes on.
 _MAX_AUTO_CUTOFF = 180
+# Float64 entries of one block of offset kernels that average_fidelity_fock
+# contracts at once: from kernel width 65 up a block is one offset.  The
+# block's (offsets, width, nodes) ket stacks also stay below twice that
+# (128 KiB): larger temporaries, made afresh for every block, came from fresh
+# pages and cost more in page faults than the block saved.
+_KERNEL_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -315,36 +321,48 @@ class OffsetMap:
     `factors` are applied in order; each takes a cutoff N and returns the
     function d -> A_d of its (N-d) x (N-d) kernels.  No factors is the
     identity.  Calling the map on a FockOperator (one operator or a stack)
-    applies the factors one after another; `real_kernels` gives the real
-    part of the whole chain's kernels, Re(A_d^(k) ... A_d^(1)), one offset
-    at a time, which is what `average_fidelity_fock` contracts, unless the
-    map is one `KrausFamily` alone.
+    applies the factors one after another.  `real_kernel_blocks` gives the
+    real part of the whole chain's kernels, Re(A_d^(k) ... A_d^(1)), for a
+    block of consecutive offsets at once, which is what
+    `average_fidelity_fock` contracts unless the map is one `KrausFamily`
+    alone; `real_kernels` is the same builder one offset at a time.
     """
 
     def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
         self.factors = factors
 
-    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        """d -> Re(A_d^(k) ... A_d^(1)), the real part of the chain's kernels.
+    def real_kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
+        """(d0, count) -> the real kernels of offsets d0 ... d0+count-1 as one stack.
 
-        A `DisplacementMixture` factor gives its own real kernels, built in
-        real arithmetic; every other factor gives its kernels.  The real part
-        of a product is the product with one factor's real part only while
-        every other factor is real, so a mixture next to any other complex
-        kernel (a second mixture, or a plain factor with complex kernels)
-        raises InvalidInput rather than compose a wrong real part.
+        The stack is (count, N-d0, N-d0), with the kernel of offset d in the
+        top left corner of its slice and zeros past N-d, so the factors'
+        stacks compose with one batched matrix product each.  A `KrausFamily`
+        builds its stack from its table at once (`KrausFamily.kernel_blocks`);
+        a `DisplacementMixture` writes its own real kernels, built in real
+        arithmetic, into the stack one offset at a time, and every other
+        factor gives its kernels one offset at a time, each copied in.  The real part of a product is the
+        product with one factor's real part only while every other factor is
+        real, so a mixture next to any other complex kernel (a second
+        mixture, or a plain factor with complex kernels) raises InvalidInput
+        rather than compose a wrong real part.
         """
         mixtures = sum(isinstance(f, DisplacementMixture) for f in self.factors)
         if mixtures > 1:
             raise InvalidInput("the real kernels of a map hold at most one displacement "
                                f"mixture, got {mixtures}")
-        chain = [f.real_kernels(cutoff) if isinstance(f, DisplacementMixture) else f(cutoff)
-                 for f in self.factors]
+        chain = []
+        for f in self.factors or (lambda n: lambda d: np.eye(n - d),):
+            if isinstance(f, KrausFamily):
+                chain.append(f.kernel_blocks(cutoff))
+            elif isinstance(f, DisplacementMixture):
+                chain.append(f.real_kernel_blocks(cutoff))
+            else:
+                chain.append(_padded_blocks(f(cutoff), cutoff))
 
-        def real(d):
-            out = np.eye(cutoff - d) if not chain else chain[0](d)
-            for kernel in chain[1:]:
-                out = kernel(d) @ out
+        def real(d0, count):
+            out = chain[0](d0, count)
+            for block in chain[1:]:
+                out = block(d0, count) @ out
             if not np.iscomplexobj(out):
                 return out
             if mixtures:
@@ -353,11 +371,51 @@ class OffsetMap:
             return out.real
         return real
 
+    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        """d -> Re(A_d^(k) ... A_d^(1)): `real_kernel_blocks` one offset at a time."""
+        return _one_offset(self.real_kernel_blocks(cutoff))
+
     def __call__(self, rho: FockOperator) -> FockOperator:
         out = rho.matrix.copy() if not self.factors else rho.matrix
         for factor in self.factors:
             out = apply_offset_kernels(out, factor(rho.cutoff))
         return FockOperator(out)
+
+
+def _shifted(m: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
+    """The (count, a, b) stack s[k, i, j] = m[i + k rows, j + k cols] of an (a, b) array,
+    zero past m's edge, for rows and cols 0 or 1.
+
+    One offset is m itself; more read one zero-padded copy through a strided
+    view, made by the `np.ndarray` constructor (see `_diagonal_line_sums`).
+    """
+    if count == 1:
+        return m[None]
+    a, b = m.shape
+    pad = np.zeros((a + (count - 1) * rows, b + (count - 1) * cols))
+    pad[:a, :b] = m
+    s0, s1 = pad.strides
+    return np.ndarray((count, a, b), float, pad, strides=(rows * s0 + cols * s1, s0, s1))
+
+
+def _padded_blocks(kernel: Callable[[int], np.ndarray],
+                   cutoff: int) -> Callable[[int, int], np.ndarray]:
+    """The block view (`OffsetMap.real_kernel_blocks`) of one-offset kernels d -> A_d."""
+    def block(d0, count):
+        if count == 1:
+            return kernel(d0)[None]
+        kernels = [kernel(d0 + k) for k in range(count)]
+        width = cutoff - d0
+        out = np.zeros((count, width, width), np.result_type(*kernels))
+        for k, a in enumerate(kernels):
+            out[k, :width - k, :width - k] = a
+        return out
+    return block
+
+
+def _one_offset(block: Callable[[int, int], np.ndarray]) -> Callable[[int], np.ndarray]:
+    """d -> A_d, the one-offset view of a block builder (d0, count) -> stack."""
+    return lambda d: block(d, 1)[0]
 
 
 def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
@@ -373,17 +431,15 @@ def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
     return np.exp(np.where(lost >= 0, log_t, -np.inf))
 
 
-def _loss_kernels(cutoff: int, transmissivity: float) -> Callable[[int], np.ndarray]:
-    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss (`_loss_table`)."""
+def _loss_blocks(cutoff: int, transmissivity: float) -> Callable[[int, int], np.ndarray]:
+    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss (`_loss_table`), a block
+    of offsets d0 ... d0+count-1 at a time (`_shifted` zero-pads the shifted table)."""
     t = _loss_table(cutoff, transmissivity)
-    return lambda d: t[d:, d:] * t[:cutoff - d, :cutoff - d]
 
-
-def _amp_kernels(cutoff: int, gain: float) -> Callable[[int], np.ndarray]:
-    """Offset kernels of the quantum-limited amplifier of gain G > 1: the dual of
-    loss at T = 1/G scaled by 1/G, so loss's kernels transposed and divided by G."""
-    loss = _loss_kernels(cutoff, 1.0 / gain)
-    return lambda d: loss(d).T / gain
+    def block(d0, count):
+        width = cutoff - d0
+        return _shifted(t[d0:, d0:], count, 1, 1) * t[:width, :width]
+    return block
 
 
 def _heterodyne_table(cutoff: int, gain: float, log_width: float) -> np.ndarray:
@@ -401,6 +457,18 @@ def _heterodyne_table(cutoff: int, gain: float, log_width: float) -> np.ndarray:
                   + l * math.log(gain))
 
 
+def _heterodyne_blocks(cutoff: int, gain: float,
+                       log_width: float) -> Callable[[int, int], np.ndarray]:
+    """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] of the table c of `_heterodyne_table`,
+    a block of offsets d0 ... d0+count-1 at a time (`_shifted` zero-pads both shifts)."""
+    c = _heterodyne_table(cutoff, gain, log_width)
+
+    def block(d0, count):
+        width = cutoff - d0
+        return _shifted(c[:width, d0:], count, 0, 1) * _shifted(c[d0:, :width], count, 1, 0)
+    return block
+
+
 def heterodyne_kernels(cutoff: int, gain: float,
                        log_width: float) -> Callable[[int], np.ndarray]:
     """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] of the table c of `_heterodyne_table`.
@@ -409,8 +477,7 @@ def heterodyne_kernels(cutoff: int, gain: float,
     w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam,
     which reads the same table through `heterodyne_images`.
     """
-    c = _heterodyne_table(cutoff, gain, log_width)
-    return lambda d: c[:cutoff - d, d:] * c[d:, :cutoff - d]
+    return _one_offset(_heterodyne_blocks(cutoff, gain, log_width))
 
 
 def heterodyne_images(cutoff: int, gain: float,
@@ -498,12 +565,23 @@ class KrausFamily:
             raise InvalidInput(f"unknown Kraus family {self.kind!r}")
 
     def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
+        return _one_offset(self.kernel_blocks(cutoff))
+
+    def kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
+        """(d0, count) -> the zero-padded (count, N-d0, N-d0) stack of the kernels of
+        offsets d0 ... d0+count-1 (see `OffsetMap.real_kernel_blocks`).
+
+        Each stack is one multiply of two strided views of the table: loss
+        t[i+d, m+d] t[i, m]; the amplifier of gain G as loss at 1/G,
+        transposed, over G (its dual); heterodyne c[l, n+d] c[l+d, n].
+        """
         p = self.parameter
+        if self.kind == "heterodyne":
+            return _heterodyne_blocks(cutoff, p, math.log1p(p * p))
         if self.kind == "loss":
-            return _loss_kernels(cutoff, p)
-        if self.kind == "amp":
-            return _amp_kernels(cutoff, p)
-        return heterodyne_kernels(cutoff, p, math.log1p(p * p))
+            return _loss_blocks(cutoff, p)
+        loss = _loss_blocks(cutoff, 1.0 / p)
+        return lambda d0, count: loss(d0, count).swapaxes(1, 2) / p
 
     def fidelities(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """<psi| Phi(|phi><phi|) |psi> = sum_k <psi|K_k|phi>^2 for each column of real kets.
@@ -541,9 +619,10 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
 def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     """Quantum-limited amplifier of gain G >= 1 via its Kraus family.
 
-    Its offset kernels are `_amp_kernels`.  Weight pushed past the cutoff
-    is dropped, not renormalized, and shows in the output's `trace_deficit`;
-    the entries kept are exact.  `average_fidelity_fock` does not read the
+    Its offset kernels are those of loss at 1/G, transposed, over G (see
+    `KrausFamily.kernel_blocks`).  Weight pushed past the cutoff is dropped,
+    not renormalized, and shows in the output's `trace_deficit`; the entries
+    kept are exact.  `average_fidelity_fock` does not read the
     deficit: because the kept entries are exact, its closed-form bound on
     cutting the input and target kets covers it.  Acts on each operator of
     a stack.
@@ -638,7 +717,13 @@ class DisplacementMixture:
                                       u[:, d:, d:] * u_conj[:, :cutoff - d, :cutoff - d], 1)
 
     def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        """d -> Re A_d as one einsum over the real stack X = [sqrt(w) Re W; sqrt(w) Im W]:
+        """d -> Re A_d: `real_kernel_blocks` one offset at a time."""
+        return _one_offset(self.real_kernel_blocks(cutoff))
+
+    def real_kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
+        """(d0, count) -> the zero-padded (count, N-d0, N-d0) stack of Re A_d0 ... Re A_(d0+count-1)
+        (see `OffsetMap.real_kernel_blocks`), one einsum per offset over the real stack
+        X = [sqrt(w) Re W; sqrt(w) Im W], written into its slice of the stack:
         Re(W[i+d, j+d] conj(W[i, j])) = Re W Re W + Im W Im W, so
         Re A_d = sum_s' X[s', d:, d:] * X[s', :N-d, :N-d]."""
         weights, u = self.unitaries(cutoff)
@@ -647,7 +732,15 @@ class DisplacementMixture:
         x = np.empty((2 * k, cutoff, cutoff))
         np.multiply(root, u.real, out=x[:k])
         np.multiply(root, u.imag, out=x[k:])
-        return lambda d: np.einsum("sij,sij->ij", x[:, d:, d:], x[:, :cutoff - d, :cutoff - d])
+
+        def block(d0, count):
+            width = cutoff - d0
+            out = np.zeros((count, width, width))
+            for j, d in enumerate(range(d0, d0 + count)):
+                np.einsum("sij,sij->ij", x[:, d:, d:], x[:, :cutoff - d, :cutoff - d],
+                          out=out[j, :width - j, :width - j])
+            return out
+        return block
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         """sum_s w_s W_s matrix W_s^dag for one matrix or a (B, N, N) stack.
@@ -836,9 +929,15 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
       with c_0 = 1 and c_d = 2 for d >= 1.  Only Re A_d enters: the kets
       are real, and the entries above the diagonal map through conj(A_d),
       so they add the complex conjugate of the entries below it, and the
-      imaginary parts cancel.  So the loop reads `OffsetMap.real_kernels`,
-      which a displacement mixture builds in real arithmetic.  Every node
-      is done at once, one offset at a time, with one kernel in memory.
+      imaginary parts cancel.  So the loop reads
+      `OffsetMap.real_kernel_blocks`, which a displacement mixture builds
+      in real arithmetic.  Every node is done at once, a block of offsets
+      d0 ... d0+c-1 at a time: the chain's zero-padded (c, N-d0, N-d0)
+      kernel stack against zero-padded (c, N-d0, N) stacks of u_d and v_d,
+      in one batched product and one einsum.  A block holds at most
+      _KERNEL_BLOCK kernel entries and fewer than twice that in each ket
+      stack, so from kernel width 65 up it is one offset, unpadded, and the
+      widest cutoffs keep one kernel in memory.
 
     For a family both are the same finite sum of products of table entries
     and ket amplitudes, grouped by offset or by Kraus operator (expanding
@@ -881,13 +980,20 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     if isinstance(family, KrausFamily):
         fids = family.fidelities(phi, psi)
     else:
-        kernel = offset_map.real_kernels(cutoff)
+        blocks = offset_map.real_kernel_blocks(cutoff)
         fids = np.zeros(cutoff)
-        for d in range(cutoff):
-            v = phi[d:] * phi[:cutoff - d]
-            u = psi[d:] * psi[:cutoff - d]
-            term = np.einsum("ib,ib->b", u, kernel(d) @ v)
-            fids += term if d == 0 else 2.0 * term
+        d0 = 0
+        while d0 < cutoff:
+            width = cutoff - d0
+            count = min(width, max(1, min(_KERNEL_BLOCK // (width * width),
+                                          (2 * _KERNEL_BLOCK - 1) // (width * cutoff))))
+            v = _shifted(phi[d0:], count, 1, 0) * phi[:width]
+            u = _shifted(psi[d0:], count, 1, 0) * psi[:width]
+            if d0 == 0:
+                u[0] *= 0.5   # c_0 = 1 and c_d = 2: the sum is doubled below
+            fids += np.einsum("kib,kib->b", u, blocks(d0, count) @ v)
+            d0 += count
+        fids *= 2.0
     total = 0.0
     for wf in weights * _clipped_fidelities(fids):
         total += wf  # one running sum in node order

@@ -594,6 +594,34 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"alpha_re,alpha_im,quad_label,value\n1.0,0.0,plus,0.5\n1.0,0.0,minus,0.1\xff\n", 3),
+    (b"alpha_re,alpha_im,quad\xfe_label,value\n1.0,0.0,plus,0.5\n", 1),
+    # CR and CRLF line ends count as the text reader counts them; a sequence cut at the end
+    (b"alpha_re,alpha_im,quad_label,value\r1.0,0.0,plus,0.5\r\n\r1.0,0.0,plus,\xc3", 4),
+], ids=["value", "header", "cr-line-ends"])
+def test_csv_that_is_not_utf8_names_the_bad_bytes_line(tmp_path, data, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DatasetError, match="is not UTF-8 text") as err:
+        read_dataset_csv(path, lam=0.1)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"alpha_re,alpha_im,quad_label,value\n1.0,0.0,plus,oops\n1.0,0.0,minus,0.1\xff\n", 2,
+     "non-numeric"),
+    (b"alpha,quad,value\n1.0,plus,0.5\n1.0,minus,0.1\xff\n", 1, "CSV header"),
+], ids=["value", "header"])
+def test_csv_bad_line_before_a_non_utf8_byte_is_the_error(tmp_path, data, line, message):
+    # the text is decoded in buffers, so the byte fails before the earlier line is read
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DatasetError, match=message) as err:
+        read_dataset_csv(path, lam=0.1)
+    assert err.value.line == line
+
+
 def _reference_read(path, lam):
     """The csv-module reader that read_dataset_csv replaced, kept as a reference."""
     groups, order = {}, []

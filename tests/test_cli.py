@@ -535,6 +535,16 @@ def test_certify_malformed_csv_reports_the_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_certify_non_utf8_csv_is_a_dataset_error_that_names_the_line(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"alpha_re,alpha_im,quad_label,value\n1.0,0.0,plus,0.5\n"
+                     b"1.0,0.0,minus,0.1\xff\n")
+    code, _, err = run(capsys, "certify", "--input", str(path), "--eta", "0.6",
+                       "--lambda", "0.3", "--n-boot", "0")
+    assert code == 4
+    assert err == "cvbench certify: dataset error (line 3): byte 0xff is not UTF-8 text\n"
+
+
 def test_certify_needs_some_input(capsys):
     code, _, err = run(capsys, "certify", "--eta", "1", "--lambda", "0.1")
     assert code == 2
@@ -1418,3 +1428,37 @@ def test_readme_lists_each_subcommands_flags():
     listed = {command: set(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows}
     assert listed == {command: {flag for flag, *_ in table}
                       for command, table in cli._FLAGS.items()}
+
+
+DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--channel", DEEP_JSON, "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["simulate", "--channel", "@{path}", "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["certify", "--channel", DEEP_JSON, "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["certify", "--channel", "@{path}", "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["sweep", "--grid", DEEP_JSON], "--grid"),
+    (["sweep", "--config", "{path}"], "--config"),
+], ids=["simulate-inline", "simulate-file", "certify-inline", "certify-file", "grid", "config"])
+def test_json_nested_past_the_recursion_limit_is_a_usage_error(capsys, tmp_path, argv, flag):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert err == f"cvbench {argv[0]}: {flag} nests JSON deeper than the decoder's " \
+        "recursion limit\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--channel", "@{path}", "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["certify", "--channel", "{path}", "--eta", "1", "--lambda", "0.3"], "--channel"),
+    (["bound", "--config", "{path}"], "--config"),
+], ids=["channel-at-file", "channel-bare-path", "config"])
+def test_a_json_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"eta": 1\xff}')
+    code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert err.startswith(f"cvbench {argv[0]}: {flag} is not UTF-8 text: ")
+    assert err.count("\n") == 1

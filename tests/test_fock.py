@@ -478,7 +478,7 @@ def test_mixture_with_a_mean_keeps_every_shift():
 def test_real_kernels_refuse_a_mixture_beside_another_complex_factor():
     mixture = fock.DisplacementMixture(0.35, 1)
     for offset_map in (fock.OffsetMap(mixture, mixture),
-                       fock.OffsetMap(lambda n: fock._loss_kernels(n, 0.6), mixture,
+                       fock.OffsetMap(lambda n: fock.KrausFamily("loss", 0.6)(n), mixture,
                                       lambda n: mixture(n))):
         with pytest.raises(InvalidInput, match="mixture"):
             fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=8)
@@ -600,7 +600,7 @@ def test_average_fidelity_matches_gaussian_engine_for_loss():
     channel = GaussianChannel(math.sqrt(T) * E2, (1 - T) / 2 * E2)
     exact = average_fidelity_gaussian(channel, eta, lam)
     avg = fock.average_fidelity_fock(
-        fock.OffsetMap(lambda n: fock._loss_kernels(n, T)), eta, lam, cutoff=36)
+        fock.OffsetMap(lambda n: fock.KrausFamily("loss", T)(n)), eta, lam, cutoff=36)
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
@@ -623,13 +623,60 @@ def test_average_fidelity_refuses_a_map_without_offset_kernels():
 
 
 def test_offset_map_kernels_compose_its_factors_in_order():
-    loss = lambda n: fock._loss_kernels(n, 0.6)
-    amp = lambda n: fock._amp_kernels(n, 1.7)
+    loss = lambda n: fock.KrausFamily("loss", 0.6)(n)
+    amp = lambda n: fock.KrausFamily("amp", 1.7)(n)
     chain = fock.OffsetMap(loss, amp).real_kernels(9)
     for d in (0, 3, 8):
         expected = amp(9)(d) @ loss(9)(d)
         assert np.array_equal(chain(d), expected)
     assert np.array_equal(fock.OffsetMap().real_kernels(9)(2), np.eye(7))
+
+
+# One factor of each kind: a block of its kernels is built at once from a
+# Kraus family's table, one offset at a time from any other factor.
+BLOCK_FACTORS = [fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7),
+                 fock.KrausFamily("heterodyne", 0.8), fock.KrausFamily("heterodyne", 0.0),
+                 fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j),
+                 lambda n: fock.KrausFamily("loss", 0.6)(n)]
+
+
+def _block_slices(offset_map, cutoff):
+    """(offset, its kernel as a slice of a block, the block) over blocks of 1, 2, 3 and
+    all remaining offsets from every first offset."""
+    blocks = offset_map.real_kernel_blocks(cutoff)
+    for d0 in range(cutoff):
+        for count in sorted({1, 2, 3, cutoff - d0}):
+            if count > cutoff - d0:
+                continue
+            stack = blocks(d0, count)
+            assert stack.shape == (count, cutoff - d0, cutoff - d0)
+            for k in range(count):
+                width = cutoff - d0 - k
+                assert not stack[k, width:].any() and not stack[k, :, width:].any()
+                yield d0 + k, stack[k, :width, :width]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 24, 65])
+@pytest.mark.parametrize("factor", BLOCK_FACTORS, ids=["loss", "amp", "heterodyne",
+                                                    "heterodyne-0", "mixture", "plain"])
+def test_real_kernels_are_the_block_builders_slices_bit_for_bit(factor, cutoff):
+    offset_map = fock.OffsetMap(factor)
+    one = offset_map.real_kernels(cutoff)
+    for d, kernel in _block_slices(offset_map, cutoff):
+        assert np.array_equal(kernel, one(d))
+
+
+@pytest.mark.parametrize("cutoff", [1, 3, 24, 65])
+def test_chained_blocks_compose_each_offsets_kernels(cutoff):
+    # a chain's stacks compose by batched matrix products over the padded
+    # width, whose sums BLAS may group differently from the unpadded product
+    loss, amp, het = (fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7),
+                      fock.KrausFamily("heterodyne", 0.8))
+    for offset_map in (fock.OffsetMap(), fock.OffsetMap(loss, amp),
+                       fock.OffsetMap(loss, het, amp)):
+        one = offset_map.real_kernels(cutoff)
+        for d, kernel in _block_slices(offset_map, cutoff):
+            assert np.abs(kernel - one(d)).max() <= 1e-16
 
 
 def test_average_fidelity_validates_inputs():

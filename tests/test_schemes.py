@@ -594,6 +594,60 @@ def test_average_fidelity_contraction_matches_the_per_node_loop_at_the_cap(
     assert abs(got.error - error) <= 1e-14
 
 
+# Chains of Kraus families: loss then the amplifier, loss, heterodyne and the
+# amplifier, and one holding heterodyne at gain 0.  The engine contracts their
+# kernels a block of offsets at a time, 2**13 kernel entries per block: the
+# first block holds 3 offsets up to cutoff 52 and 2 from 53, and one offset
+# alone from kernel width 65 on (from about 45 on at cutoff 180, where the
+# ket stacks' own budget binds).
+KRAUS_CHAINS = [Compose([PureLoss(0.6), QuantumLimitedAmp(1.3)]), CHAIN,
+                Compose([PureLoss(0.7), HeterodyneMP(0.0), QuantumLimitedAmp(1.3)])]
+BLOCK_CUTOFFS = [1, 2, 3, 52, 53, 64, 65, 180]
+
+
+@pytest.mark.parametrize("cutoff", BLOCK_CUTOFFS)
+@pytest.mark.parametrize("model", KRAUS_CHAINS, ids=["loss-amp", "chain", "heterodyne-0"])
+def test_blocked_contraction_of_kraus_chains_matches_the_per_node_loop(model, cutoff,
+                                                                       per_node_average):
+    eta, lam = 0.9, 0.3
+    offset_map = phase_averaged_applier(model)
+    assert len(offset_map.factors) > 1
+    assert all(isinstance(f, fock.KrausFamily) for f in offset_map.factors)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
+    value, error = per_node_average(offset_map, eta, lam, cutoff)
+    assert abs(got.value - value) <= (1e-14 if cutoff == 180 else 1e-15)
+    assert abs(got.error - error) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff, first", [(1, [(0, 1)]), (24, [(0, 14), (14, 10)]),
+                                           (52, [(0, 3), (3, 3)]), (53, [(0, 2), (2, 3)]),
+                                           (65, [(0, 1), (1, 2)]), (180, [(0, 1), (1, 1)])])
+def test_offset_blocks_hold_about_a_fixed_number_of_kernel_entries(monkeypatch, cutoff,
+                                                                   first):
+    calls = []
+    builder = fock.OffsetMap.real_kernel_blocks
+
+    def spy(offset_map, n):
+        blocks = builder(offset_map, n)
+
+        def block(d0, count):
+            calls.append((d0, count))
+            return blocks(d0, count)
+        return block
+    monkeypatch.setattr(fock.OffsetMap, "real_kernel_blocks", spy)
+    fock.average_fidelity_fock(phase_averaged_applier(CHAIN), 0.9, 0.3, cutoff=cutoff)
+    assert calls[:2] == first
+    # the blocks tile the offsets in order, each one offset or within the entry
+    # budgets of its kernel stack and of its (count, width, nodes) ket stacks
+    assert [d0 for d0, _ in calls] == list(np.cumsum([0] + [c for _, c in calls])[:-1])
+    assert sum(c for _, c in calls) == cutoff
+    for d0, count in calls:
+        width = cutoff - d0
+        assert count == 1 or (count * width ** 2 <= fock._KERNEL_BLOCK
+                              and count * width * cutoff < 2 * fock._KERNEL_BLOCK)
+        assert width <= 64 or count == 1
+
+
 # Every model whose realization ends in a displacement mixture: anisotropic
 # noise, a mean alone (RAW_CHANNELS[1]), a mean with loss, and a composite.
 MIXTURES = [CanonicalB1()] + RAW_CHANNELS + [

@@ -7,8 +7,9 @@ Files are written atomically: a temporary file in the target directory is
 renamed over the destination only once the document is complete, with the
 mode a plain open() would have given it.  Sweep tables, CSV or JSON, go
 through one row writer: runs of columns are joined once into text segments
-on their own axes, then written in blocks of rows, each one gather per
-segment and one str.join, so their memory does not grow with the grid.
+on their own axes, then written one box of the grid at a time, each block of
+rows one basic slice per segment and one str.join, so their memory does not
+grow with the grid.
 
 Each subcommand declares its flags once, in one table of (flag, type,
 default, help) rows; the parser, the help's defaults, the config-file keys
@@ -16,12 +17,15 @@ and their type checks, and the echoed configuration all come from it.  A
 subcommand takes only the flags it reads, plus the common --seed, --out and
 --config.  A --config file is a JSON object keyed by flag names without
 their dashes, "-" written as "_"; explicit flags win over it, and it over
-the table's defaults.  A process builds each subcommand's parser once, on
-first use, and repeated in-process `main` calls reuse it; nothing is built at
-import.  A command line takes one argparse pass, through the invoked
-subcommand's own parser; the top-level parser runs only for an empty argv, an
-unknown command or top-level --help, and to refuse arguments the
-subcommand's parser leaves over, under its usage line.
+the table's defaults.  A clean command line, each token after the
+subcommand a --flag value pair spelled and typed as the table has it, is read
+straight from the table and builds no parser.  Any other takes one argparse
+pass, through the invoked subcommand's own parser, so argparse writes every
+help, usage and error message; the top-level parser runs only for an empty
+argv, an unknown command or top-level --help, and to refuse arguments the
+subcommand's parser leaves over, under its usage line.  A process builds each
+parser once, on first use, and repeated in-process `main` calls reuse it;
+nothing is built at import.
 
 Exit codes:
 
@@ -203,15 +207,65 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=None)(_build_parsers)
 
 
-def _parse(argv: list):
-    """The parsed arguments of one command line, in one argparse pass.
+# Read once per subcommand and never changed: callers must not mutate it.
+@functools.lru_cache(maxsize=None)
+def _rows(command: str) -> dict:
+    """`command`'s flag table, common flags included, as {key: (flag, type, default)}."""
+    return {flag[2:].replace("-", "_"): (flag, kind, default)
+            for flag, kind, default, _ in _COMMON_FLAGS + _FLAGS[command]}
 
-    A known subcommand's own parser reads the flags after it; its help and
-    errors are the ones the top-level parser would pass through.  The
-    top-level parser runs only when arguments are left over (to refuse them
-    under its own usage line), for an unknown command and for an empty argv.
+
+def _table_pass(command: str, tokens: list):
+    """The namespace argparse gives a clean command line, read from the flag table alone.
+
+    Clean means every token is a flag then its value: the flag spelled
+    exactly as a row or --config, the value not starting with "-" and taken
+    by the row's int or float, or among its choices.  Any other line gives
+    None, and argparse reads it.
+    """
+    if len(tokens) % 2:
+        return None
+    rows = _rows(command)
+    values = dict.fromkeys(rows)
+    values["config"] = None
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        if value.startswith("-"):
+            return None
+        if flag == "--config":
+            values["config"] = value
+            continue
+        key = flag[2:].replace("-", "_")
+        row = rows.get(key)
+        if row is None or row[0] != flag:
+            return None
+        kind = row[1]
+        if kind is int or kind is float:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[key] = value
+    return argparse.Namespace(command=command, **values)
+
+
+def _parse(argv: list):
+    """The parsed arguments of one command line.
+
+    A clean command line (see _table_pass) is read straight from the
+    subcommand's flag table, and builds no parser.  Any other goes through
+    one argparse pass: a known subcommand's own parser reads the flags after
+    it, and its help and errors are the ones the top-level parser would pass
+    through.  The top-level parser runs only when arguments are left over
+    (to refuse them under its own usage line), for an unknown command and
+    for an empty argv.
     """
     command = argv[0] if argv and argv[0] in _HANDLERS else None
+    if command is not None:
+        args = _table_pass(command, argv[1:])
+        if args is not None:
+            return args
     parser, subparsers = _parser(command)
     if command is not None:
         args, extra = subparsers[command].parse_known_args(argv[1:])
@@ -252,9 +306,8 @@ def _json(text: str | bytes, flag: str):
 
 def _resolve(args) -> dict:
     """Merge explicit flags over config-file values over the table's defaults."""
-    rows = {flag[2:].replace("-", "_"): (kind, default)
-            for flag, kind, default, _ in _COMMON_FLAGS + _FLAGS[args.command]}
-    eff = {key: default for key, (_, default) in rows.items()}
+    rows = _rows(args.command)
+    eff = {key: default for key, (_, _, default) in rows.items()}
     if args.config is not None:
         try:
             with open(args.config, "rb") as fh:
@@ -269,7 +322,7 @@ def _resolve(args) -> dict:
             raise _Usage(f"unknown config keys for '{args.command}': {', '.join(unknown)}")
         for key, value in raw.items():
             if value is not None:
-                eff[key] = _config_value(key, rows[key][0], value)
+                eff[key] = _config_value(key, rows[key][1], value)
     for key in rows:
         value = getattr(args, key)
         if value is not None:
@@ -624,36 +677,54 @@ def _sweep_segments(cells, cell_sep: str, row_open: str) -> list:
     return segments
 
 
+def _sweep_boxes(shape: tuple):
+    """Basic-slice boxes of at most _SWEEP_BLOCK_ROWS grid points, tiling the grid in C order.
+
+    Each box fixes the leading axes, one index each, takes a run along the
+    first axis whose trailing product fits, and the trailing axes whole.
+    Yields each box's leading indices and its run's slice.
+    """
+    free = next(d for d in range(len(shape)) if math.prod(shape[d + 1:]) <= _SWEEP_BLOCK_ROWS)
+    run = _SWEEP_BLOCK_ROWS // math.prod(shape[free + 1:])
+    for lead in itertools.product(*map(range, shape[:free])):
+        for start in range(0, shape[free], run):
+            yield lead, slice(start, min(start + run, shape[free]))
+
+
 def _sweep_rows(cells, shape: tuple, cell_sep: str, row_open: str, row_close: str,
                 row_sep: str):
-    """A sweep's rows as text chunks of _SWEEP_BLOCK_ROWS rows, in grid order.
+    """A sweep's rows as text chunks of at most _SWEEP_BLOCK_ROWS rows, in grid order.
 
     Each row is row_open, its cells joined by cell_sep, then row_close; rows
     are joined by row_sep.  `cells` yields each column's texts on the axes
     it depends on, in column order, and is read into segments once (see
-    _sweep_segments).  A block of rows is then one gather per segment and
-    one str.join.
+    _sweep_segments).  A chunk is one box of the grid (see _sweep_boxes):
+    each segment's basic slice, broadcast to the box, stacked into one
+    array, and one str.join.
     """
     # Each row opens with the closing and separator of the row before; the
     # first row trims them, and a last chunk closes the last row.
     between = row_close + row_sep
     segments = _sweep_segments(cells, cell_sep, between + row_open)
-    total = math.prod(shape)
-    for start in range(0, total, _SWEEP_BLOCK_ROWS):
-        index = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK_ROWS, total)),
-                                 shape)
-        pieces = np.empty((index[0].size, len(segments)), dtype=object)
-        for j, s in enumerate(segments):
-            # clipping sends every index along a length-1 dimension to 0: a broadcast
-            pieces[:, j] = s.ravel()[np.ravel_multi_index(index, s.shape, mode="clip")]
-        if start == 0:
-            pieces[0, 0] = pieces[0, 0][len(between):]
-        yield "".join(pieces.ravel().tolist())
+    trim = len(between)
+    for lead, run in _sweep_boxes(shape):
+        free = len(lead)
+        box = (run.stop - run.start,) + shape[free + 1:]
+        views = []
+        for s in segments:
+            # an axis a segment does not depend on has length 1: take its only index
+            index = tuple(i if n > 1 else 0 for i, n in zip(lead, s.shape))
+            index += (run if s.shape[free] > 1 else slice(None),)
+            views.append(np.broadcast_to(s[index], box))
+        texts = np.stack(views, axis=-1).ravel().tolist()
+        texts[0] = texts[0][trim:]
+        trim = 0
+        yield "".join(texts)
     yield row_close
 
 
 def _sweep_csv(names: list, columns: list, shape: tuple):
-    """The CSV header and rows of a sweep, as text chunks of _SWEEP_BLOCK_ROWS rows.
+    """The CSV header and rows of a sweep, as text chunks of at most _SWEEP_BLOCK_ROWS rows.
 
     Each column is formatted once on the axes it depends on.
     """
@@ -664,7 +735,7 @@ def _sweep_csv(names: list, columns: list, shape: tuple):
 
 
 def _sweep_json_rows(columns: list, shape: tuple):
-    """The elements of a JSON sweep's rows array, as text chunks of _SWEEP_BLOCK_ROWS rows.
+    """The elements of a JSON sweep's rows array, as text chunks of at most _SWEEP_BLOCK_ROWS rows.
 
     Each column is spelled once on the axes it depends on, as json.dumps
     spells its values (numbers, true/false and null never hold ", ").  The

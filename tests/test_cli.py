@@ -8,6 +8,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -757,6 +758,34 @@ def test_sweep_json_is_the_json_dumps_rendering(capsys, monkeypatch, axes, block
     assert len(doc["result"]["rows"]) == math.prod(map(len, axes.values()))
 
 
+# grids of 1 to 5 axes with length-1 axes among them; the (2, block + 2) grid
+# of each test has a last axis alone longer than the block
+BOX_SHAPES = [(1,), (6,), (9, 1), (1, 1, 1), (1, 8), (2, 1, 3), (3, 4, 1, 2), (4, 3, 5),
+              (2, 1, 3, 1, 2), (1, 3, 2, 1, 4)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 4096])
+def test_sweep_rows_are_the_per_point_joins_in_boxes_of_at_most_a_block(monkeypatch,
+                                                                        block_rows):
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    for shape in BOX_SHAPES + [(2, block_rows + 2)]:
+        columns = []
+        for c in range(int(rng.integers(1, 7))):
+            depends = rng.random(len(shape)) < 0.6
+            axes = tuple(n if d else 1 for n, d in zip(shape, depends))
+            columns.append(np.array([f"c{c}.{i}" for i in range(math.prod(axes))],
+                                    dtype=object).reshape(axes))
+        chunks = list(cli._sweep_rows(iter(columns), shape, ",", "<", ">", "|"))
+        want = "|".join(
+            "<" + ",".join(col[tuple(i if n > 1 else 0 for i, n in zip(point, col.shape))]
+                           for col in columns) + ">"
+            for point in np.ndindex(*shape))
+        assert "".join(chunks) == want, shape
+        assert chunks[-1] == ">"
+        assert all(chunk.count("<") <= block_rows for chunk in chunks[:-1]), shape
+
+
 def test_sweep_json_refuses_a_cell_before_writing(capsys, monkeypatch):
     monkeypatch.setattr(schemes, "canonical_c_fidelity",
                         lambda eta, ntilde: np.where(ntilde > 0.5, np.nan, 0.5 + 0 * eta))
@@ -1054,7 +1083,10 @@ def _parse_outcome(capsys, parse, argv):
 def test_main_parses_as_the_full_parser_does(capsys, command):
     for argv in ([command, "-h"], [command, "--bogus"], [command, "--bogus", "1"],
                  [command, "extra"], [command, "--lam", "0.3"], [command, "--lam", "x"],
-                 [command, "--seed", "x"], [command, "--seed"], [command, "--lam"]):
+                 [command, "--seed", "x"], [command, "--seed"], [command, "--lam"],
+                 [command, "--eta=1"], [command, "--eta", "-1"], [command, "--eta", "-1e5"],
+                 [command, "--engine", "bogus"], [command, "--cutoff", "1.5"],
+                 [command, "--seed", ""], [command, "--n_copies", "2"], [command, "++seed", "1"]):
         full = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
         assert _parse_outcome(capsys, cli._parse, argv) == full, argv
         if not isinstance(full[0], dict):
@@ -1100,10 +1132,13 @@ def test_repeated_main_calls_reuse_parsers_and_give_the_same_bytes(capsys, tmp_p
         ["bound", "--config", str(config)],
         ["bound", "--config", str(config), "--eta", "2"],
     ]
+    cli._parser.cache_clear()
     rounds = [[run(capsys, *argv) for argv in sequence] for _ in range(3)]
     assert rounds[0] == rounds[1] == rounds[2]
     assert [code for code, _, _ in rounds[0]] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2, 0, 0]
-    assert cli._parser.cache_info().currsize == 6       # five subcommands and the full one
+    # clean lines build no parser: only bound's, sweep's and simulate's
+    # argparse lines and the full parser's --help, unknown command and empty argv
+    assert cli._parser.cache_info().currsize == 4
 
 
 def test_a_reused_parser_reads_the_terminal_width_when_it_prints(capsys, monkeypatch):
@@ -1122,6 +1157,68 @@ def test_importing_the_cli_builds_no_parser():
          "import cvbench.cli as cli; print(cli._parser.cache_info().currsize)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_a_clean_command_line_builds_no_parser():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "\n".join([
+        "import contextlib, io, cvbench.cli as cli",
+        "sizes = []",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['bound', '--eta', '1'], ['bound', '--eta', '1', '--lam', '0.2']):",
+        "        sizes.append((cli.main(argv), cli._parser.cache_info().currsize))",
+        "print(sizes)"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    # the abbreviated --lam goes to argparse, which builds bound's parser
+    assert proc.returncode == 0 and proc.stdout == "[(0, 0), (0, 1)]\n", proc.stderr
+
+
+def _namespace(args) -> dict:
+    """A namespace's attributes as comparable values: NaN is not equal to itself."""
+    return {key: (type(value), repr(value)) for key, value in vars(args).items()}
+
+
+def _clean_value(rng, kind) -> str:
+    """A value the table pass takes for a row of type `kind`, drawn from rng."""
+    if kind is int:
+        pool = ["0", "1", "7", "250", str(2 ** 63), "1_000", str(int(rng.integers(0, 10 ** 9)))]
+    elif kind is float:
+        pool = ["nan", "NaN", "inf", "Infinity", "1e308", "0", "3", "0.25", "5e-324",
+                repr(float(rng.uniform(0.0, 4.0)))]
+    elif isinstance(kind, tuple):
+        pool = list(kind)
+    else:
+        pool = ["", "x", "a b", "a=b", "0.5,1", "1,-2", "bound", "@cfg.json", "h",
+                '{"type":"pure_loss","T":0.5}', '{"eta": [0.5, 1]}']
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _clean_argvs(command: str, rng, count: int) -> list:
+    """Clean command lines of `command`: one giving every row, one for each
+    choice of every choice row, and `count` random ones with repeated flags."""
+    rows = [(flag, kind) for flag, kind, _, _ in cli._COMMON_FLAGS + cli._FLAGS[command]]
+    rows.append(("--config", str))
+    argvs = [[command] + [t for flag, kind in rows for t in (flag, _clean_value(rng, kind))]]
+    argvs += [[command, flag, choice] for flag, kind in rows if isinstance(kind, tuple)
+              for choice in kind]
+    for _ in range(count):
+        picks = rng.integers(len(rows), size=int(rng.integers(0, 2 * len(rows))))
+        argvs.append([command] + [t for i in picks
+                                  for t in (rows[i][0], _clean_value(rng, rows[i][1]))])
+    return argvs
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_the_table_pass_reads_clean_lines_as_argparse_does(command):
+    rng = np.random.default_rng(["bound", "simulate", "certify", "sweep",
+                                 "proofcheck"].index(command) + 30)
+    for argv in _clean_argvs(command, rng, 150):
+        args = cli._table_pass(command, argv[1:])
+        assert args is not None, argv
+        assert _namespace(cli._parse(argv)) == _namespace(args), argv
+        assert _namespace(args) == _namespace(cli.build_parser().parse_args(argv)), argv
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
@@ -1352,6 +1449,65 @@ def test_a_non_finite_config_value_is_a_usage_error_that_names_it(capsys, tmp_pa
                          '{"type":"pure_loss","T":0.5}', "--eta", "0.5", "--lambda", "0.2")
     assert code == 2 and out == ""
     assert "--se must be finite, got nan" in err
+
+
+# The CLI contract (ROADMAP item 12), a deterministic slice: every int and
+# float row of every subcommand's table at extreme values, on a small passing
+# command line.  Values starting with "-" reach the argparse pass, the others
+# the table pass.
+CONTRACT_VALUES = {int: ("-1", "0", "9223372036854775808", "1.5"),
+                   float: ("nan", "inf", "-1", "0", "1e308")}
+CONTRACT_CASES = [(command, flag, value) for command in cli._HANDLERS
+                  for flag, kind, _, _ in cli._COMMON_FLAGS + cli._FLAGS[command]
+                  if kind in CONTRACT_VALUES for value in CONTRACT_VALUES[kind]]
+
+
+@pytest.fixture(scope="module")
+def contract_argvs(tmp_path_factory):
+    csv = str(loss_csv(tmp_path_factory.mktemp("contract"), n=50))
+    return {"bound": ["bound", "--eta", "0.8", "--lambda", "0.2"],
+            "simulate": ["simulate", "--channel", '{"type":"pure_loss","T":0.5}', "--eta",
+                         "0.5", "--lambda", "0.3", "--engine", "both", "--cutoff", "24"],
+            "certify": ["certify", "--input", csv, "--lambda", "0.1", "--eta", "0.6",
+                        "--n-boot", "10"],
+            "sweep": ["sweep", "--eta", "0.5,1", "--lambda", "0,0.2"],
+            "proofcheck": ["proofcheck", "--trials", "2", "--cutoff", "6",
+                           "--two-copy-cutoff", "8"]}
+
+
+def test_every_contract_command_line_passes_as_given(capsys, contract_argvs):
+    for argv in contract_argvs.values():
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+@pytest.mark.parametrize("command, flag, value", CONTRACT_CASES,
+                         ids=[f"{c}{f}={v}" for c, f, v in CONTRACT_CASES])
+def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs, command,
+                                                          flag, value):
+    argv = contract_argvs[command] + [flag, value]
+    assert (cli._table_pass(command, argv[1:]) is None) == (value.startswith("-")
+                                                            or value == "1.5")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        wall = time.perf_counter() - start
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert 0 <= code <= 5
+    assert wall < 5.0 and peak < 64 << 20
+    assert "Traceback" not in err
+    if code != 0 and not err:
+        # a verdict: a failed check or certification, or engines that disagree
+        assert code in (cli.EXIT_FAIL, cli.EXIT_DISAGREE) and json.loads(out)
+    elif code != 0:
+        # one message line, after argparse's usage when argparse refused the value
+        lines = err.splitlines()
+        assert [line.startswith(f"cvbench {command}: ") for line in lines] == \
+            [False] * (len(lines) - 1) + [True], err
+        assert len(lines) == 1 or lines[0].startswith("usage: cvbench "), err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -22,6 +22,7 @@ import io
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,7 +77,13 @@ class ExperimentDataset:
     the probe weights explicitly (aligned with `probe_amplitudes`); the
     default weighting follows the prior of width `lam` restricted to the
     probe grid.  The records are grouped once, at construction, into one
-    sample array per (probe, axis); build a new dataset to change them.
+    sample array per (probe, axis), and the prior weights are computed then;
+    build a new dataset to change them.  A width or declared gain that takes
+    the statistic out of float range is refused: a prior weight
+    exp(-lam |alpha|^2) whose exponent overflows, or all of them underflowing
+    to 0; or squared deviations from the targets sqrt(eta) alpha whose own
+    squares, which the standard errors sum over every sample or resample,
+    overflow.
     """
 
     records: list
@@ -117,16 +124,39 @@ class ExperimentDataset:
         self._groups = [(a, {lab: chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
                              for lab, chunks in labs.items()})
                         for a, labs in table.items()]
+        if self.weights is None:
+            radii = np.abs(np.array(self.probe_amplitudes()))
+            top = float(radii.max())
+            if not top * top * self.lam < math.inf:
+                raise DatasetError(
+                    f"prior width lambda (--lambda) = {self.lam:g} overflows the exponent "
+                    f"lambda |alpha|^2 of the probe weight at |alpha| = {top:.6g}")
+            w = np.exp(-self.lam * radii ** 2)
+            if not w.sum() > 0:
+                raise DatasetError(
+                    f"prior width lambda (--lambda) = {self.lam:g} leaves every probe weight "
+                    f"exp(-lambda |alpha|^2) at 0: the nearest probe has |alpha| = "
+                    f"{float(radii.min()):.6g}")
+            self._prior_weights = w / w.sum()
+        if self.eta_declared is not None:
+            spread = max(float(np.abs(x).max()) for _, labs in self._groups for x in labs.values())
+            target = math.sqrt(2.0) * math.sqrt(self.eta_declared) * max(
+                max(abs(a.real), abs(a.imag)) for a in table)
+            # the standard errors sum squared squared deviations over every
+            # sample, or over up to _MAX_BOOT resamples
+            limit = (sys.float_info.max / (self.sample_count() + _MAX_BOOT)) ** 0.25
+            if not spread + target <= limit:
+                raise DatasetError(
+                    f"declared gain eta (--eta) = {self.eta_declared:g} takes the statistic out "
+                    f"of float range: with samples up to {spread:.3g} and targets sqrt(eta) "
+                    f"alpha up to {target:.3g}, a deviation can pass {limit:.3g}, beyond which "
+                    f"the standard error's sum of squared squared deviations overflows")
 
     def probe_amplitudes(self) -> list:
         return [a for a, _ in self._groups]
 
     def probe_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        alphas = np.array(self.probe_amplitudes())
-        w = np.exp(-self.lam * np.abs(alphas) ** 2)
-        return w / w.sum()
+        return self.weights if self.weights is not None else self._prior_weights
 
     def grouped(self) -> list:
         """[(alpha, {label: samples})] in first-appearance order, as grouped at construction."""

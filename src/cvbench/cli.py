@@ -90,10 +90,10 @@ _FLAGS = {
         ("--engine", ("gaussian", "fock", "both"), "gaussian", "which engine averages"),
         ("--cutoff", int, None,
          f"truncation for the fock engine, 1..{fock._MAX_AUTO_CUTOFF}; the prior "
-         "average uses one node per level (default: the smallest cutoff whose "
-         "truncated prior weights are at most 1e-10)"),
+         "average is exact on the truncated space (default: the smallest cutoff "
+         "whose truncated prior weights are at most 1e-10)"),
         ("--quad", str, None,
-         "ignored, with a warning: the fock engine's prior rule follows from the cutoff"),
+         "ignored, with a warning: the fock engine averages over the prior in closed form"),
         ("--tolerance", float, 1e-3,
          "allowed |gaussian - fock| gap of --engine both, beyond the fock error estimate"),
     ),
@@ -449,8 +449,8 @@ def _cmd_simulate(eff: dict):
     gauss = schemes.to_gaussian(channel)
     warnings = []
     if eff["quad"] is not None:
-        warnings.append("--quad is ignored: the fock engine evaluates one "
-                        "prior node per level of the cutoff")
+        warnings.append("--quad is ignored: the fock engine averages over the "
+                        "prior in closed form, with no rule")
 
     eta = eff["eta"]
     if eta is None:
@@ -556,6 +556,9 @@ def _cmd_certify(eff: dict):
                 sha.update(block)
         digest = sha.hexdigest()
 
+    if eff["fbar"] is not None and eff["input"]:
+        warnings.append("--fbar is ignored: it is an average-fidelity estimate, "
+                        "which this route does not read")
     if eff["se"] != 0.0 and (eff["input"] or eff["fbar"] is None):
         warnings.append("--se is ignored: it is the standard error of --fbar, "
                         "which this route does not read")

@@ -4,12 +4,11 @@ Everything here works on a hard photon-number truncation `cutoff` (dimension
 of the vectors and matrices).  Truncation losses are never papered over:
 state constructors report their truncated weight, channel maps leave the
 output trace deficit observable rather than renormalizing, and the prior
-average evaluates the truncated problem exactly (one Gauss-Laguerre node per
-level) and bounds the truncation itself in closed form.  The prior average
-takes a phase-covariant map as an `OffsetMap`, its kernels per photon-number
-offset, and contracts a block of offsets' kernels at a time against the kets
-of every node at once; a map that is one `KrausFamily` it contracts as line
-sums of the family's table instead.  It never forms an operator.
+average evaluates the truncated problem exactly, with no quadrature rule,
+and bounds the truncation itself in closed form.  The prior average takes a
+phase-covariant map as an `OffsetMap`, its kernels per photon-number
+offset, and contracts a block of offsets' kernels at a time against the
+prior's own kernels, which have a closed form.  It never forms an operator.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .bounds import _check_prior
-from .ensembles import laguerre_rule
 from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
 
 _SQRT2 = math.sqrt(2.0)
@@ -33,14 +31,13 @@ _MIXTURE_POINTS = 20  # Gauss-Hermite points of a displacement-noise mixture
 _MIXTURE_NODES, _MIXTURE_WEIGHTS = hermgauss(_MIXTURE_POINTS)
 _MIXTURE_WEIGHTS /= math.sqrt(math.pi)  # a probability rule for N(0, 1/2)
 _CUTOFF_WEIGHT_TOL = 1e-10  # truncated prior weight select_cutoff aims for
-# The widest cutoff average_fidelity_fock (and `cvbench simulate`) accepts:
-# numpy's laggauss returns NaN weights from 187 nodes on.
+# The widest cutoff average_fidelity_fock (and `cvbench simulate`) accepts, a
+# bound on the time and memory of one call: a displacement mixture at 180
+# holds a stack of 20 unitaries of 180 x 180 entries, and a chain's kernels
+# take about N^3 / 3 entries in all.
 _MAX_AUTO_CUTOFF = 180
 # Float64 entries of one block of offset kernels that average_fidelity_fock
-# contracts at once: from kernel width 65 up a block is one offset.  The
-# block's (offsets, width, nodes) ket stacks also stay below twice that
-# (128 KiB): larger temporaries, made afresh for every block, came from fresh
-# pages and cost more in page faults than the block saved.
+# contracts at once: from kernel width 65 up a block is one offset.
 _KERNEL_BLOCK = 1 << 13
 
 
@@ -324,8 +321,8 @@ class OffsetMap:
     applies the factors one after another.  `real_kernel_blocks` gives the
     real part of the whole chain's kernels, Re(A_d^(k) ... A_d^(1)), for a
     block of consecutive offsets at once, which is what
-    `average_fidelity_fock` contracts unless the map is one `KrausFamily`
-    alone; `real_kernels` is the same builder one offset at a time.
+    `average_fidelity_fock` contracts; `real_kernels` is the same builder one
+    offset at a time.
     """
 
     def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
@@ -387,7 +384,8 @@ def _shifted(m: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
     zero past m's edge, for rows and cols 0 or 1.
 
     One offset is m itself; more read one zero-padded copy through a strided
-    view, made by the `np.ndarray` constructor (see `_diagonal_line_sums`).
+    view, made by the `np.ndarray` constructor: called cold, `as_strided`
+    took five times as long.
     """
     if count == 1:
         return m[None]
@@ -431,10 +429,10 @@ def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
     return np.exp(np.where(lost >= 0, log_t, -np.inf))
 
 
-def _loss_blocks(cutoff: int, transmissivity: float) -> Callable[[int, int], np.ndarray]:
-    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of pure loss (`_loss_table`), a block
+def _table_blocks(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of an (N, N) table t, a block
     of offsets d0 ... d0+count-1 at a time (`_shifted` zero-pads the shifted table)."""
-    t = _loss_table(cutoff, transmissivity)
+    cutoff = t.shape[0]
 
     def block(d0, count):
         width = cutoff - d0
@@ -505,33 +503,6 @@ def heterodyne_images(cutoff: int, gain: float,
     return images
 
 
-def _diagonal_line_sums(x: np.ndarray, left: np.ndarray, right: np.ndarray,
-                        first: int) -> np.ndarray:
-    """sum_e sigma_e^2 over e = first ... N-1 per column b, where
-    sigma_e = sum_i left[i, b] x[i, i+e] right[i+e, b] runs along x's e-th diagonal.
-
-    `right` is read through a strided (lines, N, nodes) view of one zero-padded
-    copy and the sums are one einsum, so the working memory is O(N) per node;
-    no N x N array is formed per node.  The two read-only views come from the
-    `np.ndarray` constructor: called cold, `as_strided` took five times as long.
-    """
-    n, nodes = left.shape
-    lines = n - first
-    # zero-padded copies pad[k] = right[k + first] and padded[i, k] = x[i, k + first]
-    # make shifted[e, i] = right[i + e] and diagonals[e, i] = x[i, i + e] views
-    pad = np.zeros((lines + n - 1, nodes))
-    pad[-first:n - first] = right
-    padded = np.zeros((n, lines + n - 1))
-    padded[:, -first:n - first] = x
-    shifted = np.ndarray((lines, n, nodes), float, pad,
-                         strides=(pad.strides[0], *pad.strides))
-    diagonals = np.ndarray((lines, n), float, padded,
-                           strides=(padded.strides[1], sum(padded.strides)))
-    shifted.flags.writeable = diagonals.flags.writeable = False
-    sigma = np.einsum("ei,ib,eib->eb", diagonals, left, shifted)
-    return np.einsum("eb,eb->b", sigma, sigma)
-
-
 @dataclass(frozen=True)
 class KrausFamily:
     """A map that is one family of photon-number-shift Kraus operators, as an `OffsetMap` factor.
@@ -541,10 +512,9 @@ class KrausFamily:
     ("heterodyne") are each one such family, all of whose matrix elements
     come from one table: `_loss_table` (at 1/G for the amplifier) or
     `_heterodyne_table`.  Called with a cutoff, a family gives its offset
-    kernels, as every factor does; `fidelities` reads the same table as line
-    sums, which `average_fidelity_fock` contracts for a map that is exactly
-    one family.  The family is the one check of its parameter: T in (0, 1],
-    G >= 1 or g >= 0, finite; T = 1 and G = 1 are the identity.
+    kernels, as every factor does, and `kernel_blocks` gives a block of them
+    from the table at once.  The family is the one check of its parameter:
+    T in (0, 1], G >= 1 or g >= 0, finite; T = 1 and G = 1 are the identity.
     """
 
     kind: str
@@ -573,38 +543,16 @@ class KrausFamily:
 
         Each stack is one multiply of two strided views of the table: loss
         t[i+d, m+d] t[i, m]; the amplifier of gain G as loss at 1/G,
-        transposed, over G (its dual); heterodyne c[l, n+d] c[l+d, n].
+        transposed, over G (its dual), read from a transposed copy of the
+        table so that its stacks are C-contiguous; heterodyne c[l, n+d] c[l+d, n].
         """
         p = self.parameter
         if self.kind == "heterodyne":
             return _heterodyne_blocks(cutoff, p, math.log1p(p * p))
         if self.kind == "loss":
-            return _loss_blocks(cutoff, p)
-        loss = _loss_blocks(cutoff, 1.0 / p)
-        return lambda d0, count: loss(d0, count).swapaxes(1, 2) / p
-
-    def fidelities(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """<psi| Phi(|phi><phi|) |psi> = sum_k <psi|K_k|phi>^2 for each column of real kets.
-
-        The matrix elements of each Kraus operator K_k lie on one line of
-        the table, so <psi|K_k|phi> is a line sum sigma:
-
-          loss, table t:       sigma_e = sum_i psi_i t[i, i+e] phi_(i+e), e >= 0;
-          amplifier, table t   sigma_e = sum_i phi_i t[i, i+e] psi_(i+e) / sqrt(G)
-          at 1/G (the dual):   (K_e = A_e^T / sqrt(G));
-          heterodyne, table c: sigma_s = sum_l psi_l c[l, s-l] phi_(s-l), along the
-                               anti-diagonals of c, which are diagonals of c reversed.
-
-        The heterodyne operators K_s = sum_l c[l, s-l] |l><s-l| are Kraus
-        operators of rho -> Phi(rho^T), which is Phi on a real projector.
-        """
-        n, p = phi.shape[0], self.parameter
-        if self.kind == "loss":
-            return _diagonal_line_sums(_loss_table(n, p), psi, phi, 0)
-        if self.kind == "amp":
-            return _diagonal_line_sums(_loss_table(n, 1.0 / p), phi, psi, 0) / p
-        c = _heterodyne_table(n, p, math.log1p(p * p))
-        return _diagonal_line_sums(c[::-1], psi[::-1], phi, 1 - n)
+            return _table_blocks(_loss_table(cutoff, p))
+        dual = _table_blocks(np.ascontiguousarray(_loss_table(cutoff, 1.0 / p).T))
+        return lambda d0, count: dual(d0, count) / p
 
 
 def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
@@ -882,18 +830,39 @@ def truncated_prior_weights(eta: float, lam: float, cutoff: int):
     return (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
 
 
-def prior_rule(eta: float, lam: float, cutoff: int):
-    """Radii and prior weights of the N-node rule that is exact on the truncated space.
+def _prior_kernels(eta: float, lam: float, cutoff: int):
+    """(P, h, Q) with W_d[i, j] = P[d, i] h[i + j + d] Q[d, j]: the prior's kernels.
 
-    After the phase average, <sqrt(eta) r|Phi_N(|r><r|)|sqrt(eta) r> of a map
-    truncated to N levels is exp(-(1 + eta) r^2) times a polynomial of degree
-    at most 2N - 2 in r^2.  N Gauss-Laguerre nodes of the width
-    lam + 1 + eta integrate it exactly; the weights carry the prior of width
-    lam (as (lam / width) w exp((1 + eta) r^2), in log space).
+    W_d[i, j] is the prior average of u_d[i] v_d[j] (`average_fidelity_fock`).
+    With t = r^2 of density lam exp(-lam t) and s = lam + 1 + eta, the integral
+    of t^k exp(-s t) is k! / s^(k+1), so
+
+      W_d[i, j] = lam eta^(i+d/2) (i+j+d)! / (s^(i+j+d+1) sqrt(i! (i+d)! j! (j+d)!)):
+
+    the Hankel array h[k] = k! / 2^(m k) between P[d, i] = p[i] p[i+d] and
+    Q[d, j] = q[j] q[j+d], where p[i] = sqrt(lam / s) (2^m eta / s)^(i/2) / sqrt(i!)
+    and q[j] = (2^m / s)^(j/2) / sqrt(j!).  All three are running products.
+    The power of two 2^m, near 3N / e, keeps them in float range up to k = 3N
+    and scales exactly, so the only constant that compounds over k is 2^m / s,
+    rounded once: a log-space form, whose exponents of size k each round,
+    was up to 9e-16 off a 40-digit contraction at N = 40, these products
+    2e-16.  P and Q are (N, N) and h holds 3N entries, so a strided view
+    reads the Hankel block of any offsets.  Past N - d, row d of P and Q
+    holds finite values of the same formula, which meet the zeros that pad
+    a block of kernels.
     """
     width = lam + 1.0 + eta
-    t, w = laguerre_rule(cutoff)
-    return np.sqrt(t / width), lam / width * np.exp(np.log(w) + (1.0 + eta) / width * t)
+    scale = 2.0 ** round(math.log2(3 * cutoff / math.e))
+    h = np.arange(3 * cutoff) / scale
+    h[0] = 1.0
+    np.cumprod(h, out=h)
+    ratios = (scale / width) / np.arange(1, 2 * cutoff)
+    p = np.cumprod(np.sqrt(np.concatenate(([lam / width], eta * ratios))))
+    q = np.cumprod(np.sqrt(np.concatenate(([1.0], ratios))))
+    # row d holds x[i + d], a strided view, times x[i]
+    pairs = [np.ndarray((cutoff, cutoff), float, x, strides=(x.itemsize, x.itemsize))
+             * x[:cutoff] for x in (p, q)]
+    return pairs[0], h, pairs[1]
 
 
 class FockAverage(NamedTuple):
@@ -906,50 +875,33 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
                           max_error: float | None = None) -> FockAverage:
     """Prior-averaged task fidelity of a phase-covariant Fock-space map.
 
-    For the N = cutoff radii r of `prior_rule` it averages
-    <sqrt(eta) r| Phi(|r><r|) |sqrt(eta) r> with the rule's weights.  For a
-    phase-covariant map Phi (or the phase average of a channel's map, as
-    `schemes.phase_averaged_applier` builds) this is the truncated problem's
-    exact value: one real amplitude per radius carries the whole phase
-    average.  Phi must be an `OffsetMap`; any other callable is refused.
-    No operator is formed, and the kets phi (at r) and psi (at sqrt(eta) r)
-    are real.  One of two contractions gives each node's fidelity:
+    It averages <sqrt(eta) r| Phi(|r><r|) |sqrt(eta) r> over the prior of
+    width lam on the truncated space, exactly up to rounding and with no
+    quadrature rule.  For a phase-covariant map Phi (or the phase average of
+    a channel's map, as `schemes.phase_averaged_applier` builds) that is the
+    prior average of the task fidelity: one real amplitude per radius
+    carries the whole phase average.  Phi must be an `OffsetMap`; any other
+    callable is refused.  No operator is formed.  For the real kets phi at r
+    and psi at sqrt(eta) r, the map's composed kernels A_d give
 
-    * a map that is exactly one `KrausFamily` (pure loss, the
-      quantum-limited amplifier or heterodyne measure-and-prepare, alone)
-      takes its line sums, F = sum_k <psi|K_k|phi>^2 over the family's
-      Kraus operators K_k, O(N^2) per node (`KrausFamily.fidelities`);
-    * every other map (a chain of factors, a displacement mixture, a
-      kernel factor of any other kind) takes the offset loop over the
-      composed kernels A_d of the map, O(N^3) per node:
+      F(r) = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
+                                             u_d = psi[d:] * psi[:N-d],
 
-        F = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
-                                            u_d = psi[d:] * psi[:N-d],
+    with c_0 = 1 and c_d = 2 for d >= 1.  Only Re A_d enters: the kets are
+    real, and the entries above the diagonal map through conj(A_d), so they
+    add the complex conjugate of the entries below it.  The prior average of
+    u_d v_d^T is W_d, in closed form (`_prior_kernels`), so the average is
+    one contraction, F = sum_d c_d <Re A_d, W_d>.
 
-      with c_0 = 1 and c_d = 2 for d >= 1.  Only Re A_d enters: the kets
-      are real, and the entries above the diagonal map through conj(A_d),
-      so they add the complex conjugate of the entries below it, and the
-      imaginary parts cancel.  So the loop reads
-      `OffsetMap.real_kernel_blocks`, which a displacement mixture builds
-      in real arithmetic.  Every node is done at once, a block of offsets
-      d0 ... d0+c-1 at a time: the chain's zero-padded (c, N-d0, N-d0)
-      kernel stack against zero-padded (c, N-d0, N) stacks of u_d and v_d,
-      in one batched product and one einsum.  A block holds at most
-      _KERNEL_BLOCK kernel entries and fewer than twice that in each ket
-      stack, so from kernel width 65 up it is one offset, unpadded, and the
-      widest cutoffs keep one kernel in memory.
-
-    For a family both are the same finite sum of products of table entries
-    and ket amplitudes, grouped by offset or by Kraus operator (expanding
-    sum_k <psi|K_k|phi>^2 pairs the amplitudes of K_k whose levels differ
-    by d, which is u_d . A_d v_d), so both give the truncated problem's
-    exact value and differ by rounding only.  A node's
-    fidelity outside [0, 1] beyond 1e-10 is an error; the weighted
-    fidelities are summed node by node in rule order, and the sum is
-    clipped into [0, 1]: near the cap the rule's weights sum to 1 + 9e-13,
-    well inside the error estimate, and a rule built in log space would
-    remove that excess at its source.  The default cutoff comes from
-    `select_cutoff`; no cutoff above 180 is accepted.
+    It reads `OffsetMap.real_kernel_blocks`, which a displacement mixture
+    builds in real arithmetic, a block of offsets d0 ... d0+c-1 at a time:
+    the chain's zero-padded (c, N-d0, N-d0) kernel stack times the Hankel
+    view of W's block, then one batched matrix-vector product and one dot
+    product with W's two diagonal factors; the blocks' sums are added
+    exactly.  A block holds at most _KERNEL_BLOCK kernel entries, so the
+    widest cutoffs keep one kernel in memory.  A total outside [0, 1] beyond
+    1e-10 is an error; the total is clipped into [0, 1].  The default cutoff
+    comes from `select_cutoff`; no cutoff above 180 is accepted.
 
     The error estimate bounds the truncation.  With the truncated prior
     weights tau_in and tau_out (`truncated_prior_weights`) it is
@@ -957,9 +909,9 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     on cutting each input and target ket averaged over the prior with
     Jensen's inequality, which holds for maps whose output entries below the
     cutoff are exact.  A roundoff floor of cutoff^2 times the machine epsilon
-    is added: the log-space kernel tables and the kets' running products
-    lose a relative 1e-13 or so at the widest cutoffs.  Raises
-    ConvergenceError when `max_error` is given and exceeded.
+    is added: the log-space kernel tables lose a relative 1e-13 or so at the
+    widest cutoffs.  Raises ConvergenceError when `max_error` is given and
+    exceeded.
     """
     if not isinstance(offset_map, OffsetMap):
         raise InvalidInput(
@@ -972,32 +924,22 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     elif not 1 <= cutoff <= _MAX_AUTO_CUTOFF:
         raise InvalidInput(f"cutoff must be between 1 and {_MAX_AUTO_CUTOFF}, got {cutoff}")
 
-    radii, weights = prior_rule(eta, lam, cutoff)
-    # one ket per column: level n in row n, so offset d pairs rows d: and :N-d
-    phi = coherent_amplitudes(radii, cutoff).real
-    psi = coherent_amplitudes(math.sqrt(eta) * radii, cutoff).real
-    family = offset_map.factors[0] if len(offset_map.factors) == 1 else None
-    if isinstance(family, KrausFamily):
-        fids = family.fidelities(phi, psi)
-    else:
-        blocks = offset_map.real_kernel_blocks(cutoff)
-        fids = np.zeros(cutoff)
-        d0 = 0
-        while d0 < cutoff:
-            width = cutoff - d0
-            count = min(width, max(1, min(_KERNEL_BLOCK // (width * width),
-                                          (2 * _KERNEL_BLOCK - 1) // (width * cutoff))))
-            v = _shifted(phi[d0:], count, 1, 0) * phi[:width]
-            u = _shifted(psi[d0:], count, 1, 0) * psi[:width]
-            if d0 == 0:
-                u[0] *= 0.5   # c_0 = 1 and c_d = 2: the sum is doubled below
-            fids += np.einsum("kib,kib->b", u, blocks(d0, count) @ v)
-            d0 += count
-        fids *= 2.0
-    total = 0.0
-    for wf in weights * _clipped_fidelities(fids):
-        total += wf  # one running sum in node order
-    total = min(max(total, 0.0), 1.0)
+    left, hankel, right = _prior_kernels(eta, lam, cutoff)
+    left[0] *= 0.5    # c_0 = 1 and c_d = 2: the sum is doubled below, exactly
+    blocks = offset_map.real_kernel_blocks(cutoff)
+    step = hankel.itemsize
+    sums = []
+    d0 = 0
+    while d0 < cutoff:
+        width = cutoff - d0
+        count = min(width, max(1, _KERNEL_BLOCK // (width * width)))
+        # w[k, i, j] = h[i + j + d0 + k]: the Hankel block of W_d0 ... W_(d0+count-1)
+        w = np.ndarray((count, width, width), float, hankel, offset=d0 * step,
+                       strides=(step, step, step))
+        rows = (blocks(d0, count) * w) @ right[d0:d0 + count, :width, None]
+        sums.append(np.vdot(left[d0:d0 + count, :width], rows))
+        d0 += count
+    total = float(_clipped_fidelities(np.array(2.0 * math.fsum(sums))))
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * sys.float_info.epsilon
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff

@@ -41,7 +41,8 @@ _TWO_COPY_REL_TOL = 1e-3    # the two-copy check's relative difference
 # NaN from cutoff 92 on, and the score check's operator stack.  The dense
 # two-copy operator grows with the fourth power of its cutoff.  The two-copy
 # check's one score operator keeps at most _MAX_SCORE_LEVELS output levels,
-# the widest truncation the Fock engine accepts.
+# the widest truncation the Fock engine accepts: a bound on time and memory,
+# not on any quadrature rule.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
 _MAX_SCORE_LEVELS = fock._MAX_AUTO_CUTOFF

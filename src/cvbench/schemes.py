@@ -447,9 +447,9 @@ def _realization(model: ChannelModel | GaussianChannel,
     """The factors of a model's Fock realization, in order, which both views read.
 
     Each factor is an offset-kernel factor (see `fock.OffsetMap`).  Heterodyne
-    measure-and-prepare gives its outcome-integral `fock.KrausFamily`, so that
-    the Fock engine can contract it alone as line sums, and a composition of
-    isotropic parts chains its parts' factors.  Every other model, and a raw
+    measure-and-prepare gives its outcome-integral `fock.KrausFamily`, whose
+    kernels come from its table a block of offsets at a time, and a
+    composition of isotropic parts chains its parts' factors.  Every other model, and a raw
     GaussianChannel, gives loss T then the quantum-limited amplifier G of its
     normal form (`_loss_amp_realization`), each left out at 1, and then, for
     an anisotropic remainder or a mean beta, one `fock.DisplacementMixture`:
@@ -503,8 +503,7 @@ def phase_averaged_applier(model: ChannelModel | GaussianChannel,
     one real amplitude per radius gives the channel's full phase average.
     The result is a `fock.OffsetMap` of the factors of `fock_applier`
     (`_realization`): callable on a FockOperator, and giving its composed
-    kernels per offset.  The Kraus factors are their own phase average (a
-    lone `fock.KrausFamily` stays one, for the engine's line sums); a
+    kernels per offset.  The Kraus factors are their own phase average; a
     `fock.DisplacementMixture` gives the offset kernels of its phase average,
     A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]), to the operator view,
     and their real part alone to the engine: the engine's kets are real, so

@@ -1264,6 +1264,49 @@ def test_certify_warns_that_se_is_ignored_off_the_fbar_route(capsys, tmp_path):
     assert not any("--se" in w for w in doc["warnings"])
 
 
+def test_certify_warns_that_fbar_is_ignored_on_the_data_routes(capsys, tmp_path):
+    dataset = ("--input", str(loss_csv(tmp_path, n=200)), "--lambda", "0.1",
+               "--eta", "0.6", "--n-boot", "0")
+    for method in ("variance", "fidelity"):
+        _, plain, _ = run_json(capsys, "certify", *dataset, "--method", method)
+        code, with_fbar, _ = run_json(capsys, "certify", *dataset, "--method", method,
+                                      "--fbar", "-1")
+        assert code in (0, 1) and with_fbar["config"]["fbar"] == -1
+        assert with_fbar["result"] == plain["result"]
+        added = [w for w in with_fbar["warnings"] if w not in plain["warnings"]]
+        assert added == ["--fbar is ignored: it is an average-fidelity estimate, "
+                         "which this route does not read"]
+    _, doc, _ = run_json(capsys, "certify", "--fbar", "0.9", "--eta", "1",
+                         "--lambda", "0.05")
+    assert not any("--fbar" in w for w in doc["warnings"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "1e308", "declared gain eta (--eta) = 1e+308 takes the statistic out of float range"),
+    ("--eta", "1e160", "declared gain eta (--eta) = 1e+160 takes the statistic out of float range"),
+    ("--lambda", "1e308", "prior width lambda (--lambda) = 1e+308 overflows the exponent"),
+    ("--lambda", "1000", "prior width lambda (--lambda) = 1000 leaves every probe weight"),
+])
+def test_certify_refuses_a_gain_or_width_that_breaks_the_arithmetic(capsys, tmp_path, flag,
+                                                                    value, message):
+    # squared deviations whose own squares overflow, or probe weights that all
+    # underflow, would make the standard error NaN or infinite
+    argv = {"--input": str(loss_csv(tmp_path, n=50)), "--lambda": "0.1", "--eta": "0.6",
+            "--n-boot": "10", flag: value}
+    code, out, err = run(capsys, "certify", *[x for item in argv.items() for x in item])
+    assert code == 4 and out == ""
+    assert err.startswith(f"cvbench certify: dataset error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_certify_accepts_a_wide_gain_whose_arithmetic_fits(capsys, tmp_path):
+    code, doc, _ = run_json(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
+                            "--lambda", "0.1", "--eta", "1e150", "--n-boot", "10")
+    assert code == 1 and doc["result"]["verdict"] == "NOT_CERTIFIED"
+    assert math.isfinite(doc["result"]["se"])
+
+
 def test_proofcheck_huge_cutoff_is_refused_at_once():
     # A cutoff of 2000 would ask for hundreds of GiB of coherent kets.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1480,6 +1523,7 @@ def test_every_contract_command_line_passes_as_given(capsys, contract_argvs):
         assert run(capsys, *argv)[0] == 0, argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, flag, value", CONTRACT_CASES,
                          ids=[f"{c}{f}={v}" for c, f, v in CONTRACT_CASES])
 def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs, command,

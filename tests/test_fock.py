@@ -224,12 +224,9 @@ def test_identity_shortcuts():
     rho = fock.coherent_ket(0.5, 25).projector()
     assert np.array_equal(fock.apply_loss(rho, 1.0).matrix, rho.matrix)
     assert np.array_equal(fock.apply_amp(rho, 1.0).matrix, rho.matrix)
-    kets = fock.coherent_amplitudes([0.3, 0.8], 25).real
-    overlaps = np.sum(kets * kets, axis=0)
     for kind in ("loss", "amp"):
         family = fock.KrausFamily(kind, 1.0)
         assert np.array_equal(fock.OffsetMap(family)(rho).matrix, rho.matrix)
-        assert family.fidelities(kets, kets) == pytest.approx(overlaps * overlaps, rel=1e-15)
 
 
 def test_mixture_of_displacements_adds_single_axis_noise():
@@ -608,6 +605,29 @@ def test_average_fidelity_reports_honest_error_when_truncated():
     # Tiny cutoff: the value cannot be trusted and the error term must say so.
     avg = fock.average_fidelity_fock(fock.OffsetMap(), 1.0, 0.2, cutoff=6)
     assert avg.error > 1e-3
+
+
+@pytest.mark.parametrize("eta, lam", [(0.9, 0.3), (1.3, 0.7), (3.0, 0.05)])
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40, 180])
+def test_prior_kernels_match_the_recurrence_and_the_rule(cutoff, eta, lam,
+                                                         recurrence_kernels, prior_rule):
+    # W_d[i, j] = P[d, i] h[i + j + d] Q[d, j] against W_d by the offset
+    # recurrence, and up to cutoff 40 against the N-node rule's weighted sum of
+    # u_d v_d^T, which is exact on the truncated space up to its own rounding
+    left, hankel, right = fock._prior_kernels(eta, lam, cutoff)
+    radii, weights = prior_rule(eta, lam, cutoff)
+    phi = fock.coherent_amplitudes(radii, cutoff).real
+    psi = fock.coherent_amplitudes(math.sqrt(eta) * radii, cutoff).real
+    top = lam / (lam + 1.0 + eta)     # W_0[0, 0], the largest entry
+    for d, want in enumerate(recurrence_kernels(eta, lam, cutoff)):
+        n = cutoff - d
+        levels = np.arange(n)
+        got = left[d, :n, None] * hankel[d + np.add.outer(levels, levels)] * right[d, None, :n]
+        assert np.abs(got - want).max() <= 1e-15 * top
+        assert np.allclose(got, want, rtol=5e-14, atol=0.0)
+        if cutoff <= 40:
+            rule = (psi[d:] * psi[:n] * weights) @ (phi[d:] * phi[:n]).T
+            assert np.abs(got - rule).max() <= 1e-14
 
 
 def test_average_fidelity_refuses_a_node_fidelity_above_one():

@@ -53,7 +53,7 @@ def _check_task(eta, lam, n_copies=1):
     if isinstance(n_copies, bool) or not (
             isinstance(n_copies, int) or np.asarray(n_copies).dtype.kind in "iu"):
         raise InvalidInput(f"copy count must be an integer, got {n_copies!r}")
-    _require(n_copies >= 1, n_copies, "copy count must be >= 1")
+    _require(n_copies >= 1, n_copies, "copy count n_copies (--n-copies) must be >= 1")
     # The closed forms divide by n + lam + eta.  Python floats overflow to inf
     # without a warning; only numpy values need it silenced.
     try:

@@ -98,7 +98,7 @@ class ExperimentDataset:
         if self.eta_declared is not None and not (self.eta_declared > 0
                                                   and math.isfinite(self.eta_declared)):
             raise DatasetError(
-                f"declared gain must be positive and finite, got {self.eta_declared}")
+                f"declared gain eta (--eta) must be positive and finite, got {self.eta_declared}")
         self.records = list(self.records)
         if not self.records:
             raise DatasetError("dataset has no records")
@@ -199,9 +199,11 @@ def delta_bar(ds: ExperimentDataset, eta: float):
 def check_boot_count(n_boot: int) -> None:
     """Refuse a bootstrap resample count outside 2.._MAX_BOOT."""
     if n_boot < 2:
-        raise InvalidInput(f"bootstrap needs at least 2 resamples, got {n_boot}")
+        raise InvalidInput(f"bootstrap count n_boot (--n-boot) needs at least 2 resamples, "
+                           f"got {n_boot}")
     if n_boot > _MAX_BOOT:
-        raise InvalidInput(f"bootstrap takes at most {_MAX_BOOT} resamples, got {n_boot}")
+        raise InvalidInput(f"bootstrap count n_boot (--n-boot) takes at most {_MAX_BOOT} "
+                           f"resamples, got {n_boot}")
 
 
 def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,

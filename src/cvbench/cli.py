@@ -493,7 +493,7 @@ def _cmd_simulate(eff: dict):
             warnings.append("matched channel: the average is prior-independent, "
                             f"so the truncated engine ran at lambda = {lam_fock}")
         try:
-            avg = fock.average_fidelity_fock(schemes.phase_averaged_applier(channel, gauss),
+            avg = fock.average_fidelity_fock(schemes.fock_applier(channel, gauss),
                                              eta, lam_fock, cutoff=cutoff, max_error=0.5)
         except (ConvergenceError, CutoffTooSmall) as exc:
             if matched or lam != 0.0:
@@ -561,6 +561,9 @@ def _cmd_certify(eff: dict):
                         "which this route does not read")
     if eff["se"] != 0.0 and (eff["input"] or eff["fbar"] is None):
         warnings.append("--se is ignored: it is the standard error of --fbar, "
+                        "which this route does not read")
+    if eff["channel"] is not None and (eff["input"] or eff["fbar"] is not None):
+        warnings.append("--channel is ignored: it is a channel model to certify, "
                         "which this route does not read")
     if method == "variance":
         ds = _certify_dataset(eff, warnings)

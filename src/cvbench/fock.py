@@ -5,10 +5,12 @@ of the vectors and matrices).  Truncation losses are never papered over:
 state constructors report their truncated weight, channel maps leave the
 output trace deficit observable rather than renormalizing, and the prior
 average evaluates the truncated problem exactly, with no quadrature rule,
-and bounds the truncation itself in closed form.  The prior average takes a
-phase-covariant map as an `OffsetMap`, its kernels per photon-number
-offset, and contracts a block of offsets' kernels at a time against the
-prior's own kernels, which have a closed form.  It never forms an operator.
+and bounds the truncation itself in closed form.  A channel's map is an
+`OffsetMap`, a chain of factors with two methods each: `apply`, the
+factor's map on operators, and `kernel_blocks`, the real kernels of its
+phase average per photon-number offset.  The prior average contracts a
+block of offsets' kernels at a time against the prior's own kernels, which
+have a closed form.  It never forms an operator.
 """
 
 from __future__ import annotations
@@ -313,69 +315,52 @@ def apply_offset_kernels(matrix: np.ndarray,
 
 
 class OffsetMap:
-    """A phase-covariant map given by its offset kernels (see `apply_offset_kernels`).
+    """A channel's Fock map as a chain of factors, applied in order.
 
-    `factors` are applied in order; each takes a cutoff N and returns the
-    function d -> A_d of its (N-d) x (N-d) kernels.  No factors is the
-    identity.  Calling the map on a FockOperator (one operator or a stack)
-    applies the factors one after another.  `real_kernel_blocks` gives the
-    real part of the whole chain's kernels, Re(A_d^(k) ... A_d^(1)), for a
-    block of consecutive offsets at once, which is what
-    `average_fidelity_fock` contracts; `real_kernels` is the same builder one
-    offset at a time.
+    Every factor has two methods: `apply(matrix)`, its own map on one
+    operator or a (B, N, N) stack, and `kernel_blocks(cutoff)`, the real
+    offset kernels (see `apply_offset_kernels`) of its phase average, a
+    block of offsets at a time.  Calling the map on a FockOperator (one
+    operator or a stack) applies the factors one after another;
+    `real_kernel_blocks` composes their kernels, which is what
+    `average_fidelity_fock` contracts.  The prior is phase-invariant, so a
+    map and its phase average have the same average fidelity, and one
+    object serves both.  No factors is the identity, as
+    `KrausFamily("loss", 1.0)`.
     """
 
-    def __init__(self, *factors: Callable[[int], Callable[[int], np.ndarray]]):
-        self.factors = factors
+    def __init__(self, *factors):
+        self.factors = factors or (KrausFamily("loss", 1.0),)
 
     def real_kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
-        """(d0, count) -> the real kernels of offsets d0 ... d0+count-1 as one stack.
+        """(d0, count) -> the stack of Re(A_d^(k) ... A_d^(1)), d = d0 ... d0+count-1.
 
         The stack is (count, N-d0, N-d0), with the kernel of offset d in the
         top left corner of its slice and zeros past N-d, so the factors'
-        stacks compose with one batched matrix product each.  A `KrausFamily`
-        builds its stack from its table at once (`KrausFamily.kernel_blocks`);
-        a `DisplacementMixture` writes its own real kernels, built in real
-        arithmetic, into the stack one offset at a time, and every other
-        factor gives its kernels one offset at a time, each copied in.  The real part of a product is the
-        product with one factor's real part only while every other factor is
-        real, so a mixture next to any other complex kernel (a second
-        mixture, or a plain factor with complex kernels) raises InvalidInput
-        rather than compose a wrong real part.
+        stacks compose with one batched matrix product each.  A Kraus
+        family's kernels are real; a displacement mixture's are the real
+        part of complex ones.  The real part of a product is the product of
+        the real parts only while one factor at most is complex, so a chain
+        of more than one mixture raises InvalidInput rather than compose a
+        wrong real part.
         """
         mixtures = sum(isinstance(f, DisplacementMixture) for f in self.factors)
         if mixtures > 1:
             raise InvalidInput("the real kernels of a map hold at most one displacement "
                                f"mixture, got {mixtures}")
-        chain = []
-        for f in self.factors or (lambda n: lambda d: np.eye(n - d),):
-            if isinstance(f, KrausFamily):
-                chain.append(f.kernel_blocks(cutoff))
-            elif isinstance(f, DisplacementMixture):
-                chain.append(f.real_kernel_blocks(cutoff))
-            else:
-                chain.append(_padded_blocks(f(cutoff), cutoff))
+        chain = [f.kernel_blocks(cutoff) for f in self.factors]
 
         def real(d0, count):
             out = chain[0](d0, count)
             for block in chain[1:]:
                 out = block(d0, count) @ out
-            if not np.iscomplexobj(out):
-                return out
-            if mixtures:
-                raise InvalidInput("a displacement mixture's real kernels compose only "
-                                   "with real kernels, got a complex one")
-            return out.real
+            return out
         return real
 
-    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        """d -> Re(A_d^(k) ... A_d^(1)): `real_kernel_blocks` one offset at a time."""
-        return _one_offset(self.real_kernel_blocks(cutoff))
-
     def __call__(self, rho: FockOperator) -> FockOperator:
-        out = rho.matrix.copy() if not self.factors else rho.matrix
+        out = rho.matrix
         for factor in self.factors:
-            out = apply_offset_kernels(out, factor(rho.cutoff))
+            out = factor.apply(out)
         return FockOperator(out)
 
 
@@ -394,26 +379,6 @@ def _shifted(m: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
     pad[:a, :b] = m
     s0, s1 = pad.strides
     return np.ndarray((count, a, b), float, pad, strides=(rows * s0 + cols * s1, s0, s1))
-
-
-def _padded_blocks(kernel: Callable[[int], np.ndarray],
-                   cutoff: int) -> Callable[[int, int], np.ndarray]:
-    """The block view (`OffsetMap.real_kernel_blocks`) of one-offset kernels d -> A_d."""
-    def block(d0, count):
-        if count == 1:
-            return kernel(d0)[None]
-        kernels = [kernel(d0 + k) for k in range(count)]
-        width = cutoff - d0
-        out = np.zeros((count, width, width), np.result_type(*kernels))
-        for k, a in enumerate(kernels):
-            out[k, :width - k, :width - k] = a
-        return out
-    return block
-
-
-def _one_offset(block: Callable[[int, int], np.ndarray]) -> Callable[[int], np.ndarray]:
-    """d -> A_d, the one-offset view of a block builder (d0, count) -> stack."""
-    return lambda d: block(d, 1)[0]
 
 
 def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
@@ -467,17 +432,6 @@ def _heterodyne_blocks(cutoff: int, gain: float,
     return block
 
 
-def heterodyne_kernels(cutoff: int, gain: float,
-                       log_width: float) -> Callable[[int], np.ndarray]:
-    """Offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] of the table c of `_heterodyne_table`.
-
-    w = 1 + g^2 is heterodyne measure-and-prepare at gain g; g = sqrt(eta),
-    w = 1 + lam + eta is the probe score operator of `proofcheck`, up to lam,
-    which reads the same table through `heterodyne_images`.
-    """
-    return _one_offset(_heterodyne_blocks(cutoff, gain, log_width))
-
-
 def heterodyne_images(cutoff: int, gain: float,
                       log_width: float) -> Callable[[np.ndarray], np.ndarray]:
     """phi -> the images K_s phi, s = 0 ... 2N-2, of the Kraus operators
@@ -486,9 +440,12 @@ def heterodyne_images(cutoff: int, gain: float,
     A ket, or a (B, N) stack, maps to an (N, 2N-1) image matrix each,
     img[l, s] = c[l, s-l] phi[s-l]: row l holds c[l] * phi shifted right by l,
     written through one strided view, so img @ img^H = sum_s K_s |phi><phi| K_s^H.
-    The K_s are Kraus operators of rho -> Phi(rho^T) for the map Phi of
-    `heterodyne_kernels`, so on the conjugate ket this equals that map on
-    |phi><phi|, with no offset loop.
+    The K_s are Kraus operators of rho -> Phi(rho^T) for the map Phi with
+    the offset kernels A_d[l, n] = c[l, n+d] c[l+d, n] (`_heterodyne_blocks`),
+    so on the conjugate ket this equals that map on |phi><phi|, with no
+    offset loop.  w = 1 + g^2 is heterodyne measure-and-prepare at gain g
+    (`KrausFamily`); g = sqrt(eta), w = 1 + lam + eta is the probe score
+    operator of `proofcheck`, up to lam.
     """
     c = _heterodyne_table(cutoff, gain, log_width)
 
@@ -511,10 +468,11 @@ class KrausFamily:
     amplifier of gain G ("amp") and heterodyne measure-and-prepare at gain g
     ("heterodyne") are each one such family, all of whose matrix elements
     come from one table: `_loss_table` (at 1/G for the amplifier) or
-    `_heterodyne_table`.  Called with a cutoff, a family gives its offset
-    kernels, as every factor does, and `kernel_blocks` gives a block of them
-    from the table at once.  The family is the one check of its parameter:
-    T in (0, 1], G >= 1 or g >= 0, finite; T = 1 and G = 1 are the identity.
+    `_heterodyne_table`.  A family is its own phase average: `kernel_blocks`
+    gives a block of its real offset kernels from the table at once, and
+    `apply` maps operators through them.  The family is the one check of its
+    parameter: T in (0, 1], G >= 1 or g >= 0, finite; T = 1 and G = 1 are
+    the identity.
     """
 
     kind: str
@@ -534,8 +492,10 @@ class KrausFamily:
         else:
             raise InvalidInput(f"unknown Kraus family {self.kind!r}")
 
-    def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        return _one_offset(self.kernel_blocks(cutoff))
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        """The family's map on one matrix or a (B, N, N) stack (`apply_offset_kernels`)."""
+        blocks = self.kernel_blocks(matrix.shape[-1])
+        return apply_offset_kernels(matrix, lambda d: blocks(d, 1)[0])
 
     def kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
         """(d0, count) -> the zero-padded (count, N-d0, N-d0) stack of the kernels of
@@ -561,7 +521,7 @@ def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
     Exactly trace preserving on the truncated space (loss never populates
     levels above the input's support).  Acts on each operator of a stack.
     """
-    return OffsetMap(KrausFamily("loss", float(transmissivity)))(rho)
+    return FockOperator(KrausFamily("loss", float(transmissivity)).apply(rho.matrix))
 
 
 def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
@@ -575,7 +535,7 @@ def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
     cutting the input and target kets covers it.  Acts on each operator of
     a stack.
     """
-    return OffsetMap(KrausFamily("amp", float(gain)))(rho)
+    return FockOperator(KrausFamily("amp", float(gain)).apply(rho.matrix))
 
 
 def _check_variance(variance: float) -> None:
@@ -622,13 +582,11 @@ class DisplacementMixture:
 
     The step rho -> sum_s w_s W_s rho W_s^dag with W_s = D(beta) exp(-i s X)
     over the 20 shifts of `mixture_unitaries` (one D(beta) alone at variance
-    0).  Each view is built per call, and none is kept:
-
-    * called with a cutoff, it gives the offset kernels of its phase average,
-      A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]), complex;
-    * `real_kernels` gives Re A_d, all that the prior average reads, in real
-      arithmetic;
-    * `apply` is the step itself on operators, as one Hadamard product.
+    0).  `apply` is the step itself on operators, as one Hadamard product.
+    Its phase average has the complex offset kernels
+    A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]); `kernel_blocks`
+    gives Re A_d, all that the prior average reads, in real arithmetic.
+    Each is built per call, and nothing is kept.
 
     Without a mean, the kernels sum over the 10 positive shifts at double
     weight (`unitaries`).  That is exact: the phase average contains the
@@ -658,17 +616,7 @@ class DisplacementMixture:
                                  self.axis, cutoff)
         return weights, (displacement(self.beta, cutoff) @ u if self.beta else u)
 
-    def __call__(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        weights, u = self.unitaries(cutoff)
-        u_conj = u.conj()
-        return lambda d: np.tensordot(weights,
-                                      u[:, d:, d:] * u_conj[:, :cutoff - d, :cutoff - d], 1)
-
-    def real_kernels(self, cutoff: int) -> Callable[[int], np.ndarray]:
-        """d -> Re A_d: `real_kernel_blocks` one offset at a time."""
-        return _one_offset(self.real_kernel_blocks(cutoff))
-
-    def real_kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
+    def kernel_blocks(self, cutoff: int) -> Callable[[int, int], np.ndarray]:
         """(d0, count) -> the zero-padded (count, N-d0, N-d0) stack of Re A_d0 ... Re A_(d0+count-1)
         (see `OffsetMap.real_kernel_blocks`), one einsum per offset over the real stack
         X = [sqrt(w) Re W; sqrt(w) Im W], written into its slice of the stack:
@@ -873,16 +821,16 @@ class FockAverage(NamedTuple):
 def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
                           cutoff: int | None = None,
                           max_error: float | None = None) -> FockAverage:
-    """Prior-averaged task fidelity of a phase-covariant Fock-space map.
+    """Prior-averaged task fidelity of a Fock-space map, given as an `OffsetMap`.
 
     It averages <sqrt(eta) r| Phi(|r><r|) |sqrt(eta) r> over the prior of
     width lam on the truncated space, exactly up to rounding and with no
-    quadrature rule.  For a phase-covariant map Phi (or the phase average of
-    a channel's map, as `schemes.phase_averaged_applier` builds) that is the
-    prior average of the task fidelity: one real amplitude per radius
-    carries the whole phase average.  Phi must be an `OffsetMap`; any other
+    quadrature rule, for Phi the phase average of the map.  The prior is
+    phase-invariant, so that is the prior average of the map's own task
+    fidelity: one real amplitude per radius carries the whole phase average.
+    Phi must be an `OffsetMap` (as `schemes.fock_applier` builds); any other
     callable is refused.  No operator is formed.  For the real kets phi at r
-    and psi at sqrt(eta) r, the map's composed kernels A_d give
+    and psi at sqrt(eta) r, Phi's composed kernels A_d give
 
       F(r) = sum_d c_d  u_d . Re(A_d) v_d,   v_d = phi[d:] * phi[:N-d],
                                              u_d = psi[d:] * psi[:N-d],
@@ -893,8 +841,8 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     u_d v_d^T is W_d, in closed form (`_prior_kernels`), so the average is
     one contraction, F = sum_d c_d <Re A_d, W_d>.
 
-    It reads `OffsetMap.real_kernel_blocks`, which a displacement mixture
-    builds in real arithmetic, a block of offsets d0 ... d0+c-1 at a time:
+    It reads `OffsetMap.real_kernel_blocks`, a block of offsets
+    d0 ... d0+c-1 at a time:
     the chain's zero-padded (c, N-d0, N-d0) kernel stack times the Hankel
     view of W's block, then one batched matrix-vector product and one dot
     product with W's two diagonal factors; the blocks' sums are added
@@ -915,8 +863,8 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     """
     if not isinstance(offset_map, OffsetMap):
         raise InvalidInput(
-            f"the prior average needs a phase-covariant map given by its offset "
-            f"kernels (an OffsetMap, e.g. from schemes.phase_averaged_applier), "
+            f"the prior average needs a map given by its offset-kernel factors "
+            f"(an OffsetMap, e.g. from schemes.fock_applier), "
             f"got {offset_map!r}")
     _check_prior(eta, lam)
     if cutoff is None:

@@ -8,10 +8,10 @@ Gaussian channel via `to_gaussian`, and once to its Fock realization
 by amplification, exact below the cutoff, or heterodyne measure-and-prepare's
 closed-form outcome-integral kernels, derived from the measurement, not from (K, M);
 then, for anisotropic noise or a mean, one factor that mixes displacement
-unitaries (`fock.DisplacementMixture`).
-Two views read that one realization: the operator map `fock_applier`, and
-its phase average `phase_averaged_applier`, the offset kernels the Fock
-engine's prior average consumes.
+unitaries (`fock.DisplacementMixture`).  `fock_applier` gives that
+realization as one `fock.OffsetMap`: it maps operators, and its kernels are
+what the Fock engine's prior average contracts (`phase_averaged_applier` is
+another name for it).
 """
 
 from __future__ import annotations
@@ -370,22 +370,22 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
 
         <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
 
-    which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`)
-    with the kernels of `fock.heterodyne_kernels` at width 1 + g^2 (the
-    heterodyne `fock.KrausFamily`).  The kernel comes from the outcome
-    integral, not from the channel's (K, M), so it stays an independent
-    check of `to_gaussian`.  Re-prepared weight past the cutoff
-    is dropped, not renormalized: a trace deficit beyond `max_trace_deficit`
-    in any state raises (None turns the check off).
+    which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`):
+    `apply` of the heterodyne `fock.KrausFamily` maps them, at width 1 + g^2.
+    At gain 0 every outcome prepares |0>, so the output is the trace on |0><0|.
+    The kernel comes from the outcome integral, not from the channel's
+    (K, M), so it stays an independent check of `to_gaussian`.  Re-prepared
+    weight past the cutoff is dropped, not renormalized: a trace deficit
+    beyond `max_trace_deficit` in any state raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    g, n = scheme.g, rho.cutoff
+    g = scheme.g
     if g == 0.0:
         out = np.zeros(rho.matrix.shape, dtype=complex)
         out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
     else:
-        out = fock.apply_offset_kernels(rho.matrix, fock.KrausFamily("heterodyne", g)(n))
+        out = fock.KrausFamily("heterodyne", g).apply(rho.matrix)
     result = fock.FockOperator(out)
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)
@@ -444,7 +444,7 @@ def _loss_amp_realization(form: ChannelForm):
 
 def _realization(model: ChannelModel | GaussianChannel,
                  gauss: GaussianChannel | None = None) -> list:
-    """The factors of a model's Fock realization, in order, which both views read.
+    """The factors of a model's Fock realization, in order (see `fock_applier`).
 
     Each factor is an offset-kernel factor (see `fock.OffsetMap`).  Heterodyne
     measure-and-prepare gives its outcome-integral `fock.KrausFamily`, whose
@@ -474,42 +474,23 @@ def _realization(model: ChannelModel | GaussianChannel,
     return factors
 
 
-def fock_applier(model: ChannelModel | GaussianChannel):
-    """Truncated-space realization of a model as a map FockOperator -> FockOperator.
+def fock_applier(model: ChannelModel | GaussianChannel,
+                 gauss: GaussianChannel | None = None) -> fock.OffsetMap:
+    """Truncated-space realization of a model: one `fock.OffsetMap` of its factors.
 
-    The map takes one operator or a stack of them (see `fock.FockOperator`).
-    It applies the offset-kernel factors of the model's realization
-    (`_realization`): loss, then a quantum-limited amplifier, or the
-    heterodyne outcome integral, exact below the cutoff.  Without a mixture
-    step that is the `fock.OffsetMap` itself; otherwise the map then applies
-    the mixture as operators, one Hadamard product per state
-    (`fock.DisplacementMixture.apply`).  `fock.average_fidelity_fock` wants
-    the phase average of this map, which `phase_averaged_applier` builds
-    from the same realization.
-    """
-    factors = _realization(model)
-    if not (factors and isinstance(factors[-1], fock.DisplacementMixture)):
-        return fock.OffsetMap(*factors)
-    mixture, offset_map = factors[-1], fock.OffsetMap(*factors[:-1])
-    return lambda rho: fock.FockOperator(mixture.apply(offset_map(rho).matrix))
-
-
-def phase_averaged_applier(model: ChannelModel | GaussianChannel,
-                           gauss: GaussianChannel | None = None) -> fock.OffsetMap:
-    """Phase average of a model's Fock realization, as `fock.average_fidelity_fock` needs.
-
-    The average over rotations U = exp(-i theta n) of U^dag Phi(U rho U^dag) U
-    keeps the part of the map that conserves the photon-number offset, so
-    one real amplitude per radius gives the channel's full phase average.
-    The result is a `fock.OffsetMap` of the factors of `fock_applier`
-    (`_realization`): callable on a FockOperator, and giving its composed
-    kernels per offset.  The Kraus factors are their own phase average; a
-    `fock.DisplacementMixture` gives the offset kernels of its phase average,
-    A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d]), to the operator view,
-    and their real part alone to the engine: the engine's kets are real, so
-    the entries above the diagonal, which map through conj(A_d), add the
-    complex conjugate of those below it and only Re A_d is left.  A model
-    without a mixture step gets the same map as from `fock_applier`.
-    `gauss` is the model's `to_gaussian`, when the caller has built it already.
+    The factors are those of `_realization`: loss, then a quantum-limited
+    amplifier, or the heterodyne outcome integral, exact below the cutoff,
+    then at most one displacement mixture.  Called on a FockOperator (one
+    operator or a stack), the map applies them in order; the mixture is
+    applied as operators, one Hadamard product per state
+    (`fock.DisplacementMixture.apply`).  `fock.average_fidelity_fock` reads
+    the real kernels of the map's phase average from the same object: the
+    prior is phase-invariant, so the map and its phase average have the same
+    average fidelity.  `gauss` is the model's `to_gaussian`, when the caller
+    has built it already.
     """
     return fock.OffsetMap(*_realization(model, gauss))
+
+
+# The map and its phase average are one object (see `fock_applier`).
+phase_averaged_applier = fock_applier

@@ -143,11 +143,35 @@ def decimal_prior_kernels(eta: float, lam: float, cutoff: int) -> tuple:
     return tuple(kernels)
 
 
+def mixture_kernels(mixture, cutoff):
+    """d -> the complex offset kernels A_d = sum_s w_s W_s[d:, d:] * conj(W_s[:N-d, :N-d])
+    of a displacement mixture's phase average, from its unitaries, not from
+    `DisplacementMixture.kernel_blocks`."""
+    weights, u = mixture.unitaries(cutoff)
+    return lambda d: np.tensordot(weights, u[:, d:, d:] * np.conj(u[:, :cutoff - d, :cutoff - d]),
+                                  1)
+
+
+@pytest.fixture
+def complex_mixture_kernels():
+    """`mixture_kernels`: a displacement mixture's complex offset kernels."""
+    return mixture_kernels
+
+
+def one_offset_kernels(factor, cutoff):
+    """d -> A_d of one factor, each offset built alone: a displacement mixture's complex
+    kernels (`mixture_kernels`), any other factor's one-offset block."""
+    if isinstance(factor, fock.DisplacementMixture):
+        return mixture_kernels(factor, cutoff)
+    blocks = factor.kernel_blocks(cutoff)
+    return lambda d: blocks(d, 1)[0]
+
+
 def _operator_kernels(offset_map, cutoff):
-    """d -> Re(A_d^(k) ... A_d^(1)) from each factor's own one-offset kernels (complex
-    for a displacement mixture), composed by plain matrix products: the operator
-    view's kernels, not `OffsetMap.real_kernel_blocks`."""
-    kernels = [f(cutoff) for f in offset_map.factors]
+    """d -> Re(A_d^(k) ... A_d^(1)) from each factor's one-offset kernels (complex for a
+    displacement mixture), composed by plain matrix products, not by
+    `OffsetMap.real_kernel_blocks`."""
+    kernels = [one_offset_kernels(f, cutoff) for f in offset_map.factors]
 
     def real(d):
         out = np.eye(cutoff - d)
@@ -158,11 +182,17 @@ def _operator_kernels(offset_map, cutoff):
 
 
 @pytest.fixture
+def operator_kernels():
+    """`_operator_kernels`: a map's real kernels, each offset composed alone."""
+    return _operator_kernels
+
+
+@pytest.fixture
 def exact_average():
     """`fock.average_fidelity_fock`'s value on the truncated space, to about 1e-16.
 
-    F = sum_d c_d <Re A_d, W_d> (c_0 = 1, c_d = 2) over the map's own kernels
-    (`_operator_kernels`) and the prior kernels W_d of the recurrence: up to
+    F = sum_d c_d <Re A_d, W_d> (c_0 = 1, c_d = 2) over the kernels each offset
+    composes alone (`_operator_kernels`) and the prior kernels W_d of the recurrence: up to
     DECIMAL_CUTOFF a 40-digit decimal contraction of the float kernels with
     decimal W_d (`decimal_prior_kernels`), wider a float contraction with the
     float W_d (`recurrence_prior_kernels`), each offset's products summed

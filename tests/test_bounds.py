@@ -104,7 +104,8 @@ def test_array_validation_names_the_first_bad_entry():
         classical_bound(np.array([1.0, np.nan, -1.0]))
     with pytest.raises(InvalidInput, match=r"lambda must be >= 0 and finite, got -0.5"):
         quadrature_threshold(1.0, np.array([[0.1], [-0.5]]))
-    with pytest.raises(InvalidInput, match=r"copy count must be >= 1, got 0"):
+    with pytest.raises(InvalidInput,
+                       match=r"copy count n_copies \(--n-copies\) must be >= 1, got 0"):
         classical_bound(1.0, 0.0, np.array([3, 0]))
     with pytest.raises(InvalidInput, match="copy count must be an integer"):
         classical_bound(1.0, 0.0, np.array([1.0, 2.0]))

@@ -572,7 +572,7 @@ def test_certify_input_refuses_a_bad_declared_gain_as_a_dataset_error(capsys, tm
         code, out, err = run(capsys, "certify", "--input", str(path), "--lambda", "0.1",
                              "--eta", eta)
     assert code == 4 and out == ""
-    assert f"declared gain must be positive and finite, got {float(eta)}" in err
+    assert f"declared gain eta (--eta) must be positive and finite, got {float(eta)}" in err
     assert "Traceback" not in err and "Warning" not in err
 
 
@@ -884,7 +884,7 @@ def test_sweep_segments_follow_the_cells_not_the_grid(capsys, tmp_path, fmt):
     ("--ntilde", "0.2,-0.5", "added noise ntilde must be >= 0 and finite, got -0.5"),
     ("--ntilde", "0.2,inf", "added noise ntilde must be >= 0 and finite, got inf"),
     ("--lambda", "0.2,-1", "prior width lambda must be >= 0 and finite, got -1.0"),
-    ("--n-copies", "1,0", "copy count must be >= 1, got 0"),
+    ("--n-copies", "1,0", "copy count n_copies (--n-copies) must be >= 1, got 0"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_rejects_unphysical_axis_values(capsys, flag, values, message, fmt):
@@ -1281,6 +1281,22 @@ def test_certify_warns_that_fbar_is_ignored_on_the_data_routes(capsys, tmp_path)
     assert not any("--fbar" in w for w in doc["warnings"])
 
 
+def test_certify_warns_that_channel_is_ignored_beside_fbar_or_input(capsys, tmp_path):
+    channel = ("--channel", '{"type":"pure_loss","T":0.5}')
+    fbar = ("--fbar", "0.2", "--eta", "0.5", "--lambda", "0.2")
+    dataset = ("--input", str(loss_csv(tmp_path, n=200)), "--lambda", "0.1",
+               "--eta", "0.6", "--n-boot", "0")
+    for route in (fbar, dataset):
+        code, plain, _ = run_json(capsys, "certify", *route)
+        code_with, with_channel, _ = run_json(capsys, "certify", *route, *channel)
+        assert code_with == code and with_channel["result"] == plain["result"]
+        added = [w for w in with_channel["warnings"] if w not in plain["warnings"]]
+        assert added == ["--channel is ignored: it is a channel model to certify, "
+                         "which this route does not read"]
+    _, doc, _ = run_json(capsys, "certify", *channel, "--eta", "0.5", "--lambda", "0.2")
+    assert not any("--channel" in w for w in doc["warnings"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flag, value, message", [
     ("--eta", "1e308", "declared gain eta (--eta) = 1e+308 takes the statistic out of float range"),
@@ -1523,7 +1539,6 @@ def test_every_contract_command_line_passes_as_given(capsys, contract_argvs):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, flag, value", CONTRACT_CASES,
                          ids=[f"{c}{f}={v}" for c, f, v in CONTRACT_CASES])
 def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs, command,
@@ -1552,6 +1567,9 @@ def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs
         assert [line.startswith(f"cvbench {command}: ") for line in lines] == \
             [False] * (len(lines) - 1) + [True], err
         assert len(lines) == 1 or lines[0].startswith("usage: cvbench "), err
+        if code in (cli.EXIT_USAGE, cli.EXIT_DATA):
+            # a refused value: the message names its flag, or the flag's bare name
+            assert flag in lines[-1] or flag.lstrip("-") in lines[-1], err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -440,11 +440,13 @@ MIXTURE_FACTORS = [fock.DisplacementMixture(0.35, 0), fock.DisplacementMixture(0
 
 @pytest.mark.parametrize("cutoff", [1, 2, 24, 40])
 @pytest.mark.parametrize("mixture", MIXTURE_FACTORS, ids=repr)
-def test_mixture_real_kernels_are_the_real_part_of_its_kernels(mixture, cutoff):
-    real, full = mixture.real_kernels(cutoff), mixture(cutoff)
+def test_mixture_real_kernels_are_the_real_part_of_its_kernels(mixture, cutoff,
+                                                               complex_mixture_kernels):
+    blocks, full = mixture.kernel_blocks(cutoff), complex_mixture_kernels(mixture, cutoff)
     for d in range(cutoff):
-        assert real(d).dtype == float
-        assert np.abs(real(d) - full(d).real).max() <= 1e-15
+        real = blocks(d, 1)[0]
+        assert real.dtype == float
+        assert np.abs(real - full(d).real).max() <= 1e-15
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -456,11 +458,12 @@ def test_mixture_without_a_mean_folds_its_shifts(axis):
     weights, unitaries = mixture.unitaries(cutoff)
     assert weights.size == 10 and unitaries.shape == (10, cutoff, cutoff)
     all_weights, all_unitaries = fock.mixture_unitaries(0.35, axis, cutoff)
-    folded = mixture.real_kernels(cutoff)
+    folded = mixture.kernel_blocks(cutoff)
     for d in range(cutoff):
         m = cutoff - d
         products = all_unitaries[:, d:, d:] * all_unitaries[:, :m, :m].conj()
-        assert np.abs(folded(d) - np.tensordot(all_weights, products.real, 1)).max() <= 1e-14
+        assert np.abs(folded(d, 1)[0]
+                      - np.tensordot(all_weights, products.real, 1)).max() <= 1e-14
 
 
 def test_mixture_with_a_mean_keeps_every_shift():
@@ -475,15 +478,10 @@ def test_mixture_with_a_mean_keeps_every_shift():
 def test_real_kernels_refuse_a_mixture_beside_another_complex_factor():
     mixture = fock.DisplacementMixture(0.35, 1)
     for offset_map in (fock.OffsetMap(mixture, mixture),
-                       fock.OffsetMap(lambda n: fock.KrausFamily("loss", 0.6)(n), mixture,
-                                      lambda n: mixture(n))):
-        with pytest.raises(InvalidInput, match="mixture"):
+                       fock.OffsetMap(fock.KrausFamily("loss", 0.6), mixture,
+                                      fock.DisplacementMixture(0.2, 0, 0.3j))):
+        with pytest.raises(InvalidInput, match="at most one displacement mixture"):
             fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=8)
-    # a plain factor with complex kernels, alone, still gives its real part
-    own = fock.average_fidelity_fock(fock.OffsetMap(mixture), 0.9, 0.3, cutoff=24)
-    plain = fock.average_fidelity_fock(fock.OffsetMap(lambda n: mixture(n)), 0.9, 0.3,
-                                       cutoff=24)
-    assert abs(own.value - plain.value) <= 1e-15
 
 
 KRAUS_RANGE_MESSAGES = {
@@ -596,8 +594,8 @@ def test_average_fidelity_matches_gaussian_engine_for_loss():
     eta, lam, T = 0.8, 0.4, 0.55
     channel = GaussianChannel(math.sqrt(T) * E2, (1 - T) / 2 * E2)
     exact = average_fidelity_gaussian(channel, eta, lam)
-    avg = fock.average_fidelity_fock(
-        fock.OffsetMap(lambda n: fock.KrausFamily("loss", T)(n)), eta, lam, cutoff=36)
+    avg = fock.average_fidelity_fock(fock.OffsetMap(fock.KrausFamily("loss", T)), eta, lam,
+                                     cutoff=36)
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
@@ -630,9 +628,20 @@ def test_prior_kernels_match_the_recurrence_and_the_rule(cutoff, eta, lam,
             assert np.abs(got - rule).max() <= 1e-14
 
 
+class _Inflated:
+    """The identity scaled by 1.5, as an `OffsetMap` factor."""
+
+    def apply(self, matrix):
+        return 1.5 * matrix
+
+    def kernel_blocks(self, cutoff):
+        identity = fock.KrausFamily("loss", 1.0).kernel_blocks(cutoff)
+        return lambda d0, count: 1.5 * identity(d0, count)
+
+
 def test_average_fidelity_refuses_a_node_fidelity_above_one():
     # the identity scaled by 1.5 puts every node's fidelity near 1.5
-    inflated = fock.OffsetMap(lambda n: lambda d: 1.5 * np.eye(n - d))
+    inflated = fock.OffsetMap(_Inflated())
     with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
         fock.average_fidelity_fock(inflated, 1.0, 0.8, cutoff=12)
 
@@ -643,21 +652,19 @@ def test_average_fidelity_refuses_a_map_without_offset_kernels():
 
 
 def test_offset_map_kernels_compose_its_factors_in_order():
-    loss = lambda n: fock.KrausFamily("loss", 0.6)(n)
-    amp = lambda n: fock.KrausFamily("amp", 1.7)(n)
-    chain = fock.OffsetMap(loss, amp).real_kernels(9)
+    loss, amp = fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7)
+    chain = fock.OffsetMap(loss, amp).real_kernel_blocks(9)
     for d in (0, 3, 8):
-        expected = amp(9)(d) @ loss(9)(d)
-        assert np.array_equal(chain(d), expected)
-    assert np.array_equal(fock.OffsetMap().real_kernels(9)(2), np.eye(7))
+        expected = amp.kernel_blocks(9)(d, 1)[0] @ loss.kernel_blocks(9)(d, 1)[0]
+        assert np.array_equal(chain(d, 1)[0], expected)
+    assert np.array_equal(fock.OffsetMap().real_kernel_blocks(9)(2, 1)[0], np.eye(7))
 
 
 # One factor of each kind: a block of its kernels is built at once from a
-# Kraus family's table, one offset at a time from any other factor.
+# Kraus family's table, one offset at a time from a displacement mixture.
 BLOCK_FACTORS = [fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7),
                  fock.KrausFamily("heterodyne", 0.8), fock.KrausFamily("heterodyne", 0.0),
-                 fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j),
-                 lambda n: fock.KrausFamily("loss", 0.6)(n)]
+                 fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j)]
 
 
 def _block_slices(offset_map, cutoff):
@@ -678,23 +685,24 @@ def _block_slices(offset_map, cutoff):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 24, 65])
 @pytest.mark.parametrize("factor", BLOCK_FACTORS, ids=["loss", "amp", "heterodyne",
-                                                    "heterodyne-0", "mixture", "plain"])
+                                                    "heterodyne-0", "mixture"])
 def test_real_kernels_are_the_block_builders_slices_bit_for_bit(factor, cutoff):
+    # each slice of a block is that offset's kernel built alone, a block of one
     offset_map = fock.OffsetMap(factor)
-    one = offset_map.real_kernels(cutoff)
+    blocks = offset_map.real_kernel_blocks(cutoff)
     for d, kernel in _block_slices(offset_map, cutoff):
-        assert np.array_equal(kernel, one(d))
+        assert np.array_equal(kernel, blocks(d, 1)[0])
 
 
 @pytest.mark.parametrize("cutoff", [1, 3, 24, 65])
-def test_chained_blocks_compose_each_offsets_kernels(cutoff):
+def test_chained_blocks_compose_each_offsets_kernels(cutoff, operator_kernels):
     # a chain's stacks compose by batched matrix products over the padded
     # width, whose sums BLAS may group differently from the unpadded product
     loss, amp, het = (fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7),
                       fock.KrausFamily("heterodyne", 0.8))
     for offset_map in (fock.OffsetMap(), fock.OffsetMap(loss, amp),
                        fock.OffsetMap(loss, het, amp)):
-        one = offset_map.real_kernels(cutoff)
+        one = operator_kernels(offset_map, cutoff)
         for d, kernel in _block_slices(offset_map, cutoff):
             assert np.abs(kernel - one(d)).max() <= 1e-16
 

@@ -213,7 +213,9 @@ def test_score_operator_domain_guards():
 
 def offset_kernel_score_operators(probes, eta, lam):
     """lam times the heterodyne offset kernels applied to each probe's projector."""
-    kernels = fock.heterodyne_kernels(probes.shape[-1], math.sqrt(eta), math.log1p(lam + eta))
+    n = probes.shape[-1]
+    c = fock._heterodyne_table(n, math.sqrt(eta), math.log1p(lam + eta))
+    kernels = lambda d: c[:n - d, d:] * c[d:, :n - d]   # A_d[l, m] = c[l, m+d] c[l+d, m]
     projectors = probes[..., :, None] * probes.conj()[..., None, :]
     return lam * fock.apply_offset_kernels(projectors, kernels)
 

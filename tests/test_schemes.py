@@ -674,8 +674,8 @@ MIXTURES = [CanonicalB1()] + RAW_CHANNELS + [
 @pytest.mark.parametrize("model", MIXTURES, ids=_name)
 def test_mixture_real_kernels_match_the_exact_contraction(model, cutoff, exact_average):
     # the engine reads the mixture's real kernels, built in real arithmetic;
-    # the exact contraction takes the real part of its complex kernels, which
-    # the operator view applies
+    # the exact contraction takes the real part of its complex kernels, built
+    # from the mixture's unitaries
     eta, lam = 0.9, 0.3
     offset_map = phase_averaged_applier(model)
     assert isinstance(offset_map.factors[-1], fock.DisplacementMixture)
@@ -718,6 +718,8 @@ def test_fock_value_stays_within_one_at_the_cap(prior_rule):
 
 @pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)
 def test_phase_averaged_applier_of_a_covariant_model_is_its_own_map(model, state_stack):
+    # a map and its phase average have one prior average, so one object serves both
+    assert phase_averaged_applier is fock_applier
     stack = fock.FockOperator(state_stack(20))
     got = phase_averaged_applier(model)(stack).matrix
     assert np.array_equal(got, fock_applier(model)(stack).matrix)

@@ -660,11 +660,26 @@ def test_offset_map_kernels_compose_its_factors_in_order():
     assert np.array_equal(fock.OffsetMap().real_kernel_blocks(9)(2, 1)[0], np.eye(7))
 
 
+class _Plain:
+    """A factor of no library class that forwards both methods to another."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def apply(self, matrix):
+        return self.inner.apply(matrix)
+
+    def kernel_blocks(self, cutoff):
+        return self.inner.kernel_blocks(cutoff)
+
+
 # One factor of each kind: a block of its kernels is built at once from a
-# Kraus family's table, one offset at a time from a displacement mixture.
+# Kraus family's table, one offset at a time from a displacement mixture, and
+# read through its two methods alone from a factor of any other class.
 BLOCK_FACTORS = [fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7),
                  fock.KrausFamily("heterodyne", 0.8), fock.KrausFamily("heterodyne", 0.0),
-                 fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j)]
+                 fock.DisplacementMixture(0.35, 1, 0.4 - 0.2j),
+                 _Plain(fock.KrausFamily("loss", 0.6))]
 
 
 def _block_slices(offset_map, cutoff):
@@ -685,7 +700,7 @@ def _block_slices(offset_map, cutoff):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 24, 65])
 @pytest.mark.parametrize("factor", BLOCK_FACTORS, ids=["loss", "amp", "heterodyne",
-                                                    "heterodyne-0", "mixture"])
+                                                    "heterodyne-0", "mixture", "plain"])
 def test_real_kernels_are_the_block_builders_slices_bit_for_bit(factor, cutoff):
     # each slice of a block is that offset's kernel built alone, a block of one
     offset_map = fock.OffsetMap(factor)

@@ -68,15 +68,72 @@ def quadrature_operator(cutoff: int, axis: int) -> np.ndarray:
     raise InvalidInput("axis must be 0 (x_plus) or 1 (x_minus)")
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each marked read-only: a cache shares them with every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _quad_eigh(cutoff: int, axis: int):
-    w, v = np.linalg.eigh(quadrature_operator(cutoff, axis))
-    return w, v
+    return _read_only(*np.linalg.eigh(quadrature_operator(cutoff, axis)))
 
 
-@lru_cache(maxsize=32)
-def _lgamma_table(n: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+class _CutoffTables(NamedTuple):
+    """The arrays of the Fock engine that depend on the cutoff N alone (`_cutoff_tables`)."""
+
+    levels: np.ndarray            # the column i = 0 ... N-1, (N, 1)
+    lost: np.ndarray              # j - i, (N, N)
+    upper: np.ndarray             # j >= i, (N, N)
+    loss_binomials: np.ndarray    # log C(j, i) = lg[j] - lg[i] - lg[|j - i|], (N, N)
+    heterodyne_binomials: np.ndarray  # log C(m + l, l) = lg[m + l] - lg[l] - lg[m], (N, N)
+    heterodyne_powers: np.ndarray     # m + l + 1, (N, N)
+    scale: float                  # 2^m, near 3N / e
+    hankel: np.ndarray            # h[k] = k! / scale^k, k < 3N
+    counts: np.ndarray            # 1 ... 2N-1
+    # (d0, count, w) per block of offsets average_fidelity_fock contracts:
+    # w[k, i, j] = h[i + j + d0 + k], a (count, N-d0, N-d0) view of h
+    blocks: tuple
+
+
+@lru_cache(maxsize=16)
+def _cutoff_tables(cutoff: int) -> _CutoffTables:
+    """The arrays of `_loss_table`, `_heterodyne_table`, `_prior_kernels` and
+    `average_fidelity_fock` that depend on the cutoff N alone, built once per N.
+
+    Each of those functions adds only the arithmetic of its parameters, in
+    the order of its full formula, so every value is the same to the bit as
+    that formula evaluated from scratch.  Every array is read-only, since
+    all later calls at N share it.  The cache keeps the 16 most recently
+    used cutoffs.  One entry at N = 180, the widest cutoff the engine
+    accepts, holds 1.08 MB: four (N, N) float tables, an (N, N) mask and
+    O(N) vectors.  So the cache holds at most 17.3 MB.
+    """
+    lg = np.array([math.lgamma(k + 1.0) for k in range(2 * cutoff)])    # log k!
+    i = np.arange(cutoff)
+    lost = i - i[:, None]
+    loss_binomials = lg[:cutoff] - lg[:cutoff, None] - lg[np.abs(lost)]
+    l, m = i[:, None], i
+    heterodyne_binomials = lg[m + l] - lg[l] - lg[m]
+    scale = 2.0 ** round(math.log2(3 * cutoff / math.e))
+    hankel = np.arange(3 * cutoff) / scale
+    hankel[0] = 1.0
+    np.cumprod(hankel, out=hankel)
+    hankel.flags.writeable = False    # first, so that its views below are read-only too
+    step = hankel.itemsize
+    blocks = []
+    d0 = 0
+    while d0 < cutoff:
+        width = cutoff - d0
+        count = min(width, max(1, _KERNEL_BLOCK // (width * width)))
+        blocks.append((d0, count, np.ndarray((count, width, width), float, hankel,
+                                             offset=d0 * step, strides=(step, step, step))))
+        d0 += count
+    return _CutoffTables(
+        *_read_only(l.astype(float), lost.astype(float), lost >= 0, loss_binomials,
+                    heterodyne_binomials, (m + l + 1).astype(float)),
+        scale, hankel, _read_only(np.arange(1, 2 * cutoff, dtype=float))[0], tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +286,7 @@ def displacement(alpha, cutoff: int) -> np.ndarray:
 def _squeeze_eigh(cutoff: int):
     a = annihilation(cutoff)
     h = -0.5j * (a @ a - a.conj().T @ a.conj().T)  # Hermitian generator
-    return np.linalg.eigh(h)
+    return _read_only(*np.linalg.eigh(h))
 
 
 def squeeze(r: float, cutoff: int) -> np.ndarray:
@@ -383,15 +440,21 @@ def _shifted(m: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
 
 def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
     """Pure loss's Kraus amplitudes t[i, j] = <i|A_(j-i)|j> = sqrt(C(j, i) T^i (1-T)^(j-i)),
-    built in log space (A_k loses k photons; t is upper triangular).  T = 1 is the identity."""
+    built in log space (A_k loses k photons; t is upper triangular).  T = 1 is the identity.
+
+    The log binomials, the exponents i and j - i and the triangle j >= i
+    depend on the cutoff alone: they come from `_cutoff_tables`, built once
+    per cutoff for the 16 most recent cutoffs.  Each call adds the terms in
+    T and takes the exponential over the triangle alone, so every value is
+    bit for bit that of the full formula.
+    """
     if transmissivity == 1.0:
         return np.eye(cutoff)
-    lg = _lgamma_table(cutoff)
-    i = np.arange(cutoff)
-    lost = i - i[:, None]
-    log_t = 0.5 * (lg - lg[:, None] - lg[np.abs(lost)] + i[:, None] * math.log(transmissivity)
-                   + lost * math.log1p(-transmissivity))
-    return np.exp(np.where(lost >= 0, log_t, -np.inf))
+    tables = _cutoff_tables(cutoff)
+    log_t = tables.loss_binomials + tables.levels * math.log(transmissivity)
+    log_t += tables.lost * math.log1p(-transmissivity)
+    log_t *= 0.5
+    return np.exp(log_t, out=np.zeros((cutoff, cutoff)), where=tables.upper)
 
 
 def _table_blocks(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -408,16 +471,22 @@ def _table_blocks(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
 def _heterodyne_table(cutoff: int, gain: float, log_width: float) -> np.ndarray:
     """The log-space table c[l, m] = sqrt(C(m+l, l)) g^l w^(-(m+l+1)/2), given g and log w.
 
-    Gain 0 leaves row 0 alone, w^(-(m+1)/2): all ones at w = 1.
+    Gain 0 leaves row 0 alone, w^(-(m+1)/2): all ones at w = 1.  The log
+    binomials and the exponents m + l + 1 and l depend on the cutoff alone:
+    they come from `_cutoff_tables`, built once per cutoff for the 16 most
+    recent cutoffs.  Each call adds the terms in g and w, so every value is
+    bit for bit that of the full formula.
     """
+    tables = _cutoff_tables(cutoff)
     if gain == 0.0:
         c = np.zeros((cutoff, cutoff))
-        c[0] = np.exp(-0.5 * (np.arange(cutoff) + 1) * log_width)
+        c[0] = np.exp(-0.5 * tables.heterodyne_powers[0] * log_width)
         return c
-    lg = _lgamma_table(2 * cutoff)
-    l, m = np.arange(cutoff)[:, None], np.arange(cutoff)
-    return np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * log_width)
-                  + l * math.log(gain))
+    c = tables.heterodyne_powers * log_width
+    np.subtract(tables.heterodyne_binomials, c, out=c)
+    c *= 0.5
+    c += tables.levels * math.log(gain)
+    return np.exp(c, out=c)
 
 
 def _heterodyne_blocks(cutoff: int, gain: float,
@@ -797,20 +866,20 @@ def _prior_kernels(eta: float, lam: float, cutoff: int):
     2e-16.  P and Q are (N, N) and h holds 3N entries, so a strided view
     reads the Hankel block of any offsets.  Past N - d, row d of P and Q
     holds finite values of the same formula, which meet the zeros that pad
-    a block of kernels.
+    a block of kernels.  h and 2^m depend on N alone: they come, read-only,
+    from `_cutoff_tables`, built once per cutoff for the 16 most recent
+    cutoffs, and P and Q take the same operations as the full formula, so
+    every value is bit for bit its own.
     """
+    tables = _cutoff_tables(cutoff)
     width = lam + 1.0 + eta
-    scale = 2.0 ** round(math.log2(3 * cutoff / math.e))
-    h = np.arange(3 * cutoff) / scale
-    h[0] = 1.0
-    np.cumprod(h, out=h)
-    ratios = (scale / width) / np.arange(1, 2 * cutoff)
+    ratios = (tables.scale / width) / tables.counts
     p = np.cumprod(np.sqrt(np.concatenate(([lam / width], eta * ratios))))
     q = np.cumprod(np.sqrt(np.concatenate(([1.0], ratios))))
     # row d holds x[i + d], a strided view, times x[i]
     pairs = [np.ndarray((cutoff, cutoff), float, x, strides=(x.itemsize, x.itemsize))
              * x[:cutoff] for x in (p, q)]
-    return pairs[0], h, pairs[1]
+    return pairs[0], tables.hankel, pairs[1]
 
 
 class FockAverage(NamedTuple):
@@ -872,21 +941,15 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     elif not 1 <= cutoff <= _MAX_AUTO_CUTOFF:
         raise InvalidInput(f"cutoff must be between 1 and {_MAX_AUTO_CUTOFF}, got {cutoff}")
 
-    left, hankel, right = _prior_kernels(eta, lam, cutoff)
+    left, _, right = _prior_kernels(eta, lam, cutoff)
     left[0] *= 0.5    # c_0 = 1 and c_d = 2: the sum is doubled below, exactly
     blocks = offset_map.real_kernel_blocks(cutoff)
-    step = hankel.itemsize
     sums = []
-    d0 = 0
-    while d0 < cutoff:
+    # w is the Hankel block of W_d0 ... W_(d0+count-1) (`_cutoff_tables`)
+    for d0, count, w in _cutoff_tables(cutoff).blocks:
         width = cutoff - d0
-        count = min(width, max(1, _KERNEL_BLOCK // (width * width)))
-        # w[k, i, j] = h[i + j + d0 + k]: the Hankel block of W_d0 ... W_(d0+count-1)
-        w = np.ndarray((count, width, width), float, hankel, offset=d0 * step,
-                       strides=(step, step, step))
         rows = (blocks(d0, count) * w) @ right[d0:d0 + count, :width, None]
         sums.append(np.vdot(left[d0:d0 + count, :width], rows))
-        d0 += count
     total = float(_clipped_fidelities(np.array(2.0 * math.fsum(sums))))
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * sys.float_info.epsilon

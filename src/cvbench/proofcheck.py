@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -335,6 +336,26 @@ def _polar_overlaps(amps: np.ndarray, radii: np.ndarray, points: int) -> np.ndar
     return np.abs(np.fft.fft(amps[:, None] * kets, n=points, axis=0).T) ** 2
 
 
+@lru_cache(maxsize=16)
+def _phase_offset_tables(points: int):
+    """(4 sin^2(pi d / A), T) over the A/2 + 1 phase offsets d of an A-point polar
+    rule (A even), built once per A and read-only: the first as a (A/2 + 1, 1, 1)
+    column, T the cosine transform from offsets to harmonics of `_two_copy_value`.
+
+    T carries the weights of both sides: offsets and harmonics 1 ... A/2 - 1
+    each stand for a conjugate pair.  The cache keeps 16 rule sizes; at the
+    widest two-copy cutoff, 64 (A = 132), an entry holds 36 KB.
+    """
+    half = points // 2 + 1
+    steps = np.arange(half)                          # offsets d, and harmonics
+    four_sin_sq = 4.0 * (np.sin(math.pi / points * steps) ** 2)[:, None, None]
+    pairs = np.full(half, 2.0)
+    pairs[0] = pairs[-1] = 1.0
+    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
+                 * np.outer(pairs, pairs) / points)
+    return fock._read_only(four_sin_sq, transform)
+
+
 def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> float:
     """<phi|<phi| B |phi>|phi> of `two_copy_operator`, without building B.
 
@@ -359,18 +380,11 @@ def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> fl
     radii = np.sqrt(t / width)
     weights = w / points * (lam / width) * np.exp((width - lam) * radii ** 2)
     q = weights[:, None] * _polar_overlaps(amps, radii, points)
-    steps = np.arange(half)                          # offsets d, and harmonics
+    four_sin_sq, transform = _phase_offset_tables(points)
     # |a_{i,0} - a_{k,d}|^2 = (r_i - r_k)^2 + 4 r_i r_k sin^2(pi d / A), (d, i, k)
-    sin_sq = np.sin(math.pi / points * steps) ** 2
-    sep = (radii[:, None] - radii[None, :]) ** 2 + 4.0 * sin_sq[:, None, None] * (
+    sep = (radii[:, None] - radii[None, :]) ** 2 + four_sin_sq * (
         radii[:, None] * radii[None, :])
     coupling = np.exp(-eta * sep)
-    # The cosine transform from offsets to harmonics, with the weights of both:
-    # offsets and harmonics 1..A/2-1 each stand for a conjugate pair.
-    pairs = np.full(half, 2.0)
-    pairs[0] = pairs[-1] = 1.0
-    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
-                 * np.outer(pairs, pairs) / points)
     spectrum = (transform @ coupling.reshape(half, -1)).reshape(coupling.shape)
     # g is symmetric in (i, k), so f^H G f is the sum of the forms of Re f and Im f
     f = np.fft.rfft(q, axis=1)

@@ -683,11 +683,11 @@ def test_csv_reader_matches_the_reference_across_chunks(tmp_path):
     ds = make_dataset(PureLoss(0.6), n=1000, alphas=GRID[:7])
     path = tmp_path / "runs.csv"
     write_dataset_csv(ds, path)
-    assert sum(1 for _ in open(path)) - 1 > 3 * CHUNK
+    assert len(path.read_text().splitlines()) - 1 > 3 * CHUNK
     assert_reads_like_reference(path)
 
     # the same rows shuffled, so every group's samples span every chunk
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     order = np.random.default_rng(5).permutation(len(lines) - 1) + 1
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text("\n".join([lines[0]] + [lines[i] for i in order]) + "\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import fock
+from cvbench import ensembles, fock, proofcheck
 from cvbench.errors import CutoffTooSmall, InvalidInput
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian)
@@ -272,7 +272,7 @@ def test_kraus_kernels_on_a_stack_equal_each_slice_bit_for_bit(kernel, state_sta
 def _apply_loss_by_kraus_loop(matrix, T):
     # one Kraus operator A_k per number k of lost photons, summed term by term
     n = matrix.shape[-1]
-    lg = fock._lgamma_table(n + 1)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     ln_t, ln_r = math.log(T), math.log1p(-T)
     out = np.zeros_like(matrix)
     m = np.arange(n, dtype=float)
@@ -286,7 +286,7 @@ def _apply_loss_by_kraus_loop(matrix, T):
 def _apply_amp_by_kraus_loop(matrix, G):
     # one Kraus operator B_k per number k of added photons, summed term by term
     n = matrix.shape[-1]
-    lg = fock._lgamma_table(n + 1)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     ln_g, ln_gm1 = math.log(G), math.log(G - 1.0)
     out = np.zeros_like(matrix)
     nn = np.arange(n, dtype=float)
@@ -575,6 +575,106 @@ def test_truncated_prior_weights_are_the_prior_averaged_tails():
     kets = [fock.coherent_amplitudes(np.sqrt(g * abs2), cutoff) for g in (1.0, eta)]
     tails = [w @ (1.0 - np.sum(np.abs(k) ** 2, axis=0)) for k in kets]
     assert tails == pytest.approx(fock.truncated_prior_weights(eta, lam, cutoff), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# tables built once per cutoff
+
+
+def _log_factorials(n):
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+
+
+def _loss_table_in_full(cutoff, T):
+    if T == 1.0:
+        return np.eye(cutoff)
+    lg = _log_factorials(cutoff)
+    i = np.arange(cutoff)
+    lost = i - i[:, None]
+    log_t = 0.5 * (lg - lg[:, None] - lg[np.abs(lost)] + i[:, None] * math.log(T)
+                   + lost * math.log1p(-T))
+    return np.exp(np.where(lost >= 0, log_t, -np.inf))
+
+
+def _heterodyne_table_in_full(cutoff, gain, log_width):
+    if gain == 0.0:
+        c = np.zeros((cutoff, cutoff))
+        c[0] = np.exp(-0.5 * (np.arange(cutoff) + 1) * log_width)
+        return c
+    lg = _log_factorials(2 * cutoff)
+    l, m = np.arange(cutoff)[:, None], np.arange(cutoff)
+    return np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * log_width)
+                  + l * math.log(gain))
+
+
+def _prior_kernels_in_full(eta, lam, cutoff):
+    width = lam + 1.0 + eta
+    scale = 2.0 ** round(math.log2(3 * cutoff / math.e))
+    h = np.arange(3 * cutoff) / scale
+    h[0] = 1.0
+    np.cumprod(h, out=h)
+    ratios = (scale / width) / np.arange(1, 2 * cutoff)
+    p = np.cumprod(np.sqrt(np.concatenate(([lam / width], eta * ratios))))
+    q = np.cumprod(np.sqrt(np.concatenate(([1.0], ratios))))
+    pairs = [np.ndarray((cutoff, cutoff), float, x, strides=(x.itemsize, x.itemsize))
+             * x[:cutoff] for x in (p, q)]
+    return pairs[0], h, pairs[1]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 24, 40, 180])
+def test_cached_tables_give_the_full_formulas_bit_for_bit(cutoff):
+    for T in (1e-300, 0.3, 0.5, 0.97, 1.0):
+        assert np.array_equal(fock._loss_table(cutoff, T), _loss_table_in_full(cutoff, T))
+    for g in (0.0, 0.4, 1.0, 2.7):
+        for log_width in (math.log1p(g * g), 1.3):
+            assert np.array_equal(fock._heterodyne_table(cutoff, g, log_width),
+                                  _heterodyne_table_in_full(cutoff, g, log_width))
+    for eta, lam in ((0.9, 0.3), (1.3, 0.7), (3.0, 0.05)):
+        for got, want in zip(fock._prior_kernels(eta, lam, cutoff),
+                             _prior_kernels_in_full(eta, lam, cutoff)):
+            assert np.array_equal(got, want)
+    # the block schedule: as many offsets as fit _KERNEL_BLOCK entries, and
+    # each block's Hankel view w[k, i, j] = h[i + j + d0 + k]
+    tables = fock._cutoff_tables(cutoff)
+    assert fock._cutoff_tables(cutoff) is tables
+    d0 = 0
+    for start, count, w in tables.blocks:
+        width = cutoff - d0
+        assert (start, count) == (d0, min(width, max(1, fock._KERNEL_BLOCK // width ** 2)))
+        k, i, j = np.ogrid[:count, :width, :width]
+        assert np.array_equal(w, tables.hankel[i + j + d0 + k])
+        d0 += count
+    assert d0 == cutoff
+
+
+def test_cutoff_tables_at_the_cap_hold_what_their_docstring_states():
+    # 1.08 MB an entry at cutoff 180, at most 16 entries
+    tables = fock._cutoff_tables(fock._MAX_AUTO_CUTOFF)
+    held = sum(a.nbytes for a in tables if isinstance(a, np.ndarray))
+    assert 1.07e6 <= held <= 1.09e6
+    assert fock._cutoff_tables.cache_info().maxsize == 16
+
+
+def _cutoff_table_arrays(cutoff):
+    tables = fock._cutoff_tables(cutoff)
+    return [a for a in tables if isinstance(a, np.ndarray)] + [w for *_, w in tables.blocks]
+
+
+@pytest.mark.parametrize("cached", [
+    lambda: fock._quad_eigh(24, 1),
+    lambda: fock._squeeze_eigh(24),
+    lambda: ensembles.laguerre_rule(24),
+    lambda: _cutoff_table_arrays(24),
+    lambda: proofcheck._phase_offset_tables(52),
+], ids=["quad_eigh", "squeeze_eigh", "laguerre_rule", "cutoff_tables", "phase_offset_tables"])
+def test_every_cached_array_is_read_only(cached):
+    # a cache shares its arrays with every later call, so a write must raise
+    # rather than corrupt the next caller's values
+    arrays = cached()
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
 
 
 # ---------------------------------------------------------------------------

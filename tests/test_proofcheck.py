@@ -432,6 +432,22 @@ def test_per_radius_fft_overlaps_match_kets_on_every_node(cutoff):
     assert np.max(np.abs(overlaps.ravel() - direct)) <= 1e-14
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 16, 24, 40, 64])
+def test_phase_offset_tables_give_the_full_formulas_bit_for_bit(cutoff):
+    points = 2 * cutoff + 4
+    half = points // 2 + 1
+    steps = np.arange(half)
+    sin_sq = np.sin(math.pi / points * steps) ** 2
+    pairs = np.full(half, 2.0)
+    pairs[0] = pairs[-1] = 1.0
+    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
+                 * np.outer(pairs, pairs) / points)
+    four_sin_sq, got = proofcheck._phase_offset_tables(points)
+    assert np.array_equal(four_sin_sq, 4.0 * sin_sq[:, None, None])
+    assert np.array_equal(got, transform)
+    assert proofcheck._phase_offset_tables(points)[1] is got
+
+
 def test_two_copy_value_builds_kets_on_the_radii_only(monkeypatch):
     cutoff = 12
     points = 2 * cutoff + 4

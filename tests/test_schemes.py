@@ -425,7 +425,7 @@ def test_apply_mp_fock_shared_kernel_table_keeps_every_bit(g):
     # took it over: log1p(g^2), not log(1 + g^2), is part of the pinned bits
     rho = fock.gaussian_state_fock([0.9, -0.6], 0.8 * E2, 36)
     n = rho.cutoff
-    lg = fock._lgamma_table(2 * n)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(2 * n)])
     l, m = np.arange(n)[:, None], np.arange(n)
     c = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] - (m + l + 1) * math.log1p(g * g))
                + l * math.log(g))
@@ -716,13 +716,33 @@ def test_fock_value_stays_within_one_at_the_cap(prior_rule):
     assert 1.0 - 1e-14 <= avg.value <= 1.0
 
 
+def _phase_covariance_gap(model, stack, theta):
+    # max |Phi(R rho R^dag) - R Phi(rho) R^dag| over a stack, for R = exp(i theta n)
+    phase = np.exp(1j * theta * np.arange(stack.shape[-1]))
+
+    def rotate(matrix):
+        return phase[:, None] * matrix * phase.conj()
+
+    applier = fock_applier(model)
+    got = applier(fock.FockOperator(rotate(stack))).matrix
+    return np.abs(got - rotate(applier(fock.FockOperator(stack)).matrix)).max()
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.9])
 @pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)
-def test_phase_averaged_applier_of_a_covariant_model_is_its_own_map(model, state_stack):
-    # a map and its phase average have one prior average, so one object serves both
+def test_fock_map_of_a_covariant_model_commutes_with_phase_rotations(model, theta,
+                                                                     state_stack):
+    # a phase-covariant map is its own phase average, so one object, an
+    # OffsetMap, serves both
     assert phase_averaged_applier is fock_applier
-    stack = fock.FockOperator(state_stack(20))
-    got = phase_averaged_applier(model)(stack).matrix
-    assert np.array_equal(got, fock_applier(model)(stack).matrix)
+    assert isinstance(fock_applier(model), fock.OffsetMap)
+    assert _phase_covariance_gap(model, state_stack(20), theta) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.9])
+def test_phase_covariance_check_fails_on_noise_along_one_axis(theta, state_stack):
+    # the negative control: canonical B1's noise on x_plus alone is not covariant
+    assert _phase_covariance_gap(CanonicalB1(), state_stack(20), theta) > 1e-3
 
 
 def _phase_resolved_average(prior_rule, applier, eta, lam, cutoff):
@@ -746,11 +766,6 @@ def test_one_phase_per_radius_is_exact_on_the_truncated_space(model, cutoff, pri
     own = fock_applier(model)
     got = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=cutoff)
     assert abs(got.value - _phase_resolved_average(prior_rule, own, eta, lam, cutoff)) <= 1e-13
-
-
-@pytest.mark.parametrize("model", COVARIANT + [CHAIN], ids=_name)
-def test_fock_applier_of_a_covariant_model_is_an_offset_map(model):
-    assert isinstance(fock_applier(model), fock.OffsetMap)
 
 
 def test_a_displaced_isotropic_channel_is_one_displacement():

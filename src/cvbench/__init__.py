@@ -31,6 +31,6 @@ from .schemes import (CanonicalB1, CanonicalC, ChannelForm, Compose,
                       HeterodyneMP, PureLoss, QuantumLimitedAmp, apply_mp_fock,
                       channel_form, fock_applier, model_from_json, model_to_json,
                       mp_average_fidelity, optimal_mp_gain, optimize_mp_gain,
-                      phase_averaged_applier, to_gaussian)
+                      to_gaussian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,13 +19,10 @@ subcommand takes only the flags it reads, plus the common --seed, --out and
 their dashes, "-" written as "_"; explicit flags win over it, and it over
 the table's defaults.  A clean command line, each token after the
 subcommand a --flag value pair spelled and typed as the table has it, is read
-straight from the table and builds no parser.  Any other takes one argparse
-pass, through the invoked subcommand's own parser, so argparse writes every
-help, usage and error message; the top-level parser runs only for an empty
-argv, an unknown command or top-level --help, and to refuse arguments the
-subcommand's parser leaves over, under its usage line.  A process builds each
-parser once, on first use, and repeated in-process `main` calls reuse it;
-nothing is built at import.
+straight from the table and builds no parser.  Any other goes to the one
+full argparse parser, so argparse writes every help, usage and error
+message.  A process builds that parser once, on first use, and repeated
+in-process `main` calls reuse it; nothing is built at import.
 
 Exit codes:
 
@@ -172,8 +169,8 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
                             help=text if default is None else f"{text} (default {default})")
 
 
-def _build_parsers(command: str | None):
-    """The command-line parser, and its subparsers' map from name to parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, each with its table's flags."""
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON_FLAGS)
     common.add_argument("--config", help="JSON config file merged under explicit flags")
@@ -182,29 +179,16 @@ def _build_parsers(command: str | None):
         prog="cvbench",
         description="benchmarks and certification for coherent-state "
                     "transformation tasks on one bosonic mode")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_HANDLERS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
-        if command in (None, name):
-            _add_flags(sub.add_parser(name, parents=[common], help=handler.__doc__),
-                       _FLAGS[name])
-    return parser, sub.choices
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or only `command`'s.
-
-    Both give `command` the same usage text and errors: a parser with one
-    subcommand spells out the full subcommand list of the top-level usage.
-    """
-    return _build_parsers(command)[0]
+        _add_flags(sub.add_parser(name, parents=[common], help=handler.__doc__),
+                   _FLAGS[name])
+    return parser
 
 
 # Parsing leaves a parser as it was, and its help and errors read the streams
-# and the terminal width when they print, so one parser per key serves every
-# call.  Keyed like build_parser: a subcommand name, or None for the full one.
-_parser = functools.lru_cache(maxsize=None)(_build_parsers)
+# and the terminal width when they print, so one parser serves every call.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 # Read once per subcommand and never changed: callers must not mutate it.
@@ -254,25 +238,15 @@ def _parse(argv: list):
     """The parsed arguments of one command line.
 
     A clean command line (see _table_pass) is read straight from the
-    subcommand's flag table, and builds no parser.  Any other goes through
-    one argparse pass: a known subcommand's own parser reads the flags after
-    it, and its help and errors are the ones the top-level parser would pass
-    through.  The top-level parser runs only when arguments are left over
-    (to refuse them under its own usage line), for an unknown command and
-    for an empty argv.
+    subcommand's flag table, and builds no parser.  Any other goes to the
+    one full parser, built on first use, which writes every help, usage and
+    error message.
     """
-    command = argv[0] if argv and argv[0] in _HANDLERS else None
-    if command is not None:
-        args = _table_pass(command, argv[1:])
+    if argv and argv[0] in _HANDLERS:
+        args = _table_pass(argv[0], argv[1:])
         if args is not None:
             return args
-    parser, subparsers = _parser(command)
-    if command is not None:
-        args, extra = subparsers[command].parse_known_args(argv[1:])
-        if not extra:
-            args.command = command
-            return args
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _config_value(key: str, kind, value):

@@ -10,8 +10,7 @@ closed-form outcome-integral kernels, derived from the measurement, not from (K,
 then, for anisotropic noise or a mean, one factor that mixes displacement
 unitaries (`fock.DisplacementMixture`).  `fock_applier` gives that
 realization as one `fock.OffsetMap`: it maps operators, and its kernels are
-what the Fock engine's prior average contracts (`phase_averaged_applier` is
-another name for it).
+what the Fock engine's prior average contracts.
 """
 
 from __future__ import annotations
@@ -490,7 +489,3 @@ def fock_applier(model: ChannelModel | GaussianChannel,
     has built it already.
     """
     return fock.OffsetMap(*_realization(model, gauss))
-
-
-# The map and its phase average are one object (see `fock_applier`).
-phase_averaged_applier = fock_applier

@@ -16,7 +16,7 @@ from cvbench.certify import certify_by_fidelity, detect_gaussian_qd, synthesize_
 from cvbench.errors import DomainError, InvalidInput, NotCompletelyPositive
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState, apply_channel,
                               average_fidelity_gaussian, is_gain_matched)
-from cvbench.schemes import channel_form, fock_applier, phase_averaged_applier
+from cvbench.schemes import channel_form, fock_applier
 
 CP_MESSAGE = "channel (K, M) fails the complete-positivity criterion"
 
@@ -32,7 +32,6 @@ ENTRY_POINTS = {
     "channel_form": channel_form,
     "detect_gaussian_qd": detect_gaussian_qd,
     "fock_applier": fock_applier,
-    "phase_averaged_applier": phase_averaged_applier,
 }
 
 

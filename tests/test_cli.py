@@ -213,7 +213,7 @@ def test_simulate_fock_engine_averages_the_phase_averaged_map(capsys, channel,
                             "--lambda", "0.4", "--engine", "fock", "--cutoff", "16")
     assert code == 0
     model = _load_channel_spec(channel)
-    expected = fock.average_fidelity_fock(schemes.phase_averaged_applier(model),
+    expected = fock.average_fidelity_fock(schemes.fock_applier(model),
                                           1.0, 0.4, cutoff=16)
     own_map, _ = per_node_average(schemes.fock_applier(model), 1.0, 0.4, 16)
     assert doc["result"]["fbar_fock"] == expected.value
@@ -1053,22 +1053,6 @@ def test_proofcheck_help_names_the_count_ranges(capsys):
     assert "consistency check, 1..64 (default 16)" in " ".join(out.split())
 
 
-def _parse_exit(capsys, parser, argv):
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("command", list(cli._HANDLERS))
-def test_one_subcommand_parser_gives_the_full_parsers_help_and_errors(capsys, command):
-    for argv in ([command, "--help"], [command, "--bogus", "1"], [command, "--seed", "x"],
-                 [command, "--seed"]):
-        one = _parse_exit(capsys, cli.build_parser(command), argv)
-        assert one == _parse_exit(capsys, cli.build_parser(), argv)
-        assert one[0] != 0 or one[1].startswith(f"usage: cvbench {command} ")
-
-
 def _parse_outcome(capsys, parse, argv):
     """What a parse gives: the namespace or the exit code, then stdout and stderr."""
     try:
@@ -1096,20 +1080,8 @@ def test_main_parses_as_the_full_parser_does(capsys, command):
     assert err.startswith("usage: cvbench [-h] {") and "unrecognized arguments: --bogus" in err
 
 
-def test_only_the_subcommand_parser_reads_a_clean_command_line(capsys, monkeypatch):
-    def must_not_run(argv):
-        raise AssertionError("the top-level parser ran")
-    parser, _ = cli._parser("bound")
-    monkeypatch.setattr(parser, "parse_args", must_not_run)
-    code, out, _ = run_json(capsys, "bound", "--eta", "1", "--lam", "0.5")
-    assert code == 0 and out["config"]["lambda"] == 0.5
-    with pytest.raises(AssertionError, match="top-level parser ran"):
-        cli.main(["bound", "--eta", "1", "--bogus"])
-
-
 def test_build_parser_returns_a_new_parser_each_call():
     assert cli.build_parser() is not cli.build_parser()
-    assert cli.build_parser("bound") is not cli.build_parser("bound")
 
 
 def test_repeated_main_calls_reuse_parsers_and_give_the_same_bytes(capsys, tmp_path):
@@ -1136,9 +1108,8 @@ def test_repeated_main_calls_reuse_parsers_and_give_the_same_bytes(capsys, tmp_p
     rounds = [[run(capsys, *argv) for argv in sequence] for _ in range(3)]
     assert rounds[0] == rounds[1] == rounds[2]
     assert [code for code, _, _ in rounds[0]] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2, 0, 0]
-    # clean lines build no parser: only bound's, sweep's and simulate's
-    # argparse lines and the full parser's --help, unknown command and empty argv
-    assert cli._parser.cache_info().currsize == 4
+    # clean lines build no parser, and every other line shares the one full parser
+    assert cli._parser.cache_info().currsize == 1
 
 
 def test_a_reused_parser_reads_the_terminal_width_when_it_prints(capsys, monkeypatch):
@@ -1159,20 +1130,23 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
-def test_a_clean_command_line_builds_no_parser():
+def test_a_clean_command_line_builds_no_parser(contract_argvs):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     script = "\n".join([
-        "import contextlib, io, cvbench.cli as cli",
+        "import contextlib, io, json, sys, cvbench.cli as cli",
         "sizes = []",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    for argv in (['bound', '--eta', '1'], ['bound', '--eta', '1', '--lam', '0.2']):",
-        "        sizes.append((cli.main(argv), cli._parser.cache_info().currsize))",
-        "print(sizes)"])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
-    # the abbreviated --lam goes to argparse, which builds bound's parser
-    assert proc.returncode == 0 and proc.stdout == "[(0, 0), (0, 1)]\n", proc.stderr
+        "    for argv in json.loads(sys.argv[1]):",
+        "        sizes.append([cli.main(argv), cli._parser.cache_info().currsize])",
+        "print(json.dumps(sizes))"])
+    argvs = list(contract_argvs.values()) + [["bound", "--eta", "1", "--lam", "0.2"]]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    # a clean line of each subcommand is read from the table; the abbreviated
+    # --lam goes to argparse, which builds the one full parser
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0]] * len(contract_argvs) + [[0, 1]]
 
 
 def _namespace(args) -> dict:

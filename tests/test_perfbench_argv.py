@@ -5,7 +5,10 @@ loads it by path and only reads it.  Every argv of one fock-engine cycle
 must exit 0, with the engine gap inside the Fock engine's error estimate;
 every argv of one gaussian-audit cycle must pass the benchmark's own oracle
 (``workloads.check``); and every argv of one certify-csv cycle must give the
-exit code, verdict, input hash and counts its job expects.
+exit code, verdict, input hash and counts its job expects.  Every argv of
+the three cycles must be a clean command line, read from the flag table
+without argparse, so a workload line that would build a parser fails here
+rather than quietly moving the benchmark's metrics.
 """
 
 import importlib.util
@@ -14,19 +17,26 @@ from pathlib import Path
 
 import pytest
 
-from cvbench.cli import main
+from cvbench.cli import _table_pass, main
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
 workloads = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
+
+def _run_clean(argv):
+    """main's exit code for a job argv, which the table pass must read."""
+    assert _table_pass(argv[0], argv[1:]) is not None, argv
+    return main(argv)
+
+
 JOBS = workloads.fock_cycle(1, 0)
 
 
 @pytest.mark.parametrize("job", JOBS, ids=[f"{i}-{job['group']}" for i, job in enumerate(JOBS)])
 def test_fock_cycle_argv_runs_within_the_error_estimate(capsys, job):
-    code = main(job["argv"])
+    code = _run_clean(job["argv"])
     result = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
     assert result["engine_gap"] <= result["fock_error_estimate"]
@@ -45,7 +55,7 @@ def gauss_jobs(tmp_path_factory):
 @pytest.mark.parametrize("index", range(GAUSS_JOBS))
 def test_gauss_cycle_argv_passes_the_benchmark_oracle(capsys, gauss_jobs, index):
     job = gauss_jobs[index]
-    code = main(job["argv"])
+    code = _run_clean(job["argv"])
     text = capsys.readouterr().out
     out = json.loads(text) if text.strip() else None
     fails, defects, _ = workloads.check("gaussian-audit", job, code, out)
@@ -65,7 +75,7 @@ def cert_jobs(tmp_path_factory):
 @pytest.mark.parametrize("index", range(CERT_JOBS))
 def test_cert_cycle_argv_gives_the_expected_verdict(capsys, cert_jobs, index):
     job = cert_jobs[index]
-    code = main(job["argv"])
+    code = _run_clean(job["argv"])
     out = json.loads(capsys.readouterr().out)
     expect, result = job["expect"], out["result"]
     assert code == expect["exit"]

@@ -16,8 +16,7 @@ from cvbench.schemes import (CanonicalB1, CanonicalC, Compose, HeterodyneMP,
                              PureLoss, QuantumLimitedAmp, apply_mp_fock,
                              fock_applier, model_from_json, model_to_json,
                              mp_average_fidelity, optimal_mp_gain,
-                             optimize_mp_gain, phase_averaged_applier,
-                             to_gaussian)
+                             optimize_mp_gain, to_gaussian)
 
 rng = np.random.default_rng(47)
 random_tasks = [(float(e), float(l)) for e, l in
@@ -519,7 +518,7 @@ def test_fock_applier_realizations_match_the_closed_form(model):
     eta, lam = 0.8, 0.6
     channel = model if isinstance(model, GaussianChannel) else to_gaussian(model)
     exact = average_fidelity_gaussian(channel, eta, lam)
-    avg = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=30)
+    avg = fock.average_fidelity_fock(fock_applier(model), eta, lam, cutoff=30)
     assert abs(avg.value - exact) <= 1e-4 + avg.error
 
 
@@ -580,7 +579,7 @@ def test_average_fidelity_contraction_matches_the_exact_contraction(model, cutof
     # the engine's blocks against the map's own one-offset kernels and the
     # prior's kernels W_d in 40-digit decimals
     eta, lam = 1.3, 0.7
-    offset_map = phase_averaged_applier(model)
+    offset_map = fock_applier(model)
     got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
     value, error = exact_average(offset_map, eta, lam, cutoff)
     assert abs(got.value - value) <= 1e-15
@@ -592,7 +591,7 @@ def test_average_fidelity_contraction_matches_the_exact_contraction(model, cutof
 def test_average_fidelity_contraction_matches_the_exact_contraction_at_the_cap(
         model, exact_average):
     eta, lam, cutoff = 0.9, 0.3, 180
-    offset_map = phase_averaged_applier(model)
+    offset_map = fock_applier(model)
     got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
     value, error = exact_average(offset_map, eta, lam, cutoff)
     assert abs(got.value - value) <= 1e-14
@@ -607,7 +606,7 @@ def test_fock_value_at_the_cap_meets_the_gaussian_closed_form(model, eta, lam):
     # the closed form to rounding; averaging with a 180-node Gauss-Laguerre
     # rule, whose weights sum to 1 + 9e-13, would put it about 6e-13 high
     exact = average_fidelity_gaussian(to_gaussian(model), eta, lam)
-    got = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=180)
+    got = fock.average_fidelity_fock(fock_applier(model), eta, lam, cutoff=180)
     assert abs(got.value - exact) <= 1e-14
 
 
@@ -626,7 +625,7 @@ BLOCK_CUTOFFS = [1, 2, 3, 52, 53, 64, 65, 180]
 def test_blocked_contraction_of_kraus_chains_matches_the_exact_contraction(model, cutoff,
                                                                            exact_average):
     eta, lam = 0.9, 0.3
-    offset_map = phase_averaged_applier(model)
+    offset_map = fock_applier(model)
     assert len(offset_map.factors) > 1
     assert all(isinstance(f, fock.KrausFamily) for f in offset_map.factors)
     got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
@@ -651,7 +650,7 @@ def test_offset_blocks_hold_about_a_fixed_number_of_kernel_entries(monkeypatch, 
             return blocks(d0, count)
         return block
     monkeypatch.setattr(fock.OffsetMap, "real_kernel_blocks", spy)
-    fock.average_fidelity_fock(phase_averaged_applier(CHAIN), 0.9, 0.3, cutoff=cutoff)
+    fock.average_fidelity_fock(fock_applier(CHAIN), 0.9, 0.3, cutoff=cutoff)
     assert calls[:2] == first
     # the blocks tile the offsets in order, each one offset or as many as fit
     # the entry budget of its kernel stack
@@ -677,7 +676,7 @@ def test_mixture_real_kernels_match_the_exact_contraction(model, cutoff, exact_a
     # the exact contraction takes the real part of its complex kernels, built
     # from the mixture's unitaries
     eta, lam = 0.9, 0.3
-    offset_map = phase_averaged_applier(model)
+    offset_map = fock_applier(model)
     assert isinstance(offset_map.factors[-1], fock.DisplacementMixture)
     got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
     value, error = exact_average(offset_map, eta, lam, cutoff)
@@ -693,7 +692,7 @@ def test_mixture_average_at_the_cap_holds_about_one_stack_of_unitaries():
     stack = 20 * cutoff * cutoff * np.dtype(complex).itemsize
 
     def average():
-        fock.average_fidelity_fock(phase_averaged_applier(CanonicalB1()), 0.9, 0.3,
+        fock.average_fidelity_fock(fock_applier(CanonicalB1()), 0.9, 0.3,
                                    cutoff=cutoff)
     average()   # fills the caches
     tracemalloc.start()
@@ -711,7 +710,7 @@ def test_fock_value_stays_within_one_at_the_cap(prior_rule):
     # sum to 1 + 8.9e-13, do not reach its value
     eta, lam = 0.5, 0.3
     assert prior_rule(eta, lam, 180)[1].sum() > 1.0 + 1e-13
-    avg = fock.average_fidelity_fock(phase_averaged_applier(PureLoss(eta)), eta, lam,
+    avg = fock.average_fidelity_fock(fock_applier(PureLoss(eta)), eta, lam,
                                      cutoff=180)
     assert 1.0 - 1e-14 <= avg.value <= 1.0
 
@@ -734,7 +733,6 @@ def test_fock_map_of_a_covariant_model_commutes_with_phase_rotations(model, thet
                                                                      state_stack):
     # a phase-covariant map is its own phase average, so one object, an
     # OffsetMap, serves both
-    assert phase_averaged_applier is fock_applier
     assert isinstance(fock_applier(model), fock.OffsetMap)
     assert _phase_covariance_gap(model, state_stack(20), theta) <= 1e-12
 
@@ -764,7 +762,7 @@ def _phase_resolved_average(prior_rule, applier, eta, lam, cutoff):
 def test_one_phase_per_radius_is_exact_on_the_truncated_space(model, cutoff, prior_rule):
     eta, lam = 0.9, 0.4
     own = fock_applier(model)
-    got = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam, cutoff=cutoff)
+    got = fock.average_fidelity_fock(fock_applier(model), eta, lam, cutoff=cutoff)
     assert abs(got.value - _phase_resolved_average(prior_rule, own, eta, lam, cutoff)) <= 1e-13
 
 
@@ -797,7 +795,7 @@ def test_fock_error_estimate_bounds_the_true_deviation():
                 eta, lam = rng.uniform(0.3, 2.0), rng.uniform(0.05, 1.0)
                 model = draw(eta, lam)
                 channel = model if isinstance(model, GaussianChannel) else to_gaussian(model)
-                avg = fock.average_fidelity_fock(phase_averaged_applier(model), eta, lam,
+                avg = fock.average_fidelity_fock(fock_applier(model), eta, lam,
                                                  cutoff=cutoff)
                 gap = abs(avg.value - average_fidelity_gaussian(channel, eta, lam))
                 assert gap <= avg.error, (model, cutoff, eta, lam, gap, avg.error)

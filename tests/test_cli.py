@@ -1149,6 +1149,33 @@ def test_a_clean_command_line_builds_no_parser(contract_argvs):
     assert json.loads(proc.stdout) == [[0, 0]] * len(contract_argvs) + [[0, 1]]
 
 
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_a_joined_flag_line_gives_its_clean_twins_bytes_from_the_one_parser(
+        capsys, contract_argvs, command):
+    clean = contract_argvs[command]
+    joined = [command, f"{clean[1]}={clean[2]}", *clean[3:]]
+    assert cli._table_pass(command, clean[1:]) is not None
+    assert cli._table_pass(command, joined[1:]) is None
+    cli._parser.cache_clear()
+    first = run(capsys, *clean)
+    assert cli._parser.cache_info().currsize == 0
+    # the --flag=value twin goes to argparse, which builds the one full parser
+    assert run(capsys, *joined) == first and first[0] == 0 and first[1]
+    assert cli._parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_help_and_errors_of_a_subcommand_share_the_one_full_parser(capsys, command):
+    cli._parser.cache_clear()
+    for argv in ([command, "--help"], [command, "--bogus", "1"], [command, "--seed", "x"],
+                 [command, "--seed"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True)), argv
+        assert (out or err).startswith("usage: cvbench "), argv
+        assert code != 0 or out.startswith(f"usage: cvbench {command} "), argv
+        assert cli._parser.cache_info().currsize == 1, argv
+
+
 def _namespace(args) -> dict:
     """A namespace's attributes as comparable values: NaN is not equal to itself."""
     return {key: (type(value), repr(value)) for key, value in vars(args).items()}

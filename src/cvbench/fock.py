@@ -10,7 +10,8 @@ and bounds the truncation itself in closed form.  A channel's map is an
 factor's map on operators, and `kernel_blocks`, the real kernels of its
 phase average per photon-number offset.  The prior average contracts a
 block of offsets' kernels at a time against the prior's own kernels, which
-have a closed form.  It never forms an operator.
+have a closed form; a map that is one Kraus family alone it sums in closed
+form over the family's Kraus pairs instead.  It never forms an operator.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class _CutoffTables(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _cutoff_tables(cutoff: int) -> _CutoffTables:
-    """The arrays of `_loss_table`, `_heterodyne_table`, `_prior_kernels` and
-    `average_fidelity_fock` that depend on the cutoff N alone, built once per N.
+    """The arrays of `_loss_table`, `_heterodyne_table`, `_prior_products`,
+    `_prior_kernels` and `average_fidelity_fock` that depend on the cutoff N
+    alone, built once per N.
 
     Each of those functions adds only the arithmetic of its parameters, in
     the order of its full formula, so every value is the same to the bit as
@@ -383,7 +385,10 @@ class OffsetMap:
     `average_fidelity_fock` contracts.  The prior is phase-invariant, so a
     map and its phase average have the same average fidelity, and one
     object serves both.  No factors is the identity, as
-    `KrausFamily("loss", 1.0)`.
+    `KrausFamily("loss", 1.0)`.  `average_fidelity_fock` reads a map of one
+    `KrausFamily` alone through its pair sums (`KrausFamily.pair_sum`), not
+    its kernels: only chains and mixtures, whose kernels do not factor into
+    pairs of one table's entries, go through `real_kernel_blocks`.
     """
 
     def __init__(self, *factors):
@@ -457,6 +462,51 @@ def _loss_table(cutoff: int, transmissivity: float) -> np.ndarray:
     return np.exp(log_t, out=np.zeros((cutoff, cutoff)), where=tables.upper)
 
 
+def _diagonal_pair_sum(t: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       hankel: np.ndarray) -> float:
+    """sum_delta sum_(a, b) u_delta[a] u_delta[b] h[a + b + delta] over the upper diagonals
+    u_delta[a] = m[a, a + delta] of m = diag(rows) t diag(cols), for an (N, N) table t.
+
+    m is written into one zero-padded (N, 2N) array, whose strided view
+    u[delta, a] = pad[a, a + delta] holds the diagonals.  The Hankel matrices
+    H_delta[a, b] = h[a + b + delta] are column windows of one (N, 2N-1)
+    Hankel matrix g[a, c] = h[a + c], read as an (N, N, N) strided view, so
+    the sum is one batched matrix-vector product and one dot product, and no
+    (N, N, N) array is formed.  Each window has unit column stride, so BLAS
+    takes the products, which an einsum over a strided view of h does not.
+    """
+    n = t.shape[0]
+    pad = np.zeros((n, 2 * n))
+    np.multiply(t, rows[:, None], out=pad[:, :n])
+    pad[:, :n] *= cols
+    step = pad.itemsize
+    u = np.ascontiguousarray(np.ndarray((n, n), float, pad, strides=(step, (2 * n + 1) * step)))
+    g = np.ndarray((n, 2 * n - 1), float, hankel, strides=(step, step)).copy()
+    stack = np.ndarray((n, n, n), float, g, strides=(step, g.strides[0], step))
+    return float(np.vdot(u, stack @ u[:, :, None]))
+
+
+def _sheared(img: np.ndarray, cutoff: int) -> np.ndarray:
+    """The view s[..., l, m] = img[..., l, l + m] of an (..., N, 2N-1) array: row l's
+    entry m sits at flat index l (2N-1) + l + m = 2N l + m."""
+    return np.ndarray(img.shape[:-1] + (cutoff,), img.dtype, img,
+                      strides=img.strides[:-2] + (2 * cutoff * img.itemsize, img.itemsize))
+
+
+def _antidiagonal_pair_sum(c: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                           hankel: np.ndarray) -> float:
+    """sum_sigma h[sigma] S_sigma^2 over the anti-diagonal sums S_sigma of
+    diag(rows) c diag(cols), for an (N, N) table c: one sheared write into an
+    (N, 2N-1) array (`_sheared`) and one column sum."""
+    n = c.shape[0]
+    img = np.zeros((n, 2 * n - 1))
+    sheared = _sheared(img, n)
+    np.multiply(c, rows[:, None], out=sheared)
+    sheared *= cols
+    sums = img.sum(axis=0)
+    return float(np.dot(hankel[:2 * n - 1], sums * sums))
+
+
 def _table_blocks(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """Offset kernels A_d[i, j] = t[i+d, j+d] t[i, j] of an (N, N) table t, a block
     of offsets d0 ... d0+count-1 at a time (`_shifted` zero-pads the shifted table)."""
@@ -520,11 +570,7 @@ def heterodyne_images(cutoff: int, gain: float,
 
     def images(phi):
         img = np.zeros(phi.shape[:-1] + (cutoff, 2 * cutoff - 1), dtype=complex)
-        # row l's entry m goes to column l + m: flat index l (2N-1) + l + m = 2N l + m
-        sheared = np.ndarray(img.shape[:-1] + (cutoff,), complex, img,
-                             strides=img.strides[:-2] + (2 * cutoff * img.itemsize,
-                                                         img.itemsize))
-        np.multiply(c, phi[..., None, :], out=sheared)
+        np.multiply(c, phi[..., None, :], out=_sheared(img, cutoff))
         return img
     return images
 
@@ -582,6 +628,36 @@ class KrausFamily:
             return _table_blocks(_loss_table(cutoff, p))
         dual = _table_blocks(np.ascontiguousarray(_loss_table(cutoff, 1.0 / p).T))
         return lambda d0, count: dual(d0, count) / p
+
+    def pair_sum(self, p: np.ndarray, hankel: np.ndarray, q: np.ndarray) -> float:
+        """F = sum_d c_d <A_d, W_d> of the family alone, regrouped by Kraus pairs.
+
+        W_d[i, j] = p[i] p[i+d] h[i+j+d] q[j] q[j+d] are the prior's kernels
+        (`_prior_kernels`), given by the first N running products p and q and
+        the Hankel array h.  Each term of A_d W_d multiplies two entries of
+        one table scaled to diag(p) . diag(q), a Kraus pair, and summing over
+        ordered pairs counts c_0 = 1 and c_d = 2:
+
+        - loss, A_d[i, j] = t[i+d, j+d] t[i, j]: both entries lie on one
+          diagonal delta = j - i of m = diag(p) t diag(q), so with u_delta
+          that diagonal, F = sum_delta sum_(a, b) u_delta[a] u_delta[b] h[a+b+delta]
+          (`_diagonal_pair_sum`), O(N^3);
+        - the amplifier of gain G: the same on the loss table at 1/G, with p
+          and q swapped, over G (its kernels are that table's, transposed,
+          over G);
+        - heterodyne, A_d[l, n] = c[l, n+d] c[l+d, n]: both entries lie on one
+          anti-diagonal sigma = l + n + d of diag(p) c diag(q), so the pair
+          sum is a perfect square, F = sum_sigma h[sigma] S_sigma^2 over its
+          anti-diagonal sums S_sigma (`_antidiagonal_pair_sum`), O(N^2).
+        """
+        g = self.parameter
+        n = p.size
+        if self.kind == "heterodyne":
+            return _antidiagonal_pair_sum(_heterodyne_table(n, g, math.log1p(g * g)), p, q,
+                                          hankel)
+        if self.kind == "loss":
+            return _diagonal_pair_sum(_loss_table(n, g), p, q, hankel)
+        return _diagonal_pair_sum(_loss_table(n, 1.0 / g), q, p, hankel) / g
 
 
 def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
@@ -847,6 +923,16 @@ def truncated_prior_weights(eta: float, lam: float, cutoff: int):
     return (1.0 + lam) ** -cutoff, (eta / (lam + eta)) ** cutoff
 
 
+def _prior_products(eta: float, lam: float, cutoff: int):
+    """(p, q), the 2N running products of the prior's kernels (`_prior_kernels`)."""
+    tables = _cutoff_tables(cutoff)
+    width = lam + 1.0 + eta
+    ratios = (tables.scale / width) / tables.counts
+    p = np.cumprod(np.sqrt(np.concatenate(([lam / width], eta * ratios))))
+    q = np.cumprod(np.sqrt(np.concatenate(([1.0], ratios))))
+    return p, q
+
+
 def _prior_kernels(eta: float, lam: float, cutoff: int):
     """(P, h, Q) with W_d[i, j] = P[d, i] h[i + j + d] Q[d, j]: the prior's kernels.
 
@@ -869,17 +955,15 @@ def _prior_kernels(eta: float, lam: float, cutoff: int):
     a block of kernels.  h and 2^m depend on N alone: they come, read-only,
     from `_cutoff_tables`, built once per cutoff for the 16 most recent
     cutoffs, and P and Q take the same operations as the full formula, so
-    every value is bit for bit its own.
+    every value is bit for bit its own.  p and q come from
+    `_prior_products`, which the pair sums of a lone Kraus family
+    (`KrausFamily.pair_sum`) read as they are: those need no P or Q.
     """
-    tables = _cutoff_tables(cutoff)
-    width = lam + 1.0 + eta
-    ratios = (tables.scale / width) / tables.counts
-    p = np.cumprod(np.sqrt(np.concatenate(([lam / width], eta * ratios))))
-    q = np.cumprod(np.sqrt(np.concatenate(([1.0], ratios))))
+    p, q = _prior_products(eta, lam, cutoff)
     # row d holds x[i + d], a strided view, times x[i]
     pairs = [np.ndarray((cutoff, cutoff), float, x, strides=(x.itemsize, x.itemsize))
              * x[:cutoff] for x in (p, q)]
-    return pairs[0], tables.hankel, pairs[1]
+    return pairs[0], _cutoff_tables(cutoff).hankel, pairs[1]
 
 
 class FockAverage(NamedTuple):
@@ -910,14 +994,21 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     u_d v_d^T is W_d, in closed form (`_prior_kernels`), so the average is
     one contraction, F = sum_d c_d <Re A_d, W_d>.
 
-    It reads `OffsetMap.real_kernel_blocks`, a block of offsets
-    d0 ... d0+c-1 at a time:
-    the chain's zero-padded (c, N-d0, N-d0) kernel stack times the Hankel
-    view of W's block, then one batched matrix-vector product and one dot
-    product with W's two diagonal factors; the blocks' sums are added
-    exactly.  A block holds at most _KERNEL_BLOCK kernel entries, so the
-    widest cutoffs keep one kernel in memory.  A total outside [0, 1] beyond
-    1e-10 is an error; the total is clipped into [0, 1].  The default cutoff
+    A map that is one `KrausFamily` alone (pure loss, the quantum-limited
+    amplifier, heterodyne measure-and-prepare, or the identity `OffsetMap()`)
+    is averaged in closed form by its Kraus pairs (`KrausFamily.pair_sum`):
+    O(N^2) for heterodyne, one batched Hankel matrix-vector product for loss
+    and the amplifier, with no kernel formed.  Every other map (a chain of
+    factors, or a displacement mixture) is contracted through
+    `OffsetMap.real_kernel_blocks`, since its kernels do not factor into
+    pairs of one table's entries.  That reads a block of offsets
+    d0 ... d0+c-1 at a time: the chain's zero-padded (c, N-d0, N-d0) kernel
+    stack times the Hankel view of W's block, then one batched
+    matrix-vector product and one dot product with W's two diagonal
+    factors; the blocks' sums are added exactly.  A block holds at most
+    _KERNEL_BLOCK kernel entries, so the widest cutoffs keep one kernel in
+    memory.  On either path a total outside [0, 1] beyond 1e-10 is an
+    error; the total is clipped into [0, 1].  The default cutoff
     comes from `select_cutoff`; no cutoff above 180 is accepted.
 
     The error estimate bounds the truncation.  With the truncated prior
@@ -941,23 +1032,32 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     elif not 1 <= cutoff <= _MAX_AUTO_CUTOFF:
         raise InvalidInput(f"cutoff must be between 1 and {_MAX_AUTO_CUTOFF}, got {cutoff}")
 
-    left, _, right = _prior_kernels(eta, lam, cutoff)
-    left[0] *= 0.5    # c_0 = 1 and c_d = 2: the sum is doubled below, exactly
-    blocks = offset_map.real_kernel_blocks(cutoff)
-    sums = []
-    # w is the Hankel block of W_d0 ... W_(d0+count-1) (`_cutoff_tables`)
-    for d0, count, w in _cutoff_tables(cutoff).blocks:
-        width = cutoff - d0
-        rows = (blocks(d0, count) * w) @ right[d0:d0 + count, :width, None]
-        sums.append(np.vdot(left[d0:d0 + count, :width], rows))
-    total = float(_clipped_fidelities(np.array(2.0 * math.fsum(sums))))
+    factors = offset_map.factors
+    if len(factors) == 1 and isinstance(factors[0], KrausFamily):
+        p, q = _prior_products(eta, lam, cutoff)
+        total = factors[0].pair_sum(p[:cutoff], _cutoff_tables(cutoff).hankel, q[:cutoff])
+    else:
+        left, _, right = _prior_kernels(eta, lam, cutoff)
+        left[0] *= 0.5    # c_0 = 1 and c_d = 2: the sum is doubled below, exactly
+        blocks = offset_map.real_kernel_blocks(cutoff)
+        sums = []
+        # w is the Hankel block of W_d0 ... W_(d0+count-1) (`_cutoff_tables`)
+        for d0, count, w in _cutoff_tables(cutoff).blocks:
+            width = cutoff - d0
+            rows = (blocks(d0, count) * w) @ right[d0:d0 + count, :width, None]
+            sums.append(np.vdot(left[d0:d0 + count, :width], rows))
+        total = 2.0 * math.fsum(sums)
+    if total < -1e-10 or total > 1.0 + 1e-10:
+        raise InvalidInput(f"fidelity {total} outside [0, 1] beyond rounding tolerance")
+    total = 0.0 if total <= 0.0 else min(total, 1.0)    # a NaN passes through
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * sys.float_info.epsilon
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff
     if max_error is not None and err > max_error:
         raise ConvergenceError(
             f"fidelity average did not converge: at lambda = {lam:g} and cutoff {cutoff} "
-            f"the prior keeps weight tau_in = {tau_in:.3g} at or above the cutoff; value "
-            f"{total:.9g} with error estimate {err:.3g} exceeds the requested bound "
-            f"{max_error:g}", value=total, error=err)
+            f"the prior keeps weight tau_in = {tau_in:.3g} of the inputs |alpha> and "
+            f"tau_out = {tau_out:.3g} of the targets |sqrt(eta) alpha> at or above the "
+            f"cutoff; value {total:.9g} with error estimate {err:.3g} exceeds the "
+            f"requested bound {max_error:g}", value=total, error=err)
     return FockAverage(total, err)

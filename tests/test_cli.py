@@ -180,6 +180,17 @@ def test_simulate_flat_prior_failure_names_the_proxy_the_cutoff_and_the_lost_wei
     assert f"tau_in = {1.001 ** -24:.3g}" in err
 
 
+def test_simulate_failure_names_the_targets_lost_weight(capsys):
+    # at eta = 30 the inputs fit cutoff 40, but the targets |sqrt(eta) alpha>
+    # keep (30 / 30.3)^40 of their weight above it
+    code, out, err = run(capsys, "simulate", "--channel",
+                         '{"type": "pure_loss", "T": 0.6}', "--eta", "30",
+                         "--lambda", "0.3", "--engine", "fock", "--cutoff", "40")
+    assert code == 1
+    assert out == ""
+    assert "tau_in = 2.77e-05" in err and "tau_out = 0.672" in err
+
+
 def test_simulate_unmatched_flat_prior_gives_one_proxy_warning(capsys):
     code, doc, _ = run_json(capsys, "simulate", "--channel",
                             '{"type": "pure_loss", "T": 0.6}', "--eta", "0.8",

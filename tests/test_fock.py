@@ -751,6 +751,55 @@ def test_average_fidelity_refuses_a_map_without_offset_kernels():
         fock.average_fidelity_fock(lambda rho: rho, 1.0, 0.8, cutoff=12)
 
 
+# Lone Kraus families, which the engine averages by their pair sums: loss and
+# the amplifier at the identity and away from it, and heterodyne at gain 0,
+# at a moderate gain and at a gain that leaves it almost nothing.
+LONE_FAMILIES = [fock.KrausFamily("loss", T) for T in (0.3, 0.7, 1.0)] \
+    + [fock.KrausFamily("amp", G) for G in (1.0, 1.6)] \
+    + [fock.KrausFamily("heterodyne", g) for g in (0.0, 0.8, 1e10)]
+
+
+def _family_id(family):
+    return f"{family.kind}-{family.parameter:g}"
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 24, 80, 180])
+@pytest.mark.parametrize("family", LONE_FAMILIES, ids=_family_id)
+def test_pair_sum_of_a_lone_family_matches_the_block_contraction(family, cutoff):
+    # the identity in front makes a chain of two factors, which the engine
+    # contracts a block of offsets at a time through the same family's kernels
+    for eta, lam in ((0.9, 0.3), (1.3, 0.7)):
+        alone = fock.average_fidelity_fock(fock.OffsetMap(family), eta, lam, cutoff=cutoff)
+        chained = fock.average_fidelity_fock(
+            fock.OffsetMap(fock.KrausFamily("loss", 1.0), family), eta, lam, cutoff=cutoff)
+        assert abs(alone.value - chained.value) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 24])
+@pytest.mark.parametrize("family", LONE_FAMILIES, ids=_family_id)
+def test_pair_sum_of_a_lone_family_matches_the_operator_loop(family, cutoff,
+                                                             per_node_average):
+    # the family's map applied to the prior rule's input projectors; the
+    # rule's weights carry their own rounding, up to 3e-14 at cutoff 24
+    eta, lam = 0.9, 0.3
+    offset_map = fock.OffsetMap(family)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=cutoff)
+    value, error = per_node_average(offset_map, eta, lam, cutoff)
+    assert abs(got.value - value) <= 5e-14
+    assert abs(got.error - error) <= 1e-15
+
+
+def test_only_a_lone_kraus_family_skips_the_kernel_blocks(monkeypatch):
+    def refuse(offset_map, cutoff):
+        raise AssertionError("kernel blocks built")
+    monkeypatch.setattr(fock.OffsetMap, "real_kernel_blocks", refuse)
+    for offset_map in [fock.OffsetMap()] + [fock.OffsetMap(f) for f in LONE_FAMILIES]:
+        assert 0.0 <= fock.average_fidelity_fock(offset_map, 0.9, 0.3, cutoff=24).value <= 1.0
+    chain = fock.OffsetMap(fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.3))
+    with pytest.raises(AssertionError, match="kernel blocks built"):
+        fock.average_fidelity_fock(chain, 0.9, 0.3, cutoff=24)
+
+
 def test_offset_map_kernels_compose_its_factors_in_order():
     loss, amp = fock.KrausFamily("loss", 0.6), fock.KrausFamily("amp", 1.7)
     chain = fock.OffsetMap(loss, amp).real_kernel_blocks(9)

@@ -610,6 +610,19 @@ def test_fock_value_at_the_cap_meets_the_gaussian_closed_form(model, eta, lam):
     assert abs(got.value - exact) <= 1e-14
 
 
+@pytest.mark.parametrize("model", [PureLoss(0.5), QuantumLimitedAmp(1.4), HeterodyneMP(0.8),
+                                   HeterodyneMP(0.0)],
+                         ids=["loss", "amp", "heterodyne", "heterodyne-0"])
+def test_lone_family_at_the_cap_meets_the_gaussian_closed_form(model):
+    # one Kraus family, which the engine averages by its pair sums
+    eta, lam = 0.5, 0.3
+    offset_map = fock_applier(model)
+    assert [type(f) for f in offset_map.factors] == [fock.KrausFamily]
+    exact = average_fidelity_gaussian(to_gaussian(model), eta, lam)
+    got = fock.average_fidelity_fock(offset_map, eta, lam, cutoff=180)
+    assert abs(got.value - exact) <= 1e-14
+
+
 # Chains of Kraus families: loss then the amplifier, loss, heterodyne and the
 # amplifier, and one holding heterodyne at gain 0.  The engine contracts their
 # kernels a block of offsets at a time, 2**13 kernel entries per block: the

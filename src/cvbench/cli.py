@@ -135,6 +135,13 @@ _FLAGS = {
          "self-test: scale the bound by this factor (0.9 must fail)"),
     ),
 }
+
+# Each subcommand's flag table, common flags included, as {key: (flag, type,
+# default)}: built once, read by every command line, and never changed.
+_ROWS = {command: {flag[2:].replace("-", "_"): (flag, kind, default)
+                   for flag, kind, default, _ in _COMMON_FLAGS + rows}
+         for command, rows in _FLAGS.items()}
+
 # The JSON values a config file may give for each type, and their description;
 # a tuple type takes its choices
 _CONFIG_TYPES = {int: ((int,), "a whole number"), float: ((int, float), "a number"),
@@ -149,12 +156,8 @@ _JSON_ROWS = "\0rows"              # placeholder for a JSON sweep's streamed row
 _JSON_ROW_INDENT = " " * 6        # json.dumps' indent=2 at result.rows' elements
 
 
-class _Usage(Exception):
-    """Internal marker for post-parse usage problems (exit 2)."""
-
-
 # Exit code of each exception a run may end in; the first row that matches wins.
-_EXIT_CODES = (((_Usage, InvalidInput, UnsupportedTask, OSError), EXIT_USAGE),
+_EXIT_CODES = (((InvalidInput, UnsupportedTask, OSError), EXIT_USAGE),
                (DatasetError, EXIT_DATA),
                (DomainError, EXIT_CP),        # NotCompletelyPositive among them
                (ToolkitError, EXIT_FAIL))     # ConvergenceError, CutoffTooSmall
@@ -191,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
-# Read once per subcommand and never changed: callers must not mutate it.
-@functools.lru_cache(maxsize=None)
-def _rows(command: str) -> dict:
-    """`command`'s flag table, common flags included, as {key: (flag, type, default)}."""
-    return {flag[2:].replace("-", "_"): (flag, kind, default)
-            for flag, kind, default, _ in _COMMON_FLAGS + _FLAGS[command]}
-
-
 def _table_pass(command: str, tokens: list):
     """The namespace argparse gives a clean command line, read from the flag table alone.
 
@@ -209,7 +204,7 @@ def _table_pass(command: str, tokens: list):
     """
     if len(tokens) % 2:
         return None
-    rows = _rows(command)
+    rows = _ROWS[command]
     values = dict.fromkeys(rows)
     values["config"] = None
     for flag, value in zip(tokens[::2], tokens[1::2]):
@@ -262,7 +257,7 @@ def _config_value(key: str, kind, value):
                 return float(value) if kind is float else value
             except OverflowError:
                 pass
-    raise _Usage(f"config key '{key}' wants {want}, got {json.dumps(value)}")
+    raise InvalidInput(f"config key '{key}' wants {want}, got {json.dumps(value)}")
 
 
 def _json(text: str | bytes, flag: str):
@@ -271,29 +266,29 @@ def _json(text: str | bytes, flag: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _Usage(f"{flag} is not valid JSON: {exc}")
+        raise InvalidInput(f"{flag} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
-        raise _Usage(f"{flag} is not UTF-8 text: {exc}")
+        raise InvalidInput(f"{flag} is not UTF-8 text: {exc}")
     except RecursionError:
-        raise _Usage(f"{flag} nests JSON deeper than the decoder's recursion limit")
+        raise InvalidInput(f"{flag} nests JSON deeper than the decoder's recursion limit")
 
 
 def _resolve(args) -> dict:
     """Merge explicit flags over config-file values over the table's defaults."""
-    rows = _rows(args.command)
+    rows = _ROWS[args.command]
     eff = {key: default for key, (_, _, default) in rows.items()}
     if args.config is not None:
         try:
             with open(args.config, "rb") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _Usage(f"cannot read config file: {exc}")
+            raise InvalidInput(f"cannot read --config file: {exc}")
         raw = _json(text, "--config")
         if not isinstance(raw, dict):
-            raise _Usage("config file must hold a JSON object")
+            raise InvalidInput("--config file must hold a JSON object")
         unknown = sorted(set(raw) - set(rows))
         if unknown:
-            raise _Usage(f"unknown config keys for '{args.command}': {', '.join(unknown)}")
+            raise InvalidInput(f"unknown config keys for '{args.command}': {', '.join(unknown)}")
         for key, value in raw.items():
             if value is not None:
                 eff[key] = _config_value(key, rows[key][1], value)
@@ -302,7 +297,7 @@ def _resolve(args) -> dict:
         if value is not None:
             eff[key] = value
     if eff["seed"] < 0:
-        raise _Usage(f"--seed must be >= 0, got {eff['seed']}")
+        raise InvalidInput(f"--seed must be >= 0, got {eff['seed']}")
     eff["command"] = args.command
     eff["config_echo"] = {key: eff[key] for key in sorted(rows)
                           if key != "out" and eff[key] is not None}
@@ -366,8 +361,8 @@ def _emit(payload: dict | None, eff: dict, table=None) -> None:
 def _require(eff: dict, *names):
     missing = [n for n in names if eff.get(n) is None]
     if missing:
-        raise _Usage(f"missing required parameter(s): {', '.join(missing)} "
-                     f"(flag or config)")
+        raise InvalidInput(f"missing required parameter(s): {', '.join(missing)} "
+                          f"(flag or config)")
 
 
 def _load_channel_spec(text: str):
@@ -417,8 +412,8 @@ def _cmd_simulate(eff: dict):
     _require(eff, "channel")
     cutoff = eff["cutoff"]
     if cutoff is not None and not 1 <= cutoff <= fock._MAX_AUTO_CUTOFF:
-        raise _Usage(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
-                     f"got {cutoff}")
+        raise InvalidInput(f"--cutoff must be between 1 and {fock._MAX_AUTO_CUTOFF}, "
+                          f"got {cutoff}")
     channel = _load_channel_spec(eff["channel"])
     gauss = schemes.to_gaussian(channel)
     warnings = []
@@ -431,12 +426,12 @@ def _cmd_simulate(eff: dict):
         try:
             eta = schemes.channel_form(channel, gauss).k2
         except UnsupportedTask as exc:
-            raise _Usage(f"cannot infer a task gain ({exc}); pass --eta")
+            raise InvalidInput(f"cannot infer a task gain ({exc}); pass --eta")
         warnings.append(f"task gain defaulted to the channel's own gain {eta:.6g}")
     eta, lam = float(eta), eff["lambda"]
     engine, tolerance = eff["engine"], eff["tolerance"]
     if not (tolerance >= 0 and math.isfinite(tolerance)):
-        raise _Usage(f"--tolerance must be >= 0 and finite, got {tolerance}")
+        raise InvalidInput(f"--tolerance must be >= 0 and finite, got {tolerance}")
 
     result = {"channel": schemes.model_to_json(channel),
               "eta": eta, "lambda": lam, "engine": engine}
@@ -506,7 +501,7 @@ def _certify_dataset(eff: dict, warnings: list):
         try:
             weights = [float(x) for x in eff["weights"].split(",")]
         except ValueError:
-            raise _Usage(f"--weights wants comma-separated numbers, got {eff['weights']!r}")
+            raise InvalidInput(f"--weights wants comma-separated numbers, got {eff['weights']!r}")
     return certify.read_dataset_csv(eff["input"], lam=lam,
                                     eta_declared=eff["eta"],
                                     weights=weights)
@@ -556,7 +551,7 @@ def _cmd_certify(eff: dict):
         lam = _flat_prior_proxy(eff["lambda"], warnings)
         report = certify.certify_by_fidelity(channel, eff["eta"], lam, k=k)
     else:
-        raise _Usage("certify needs --input, --fbar, or --channel")
+        raise InvalidInput("certify needs --input, --fbar, or --channel")
 
     payload = {"result": report.to_json(), "warnings": warnings + list(report.notes)}
     if digest is not None:
@@ -573,7 +568,7 @@ def _parse_sweep_values(raw, key: str) -> np.ndarray:
     else:
         parts = [raw]
     if not parts:
-        raise _Usage(f"sweep key '{key}' has no values")
+        raise InvalidInput(f"sweep key '{key}' has no values")
     values = []
     for p in parts:
         try:
@@ -588,7 +583,7 @@ def _parse_sweep_values(raw, key: str) -> np.ndarray:
                 values.append(float(p))
         except (TypeError, ValueError, OverflowError):
             want = "whole numbers below 2**63" if key == "n_copies" else "numeric values"
-            raise _Usage(f"sweep key '{key}' wants {want}, got {p!r}")
+            raise InvalidInput(f"sweep key '{key}' wants {want}, got {p!r}")
     return np.array(values, dtype=np.int64 if key == "n_copies" else float)
 
 
@@ -738,21 +733,21 @@ def _cmd_sweep(eff: dict):
         if isinstance(raw, str):
             raw = _json(raw, "--grid")
         if not isinstance(raw, dict):
-            raise _Usage("--grid must be a JSON object of lists")
+            raise InvalidInput("--grid must be a JSON object of lists")
         grid.update(raw)
     grid.update((key, eff[key]) for key in _SWEEP_KEY_ORDER if eff[key] is not None)
     unknown = sorted(set(grid) - set(_SWEEP_KEY_ORDER))
     if unknown:
-        raise _Usage(f"unknown sweep keys: {', '.join(unknown)} "
-                     f"(allowed: {', '.join(_SWEEP_KEY_ORDER)})")
+        raise InvalidInput(f"unknown sweep keys: {', '.join(unknown)} "
+                          f"(allowed: {', '.join(_SWEEP_KEY_ORDER)})")
     if "eta" not in grid:
-        raise _Usage("sweep needs at least an eta axis")
+        raise InvalidInput("sweep needs at least an eta axis (--eta)")
     values = {k: _parse_sweep_values(grid[k], k) for k in _SWEEP_KEY_ORDER if k in grid}
     shape = tuple(v.size for v in values.values())
     total = math.prod(shape)
     if total > _SWEEP_MAX_POINTS:
-        raise _Usage(f"sweep grid has {total} points, more than the "
-                     f"{_SWEEP_MAX_POINTS} allowed; split the sweep")
+        raise InvalidInput(f"sweep grid has {total} points, more than the "
+                          f"{_SWEEP_MAX_POINTS} allowed; split the sweep")
     names, columns = _sweep_columns(values)
 
     if eff["format"] != "json":
@@ -771,7 +766,7 @@ def _cmd_proofcheck(eff: dict):
             ("--cutoff", cutoff, 1, proofcheck._MAX_SCORE_CUTOFF),
             ("--two-copy-cutoff", two_cutoff, 1, proofcheck._MAX_SCORE_CUTOFF)):
         if not low <= value <= high:
-            raise _Usage(f"{flag} must be between {low} and {high}, got {value}")
+            raise InvalidInput(f"{flag} must be between {low} and {high}, got {value}")
     warnings = []
     lam = _flat_prior_proxy(eff["lambda"], warnings, " for the operator checks")
     eta, seed, scale = eff["eta"], eff["seed"], eff["corrupt_bound"]
@@ -819,7 +814,7 @@ def main(argv=None) -> int:
         # comes first; a non-finite value cannot go out in the JSON echo.
         for key, value in eff["config_echo"].items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise _Usage(f"--{key.replace('_', '-')} must be finite, got {value}")
+                raise InvalidInput(f"--{key.replace('_', '-')} must be finite, got {value}")
         _emit(payload, eff, table)
         return code
     except Exception as exc:

@@ -26,7 +26,8 @@ class CutoffTooSmall(ToolkitError, ValueError):
 
 
 class ConvergenceError(ToolkitError, RuntimeError):
-    """A quadrature estimate failed to meet the caller's error bound.
+    """An estimate's error bound exceeds the caller's, or a truncation drops
+    more weight than the caller allows.
 
     Carries the offending estimate so callers can inspect how far off it was.
     """

@@ -284,16 +284,10 @@ def displacement(alpha, cutoff: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _squeeze_eigh(cutoff: int):
-    a = annihilation(cutoff)
-    h = -0.5j * (a @ a - a.conj().T @ a.conj().T)  # Hermitian generator
-    return _read_only(*np.linalg.eigh(h))
-
-
 def squeeze(r: float, cutoff: int) -> np.ndarray:
     """Squeezing unitary exp(r (a^2 - a^dag^2)/2), truncated."""
-    w, v = _squeeze_eigh(cutoff)
+    a = annihilation(cutoff)
+    w, v = np.linalg.eigh(-0.5j * (a @ a - a.conj().T @ a.conj().T))  # Hermitian generator
     return (v * np.exp(1j * r * w)) @ v.conj().T
 
 
@@ -821,22 +815,22 @@ def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
 # functionals
 
 
-def _clipped_fidelities(values: np.ndarray) -> np.ndarray:
-    """Fidelities clipped into [0, 1]; one outside beyond 1e-10 is a corrupted input."""
-    outside = (values < -1e-10) | (values > 1.0 + 1e-10)
-    if outside.any():
-        raise InvalidInput(f"fidelity {values[outside][0]} outside [0, 1] "
-                           f"beyond rounding tolerance")
-    return np.minimum(np.maximum(values, 0.0), 1.0)  # two ufuncs; np.clip's wrapper costs more
+def _clipped_fidelity(value: float) -> float:
+    """A fidelity clipped into [0, 1].  One outside beyond 1e-10, or not finite,
+    is a corrupted input: a NaN fails both comparisons, so it is refused too."""
+    if not -1e-10 <= value <= 1.0 + 1e-10:
+        raise InvalidInput(f"fidelity {value} outside [0, 1] beyond rounding tolerance")
+    return 0.0 if value <= 0.0 else min(value, 1.0)
 
 
 def fidelity_pure(psi: FockVector, rho: FockOperator):
     """<psi| rho |psi>, checked real and clipped into [0, 1].
 
     A single ket and operator give a float; a stack of kets and an equally
-    long stack of operators give one fidelity per pair.  Clipping beyond
-    1e-10 (or an imaginary part above 1e-12) is treated as a corrupted input
-    rather than silently absorbed.
+    long stack of operators give one fidelity per pair.  A value outside
+    [0, 1] beyond 1e-10 or not finite (`_clipped_fidelity`), or an imaginary
+    part above 1e-12, is treated as a corrupted input rather than silently
+    absorbed.
     """
     if psi.cutoff != rho.cutoff:
         raise InvalidInput(f"cutoff mismatch: vector {psi.cutoff} vs operator {rho.cutoff}")
@@ -851,8 +845,8 @@ def fidelity_pure(psi: FockVector, rho: FockOperator):
     if non_real.any():
         raise InvalidInput(f"fidelity came out non-real ({values[non_real][0]}); "
                            f"operator is not Hermitian")
-    fidelities = _clipped_fidelities(real)
-    return float(fidelities[0]) if amp.ndim == 1 else fidelities
+    fidelities = [_clipped_fidelity(value) for value in real.tolist()]
+    return fidelities[0] if amp.ndim == 1 else np.array(fidelities)
 
 
 def expectation(rho: FockOperator, op: np.ndarray) -> complex:
@@ -1007,9 +1001,10 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     matrix-vector product and one dot product with W's two diagonal
     factors; the blocks' sums are added exactly.  A block holds at most
     _KERNEL_BLOCK kernel entries, so the widest cutoffs keep one kernel in
-    memory.  On either path a total outside [0, 1] beyond 1e-10 is an
-    error; the total is clipped into [0, 1].  The default cutoff
-    comes from `select_cutoff`; no cutoff above 180 is accepted.
+    memory.  On either path a total outside [0, 1] beyond 1e-10, or not
+    finite, is an error; the total is clipped into [0, 1]
+    (`_clipped_fidelity`).  The default cutoff comes from `select_cutoff`;
+    no cutoff above 180 is accepted.
 
     The error estimate bounds the truncation.  With the truncated prior
     weights tau_in and tau_out (`truncated_prior_weights`) it is
@@ -1047,9 +1042,7 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
             rows = (blocks(d0, count) * w) @ right[d0:d0 + count, :width, None]
             sums.append(np.vdot(left[d0:d0 + count, :width], rows))
         total = 2.0 * math.fsum(sums)
-    if total < -1e-10 or total > 1.0 + 1e-10:
-        raise InvalidInput(f"fidelity {total} outside [0, 1] beyond rounding tolerance")
-    total = 0.0 if total <= 0.0 else min(total, 1.0)    # a NaN passes through
+    total = _clipped_fidelity(total)
     tau_in, tau_out = truncated_prior_weights(eta, lam, cutoff)
     roundoff = cutoff * cutoff * sys.float_info.epsilon
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff

@@ -370,22 +370,16 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
         <k|Phi(|m><n|)|l> = delta(m+l, n+k) g^(k+l) (m+l)! / ((1+g^2)^(m+l+1) sqrt(m! n! k! l!)),
 
     which conserve the offset d = m - n = k - l (see `fock.apply_offset_kernels`):
-    `apply` of the heterodyne `fock.KrausFamily` maps them, at width 1 + g^2.
-    At gain 0 every outcome prepares |0>, so the output is the trace on |0><0|.
-    The kernel comes from the outcome integral, not from the channel's
-    (K, M), so it stays an independent check of `to_gaussian`.  Re-prepared
+    `apply` of the heterodyne `fock.KrausFamily` maps them, at width 1 + g^2;
+    at gain 0, where every outcome prepares |0>, its table's one row puts the
+    trace on |0><0|.  The kernel comes from the outcome integral, not from
+    the channel's (K, M), so it stays an independent check of `to_gaussian`.  Re-prepared
     weight past the cutoff is dropped, not renormalized: a trace deficit
     beyond `max_trace_deficit` in any state raises (None turns the check off).
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    g = scheme.g
-    if g == 0.0:
-        out = np.zeros(rho.matrix.shape, dtype=complex)
-        out[..., 0, 0] = np.trace(rho.matrix, axis1=-2, axis2=-1)  # every outcome prepares |0>
-    else:
-        out = fock.KrausFamily("heterodyne", g).apply(rho.matrix)
-    result = fock.FockOperator(out)
+    result = fock.FockOperator(fock.KrausFamily("heterodyne", scheme.g).apply(rho.matrix))
     if max_trace_deficit is not None:
         deficit = np.atleast_1d(rho.trace - result.trace)
         worst = int(np.argmax(deficit))
@@ -413,12 +407,12 @@ def _loss_amp_realization(form: ChannelForm):
     """
     if form.rotated:
         raise UnsupportedTask(
-            "rotated added-noise matrices are not covered; diagonalize first")
+            "a rotated noise matrix M is not covered; diagonalize first")
     extra = form.extra.tolist()
     if min(extra) < -1e-9:
         raise UnsupportedTask(
-            "noise below the quantum-limited floor on one axis needs squeezing, "
-            "which is not covered")
+            "noise matrix M below the quantum-limited floor on one axis needs "
+            "squeezing, which is not covered")
     # Roundoff in a raw channel's k^2 leaves ~1e-17 of "extra" noise on a
     # quantum-limited channel; it is dropped, so such a channel is one exact
     # loss or gain.  G >= 1 and T <= 1 hold exactly.

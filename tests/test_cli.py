@@ -482,6 +482,20 @@ def test_certify_quantum_dataset_exits_zero(capsys, tmp_path):
     assert len(doc["input_sha256"]) == 64
 
 
+def test_certify_input_with_a_declared_gain_reports_no_estimate_from_two_probes(capsys,
+                                                                              tmp_path):
+    # the gain estimate needs three distinct probes; the declared gain decides alone
+    ds = synthesize_dataset(PureLoss(0.6), [1.8, -1.8], 500, 0.1, seed=7)
+    path = tmp_path / "two.csv"
+    write_dataset_csv(ds, path)
+    code, doc, _ = run_json(capsys, "certify", "--input", str(path), "--lambda", "0.1",
+                            "--eta", "0.6", "--n-boot", "0")
+    assert code == 0
+    assert doc["result"]["eta_source"] == "declared"
+    assert doc["result"]["eta_estimated"] is None
+    assert doc["result"]["n_probes"] == 2
+
+
 def test_certify_classical_dataset_exits_one(capsys, tmp_path):
     ds = synthesize_dataset(HeterodyneMP(1.0 / 1.1),
                             [1.2, -1.2, 1.2j, -1.2j, 1.8, -1.8, 1.8j, -1.8j],
@@ -1497,6 +1511,30 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+FOCK_ENGINE = ("simulate", "--engine", "fock", "--eta", "0.5", "--lambda", "0.3", "--channel")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (FOCK_ENGINE + ('{"K":[[0.7,0],[0,0.7]],"M":[[0.6,0.1],[0.1,0.6]]}',), "noise matrix M"),
+    (FOCK_ENGINE + ('{"K":[[0.7,0],[0,0.7]],"M":[[0.2,0],[0,0.4]]}',), "noise matrix M"),
+    (("simulate", "--eta", "0.5", "--lambda", "0.3", "--channel", "{"), "--channel"),
+    (("bound", "--eta", "1", "--config", "missing.json"), "--config"),
+    (("bound", "--eta", "1", "--config", "array.json"), "--config"),
+    (("sweep", "--lambda", "0.2"), "--eta"),
+    (("sweep", "--eta", ","), "'eta'"),
+    (("sweep", "--grid", "[1]"), "--grid"),
+], ids=["rotated-noise", "noise-below-floor", "channel-not-json", "config-missing",
+        "config-array", "sweep-no-eta", "sweep-empty-eta", "sweep-grid-array"])
+def test_a_refused_input_gets_one_stderr_line_that_names_it(capsys, tmp_path, monkeypatch,
+                                                            argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "array.json").write_text("[1, 2]")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cvbench {argv[0]}: ") and err.count("\n") == 1, err
+    assert named in err
 
 
 @pytest.mark.parametrize("argv, message", [

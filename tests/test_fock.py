@@ -405,6 +405,10 @@ def test_fidelity_pure_checks_every_pair_of_a_stack(state_stack):
     inflated[2] *= 1.5
     with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
         fock.fidelity_pure(kets, fock.FockOperator(inflated))
+    corrupted = stack.copy()
+    corrupted[1, 0, 0] = math.nan
+    with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
+        fock.fidelity_pure(kets, fock.FockOperator(corrupted))
 
 
 def test_mixture_preserves_trace_and_hermiticity():
@@ -662,11 +666,10 @@ def _cutoff_table_arrays(cutoff):
 
 @pytest.mark.parametrize("cached", [
     lambda: fock._quad_eigh(24, 1),
-    lambda: fock._squeeze_eigh(24),
     lambda: ensembles.laguerre_rule(24),
     lambda: _cutoff_table_arrays(24),
     lambda: proofcheck._phase_offset_tables(52),
-], ids=["quad_eigh", "squeeze_eigh", "laguerre_rule", "cutoff_tables", "phase_offset_tables"])
+], ids=["quad_eigh", "laguerre_rule", "cutoff_tables", "phase_offset_tables"])
 def test_every_cached_array_is_read_only(cached):
     # a cache shares its arrays with every later call, so a write must raise
     # rather than corrupt the next caller's values
@@ -744,6 +747,36 @@ def test_average_fidelity_refuses_a_node_fidelity_above_one():
     inflated = fock.OffsetMap(_Inflated())
     with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
         fock.average_fidelity_fock(inflated, 1.0, 0.8, cutoff=12)
+
+
+@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+def test_average_fidelity_refuses_a_non_finite_pair_sum(monkeypatch, total):
+    monkeypatch.setattr(fock.KrausFamily, "pair_sum", lambda self, p, hankel, q: total)
+    with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
+        fock.average_fidelity_fock(fock.OffsetMap(fock.KrausFamily("loss", 0.5)),
+                                   1.0, 0.8, cutoff=12)
+
+
+class _Corrupted:
+    """The identity with one NaN in its kernels, as an `OffsetMap` factor."""
+
+    def apply(self, matrix):
+        return matrix
+
+    def kernel_blocks(self, cutoff):
+        identity = fock.KrausFamily("loss", 1.0).kernel_blocks(cutoff)
+
+        def block(d0, count):
+            out = identity(d0, count)
+            out[0, 0, 0] = math.nan
+            return out
+        return block
+
+
+def test_average_fidelity_refuses_a_nan_block_contraction():
+    corrupted = fock.OffsetMap(fock.KrausFamily("loss", 0.5), _Corrupted())
+    with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
+        fock.average_fidelity_fock(corrupted, 1.0, 0.8, cutoff=12)
 
 
 def test_average_fidelity_refuses_a_map_without_offset_kernels():

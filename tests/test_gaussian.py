@@ -54,6 +54,7 @@ def test_physicality():
     assert is_physical_state(np.diag([1.0, 0.25]))   # squeezed, det = 1/4
     assert not is_physical_state(np.diag([0.4, 0.4]))
     assert not is_physical_state(0.4 * E2)
+    assert not is_physical_state(np.array([[1.0, 0.1], [0.0, 1.0]]))   # not symmetric
 
 
 def test_state_json_roundtrip():
@@ -126,6 +127,16 @@ def test_cp_criterion():
     assert not is_cp_channel(GaussianChannel(2.0 * E2, np.zeros((2, 2))))
     # M must stay symmetric PSD.
     assert not is_cp_channel(GaussianChannel(E2, np.array([[0.1, 0.3], [0.3, 0.1]])))
+
+
+@pytest.mark.parametrize("gamma", [0.4 * E2, np.array([[1.0, 0.1], [0.0, 1.0]])],
+                         ids=["below-uncertainty", "not-symmetric"])
+def test_apply_and_coherent_fidelity_refuse_an_unphysical_covariance(gamma):
+    state = GaussianState(np.zeros(2), gamma)
+    with pytest.raises(InvalidInput, match="not a physical one-mode state"):
+        apply_channel(GaussianChannel.identity(), state)
+    with pytest.raises(InvalidInput, match="not a physical one-mode state"):
+        fidelity_to_coherent(state, 0.5)
 
 
 def test_apply_rejects_unphysical_channel():

@@ -322,6 +322,11 @@ def test_optimize_mp_gain_finds_the_closed_form_optimum():
         optimize_mp_gain(1.0, 0.0)
 
 
+def test_to_gaussian_refuses_an_object_that_is_not_a_model():
+    with pytest.raises(InvalidInput, match="not a channel model"):
+        to_gaussian(fock.OffsetMap())
+
+
 # ---------------------------------------------------------------------------
 # truncated realizations
 
@@ -337,6 +342,11 @@ def test_apply_mp_fock_unit_gain_moments():
     out = apply_mp_fock(HeterodyneMP(1.0), vac)
     mean_n = fock.expectation(out, fock.number_operator(30)).real
     assert mean_n == pytest.approx(1.0, abs=1e-5)
+
+
+def test_apply_mp_fock_refuses_a_scheme_that_is_not_heterodyne():
+    with pytest.raises(InvalidInput, match="expects a HeterodyneMP"):
+        apply_mp_fock(PureLoss(0.5), fock.coherent_ket(0.5, 12).projector())
 
 
 def test_apply_mp_fock_matches_loss_then_amp():
@@ -457,13 +467,18 @@ def test_apply_mp_fock_maps_one_offset_onto_the_same_offset(offset):
     assert np.abs(np.diagonal(out, offset=-offset)).min() > 0.0
 
 
-def test_apply_mp_fock_with_zero_gain_prepares_the_vacuum(state_stack):
-    stack = state_stack(16)
-    stack[1, 2, 5] += 0.3 - 0.2j  # not Hermitian: the trace comes out complex
+@pytest.mark.parametrize("cutoff", [1, 16, 180])
+def test_apply_mp_fock_with_zero_gain_prepares_the_vacuum(state_stack, cutoff):
+    stack = state_stack(cutoff)
+    if cutoff > 5:
+        stack[1, 2, 5] += 0.3 - 0.2j  # not Hermitian: the trace comes out complex
     out = apply_mp_fock(HeterodyneMP(0.0), fock.FockOperator(stack)).matrix
-    expected = np.zeros_like(stack)
-    expected[:, 0, 0] = np.trace(stack, axis1=1, axis2=2)
-    assert np.array_equal(out, expected)
+    assert not out[:, 1:].any() and not out[:, 0, 1:].any()
+    # the gain-0 family sums each diagonal into |0><0| in its own order, so
+    # it is np.trace to within the rounding of a sum of `cutoff` terms
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    rounding = cutoff * np.finfo(float).eps * np.abs(diagonal).sum(axis=1)
+    assert np.all(np.abs(out[:, 0, 0] - diagonal.sum(axis=1)) <= rounding)
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 1.3])

@@ -6,12 +6,13 @@ Two certification routes, sharing one report format:
   amplitude yield the average squared deviation from the target output.
   It is compared with the quadrature threshold 2*eta/(1 + lam + eta), the
   floor of measure-and-prepare strategies over the Gaussian prior, and a
-  dip below it must beat k standard errors (bootstrap by default) before a
-  verdict is issued.  The threshold is not a floor on the grid measured:
-  the one grid check asks only for a mean squared displacement of at least
-  2/(lam + eta), and a square-root measurement on a ring of 4, 8 or 16
-  probes, re-prepared coherently, passes it and is certified (ROADMAP
-  item 9).
+  dip below it must beat k standard errors before a verdict is issued: the
+  bootstrap SE by default, in closed form, whose group variances have the
+  denominator n; the analytic SE, denominator n - 1, with n_boot = 0.  The
+  threshold is not a floor on the grid measured: the one grid check asks
+  only for a mean squared displacement of at least 2/(lam + eta), and a
+  square-root measurement on a ring of 4, 8 or 16 probes, re-prepared
+  coherently, passes it and is certified (ROADMAP item 9).
 * fidelity route -- an average-fidelity estimate, or the exact value for a
   Gaussian channel model, is compared against the classical bound
   (1 + lam)/(1 + lam + eta) directly.
@@ -42,9 +43,7 @@ from . import schemes
 _LABELS = ("plus", "minus")
 _LADDER = (1e-3, 0.01, 0.05, 0.1, 0.2)
 _MARGIN_TOL = 1e-12
-_MAX_BOOT = 100_000     # bootstrap resamples; each costs one draw per sample
-_BOOT_DRAWS = 1 << 17   # index draws per bootstrap block: 1 MiB, and as much again gathered
-_BOOT_ROWS = 256        # resamples per block at most, the block of any group up to 512 samples
+_MAX_BOOT = 100_000     # largest bootstrap count accepted; every count gives one exact SE
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +85,7 @@ class ExperimentDataset:
     the statistic out of float range is refused: a prior weight
     exp(-lam |alpha|^2) whose exponent overflows, or all of them underflowing
     to 0; or squared deviations from the targets sqrt(eta) alpha whose own
-    squares, which the standard errors sum over every sample or resample,
-    overflow.
+    squares, which the standard errors sum over every sample, overflow.
     """
 
     records: list
@@ -147,7 +145,7 @@ class ExperimentDataset:
             target = math.sqrt(2.0) * math.sqrt(self.eta_declared) * max(
                 max(abs(a.real), abs(a.imag)) for a in table)
             # the standard errors sum squared squared deviations over every
-            # sample, or over up to _MAX_BOOT resamples
+            # sample; the _MAX_BOOT further terms are headroom
             limit = (sys.float_info.max / (self.sample_count() + _MAX_BOOT)) ** 0.25
             if not spread + target <= limit:
                 raise DatasetError(
@@ -212,30 +210,19 @@ def check_boot_count(n_boot: int) -> None:
 
 def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
                  seed: int = 0) -> float:
-    """Bootstrap standard error of the deviation statistic.
+    """Bootstrap standard error of the deviation statistic, in closed form.
 
-    Resamples within each (probe, quadrature) group, which treats the probe
-    grid itself as fixed -- the certification statement is conditional on the
-    grid, so only shot noise is resampled.  n_boot runs from 2 to _MAX_BOOT.
+    Resampling within each (probe, quadrature) group keeps the grid fixed:
+    the certification is conditional on it.  With eta fixed the statistic is
+    a weighted sum of independent group means, so its variance over all
+    resamples is exactly sum_g w_g^2 s_g^2 / n_g, s_g^2 the plug-in variance
+    (denominator n_g; Efron & Tibshirani, An Introduction to the Bootstrap,
+    1993, ch. 5).  Every n_boot in 2.._MAX_BOOT and every seed give it.
     """
     _check_task(eta, ds.lam)
     check_boot_count(n_boot)
-    rng = np.random.default_rng(seed)
-    totals = np.zeros(n_boot)
-    for w, sq in _squared_deviations(ds, eta):
-        n = sq.size
-        # Blocks of at most _BOOT_DRAWS draws (one resample when a group
-        # is larger) bound the index array and its gather.  The stream is
-        # drawn in order however it is split, and each resample's mean is
-        # taken along its own row, so the blocking never changes the SE.
-        rows = max(1, min(_BOOT_ROWS, _BOOT_DRAWS // n))
-        done = 0
-        while done < n_boot:
-            block = min(rows, n_boot - done)
-            idx = rng.integers(0, n, size=(block, n))
-            totals[done:done + block] += w * sq[idx].mean(axis=1)
-            done += block
-    return float(np.std(totals, ddof=1))
+    return math.sqrt(math.fsum(w * w * sq.var() / sq.size
+                               for w, sq in _squared_deviations(ds, eta)))
 
 
 def estimate_gain(ds: ExperimentDataset) -> float:
@@ -317,10 +304,12 @@ def _resolve_eta(ds: ExperimentDataset):
 
 def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: int,
                         seed: int) -> CertificationReport:
-    """Both data routes: gain, grid check, deviation statistic and its SE
-    (analytic when n_boot is 0), compared as the variance route's statistic
-    or as the fidelity route's floor 1 - statistic/2.  Shot noise can make
-    the floor exceed 1; it is reported unclipped, with a note."""
+    """Both data routes: gain, grid check, deviation statistic and its SE,
+    compared as the variance route's statistic or as the fidelity route's
+    floor 1 - statistic/2.  `se` is the exact bootstrap SE (group variances
+    over n) or, when n_boot is 0, the analytic SE that `se_analytic` always
+    reports (group variances over n - 1).  Shot noise can make the floor
+    exceed 1; it is reported unclipped, with a note."""
     eta, source, estimated, notes = _resolve_eta(ds)
     # a too-narrow probe grid lets a classical cheat beat the threshold
     msd, needed = ds.mean_square_displacement(), 2.0 / (ds.lam + eta)
@@ -354,8 +343,9 @@ def certify_by_variance(ds: ExperimentDataset, k: float = 3.0, n_boot: int = 100
     """Certify from quadrature deviations against the classical floor.
 
     The verdict is QUANTUM_DOMAIN only when the statistic undershoots the
-    threshold by more than k standard errors (analytic when n_boot is 0,
-    else a bootstrap, which refuses fewer than 2 resamples); ties and
+    threshold by more than k standard errors (analytic, group variances over
+    n - 1, when n_boot is 0; else the exact bootstrap SE, group variances
+    over n, for any count from 2 to _MAX_BOOT, whatever the seed); ties and
     near-ties stay NOT_CERTIFIED, so a channel sitting exactly on the
     classical optimum is never certified.
     """

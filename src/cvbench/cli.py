@@ -106,7 +106,7 @@ _FLAGS = {
         ("--lambda", float, None, "prior width of the probe ensemble"),
         ("--k", float, 3.0, "required margin in standard errors"),
         ("--n-boot", int, 1000,
-         f"bootstrap resamples, 2..{certify._MAX_BOOT} (0 = analytic SE)"),
+         f"bootstrap SE, exact for every count 2..{certify._MAX_BOOT} (0 = analytic SE)"),
         ("--weights", str, None,
          "comma-separated probe weights overriding the prior weighting"),
     ),

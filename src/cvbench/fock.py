@@ -569,6 +569,27 @@ def heterodyne_images(cutoff: int, gain: float,
     return images
 
 
+# Each Kraus family's parameter: what it is, and the range it must lie in.
+_FAMILY_RANGES = {
+    "loss": ("transmissivity", "in (0, 1]", lambda p: 0.0 < p <= 1.0),
+    "amp": ("amplifier gain", ">= 1 and finite", lambda p: 1.0 <= p < math.inf),
+    "heterodyne": ("re-preparation gain", ">= 0 and finite", lambda p: 0.0 <= p < math.inf),
+}
+
+
+def check_family_parameter(kind: str, p: float, name: str = None) -> None:
+    """Refuse a Kraus family's parameter outside its range, or an unknown family.
+
+    The refusal calls the parameter `name`, by default what it is (the
+    transmissivity, or the amplifier or re-preparation gain).
+    """
+    if kind not in _FAMILY_RANGES:
+        raise InvalidInput(f"unknown Kraus family {kind!r}")
+    what, rule, within = _FAMILY_RANGES[kind]
+    if not within(p):
+        raise InvalidInput(f"{name or what} must be {rule}, got {p}")
+
+
 @dataclass(frozen=True)
 class KrausFamily:
     """A map that is one family of photon-number-shift Kraus operators, as an `OffsetMap` factor.
@@ -579,27 +600,16 @@ class KrausFamily:
     come from one table: `_loss_table` (at 1/G for the amplifier) or
     `_heterodyne_table`.  A family is its own phase average: `kernel_blocks`
     gives a block of its real offset kernels from the table at once, and
-    `apply` maps operators through them.  The family is the one check of its
-    parameter: T in (0, 1], G >= 1 or g >= 0, finite; T = 1 and G = 1 are
-    the identity.
+    `apply` maps operators through them.  Its parameter passes the one check
+    `check_family_parameter`: T in (0, 1], G >= 1 or g >= 0, finite; T = 1
+    and G = 1 are the identity.
     """
 
     kind: str
     parameter: float
 
     def __post_init__(self):
-        p = self.parameter
-        if self.kind == "loss":
-            if not 0.0 < p <= 1.0:
-                raise InvalidInput(f"transmissivity must be in (0, 1], got {p}")
-        elif self.kind == "amp":
-            if not 1.0 <= p < math.inf:
-                raise InvalidInput(f"amplifier gain must be >= 1 and finite, got {p}")
-        elif self.kind == "heterodyne":
-            if not 0.0 <= p < math.inf:
-                raise InvalidInput(f"re-preparation gain must be >= 0 and finite, got {p}")
-        else:
-            raise InvalidInput(f"unknown Kraus family {self.kind!r}")
+        check_family_parameter(self.kind, self.parameter)
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         """The family's map on one matrix or a (B, N, N) stack (`apply_offset_kernels`)."""

@@ -146,7 +146,7 @@ class GaussianChannel:
     def __post_init__(self):
         object.__setattr__(self, "K", _as_matrix(self.K, "gain matrix K"))
         object.__setattr__(self, "M", _as_matrix(self.M, "noise matrix M"))
-        object.__setattr__(self, "disp", _as_vector(self.disp, "displacement"))
+        object.__setattr__(self, "disp", _as_vector(self.disp, "displacement disp"))
 
     @classmethod
     def identity(cls):

@@ -45,7 +45,7 @@ class PureLoss:
     T: float
 
     def __post_init__(self):
-        fock.KrausFamily("loss", self.T)  # refuses a T outside (0, 1]
+        fock.check_family_parameter("loss", self.T, _field(self, "T"))
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class QuantumLimitedAmp:
     G: float
 
     def __post_init__(self):
-        fock.KrausFamily("amp", self.G)  # refuses a G below 1 or non-finite
+        fock.check_family_parameter("amp", self.G, _field(self, "G"))
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,11 @@ class CanonicalC:
 
     def __post_init__(self):
         if not (0 < self.eta < math.inf):
-            raise InvalidInput(f"channel gain eta must be positive and finite, got {self.eta}")
+            raise InvalidInput(f"{_field(self, 'eta')} must be positive and finite, "
+                               f"got {self.eta}")
         if not (0 <= self.ntilde < math.inf):
-            raise InvalidInput(f"added noise ntilde must be >= 0 and finite, got {self.ntilde}")
+            raise InvalidInput(f"{_field(self, 'ntilde')} must be >= 0 and finite, "
+                               f"got {self.ntilde}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,11 @@ class HeterodyneMP:
     g: float
 
     def __post_init__(self):
-        fock.KrausFamily("heterodyne", self.g)  # refuses a negative or non-finite g
+        fock.check_family_parameter("heterodyne", self.g, _field(self, "g"))
+        if self.g * self.g == math.inf:
+            raise InvalidInput(f"{_field(self, 'g')} must be at most "
+                               f"{math.sqrt(sys.float_info.max):.6g}, past which the channel's "
+                               f"gain g^2 overflows, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,11 @@ _JSON_TAGS = {
     Compose: "compose",
     GaussianChannel: "gaussian",      # read only: a raw channel is written untagged
 }
+
+
+def _field(model, name: str) -> str:
+    """A model's field as its refusals name it, in the form of `model_from_json`'s."""
+    return f"channel model '{_JSON_TAGS[type(model)]}' field '{name}'"
 
 
 def model_to_json(model: ChannelModel | GaussianChannel) -> dict:

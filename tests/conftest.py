@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cvbench import fock
+from cvbench import certify, fock
 from cvbench.ensembles import laguerre_rule
 
 # The widest cutoff whose exact reference is a 40-digit decimal contraction;
@@ -217,3 +217,33 @@ def exact_average():
                               for d, w in enumerate(prior))
         return value, _error_estimate(eta, lam, cutoff)
     return average
+
+
+def monte_carlo_bootstrap_se(ds, eta, n_boot, seed):
+    """The bootstrap SE of `certify.bootstrap_se` estimated by n_boot Monte-Carlo resamples.
+
+    Each resample redraws every (probe, quadrature) group's squared deviations
+    with replacement, its total is the weighted sum of the redrawn means, and
+    the SE is the totals' standard deviation (ddof 1).  Indices are drawn in
+    blocks of at most 2**17 (one resample when a group is larger) and at most
+    256 resamples, from one generator seeded with `seed`.  Its relative error
+    has standard deviation about 1/sqrt(2 n_boot).
+    """
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(n_boot)
+    for w, sq in certify._squared_deviations(ds, eta):
+        n = sq.size
+        rows = max(1, min(256, (1 << 17) // n))
+        done = 0
+        while done < n_boot:
+            block = min(rows, n_boot - done)
+            idx = rng.integers(0, n, size=(block, n))
+            totals[done:done + block] += w * sq[idx].mean(axis=1)
+            done += block
+    return float(np.std(totals, ddof=1))
+
+
+@pytest.fixture
+def monte_carlo_se():
+    """`monte_carlo_bootstrap_se`: the bootstrap SE by drawing resamples."""
+    return monte_carlo_bootstrap_se

@@ -255,24 +255,27 @@ def test_report_dicts_equal_their_asdict_versions():
 def test_bootstrap_is_seeded_and_sane():
     ds = make_dataset(PureLoss(0.6), n=2000, eta_declared=0.6)
     a = bootstrap_se(ds, 0.6, n_boot=300, seed=4)
-    assert a == bootstrap_se(ds, 0.6, n_boot=300, seed=4)
+    # the exact SE: neither the count nor the seed moves it
+    assert a == bootstrap_se(ds, 0.6, n_boot=2, seed=1) \
+        == bootstrap_se(ds, 0.6, n_boot=certify._MAX_BOOT, seed=9)
     _, analytic = delta_bar(ds, 0.6)
     assert 0.5 * analytic < a < 2.0 * analytic
     with pytest.raises(InvalidInput):
         bootstrap_se(ds, 0.6, n_boot=1)
 
 
-# (samples per group, resamples, seed, SE) as bootstrap_se gave them when its
-# blocks were always 256 resamples; groups below, at and above the draw
-# budget of certify._BOOT_DRAWS = 2**17 per block
+# (samples per group, bootstrap count, seed, SE) as bootstrap_se gives them in
+# closed form; groups below, at and above 2**17 samples, from which the
+# resampling reference in conftest.py draws one resample a block
 BOOTSTRAP_GOLDEN = [
-    (3, 1000, 1, 0.09746472076309137),
-    (400, 300, 2, 0.03817808055488047),
-    (600, 500, 3, 0.02865678962599865),
-    (10_000, 40, 4, 0.006136620815983795),
-    (1 << 17, 3, 5, 0.001070301456465893),
-    (140_000, 3, 6, 0.001202133563989378),
+    (3, 1000, 1, 0.09909944839217384),
+    (400, 300, 2, 0.03560067910960135),
+    (600, 500, 3, 0.028537258567441045),
+    (10_000, 40, 4, 0.006993911980250451),
+    (1 << 17, 3, 5, 0.0019452663809497697),
+    (140_000, 3, 6, 0.0018884344474960272),
 ]
+MONTE_CARLO_DRAWS = 1 << 22       # index draws per case of the resampling reference
 
 
 @pytest.mark.parametrize("n, n_boot, seed, se", BOOTSTRAP_GOLDEN)
@@ -281,22 +284,33 @@ def test_bootstrap_se_keeps_its_pinned_values(n, n_boot, seed, se):
     assert bootstrap_se(ds, 0.6, n_boot=n_boot, seed=seed) == se
 
 
+@pytest.mark.parametrize("n, n_boot, seed, se", BOOTSTRAP_GOLDEN)
+def test_bootstrap_se_is_the_limit_of_drawn_resamples(monte_carlo_se, n, n_boot, seed, se):
+    # as many resamples as 2**22 index draws allow; a drawn SE's relative
+    # error has standard deviation about 1/sqrt(2 B), so 4/sqrt(2 B) is 4 of them
+    ds = synthesize_dataset(PureLoss(0.6), [1.0, -1.0j], n, 0.1, seed=seed)
+    resamples = min(certify._MAX_BOOT, MONTE_CARLO_DRAWS // ds.sample_count())
+    drawn = monte_carlo_se(ds, 0.6, resamples, seed)
+    assert abs(drawn - se) <= 4.0 / math.sqrt(2 * resamples) * se, (drawn, resamples)
+
+
 def test_bootstrap_memory_does_not_grow_with_the_resamples():
     ds = make_dataset(PureLoss(0.6), n=20_000, alphas=[1.0, -1.0, 1.0j, -1.0j], seed=3)
     group = 8 * 20_000
     peaks = []
-    for n_boot in (10, 100):
+    for n_boot in (2, 1000, certify._MAX_BOOT):
         tracemalloc.start()
         try:
             bootstrap_se(ds, 0.6, n_boot=n_boot)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # Only the n_boot totals grow.  The rest is one group's squared deviations
-    # and one block: its index array and their gather, 8 bytes a draw each.
-    # The dataset is grouped at construction, so no copy of the data is made.
-    assert peaks[1] < peaks[0] + 8 * 100 + 4096
-    assert peaks[1] < group + 2 * 8 * certify._BOOT_DRAWS
+    # nothing is held per resample: 8 bytes of each would be 800 kB at the cap
+    assert max(peaks) - min(peaks) < 1024
+    # At most two groups' squared deviations and one temporary of a group,
+    # 8 bytes a sample each, against 8 groups in the dataset.  The dataset is
+    # grouped at construction, so no copy of the data is made.
+    assert max(peaks) < 4 * group
 
 
 def _split(ds, parts=3):

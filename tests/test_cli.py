@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -339,9 +340,12 @@ def test_a_malformed_channel_field_is_a_usage_error_that_names_it(capsys, comman
 
 
 @pytest.mark.parametrize("channel, message", [
-    ('{"type":"quantum_limited_amp","G":"inf"}', "amplifier gain must be >= 1 and finite"),
-    ('{"type":"canonical_c","eta":1,"ntilde":"inf"}', "ntilde must be >= 0 and finite"),
-    ('{"type":"heterodyne_mp","g":"nan"}', "re-preparation gain must be >= 0 and finite"),
+    ('{"type":"quantum_limited_amp","G":"inf"}',
+     "channel model 'quantum_limited_amp' field 'G' must be >= 1 and finite, got inf"),
+    ('{"type":"canonical_c","eta":1,"ntilde":"inf"}',
+     "channel model 'canonical_c' field 'ntilde' must be >= 0 and finite, got inf"),
+    ('{"type":"heterodyne_mp","g":"nan"}',
+     "channel model 'heterodyne_mp' field 'g' must be >= 0 and finite, got nan"),
 ])
 def test_a_non_finite_model_parameter_is_a_usage_error(capsys, channel, message):
     code, out, err = run(capsys, "simulate", "--channel", channel, "--eta", "1",
@@ -645,7 +649,20 @@ def test_certify_refuses_a_bootstrap_count_before_reading_the_input(
 def test_certify_help_names_the_bootstrap_range(capsys):
     code, out, _ = run(capsys, "certify", "--help")
     assert code == 0
-    assert f"2..{certify._MAX_BOOT} (0 = analytic SE) (default 1000)" in " ".join(out.split())
+    assert (f"bootstrap SE, exact for every count 2..{certify._MAX_BOOT} (0 = analytic SE) "
+            "(default 1000)") in " ".join(out.split())
+
+
+@pytest.mark.parametrize("method", ["variance", "fidelity"])
+def test_certify_bootstrap_se_does_not_depend_on_the_count_or_the_seed(capsys, tmp_path,
+                                                                       method):
+    argv = ["certify", "--input", str(loss_csv(tmp_path, n=500)), "--lambda", "0.1",
+            "--eta", "0.6", "--method", method]
+    results = [run_json(capsys, *argv, "--n-boot", n_boot, "--seed", seed)[1]["result"]
+               for n_boot, seed in (("2", "1"), ("100000", "9"), ("0", "1"))]
+    assert results[0] == results[1]
+    # the analytic SE's group variances are over n - 1, the bootstrap's over n
+    assert results[2]["se"] == results[0]["se_analytic"] > results[0]["se"]
 
 
 # ---------------------------------------------------------------------------
@@ -1620,6 +1637,54 @@ def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs
         if code in (cli.EXIT_USAGE, cli.EXIT_DATA):
             # a refused value: the message names its flag, or the flag's bare name
             assert flag in lines[-1] or flag.lstrip("-") in lines[-1], err
+
+
+# The CLI contract on channel fields: every numeric field of every tagged model,
+# and every raw K, M and disp entry, at extreme values under every engine and
+# under certify --channel.
+MODEL_BASES = {"pure_loss": {"T": 0.5}, "quantum_limited_amp": {"G": 1.4},
+               "canonical_b1": {}, "canonical_c": {"eta": 0.8, "ntilde": 0.3},
+               "heterodyne_mp": {"g": 0.8}}
+FIELD_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308)
+FIELD_CASES = [(tag, name, None, None) for tag, base in MODEL_BASES.items() for name in base] \
+    + [("gaussian", name, i, j) for name in ("K", "M") for i in range(2) for j in range(2)] \
+    + [("gaussian", "disp", i, None) for i in range(2)]
+FIELD_COMMANDS = [["simulate", "--engine", engine] for engine in ("gaussian", "fock", "both")] \
+    + [["certify"]]
+
+
+def test_the_field_cases_cover_every_numeric_field_of_every_tagged_model():
+    tagged = {tag: [f.name for f in dataclasses.fields(cls)]
+              for cls, tag in schemes._JSON_TAGS.items()
+              if cls not in (schemes.Compose, schemes.GaussianChannel)}
+    assert tagged == {tag: list(base) for tag, base in MODEL_BASES.items()}
+
+
+@pytest.mark.parametrize("value", FIELD_VALUES, ids=repr)
+@pytest.mark.parametrize("tag, name, i, j", FIELD_CASES,
+                         ids=[f"{t}.{n}" + "".join(f"[{k}]" for k in (i, j) if k is not None)
+                              for t, n, i, j in FIELD_CASES])
+def test_a_channel_field_at_an_extreme_value_exits_cleanly_naming_it(capsys, tag, name, i, j,
+                                                                     value):
+    if tag == "gaussian":
+        channel = _with_entry(FOCK_BASE, name, i, j, value)
+        named = re.compile(rf"\b{name}\b")
+    else:
+        channel = json.dumps({"type": tag, **MODEL_BASES[tag], name: value})
+        named = re.compile(re.escape(f"channel model '{tag}' field '{name}'"))
+    for argv in FIELD_COMMANDS:
+        start = time.perf_counter()
+        code = main([argv[0], "--channel", channel, *argv[1:], "--eta", "0.5",
+                     "--lambda", "0.3"])
+        wall = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert 0 <= code <= 3 and wall < 5.0, (argv, code, err)
+        assert "Traceback" not in err
+        if code in (cli.EXIT_USAGE, cli.EXIT_CP):
+            assert out == "" and err.startswith(f"cvbench {argv[0]}: "), (argv, err)
+            assert err.count("\n") == 1 and named.search(err), (argv, err)
+        else:
+            assert err == "" and json.loads(out), (argv, code)
 
 
 def test_json_output_is_deterministic(capsys):

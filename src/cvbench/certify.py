@@ -8,7 +8,7 @@ Two certification routes, sharing one report format:
   floor of measure-and-prepare strategies over the Gaussian prior, and a
   dip below it must beat k standard errors before a verdict is issued: the
   bootstrap SE by default, in closed form, whose group variances have the
-  denominator n; the analytic SE, denominator n - 1, with n_boot = 0.  The
+  denominator n; the analytic SE, denominator n - 1, when analytic=True.  The
   threshold is not a floor on the grid measured: the one grid check asks
   only for a mean squared displacement of at least 2/(lam + eta), and a
   square-root measurement on a ring of 4, 8 or 16 probes, re-prepared
@@ -43,7 +43,6 @@ from . import schemes
 _LABELS = ("plus", "minus")
 _LADDER = (1e-3, 0.01, 0.05, 0.1, 0.2)
 _MARGIN_TOL = 1e-12
-_MAX_BOOT = 100_000     # largest bootstrap count accepted; every count gives one exact SE
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +95,7 @@ class ExperimentDataset:
     def __post_init__(self):
         if not (isinstance(self.lam, (int, float)) and self.lam > 0
                 and math.isfinite(self.lam)):
-            raise DatasetError(f"prior width lambda must be positive, got {self.lam}")
+            raise DatasetError(f"prior width lambda (--lambda) must be positive, got {self.lam}")
         if self.eta_declared is not None and not (self.eta_declared > 0
                                                   and math.isfinite(self.eta_declared)):
             raise DatasetError(
@@ -144,9 +143,9 @@ class ExperimentDataset:
             spread = max(float(np.abs(x).max()) for _, labs in self._groups for x in labs.values())
             target = math.sqrt(2.0) * math.sqrt(self.eta_declared) * max(
                 max(abs(a.real), abs(a.imag)) for a in table)
-            # the standard errors sum squared squared deviations over every
-            # sample; the _MAX_BOOT further terms are headroom
-            limit = (sys.float_info.max / (self.sample_count() + _MAX_BOOT)) ** 0.25
+            # the standard errors sum one squared squared deviation per sample,
+            # each at most limit**4; the factor 2 is a margin for rounding
+            limit = (sys.float_info.max / (2 * self.sample_count())) ** 0.25
             if not spread + target <= limit:
                 raise DatasetError(
                     f"declared gain eta (--eta) = {self.eta_declared:g} takes the statistic out "
@@ -198,18 +197,7 @@ def delta_bar(ds: ExperimentDataset, eta: float):
     return total - 1.0, math.sqrt(var)
 
 
-def check_boot_count(n_boot: int) -> None:
-    """Refuse a bootstrap resample count outside 2.._MAX_BOOT."""
-    if n_boot < 2:
-        raise InvalidInput(f"bootstrap count n_boot (--n-boot) needs at least 2 resamples, "
-                           f"got {n_boot}")
-    if n_boot > _MAX_BOOT:
-        raise InvalidInput(f"bootstrap count n_boot (--n-boot) takes at most {_MAX_BOOT} "
-                           f"resamples, got {n_boot}")
-
-
-def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
-                 seed: int = 0) -> float:
+def bootstrap_se(ds: ExperimentDataset, eta: float) -> float:
     """Bootstrap standard error of the deviation statistic, in closed form.
 
     Resampling within each (probe, quadrature) group keeps the grid fixed:
@@ -217,10 +205,9 @@ def bootstrap_se(ds: ExperimentDataset, eta: float, n_boot: int = 1000,
     a weighted sum of independent group means, so its variance over all
     resamples is exactly sum_g w_g^2 s_g^2 / n_g, s_g^2 the plug-in variance
     (denominator n_g; Efron & Tibshirani, An Introduction to the Bootstrap,
-    1993, ch. 5).  Every n_boot in 2.._MAX_BOOT and every seed give it.
+    1993, ch. 5), so no resample count or seed enters.
     """
     _check_task(eta, ds.lam)
-    check_boot_count(n_boot)
     return math.sqrt(math.fsum(w * w * sq.var() / sq.size
                                for w, sq in _squared_deviations(ds, eta)))
 
@@ -278,7 +265,8 @@ class CertificationReport:
 
 
 def _verdict(margin: float, k: float, se: float) -> str:
-    for name, value in (("required margin k", k), ("standard error", se)):
+    # a data route's se is finite (the dataset's guard), a model's 0: a refused se is --se's
+    for name, value in (("required margin k (--k)", k), ("standard error se (--se)", se)):
         if not (value >= 0 and math.isfinite(value)):
             raise InvalidInput(f"{name} must be >= 0 and finite, got {value}")
     return "QUANTUM_DOMAIN" if margin > k * se + _MARGIN_TOL else "NOT_CERTIFIED"
@@ -302,12 +290,12 @@ def _resolve_eta(ds: ExperimentDataset):
     return eta, source, estimated, notes
 
 
-def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: int,
-                        seed: int) -> CertificationReport:
+def _certify_deviations(ds: ExperimentDataset, method: str, k: float,
+                        analytic: bool) -> CertificationReport:
     """Both data routes: gain, grid check, deviation statistic and its SE,
     compared as the variance route's statistic or as the fidelity route's
     floor 1 - statistic/2.  `se` is the exact bootstrap SE (group variances
-    over n) or, when n_boot is 0, the analytic SE that `se_analytic` always
+    over n) or, when `analytic`, the analytic SE that `se_analytic` always
     reports (group variances over n - 1).  Shot noise can make the floor
     exceed 1; it is reported unclipped, with a note."""
     eta, source, estimated, notes = _resolve_eta(ds)
@@ -319,7 +307,7 @@ def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: in
             f"displacement {msd:.4g} is below the required 2/(lambda + eta) = "
             f"{needed:.4g}; spread the probes further out or reweight them")
     value, se_analytic = delta_bar(ds, eta)
-    se = bootstrap_se(ds, eta, n_boot, seed) if n_boot != 0 else se_analytic
+    se = se_analytic if analytic else bootstrap_se(ds, eta)
     if method == "variance":
         statistic, threshold = value, quadrature_threshold(eta, ds.lam)
         margin = threshold - value
@@ -338,18 +326,17 @@ def _certify_deviations(ds: ExperimentDataset, method: str, k: float, n_boot: in
         n_probes=len(ds.grouped()), n_samples=ds.sample_count(), notes=tuple(notes))
 
 
-def certify_by_variance(ds: ExperimentDataset, k: float = 3.0, n_boot: int = 1000,
-                        seed: int = 0) -> CertificationReport:
+def certify_by_variance(ds: ExperimentDataset, k: float = 3.0,
+                        analytic: bool = False) -> CertificationReport:
     """Certify from quadrature deviations against the classical floor.
 
     The verdict is QUANTUM_DOMAIN only when the statistic undershoots the
-    threshold by more than k standard errors (analytic, group variances over
-    n - 1, when n_boot is 0; else the exact bootstrap SE, group variances
-    over n, for any count from 2 to _MAX_BOOT, whatever the seed); ties and
-    near-ties stay NOT_CERTIFIED, so a channel sitting exactly on the
+    threshold by more than k standard errors (the exact bootstrap SE, group
+    variances over n; the analytic SE, over n - 1, when `analytic`); ties
+    and near-ties stay NOT_CERTIFIED, so a channel sitting exactly on the
     classical optimum is never certified.
     """
-    return _certify_deviations(ds, "variance", k, n_boot, seed)
+    return _certify_deviations(ds, "variance", k, analytic)
 
 
 def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.0,
@@ -363,7 +350,7 @@ def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.
     if isinstance(value_or_channel, numbers.Real):
         fbar = float(value_or_channel)
         if not (0.0 <= fbar <= 1.0):
-            raise InvalidInput(f"average fidelity must lie in [0, 1], got {fbar}")
+            raise InvalidInput(f"average fidelity fbar (--fbar) must lie in [0, 1], got {fbar}")
     else:
         fbar, se = average_fidelity_gaussian(schemes.to_gaussian(value_or_channel), eta, lam), 0.0
     bound = classical_bound(eta, lam)
@@ -375,15 +362,16 @@ def certify_by_fidelity(value_or_channel, eta: float, lam: float, se: float = 0.
 
 
 def certify_by_fidelity_from_variance(ds: ExperimentDataset, k: float = 3.0,
-                                      n_boot: int = 1000, seed: int = 0) -> CertificationReport:
+                                      analytic: bool = False) -> CertificationReport:
     """Certify via the fidelity floor 1 - deviation/2 implied by the data.
 
     Useful when the experiment only recorded quadrature deviations but the
     report should speak in fidelity terms.  The floor holds probe by probe,
     and with a grid strong enough for the variance route the implied
-    fidelity of any classical strategy stays at or below the bound.
+    fidelity of any classical strategy stays at or below the bound.  The SE
+    is chosen by `analytic` as in `certify_by_variance`, then halved.
     """
-    return _certify_deviations(ds, "fidelity_from_variance", k, n_boot, seed)
+    return _certify_deviations(ds, "fidelity_from_variance", k, analytic)
 
 
 # ---------------------------------------------------------------------------

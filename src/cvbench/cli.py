@@ -64,6 +64,7 @@ EXIT_DATA = 4
 EXIT_DISAGREE = 5
 
 _HASH_BLOCK = 1 << 20             # --input is hashed in blocks, so memory stays bounded
+_MAX_BOOT = 100_000               # --n-boot's largest count; every count gives one exact SE
 
 # Each subcommand's flags, one row each: (flag, type, default, help).  A type
 # is int, float, str, a tuple of choices, or -- for sweep axes and the grid,
@@ -106,7 +107,7 @@ _FLAGS = {
         ("--lambda", float, None, "prior width of the probe ensemble"),
         ("--k", float, 3.0, "required margin in standard errors"),
         ("--n-boot", int, 1000,
-         f"bootstrap SE, exact for every count 2..{certify._MAX_BOOT} (0 = analytic SE)"),
+         f"bootstrap SE, exact for every count 2..{_MAX_BOOT} (0 = analytic SE)"),
         ("--weights", str, None,
          "comma-separated probe weights overriding the prior weighting"),
     ),
@@ -513,12 +514,16 @@ def _cmd_certify(eff: dict):
     method = eff["method"]
     if method is None:
         method = "variance" if eff["input"] else "fidelity"
-    seed, k, n_boot = eff["seed"], eff["k"], eff["n_boot"]
+    k, n_boot = eff["k"], eff["n_boot"]
 
     digest = None
     if eff["input"]:
-        if n_boot != 0:
-            certify.check_boot_count(n_boot)
+        if n_boot < 2 and n_boot != 0:
+            raise InvalidInput(f"bootstrap count n_boot (--n-boot) needs at least 2 resamples, "
+                               f"got {n_boot}")
+        if n_boot > _MAX_BOOT:
+            raise InvalidInput(f"bootstrap count n_boot (--n-boot) takes at most {_MAX_BOOT} "
+                               f"resamples, got {n_boot}")
         sha = hashlib.sha256()
         with open(eff["input"], "rb") as fh:
             while block := fh.read(_HASH_BLOCK):
@@ -534,13 +539,10 @@ def _cmd_certify(eff: dict):
     if eff["channel"] is not None and (eff["input"] or eff["fbar"] is not None):
         warnings.append("--channel is ignored: it is a channel model to certify, "
                         "which this route does not read")
-    if method == "variance":
-        ds = _certify_dataset(eff, warnings)
-        report = certify.certify_by_variance(ds, k=k, n_boot=n_boot, seed=seed)
-    elif eff["input"]:
-        ds = _certify_dataset(eff, warnings)
-        report = certify.certify_by_fidelity_from_variance(ds, k=k, n_boot=n_boot,
-                                                           seed=seed)
+    if method == "variance" or eff["input"]:
+        route = (certify.certify_by_variance if method == "variance"
+                 else certify.certify_by_fidelity_from_variance)
+        report = route(_certify_dataset(eff, warnings), k=k, analytic=n_boot == 0)
     elif eff["fbar"] is not None:
         _require(eff, "eta", "lambda")
         report = certify.certify_by_fidelity(eff["fbar"], eff["eta"], eff["lambda"],

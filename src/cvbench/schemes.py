@@ -214,6 +214,11 @@ def to_gaussian(model: ChannelModel | GaussianChannel) -> GaussianChannel:
     iso = _iso_params(model)
     if iso is not None:
         k2, m = iso
+        if not (math.isfinite(k2) and math.isfinite(m)):    # each field alone is in range
+            names = " and ".join(f"'{f.name}'" for f in fields(model))
+            raise InvalidInput(f"channel model '{_JSON_TAGS[type(model)]}' gives a gain k^2 = "
+                               f"{k2:g} and a noise m = {m:g} (K = k I, M = m I) from "
+                               f"field{'s' * (' and ' in names)} {names}; both must be finite")
         return GaussianChannel._isotropic(math.sqrt(k2), m)
     if isinstance(model, CanonicalB1):
         return GaussianChannel(E2.copy(), np.diag([0.5, 0.0]))

@@ -175,11 +175,11 @@ def test_certifier_separates_quantum_from_classical_data():
     t0 = time.monotonic()
     loss_ds = certify.synthesize_dataset(PureLoss(0.6), GRID8, 10_000, 0.1,
                                          seed=7, eta_declared=0.6)
-    loss_rep = certify.certify_by_variance(loss_ds, n_boot=500)
+    loss_rep = certify.certify_by_variance(loss_ds)
 
     mp_ds = certify.synthesize_dataset(HeterodyneMP(1.0 / 1.1), GRID8, 10_000,
                                        0.1, seed=8, eta_declared=1.0)
-    mp_rep = certify.certify_by_variance(mp_ds, n_boot=500)
+    mp_rep = certify.certify_by_variance(mp_ds)
 
     rng = np.random.default_rng(23)
     worst_slack = np.inf
@@ -192,7 +192,7 @@ def test_certifier_separates_quantum_from_classical_data():
         ds = certify.synthesize_dataset(channel, GRID8, 1000, 0.1,
                                         seed=100 + i, eta_declared=eta)
         value, _ = certify.delta_bar(ds, eta)
-        se = certify.bootstrap_se(ds, eta, n_boot=200, seed=i)
+        se = certify.bootstrap_se(ds, eta)
         fbar = sum(w * fidelity_to_coherent(
             apply_channel(channel, GaussianState.coherent(a)),
             math.sqrt(eta) * a)

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvbench import certify
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import (CertificationReport, ExperimentDataset,
                              QuadratureRecord, average_deviation, bootstrap_se,
@@ -163,7 +162,7 @@ def test_estimate_gain_needs_displaced_probes():
 
 def test_lossy_channel_is_certified_quantum():
     ds = make_dataset(PureLoss(0.6), eta_declared=0.6, seed=7)
-    report = certify_by_variance(ds, n_boot=400)
+    report = certify_by_variance(ds)
     assert report.certified
     assert report.verdict == "QUANTUM_DOMAIN"
     assert report.threshold == pytest.approx(quadrature_threshold(0.6, 0.1))
@@ -174,7 +173,7 @@ def test_lossy_channel_is_certified_quantum():
 def test_optimal_classical_strategy_is_not_certified():
     g_star = 1.0 / 1.1
     ds = make_dataset(HeterodyneMP(g_star), eta_declared=1.0, seed=8)
-    report = certify_by_variance(ds, n_boot=400)
+    report = certify_by_variance(ds)
     assert not report.certified
     assert report.margin < 0
     # grid-weighted closed form for the same statistic
@@ -186,7 +185,7 @@ def test_optimal_classical_strategy_is_not_certified():
 
 def test_estimated_gain_route_also_certifies():
     ds = make_dataset(PureLoss(0.6), seed=11)
-    report = certify_by_variance(ds, n_boot=200)
+    report = certify_by_variance(ds)
     assert report.eta_source == "estimated"
     assert 0.55 < report.eta < 0.65
     assert report.certified
@@ -194,16 +193,9 @@ def test_estimated_gain_route_also_certifies():
 
 def test_declared_gain_wins_but_mismatch_is_noted():
     ds = make_dataset(PureLoss(0.6), eta_declared=1.0, seed=7)
-    report = certify_by_variance(ds, n_boot=200)
+    report = certify_by_variance(ds)
     assert report.eta == 1.0
     assert any("differs from declared" in note for note in report.notes)
-
-
-def test_negative_bootstrap_count_is_refused():
-    ds = make_dataset(PureLoss(0.6), n=200, eta_declared=0.6)
-    for route in (certify_by_variance, certify_by_fidelity_from_variance):
-        with pytest.raises(InvalidInput, match="at least 2 resamples, got -5"):
-            route(ds, n_boot=-5)
 
 
 @pytest.mark.parametrize("k, se, named", [
@@ -225,7 +217,7 @@ def test_weak_probe_grid_is_refused():
 
 def test_report_serializes_with_counts():
     ds = make_dataset(PureLoss(0.6), n=500, eta_declared=0.6)
-    blob = certify_by_variance(ds, n_boot=100).to_json()
+    blob = certify_by_variance(ds).to_json()
     assert blob["n_probes"] == len(GRID)
     assert blob["n_samples"] == 2 * len(GRID) * 500
     assert blob["method"] == "variance"
@@ -234,8 +226,8 @@ def test_report_serializes_with_counts():
 
 def test_report_dicts_equal_their_asdict_versions():
     ds = make_dataset(PureLoss(0.6), n=500, eta_declared=1.0, seed=3)
-    certifications = [certify_by_variance(ds, n_boot=50, seed=2),
-                      certify_by_fidelity_from_variance(ds, n_boot=0),
+    certifications = [certify_by_variance(ds),
+                      certify_by_fidelity_from_variance(ds, analytic=True),
                       certify_by_fidelity(0.8, 0.6, 0.2, se=0.01)]
     assert certifications[0].notes                      # the declared gain is off
     for report in certifications:
@@ -252,65 +244,70 @@ def test_report_dicts_equal_their_asdict_versions():
         assert json.dumps(report.to_json()) == json.dumps(reference)
 
 
-def test_bootstrap_is_seeded_and_sane():
+@pytest.mark.parametrize("route, scale", [(certify_by_variance, 1.0),
+                                          (certify_by_fidelity_from_variance, 0.5)])
+def test_the_analytic_switch_picks_the_standard_error(route, scale):
+    ds = make_dataset(PureLoss(0.6), n=500, eta_declared=0.6)
+    analytic, exact = route(ds, analytic=True), route(ds)
+    assert analytic.se == analytic.se_analytic == exact.se_analytic
+    assert exact.se == scale * bootstrap_se(ds, 0.6) < analytic.se
+    # the switch moves the SE, and the verdict through it, and nothing else
+    assert dataclasses.replace(analytic, se=exact.se, verdict=exact.verdict) == exact
+
+
+def test_bootstrap_se_sits_below_the_analytic_se_by_its_denominator():
     ds = make_dataset(PureLoss(0.6), n=2000, eta_declared=0.6)
-    a = bootstrap_se(ds, 0.6, n_boot=300, seed=4)
-    # the exact SE: neither the count nor the seed moves it
-    assert a == bootstrap_se(ds, 0.6, n_boot=2, seed=1) \
-        == bootstrap_se(ds, 0.6, n_boot=certify._MAX_BOOT, seed=9)
+    a = bootstrap_se(ds, 0.6)
     _, analytic = delta_bar(ds, 0.6)
     assert 0.5 * analytic < a < 2.0 * analytic
-    with pytest.raises(InvalidInput):
-        bootstrap_se(ds, 0.6, n_boot=1)
+    # every group has n = 2000 samples: variances over n against over n - 1
+    assert a == pytest.approx(analytic * math.sqrt(1999 / 2000), rel=1e-12)
 
 
-# (samples per group, bootstrap count, seed, SE) as bootstrap_se gives them in
-# closed form; groups below, at and above 2**17 samples, from which the
-# resampling reference in conftest.py draws one resample a block
+# (samples per group, seed, SE) as bootstrap_se gives them in closed form;
+# groups below, at and above 2**17 samples, from which the resampling
+# reference in conftest.py draws one resample a block
 BOOTSTRAP_GOLDEN = [
-    (3, 1000, 1, 0.09909944839217384),
-    (400, 300, 2, 0.03560067910960135),
-    (600, 500, 3, 0.028537258567441045),
-    (10_000, 40, 4, 0.006993911980250451),
-    (1 << 17, 3, 5, 0.0019452663809497697),
-    (140_000, 3, 6, 0.0018884344474960272),
+    (3, 1, 0.09909944839217384),
+    (400, 2, 0.03560067910960135),
+    (600, 3, 0.028537258567441045),
+    (10_000, 4, 0.006993911980250451),
+    (1 << 17, 5, 0.0019452663809497697),
+    (140_000, 6, 0.0018884344474960272),
 ]
 MONTE_CARLO_DRAWS = 1 << 22       # index draws per case of the resampling reference
+MONTE_CARLO_RESAMPLES = 100_000   # most resamples the reference draws in one case
 
 
-@pytest.mark.parametrize("n, n_boot, seed, se", BOOTSTRAP_GOLDEN)
-def test_bootstrap_se_keeps_its_pinned_values(n, n_boot, seed, se):
+@pytest.mark.parametrize("n, seed, se", BOOTSTRAP_GOLDEN)
+def test_bootstrap_se_keeps_its_pinned_values(n, seed, se):
     ds = synthesize_dataset(PureLoss(0.6), [1.0, -1.0j], n, 0.1, seed=seed)
-    assert bootstrap_se(ds, 0.6, n_boot=n_boot, seed=seed) == se
+    assert bootstrap_se(ds, 0.6) == se
 
 
-@pytest.mark.parametrize("n, n_boot, seed, se", BOOTSTRAP_GOLDEN)
-def test_bootstrap_se_is_the_limit_of_drawn_resamples(monte_carlo_se, n, n_boot, seed, se):
+@pytest.mark.parametrize("n, seed, se", BOOTSTRAP_GOLDEN)
+def test_bootstrap_se_is_the_limit_of_drawn_resamples(monte_carlo_se, n, seed, se):
     # as many resamples as 2**22 index draws allow; a drawn SE's relative
     # error has standard deviation about 1/sqrt(2 B), so 4/sqrt(2 B) is 4 of them
     ds = synthesize_dataset(PureLoss(0.6), [1.0, -1.0j], n, 0.1, seed=seed)
-    resamples = min(certify._MAX_BOOT, MONTE_CARLO_DRAWS // ds.sample_count())
+    resamples = min(MONTE_CARLO_RESAMPLES, MONTE_CARLO_DRAWS // ds.sample_count())
     drawn = monte_carlo_se(ds, 0.6, resamples, seed)
     assert abs(drawn - se) <= 4.0 / math.sqrt(2 * resamples) * se, (drawn, resamples)
 
 
-def test_bootstrap_memory_does_not_grow_with_the_resamples():
+def test_bootstrap_se_copies_no_dataset():
     ds = make_dataset(PureLoss(0.6), n=20_000, alphas=[1.0, -1.0, 1.0j, -1.0j], seed=3)
     group = 8 * 20_000
-    peaks = []
-    for n_boot in (2, 1000, certify._MAX_BOOT):
-        tracemalloc.start()
-        try:
-            bootstrap_se(ds, 0.6, n_boot=n_boot)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # nothing is held per resample: 8 bytes of each would be 800 kB at the cap
-    assert max(peaks) - min(peaks) < 1024
+    tracemalloc.start()
+    try:
+        bootstrap_se(ds, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # At most two groups' squared deviations and one temporary of a group,
     # 8 bytes a sample each, against 8 groups in the dataset.  The dataset is
     # grouped at construction, so no copy of the data is made.
-    assert max(peaks) < 4 * group
+    assert peak < 4 * group
 
 
 def _split(ds, parts=3):
@@ -331,12 +328,12 @@ def test_split_records_give_the_merged_dataset_bit_for_bit():
     assert split.probe_amplitudes() == merged.probe_amplitudes()
     assert split.sample_count() == merged.sample_count()
     assert delta_bar(split, 0.6) == delta_bar(merged, 0.6)
-    assert bootstrap_se(split, 0.6, n_boot=50, seed=3) == bootstrap_se(merged, 0.6,
-                                                                      n_boot=50, seed=3)
+    assert bootstrap_se(split, 0.6) == bootstrap_se(merged, 0.6)
     assert estimate_gain(split) == estimate_gain(merged)
-    for route, n_boot in itertools.product(
-            (certify_by_variance, certify_by_fidelity_from_variance), (0, 50)):
-        assert route(split, n_boot=n_boot).to_json() == route(merged, n_boot=n_boot).to_json()
+    for route, analytic in itertools.product(
+            (certify_by_variance, certify_by_fidelity_from_variance), (True, False)):
+        assert route(split, analytic=analytic).to_json() == \
+            route(merged, analytic=analytic).to_json()
 
 
 def test_grouping_is_done_once():
@@ -353,15 +350,6 @@ def test_grouping_is_done_once():
                for alpha, labs in merged.grouped() for lab, samples in labs.items())
 
 
-def test_bootstrap_count_is_capped():
-    ds = make_dataset(PureLoss(0.6), n=3, alphas=[1.0, 1.0j])
-    assert bootstrap_se(ds, 0.6, n_boot=certify._MAX_BOOT) > 0
-    for n_boot in (certify._MAX_BOOT + 1, 10 ** 20):
-        with pytest.raises(InvalidInput, match=f"at most {certify._MAX_BOOT} resamples, "
-                                               f"got {n_boot}"):
-            bootstrap_se(ds, 0.6, n_boot=n_boot)
-
-
 @pytest.mark.parametrize("ring", [1.0, 2.0], ids=["at-the-grid-check", "perfbench-deep"])
 def test_measure_and_prepare_data_is_never_certified(ring):
     # Heterodyne measure-and-prepare at, below and above its optimal gain, on
@@ -375,9 +363,9 @@ def test_measure_and_prepare_data_is_never_certified(ring):
         ds = make_dataset(HeterodyneMP(scale * math.sqrt(eta) / (1.0 + lam)), n=1000,
                           lam=lam, seed=seed, eta_declared=eta, alphas=probes)
         for route in (certify_by_variance, certify_by_fidelity_from_variance):
-            for n_boot in (0, 50):
-                report = route(ds, k=3.0, n_boot=n_boot, seed=seed)
-                assert report.verdict == "NOT_CERTIFIED", (eta, lam, scale, seed, n_boot)
+            for analytic in (True, False):
+                report = route(ds, k=3.0, analytic=analytic)
+                assert report.verdict == "NOT_CERTIFIED", (eta, lam, scale, seed, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +396,7 @@ def test_fidelity_certification_from_floats():
 
 def test_fidelity_floor_from_variance_data():
     ds = make_dataset(PureLoss(0.6), eta_declared=0.6, seed=7)
-    report = certify_by_fidelity_from_variance(ds, n_boot=300)
+    report = certify_by_fidelity_from_variance(ds)
     assert report.method == "fidelity_from_variance"
     assert report.certified
     value, _ = delta_bar(ds, 0.6)

@@ -21,6 +21,7 @@ from cvbench import certify, cli, fock, proofcheck, schemes
 from cvbench.bounds import classical_bound, quadrature_threshold
 from cvbench.certify import synthesize_dataset, write_dataset_csv
 from cvbench.cli import _load_channel_spec, main
+from cvbench.gaussian import coherent_mean
 from cvbench.schemes import (CanonicalC, HeterodyneMP, PureLoss,
                              canonical_c_fidelity, mp_average_fidelity,
                              optimal_mp_gain)
@@ -612,6 +613,24 @@ def test_certify_non_numeric_weights_are_a_usage_error(capsys, tmp_path):
     assert "'a,b,c,d'" in err
 
 
+@pytest.mark.parametrize("route, flag, value, line", [
+    ("fbar", "--fbar", "nan", "average fidelity fbar (--fbar) must lie in [0, 1], got nan"),
+    ("fbar", "--se", "nan", "standard error se (--se) must be >= 0 and finite, got nan"),
+    ("fbar", "--k", "-1", "required margin k (--k) must be >= 0 and finite, got -1.0"),
+    ("input", "--k", "-1", "required margin k (--k) must be >= 0 and finite, got -1.0"),
+    ("input", "--lambda", "-1",
+     "dataset error: prior width lambda (--lambda) must be positive, got -1.0"),
+])
+def test_certify_names_the_flag_of_a_refused_value(capsys, tmp_path, route, flag, value, line):
+    base = {"fbar": {"--fbar": "0.7", "--eta": "1", "--lambda": "0.2"},
+            "input": {"--input": str(loss_csv(tmp_path, n=50)), "--eta": "0.6",
+                      "--lambda": "0.1"}}[route]
+    argv = {**base, flag: value}
+    code, out, err = run(capsys, "certify", *[x for item in argv.items() for x in item])
+    assert (code, out) == (cli.EXIT_DATA if line.startswith("dataset") else cli.EXIT_USAGE, "")
+    assert err == f"cvbench certify: {line}\n"
+
+
 def test_certify_negative_bootstrap_count_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
                        "--lambda", "0.1", "--eta", "0.6", "--n-boot", "-5")
@@ -624,7 +643,7 @@ def test_certify_oversized_bootstrap_count_is_a_usage_error(capsys, tmp_path, n_
     code, out, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
                          "--lambda", "0.1", "--eta", "0.6", "--n-boot", n_boot)
     assert code == 2 and out == ""
-    assert f"at most {certify._MAX_BOOT} resamples, got {n_boot}" in err
+    assert f"at most {cli._MAX_BOOT} resamples, got {n_boot}" in err
     assert "Traceback" not in err
 
 
@@ -649,7 +668,7 @@ def test_certify_refuses_a_bootstrap_count_before_reading_the_input(
 def test_certify_help_names_the_bootstrap_range(capsys):
     code, out, _ = run(capsys, "certify", "--help")
     assert code == 0
-    assert (f"bootstrap SE, exact for every count 2..{certify._MAX_BOOT} (0 = analytic SE) "
+    assert (f"bootstrap SE, exact for every count 2..{cli._MAX_BOOT} (0 = analytic SE) "
             "(default 1000)") in " ".join(out.split())
 
 
@@ -1359,6 +1378,33 @@ def test_certify_refuses_a_gain_or_width_that_breaks_the_arithmetic(capsys, tmp_
     assert len(err.splitlines()) == 1
 
 
+def test_certify_takes_deviations_at_the_guard_limit_and_refuses_them_past_it(capsys,
+                                                                              tmp_path):
+    # Each group alternates its target sqrt(eta) alpha, deviation 0, with
+    # -spread, whose deviation reaches spread + 1.8 sqrt(2): the guard's
+    # limit (float max / (2 n))**0.25 itself, then the next float up.
+    probes, n = [1.2, -1.2, 1.2j, -1.2j, 1.8, -1.8, 1.8j, -1.8j], 4
+    limit = (sys.float_info.max / (2 * 2 * len(probes) * n)) ** 0.25
+    path = tmp_path / "edge.csv"
+    for spread, code in ((limit, cli.EXIT_FAIL), (math.nextafter(limit, math.inf),
+                                                  cli.EXIT_DATA)):
+        records = [certify.QuadratureRecord(alpha, label, [target, -spread] * (n // 2))
+                   for alpha in probes
+                   for label, target in zip(("plus", "minus"), coherent_mean(alpha))]
+        write_dataset_csv(certify.ExperimentDataset(records, lam=0.1), path)
+        for n_boot in ("0", "10"):
+            got, doc, err = run_json(capsys, "certify", "--input", str(path), "--lambda", "0.1",
+                                     "--eta", "1", "--n-boot", n_boot)
+            assert got == code, err
+            if code == cli.EXIT_DATA:
+                assert err.startswith("cvbench certify: dataset error: declared gain eta "
+                                      "(--eta) = 1 takes the statistic out of float range")
+                assert f"a deviation can pass {limit:.3g}" in err
+            else:
+                assert math.isfinite(doc["result"]["se"])
+                assert math.isfinite(doc["result"]["se_analytic"]) and doc["result"]["se"] > 0
+
+
 def test_certify_accepts_a_wide_gain_whose_arithmetic_fits(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
                             "--lambda", "0.1", "--eta", "1e150", "--n-boot", "10")
@@ -1583,7 +1629,10 @@ def test_a_non_finite_config_value_is_a_usage_error_that_names_it(capsys, tmp_pa
 # the table pass.
 CONTRACT_VALUES = {int: ("-1", "0", "9223372036854775808", "1.5"),
                    float: ("nan", "inf", "-1", "0", "1e308")}
-CONTRACT_CASES = [(command, flag, value) for command in cli._HANDLERS
+# One line per subcommand, and certify's --fbar route, whose --fbar and --se
+# the --input line ignores.
+CONTRACT_LINES = {command: command for command in cli._HANDLERS} | {"certify-fbar": "certify"}
+CONTRACT_CASES = [(line, flag, value) for line, command in CONTRACT_LINES.items()
                   for flag, kind, _, _ in cli._COMMON_FLAGS + cli._FLAGS[command]
                   if kind in CONTRACT_VALUES for value in CONTRACT_VALUES[kind]]
 
@@ -1596,6 +1645,7 @@ def contract_argvs(tmp_path_factory):
                          "0.5", "--lambda", "0.3", "--engine", "both", "--cutoff", "24"],
             "certify": ["certify", "--input", csv, "--lambda", "0.1", "--eta", "0.6",
                         "--n-boot", "10"],
+            "certify-fbar": ["certify", "--fbar", "0.7", "--eta", "1", "--lambda", "0.2"],
             "sweep": ["sweep", "--eta", "0.5,1", "--lambda", "0,0.2"],
             "proofcheck": ["proofcheck", "--trials", "2", "--cutoff", "6",
                            "--two-copy-cutoff", "8"]}
@@ -1606,11 +1656,12 @@ def test_every_contract_command_line_passes_as_given(capsys, contract_argvs):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-@pytest.mark.parametrize("command, flag, value", CONTRACT_CASES,
+@pytest.mark.parametrize("line, flag, value", CONTRACT_CASES,
                          ids=[f"{c}{f}={v}" for c, f, v in CONTRACT_CASES])
-def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs, command,
+def test_a_numeric_flag_at_an_extreme_value_exits_cleanly(capsys, contract_argvs, line,
                                                           flag, value):
-    argv = contract_argvs[command] + [flag, value]
+    argv = contract_argvs[line] + [flag, value]
+    command = argv[0]
     assert (cli._table_pass(command, argv[1:]) is None) == (value.startswith("-")
                                                             or value == "1.5")
     tracemalloc.start()
@@ -1672,6 +1723,30 @@ def test_a_channel_field_at_an_extreme_value_exits_cleanly_naming_it(capsys, tag
     else:
         channel = json.dumps({"type": tag, **MODEL_BASES[tag], name: value})
         named = re.compile(re.escape(f"channel model '{tag}' field '{name}'"))
+    _exits_cleanly_naming(capsys, channel, named)
+
+
+# Fields in range alone that together overflow the channel's gain or noise.
+AMP_1E200 = {"type": "quantum_limited_amp", "G": 1e200}
+OVERFLOW_CASES = {
+    "canonical_c": ({"type": "canonical_c", "eta": 1.7e308, "ntilde": 1.7e308},
+                    "channel model 'canonical_c' .* from fields 'eta' and 'ntilde';"),
+    "compose": ({"type": "compose", "parts": [AMP_1E200, AMP_1E200]},
+                "channel model 'compose' .* from field 'parts';"),
+}
+
+
+@pytest.mark.parametrize("channel, named", OVERFLOW_CASES.values(), ids=list(OVERFLOW_CASES))
+def test_channel_fields_that_overflow_together_exit_cleanly_naming_them(capsys, channel,
+                                                                        named):
+    codes = _exits_cleanly_naming(capsys, json.dumps(channel), re.compile(named))
+    assert codes == [cli.EXIT_USAGE] * len(FIELD_COMMANDS)
+
+
+def _exits_cleanly_naming(capsys, channel, named):
+    """The exit codes of the FIELD_COMMANDS lines on `channel`, each checked to
+    exit cleanly, with a refusal's one stderr line matching `named`."""
+    codes = []
     for argv in FIELD_COMMANDS:
         start = time.perf_counter()
         code = main([argv[0], "--channel", channel, *argv[1:], "--eta", "0.5",
@@ -1685,6 +1760,8 @@ def test_a_channel_field_at_an_extreme_value_exits_cleanly_naming_it(capsys, tag
             assert err.count("\n") == 1 and named.search(err), (argv, err)
         else:
             assert err == "" and json.loads(out), (argv, code)
+        codes.append(code)
+    return codes
 
 
 def test_json_output_is_deterministic(capsys):

@@ -187,16 +187,24 @@ def test_isotropic_to_gaussian_is_bit_equal_to_the_checked_build(model):
         assert got.tobytes() == want.tobytes()       # signs of zeros included
 
 
-@pytest.mark.parametrize("model, field", [
-    (Compose([QuantumLimitedAmp(1e200), QuantumLimitedAmp(1e200)]), "gain matrix K"),
-    (Compose([CanonicalC(1.0, 1e308), CanonicalC(1.0, 1e308)]), "noise matrix M"),
-])
-def test_isotropic_to_gaussian_refuses_an_overflowing_scalar(model, field):
+@pytest.mark.parametrize("model, field, named", [
+    (Compose([QuantumLimitedAmp(1e200), QuantumLimitedAmp(1e200)]), "gain matrix K",
+     r"^channel model 'compose' gives a gain k\^2 = inf and a noise m = inf "
+     r"\(K = k I, M = m I\) from field 'parts'; both must be finite$"),
+    (Compose([CanonicalC(1.0, 1e308), CanonicalC(1.0, 1e308)]), "noise matrix M",
+     r"^channel model 'compose' gives a gain k\^2 = 1 and a noise m = inf "
+     r"\(K = k I, M = m I\) from field 'parts'; both must be finite$"),
+    (CanonicalC(1.7e308, 1.7e308), "noise matrix M",
+     r"^channel model 'canonical_c' gives a gain k\^2 = 1.7e\+308 and a noise m = inf "
+     r"\(K = k I, M = m I\) from fields 'eta' and 'ntilde'; both must be finite$"),
+], ids=["compose-gain", "compose-noise", "canonical_c-noise"])
+def test_isotropic_to_gaussian_refuses_an_overflowing_scalar(model, field, named):
+    # each field is in range alone; the channel's raw form would name no field
     k2, m = schemes._iso_params(model)
     with pytest.raises(InvalidInput, match=f"^{field} must be finite$"), \
             np.errstate(invalid="ignore"):                 # inf * 0 off the diagonal
         GaussianChannel(math.sqrt(k2) * E2, m * E2)
-    with pytest.raises(InvalidInput, match=f"^{field} must be finite$"):
+    with pytest.raises(InvalidInput, match=named):
         to_gaussian(model)
 
 

@@ -55,8 +55,7 @@ ENTRIES = [
      lambda eta, lam: certify.average_deviation(CHANNEL, eta, lam), True, True),
     # these take their prior from the dataset, or have none
     ("certify.delta_bar", lambda eta, lam: certify.delta_bar(DATASET, eta), False, False),
-    ("certify.bootstrap_se",
-     lambda eta, lam: certify.bootstrap_se(DATASET, eta, n_boot=10), False, False),
+    ("certify.bootstrap_se", lambda eta, lam: certify.bootstrap_se(DATASET, eta), False, False),
     ("certify.expected_deviation",
      lambda eta, lam: certify.expected_deviation(CHANNEL, eta, 0.5 + 0.2j), False, False),
 ]

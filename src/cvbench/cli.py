@@ -387,6 +387,15 @@ def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
     return _SMALL_LAM
 
 
+def _warn_ignored(eff: dict, warnings: list, *rows) -> None:
+    """Warn about the flag of each (key, ignored, what it is) row that the route ignores,
+    when it is set away from its table default."""
+    for key, ignored, what in rows:
+        flag, _, default = _ROWS[eff["command"]][key]
+        if ignored and eff[key] != default:
+            warnings.append(f"{flag} is ignored: it is {what}, which this route does not read")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -433,6 +442,9 @@ def _cmd_simulate(eff: dict):
     engine, tolerance = eff["engine"], eff["tolerance"]
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise InvalidInput(f"--tolerance must be >= 0 and finite, got {tolerance}")
+    _warn_ignored(eff, warnings,
+                  ("cutoff", engine == "gaussian", "the truncation of the fock engine"),
+                  ("tolerance", engine != "both", "the allowed gap of --engine both"))
 
     result = {"channel": schemes.model_to_json(channel),
               "eta": eta, "lambda": lam, "engine": engine}
@@ -530,15 +542,12 @@ def _cmd_certify(eff: dict):
                 sha.update(block)
         digest = sha.hexdigest()
 
-    if eff["fbar"] is not None and eff["input"]:
-        warnings.append("--fbar is ignored: it is an average-fidelity estimate, "
-                        "which this route does not read")
-    if eff["se"] != 0.0 and (eff["input"] or eff["fbar"] is None):
-        warnings.append("--se is ignored: it is the standard error of --fbar, "
-                        "which this route does not read")
-    if eff["channel"] is not None and (eff["input"] or eff["fbar"] is not None):
-        warnings.append("--channel is ignored: it is a channel model to certify, "
-                        "which this route does not read")
+    data, fbar = bool(eff["input"]), eff["fbar"] is not None
+    _warn_ignored(eff, warnings, ("fbar", data, "an average-fidelity estimate"),
+                  ("se", data or not fbar, "the standard error of --fbar"),
+                  ("channel", data or fbar, "a channel model to certify"),
+                  ("n_boot", not data, "the bootstrap count of the SE of --input"),
+                  ("weights", not data, "the probe weighting of --input"))
     if method == "variance" or eff["input"]:
         route = (certify.certify_by_variance if method == "variance"
                  else certify.certify_by_fidelity_from_variance)

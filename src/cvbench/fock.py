@@ -1,9 +1,11 @@
 """Truncated Fock-space oracle for one bosonic mode.
 
 Everything here works on a hard photon-number truncation `cutoff` (dimension
-of the vectors and matrices).  Truncation losses are never papered over:
-state constructors report their truncated weight, channel maps leave the
-output trace deficit observable rather than renormalizing, and the prior
+of the vectors and matrices).  Kets and operators are bare complex arrays,
+(N,) and (N, N), and each function that takes one also takes a (B, N) or
+(B, N, N) stack, mapped as its slices.  Truncation losses are never papered
+over: state constructors report their truncated weight, channel maps leave
+the output trace deficit observable rather than renormalizing, and the prior
 average evaluates the truncated problem exactly, with no quadrature rule,
 and bounds the truncation itself in closed form.  A channel's map is an
 `OffsetMap`, a chain of factors with two methods each: `apply`, the
@@ -142,72 +144,12 @@ def _cutoff_tables(cutoff: int) -> _CutoffTables:
 # states
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Pure state amplitudes over |0> ... |cutoff-1>, or a stack of them, one per row."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim not in (1, 2) or amp.shape[-1] < 1:
-            raise InvalidInput("amplitudes must be a non-empty 1-d array or a stack of them")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def cutoff(self) -> int:
-        return self.amplitudes.shape[-1]
-
-    @property
-    def norm_squared(self):
-        """<psi|psi>: a float, or one value per vector of a stack."""
-        amp = self.amplitudes
-        norms = np.einsum("...i,...i->...", amp.conj(), amp).real
-        return float(norms) if amp.ndim == 1 else norms
-
-    @property
-    def truncated_weight(self):
-        """Weight 1 - <psi|psi> lost to the truncation (for unit-norm targets)."""
-        return 1.0 - self.norm_squared
-
-    def projector(self) -> "FockOperator":
-        """|psi><psi|, or the stack of projectors of a stack of vectors."""
-        amp = self.amplitudes
-        return FockOperator(amp[..., :, None] * amp.conj()[..., None, :])
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense operator (usually a density matrix) on the truncated space.
-
-    `matrix` is one square matrix or a (B, cutoff, cutoff) stack of them.
-    The channel kernels and `fidelity_pure` act on every operator of a stack
-    at once, and `trace` / `trace_deficit` give one value per operator;
-    the other functionals (`expectation`, `mean_and_covariance`,
-    `trace_distance`) take a single operator.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-            raise InvalidInput("matrix must be square, or a stack of square matrices")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def cutoff(self) -> int:
-        return self.matrix.shape[-1]
-
-    @property
-    def trace(self):
-        traces = np.trace(self.matrix, axis1=-2, axis2=-1).real
-        return float(traces) if self.matrix.ndim == 2 else traces
-
-    @property
-    def trace_deficit(self):
-        """1 - tr(rho): what the truncation has eaten so far."""
-        return 1.0 - self.trace
+def _operator(rho) -> np.ndarray:
+    """A caller's operator as a complex array: one square matrix, or a (B, N, N) stack."""
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise InvalidInput("matrix must be square, or a stack of square matrices")
+    return m
 
 
 def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
@@ -231,8 +173,8 @@ def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
     return np.ascontiguousarray(amps.T)
 
 
-def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVector:
-    """Truncated coherent state |alpha>.
+def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> np.ndarray:
+    """Truncated coherent state |alpha>, its (cutoff,) amplitudes.
 
     Parameters
     ----------
@@ -251,21 +193,22 @@ def coherent_ket(alpha, cutoff: int, weight_tol: float | None = 1e-10) -> FockVe
         raise CutoffTooSmall(
             f"coherent amplitude |alpha|^2 = {abs(alpha)**2:.3g} exceeds cutoff {cutoff}; "
             f"raise the cutoff (mean photon number sets the scale)")
-    ket = FockVector(coherent_amplitudes([alpha], cutoff)[:, 0])
-    if weight_tol is not None and ket.truncated_weight > weight_tol:
+    ket = coherent_amplitudes([alpha], cutoff)[:, 0]
+    kept = float(np.einsum("...i,...i->...", ket.conj(), ket).real)
+    if weight_tol is not None and 1.0 - kept > weight_tol:
         raise CutoffTooSmall(
-            f"coherent state at alpha = {alpha} keeps only {ket.norm_squared:.12f} "
+            f"coherent state at alpha = {alpha} keeps only {kept:.12f} "
             f"of its weight at cutoff {cutoff} (tolerance {weight_tol:g})")
     return ket
 
 
-def thermal_state(lam: float, cutoff: int) -> FockOperator:
-    """Thermal state with Fock weights lam/(1+lam) * (1+lam)^-n (mean 1/lam)."""
+def thermal_state(lam: float, cutoff: int) -> np.ndarray:
+    """Thermal state with Fock weights lam/(1+lam) * (1+lam)^-n (mean 1/lam), as a matrix."""
     if not (0 < lam < math.inf):
         raise InvalidInput(f"thermal parameter lambda must be positive and finite, got {lam}")
     n = np.arange(cutoff, dtype=float)
     weights = lam / (1.0 + lam) * (1.0 + lam) ** (-n)
-    return FockOperator(np.diag(weights).astype(complex))
+    return np.diag(weights).astype(complex)
 
 
 def displacement(alpha, cutoff: int) -> np.ndarray:
@@ -296,8 +239,8 @@ def rotation(theta: float, cutoff: int) -> np.ndarray:
     return np.diag(np.exp(-1j * theta * np.arange(cutoff)))
 
 
-def gaussian_state_fock(d, gamma, cutoff: int) -> FockOperator:
-    """Build an arbitrary Gaussian state (mean d, covariance gamma) in Fock space.
+def gaussian_state_fock(d, gamma, cutoff: int) -> np.ndarray:
+    """The density matrix of a Gaussian state (mean d, covariance gamma) in Fock space.
 
     Decomposes gamma = R diag(nu e^{2r}, nu e^{-2r}) R^T and applies
     displace . rotate . squeeze to a thermal state of symplectic eigenvalue
@@ -320,11 +263,11 @@ def gaussian_state_fock(d, gamma, cutoff: int) -> FockOperator:
     theta = math.atan2(vecs[1, 0], vecs[0, 0])
 
     if nu <= 0.5 + 1e-14:
-        rho = FockVector(np.eye(cutoff, dtype=complex)[:, 0]).projector().matrix
+        rho = np.diag(np.eye(cutoff, dtype=complex)[0])
     else:
         # nu = n_mean + 1/2  ->  thermal parameter lam = 1/n_mean
         n_mean = nu - 0.5
-        rho = thermal_state(1.0 / n_mean, cutoff).matrix
+        rho = thermal_state(1.0 / n_mean, cutoff)
 
     s = squeeze(r, cutoff)
     rho = s @ rho @ s.conj().T
@@ -332,7 +275,7 @@ def gaussian_state_fock(d, gamma, cutoff: int) -> FockOperator:
     rho = rot @ rho @ rot.conj().T
     alpha = complex(d[0], d[1]) / _SQRT2
     dis = displacement(alpha, cutoff)
-    return FockOperator(dis @ rho @ dis.conj().T)
+    return dis @ rho @ dis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +316,8 @@ class OffsetMap:
     Every factor has two methods: `apply(matrix)`, its own map on one
     operator or a (B, N, N) stack, and `kernel_blocks(cutoff)`, the real
     offset kernels (see `apply_offset_kernels`) of its phase average, a
-    block of offsets at a time.  Calling the map on a FockOperator (one
-    operator or a stack) applies the factors one after another;
+    block of offsets at a time.  Calling the map on an operator (one
+    matrix or a stack) applies the factors one after another;
     `real_kernel_blocks` composes their kernels, which is what
     `average_fidelity_fock` contracts.  The prior is phase-invariant, so a
     map and its phase average have the same average fidelity, and one
@@ -413,11 +356,11 @@ class OffsetMap:
             return out
         return real
 
-    def __call__(self, rho: FockOperator) -> FockOperator:
-        out = rho.matrix
+    def __call__(self, rho) -> np.ndarray:
+        out = _operator(rho)
         for factor in self.factors:
             out = factor.apply(out)
-        return FockOperator(out)
+        return out
 
 
 def _shifted(m: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
@@ -664,27 +607,26 @@ class KrausFamily:
         return _diagonal_pair_sum(_loss_table(n, 1.0 / g), q, p, hankel) / g
 
 
-def apply_loss(rho: FockOperator, transmissivity: float) -> FockOperator:
+def apply_loss(rho, transmissivity: float) -> np.ndarray:
     """Pure attenuation of transmissivity T via its photon-loss Kraus family.
 
     Exactly trace preserving on the truncated space (loss never populates
-    levels above the input's support).  Acts on each operator of a stack.
+    levels above the input's support).
     """
-    return FockOperator(KrausFamily("loss", float(transmissivity)).apply(rho.matrix))
+    return KrausFamily("loss", float(transmissivity)).apply(_operator(rho))
 
 
-def apply_amp(rho: FockOperator, gain: float) -> FockOperator:
+def apply_amp(rho, gain: float) -> np.ndarray:
     """Quantum-limited amplifier of gain G >= 1 via its Kraus family.
 
     Its offset kernels are those of loss at 1/G, transposed, over G (see
     `KrausFamily.kernel_blocks`).  Weight pushed past the cutoff is dropped,
-    not renormalized, and shows in the output's `trace_deficit`; the entries
+    not renormalized, and shows as a trace below the input's; the entries
     kept are exact.  `average_fidelity_fock` does not read the
     deficit: because the kept entries are exact, its closed-form bound on
-    cutting the input and target kets covers it.  Acts on each operator of
-    a stack.
+    cutting the input and target kets covers it.
     """
-    return FockOperator(KrausFamily("amp", float(gain)).apply(rho.matrix))
+    return KrausFamily("amp", float(gain)).apply(_operator(rho))
 
 
 def _check_variance(variance: float) -> None:
@@ -809,16 +751,14 @@ class DisplacementMixture:
         return outer @ (g * (evecs.conj().T @ matrix @ evecs)) @ outer.conj().T
 
 
-def gaussian_mixture_of_displacements(rho: FockOperator, variance: float,
-                                      axis: int) -> FockOperator:
+def gaussian_mixture_of_displacements(rho, variance: float, axis: int) -> np.ndarray:
     """Classical Gaussian displacement noise along one quadrature axis.
 
     sum_s w_s W_s rho W_s^dag over the unitaries of `mixture_unitaries`,
     as `DisplacementMixture.apply` sums it.  Exactly trace preserving (each
-    conjugation is unitary on the truncated space).  Acts on each operator
-    of a stack.
+    conjugation is unitary on the truncated space).
     """
-    return FockOperator(DisplacementMixture(variance, axis).apply(rho.matrix))
+    return DisplacementMixture(variance, axis).apply(_operator(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +773,7 @@ def _clipped_fidelity(value: float) -> float:
     return 0.0 if value <= 0.0 else min(value, 1.0)
 
 
-def fidelity_pure(psi: FockVector, rho: FockOperator):
+def fidelity_pure(psi, rho):
     """<psi| rho |psi>, checked real and clipped into [0, 1].
 
     A single ket and operator give a float; a stack of kets and an equally
@@ -842,14 +782,15 @@ def fidelity_pure(psi: FockVector, rho: FockOperator):
     part above 1e-12, is treated as a corrupted input rather than silently
     absorbed.
     """
-    if psi.cutoff != rho.cutoff:
-        raise InvalidInput(f"cutoff mismatch: vector {psi.cutoff} vs operator {rho.cutoff}")
-    amp = psi.amplitudes
-    if amp.shape[:-1] != rho.matrix.shape[:-2]:
+    rho = _operator(rho)
+    amp = np.atleast_1d(np.asarray(psi, dtype=complex))
+    if amp.shape[-1] != rho.shape[-1]:
+        raise InvalidInput(f"cutoff mismatch: vector {amp.shape[-1]} vs operator {rho.shape[-1]}")
+    if amp.shape[:-1] != rho.shape[:-2]:
         raise InvalidInput(f"stack mismatch: {amp.shape[:-1]} vectors vs "
-                           f"{rho.matrix.shape[:-2]} operators")
+                           f"{rho.shape[:-2]} operators")
     values = np.atleast_1d(np.einsum("...i,...i->...", amp.conj(),
-                                     (rho.matrix @ amp[..., None])[..., 0]))
+                                     (rho @ amp[..., None])[..., 0]))
     real = values.real
     non_real = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(real))
     if non_real.any():
@@ -859,34 +800,37 @@ def fidelity_pure(psi: FockVector, rho: FockOperator):
     return fidelities[0] if amp.ndim == 1 else np.array(fidelities)
 
 
-def expectation(rho: FockOperator, op: np.ndarray) -> complex:
-    return complex(np.trace(rho.matrix @ op))
+def expectation(rho, op: np.ndarray):
+    """tr(rho op): a complex number, or one per operator of a stack."""
+    return np.trace(_operator(rho) @ op, axis1=-2, axis2=-1)
 
 
-def mean_and_covariance(rho: FockOperator):
-    """Quadrature mean vector and covariance matrix of a Fock-space state.
+def mean_and_covariance(rho):
+    """Quadrature mean vector and covariance matrix of a Fock-space state (or a stack of each).
 
     Moments are taken literally on the truncated operator (no renormalizing),
     so a large trace deficit shows up here as biased moments.
     """
-    a = annihilation(rho.cutoff)
+    rho = _operator(rho)
+    a = annihilation(rho.shape[-1])
     exp_a = expectation(rho, a)
     exp_aa = expectation(rho, a @ a)
-    exp_n = float(expectation(rho, a.conj().T @ a).real)
-    mean = np.array([_SQRT2 * exp_a.real, _SQRT2 * exp_a.imag])
-    xx = exp_aa.real + exp_n + 0.5 - mean[0] ** 2
-    pp = -exp_aa.real + exp_n + 0.5 - mean[1] ** 2
-    xp = exp_aa.imag - mean[0] * mean[1]
-    return mean, np.array([[xx, xp], [xp, pp]])
+    exp_n = expectation(rho, a.conj().T @ a).real
+    mean = np.stack([_SQRT2 * exp_a.real, _SQRT2 * exp_a.imag], axis=-1)
+    xx = exp_aa.real + exp_n + 0.5 - mean[..., 0] ** 2
+    pp = -exp_aa.real + exp_n + 0.5 - mean[..., 1] ** 2
+    xp = exp_aa.imag - mean[..., 0] * mean[..., 1]
+    return mean, np.stack([xx, xp, xp, pp], axis=-1).reshape(mean.shape + (2,))
 
 
-def trace_distance(rho: FockOperator, sigma: FockOperator) -> float:
-    """(1/2) ||rho - sigma||_1 on the truncated space."""
-    if rho.cutoff != sigma.cutoff:
-        raise InvalidInput("trace distance needs operators at one common cutoff")
-    diff = rho.matrix - sigma.matrix
-    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.abs(eigs).sum())
+def trace_distance(rho, sigma):
+    """(1/2) ||rho - sigma||_1 on the truncated space: a float, or one per pair of a stack."""
+    rho, sigma = _operator(rho), _operator(sigma)
+    if rho.shape != sigma.shape:
+        raise InvalidInput(f"trace distance needs one shape, got {rho.shape} and {sigma.shape}")
+    diff = rho - sigma
+    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().swapaxes(-2, -1)))
+    return 0.5 * np.abs(eigs).sum(axis=-1)
 
 
 def select_cutoff(eta: float, lam: float) -> int:

@@ -171,14 +171,13 @@ def circulant_identity_check(p: int, lam: float, eta: float) -> CirculantReport:
 
 def _probe_amplitudes(phi) -> np.ndarray:
     """A probe's amplitudes, or a (B, levels) stack of them, one per row."""
-    amps = np.atleast_1d(phi.amplitudes if isinstance(phi, fock.FockVector)
-                         else np.asarray(phi, dtype=complex))
+    amps = np.atleast_1d(np.asarray(phi, dtype=complex))
     if amps.ndim > 2 or amps.shape[-1] == 0:
         raise InvalidInput(f"a probe needs one or two axes and a level, got shape {amps.shape}")
     return amps
 
 
-def outcome_score_operator(phi, eta: float, lam: float) -> fock.FockOperator:
+def outcome_score_operator(phi, eta: float, lam: float) -> np.ndarray:
     """Score operator of a probe state under the coherent-input prior.
 
     S = integral p(alpha) |<alpha|phi>|^2 |sqrt(eta) alpha><sqrt(eta) alpha|
@@ -210,7 +209,7 @@ def outcome_score_operator(phi, eta: float, lam: float) -> fock.FockOperator:
         img = images(flat[start:start + step])
         np.matmul(img, img.conj().swapaxes(1, 2), out=out[start:start + step])
     out *= lam
-    return fock.FockOperator(out.reshape(amps.shape + (n,)))
+    return out.reshape(amps.shape + (n,))
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
     raw = rng.standard_normal((trials, cutoff)) + 1j * rng.standard_normal((trials, cutoff))
     probes[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    scores = np.linalg.eigvalsh(outcome_score_operator(probes, eta, lam).matrix)[:, -1]
+    scores = np.linalg.eigvalsh(outcome_score_operator(probes, eta, lam))[:, -1]
 
     thermal = lam / (1.0 + lam) ** (1.0 + np.arange(cutoff))
     rhs = bound_scale * classical_bound(eta, lam) * (np.abs(probes) ** 2 @ thermal)
@@ -434,7 +433,7 @@ def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12) -> TwoCopyRepo
     levels = _score_levels(eta, lam, cutoff)
     value = _two_copy_value(np.pad(amps, (0, cutoff - amps.size)), eta, lam, cutoff)
     score = outcome_score_operator(np.pad(amps, (0, levels - amps.size)), eta, lam)
-    frob = float(np.sum(np.abs(score.matrix) ** 2))
+    frob = float(np.sum(np.abs(score) ** 2))
     rel = abs(frob - value) / max(frob, value, 1e-300)
     return TwoCopyReport(eta=eta, lam=lam, cutoff=cutoff, score_cutoff=levels,
                          frobenius_sq=frob, two_copy_value=value, rel_difference=rel,

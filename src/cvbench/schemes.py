@@ -225,7 +225,13 @@ def to_gaussian(model: ChannelModel | GaussianChannel) -> GaussianChannel:
     if isinstance(model, Compose):
         chan = GaussianChannel.identity()
         for part in model.parts:
-            chan = compose_channels(to_gaussian(part), chan)
+            part = to_gaussian(part)
+            try:    # a product past the float range is refused as non-finite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    chan = compose_channels(part, chan)
+            except InvalidInput as exc:
+                raise InvalidInput(f"channel model 'compose' field 'parts' composes to a "
+                                   f"channel past the float range: {exc}") from None
         return chan
     raise InvalidInput(f"not a channel model: {model!r}")
 
@@ -376,8 +382,8 @@ def _golden_max(f, a, b, tol):
 # Fock-space realizations
 
 
-def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
-                  max_trace_deficit: float | None = 1e-4) -> fock.FockOperator:
+def apply_mp_fock(scheme: HeterodyneMP, rho,
+                  max_trace_deficit: float | None = 1e-4) -> np.ndarray:
     """Heterodyne measure-and-prepare applied to a truncated state, in closed form.
 
     Measuring beta with density <beta|rho|beta>/pi and re-preparing |g beta>
@@ -395,15 +401,17 @@ def apply_mp_fock(scheme: HeterodyneMP, rho: fock.FockOperator,
     """
     if not isinstance(scheme, HeterodyneMP):
         raise InvalidInput("apply_mp_fock expects a HeterodyneMP scheme")
-    result = fock.FockOperator(fock.KrausFamily("heterodyne", scheme.g).apply(rho.matrix))
+    rho = fock._operator(rho)
+    result = fock.KrausFamily("heterodyne", scheme.g).apply(rho)
     if max_trace_deficit is not None:
-        deficit = np.atleast_1d(rho.trace - result.trace)
+        before, after = (np.atleast_1d(np.trace(m, axis1=-2, axis2=-1).real) for m in (rho, result))
+        deficit = before - after
         worst = int(np.argmax(deficit))
         if deficit[worst] > max_trace_deficit:
             raise ConvergenceError(
                 f"re-prepared states reach past the cutoff: trace fell by "
                 f"{deficit[worst]:.3g} (> {max_trace_deficit:g}); raise the cutoff",
-                value=float(np.atleast_1d(result.trace)[worst]),
+                value=float(after[worst]),
                 error=float(deficit[worst]))
     return result
 
@@ -489,8 +497,8 @@ def fock_applier(model: ChannelModel | GaussianChannel,
 
     The factors are those of `_realization`: loss, then a quantum-limited
     amplifier, or the heterodyne outcome integral, exact below the cutoff,
-    then at most one displacement mixture.  Called on a FockOperator (one
-    operator or a stack), the map applies them in order; the mixture is
+    then at most one displacement mixture.  Called on an operator (one
+    matrix or a stack), the map applies them in order; the mixture is
     applied as operators, one Hadamard product per state
     (`fock.DisplacementMixture.apply`).  `fock.average_fidelity_fock` reads
     the real kernels of the map's phase average from the same object: the

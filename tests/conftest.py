@@ -24,7 +24,7 @@ def state_stack():
         kets = fock.coherent_amplitudes([0.0, 0.9 - 0.4j, -0.7j, 1.3], cutoff).T
         stack = kets[:, :, None] * kets.conj()[:, None, :]
         mixed = fock.gaussian_state_fock([0.5, -0.8], [[0.9, 0.1], [0.1, 0.7]], cutoff)
-        return np.concatenate([stack, mixed.matrix[None]])
+        return np.concatenate([stack, mixed[None]])
     return build
 
 
@@ -66,7 +66,7 @@ def per_node_average():
     one stack up to cutoff 40; a map acts on each operator of a stack as on
     that operator alone), and the fidelities are summed in rule order; the
     error is the closed-form truncation bound plus its roundoff floor.
-    Takes any map FockOperator -> FockOperator, phase-covariant or not.
+    Takes any map of operator stacks, phase-covariant or not.
     """
     def average(applier, eta, lam, cutoff):
         radii, weights = _prior_rule(eta, lam, cutoff)
@@ -74,9 +74,10 @@ def per_node_average():
         total = 0.0
         for start in range(0, cutoff, step):
             r = radii[start:start + step]
-            kets_in = fock.FockVector(fock.coherent_amplitudes(r, cutoff).T)
-            kets_out = fock.FockVector(fock.coherent_amplitudes(math.sqrt(eta) * r, cutoff).T)
-            fids = fock.fidelity_pure(kets_out, applier(kets_in.projector()))
+            kets_in = fock.coherent_amplitudes(r, cutoff).T
+            kets_out = fock.coherent_amplitudes(math.sqrt(eta) * r, cutoff).T
+            projectors = kets_in[:, :, None] * kets_in.conj()[:, None, :]
+            fids = fock.fidelity_pure(kets_out, applier(projectors))
             for w, f in zip(weights[start:start + step], fids):
                 total += w * f
         return total, _error_estimate(eta, lam, cutoff)

@@ -368,6 +368,41 @@ def test_measure_and_prepare_data_is_never_certified(ring):
                 assert report.verdict == "NOT_CERTIFIED", (eta, lam, scale, seed, analytic)
 
 
+def _square_root_cheat(count, radius, eta, lam, shots, seed):
+    """Shots of a classical cheat on a ring of `count` equally weighted probes.
+
+    A square-root measurement on the ring's coherent states, then coherent
+    re-preparation at sqrt(eta) alpha_j of the outcome j: probe i gives
+    outcome j with probability |(G^(1/2))_ij|^2, G the ring's Gram matrix
+    <alpha_i|alpha_j>, and each shot of each quadrature draws its own outcome.
+    """
+    alphas = radius * np.exp(2j * math.pi * np.arange(count) / count)
+    gram = np.exp(-radius ** 2 + alphas.conj()[:, None] * alphas[None, :])
+    vals, vecs = np.linalg.eigh(gram)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    outcomes = np.abs(root) ** 2
+    rng = np.random.default_rng(seed)
+    records = []
+    for alpha, p in zip(alphas, outcomes):
+        for label, part in (("plus", np.real), ("minus", np.imag)):
+            prepared = math.sqrt(2.0 * eta) * part(alphas[rng.choice(count, shots, p=p / p.sum())])
+            records.append(QuadratureRecord(alpha, label,
+                                            rng.normal(prepared, math.sqrt(0.5))))
+    return ExperimentDataset(records, lam=lam, eta_declared=eta)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+def test_square_root_measurement_cheats_on_probe_rings_are_never_certified():
+    # 4 probes at |alpha| = 0.95, 8 at 2 and 16 at 3 all pass the grid check,
+    # whose mean squared displacement 2 |alpha|^2 must reach 2 / (lambda + eta)
+    verdicts = []
+    for count, radius in ((4, 0.95), (8, 2.0), (16, 3.0)):
+        ds = _square_root_cheat(count, radius, eta=1.0, lam=0.2, shots=2000, seed=1)
+        verdicts += [route(ds).verdict
+                     for route in (certify_by_variance, certify_by_fidelity_from_variance)]
+    assert verdicts == ["NOT_CERTIFIED"] * 6
+
+
 # ---------------------------------------------------------------------------
 # certification from fidelity
 

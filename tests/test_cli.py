@@ -1359,6 +1359,45 @@ def test_certify_warns_that_channel_is_ignored_beside_fbar_or_input(capsys, tmp_
     assert not any("--channel" in w for w in doc["warnings"])
 
 
+def _ignored(flag, what):
+    return f"{flag} is ignored: it is {what}, which this route does not read"
+
+
+N_BOOT_IGNORED = _ignored("--n-boot", "the bootstrap count of the SE of --input")
+WEIGHTS_IGNORED = _ignored("--weights", "the probe weighting of --input")
+CUTOFF_IGNORED = _ignored("--cutoff", "the truncation of the fock engine")
+TOLERANCE_IGNORED = _ignored("--tolerance", "the allowed gap of --engine both")
+FBAR_ROUTE = ("certify", "--fbar", "0.7", "--eta", "1", "--lambda", "0.2")
+CHANNEL_ROUTE = ("certify", "--channel", '{"type":"pure_loss","T":0.5}', "--eta", "0.5",
+                 "--lambda", "0.2")
+DATA_ROUTE = ("certify", "--input", "CSV", "--lambda", "0.1", "--eta", "0.6")   # loss_csv
+SIMULATE_ROUTE = ("simulate", "--channel", '{"type":"pure_loss","T":0.5}', "--eta", "0.5",
+                  "--lambda", "0.3")
+
+
+@pytest.mark.parametrize("route, flags, added", [
+    (FBAR_ROUTE, ("--n-boot", "-5", "--weights", "1,2"), [N_BOOT_IGNORED, WEIGHTS_IGNORED]),
+    (FBAR_ROUTE, ("--n-boot", "1000"), []),
+    (CHANNEL_ROUTE, ("--n-boot", "0"), [N_BOOT_IGNORED]),
+    (CHANNEL_ROUTE, ("--weights", "x"), [WEIGHTS_IGNORED]),
+    (DATA_ROUTE, ("--n-boot", "200", "--weights", "1,1,1,1,1,1,1,1"), []),
+    (SIMULATE_ROUTE, ("--cutoff", "40", "--tolerance", "0.1"), [CUTOFF_IGNORED, TOLERANCE_IGNORED]),
+    (SIMULATE_ROUTE, ("--tolerance", "0.001"), []),
+    (SIMULATE_ROUTE + ("--engine", "fock"), ("--tolerance", "0.1"), [TOLERANCE_IGNORED]),
+    (SIMULATE_ROUTE + ("--engine", "fock"), ("--cutoff", "40"), []),
+    (SIMULATE_ROUTE + ("--engine", "both"), ("--cutoff", "40", "--tolerance", "0.1"), []),
+], ids=["fbar", "fbar-default", "channel-n-boot", "channel-weights", "input",
+        "gaussian", "gaussian-default", "fock-tolerance", "fock-cutoff", "both"])
+def test_every_flag_a_route_ignores_is_warned_about(capsys, tmp_path, route, flags, added):
+    route = tuple(str(loss_csv(tmp_path, n=50)) if x == "CSV" else x for x in route)
+    code, plain, _ = run_json(capsys, *route)
+    code_with, doc, _ = run_json(capsys, *route, *flags)
+    assert code_with == code
+    assert [w for w in doc["warnings"] if w not in plain["warnings"]] == added
+    if added:
+        assert doc["result"] == plain["result"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flag, value, message", [
     ("--eta", "1e308", "declared gain eta (--eta) = 1e+308 takes the statistic out of float range"),
@@ -1733,6 +1772,11 @@ OVERFLOW_CASES = {
                     "channel model 'canonical_c' .* from fields 'eta' and 'ntilde';"),
     "compose": ({"type": "compose", "parts": [AMP_1E200, AMP_1E200]},
                 "channel model 'compose' .* from field 'parts';"),
+    # a non-isotropic product overflows in the matrix products, with no warning
+    "compose-anisotropic": ({"type": "compose", "parts": [{"type": "canonical_b1"},
+                                                          AMP_1E200, AMP_1E200]},
+                            "channel model 'compose' field 'parts' composes to a channel "
+                            "past the float range: noise matrix M must be finite$"),
 }
 
 

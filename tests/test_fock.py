@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbench import ensembles, fock, proofcheck
+from cvbench import ensembles, fock, proofcheck, schemes
 from cvbench.errors import CutoffTooSmall, InvalidInput
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian)
@@ -33,9 +33,8 @@ def test_coherent_amplitudes_formula():
     expected[0] = math.exp(-abs(alpha) ** 2 / 2)
     for n in range(1, 25):
         expected[n] = expected[n - 1] * alpha / math.sqrt(n)
-    assert np.allclose(ket.amplitudes, expected, atol=1e-15)
-    assert ket.norm_squared == pytest.approx(1.0, abs=1e-12)
-    assert ket.truncated_weight == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(ket, expected, atol=1e-15)
+    assert np.vdot(ket, ket).real == pytest.approx(1.0, abs=1e-12)
 
 
 def _coherent_amplitudes_by_rows(alphas, cutoff):
@@ -72,7 +71,7 @@ def test_coherent_ket_guards_cutoff():
         fock.coherent_ket(3.0, 10)
     # Explicitly unguarded call returns the sub-normalized truncation.
     ket = fock.coherent_ket(3.0, 10, weight_tol=None)
-    assert ket.norm_squared < 0.7
+    assert np.vdot(ket, ket).real < 0.7
 
 
 def test_coherent_batch_matches_single_kets():
@@ -80,14 +79,14 @@ def test_coherent_batch_matches_single_kets():
     batch = fock.coherent_amplitudes(alphas, 30)
     for i, a in enumerate(alphas):
         single = fock.coherent_ket(a, 30, weight_tol=None)
-        assert np.allclose(batch[:, i], single.amplitudes, atol=1e-15)
+        assert np.allclose(batch[:, i], single, atol=1e-15)
 
 
 def test_coherent_overlaps():
     a, b = 0.9, -0.4 + 0.6j
     ka = fock.coherent_ket(a, 40)
     kb = fock.coherent_ket(b, 40)
-    got = np.vdot(ka.amplitudes, kb.amplitudes)
+    got = np.vdot(ka, kb)
     expected = np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
     assert abs(got - expected) < 1e-12
 
@@ -112,7 +111,7 @@ def test_displacement_builds_coherent_states():
     vac = np.zeros(35)
     vac[0] = 1.0
     # A BCH-ordering global phase is allowed; the physical state must match.
-    overlap = np.vdot(d @ vac, fock.coherent_ket(alpha, 35).amplitudes)
+    overlap = np.vdot(d @ vac, fock.coherent_ket(alpha, 35))
     assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -123,7 +122,7 @@ def test_rotation_is_a_number_phase():
     assert np.allclose(np.diag(r), np.exp(1j * theta * n) * 0 + np.diag(r))
     assert np.allclose(r @ r.conj().T, np.eye(15), atol=1e-12)
     # Photon statistics are rotation invariant.
-    ket = fock.coherent_ket(1.1, 15, weight_tol=None).amplitudes
+    ket = fock.coherent_ket(1.1, 15, weight_tol=None)
     assert np.allclose(np.abs(r @ ket), np.abs(ket), atol=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_squeeze_keeps_minimal_uncertainty():
     s = fock.squeeze(0.5, 50)
     vac = np.zeros(50)
     vac[0] = 1.0
-    rho = fock.FockOperator(np.outer(s @ vac, (s @ vac).conj()))
+    rho = np.outer(s @ vac, (s @ vac).conj())
     mean, cov = fock.mean_and_covariance(rho)
     assert np.allclose(mean, 0.0, atol=1e-10)
     assert np.linalg.det(cov) == pytest.approx(0.25, rel=1e-6)
@@ -149,8 +148,8 @@ def test_thermal_state_occupations():
     th = fock.thermal_state(lam, 60)
     n = np.arange(60)
     expected = lam / (1 + lam) * (1 + lam) ** (-n.astype(float))
-    assert np.allclose(np.diag(th.matrix).real, expected, atol=1e-15)
-    assert th.trace == pytest.approx(1.0, abs=1e-6)
+    assert np.allclose(np.diag(th).real, expected, atol=1e-15)
+    assert np.trace(th).real == pytest.approx(1.0, abs=1e-6)
     mean_n = fock.expectation(th, fock.number_operator(60)).real
     assert mean_n == pytest.approx(1.0 / lam, rel=1e-4)
 
@@ -160,7 +159,7 @@ def test_gaussian_state_fock_reproduces_moments():
         gamma = random_physical_gamma(rng)
         d = rng.normal(scale=1.0, size=2)
         rho = fock.gaussian_state_fock(d, gamma, 45)
-        assert rho.trace == pytest.approx(1.0, abs=1e-8)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
         mean, cov = fock.mean_and_covariance(rho)
         assert np.allclose(mean, d, atol=1e-6)
         assert np.allclose(cov, gamma, atol=1e-6)
@@ -168,7 +167,7 @@ def test_gaussian_state_fock_reproduces_moments():
 
 def test_gaussian_state_fock_vacuum_and_coherent():
     vac = fock.gaussian_state_fock(np.zeros(2), E2 / 2, 20)
-    assert vac.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
+    assert vac[0, 0].real == pytest.approx(1.0, abs=1e-12)
     coh = fock.gaussian_state_fock(np.array([math.sqrt(2), 0.0]), E2 / 2, 30)
     ket = fock.coherent_ket(1.0, 30)
     assert fock.fidelity_pure(ket, coh) == pytest.approx(1.0, abs=1e-9)
@@ -180,9 +179,10 @@ def test_gaussian_state_fock_vacuum_and_coherent():
 
 def test_loss_is_trace_preserving_and_maps_coherent_to_coherent():
     alpha, T = 1.2 - 0.4j, 0.6
-    rho = fock.coherent_ket(alpha, 40).projector()
+    ket = fock.coherent_ket(alpha, 40)
+    rho = np.outer(ket, ket.conj())
     out = fock.apply_loss(rho, T)
-    assert out.trace == pytest.approx(rho.trace, abs=1e-13)
+    assert np.trace(out).real == pytest.approx(np.trace(rho).real, abs=1e-13)
     target = fock.coherent_ket(math.sqrt(T) * alpha, 40)
     assert fock.fidelity_pure(target, out) == pytest.approx(1.0, abs=1e-10)
 
@@ -192,20 +192,20 @@ def test_loss_scales_thermal_occupation():
     out = fock.apply_loss(fock.thermal_state(lam, 80), T)
     expected = fock.thermal_state(lam / T, 80)
     # Compare on a comfortably converged leading block.
-    assert np.allclose(out.matrix[:40, :40], expected.matrix[:40, :40],
-                       atol=1e-8)
+    assert np.allclose(out[:40, :40], expected[:40, :40], atol=1e-8)
 
 
 def test_amp_adds_minimal_noise():
     G = 2.0
-    vac = fock.FockOperator(np.diag([1.0] + [0.0] * 59))
+    vac = np.diag([1.0] + [0.0] * 59)
     out = fock.apply_amp(vac, G)
     mean_n = fock.expectation(out, fock.number_operator(60)).real
     assert mean_n == pytest.approx(G - 1.0, rel=1e-6)
     mean, cov = fock.mean_and_covariance(out)
     assert np.allclose(cov, (G - 0.5) * E2, atol=1e-6)
     alpha = 0.7
-    out = fock.apply_amp(fock.coherent_ket(alpha, 60).projector(), G)
+    ket = fock.coherent_ket(alpha, 60)
+    out = fock.apply_amp(np.outer(ket, ket.conj()), G)
     mean, _ = fock.mean_and_covariance(out)
     assert np.allclose(mean, [math.sqrt(2 * G) * alpha, 0.0], atol=1e-6)
 
@@ -213,7 +213,8 @@ def test_amp_adds_minimal_noise():
 def test_loss_then_amp_is_the_classical_map():
     # T = 1/2 then G = 2 equals heterodyne-and-re-prepare at unit gain: the
     # coherent input survives with one extra unit of added noise.
-    rho = fock.coherent_ket(0.9, 50).projector()
+    ket = fock.coherent_ket(0.9, 50)
+    rho = np.outer(ket, ket.conj())
     out = fock.apply_amp(fock.apply_loss(rho, 0.5), 2.0)
     mean, cov = fock.mean_and_covariance(out)
     assert np.allclose(mean, [0.9 * math.sqrt(2), 0.0], atol=1e-7)
@@ -221,16 +222,17 @@ def test_loss_then_amp_is_the_classical_map():
 
 
 def test_identity_shortcuts():
-    rho = fock.coherent_ket(0.5, 25).projector()
-    assert np.array_equal(fock.apply_loss(rho, 1.0).matrix, rho.matrix)
-    assert np.array_equal(fock.apply_amp(rho, 1.0).matrix, rho.matrix)
+    ket = fock.coherent_ket(0.5, 25)
+    rho = np.outer(ket, ket.conj())
+    assert np.array_equal(fock.apply_loss(rho, 1.0), rho)
+    assert np.array_equal(fock.apply_amp(rho, 1.0), rho)
     for kind in ("loss", "amp"):
         family = fock.KrausFamily(kind, 1.0)
-        assert np.array_equal(fock.OffsetMap(family)(rho).matrix, rho.matrix)
+        assert np.array_equal(fock.OffsetMap(family)(rho), rho)
 
 
 def test_mixture_of_displacements_adds_single_axis_noise():
-    vac = fock.FockOperator(np.diag([1.0] + [0.0] * 39))
+    vac = np.diag([1.0] + [0.0] * 39)
     noisy = fock.gaussian_mixture_of_displacements(vac, 0.5, axis=0)
     mean, cov = fock.mean_and_covariance(noisy)
     assert np.allclose(mean, 0.0, atol=1e-9)
@@ -251,9 +253,9 @@ def test_mixture_kernel_matches_the_einsum_reference(axis):
     sign = -1.0 if axis == 0 else 1.0
     phases = np.exp(1j * sign * np.outer(math.sqrt(2.0 * variance) * x, evals))
     kernel = np.einsum("s,si,sj->ij", w / math.sqrt(math.pi), phases, phases.conj())
-    inner = evecs.conj().T @ rho.matrix @ evecs
+    inner = evecs.conj().T @ rho @ evecs
     expected = evecs @ (kernel * inner) @ evecs.conj().T
-    got = fock.gaussian_mixture_of_displacements(rho, variance, axis=axis).matrix
+    got = fock.gaussian_mixture_of_displacements(rho, variance, axis=axis)
     assert np.abs(got - expected).max() <= 1e-14
 
 
@@ -263,10 +265,10 @@ def test_mixture_kernel_matches_the_einsum_reference(axis):
 ])
 def test_kraus_kernels_on_a_stack_equal_each_slice_bit_for_bit(kernel, state_stack):
     stack = state_stack(24)
-    got = kernel(fock.FockOperator(stack)).matrix
+    got = kernel(stack)
     assert got.shape == stack.shape
     for i, m in enumerate(stack):
-        assert np.array_equal(got[i], kernel(fock.FockOperator(m)).matrix)
+        assert np.array_equal(got[i], kernel(m))
 
 
 def _apply_loss_by_kraus_loop(matrix, T):
@@ -312,7 +314,7 @@ def test_kraus_kernels_match_the_per_operator_loop(kernel, reference, cutoff, he
     if hermitian:
         x = x @ x.conj().transpose(0, 2, 1)
     expected = reference(x)
-    got = kernel(fock.FockOperator(x)).matrix
+    got = kernel(x)
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -326,7 +328,7 @@ def test_kraus_kernels_match_the_per_operator_loop(kernel, reference, cutoff, he
 ], ids=["loss", "amp"])
 def test_kraus_kernels_keep_a_number_state_diagonal(kernel, weight):
     m, cutoff = 5, 60
-    out = kernel(fock.FockOperator(np.diag(np.eye(cutoff)[m]))).matrix
+    out = kernel(np.diag(np.eye(cutoff)[m]))
     expected = np.array([weight(j, m) for j in range(cutoff)])
     assert np.all(out[~np.eye(cutoff, dtype=bool)] == 0.0)
     assert np.abs(np.diag(out) - expected).max() <= 1e-14
@@ -340,7 +342,7 @@ def test_kraus_kernels_keep_a_number_state_diagonal(kernel, weight):
 def test_kraus_kernels_map_one_offset_onto_the_same_offset(kernel, offset):
     cutoff = 24
     amps = np.random.default_rng(5).standard_normal(cutoff - abs(offset)) + 0.5j
-    out = kernel(fock.FockOperator(np.diag(amps, k=-offset))).matrix
+    out = kernel(np.diag(amps, k=-offset))
     rows, cols = np.indices(out.shape)
     assert np.all(out[rows - cols != offset] == 0.0)
     assert np.abs(np.diagonal(out, offset=-offset)).min() > 0.0
@@ -349,81 +351,110 @@ def test_kraus_kernels_map_one_offset_onto_the_same_offset(kernel, offset):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_mixture_on_a_stack_equals_each_slice(axis, state_stack):
     stack = state_stack(24)
-    got = fock.gaussian_mixture_of_displacements(fock.FockOperator(stack), 0.4, axis).matrix
+    got = fock.gaussian_mixture_of_displacements(stack, 0.4, axis)
     for i, m in enumerate(stack):
-        one = fock.gaussian_mixture_of_displacements(fock.FockOperator(m), 0.4, axis).matrix
+        one = fock.gaussian_mixture_of_displacements(m, 0.4, axis)
         assert np.abs(got[i] - one).max() <= 1e-15
 
 
-def test_operator_stacks(state_stack):
-    stack = fock.FockOperator(state_stack(12))
-    assert stack.cutoff == 12
-    traces = stack.trace
-    assert traces.shape == (5,)
-    for i, m in enumerate(stack.matrix):
-        assert abs(traces[i] - fock.FockOperator(m).trace) <= 1e-15
-    assert np.array_equal(stack.trace_deficit, 1.0 - traces)
-    for bad in (np.zeros((2, 3, 4)), np.zeros((1, 2, 2, 2)), np.zeros((2, 0, 0))):
-        with pytest.raises(InvalidInput, match="square"):
-            fock.FockOperator(bad)
+# Every operator-level entry point as f(rho, kets): rho is one operator or a
+# stack, kets the matching ket or stack of kets, which only fidelity_pure reads.
+OPERATOR_ENTRY_POINTS = {
+    "OffsetMap": lambda rho, kets: fock.OffsetMap(
+        fock.KrausFamily("loss", 0.7), fock.DisplacementMixture(0.3, 1, 0.2j))(rho),
+    "apply_loss": lambda rho, kets: fock.apply_loss(rho, 0.63),
+    "apply_amp": lambda rho, kets: fock.apply_amp(rho, 1.8),
+    "gaussian_mixture_of_displacements":
+        lambda rho, kets: fock.gaussian_mixture_of_displacements(rho, 0.4, 1),
+    "apply_mp_fock": lambda rho, kets: schemes.apply_mp_fock(schemes.HeterodyneMP(0.8), rho),
+    "fidelity_pure": lambda rho, kets: fock.fidelity_pure(kets, rho),
+    "expectation":
+        lambda rho, kets: fock.expectation(rho, fock.number_operator(np.shape(rho)[-1])),
+    "mean_and_covariance": lambda rho, kets: fock.mean_and_covariance(rho),
+    "trace_distance": lambda rho, kets: fock.trace_distance(rho, np.flip(rho, (-2, -1))),
+}
 
 
-def test_vector_stacks():
-    alphas = [0.3, 1.2j, -2.5 + 1.0j]
-    kets = fock.FockVector(fock.coherent_amplitudes(alphas, 9).T)
-    assert kets.cutoff == 9
-    projectors = kets.projector().matrix
-    for i, alpha in enumerate(alphas):
-        one = fock.coherent_ket(alpha, 9, weight_tol=None)
-        assert kets.truncated_weight[i] == pytest.approx(one.truncated_weight, abs=1e-15)
-        assert np.array_equal(projectors[i], one.projector().matrix)
+@pytest.mark.parametrize("entry", OPERATOR_ENTRY_POINTS.values(), ids=OPERATOR_ENTRY_POINTS)
+def test_operator_entry_points_map_a_plain_stack_as_its_slices(entry, state_stack):
+    stack = state_stack(24)
+    kets = fock.coherent_amplitudes([0.2, 1.0 - 0.5j, -0.6j, 1.5, 0.5], 24).T
+    got = entry(stack, kets)
+    for i in range(len(stack)):
+        one = entry(stack[i], kets[i])
+        for whole, part in zip(got if isinstance(got, tuple) else (got,),
+                               one if isinstance(one, tuple) else (one,)):
+            assert isinstance(whole, np.ndarray) and whole.shape[0] == len(stack)
+            assert np.array_equal(whole[i], part)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 4)), np.zeros((1, 2, 2, 2)), np.zeros((2, 0, 0))],
+                         ids=["non-square", "4-d", "empty"])
+@pytest.mark.parametrize("entry", OPERATOR_ENTRY_POINTS.values(), ids=OPERATOR_ENTRY_POINTS)
+def test_operator_entry_points_refuse_a_malformed_operator(entry, bad):
+    with pytest.raises(InvalidInput) as refused:
+        entry(bad, np.ones(bad.shape[-1:], dtype=complex))
+    assert str(refused.value) == "matrix must be square, or a stack of square matrices"
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: fock.coherent_ket(0.3 - 0.2j, 9), (9,)),
+    (lambda: fock.thermal_state(0.5, 9), (9, 9)),
+    (lambda: fock.gaussian_state_fock([0.5, -0.8], [[0.9, 0.1], [0.1, 0.7]], 9), (9, 9)),
+    (lambda: proofcheck.outcome_score_operator(fock.coherent_amplitudes([0.3, 1.2j], 9).T,
+                                               0.8, 0.4), (2, 9, 9)),
+], ids=["coherent_ket", "thermal_state", "gaussian_state_fock", "outcome_score_operator"])
+def test_state_builders_return_plain_complex_arrays(build, shape):
+    out = build()
+    assert type(out) is np.ndarray and out.dtype == complex and out.shape == shape
 
 
 def test_fidelity_pure_on_stacks_equals_each_pair(state_stack):
-    stack = fock.FockOperator(state_stack(20))
-    kets = fock.FockVector(fock.coherent_amplitudes([0.2, 1.0 - 0.5j, -0.6j, 1.5, 0.5], 20).T)
+    stack = state_stack(20)
+    kets = fock.coherent_amplitudes([0.2, 1.0 - 0.5j, -0.6j, 1.5, 0.5], 20).T
     got = fock.fidelity_pure(kets, stack)
     assert got.shape == (5,)
     for i in range(5):
-        one = fock.fidelity_pure(fock.FockVector(kets.amplitudes[i]),
-                                 fock.FockOperator(stack.matrix[i]))
-        assert abs(got[i] - one) <= 1e-15
+        assert abs(got[i] - fock.fidelity_pure(kets[i], stack[i])) <= 1e-15
     with pytest.raises(InvalidInput, match="stack mismatch"):
-        fock.fidelity_pure(fock.FockVector(kets.amplitudes[:4]), stack)
+        fock.fidelity_pure(kets[:4], stack)
     with pytest.raises(InvalidInput, match="stack mismatch"):
-        fock.fidelity_pure(fock.FockVector(kets.amplitudes[0]), stack)
+        fock.fidelity_pure(kets[0], stack)
+    with pytest.raises(InvalidInput, match="cutoff mismatch"):
+        fock.fidelity_pure(kets[:, :19], stack)
 
 
 def test_fidelity_pure_checks_every_pair_of_a_stack(state_stack):
     stack = state_stack(20)
-    kets = fock.FockVector(fock.coherent_amplitudes([0.2, 1.0, -0.6j, 1.5, 0.5], 20).T)
+    kets = fock.coherent_amplitudes([0.2, 1.0, -0.6j, 1.5, 0.5], 20).T
     skewed = stack.copy()
     skewed[3] *= 1.0 + 0.1j
     with pytest.raises(InvalidInput, match="not Hermitian"):
-        fock.fidelity_pure(kets, fock.FockOperator(skewed))
+        fock.fidelity_pure(kets, skewed)
     inflated = stack.copy()
     inflated[2] *= 1.5
     with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
-        fock.fidelity_pure(kets, fock.FockOperator(inflated))
+        fock.fidelity_pure(kets, inflated)
     corrupted = stack.copy()
     corrupted[1, 0, 0] = math.nan
     with pytest.raises(InvalidInput, match=r"outside \[0, 1\]"):
-        fock.fidelity_pure(kets, fock.FockOperator(corrupted))
+        fock.fidelity_pure(kets, corrupted)
 
 
 def test_mixture_preserves_trace_and_hermiticity():
     rho = fock.thermal_state(1.5, 30)
     out = fock.gaussian_mixture_of_displacements(rho, 0.3, axis=0)
-    assert out.trace == pytest.approx(rho.trace, abs=1e-9)
-    assert np.allclose(out.matrix, out.matrix.conj().T, atol=1e-12)
+    assert np.trace(out).real == pytest.approx(np.trace(rho).real, abs=1e-9)
+    assert np.allclose(out, out.conj().T, atol=1e-12)
 
 
 def test_mixture_of_zero_variance_is_one_identity():
     weights, unitaries = fock.mixture_unitaries(0.0, 1, 12)
     assert weights.tolist() == [1.0]
     assert np.array_equal(unitaries, np.eye(12)[None])
-    rho = fock.coherent_ket(0.5 - 0.2j, 12).projector()
-    assert np.array_equal(fock.gaussian_mixture_of_displacements(rho, 0.0, 0).matrix, rho.matrix)
+    ket = fock.coherent_ket(0.5 - 0.2j, 12)
+    rho = np.outer(ket, ket.conj())
+    assert np.array_equal(fock.gaussian_mixture_of_displacements(rho, 0.0, 0), rho)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -497,7 +528,8 @@ KRAUS_RANGE_MESSAGES = {
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_fock_parameters_are_refused(value):
-    rho = fock.coherent_ket(0.5, 12).projector()
+    ket = fock.coherent_ket(0.5, 12)
+    rho = np.outer(ket, ket.conj())
     with pytest.raises(InvalidInput, match="amplifier gain must be >= 1 and finite"):
         fock.apply_amp(rho, value)
     with pytest.raises(InvalidInput, match="noise variance must be >= 0 and finite"):
@@ -539,12 +571,15 @@ def test_fidelity_pure_against_closed_form():
 
 
 def test_trace_distance():
-    k0 = fock.FockOperator(np.diag([1.0, 0.0, 0.0]))
-    k1 = fock.FockOperator(np.diag([0.0, 1.0, 0.0]))
+    k0 = np.diag([1.0, 0.0, 0.0])
+    k1 = np.diag([0.0, 1.0, 0.0])
     assert fock.trace_distance(k0, k1) == pytest.approx(1.0, abs=1e-12)
     assert fock.trace_distance(k0, k0) == pytest.approx(0.0, abs=1e-12)
-    mix = fock.FockOperator(0.5 * (k0.matrix + k1.matrix))
+    mix = 0.5 * (k0 + k1)
     assert fock.trace_distance(k0, mix) == pytest.approx(0.5, abs=1e-12)
+    for other in (np.eye(4), np.stack([k0, k1])):
+        with pytest.raises(InvalidInput, match="trace distance needs one shape"):
+            fock.trace_distance(k0, other)
 
 
 def test_select_cutoff_is_the_smallest_with_both_weights_in_budget():

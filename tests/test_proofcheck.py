@@ -163,12 +163,12 @@ score_points = [(int(c), float(e), float(l)) for c, e, l in zip(
 def test_closed_form_score_operator_matches_the_polar_rule(cutoff, eta, lam):
     probes = seeded_probes([cutoff, 1], 6, cutoff)
     reference = polar_rule_score_operators(probes, eta, lam)
-    stacked = outcome_score_operator(probes, eta, lam).matrix
+    stacked = outcome_score_operator(probes, eta, lam)
     assert stacked.shape == (6, cutoff, cutoff)
     scale = np.max(np.abs(reference), axis=(1, 2))
     assert np.all(np.max(np.abs(stacked - reference), axis=(1, 2)) <= 1e-12 * scale)
     for probe, ref, top in zip(probes, reference, scale):
-        single = outcome_score_operator(probe, eta, lam).matrix
+        single = outcome_score_operator(probe, eta, lam)
         assert np.max(np.abs(single - ref)) <= 1e-12 * top
 
 
@@ -184,17 +184,17 @@ def test_score_operator_is_hermitian_psd():
     probe = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     probe /= np.linalg.norm(probe)
     op = outcome_score_operator(probe, 1.2, 0.4)
-    assert op.matrix.shape == (8, 8)
-    assert np.allclose(op.matrix, op.matrix.conj().T)
-    assert np.linalg.eigvalsh(op.matrix).min() >= -1e-14
+    assert op.shape == (8, 8)
+    assert np.allclose(op, op.conj().T)
+    assert np.linalg.eigvalsh(op).min() >= -1e-14
 
 
 def test_vacuum_score_trace_and_top_eigenvalue():
     eta, lam = 1.0, 1.0
     op = outcome_score_operator(np.eye(20)[0], eta, lam)
     # total credit mass: prior overlap with the vacuum, lam / (1 + lam)
-    assert np.trace(op.matrix).real == pytest.approx(0.5, abs=1e-8)
-    top = np.linalg.eigvalsh(op.matrix)[-1]
+    assert np.trace(op).real == pytest.approx(0.5, abs=1e-8)
+    top = np.linalg.eigvalsh(op)[-1]
     # the vacuum saturates the bound: lam / (1 + lam + eta)
     assert top == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert top <= classical_bound(eta, lam) * lam / (1.0 + lam) + 1e-12
@@ -225,7 +225,7 @@ def offset_kernel_score_operators(probes, eta, lam):
 def test_kraus_score_operator_matches_the_offset_kernel_build(cutoff, eta, lam):
     probes = seeded_probes([cutoff, 2], 2 if cutoff == 180 else 5, cutoff)
     probes[0] = np.eye(cutoff)[0]                       # the vacuum
-    built = outcome_score_operator(probes, eta, lam).matrix
+    built = outcome_score_operator(probes, eta, lam)
     reference = offset_kernel_score_operators(probes, eta, lam)
     scale = np.max(np.abs(reference), axis=(1, 2))
     assert np.all(np.max(np.abs(built - reference), axis=(1, 2)) <= 1e-15 * scale)
@@ -235,9 +235,9 @@ def test_kraus_score_operator_matches_the_offset_kernel_build(cutoff, eta, lam):
 def test_kraus_score_stack_slices_are_bit_equal_to_single_builds(count, cutoff):
     # 70 probes at cutoff 64 span three image blocks
     probes = seeded_probes([cutoff, 3], count, cutoff)
-    stacked = outcome_score_operator(probes, 1.3, 0.5).matrix
+    stacked = outcome_score_operator(probes, 1.3, 0.5)
     for probe, operator in zip(probes, stacked):
-        assert np.array_equal(outcome_score_operator(probe, 1.3, 0.5).matrix, operator)
+        assert np.array_equal(outcome_score_operator(probe, 1.3, 0.5), operator)
 
 
 def test_heterodyne_images_are_the_kraus_operators_on_the_ket():

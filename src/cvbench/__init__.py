@@ -17,9 +17,8 @@ from .certify import (CertificationReport, DetectionReport, ExperimentDataset,
                       delta_bar, detect_gaussian_qd, estimate_gain,
                       read_dataset_csv, synthesize_dataset, write_dataset_csv)
 from .ensembles import GaussianPrior, QuadratureRule, gauss_rule
-from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
-                     DomainError, InvalidInput, NotCompletelyPositive,
-                     ToolkitError, UnsupportedTask)
+from .errors import (CutoffTooSmall, DatasetError, DomainError, InvalidInput,
+                     NotCompletelyPositive, ToolkitError, UnsupportedTask)
 from .fock import (DisplacementMixture, FockAverage, KrausFamily, OffsetMap,
                    average_fidelity_fock, coherent_ket, gaussian_state_fock,
                    thermal_state)

@@ -95,7 +95,8 @@ class ExperimentDataset:
     def __post_init__(self):
         if not (isinstance(self.lam, (int, float)) and self.lam > 0
                 and math.isfinite(self.lam)):
-            raise DatasetError(f"prior width lambda (--lambda) must be positive, got {self.lam}")
+            raise DatasetError(
+                f"prior width lambda (--lambda) must be positive and finite, got {self.lam}")
         if self.eta_declared is not None and not (self.eta_declared > 0
                                                   and math.isfinite(self.eta_declared)):
             raise DatasetError(

@@ -52,8 +52,8 @@ import numpy as np
 
 from . import __version__, certify, fock, proofcheck, schemes
 from .bounds import _SMALL_LAM, classical_bound, quadrature_threshold, quantum_amp_bound
-from .errors import (ConvergenceError, CutoffTooSmall, DatasetError,
-                     DomainError, InvalidInput, ToolkitError, UnsupportedTask)
+from .errors import (CutoffTooSmall, DatasetError, DomainError, InvalidInput,
+                     ToolkitError, UnsupportedTask)
 from .gaussian import average_fidelity_gaussian, is_gain_matched
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ _JSON_ROW_INDENT = " " * 6        # json.dumps' indent=2 at result.rows' element
 _EXIT_CODES = (((InvalidInput, UnsupportedTask, OSError), EXIT_USAGE),
                (DatasetError, EXIT_DATA),
                (DomainError, EXIT_CP),        # NotCompletelyPositive among them
-               (ToolkitError, EXIT_FAIL))     # ConvergenceError, CutoffTooSmall
+               (ToolkitError, EXIT_FAIL))     # CutoffTooSmall
 
 
 def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
@@ -379,12 +379,21 @@ def _load_channel_spec(text: str):
     return schemes.model_from_json(_json(raw, "--channel"))
 
 
-def _flat_prior_proxy(lam: float, warnings: list, purpose: str = "") -> float:
+def _flat_prior_proxy(lam: float, warnings: list, purpose: str) -> float:
     """lam, or the narrow proxy _SMALL_LAM (with a warning) for the flat prior."""
     if lam != 0.0:
         return lam
     warnings.append(f"flat prior replaced by lambda = {_SMALL_LAM}{purpose}")
     return _SMALL_LAM
+
+
+def _closed_form_lambda(gauss, eta: float, lam: float, warnings: list) -> float:
+    """lam, or at lam = 0 the proxy for a channel that is not gain-matched: only a
+    matched channel's average is prior-independent, and finite in the flat limit."""
+    if lam == 0.0 and not is_gain_matched(gauss, eta):
+        lam = _flat_prior_proxy(
+            lam, warnings, " for an unmatched channel, whose flat-prior average diverges")
+    return lam
 
 
 def _warn_ignored(eff: dict, warnings: list, *rows) -> None:
@@ -448,11 +457,7 @@ def _cmd_simulate(eff: dict):
 
     result = {"channel": schemes.model_to_json(channel),
               "eta": eta, "lambda": lam, "engine": engine}
-    # A flat prior (lambda = 0) has a finite closed form only for matched
-    # channels, where the average is prior-independent.  Unmatched channels
-    # get a narrow proxy prior; matched ones may run the truncated engine at
-    # any proper width, so pick one its cutoff can actually cover.
-    lam_gauss = lam_fock = lam
+    lam_gauss = lam_fock = _closed_form_lambda(gauss, eta, lam, warnings)
     matched = is_gain_matched(gauss, eta)
     if matched and lam < 0.2:
         # The matched-gain average is prior-independent, so the truncated
@@ -461,9 +466,6 @@ def _cmd_simulate(eff: dict):
         # than the automatic cutoff limit.
         lam_fock = 0.2 if cutoff is not None else \
             max(0.2, fock.narrowest_auto_lambda(eta))
-    elif lam == 0.0:
-        lam_gauss = lam_fock = _flat_prior_proxy(
-            lam, warnings, " for an unmatched channel, whose flat-prior average diverges")
 
     fbar_gauss = None
     if engine in ("gaussian", "both"):
@@ -477,11 +479,11 @@ def _cmd_simulate(eff: dict):
         try:
             avg = fock.average_fidelity_fock(schemes.fock_applier(channel, gauss),
                                              eta, lam_fock, cutoff=cutoff, max_error=0.5)
-        except (ConvergenceError, CutoffTooSmall) as exc:
+        except CutoffTooSmall as exc:
             if matched or lam != 0.0:
                 raise
-            raise type(exc)(f"{exc} (lambda = {lam_fock:g} is the flat-prior proxy "
-                            f"for lambda = 0)") from exc
+            raise CutoffTooSmall(f"{exc} (lambda = {lam_fock:g} is the flat-prior proxy "
+                                 f"for lambda = 0)") from exc
         result["fbar_fock"] = avg.value
         result["fock_error_estimate"] = avg.error
         result["lambda_used_fock"] = lam_fock
@@ -558,9 +560,9 @@ def _cmd_certify(eff: dict):
                                              se=eff["se"], k=k)
     elif eff["channel"] is not None:
         _require(eff, "eta", "lambda")
-        channel = _load_channel_spec(eff["channel"])
-        lam = _flat_prior_proxy(eff["lambda"], warnings)
-        report = certify.certify_by_fidelity(channel, eff["eta"], lam, k=k)
+        gauss = schemes.to_gaussian(_load_channel_spec(eff["channel"]))
+        lam = _closed_form_lambda(gauss, eff["eta"], eff["lambda"], warnings)
+        report = certify.certify_by_fidelity(gauss, eff["eta"], lam, k=k)
     else:
         raise InvalidInput("certify needs --input, --fbar, or --channel")
 

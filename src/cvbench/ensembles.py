@@ -37,11 +37,6 @@ class GaussianPrior:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise InvalidInput(f"prior width lambda must be positive and finite, got {self.lam}")
 
-    def density(self, alpha):
-        """p(alpha) evaluated at one or many complex amplitudes."""
-        alpha = np.asarray(alpha, dtype=complex)
-        return self.lam / math.pi * np.exp(-self.lam * np.abs(alpha) ** 2)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

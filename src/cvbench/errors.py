@@ -22,20 +22,9 @@ class DomainError(ToolkitError, ValueError):
 
 
 class CutoffTooSmall(ToolkitError, ValueError):
-    """A Fock-space build cannot be represented at the requested truncation."""
-
-
-class ConvergenceError(ToolkitError, RuntimeError):
-    """An estimate's error bound exceeds the caller's, or a truncation drops
-    more weight than the caller allows.
-
-    Carries the offending estimate so callers can inspect how far off it was.
-    """
-
-    def __init__(self, message, value=None, error=None):
-        super().__init__(message)
-        self.value = value
-        self.error = error
+    """A truncation too narrow: a Fock-space build the cutoff cannot hold, or weight
+    past the cutoff beyond the caller's bound (an average's error estimate, a
+    state's trace deficit)."""
 
 
 class NotCompletelyPositive(DomainError):

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .bounds import _check_prior
-from .errors import ConvergenceError, CutoffTooSmall, InvalidInput
+from .errors import CutoffTooSmall, InvalidInput
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -967,7 +967,7 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     Jensen's inequality, which holds for maps whose output entries below the
     cutoff are exact.  A roundoff floor of cutoff^2 times the machine epsilon
     is added: the log-space kernel tables lose a relative 1e-13 or so at the
-    widest cutoffs.  Raises ConvergenceError when `max_error` is given and
+    widest cutoffs.  Raises CutoffTooSmall when `max_error` is given and
     exceeded.
     """
     if not isinstance(offset_map, OffsetMap):
@@ -1001,10 +1001,10 @@ def average_fidelity_fock(offset_map: OffsetMap, eta: float, lam: float,
     roundoff = cutoff * cutoff * sys.float_info.epsilon
     err = 2.0 * math.sqrt(tau_in) + 2.0 * math.sqrt(tau_out) + tau_out + roundoff
     if max_error is not None and err > max_error:
-        raise ConvergenceError(
+        raise CutoffTooSmall(
             f"fidelity average did not converge: at lambda = {lam:g} and cutoff {cutoff} "
             f"the prior keeps weight tau_in = {tau_in:.3g} of the inputs |alpha> and "
             f"tau_out = {tau_out:.3g} of the targets |sqrt(eta) alpha> at or above the "
             f"cutoff; value {total:.9g} with error estimate {err:.3g} exceeds the "
-            f"requested bound {max_error:g}", value=total, error=err)
+            f"requested bound {max_error:g}")
     return FockAverage(total, err)

@@ -119,18 +119,6 @@ class GaussianState:
     def coherent(cls, alpha):
         return cls(coherent_mean(alpha), VACUUM_GAMMA.copy())
 
-    def to_json(self):
-        return {"d": self.d.tolist(), "gamma": self.gamma.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        """The state of a `to_json` object; a missing or unknown field raises InvalidInput."""
-        _refuse_unknown_fields(obj, ("d", "gamma"), "Gaussian state JSON")
-        try:
-            return cls(np.array(obj["d"], dtype=float), np.array(obj["gamma"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"state JSON needs 'd' and 'gamma' fields: {exc}") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
@@ -156,13 +144,9 @@ class GaussianChannel:
     def _isotropic(cls, k: float, m: float):
         """The channel K = k I, M = m I without displacement, from two finite floats.
 
-        Built without `__post_init__`'s array checks, which the two scalars
-        make redundant; the refusals name the field as those checks do.
+        Built without `__post_init__`'s array checks, which the caller's
+        finite scalars make redundant (`schemes.to_gaussian` refuses others).
         """
-        if not math.isfinite(k):
-            raise InvalidInput("gain matrix K must be finite")
-        if not math.isfinite(m):
-            raise InvalidInput("noise matrix M must be finite")
         chan = object.__new__(cls)
         object.__setattr__(chan, "K", k * E2)
         object.__setattr__(chan, "M", m * E2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fock
 from .bounds import _check_prior, _check_task, _require, _unwrap
-from .errors import ConvergenceError, InvalidInput, UnsupportedTask
+from .errors import CutoffTooSmall, InvalidInput, UnsupportedTask
 from .gaussian import (E2, GaussianChannel, _check_cp, _entries, _principal_values,
                        _refuse_unknown_fields, compose as compose_channels, isotropic_part)
 
@@ -408,11 +408,9 @@ def apply_mp_fock(scheme: HeterodyneMP, rho,
         deficit = before - after
         worst = int(np.argmax(deficit))
         if deficit[worst] > max_trace_deficit:
-            raise ConvergenceError(
+            raise CutoffTooSmall(
                 f"re-prepared states reach past the cutoff: trace fell by "
-                f"{deficit[worst]:.3g} (> {max_trace_deficit:g}); raise the cutoff",
-                value=float(after[worst]),
-                error=float(deficit[worst]))
+                f"{deficit[worst]:.3g} (> {max_trace_deficit:g}); raise the cutoff")
     return result
 
 

@@ -53,6 +53,16 @@ def test_dataset_requires_both_quadratures_per_probe():
     ExperimentDataset(recs[:2], lam=0.2)  # the complete probe alone is fine
 
 
+@pytest.mark.parametrize("records, message", [
+    ([], "dataset has no records"),
+    ([QuadratureRecord(1.0, "plus", np.zeros(2)), (1.0, "minus", [0.0, 0.0])],
+     r"not a quadrature record: \(1.0, 'minus', \[0.0, 0.0\]\)"),
+], ids=["empty", "tuple"])
+def test_dataset_refuses_no_records_or_a_non_record(records, message):
+    with pytest.raises(DatasetError, match=message):
+        ExperimentDataset(records, lam=0.1)
+
+
 def test_dataset_rejects_bad_widths_and_weights():
     recs = [QuadratureRecord(1.0, "plus", np.zeros(2)),
             QuadratureRecord(1.0, "minus", np.zeros(2))]
@@ -151,8 +161,9 @@ def test_estimate_gain_needs_three_probes():
 
 
 def test_estimate_gain_needs_displaced_probes():
-    ds = make_dataset(PureLoss(0.6), n=100, alphas=[0.0])
-    with pytest.raises(DatasetError):
+    # three distinct probes whose squared quadrature means underflow to 0
+    ds = make_dataset(PureLoss(0.6), n=100, alphas=[1e-200, -1e-200, 1e-200j])
+    with pytest.raises(DatasetError, match="gain estimation needs probes away from the origin"):
         estimate_gain(ds)
 
 

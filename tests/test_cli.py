@@ -203,6 +203,26 @@ def test_simulate_unmatched_flat_prior_gives_one_proxy_warning(capsys):
     assert doc["result"]["lambda_used_gaussian"] == 0.001
 
 
+@pytest.mark.parametrize("channel, eta, bound, proxy, verdict", [
+    ('{"type":"canonical_b1"}', "1", 0.5, False, "QUANTUM_DOMAIN"),
+    ('{"type":"pure_loss","T":0.5}', "0.5", 1 / 1.5, False, "QUANTUM_DOMAIN"),
+    ('{"type":"pure_loss","T":0.5}', "0.8", classical_bound(0.8, 1e-3), True,
+     "NOT_CERTIFIED"),
+], ids=["b1-matched", "loss-matched", "loss-unmatched"])
+def test_simulate_and_certify_share_one_flat_prior_rule(capsys, channel, eta, bound, proxy,
+                                                        verdict):
+    # a matched channel keeps lambda = 0; only an unmatched one gets the proxy
+    argv = ("--channel", channel, "--eta", eta, "--lambda", "0")
+    code, sim, _ = run_json(capsys, "simulate", *argv)
+    code_cert, cert, _ = run_json(capsys, "certify", *argv)
+    assert (code, code_cert) == (0, 0 if verdict == "QUANTUM_DOMAIN" else 1)
+    assert cert["result"]["verdict"] == verdict
+    assert sim["result"]["classical_bound"] == cert["result"]["threshold"] == bound
+    assert sim["warnings"] == cert["warnings"] == (
+        ["flat prior replaced by lambda = 0.001 for an unmatched channel, "
+         "whose flat-prior average diverges"] if proxy else [])
+
+
 def test_simulate_ignores_quad_with_a_warning(capsys):
     argv = ["simulate", "--channel", '{"type": "pure_loss", "T": 0.6}', "--eta",
             "0.8", "--lambda", "0.4", "--engine", "both", "--cutoff", "24"]
@@ -606,6 +626,17 @@ def test_certify_input_refuses_a_bad_declared_gain_as_a_dataset_error(capsys, tm
     assert "Traceback" not in err and "Warning" not in err
 
 
+def test_certify_input_refuses_to_estimate_a_gain_from_probes_at_the_origin(capsys, tmp_path):
+    # three distinct probes at |alpha| ~ 1e-200, whose squared quadrature means underflow
+    path = tmp_path / "origin.csv"
+    write_dataset_csv(synthesize_dataset(PureLoss(0.6), [1e-200, -1e-200, 1e-200j], 20, 0.1,
+                                         seed=3), path)
+    code, out, err = run(capsys, "certify", "--input", str(path), "--lambda", "0.1")
+    assert (code, out) == (4, "")
+    assert err == ("cvbench certify: dataset error: gain estimation needs probes away "
+                   "from the origin\n")
+
+
 def test_certify_non_numeric_weights_are_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--input", str(loss_csv(tmp_path, n=50)),
                        "--lambda", "0.1", "--eta", "0.6", "--weights", "a,b,c,d")
@@ -619,7 +650,11 @@ def test_certify_non_numeric_weights_are_a_usage_error(capsys, tmp_path):
     ("fbar", "--k", "-1", "required margin k (--k) must be >= 0 and finite, got -1.0"),
     ("input", "--k", "-1", "required margin k (--k) must be >= 0 and finite, got -1.0"),
     ("input", "--lambda", "-1",
-     "dataset error: prior width lambda (--lambda) must be positive, got -1.0"),
+     "dataset error: prior width lambda (--lambda) must be positive and finite, got -1.0"),
+    ("input", "--lambda", "inf",
+     "dataset error: prior width lambda (--lambda) must be positive and finite, got inf"),
+    ("input", "--lambda", "nan",
+     "dataset error: prior width lambda (--lambda) must be positive and finite, got nan"),
 ])
 def test_certify_names_the_flag_of_a_refused_value(capsys, tmp_path, route, flag, value, line):
     base = {"fbar": {"--fbar": "0.7", "--eta": "1", "--lambda": "0.2"},
@@ -996,6 +1031,28 @@ def test_out_keeps_the_mode_of_an_overwritten_file(capsys, tmp_path, umask_022):
     assert main(["sweep", "--eta", "0.5,1", "--out", str(out)]) == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert out.read_text().startswith("# version=")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "overwritten"])
+def test_a_failed_write_leaves_no_temporary_file_and_the_target_as_it_was(tmp_path, umask_022,
+                                                                          existing):
+    out = tmp_path / "table.csv"
+    if existing:
+        out.write_text("old\n")
+        out.chmod(0o640)
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._atomic_write(chunks(), str(out))
+    assert not list(tmp_path.glob(".cvbench-*.tmp"))
+    if existing:
+        assert out.read_text() == "old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("rows, line", [

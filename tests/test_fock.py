@@ -67,6 +67,8 @@ def test_coherent_amplitudes_rejects_empty_cutoff():
 
 
 def test_coherent_ket_guards_cutoff():
+    with pytest.raises(CutoffTooSmall, match=r"\|alpha\|\^2 = 25 exceeds cutoff 10"):
+        fock.coherent_ket(5.0, 10)
     with pytest.raises(CutoffTooSmall):
         fock.coherent_ket(3.0, 10)
     # Explicitly unguarded call returns the sub-normalized truncation.
@@ -548,12 +550,29 @@ def test_non_finite_fock_parameters_are_refused(value):
             fock.DisplacementMixture(0.3, 0, beta)
 
 
-@pytest.mark.parametrize("kind, value", [
-    ("loss", 0.0), ("loss", 1.5), ("amp", 0.5), ("heterodyne", -1.0),
+@pytest.mark.parametrize("kind, value, message", [
+    ("loss", 0.0, KRAUS_RANGE_MESSAGES["loss"]), ("loss", 1.5, KRAUS_RANGE_MESSAGES["loss"]),
+    ("amp", 0.5, KRAUS_RANGE_MESSAGES["amp"]),
+    ("heterodyne", -1.0, KRAUS_RANGE_MESSAGES["heterodyne"]),
+    ("foo", 1.0, "unknown Kraus family 'foo'"),
 ])
-def test_kraus_families_refuse_parameters_out_of_range(kind, value):
-    with pytest.raises(InvalidInput, match=KRAUS_RANGE_MESSAGES[kind]):
+def test_kraus_families_refuse_parameters_out_of_range(kind, value, message):
+    with pytest.raises(InvalidInput, match=message):
         fock.KrausFamily(kind, value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: fock.annihilation(0), "cutoff must be at least 1"),
+    (lambda: fock.quadrature_operator(4, 2), r"axis must be 0 \(x_plus\) or 1 \(x_minus\)"),
+    (lambda: fock.gaussian_state_fock(np.zeros(2), np.diag([1.0, -1.0]), 8),
+     "covariance must be positive definite"),
+    (lambda: fock.gaussian_state_fock(np.zeros(2), 0.4 * E2, 8),
+     "covariance violates the uncertainty bound det >= 1/4"),
+], ids=["annihilation-cutoff-0", "quadrature-axis-2", "gaussian-indefinite",
+        "gaussian-below-uncertainty"])
+def test_operator_and_state_builders_refuse_what_they_cannot_build(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

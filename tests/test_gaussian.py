@@ -57,26 +57,6 @@ def test_physicality():
     assert not is_physical_state(np.array([[1.0, 0.1], [0.0, 1.0]]))   # not symmetric
 
 
-def test_state_json_roundtrip():
-    st = GaussianState(np.array([0.3, -1.2]), np.array([[0.8, 0.1], [0.1, 0.7]]))
-    again = GaussianState.from_json(st.to_json())
-    assert np.array_equal(st.d, again.d)
-    assert np.array_equal(st.gamma, again.gamma)
-    assert again == st
-
-
-@pytest.mark.parametrize("spec, message", [
-    ({"d": [1, 0], "gamma": [[0.5, 0], [0, 0.5]], "D": [1, 0]},
-     "Gaussian state JSON does not take field 'D'"),
-    ({"d": [1, 0], "gamma": [[0.5, 0], [0, 0.5]], "type": "state", "Gamma": 1},
-     "Gaussian state JSON does not take fields 'Gamma', 'type'"),
-    (["d", "gamma"], "Gaussian state JSON must be a JSON object"),
-])
-def test_state_json_refuses_unknown_fields(spec, message):
-    with pytest.raises(InvalidInput, match=message):
-        GaussianState.from_json(spec)
-
-
 @pytest.mark.parametrize("same, other", [
     (GaussianState.vacuum, lambda: GaussianState.coherent(0.5)),
     (GaussianChannel.identity, lambda: GaussianChannel(E2, np.zeros((2, 2)), [0.0, 1e-300])),
@@ -137,6 +117,23 @@ def test_apply_and_coherent_fidelity_refuse_an_unphysical_covariance(gamma):
         apply_channel(GaussianChannel.identity(), state)
     with pytest.raises(InvalidInput, match="not a physical one-mode state"):
         fidelity_to_coherent(state, 0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianChannel(np.eye(3), np.zeros((2, 2))),
+     r"gain matrix K must be a 2x2 real matrix, got shape \(3, 3\)"),
+    (lambda: GaussianChannel(E2, np.zeros(2)),
+     r"noise matrix M must be a 2x2 real matrix, got shape \(2,\)"),
+    (lambda: GaussianChannel(E2, np.zeros((2, 2)), np.zeros(3)),
+     r"displacement disp must be a length-2 real vector, got shape \(3,\)"),
+    (lambda: GaussianState(np.zeros(2), np.zeros((2, 3))),
+     r"covariance gamma must be a 2x2 real matrix, got shape \(2, 3\)"),
+    (lambda: GaussianState(np.zeros((2, 1)), E2 / 2.0),
+     r"mean vector d must be a length-2 real vector, got shape \(2, 1\)"),
+], ids=["channel-K", "channel-M", "channel-disp", "state-gamma", "state-d"])
+def test_states_and_channels_refuse_a_wrong_shape(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 def test_apply_rejects_unphysical_channel():

@@ -7,7 +7,7 @@ import pytest
 
 from cvbench import fock, schemes
 from cvbench.bounds import classical_bound
-from cvbench.errors import (ConvergenceError, InvalidInput,
+from cvbench.errors import (CutoffTooSmall, InvalidInput,
                             NotCompletelyPositive, UnsupportedTask)
 from cvbench.gaussian import (E2, GaussianChannel, GaussianState,
                               apply_channel, average_fidelity_gaussian,
@@ -523,7 +523,7 @@ def test_apply_mp_fock_trace_diagnostic():
     # default raises, the explicit opt-out returns the sub-normalized result.
     ket = fock.coherent_ket(3.2, 12, weight_tol=None)
     rho = np.outer(ket, ket.conj())
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(CutoffTooSmall):
         apply_mp_fock(HeterodyneMP(1.0), rho)
     out = apply_mp_fock(HeterodyneMP(1.0), rho, max_trace_deficit=None)
     assert np.trace(out).real < np.trace(rho).real
@@ -571,7 +571,7 @@ def test_apply_mp_fock_checks_the_trace_of_every_state_of_a_stack(state_stack):
     stack = state_stack(12)
     ket = fock.coherent_ket(3.2, 12, weight_tol=None)
     stack[2] = np.outer(ket, ket.conj())
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(CutoffTooSmall):
         apply_mp_fock(HeterodyneMP(1.0), stack)
 
 

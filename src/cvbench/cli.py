@@ -130,8 +130,7 @@ _FLAGS = {
         ("--cutoff", int, 14,
          f"truncation for the operator bound, 1..{proofcheck._MAX_SCORE_CUTOFF}"),
         ("--two-copy-cutoff", int, 16,
-         "quadrature truncation for the two-copy consistency check, "
-         f"1..{proofcheck._MAX_SCORE_CUTOFF}"),
+         f"levels of the two-copy check's probe, 1..{proofcheck._MAX_SCORE_CUTOFF}"),
         ("--corrupt-bound", float, 1.0,
          "self-test: scale the bound by this factor (0.9 must fail)"),
     ),

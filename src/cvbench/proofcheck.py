@@ -13,40 +13,35 @@ Three independent checks, each reported with explicit residuals:
   adjoints.  Truncation only compresses the operator, so a violation found
   at finite cutoff is a genuine violation;
 * a two-copy consistency identity tying the Frobenius norm of that operator
-  to the expectation of a two-copy integral operator.  The expectation is a
-  polar quadrature contracted in closed phase-circulant form: the probe's
-  overlaps by one FFT per radius, the real and even coupling on half the
-  phase offsets, the contraction on half the spectrum.  The operator's side
-  keeps as many output levels as (eta, lambda) need; the sides share no
-  construction.
+  to the expectation of a two-copy integral operator.  Through a 50:50 beam
+  splitter that operator is a second quantization, so the expectation is
+  exact: a trace over the probe's own levels, with no quadrature rule and no
+  truncation.  The operator's side keeps as many output levels as the
+  probe's support and (eta, lambda) need; the sides share no construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import fock
 from .bounds import _check_prior, _check_task, classical_bound
-from .ensembles import GaussianPrior, QuadratureRule, gauss_rule, laguerre_rule
 from .errors import InvalidInput
 
 _IDENTITY_TOL = 1e-10       # the circulant check's residuals
 _SCORE_TOL = 1e-8           # the score check's largest violation
 _TWO_COPY_REL_TOL = 1e-3    # the two-copy check's relative difference
-# Widest cutoffs the builders accept.  The score side has no rule: the cap
-# guards the two-copy check's polar rule, whose Gauss-Laguerre weights turn
-# NaN from cutoff 92 on, and the score check's operator stack.  The dense
+# Widest cutoffs the builders accept, bounds on time and memory: the score
+# check's operator stack and the two-copy check's probe support.  The dense
 # two-copy operator grows with the fourth power of its cutoff.  The two-copy
-# check's one score operator keeps at most _MAX_SCORE_LEVELS output levels,
-# the widest truncation the Fock engine accepts: a bound on time and memory,
-# not on any quadrature rule.
+# check's one score operator keeps at most _MAX_SCORE_LEVELS output levels;
+# at 318 the check takes about 16 ms and traces an 8.5 MiB peak.
 _MAX_SCORE_CUTOFF = 64
 _MAX_TWO_COPY_CUTOFF = 16
-_MAX_SCORE_LEVELS = fock._MAX_AUTO_CUTOFF
+_MAX_SCORE_LEVELS = 320
 # Largest copy and probe counts the checks accept.  The circulant check
 # diagonalizes dense copies x copies matrices; the score check stacks one
 # cutoff x cutoff operator per probe (500 probes at cutoff 64 trace a 41 MiB peak).
@@ -273,38 +268,58 @@ def score_bound_check(eta: float, lam: float, trials: int = 50, cutoff: int = 20
 # two-copy consistency
 
 
-def matched_quadrature(eta: float, lam: float, cutoff: int) -> QuadratureRule:
-    """The two-copy side's polar rule, (2 cutoff + 4)^2 nodes of width lam + 1 + eta:
-    reweighted to the prior, it absorbs every Gaussian factor of each copy."""
-    points = 2 * cutoff + 4
-    return gauss_rule(GaussianPrior(lam + 1.0 + eta), radial_points=points,
-                      angular_points=points)
+def _beam_splitter_weights(eta: float, lam: float):
+    """(lam^2 x1 x2, alpha, beta) of the two-copy operator B, x1 = 1/(1+lam) and
+    x2 = 1/(1+lam+2 eta).
+
+    A 50:50 beam splitter U maps |a>|b> to |u>|v> with u, v = (a +- b)/sqrt 2,
+    so |a - b|^2 = 2 |v|^2 and B = U^H (D1 (x) D2) U for D1 = lam x1 x1^n, the
+    prior's thermal state, and D2 = lam x2 x2^n.  U^H (x1^n_a (x) x2^n_b) U is
+    the second quantization Gamma(M) of M = [[alpha, beta], [beta, alpha]],
+    alpha = (x1 + x2)/2 and beta = (x1 - x2)/2, both >= 0: it maps a^H to
+    alpha a^H + beta b^H and b^H to beta a^H + alpha b^H, and keeps |0, 0>.
+    """
+    x1, x2 = 1.0 / (1.0 + lam), 1.0 / (1.0 + lam + 2.0 * eta)
+    # each factor in (0, 1], so no product overflows
+    return (lam * x1) * (lam * x2), (1.0 + lam + eta) * x2 * x1, eta * x2 * x1
+
+
+def _raise(psi: np.ndarray, first: float, second: float) -> np.ndarray:
+    """(first a^H + second b^H) psi, psi[..., k, l] the amplitude of |k, l>.
+
+    Levels pushed past the last are dropped: nothing lowers them again, so
+    every kept amplitude is exact."""
+    root = np.sqrt(np.arange(1.0, psi.shape[-1]))
+    out = np.zeros_like(psi)
+    out[..., 1:, :] = (first * root)[:, None] * psi[..., :-1, :]
+    out[..., :, 1:] += (second * root) * psi[..., :, :-1]
+    return out
 
 
 def two_copy_operator(eta: float, lam: float, cutoff: int) -> np.ndarray:
     """Two-copy integral operator over independent prior draws.
 
-    B = E_{a,b} [ exp(-eta |a - b|^2) |a><a| (x) |b><b| ], assembled on the
-    truncated two-mode space as a cutoff^2 x cutoff^2 Hermitian matrix.  The
-    Gaussian coupling between the copies is evaluated exactly; only the
-    projectors are truncated.  This is the dense reference for the
-    contraction `two_copy_check` uses; it is not on that check's path.
+    B = E_{a,b} [ exp(-eta |a - b|^2) |a><a| (x) |b><b| ] compressed to
+    cutoff levels per mode, a real symmetric cutoff^2 x cutoff^2 matrix:
+    lam^2 x1 x2 <k, l| Gamma(M) |m, n> (`_beam_splitter_weights`).  Column
+    (m, n) is (alpha a^H + beta b^H)^m (beta a^H + alpha b^H)^n |0, 0> /
+    sqrt(m! n!), built by the raising recurrence, so every entry is exact.
+    This is the dense reference for the value `two_copy_check` uses; it is
+    not on that check's path.
     """
     _check_prior(eta, lam)
     if not (1 <= cutoff <= _MAX_TWO_COPY_CUTOFF):
         raise InvalidInput(f"two-copy build supports cutoffs 1..{_MAX_TWO_COPY_CUTOFF} "
                            "(memory grows with the fourth power)")
-    rule = matched_quadrature(eta, lam, cutoff)
-    weights = rule.weights_for(lam)
-    kets = fock.coherent_amplitudes(rule.nodes, cutoff)
-    sep = np.abs(rule.nodes[:, None] - rule.nodes[None, :]) ** 2
-    coupling = (weights[:, None] * weights[None, :]) * np.exp(-eta * sep)
-    # V[s, m*cutoff + n] = kets[m, s] * conj(kets[n, s])
-    v = (kets[:, None, :] * kets.conj()[None, :, :]).reshape(cutoff * cutoff, -1)
-    pairwise = v @ coupling @ v.T
-    tensor = pairwise.reshape(cutoff, cutoff, cutoff, cutoff)
-    matrix = tensor.transpose(0, 2, 1, 3).reshape(cutoff ** 2, cutoff ** 2)
-    return 0.5 * (matrix + matrix.conj().T)
+    scale, alpha, beta = _beam_splitter_weights(eta, lam)
+    columns = np.zeros((cutoff,) * 4)                # [m, n, k, l]
+    columns[0, 0, 0, 0] = 1.0
+    for n in range(1, cutoff):
+        columns[0, n] = _raise(columns[0, n - 1], beta, alpha) / math.sqrt(n)
+    for m in range(1, cutoff):
+        columns[m] = _raise(columns[m - 1], alpha, beta) / math.sqrt(m)
+    matrix = scale * columns.reshape(cutoff ** 2, cutoff ** 2).T
+    return 0.5 * (matrix + matrix.T)
 
 
 @dataclass(frozen=True)
@@ -323,91 +338,65 @@ class TwoCopyReport:
         return dict(vars(self))
 
 
-def _polar_overlaps(amps: np.ndarray, radii: np.ndarray, points: int) -> np.ndarray:
-    """|<phi|r_i e^{2 pi i j/points}>|^2 on the polar rule, radius-major, phase minor.
+def _two_copy_value(amps: np.ndarray, eta: float, lam: float) -> float:
+    """<phi|<phi| B |phi>|phi> of `two_copy_operator`, exactly, without building B.
 
-    <phi|r e^{i theta}> = sum_n conj(phi_n) c_n(r) e^{i n theta} with c_n(r) the
-    real coherent amplitudes of the radius, so one FFT of length `points` per
-    radius gives every phase; its modulus is that of fft(phi_n c_n(r)).  No
-    harmonic aliases while the probe has fewer levels than `points`.
-    """
-    kets = fock.coherent_amplitudes(radii, amps.size)
-    return np.abs(np.fft.fft(amps[:, None] * kets, n=points, axis=0).T) ** 2
+    With f(z) = sum_m phi_m z^m / sqrt(m!), |phi>|phi> = f(a^H) f(b^H) |0, 0>,
+    so the value is lam^2 x1 x2 <phi phi| f(alpha a^H + beta b^H)
+    f(beta a^H + alpha b^H) |0, 0> (`_beam_splitter_weights`).  Expanding
+    both powers binomially and pairing each raising with the bra leaves a
+    trace over the probe's own c levels:
 
+        value = lam^2 x1 x2 Tr[(A conj(H) B H)^2],
 
-@lru_cache(maxsize=16)
-def _phase_offset_tables(points: int):
-    """(4 sin^2(pi d / A), T) over the A/2 + 1 phase offsets d of an A-point polar
-    rule (A even), built once per A and read-only: the first as a (A/2 + 1, 1, 1)
-    column, T the cosine transform from offsets to harmonics of `_two_copy_value`.
-
-    T carries the weights of both sides: offsets and harmonics 1 ... A/2 - 1
-    each stand for a conjugate pair.  The cache keeps 16 rule sizes; at the
-    widest two-copy cutoff, 64 (A = 132), an entry holds 36 KB.
-    """
-    half = points // 2 + 1
-    steps = np.arange(half)                          # offsets d, and harmonics
-    four_sin_sq = 4.0 * (np.sin(math.pi / points * steps) ** 2)[:, None, None]
-    pairs = np.full(half, 2.0)
-    pairs[0] = pairs[-1] = 1.0
-    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
-                 * np.outer(pairs, pairs) / points)
-    return fock._read_only(four_sin_sq, transform)
-
-
-def _two_copy_value(amps: np.ndarray, eta: float, lam: float, cutoff: int) -> float:
-    """<phi|<phi| B |phi>|phi> of `two_copy_operator`, without building B.
-
-    With q_s = w_s |<phi|a_s>|^2 the value is sum_{s,t} q_s q_t
-    exp(-eta |a_s - a_t|^2).  On the polar rule a_{ij} = r_i e^{2 pi i j/A}
-    the coupling g_{ik}(d) depends only on the radii and the phase offset
-    d = j - l, and it is real and even in d.  So it is evaluated on the
-    A/2 + 1 distinct offsets only, R^2 (A/2 + 1) exponentials, all of them at
-    most 1, and its real spectrum is one cosine transform over them; q's
-    spectrum is one rfft per radius.  The value sums the harmonics 0..A/2
-    with weights 1, 2, ..., 2, 1, each a real quadratic form in q's spectrum.
+    H[j, i] = phi_{i+j} sqrt(C(i+j, j)) (zero from i + j = c on), A and B
+    diagonal with alpha^j and beta^j.  No rule and no truncation: two c x c
+    products.  Every weight is >= 0, so only the probe's phases cancel, and
+    the value is at most that of |phi|, itself at most 1.  Trailing zero
+    amplitudes cost time and change nothing.
     """
     _check_prior(eta, lam)
-    if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
-        raise InvalidInput(f"two-copy check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
-                           f"got {cutoff}")
-    # the radii of `matched_quadrature` and, reweighted to the prior, the
-    # weight of one of their `points` equally weighted phases
-    points, width = 2 * cutoff + 4, lam + 1.0 + eta
-    half = points // 2 + 1                           # points is even
-    t, w = laguerre_rule(points)
-    radii = np.sqrt(t / width)
-    weights = w / points * (lam / width) * np.exp((width - lam) * radii ** 2)
-    q = weights[:, None] * _polar_overlaps(amps, radii, points)
-    four_sin_sq, transform = _phase_offset_tables(points)
-    # |a_{i,0} - a_{k,d}|^2 = (r_i - r_k)^2 + 4 r_i r_k sin^2(pi d / A), (d, i, k)
-    sep = (radii[:, None] - radii[None, :]) ** 2 + four_sin_sq * (
-        radii[:, None] * radii[None, :])
-    coupling = np.exp(-eta * sep)
-    spectrum = (transform @ coupling.reshape(half, -1)).reshape(coupling.shape)
-    # g is symmetric in (i, k), so f^H G f is the sum of the forms of Re f and Im f
-    f = np.fft.rfft(q, axis=1)
-    parts = np.stack([f.real.T, f.imag.T], axis=2)   # (harmonic, radius, 2)
-    return float(np.sum(parts * (spectrum @ parts)))
+    scale, alpha, beta = _beam_splitter_weights(eta, lam)
+    c = amps.size
+    idx = np.arange(c)
+    steps = np.arange(1.0, c)[:, None]
+    binom = np.ones((c, c))                          # sqrt(C(i+j, j)), row j
+    binom[1:] = np.cumprod(np.sqrt((idx + steps) / steps), axis=0)
+    h = np.concatenate((amps, np.zeros(c)))[idx[:, None] + idx] * binom
+    ahbh = ((alpha ** idx)[:, None] * h.conj() * beta ** idx) @ h
+    return scale * float(np.sum(ahbh * ahbh.T).real)
 
 
-def _score_levels(eta: float, lam: float, cutoff: int) -> int:
+def _score_levels(eta: float, lam: float, support: int) -> int:
     """Output levels the two-copy check keeps of the score operator.
 
-    Truncating the score operator's output at c levels drops a share of its
-    squared Frobenius norm that decays as (eta / (1 + lam + eta))^c; the
-    smallest c that puts that power below _TWO_COPY_REL_TOL / 100 is kept,
-    and never fewer than the two-copy cutoff.
+    Of the probes on `support` levels, the Fock state on the top one reaches
+    furthest up: its score operator is diagonal, t_k = C(support - 1 + k, k)
+    r^k up to a constant at output level k, with r = eta / (1 + lam + eta),
+    and truncating it at c levels drops the share sum_{k>=c} t_k^2 / sum_k t_k^2
+    of its squared Frobenius norm.  The smallest c that puts that share below
+    _TWO_COPY_REL_TOL / 100 is kept, and never fewer than `support`; the
+    tests check on seeded probes of every support that no probe drops more.
+    Past _MAX_SCORE_LEVELS the ratio t_{k+1} / t_k only falls toward r, so a
+    geometric series bounds the sum there.
     """
     _check_prior(eta, lam)
-    decay = math.log1p((1.0 + lam) / eta)            # -log(eta / (1 + lam + eta))
-    needed = math.log(100.0 / _TWO_COPY_REL_TOL) / decay if decay > 0 else math.inf
-    if not needed <= _MAX_SCORE_LEVELS:
-        raise InvalidInput(
-            f"the two-copy check's score side needs {needed:.4g} levels at eta {eta:g} "
-            f"and lambda {lam:g} to resolve a relative tolerance of {_TWO_COPY_REL_TOL:g}; "
-            f"it builds at most {_MAX_SCORE_LEVELS}")
-    return max(cutoff, math.ceil(needed))
+    top = _MAX_SCORE_LEVELS
+    log_r = -math.log1p((1.0 + lam) / eta)
+    k = np.arange(1.0, top + 1)
+    log_t = np.concatenate(([0.0], np.cumsum(log_r + np.log((support - 1 + k) / k))))
+    # the largest ratio t_{k+1} / t_k past the last level, squared
+    ratio_sq = math.exp(2.0 * (log_r + math.log((support + top) / (top + 1.0))))
+    if ratio_sq < 1.0:
+        sq = np.exp(2.0 * (log_t - log_t.max()))
+        tail = np.cumsum(sq[::-1])[::-1] + sq[-1] * ratio_sq / (1.0 - ratio_sq)
+        kept = np.flatnonzero(tail <= _TWO_COPY_REL_TOL / 100.0 * tail[0])
+        if kept.size:
+            return max(support, int(kept[0]))
+    raise InvalidInput(
+        f"the two-copy check's score side needs more than {top} levels at eta {eta:g} "
+        f"and lambda {lam:g} for a probe on {support} levels to resolve a relative "
+        f"tolerance of {_TWO_COPY_REL_TOL:g}; it builds at most {top}")
 
 
 def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12) -> TwoCopyReport:
@@ -416,22 +405,25 @@ def two_copy_check(phi, eta: float, lam: float, cutoff: int = 12) -> TwoCopyRepo
     The squared Frobenius norm of a probe's score operator equals the
     expectation of the two-copy operator in |phi> (x) |phi>.  The score side
     is the closed form of `outcome_score_operator`, its output kept to
-    `_score_levels` levels, which follow (eta, lam) so that the levels it
-    drops stay far below the relative tolerance _TWO_COPY_REL_TOL.  The
-    two-copy side is a polar quadrature at `cutoff` contracted in closed
-    phase-circulant form (`_two_copy_value`):
-    the overlaps cost one FFT per radius and the coupling R^2 (A/2 + 1)
-    exponentials, against the cutoff^4 of the dense `two_copy_operator`.  The
-    sides share no construction and truncate different factors, so agreement
-    is a real consistency test of both.  Probes should live well inside the
-    cutoff for the comparison to count.
+    `_score_levels` levels, which follow the probe's support and (eta, lam)
+    so that the levels it drops stay far below the relative tolerance
+    _TWO_COPY_REL_TOL.  The two-copy side is exact (`_two_copy_value`): a
+    trace over the probe's own levels through the beam-splitter form of B,
+    with no rule and no truncation.  The sides share no construction, so
+    agreement is a real consistency test of both.  `cutoff`, 1..64, bounds
+    the probe's levels; trailing zero amplitudes are dropped.
     """
+    if not 1 <= cutoff <= _MAX_SCORE_CUTOFF:
+        raise InvalidInput(f"two-copy check supports cutoffs 1..{_MAX_SCORE_CUTOFF}, "
+                           f"got {cutoff}")
     amps = _probe_amplitudes(phi)
     if amps.ndim != 1 or amps.size > cutoff:
         raise InvalidInput(f"the two-copy check takes one probe on at most {cutoff} "
                            f"levels, got shape {amps.shape}")
-    levels = _score_levels(eta, lam, cutoff)
-    value = _two_copy_value(np.pad(amps, (0, cutoff - amps.size)), eta, lam, cutoff)
+    nonzero = np.flatnonzero(amps)
+    amps = amps[:nonzero[-1] + 1] if nonzero.size else amps[:1]
+    levels = _score_levels(eta, lam, amps.size)
+    value = _two_copy_value(amps, eta, lam)
     score = outcome_score_operator(np.pad(amps, (0, levels - amps.size)), eta, lam)
     frob = float(np.sum(np.abs(score) ** 2))
     rel = abs(frob - value) / max(frob, value, 1e-300)

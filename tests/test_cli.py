@@ -1094,7 +1094,8 @@ def test_proofcheck_defaults_pass_above_unit_gain(capsys):
 
 def test_proofcheck_above_unit_gain_passes_at_a_wider_two_copy_cutoff(capsys):
     # at eta = 3 a score operator truncated at the two-copy cutoff of 16 would
-    # miss the two-copy side by 1.1e-2; its output levels follow eta instead
+    # miss the two-copy side by 1.1e-2; its output levels follow the probe's
+    # support and eta instead
     code, doc, _ = run_json(capsys, "proofcheck", "--eta", "3")
     assert code == 0
     assert doc["result"]["two_copy"]["passed"] is True
@@ -1106,8 +1107,8 @@ def test_proofcheck_above_unit_gain_passes_at_a_wider_two_copy_cutoff(capsys):
 
 
 @pytest.mark.parametrize("argv, score_cutoff", [
-    ((), 16), (("--eta", "3"), 35), (("--eta", "6"), 64),
-    (("--eta", "10", "--lambda", "0.2"), 102),
+    ((), 18), (("--eta", "3"), 44), (("--eta", "6"), 84),
+    (("--eta", "10", "--lambda", "0.2"), 136),
 ])
 def test_proofcheck_score_side_levels_follow_eta_at_default_flags(capsys, argv,
                                                                  score_cutoff):
@@ -1118,14 +1119,25 @@ def test_proofcheck_score_side_levels_follow_eta_at_default_flags(capsys, argv,
     assert two["cutoff"] == 16 and two["score_cutoff"] == score_cutoff
 
 
+@pytest.mark.parametrize("eta, score_cutoff", [("15", 201), ("18", 240)])
+def test_proofcheck_passes_at_high_gain(capsys, eta, score_cutoff):
+    # the quadrature two-copy side missed by 1.0e-3 and 1.9e-3 here; the
+    # exact side leaves only the score side's truncation
+    code, doc, _ = run_json(capsys, "proofcheck", "--eta", eta)
+    assert code == 0
+    two = doc["result"]["two_copy"]
+    assert two["passed"] is True and two["score_cutoff"] == score_cutoff
+    assert two["rel_difference"] < 1e-5
+
+
 def test_proofcheck_refuses_a_score_side_past_its_level_cap(capsys, monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("the two-copy value was built for a refused score side")
     monkeypatch.setattr(proofcheck, "_two_copy_value", must_not_build)
-    code, out, err = run(capsys, "proofcheck", "--eta", "20", "--trials", "2")
+    code, out, err = run(capsys, "proofcheck", "--eta", "25", "--trials", "2")
     assert code == 2 and out == ""
-    assert "needs 197.6 levels at eta 20 and lambda 0.2" in err
-    assert "at most 180" in err
+    assert "needs more than 320 levels at eta 25 and lambda 0.2 for a probe on 6 levels" in err
+    assert "at most 320" in err
 
 
 @pytest.mark.parametrize("flag, value, limit", [
@@ -1168,7 +1180,7 @@ def test_proofcheck_help_names_the_count_ranges(capsys):
     code, out, _ = run(capsys, "proofcheck", "--help")
     assert code == 0
     assert "1..512" in out and "0..500" in out
-    assert "consistency check, 1..64 (default 16)" in " ".join(out.split())
+    assert "two-copy check's probe, 1..64 (default 16)" in " ".join(out.split())
 
 
 def _parse_outcome(capsys, parse, argv):

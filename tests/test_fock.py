@@ -722,8 +722,7 @@ def _cutoff_table_arrays(cutoff):
     lambda: fock._quad_eigh(24, 1),
     lambda: ensembles.laguerre_rule(24),
     lambda: _cutoff_table_arrays(24),
-    lambda: proofcheck._phase_offset_tables(52),
-], ids=["quad_eigh", "laguerre_rule", "cutoff_tables", "phase_offset_tables"])
+], ids=["quad_eigh", "laguerre_rule", "cutoff_tables"])
 def test_every_cached_array_is_read_only(cached):
     # a cache shares its arrays with every later call, so a write must raise
     # rather than corrupt the next caller's values

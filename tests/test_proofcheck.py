@@ -176,7 +176,7 @@ def test_score_bound_check_builds_no_quadrature_rule(monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("a quadrature rule was built on the score side")
     monkeypatch.setattr(ensembles, "gauss_rule", must_not_build)
-    monkeypatch.setattr(proofcheck, "gauss_rule", must_not_build)
+    monkeypatch.setattr(ensembles, "laguerre_rule", must_not_build)
     assert score_bound_check(1.3, 0.4, trials=8, cutoff=24, seed=2).passed
 
 
@@ -374,7 +374,7 @@ def test_two_copy_cutoff_and_probe_guards():
         two_copy_check(np.eye(4)[:2], 1.0, 0.5, cutoff=8)
 
 
-# the check's closed phase-circulant contraction against the dense operator
+# the check's exact value against the dense operator, built by its own recurrence
 contraction_points = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 1.0)))
                       for _ in range(2)]
 contraction_points += [(float(rng.uniform(2.0, 4.0)), float(rng.uniform(0.1, 2.0)))
@@ -390,111 +390,130 @@ def test_two_copy_contraction_matches_the_dense_operator(cutoff, eta, lam):
         amps = raw / np.linalg.norm(raw)
         pair = np.kron(amps, amps)
         dense = (pair.conj() @ two_copy_operator(eta, lam, cutoff) @ pair).real
-        value = proofcheck._two_copy_value(amps, eta, lam, cutoff)
+        value = proofcheck._two_copy_value(amps, eta, lam)
         assert abs(value - dense) <= 1e-12 * dense
 
 
-def polar_contraction(amps, eta, lam, cutoff):
-    """Reference: the two-copy value by kets on every polar node and one complex
-    FFT of the full (R, R, A) coupling along its phase axis."""
-    rule = proofcheck.matched_quadrature(eta, lam, cutoff)
-    points = math.isqrt(rule.nodes.size)
-    kets = fock.coherent_amplitudes(rule.nodes, cutoff)
-    q = rule.weights_for(lam) * np.abs(amps.conj() @ kets) ** 2
-    grid = rule.nodes.reshape(points, points)
-    coupling = np.exp(-eta * np.abs(grid[:, :1, None] - grid[None, :, :]) ** 2)
-    spectrum = np.fft.fft(coupling, axis=2).real
-    f = np.fft.fft(q.reshape(points, points), axis=1)
-    return float(np.einsum("im,ikm,km->", f, spectrum, f.conj()).real / points)
+@pytest.mark.parametrize("eta, lam", [(1.0, 0.2), (0.3, 1.7), (15.0, 0.2), (2e-3, 40.0)])
+def test_two_copy_value_of_the_vacuum_is_the_closed_form(eta, lam):
+    value = proofcheck._two_copy_value(np.ones(1, dtype=complex), eta, lam)
+    exact = lam ** 2 / ((1.0 + lam) * (1.0 + lam + 2.0 * eta))
+    assert abs(value - exact) <= 1e-15 * exact
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 16, 24, 40, 64])
-@pytest.mark.parametrize("eta, lam", [(0.7, 0.4), (4.5, 0.15)])
-def test_two_copy_contraction_matches_the_polar_reference(cutoff, eta, lam):
-    probe_rng = np.random.default_rng([cutoff, 3])
-    raw = probe_rng.standard_normal(cutoff) + 1j * probe_rng.standard_normal(cutoff)
+@pytest.mark.parametrize("levels", [16, 64])
+def test_trailing_zero_levels_leave_the_two_copy_value_unchanged(levels):
+    probe_rng = np.random.default_rng([levels, 11])
+    for support in (1, 3, 6):
+        raw = probe_rng.standard_normal(support) + 1j * probe_rng.standard_normal(support)
+        amps = raw / np.linalg.norm(raw)
+        padded = np.pad(amps, (0, levels - support))
+        value = proofcheck._two_copy_value(amps, 1.3, 0.4)
+        assert abs(proofcheck._two_copy_value(padded, 1.3, 0.4) - value) <= 1e-15 * value
+        assert two_copy_check(padded, 1.3, 0.4, cutoff=levels) == two_copy_check(
+            amps, 1.3, 0.4, cutoff=levels)
+
+
+@pytest.mark.parametrize("eta, lam, support", [
+    (0.9, 0.5, 6), (10.0, 0.2, 6), (10.0, 0.2, 20), (20.0, 0.3, 6), (0.5, 1.0, 40),
+    (1.0, 0.3, 64)])
+def test_two_copy_value_is_the_score_operators_frobenius_norm(eta, lam, support):
+    # 400 output levels leave the score side's truncation below 1e-10 here
+    probe_rng = np.random.default_rng([support, int(10 * eta)])
+    raw = probe_rng.standard_normal(support) + 1j * probe_rng.standard_normal(support)
     amps = raw / np.linalg.norm(raw)
-    reference = polar_contraction(amps, eta, lam, cutoff)
-    value = proofcheck._two_copy_value(amps, eta, lam, cutoff)
-    assert abs(value - reference) <= 1e-13 * reference
+    score = outcome_score_operator(np.pad(amps, (0, 400 - support)), eta, lam)
+    frob = np.sum(np.abs(score) ** 2)
+    value = proofcheck._two_copy_value(amps, eta, lam)
+    assert abs(value - frob) <= 1e-10 * frob
 
 
-@pytest.mark.parametrize("cutoff", [1, 3, 16, 40])
-def test_per_radius_fft_overlaps_match_kets_on_every_node(cutoff):
-    rule = proofcheck.matched_quadrature(1.3, 0.3, cutoff)
-    points = math.isqrt(rule.nodes.size)
-    probe_rng = np.random.default_rng([cutoff, 4])
-    raw = probe_rng.standard_normal(cutoff) + 1j * probe_rng.standard_normal(cutoff)
-    amps = raw / np.linalg.norm(raw)
-    direct = np.abs(amps.conj() @ fock.coherent_amplitudes(rule.nodes, cutoff)) ** 2
-    overlaps = proofcheck._polar_overlaps(amps, rule.nodes[::points].real, points)
-    assert overlaps.shape == (points, points)
-    assert np.max(np.abs(overlaps.ravel() - direct)) <= 1e-14
+@pytest.mark.parametrize("eta, lam", [(0.9, 0.5), (2.0, 0.3)])
+def test_dense_two_copy_trace_rises_toward_the_full_trace(eta, lam):
+    # Tr B = E_a E_b exp(-eta |a - b|^2) = lam / (lam + 2 eta)
+    traces = [np.trace(two_copy_operator(eta, lam, c)) for c in range(1, 17)]
+    assert np.all(np.diff(traces) > 0)
+    full = lam / (lam + 2.0 * eta)
+    assert traces[-1] < full
+    assert full - traces[-1] <= 1e-2 * (full - traces[0])
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 16, 24, 40, 64])
-def test_phase_offset_tables_give_the_full_formulas_bit_for_bit(cutoff):
-    points = 2 * cutoff + 4
-    half = points // 2 + 1
-    steps = np.arange(half)
-    sin_sq = np.sin(math.pi / points * steps) ** 2
-    pairs = np.full(half, 2.0)
-    pairs[0] = pairs[-1] = 1.0
-    transform = (np.cos(2.0 * math.pi / points * np.outer(steps, steps))
-                 * np.outer(pairs, pairs) / points)
-    four_sin_sq, got = proofcheck._phase_offset_tables(points)
-    assert np.array_equal(four_sin_sq, 4.0 * sin_sq[:, None, None])
-    assert np.array_equal(got, transform)
-    assert proofcheck._phase_offset_tables(points)[1] is got
-
-
-def test_two_copy_value_builds_kets_on_the_radii_only(monkeypatch):
-    cutoff = 12
-    points = 2 * cutoff + 4
-    built = []
-    coherent_amplitudes = fock.coherent_amplitudes
-
-    def counted(alphas, levels):
-        built.append(np.size(alphas))
-        return coherent_amplitudes(alphas, levels)
-    monkeypatch.setattr(fock, "coherent_amplitudes", counted)
-    assert proofcheck._two_copy_value(np.eye(cutoff)[2].astype(complex), 1.0, 0.4,
-                                      cutoff) > 0
-    assert built == [points]
-
-
-def test_two_copy_check_never_builds_the_dense_operator(monkeypatch):
+def test_two_copy_check_builds_no_ket_rule_or_dense_operator(monkeypatch):
     def must_not_build(*args, **kwargs):
-        raise AssertionError("the dense two-copy operator was built")
-    monkeypatch.setattr(proofcheck, "two_copy_operator", must_not_build)
-    assert two_copy_check(np.eye(6)[0], 1.0, 1.0, cutoff=16).passed
+        raise AssertionError("the two-copy check built a ket, a rule or the dense operator")
+    for module, name in ((fock, "coherent_amplitudes"), (fock, "coherent_ket"),
+                         (ensembles, "gauss_rule"), (ensembles, "laguerre_rule"),
+                         (proofcheck, "two_copy_operator")):
+        monkeypatch.setattr(module, name, must_not_build)
+    probe_rng = np.random.default_rng(2)
+    raw = probe_rng.standard_normal(6) + 1j * probe_rng.standard_normal(6)
+    assert two_copy_check(raw / np.linalg.norm(raw), 1.0, 0.2, cutoff=16).passed
 
 
 @pytest.mark.parametrize("cutoff", [0, 65])
-def test_two_copy_value_rejects_cutoffs_outside_its_range(cutoff):
+def test_two_copy_check_rejects_cutoffs_outside_its_range(cutoff):
     with pytest.raises(InvalidInput, match="1..64"):
-        proofcheck._two_copy_value(np.ones(1, dtype=complex), 1.0, 0.5, cutoff)
+        two_copy_check(np.ones(1, dtype=complex), 1.0, 0.5, cutoff)
 
 
 @pytest.mark.parametrize("eta, lam", [(0.0, 0.5), (1.0, 0.0), (float("nan"), 0.5)])
 def test_two_copy_value_rejects_nonpositive_widths(eta, lam):
     with pytest.raises(InvalidInput):
-        proofcheck._two_copy_value(np.ones(4, dtype=complex), eta, lam, 4)
+        proofcheck._two_copy_value(np.ones(4, dtype=complex), eta, lam)
 
 
-def test_score_side_levels_follow_eta_and_lambda():
-    # (eta / (1 + lam + eta))^c <= 1e-3 / 100, never below the two-copy cutoff
-    assert proofcheck._score_levels(1.0, 0.2, 16) == 16
-    assert proofcheck._score_levels(1.0, 0.2, 4) == 15
-    assert proofcheck._score_levels(3.0, 0.2, 16) == 35
-    assert proofcheck._score_levels(10.0, 0.2, 16) == 102
-    assert proofcheck._score_levels(1.5, 0.3, 16) == 19
+def test_score_side_levels_follow_the_support_eta_and_lambda():
+    # the top Fock level's squared tail share falls below 1e-3 / 100, never
+    # fewer levels than the probe's support
+    assert proofcheck._score_levels(1.0, 0.2, 1) == 8
+    assert proofcheck._score_levels(1.0, 0.2, 6) == 18
+    assert proofcheck._score_levels(3.0, 0.2, 6) == 44
+    assert proofcheck._score_levels(10.0, 0.2, 6) == 136
+    assert proofcheck._score_levels(10.0, 0.2, 20) == 307
+    assert proofcheck._score_levels(1.5, 0.3, 6) == 23
+    assert proofcheck._score_levels(0.5, 0.3, 64) == 64
 
 
 @pytest.mark.parametrize("eta, lam", [(20.0, 0.2), (1e308, 0.2), (1.0, 0.0)])
 def test_score_side_refuses_what_it_cannot_resolve(eta, lam):
     with pytest.raises(InvalidInput):
         proofcheck._score_levels(eta, lam, 16)
+
+
+# (eta, lam) points of the levels rule's check: moderate gains, and high ones
+# for the supports whose levels stay within the cap
+share_points = [(0.5, 0.3), (1.0, 0.2), (1.5, 0.6), (3.0, 0.2), (6.0, 1.0)]
+
+
+@pytest.mark.parametrize("eta, lam", share_points + [(10.0, 0.2), (18.0, 0.2)])
+def test_score_levels_drop_a_small_share_on_every_support(eta, lam):
+    # the score side's truncated share of the exact value stays below a
+    # hundredth of the tolerance, for the top Fock level and seeded probes
+    probe_rng = np.random.default_rng([int(10 * eta), int(10 * lam)])
+    checked = 0
+    for support in range(1, 65):
+        try:
+            levels = proofcheck._score_levels(eta, lam, support)
+        except InvalidInput:
+            assert eta >= 10.0       # only the high gains run past the cap
+            continue
+        top = np.eye(support, dtype=complex)[-1]
+        raw = probe_rng.standard_normal(support) + 1j * probe_rng.standard_normal(support)
+        for amps in (top, raw / np.linalg.norm(raw)):
+            score = outcome_score_operator(np.pad(amps, (0, levels - support)), eta, lam)
+            value = proofcheck._two_copy_value(amps, eta, lam)
+            assert (value - np.sum(np.abs(score) ** 2)) / value <= 1e-5
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("eta, lam, support", [(10.0, 0.2, 20), (3.0, 0.2, 30)])
+def test_two_copy_check_passes_on_wide_probes(eta, lam, support):
+    probe_rng = np.random.default_rng(3)
+    raw = probe_rng.standard_normal(support) + 1j * probe_rng.standard_normal(support)
+    report = two_copy_check(raw / np.linalg.norm(raw), eta, lam, cutoff=32)
+    assert report.passed
+    assert report.score_cutoff == proofcheck._score_levels(eta, lam, support)
 
 
 @pytest.mark.parametrize("eta", [3.0, 6.0, 10.0])
@@ -504,5 +523,5 @@ def test_two_copy_check_passes_above_unit_gain_at_cutoff_16(eta):
     report = two_copy_check(raw / np.linalg.norm(raw), eta, 0.2, cutoff=16)
     assert report.passed
     assert report.cutoff == 16
-    assert report.score_cutoff == proofcheck._score_levels(eta, 0.2, 16)
+    assert report.score_cutoff == proofcheck._score_levels(eta, 0.2, 6)
     assert report.to_json()["score_cutoff"] == report.score_cutoff

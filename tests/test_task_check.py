@@ -44,7 +44,7 @@ ENTRIES = [
     ("proofcheck.two_copy_operator",
      lambda eta, lam: proofcheck.two_copy_operator(eta, lam, 4), True, True),
     ("proofcheck._two_copy_value",
-     lambda eta, lam: proofcheck._two_copy_value(PROBE, eta, lam, 4), True, True),
+     lambda eta, lam: proofcheck._two_copy_value(PROBE, eta, lam), True, True),
     ("proofcheck._score_levels",
      lambda eta, lam: proofcheck._score_levels(eta, lam, 4), True, True),
     ("proofcheck.score_bound_check",
